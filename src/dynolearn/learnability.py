@@ -7,6 +7,13 @@ time and over trajectories; the reported curve is the pointwise worst case
 over the initial-state grid.  Identical (inputs, master_seed) reproduce the
 curve bit for bit: trajectory random streams are pre-assigned by index, so
 results do not depend on scheduling order.
+
+Every x0 deliberately sees the same noise realizations (common random
+numbers), so differences across the grid come from the initial state alone.
+The noise is drawn once per ensemble and shared across the x0 grid: each
+measurement draws it before the x0 tasks start, and every task reads it.
+Workers fill the noise arrays in blocks of trajectories, one stream per row,
+so the bits do not depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -21,9 +28,16 @@ from ._canon import content_digest
 from .errors import ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle, ZeroRiskOracle
-from .predictors import _run_streaming_ridge, _shift_features
-from .spectral import FilterBank, build_filter_bank, trajectory_features, truncate_bank
-from .systems import LdsSpec, LorenzSpec, format_float as ff, initial_states, simulate_ensemble
+from .predictors import _run_streaming_ridge
+from .spectral import FilterBank, build_filter_bank, shifted_features, truncate_bank
+from .systems import (
+    LdsSpec,
+    LorenzSpec,
+    ensemble_noise,
+    format_float as ff,
+    initial_states,
+    simulate_ensemble,
+)
 
 DEFAULT_WINDOW = 16
 DEFAULT_N_TRAJ = 200
@@ -180,9 +194,8 @@ def _resolve_states(system, x0_grid) -> list[np.ndarray]:
 
 
 def _traj_rngs(master: SeededRng, n_traj: int) -> list[SeededRng]:
-    # fresh stream objects on every call: the same trajectory streams are
-    # replayed for every initial state, so comparisons across the x0 grid
-    # share noise realizations (and parallel workers never share state)
+    # trajectory i always draws from child stream i: one draw of these
+    # streams gives the noise that every initial state shares
     return [master.child(_TRAJ_NS, i) for i in range(n_traj)]
 
 
@@ -191,6 +204,35 @@ def _parallel_map(fn, items, n_workers: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
+
+
+class _Ensemble:
+    """One draw of an ensemble's noise, shared read-only by every x0 task.
+
+    The noise arrays are preallocated and filled by the workers, one block
+    of trajectories each; every row comes from its own stream, so the bits
+    do not depend on n_workers.
+    """
+
+    def __init__(self, system, horizon: int, master: SeededRng, n_traj: int, n_workers: int):
+        self.system, self.horizon = system, horizon
+        self.rngs = _traj_rngs(master, n_traj)
+        lds = isinstance(system, LdsSpec)
+        self.noise = (
+            (np.empty((n_traj, horizon, system.d)), np.empty((n_traj, horizon, system.p)))
+            if lds
+            else np.empty((n_traj, horizon, system.p))
+        )
+
+        def fill(b):  # rows b of the shared arrays, in place
+            rows = tuple(a[b] for a in self.noise) if lds else self.noise[b]
+            ensemble_noise(system, horizon, self.rngs[b], out=rows)
+
+        k = max(1, min(n_workers, n_traj))
+        _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
+
+    def observations(self, x0) -> np.ndarray:
+        return simulate_ensemble(self.system, self.horizon, x0, self.rngs, noise=self.noise)
 
 
 def resolve_oracle(system, kind: str = "auto", p: int | None = None):
@@ -246,10 +288,10 @@ def estimate_excess_risk(
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    master = SeededRng(master_seed)
+    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
 
     def one_x0(x0):
-        Ys = simulate_ensemble(system, horizon, x0, _traj_rngs(master, n_traj))
+        Ys = ens.observations(x0)
         la = _grid_losses(algorithm.run_ensemble(Ys), Ys, grid, window)
         lo = _grid_losses(oracle.run_ensemble(Ys), Ys, grid, window)
         return la, lo
@@ -325,13 +367,9 @@ def minimal_filter_count(
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
     bank_max = build_filter_bank(window_len, max(ms), sign_augmented=sign_augmented)
-    master = SeededRng(master_seed)
-
-    ensembles = _parallel_map(
-        lambda x0: simulate_ensemble(system, horizon, x0, _traj_rngs(master, n_traj)),
-        states,
-        n_workers,
-    )
+    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
+    ensembles = _parallel_map(ens.observations, states, n_workers)
+    del ens  # the m sweep needs the observations only
     oracle_losses = [
         _grid_losses(oracle.run_ensemble(Ys), Ys, grid, window) for Ys in ensembles
     ]
@@ -387,10 +425,10 @@ def agnostic_gap(
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    master = SeededRng(master_seed)
+    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
 
     def one_x0(x0):
-        Ys = simulate_ensemble(system, horizon, x0, _traj_rngs(master, n_traj))
+        Ys = ens.observations(x0)
         la = _grid_losses(algorithm.run_ensemble(Ys), Ys, grid, window)
         lbs = [_grid_losses(b.run_ensemble(Ys), Ys, grid, window) for b in baselines]
         return la, lbs
@@ -442,9 +480,11 @@ def bias_variance_split(
 
     The reference readout w* is fit by near-unregularized ridge on one long
     run (ref_multiplier times the horizon), so it is the best fixed linear
-    readout in feature space.  Bias is the excess of the w*-readout over the
-    conditional-mean predictor; variance is the mean squared gap between the
-    online learner's predictions and the w*-readout's.
+    readout in feature space.  That run starts from the system's first grid
+    state, so w* does not depend on the order of x0_grid.  Bias is the excess
+    of the w*-readout over the conditional-mean predictor; variance is the
+    mean squared gap between the online learner's predictions and the
+    w*-readout's.
     """
     from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG
 
@@ -460,17 +500,19 @@ def bias_variance_split(
 
     # reference readout on a long run
     ref_rng = master.child(_REF_NS, 0)
-    ys_ref = simulate_ensemble(system, ref_multiplier * horizon, states[0], [ref_rng])[0]
-    Zref = _shift_features(trajectory_features(bank, ys_ref)[None])[0]
+    ref_x0 = initial_states(system)[0]
+    ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])[0]
+    Zref = shifted_features(bank, ys_ref[None])[0]
     gram = Zref.T @ Zref
     tiny = 1e-8 * float(np.trace(gram)) / max(gram.shape[0], 1)
     w_star = solve_normal_system(gram, Zref.T @ ys_ref, ridge=tiny)
 
     kalman = KalmanPredictor(system)
+    ens = _Ensemble(system, horizon, master, n_traj, n_workers)
 
     def one_x0(x0):
-        Ys = simulate_ensemble(system, horizon, x0, _traj_rngs(master, n_traj))
-        Zp = _shift_features(np.stack([trajectory_features(bank, Ys[i]) for i in range(n_traj)]))
+        Ys = ens.observations(x0)
+        Zp = shifted_features(bank, Ys)
         preds_star = Zp @ w_star
         preds_learn = _run_streaming_ridge(Zp, Ys, reg, refit_period)
         lw = _grid_losses(preds_star, Ys, grid, window)

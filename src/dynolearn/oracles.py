@@ -14,6 +14,7 @@ Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class KalmanPredictor:
             self.P0 = np.asarray(init_cov, dtype=float)
         self.regularized_steps = 0
         self._schedule_cache: dict[int, tuple] = {}
+        self._schedule_lock = threading.Lock()
 
     def initial_state(self) -> KalmanState:
         return KalmanState(np.zeros(self.d), self.P0.copy())
@@ -103,11 +105,16 @@ class KalmanPredictor:
         """Data-independent filter recursion matrices for `horizon` steps.
 
         Returns (F, G, Ps) with xpred' = F[t] xpred + G[t] y_t and Ps[t] the
-        predictive covariance before absorbing y_t.
+        predictive covariance before absorbing y_t.  Each horizon is built
+        once per predictor: concurrent callers wait for that one build, so
+        `regularized_steps` does not depend on the thread count.
         """
-        cached = self._schedule_cache.get(horizon)
-        if cached is not None:
-            return cached
+        with self._schedule_lock:
+            if horizon not in self._schedule_cache:
+                self._schedule_cache[horizon] = self._build_schedule(horizon)
+            return self._schedule_cache[horizon]
+
+    def _build_schedule(self, horizon: int):
         P = self.P0.copy()
         F = np.empty((horizon, self.d, self.d))
         G = np.empty((horizon, self.d, self.p))
@@ -126,9 +133,7 @@ class KalmanPredictor:
             G[t] = self.A @ gain
             P = self.A @ Ppost @ self.A.T + self.Q
             P = 0.5 * (P + P.T)
-        out = (F, G, Ps)
-        self._schedule_cache[horizon] = out
-        return out
+        return F, G, Ps
 
     def run(self, ys: np.ndarray) -> np.ndarray:
         return self.run_ensemble(np.asarray(ys, dtype=float)[None])[0]

@@ -18,16 +18,17 @@ import numpy as np
 
 from .errors import ContractViolation
 from .numerics import solve_normal_system
-from .spectral import FilterBank, features, trajectory_features
+from .spectral import FilterBank, features, shifted_features
 
 DEFAULT_REG = 2.0
 DEFAULT_REFIT_PERIOD = 16
 RIDGE_DECAY_EXPONENT = 0.75
 
 
-def _effective_ridge(reg: float, gram_trace: float, q: int, steps: int) -> float:
+def _effective_ridge(reg: float, gram_trace, q: int, steps: int):
+    """The ridge for one Gram trace, or elementwise for an array of traces."""
     if reg == 0.0 or steps == 0:
-        return 0.0
+        return np.zeros_like(gram_trace) if isinstance(gram_trace, np.ndarray) else 0.0
     return reg * gram_trace / (q * steps**RIDGE_DECAY_EXPONENT)
 
 
@@ -106,9 +107,7 @@ def _run_streaming_ridge(
             traces = np.trace(gram, axis1=1, axis2=2)
             active = traces > 0.0
             if active.any():
-                ridges = np.array(
-                    [_effective_ridge(reg, tr, q, e) for tr in traces[active]]
-                )
+                ridges = _effective_ridge(reg, traces[active], q, e)
                 lhs = gram[active] + ridges[:, None, None] * eye
                 try:
                     w[active] = np.linalg.solve(lhs, moment[active])
@@ -121,12 +120,6 @@ def _run_streaming_ridge(
                     ) from exc
         s = e
     return preds
-
-
-def _shift_features(Zfull: np.ndarray) -> np.ndarray:
-    """Row t of the result is the feature vector ending at observation t-1."""
-    n, H, q = Zfull.shape
-    return np.concatenate([np.zeros((n, 1, q)), Zfull[:, : H - 1]], axis=1)
 
 
 class SpectralPredictor:
@@ -208,11 +201,12 @@ class SpectralPredictor:
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
         Ys = np.asarray(Ys, dtype=float)
-        n, H, p = Ys.shape
+        _, _, p = Ys.shape
         if p != self.obs_dim:
             raise ContractViolation(f"observation dim {p} does not match predictor ({self.obs_dim})")
-        Zfull = np.stack([trajectory_features(self.bank, Ys[i]) for i in range(n)])
-        return _run_streaming_ridge(_shift_features(Zfull), Ys, self.reg, self.refit_period)
+        return _run_streaming_ridge(
+            shifted_features(self.bank, Ys), Ys, self.reg, self.refit_period
+        )
 
     def fresh(self) -> "SpectralPredictor":
         return SpectralPredictor(self.bank, self.obs_dim, self.reg, self.refit_period)
@@ -231,14 +225,15 @@ def _normalize_history(history, p: int) -> np.ndarray:
     return h
 
 
-def _lag_matrix(Y: np.ndarray, k: int) -> np.ndarray:
-    """Row t: the last k observations ending at t, newest first, zero padded,
-    flattened row-major (lag-major)."""
-    H, p = Y.shape
-    out = np.zeros((H, k, p))
-    for j in range(k):  # lag j: value y_{t-j}
-        out[j:, j, :] = Y[: H - j]
-    return out.reshape(H, k * p)
+def _shifted_lags(Ys: np.ndarray, k: int) -> np.ndarray:
+    """Lag features of an (n, H, p) ensemble, shifted one step: row t holds the
+    last k observations ending at t-1, newest first, zero padded, flattened
+    row-major (lag-major); row 0 is zero."""
+    n, H, p = Ys.shape
+    out = np.zeros((n, H, k, p))
+    for j in range(min(k, H - 1)):  # lag j of row t: y_{t-1-j}; none for j >= H-1
+        out[:, j + 1 :, j, :] = Ys[:, : H - 1 - j]
+    return out.reshape(n, H, k * p)
 
 
 def _lag_vector(h_newest_first: np.ndarray, k: int) -> np.ndarray:
@@ -306,7 +301,7 @@ class BaselinePredictor:
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         Ys = np.asarray(Ys, dtype=float)
-        n, H, p = Ys.shape
+        _, H, p = Ys.shape
         if p != self.obs_dim:
             raise ContractViolation(f"observation dim {p} does not match predictor ({self.obs_dim})")
         if self.kind == "zero":
@@ -315,9 +310,8 @@ class BaselinePredictor:
             preds = np.zeros_like(Ys)
             preds[:, 1:] = Ys[:, : H - 1]
             return preds
-        Zfull = np.stack([_lag_matrix(Ys[i], self.order) for i in range(n)])
         return _run_streaming_ridge(
-            _shift_features(Zfull), Ys, self._core.reg, self._core.refit_period
+            _shifted_lags(Ys, self.order), Ys, self._core.reg, self._core.refit_period
         )
 
     def fresh(self) -> "BaselinePredictor":

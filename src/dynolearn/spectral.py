@@ -194,6 +194,21 @@ def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
     return out.reshape(H, p * F.shape[1])
 
 
+def shifted_features(bank: FilterBank, Ys: np.ndarray) -> np.ndarray:
+    """Features of an (n, H, p) ensemble, shifted one step, built in place.
+
+    Row t of trajectory i is the feature vector ending at observation t-1
+    (row 0 is zero): the input of a predictor about to see Ys[i, t].  Each
+    trajectory goes through `trajectory_features` unchanged, so the result
+    equals its rows shifted down one, bit for bit.
+    """
+    n, H, p = Ys.shape
+    out = np.zeros((n, H, bank.feature_count * p))
+    for i in range(n):
+        out[i, 1:] = trajectory_features(bank, Ys[i])[: H - 1]
+    return out
+
+
 def residual_energy(bank: FilterBank, lam: float) -> float:
     """Relative energy of the impulse response (1, lam, lam^2, ...) outside the bank span."""
     if not -1.0 <= lam <= 1.0:

@@ -3,6 +3,9 @@
 Simulation is a pure function of (spec, x0, seed); replaying the same seed
 reproduces the trajectory bit for bit.  Ensemble simulators vectorize the
 same recursions across trajectories, one child random stream per row.
+Drawing an ensemble's noise (`ensemble_noise`) is separate from the state
+recursion, so the Monte Carlo harness draws the noise once per ensemble and
+shares it, read-only, across the whole x0 grid.
 """
 
 from __future__ import annotations
@@ -310,24 +313,56 @@ def simulate_closed_loop(
     return _simulate_linear(spec, horizon, x0, _coerce_rng(seed), record_states, record_states)
 
 
+def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
+    """Noise of an n-trajectory ensemble: (W, V) for an LDS, V for Lorenz.
+
+    Row i comes from rngs[i] alone, drawn in the order of the
+    single-trajectory simulators (w, then v), so any split of the rows
+    between callers gives the same bits.  `out`, if given, has the layout of
+    the result (or is a block of its rows) and is filled in place.
+    """
+    n = len(rngs)
+    if isinstance(system, LdsSpec):
+        if out is None:
+            out = (np.empty((n, horizon, system.d)), np.empty((n, horizon, system.p)))
+        W, V = out
+        for i, rng in enumerate(rngs):
+            W[i], V[i] = _lds_noise(system, horizon, rng)
+        return out
+    if isinstance(system, LorenzSpec):
+        V = np.empty((n, horizon, system.p)) if out is None else out
+        for i, rng in enumerate(rngs):
+            V[i] = _lorenz_noise(system, horizon, rng)
+        return V
+    raise ContractViolation(f"unsupported system type {type(system)!r}")
+
+
+def _check_noise(arrays, n: int, horizon: int) -> None:
+    for a in arrays:
+        if a.shape[:2] != (n, horizon):
+            raise ContractViolation(
+                f"noise has shape {a.shape}, expected ({n}, {horizon}, ...) for this ensemble"
+            )
+
+
 def simulate_lds_ensemble(
-    spec: LdsSpec, horizon: int, x0, rngs: Sequence[SeededRng]
+    spec: LdsSpec, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
 ) -> np.ndarray:
     """Observations (n, H, p) for n trajectories sharing x0, one child stream each.
 
     Mathematically identical to stacking `simulate_lds` outputs; the recursion
-    is vectorized across trajectories.
+    is vectorized across trajectories.  `noise`, if given, is the (W, V) that
+    `ensemble_noise(spec, horizon, rngs)` returned: it is read, not drawn
+    again, so one draw can serve every x0 of a grid.
     """
     x0 = as_vector(x0, "x0")
     if x0.shape != (spec.d,):
         raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
     n = len(rngs)
+    W, V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
+    _check_noise((W, V), n, horizon)
     A = spec.effective_transition()
     C = spec.C
-    W = np.empty((n, horizon, spec.d))
-    V = np.empty((n, horizon, spec.p))
-    for i, rng in enumerate(rngs):
-        W[i], V[i] = _lds_noise(spec, horizon, rng)
     Ys = np.empty((n, horizon, spec.p))
     X = np.broadcast_to(x0, (n, spec.d)).copy()
     At, Ct = A.T.copy(), C.T.copy()
@@ -344,6 +379,12 @@ def simulate_lds_ensemble(
 def _lorenz_deriv(s: np.ndarray, sigma: float, rho: float, beta: float) -> np.ndarray:
     x, y, z = s[..., 0], s[..., 1], s[..., 2]
     return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
+
+
+def _lorenz_noise(spec: LorenzSpec, horizon: int, rng: SeededRng) -> np.ndarray:
+    if spec.obs_noise > 0:
+        return rng.normals((horizon, spec.p), 0.0, spec.obs_noise)
+    return np.zeros((horizon, spec.p))
 
 
 def _rk4_step(s: np.ndarray, dt: float, sigma: float, rho: float, beta: float) -> np.ndarray:
@@ -366,11 +407,7 @@ def simulate_lorenz(
         raise ContractViolation(f"Lorenz x0 must have length 3, got {x0.size}")
     rng = _coerce_rng(seed)
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    v = (
-        rng.normals((horizon, spec.p), 0.0, spec.obs_noise)
-        if spec.obs_noise > 0
-        else np.zeros((horizon, spec.p))
-    )
+    v = _lorenz_noise(spec, horizon, rng)
     ys = np.empty((horizon, spec.p))
     xs = np.empty((horizon, 3)) if record_states else None
     s = x0.copy()
@@ -385,16 +422,18 @@ def simulate_lorenz(
 
 
 def simulate_lorenz_ensemble(
-    spec: LorenzSpec, horizon: int, x0, rngs: Sequence[SeededRng]
+    spec: LorenzSpec, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
 ) -> np.ndarray:
-    """Observations (n, H, p) for n Lorenz runs from the same x0 (noise streams differ)."""
+    """Observations (n, H, p) for n Lorenz runs from the same x0 (noise streams differ).
+
+    `noise`, if given, is the V that `ensemble_noise(spec, horizon, rngs)`
+    returned; it is read, not drawn again.
+    """
     x0 = as_vector(x0, "x0")
     n = len(rngs)
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    V = np.zeros((n, horizon, spec.p))
-    if spec.obs_noise > 0:
-        for i, rng in enumerate(rngs):
-            V[i] = rng.normals((horizon, spec.p), 0.0, spec.obs_noise)
+    V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
+    _check_noise((V,), n, horizon)
     Ys = np.empty((n, horizon, spec.p))
     S = np.broadcast_to(x0, (n, 3)).copy()
     for t in range(horizon):
@@ -483,11 +522,13 @@ def initial_states(system) -> list[np.ndarray]:
     return seen
 
 
-def simulate_ensemble(system, horizon: int, x0, rngs: Sequence[SeededRng]) -> np.ndarray:
+def simulate_ensemble(
+    system, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
+) -> np.ndarray:
     if isinstance(system, LdsSpec):
-        return simulate_lds_ensemble(system, horizon, x0, rngs)
+        return simulate_lds_ensemble(system, horizon, x0, rngs, noise=noise)
     if isinstance(system, LorenzSpec):
-        return simulate_lorenz_ensemble(system, horizon, x0, rngs)
+        return simulate_lorenz_ensemble(system, horizon, x0, rngs, noise=noise)
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 
 

@@ -1,7 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dynolearn import InitPolicy, LdsSpec, NoiseSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(extra=None):
+    """Environment for a `python -m dynolearn` child started in another cwd.
+
+    The absolute src path goes first on PYTHONPATH: a relative entry such as
+    `src` would resolve against the child's cwd and miss the package.
+    """
+    env = dict(os.environ)
+    env.update(extra or {})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dynolearn as dl
+from conftest import cli_env
 from dynolearn.numerics import SeededRng
 from dynolearn.systems import random_symmetric_psd, random_unit_row
 
@@ -368,6 +369,7 @@ def test_c11_end_to_end_reproducibility(tmp_path):
             cwd=tmp_path,
             capture_output=True,
             text=True,
+            env=cli_env(),
             timeout=300,
         )
         assert res.returncode == 0, res.stderr

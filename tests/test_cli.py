@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 SCALAR_NOISELESS = """
 [system]
@@ -49,15 +49,12 @@ seed = 11
 
 
 def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "dynolearn", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(env_extra),
         timeout=300,
     )
 

@@ -27,8 +27,10 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
+from dynolearn import learnability, systems
 from dynolearn.errors import IncompatiblePairing
-from dynolearn.learnability import BurnInReport
+from dynolearn.learnability import BurnInReport, _traj_rngs
+from dynolearn.numerics import SeededRng
 
 
 def _noisy_scalar(a=0.9, radius=1.0, points=2):
@@ -378,3 +380,98 @@ class TestBiasVarianceSplit:
         lines = (tmp_path / "bv.csv").read_text().splitlines()
         assert lines[0] == "t,bias,bias_ci,variance,variance_ci"
         assert len(lines) == 5
+
+
+# --- shared noise across the x0 grid --------------------------------------
+
+_SHARED = dict(n_traj=7, master_seed=4, window=4)  # 7 rows split 2/2/3 over 3 workers
+# after the first refit (step 16): before it the learners all predict zero and
+# the excess ties exactly across x0
+_TIMES = (20, 30)
+
+
+def _shared_system(kind):
+    if kind == "lds":
+        return LdsSpec(
+            A=[[0.8, 0.1], [0.1, 0.5]],
+            C=[[1.0, 0.5]],
+            noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+            init=InitPolicy(kind="ball_grid", radius=1.0, points=3),
+        )
+    return LorenzSpec(
+        obs_coords=("x", "y"), obs_noise=0.5, init=InitPolicy(kind="stationary", points=3)
+    )
+
+
+def _measure(name, system, n_workers=1, x0_grid=None):
+    p = system.p
+    bank = build_filter_bank(8, 3)
+    oracle = (
+        KalmanPredictor(system)
+        if isinstance(system, LdsSpec)
+        else BaselinePredictor("ar", order=2, obs_dim=p)
+    )
+    common = dict(_SHARED, x0_grid=x0_grid, n_workers=n_workers)
+    if name == "risk":
+        return estimate_excess_risk(
+            system, SpectralPredictor(bank, obs_dim=p), oracle, _TIMES, **common
+        )
+    if name == "mstar":
+        return minimal_filter_count(
+            system, 0.5, (1, 2, 3), window_len=8, t_eval=30, oracle=oracle, **common
+        )
+    if name == "agnostic":
+        baselines = [BaselinePredictor("last_value", obs_dim=p), oracle]
+        return agnostic_gap(system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common)
+    return bias_variance_split(system, bank, _TIMES, ref_multiplier=3, **common)
+
+
+def _worst_case(result):
+    """The result's arrays as bytes: the worst-case values and their CIs."""
+    return {k: v.tobytes() for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+
+
+_CASES = [
+    ("risk", "lds"),
+    ("risk", "lorenz"),
+    ("mstar", "lds"),
+    ("mstar", "lorenz"),
+    ("agnostic", "lds"),
+    ("agnostic", "lorenz"),
+    ("biasvar", "lds"),
+]
+
+
+@pytest.mark.parametrize("name,kind", _CASES)
+class TestSharedNoise:
+    def test_bits_do_not_depend_on_worker_count(self, name, kind):
+        system = _shared_system(kind)
+        runs = [_measure(name, system, n_workers=w) for w in (1, 2, 3)]
+        fields = [
+            {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(r).items()}
+            for r in runs
+        ]
+        assert fields[1] == fields[0] and fields[2] == fields[0]
+
+    def test_matches_per_x0_replay_with_fresh_streams(self, name, kind, monkeypatch):
+        system = _shared_system(kind)
+        shared = _measure(name, system)
+        replays = []
+
+        def replay(system, horizon, x0, rngs, noise=None):
+            if noise is not None:  # ignore the shared draw; draw again for this x0
+                replays.append(x0)
+                rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
+            return systems.simulate_ensemble(system, horizon, x0, rngs)
+
+        monkeypatch.setattr(learnability, "simulate_ensemble", replay)
+        replayed = _measure(name, system)
+        assert len(replays) == len(systems.initial_states(system))
+        assert _worst_case(replayed) == _worst_case(shared)
+
+    def test_reversed_x0_order_keeps_worst_case(self, name, kind):
+        system = _shared_system(kind)
+        states = systems.initial_states(system)
+        forward = _measure(name, system, x0_grid=states)
+        backward = _measure(name, system, x0_grid=states[::-1])
+        assert _worst_case(backward) == _worst_case(forward)

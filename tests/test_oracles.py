@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dynolearn import (
     TruthOracle,
     default_kernel_truncation,
     deterministic_truth,
+    estimate_excess_risk,
     kalman_step,
     simulate_lds,
     simulate_lorenz,
@@ -110,6 +112,31 @@ class TestKalman:
         state, yhat = kal.step(kal.initial_state(), np.zeros(1))
         assert kal.regularized_steps == 1  # singular innovation was flagged
         assert np.isfinite(yhat).all()
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_schedule_built_once_under_threads(self, n_workers, monkeypatch):
+        spec = LdsSpec(
+            A=[[0.5]],
+            C=[[1.0]],
+            noise=NoiseSpec(kind="none"),
+            init=InitPolicy(kind="fixed", x0=(0.0,)),
+        )
+        kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: every innovation is singular
+        builds = []
+        build = kal._build_schedule
+
+        def slow_build(horizon):
+            builds.append(horizon)
+            time.sleep(0.05)  # a worker that misses the cache meanwhile would build again
+            return build(horizon)
+
+        monkeypatch.setattr(kal, "_build_schedule", slow_build)
+        x0_grid = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [7.0]]
+        estimate_excess_risk(
+            spec, kal, kal, (4, 8), n_traj=2, x0_grid=x0_grid, window=2, n_workers=n_workers
+        )
+        assert builds == [10]  # horizon 8 + 2
+        assert kal.regularized_steps == 10
 
     def test_kalman_step_function_wrapper(self):
         spec = _spec(a=0.5)

@@ -19,6 +19,7 @@ from dynolearn import (
     simulate_lds_ensemble,
 )
 from conftest import stream_predictions
+from dynolearn.predictors import _effective_ridge, _shifted_lags
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,53 @@ class TestBaselines:
         ys = g.standard_normal(20)
         preds = BaselinePredictor("last_value").run(ys)
         np.testing.assert_array_equal(preds[1:], ys[:-1])
+
+
+class TestKernels:
+    @staticmethod
+    def _lag_matrix(Y, k):
+        # one trajectory's unshifted lag rows: newest first, zero padded
+        H, p = Y.shape
+        out = np.zeros((H, k, p))
+        for j in range(min(k, H)):
+            out[j:, j, :] = Y[: H - j]
+        return out.reshape(H, k * p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        H=st.integers(1, 30),
+        p=st.sampled_from([1, 2, 3]),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shifted_lags_bitwise_equal_to_shifted_lag_rows(self, n, H, p, k, seed):
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        Zfull = np.stack([self._lag_matrix(Ys[i], k) for i in range(n)])
+        expected = np.concatenate([np.zeros((n, 1, k * p)), Zfull[:, : H - 1]], axis=1)
+        got = _shifted_lags(Ys, k)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        reg=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        traces=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e12)), min_size=1, max_size=12
+        ),
+        q=st.integers(1, 90),
+        steps=st.integers(0, 10**6),
+    )
+    def test_array_ridge_bitwise_equal_to_scalar(self, reg, traces, q, steps):
+        arr = np.asarray(traces)
+        ridges = _effective_ridge(reg, arr, q, steps)
+        assert ridges.shape == arr.shape
+        for tr, got in zip(arr, ridges):  # tr is an np.float64, as in the refit loop
+            want = np.float64(_effective_ridge(reg, tr, q, steps))
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.float64(_effective_ridge(reg, float(tr), q, steps)).tobytes()
+        if reg == 0.0 or steps == 0:
+            assert (ridges == 0.0).all()
 
 
 class TestIterateForecast:

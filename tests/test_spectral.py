@@ -16,7 +16,7 @@ from dynolearn import (
     trajectory_features,
     truncate_bank,
 )
-from dynolearn.spectral import positive_filter_limit
+from dynolearn.spectral import positive_filter_limit, shifted_features
 
 
 class TestHilbertMatrix:
@@ -183,3 +183,28 @@ class TestResidualEnergy:
         bank = build_filter_bank(8, 3)
         with pytest.raises(ContractViolation):
             residual_energy(bank, 1.5)
+
+
+class TestShiftedFeatures:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        H=st.integers(1, 40),
+        p=st.sampled_from([1, 2, 3]),
+        window=st.integers(1, 24),
+        sign_augmented=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_shifted_trajectory_features(
+        self, n, H, p, window, sign_augmented, seed, data
+    ):
+        # H < window and m in {2, 3} are inside the drawn ranges
+        m = data.draw(st.integers(1, min(6, reliable_filter_cap(window))), label="m")
+        bank = build_filter_bank(window, m, sign_augmented=sign_augmented)
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        Zfull = np.stack([trajectory_features(bank, Ys[i]) for i in range(n)])
+        expected = np.concatenate([np.zeros((n, 1, Zfull.shape[2])), Zfull[:, : H - 1]], axis=1)
+        got = shifted_features(bank, Ys)
+        assert got.shape == expected.shape == (n, H, bank.feature_count * p)
+        assert got.tobytes() == expected.tobytes()
