@@ -26,16 +26,13 @@ from .learnability import (
     resolve_oracle,
     write_burn_in_csv,
 )
-from .numerics import SeededRng, gaussian_stream, ridge_solve, solve_normal_system, sym_eig
+from .numerics import SeededRng, ridge_solve, solve_normal_system, sym_eig
 from .oracles import (
     KalmanPredictor,
     KalmanState,
     KernelOracle,
     TruthOracle,
-    ZeroRiskOracle,
     default_kernel_truncation,
-    deterministic_truth,
-    kalman_step,
 )
 from .predictors import BaselinePredictor, SpectralPredictor, iterate_forecast
 from .spectral import (

@@ -145,13 +145,9 @@ def _cmd_filters(args) -> int:
     return EXIT_OK
 
 
-def _cmd_risk(args) -> int:
-    cfg = _load(args)
-    system = build_system(cfg)
-    algorithm = build_predictor(cfg, system)
-    oracle = build_oracle(cfg, system)
-    out = _prepare_out(cfg, "risk", args.out)
-    curve = estimate_excess_risk(
+def _risk_curve(cfg: ExperimentConfig, args, system, algorithm, oracle):
+    """The configured excess-risk curve; `risk` and `burnin` share it."""
+    return estimate_excess_risk(
         system,
         algorithm,
         oracle,
@@ -161,6 +157,15 @@ def _cmd_risk(args) -> int:
         window=cfg.harness.window,
         n_workers=_threads(cfg.run.threads, args.threads),
     )
+
+
+def _cmd_risk(args) -> int:
+    cfg = _load(args)
+    system = build_system(cfg)
+    algorithm = build_predictor(cfg, system)
+    oracle = build_oracle(cfg, system)
+    out = _prepare_out(cfg, "risk", args.out)
+    curve = _risk_curve(cfg, args, system, algorithm, oracle)
     path = out / "risk.csv"
     curve.write_csv(path)
     print(f"wrote {path} (oracle={curve.oracle_label}, n_traj={curve.n_traj})")
@@ -176,16 +181,7 @@ def _cmd_burnin(args) -> int:
         system = build_system(cfg)
         algorithm = build_predictor(cfg, system)
         oracle = build_oracle(cfg, system)
-        curve = estimate_excess_risk(
-            system,
-            algorithm,
-            oracle,
-            t_grid=cfg.harness.t_grid,
-            n_traj=cfg.harness.n_traj,
-            master_seed=cfg.run.seed,
-            window=cfg.harness.window,
-            n_workers=_threads(cfg.run.threads, args.threads),
-        )
+        curve = _risk_curve(cfg, args, system, algorithm, oracle)
         curve.write_csv(out / "risk.csv")
     reports = [burn_in_time(curve, eps) for eps in cfg.harness.epsilons]
     path = out / "burnin.csv"

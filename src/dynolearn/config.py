@@ -358,17 +358,15 @@ def build_predictor(cfg: ExperimentConfig, system):
 
 
 def build_oracle(cfg: ExperimentConfig, system):
-    return resolve_oracle(system, cfg.harness.oracle, p=system.p)
+    return resolve_oracle(system, cfg.harness.oracle)
 
 
 def build_baselines(cfg: ExperimentConfig, system):
     pc = cfg.predictor
     out = []
     for token in cfg.harness.baselines:
-        if token == "zero":
-            out.append(BaselinePredictor("zero", obs_dim=system.p))
-        elif token == "last_value":
-            out.append(BaselinePredictor("last_value", obs_dim=system.p))
+        if token in ("zero", "last_value"):
+            out.append(BaselinePredictor(token, obs_dim=system.p))
         elif token.startswith("ar"):
             try:
                 order = int(token[2:])

@@ -1,19 +1,18 @@
 """Monte Carlo measurement of excess prediction risk and burn-in complexity.
 
-A risk curve compares a learning algorithm against a reference oracle in
-lockstep on seeded trajectory ensembles.  For each admissible initial state
-the per-step squared losses are averaged over a short window at every grid
-time and over trajectories; the reported curve is the pointwise worst case
-over the initial-state grid.  Identical (inputs, master_seed) reproduce the
-curve bit for bit: trajectory random streams are pre-assigned by index, so
-results do not depend on scheduling order.
+Excess risk, m*, the agnostic gap and the bias/variance split are one
+measurement: the worst case over initial states of a gap between two
+per-trajectory losses on one seeded ensemble.  `_evaluate` runs the "arms"
+(predictors, or losses derived from them) on the ensemble for every
+admissible x0 and returns one tensor [arm, x0, traj, g] of squared losses
+averaged over a short window at each grid time; `_worst_case` reduces two
+arms to the largest mean gap over x0, its 95% CI and both means.
 
-Every x0 deliberately sees the same noise realizations (common random
-numbers), so differences across the grid come from the initial state alone.
-The noise is drawn once per ensemble and shared across the x0 grid: each
-measurement draws it before the x0 tasks start, and every task reads it.
-Workers fill the noise arrays in blocks of trajectories, one stream per row,
-so the bits do not depend on the worker count either.
+Identical (inputs, master_seed) reproduce every result bit for bit, at any
+worker count: trajectory random streams are pre-assigned by index.  Every x0
+deliberately sees the same noise realizations (common random numbers), so
+differences across the grid come from the initial state alone; the noise is
+drawn once per ensemble and every x0 task reads it.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import numpy as np
 from ._canon import content_digest
 from .errors import ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, solve_normal_system
-from .oracles import KalmanPredictor, KernelOracle, TruthOracle, ZeroRiskOracle
-from .predictors import _run_streaming_ridge
+from .oracles import KalmanPredictor, KernelOracle, TruthOracle
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor, _run_streaming_ridge
 from .spectral import FilterBank, build_filter_bank, shifted_features, truncate_bank
 from .systems import (
     LdsSpec,
@@ -206,36 +205,59 @@ def _parallel_map(fn, items, n_workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-class _Ensemble:
-    """One draw of an ensemble's noise, shared read-only by every x0 task.
+def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int, losses):
+    """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
-    The noise arrays are preallocated and filled by the workers, one block
-    of trajectories each; every row comes from its own stream, so the bits
-    do not depend on n_workers.
+    The ensemble's noise is drawn once into preallocated arrays, one block
+    of trajectories per worker; every row comes from its own stream, so the
+    bits do not depend on n_workers.  Each x0 task simulates its
+    observations `Ys` from that shared noise and maps them to `losses(Ys)`,
+    one (n_traj, G) array per arm.
     """
+    if n_traj < 2:
+        raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
+    rngs = _traj_rngs(master, n_traj)
+    lds = isinstance(system, LdsSpec)
+    noise = (
+        (np.empty((n_traj, horizon, system.d)), np.empty((n_traj, horizon, system.p)))
+        if lds
+        else np.empty((n_traj, horizon, system.p))
+    )
 
-    def __init__(self, system, horizon: int, master: SeededRng, n_traj: int, n_workers: int):
-        self.system, self.horizon = system, horizon
-        self.rngs = _traj_rngs(master, n_traj)
-        lds = isinstance(system, LdsSpec)
-        self.noise = (
-            (np.empty((n_traj, horizon, system.d)), np.empty((n_traj, horizon, system.p)))
-            if lds
-            else np.empty((n_traj, horizon, system.p))
-        )
+    def fill(b):  # rows b of the shared arrays, in place
+        rows = tuple(a[b] for a in noise) if lds else noise[b]
+        ensemble_noise(system, horizon, rngs[b], out=rows)
 
-        def fill(b):  # rows b of the shared arrays, in place
-            rows = tuple(a[b] for a in self.noise) if lds else self.noise[b]
-            ensemble_noise(system, horizon, self.rngs[b], out=rows)
+    k = max(1, min(n_workers, n_traj))
+    _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
 
-        k = max(1, min(n_workers, n_traj))
-        _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
+    def one_x0(x0):
+        return np.stack(losses(simulate_ensemble(system, horizon, x0, rngs, noise=noise)))
 
-    def observations(self, x0) -> np.ndarray:
-        return simulate_ensemble(self.system, self.horizon, x0, self.rngs, noise=self.noise)
+    return np.stack(_parallel_map(one_x0, states, n_workers), axis=1)
 
 
-def resolve_oracle(system, kind: str = "auto", p: int | None = None):
+def _predictor_losses(predictors, grid: np.ndarray, window: int):
+    """`losses` for `_evaluate`: one arm per predictor, its grid losses on Ys."""
+    return lambda Ys: [_grid_losses(p.run_ensemble(Ys), Ys, grid, window) for p in predictors]
+
+
+def _worst_case(a: np.ndarray, b: np.ndarray):
+    """Worst case over x0 of the mean gap between two [x0, traj, g] loss tensors.
+
+    Per grid time, at the x0 with the largest `a.mean - b.mean` (the first
+    such x0 on exact ties), returns that gap, a 95% CI half-width from the
+    per-trajectory differences, and the two means.
+    """
+    ma, mb = a.mean(axis=1), b.mean(axis=1)
+    gap = ma - mb  # not the mean of a - b: the excess is then exactly raw_a - raw_b
+    sel = gap.argmax(axis=0)
+    g = np.arange(gap.shape[1])
+    ci = CI_Z * (a - b)[sel, :, g].std(axis=1, ddof=1) / math.sqrt(a.shape[1])
+    return gap[sel, g], ci, ma[sel, g], mb[sel, g]
+
+
+def resolve_oracle(system, kind: str = "auto"):
     """Construct the reference predictor for a system.
 
     "auto" picks the conditional-mean predictor where one is available
@@ -258,7 +280,7 @@ def resolve_oracle(system, kind: str = "auto", p: int | None = None):
     if kind == "truth":
         return TruthOracle(system)
     if kind == "zero":
-        return ZeroRiskOracle()
+        return TruthOracle()
     raise ContractViolation(f"unknown oracle kind {kind!r}")
 
 
@@ -284,32 +306,17 @@ def estimate_excess_risk(
     excess together with that x0's raw losses and a 95% CI half-width from
     the per-trajectory loss differences.
     """
-    if n_traj < 2:
-        raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
-
-    def one_x0(x0):
-        Ys = ens.observations(x0)
-        la = _grid_losses(algorithm.run_ensemble(Ys), Ys, grid, window)
-        lo = _grid_losses(oracle.run_ensemble(Ys), Ys, grid, window)
-        return la, lo
-
-    results = _parallel_map(one_x0, states, n_workers)
-    raw_a = np.stack([la.mean(axis=0) for la, _ in results])  # (X, G)
-    raw_o = np.stack([lo.mean(axis=0) for _, lo in results])
-    excess_by_x0 = raw_a - raw_o
-    sel = excess_by_x0.argmax(axis=0)
-    gidx = np.arange(grid.size)
-    diffs = np.stack([la - lo for la, lo in results])  # (X, n, G)
-    ci = CI_Z * diffs[sel, :, gidx].std(axis=1, ddof=1) / math.sqrt(n_traj)
+    losses = _predictor_losses((algorithm, oracle), grid, window)
+    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    excess, ci, raw_alg, raw_oracle = _worst_case(L[0], L[1])
     return RiskCurve(
         t_grid=grid,
-        excess_mean=excess_by_x0[sel, gidx],
+        excess_mean=excess,
         excess_ci_half=ci,
-        raw_alg=raw_a[sel, gidx],
-        raw_oracle=raw_o[sel, gidx],
+        raw_alg=raw_alg,
+        raw_oracle=raw_oracle,
         n_traj=n_traj,
         x0_policy_digest=content_digest([s for s in states]),
         oracle_label=getattr(oracle, "label", "oracle"),
@@ -354,8 +361,6 @@ def minimal_filter_count(
     Shares trajectories and oracle losses across the m sweep so the reported
     table differs only through the filter count.
     """
-    from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor
-
     ms = sorted(int(m) for m in m_range)
     if not ms:
         raise ContractViolation("m_range must be nonempty")
@@ -367,28 +372,17 @@ def minimal_filter_count(
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
     bank_max = build_filter_bank(window_len, max(ms), sign_augmented=sign_augmented)
-    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
-    ensembles = _parallel_map(ens.observations, states, n_workers)
-    del ens  # the m sweep needs the observations only
-    oracle_losses = [
-        _grid_losses(oracle.run_ensemble(Ys), Ys, grid, window) for Ys in ensembles
-    ]
-
-    excess = np.empty(len(ms))
-    ci = np.empty(len(ms))
-    for j, m in enumerate(ms):
-        pred = SpectralPredictor(
+    arms = [oracle] + [
+        SpectralPredictor(
             truncate_bank(bank_max, m), obs_dim=system.p, reg=reg, refit_period=refit_period
         )
-        per_x0_mean = []
-        per_x0_diffs = []
-        for Ys, lo in zip(ensembles, oracle_losses):
-            la = _grid_losses(pred.run_ensemble(Ys), Ys, grid, window)
-            per_x0_mean.append(la.mean(axis=0)[0] - lo.mean(axis=0)[0])
-            per_x0_diffs.append((la - lo)[:, 0])
-        worst = int(np.argmax(per_x0_mean))
-        excess[j] = per_x0_mean[worst]
-        ci[j] = CI_Z * per_x0_diffs[worst].std(ddof=1) / math.sqrt(n_traj)
+        for m in ms
+    ]
+    losses = _predictor_losses(arms, grid, window)  # the whole m sweep inside each x0 task
+    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    excess, ci = np.empty(len(ms)), np.empty(len(ms))
+    for j in range(len(ms)):
+        (excess[j],), (ci[j],), _, _ = _worst_case(L[1 + j], L[0])
 
     m_star = next((m for m, e in zip(ms, excess) if e <= epsilon), None)
     return MStarReport(
@@ -421,42 +415,20 @@ def agnostic_gap(
     baselines = list(baseline_class)
     if not baselines:
         raise ContractViolation("baseline_class must be nonempty")
-    if n_traj < 2:
-        raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    ens = _Ensemble(system, horizon, SeededRng(master_seed), n_traj, n_workers)
-
-    def one_x0(x0):
-        Ys = ens.observations(x0)
-        la = _grid_losses(algorithm.run_ensemble(Ys), Ys, grid, window)
-        lbs = [_grid_losses(b.run_ensemble(Ys), Ys, grid, window) for b in baselines]
-        return la, lbs
-
-    results = _parallel_map(one_x0, states, n_workers)
-    G = grid.size
-    gap_by_x0 = np.empty((len(states), G))
-    best_by_x0 = np.empty((len(states), G))
-    alg_by_x0 = np.empty((len(states), G))
-    diffs_by_x0 = np.empty((len(states), n_traj, G))
-    for xi, (la, lbs) in enumerate(results):
-        base_means = np.stack([lb.mean(axis=0) for lb in lbs])  # (B, G)
-        best = base_means.argmin(axis=0)
-        alg_by_x0[xi] = la.mean(axis=0)
-        best_by_x0[xi] = base_means[best, np.arange(G)]
-        gap_by_x0[xi] = alg_by_x0[xi] - best_by_x0[xi]
-        for g in range(G):
-            diffs_by_x0[xi, :, g] = la[:, g] - lbs[best[g]][:, g]
-    sel = gap_by_x0.argmax(axis=0)
-    gidx = np.arange(G)
-    ci = CI_Z * diffs_by_x0[sel, :, gidx].std(axis=1, ddof=1) / math.sqrt(n_traj)
+    losses = _predictor_losses([algorithm, *baselines], grid, window)
+    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    best = L[1:].mean(axis=2).argmin(axis=0)  # (x0, g): the baseline with the least mean loss
+    comparator = np.take_along_axis(L[1:], best[None, :, None, :], axis=0)[0]
+    gap, ci, raw_alg, raw_best = _worst_case(L[0], comparator)
     labels = ",".join(getattr(b, "label", "baseline") for b in baselines)
     return RiskCurve(
         t_grid=grid,
-        excess_mean=gap_by_x0[sel, gidx],
+        excess_mean=gap,
         excess_ci_half=ci,
-        raw_alg=alg_by_x0[sel, gidx],
-        raw_oracle=best_by_x0[sel, gidx],
+        raw_alg=raw_alg,
+        raw_oracle=raw_best,
         n_traj=n_traj,
         x0_policy_digest=content_digest([s for s in states]),
         oracle_label=f"best_of({labels})",
@@ -486,12 +458,8 @@ def bias_variance_split(
     mean squared gap between the online learner's predictions and the
     w*-readout's.
     """
-    from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG
-
     if not isinstance(system, LdsSpec):
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
-    if n_traj < 2:
-        raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
     grid, horizon = _validate_grid(t_grid, window)
@@ -506,36 +474,26 @@ def bias_variance_split(
     gram = Zref.T @ Zref
     tiny = 1e-8 * float(np.trace(gram)) / max(gram.shape[0], 1)
     w_star = solve_normal_system(gram, Zref.T @ ys_ref, ridge=tiny)
-
     kalman = KalmanPredictor(system)
-    ens = _Ensemble(system, horizon, master, n_traj, n_workers)
 
-    def one_x0(x0):
-        Ys = ens.observations(x0)
+    def losses(Ys):
         Zp = shifted_features(bank, Ys)
         preds_star = Zp @ w_star
         preds_learn = _run_streaming_ridge(Zp, Ys, reg, refit_period)
-        lw = _grid_losses(preds_star, Ys, grid, window)
-        lk = _grid_losses(kalman.run_ensemble(Ys), Ys, grid, window)
-        gap = _grid_losses(preds_learn, preds_star, grid, window)  # squared pred diff
-        return lw, lk, gap
+        return [
+            _grid_losses(preds_star, Ys, grid, window),
+            _grid_losses(kalman.run_ensemble(Ys), Ys, grid, window),
+            _grid_losses(preds_learn, preds_star, grid, window),  # squared pred diff
+        ]
 
-    results = _parallel_map(one_x0, states, n_workers)
-    G = grid.size
-    bias_by_x0 = np.stack([lw.mean(axis=0) - lk.mean(axis=0) for lw, lk, _ in results])
-    var_by_x0 = np.stack([gap.mean(axis=0) for _, _, gap in results])
-    gidx = np.arange(G)
-    bsel = bias_by_x0.argmax(axis=0)
-    vsel = var_by_x0.argmax(axis=0)
-    bias_diffs = np.stack([lw - lk for lw, lk, _ in results])
-    gap_stack = np.stack([gap for _, _, gap in results])
-    bias_ci = CI_Z * bias_diffs[bsel, :, gidx].std(axis=1, ddof=1) / math.sqrt(n_traj)
-    var_ci = CI_Z * gap_stack[vsel, :, gidx].std(axis=1, ddof=1) / math.sqrt(n_traj)
+    L = _evaluate(system, states, horizon, n_traj, master, n_workers, losses)
+    bias, bias_ci, _, _ = _worst_case(L[0], L[1])
+    variance, var_ci, _, _ = _worst_case(L[2], np.zeros_like(L[2]))
     return BiasVarianceReport(
         t_grid=grid,
-        bias=bias_by_x0[bsel, gidx],
+        bias=bias,
         bias_ci_half=bias_ci,
-        variance=var_by_x0[vsel, gidx],
+        variance=variance,
         variance_ci_half=var_ci,
         n_traj=n_traj,
     )

@@ -7,8 +7,6 @@ downstream simulation is a deterministic function of (inputs, seed).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 import scipy.linalg
 
@@ -144,10 +142,6 @@ class SeededRng:
         """Derive the independent child stream at `path + indices`."""
         return SeededRng(self.seed, self.path + tuple(indices))
 
-    def split(self, n: int) -> list["SeededRng"]:
-        """The first `n` children, one per parallel consumer."""
-        return [self.child(i) for i in range(n)]
-
     def normals(self, shape, mean: float = 0.0, stdev: float = 1.0) -> np.ndarray:
         if stdev < 0:
             raise ContractViolation(f"stdev must be nonnegative, got {stdev}")
@@ -156,11 +150,3 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"
-
-
-def gaussian_stream(rng: SeededRng, mean: float = 0.0, stdev: float = 1.0) -> Iterator[float]:
-    """Unbounded i.i.d. normal stream; stdev=0 degenerates to the constant mean."""
-    block = 8192
-    while True:
-        for x in rng.normals(block, mean, stdev):
-            yield float(x)

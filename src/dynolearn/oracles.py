@@ -4,8 +4,14 @@
 system and serves as the optimal baseline.  `KernelOracle` is the unrolled
 convolution with coefficients beta_k = C A^{k-1} C^T, exact for noiseless
 observations and used as the realizability reference for the spectral
-learner.  `TruthOracle` emits the realized next observation of a
-deterministic system, whose optimal one-step loss is zero.
+learner.  `TruthOracle` emits the realized next observation, whose loss is
+zero: the optimal predictor of a deterministic, noiselessly observed system
+("truth"), or, built without a system, the zero-risk reference that turns
+excess risk into raw risk ("zero").
+
+`KalmanPredictor.step` and the data-independent gain schedule behind
+`run_ensemble` share one covariance recursion, so the two paths cannot
+drift apart.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
 from .numerics import as_vector
-from .systems import LdsSpec, LorenzSpec, Trajectory, spectral_norm, stationary_state_covariance
+from .systems import LdsSpec, LorenzSpec, spectral_norm, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
 
@@ -85,21 +91,28 @@ class KalmanPredictor:
         y = as_vector(y, "observation")
         if y.shape != (self.p,):
             raise ContractViolation(f"observation has length {y.size}, expected {self.p}")
-        xhat, P = state.xhat, state.P
+        xhat = state.xhat
+        gain, _, Ppred = self._covariance_update(state.P)
+        xpred = self.A @ (xhat + gain @ (y - self.C @ xhat))
+        return KalmanState(xpred, Ppred), self.C @ xpred
+
+    def _covariance_update(self, P: np.ndarray):
+        """Measurement update of the predictive covariance P, then time update.
+
+        Returns (gain, I - gain C, next predictive covariance).  A singular
+        innovation covariance is regularized by INNOVATION_RIDGE and counted
+        in `regularized_steps`.
+        """
         S = self.C @ P @ self.C.T + self.R
         try:
             gain = np.linalg.solve(S, self.C @ P).T  # (d, p)
         except np.linalg.LinAlgError:
             self.regularized_steps += 1
-            S = S + INNOVATION_RIDGE * np.eye(self.p)
-            gain = np.linalg.solve(S, self.C @ P).T
-        xpost = xhat + gain @ (y - self.C @ xhat)
+            gain = np.linalg.solve(S + INNOVATION_RIDGE * np.eye(self.p), self.C @ P).T
         ImKC = np.eye(self.d) - gain @ self.C
         Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T  # Joseph form keeps PSD
-        xpred = self.A @ xpost
         Ppred = self.A @ Ppost @ self.A.T + self.Q
-        Ppred = 0.5 * (Ppred + Ppred.T)
-        return KalmanState(xpred, Ppred), self.C @ xpred
+        return gain, ImKC, 0.5 * (Ppred + Ppred.T)
 
     def gain_schedule(self, horizon: int):
         """Data-independent filter recursion matrices for `horizon` steps.
@@ -121,18 +134,9 @@ class KalmanPredictor:
         Ps = np.empty((horizon, self.d, self.d))
         for t in range(horizon):
             Ps[t] = P
-            S = self.C @ P @ self.C.T + self.R
-            try:
-                gain = np.linalg.solve(S, self.C @ P).T
-            except np.linalg.LinAlgError:
-                self.regularized_steps += 1
-                gain = np.linalg.solve(S + INNOVATION_RIDGE * np.eye(self.p), self.C @ P).T
-            ImKC = np.eye(self.d) - gain @ self.C
-            Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T
+            gain, ImKC, P = self._covariance_update(P)
             F[t] = self.A @ ImKC
             G[t] = self.A @ gain
-            P = self.A @ Ppost @ self.A.T + self.Q
-            P = 0.5 * (P + P.T)
         return F, G, Ps
 
     def run(self, ys: np.ndarray) -> np.ndarray:
@@ -152,11 +156,6 @@ class KalmanPredictor:
             preds[:, t, :] = X @ Ct
             X = X @ Ft[t] + Ys[:, t, :] @ Gt[t]
         return preds
-
-
-def kalman_step(spec: LdsSpec, state: KalmanState, y) -> tuple[KalmanState, np.ndarray]:
-    """One measurement-then-time update; see `KalmanPredictor.step`."""
-    return KalmanPredictor(spec).step(state, y)
 
 
 def default_kernel_truncation(spec: LdsSpec, tail: float = 1e-8, cap: int = 10_000) -> int:
@@ -226,28 +225,20 @@ class KernelOracle:
         return preds
 
 
-class ZeroRiskOracle:
-    """Reference with identically zero loss: excess over it is the raw risk.
+class TruthOracle:
+    """Predicts each realized observation exactly, so its loss is identically zero.
 
-    Used where no optimal predictor is available (or wanted); the resulting
-    curve is labeled so raw-risk mode is visible in the outputs.
+    Given a system spec, it is the perfect per-step predictor of that
+    deterministic, noiselessly observed system (label "truth"); the spec
+    must be noiseless.  Given none, it is the zero-risk reference used where
+    no optimal predictor is available (or wanted): the excess over it is the
+    raw risk, and the label "zero" makes raw-risk mode visible in the outputs.
     """
 
-    label = "zero"
-
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        return np.asarray(ys, dtype=float).copy()
-
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        return np.asarray(Ys, dtype=float).copy()
-
-
-class TruthOracle:
-    """Perfect per-step predictions for a deterministic, noiselessly observed system."""
-
-    label = "truth"
-
-    def __init__(self, spec):
+    def __init__(self, spec=None):
+        self.spec, self.label = spec, "zero" if spec is None else "truth"
+        if spec is None:
+            return
         if isinstance(spec, LdsSpec):
             noiseless = spec.noise.is_noiseless
         elif isinstance(spec, LorenzSpec):
@@ -256,23 +247,9 @@ class TruthOracle:
             raise ContractViolation(f"unsupported system type {type(spec)!r}")
         if not noiseless:
             raise ContractViolation("perfect-prediction oracle requires a noiseless system")
-        self.spec = spec
 
     def run(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        return ys.copy()
+        return np.asarray(ys, dtype=float).copy()
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         return np.asarray(Ys, dtype=float).copy()
-
-
-def deterministic_truth(traj: Trajectory, spec) -> np.ndarray:
-    """Exact per-step predictions for a noiseless trajectory with recorded states.
-
-    Returns preds with preds[t] = ys[t]; the squared one-step loss of these
-    predictions is identically zero.
-    """
-    oracle = TruthOracle(spec)
-    if traj.xs is None:
-        raise ContractViolation("deterministic truth requires recorded latent states")
-    return oracle.run(traj.ys)

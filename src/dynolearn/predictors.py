@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, SingularSystem
 from .numerics import solve_normal_system
 from .spectral import FilterBank, features, shifted_features
 
@@ -113,8 +113,6 @@ def _run_streaming_ridge(
                     w[active] = np.linalg.solve(lhs, moment[active])
                 except np.linalg.LinAlgError as exc:
                     # only reachable with reg == 0 and a singular Gram
-                    from .errors import SingularSystem
-
                     raise SingularSystem(
                         f"readout refit at step {e} is singular (reg={reg:g})"
                     ) from exc
@@ -207,9 +205,6 @@ class SpectralPredictor:
         return _run_streaming_ridge(
             shifted_features(self.bank, Ys), Ys, self.reg, self.refit_period
         )
-
-    def fresh(self) -> "SpectralPredictor":
-        return SpectralPredictor(self.bank, self.obs_dim, self.reg, self.refit_period)
 
 
 def _normalize_history(history, p: int) -> np.ndarray:
@@ -312,13 +307,6 @@ class BaselinePredictor:
             return preds
         return _run_streaming_ridge(
             _shifted_lags(Ys, self.order), Ys, self._core.reg, self._core.refit_period
-        )
-
-    def fresh(self) -> "BaselinePredictor":
-        if self._core is None:
-            return BaselinePredictor(self.kind, self.order, self.obs_dim)
-        return BaselinePredictor(
-            self.kind, self.order, self.obs_dim, self._core.reg, self._core.refit_period
         )
 
 

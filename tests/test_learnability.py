@@ -179,6 +179,12 @@ class TestResolveOracle:
         assert curve.oracle_label == "zero"
         assert np.array_equal(curve.excess_mean, curve.raw_alg)  # raw-risk mode
 
+    def test_truth_and_zero_are_one_class(self):
+        truth = resolve_oracle(LorenzSpec(), "truth")
+        zero = resolve_oracle(LorenzSpec(obs_noise=0.1), "zero")  # no noiseless check
+        assert type(truth) is type(zero) is TruthOracle
+        assert (truth.label, zero.label) == ("truth", "zero")
+
 
 class TestBurnIn:
     def test_handworked_fixture(self):
@@ -340,6 +346,56 @@ class TestAgnosticGap:
         )
         assert curve.excess_mean[0] <= curve.excess_ci_half[0]
         assert curve.oracle_label.startswith("best_of")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_comparator_is_best_baseline_per_x0_and_time(self, reverse):
+        # on this 3-x0 system the best baseline changes with the grid time
+        # (Kalman early, AR(2) late for two states) and with x0 (Kalman
+        # throughout for the third); both x0 orders, so that no x0's
+        # comparator can stand in for another's
+        system = _shared_system("lds")
+        window, n_traj = _SHARED["window"], _SHARED["n_traj"]
+        grid = np.array([2, 5, 10, 20, 30])
+        states = systems.initial_states(system)[:: -1 if reverse else 1]
+        alg = SpectralPredictor(build_filter_bank(8, 3))
+        baselines = [
+            BaselinePredictor("last_value"),
+            BaselinePredictor("zero"),
+            BaselinePredictor("ar", order=2),
+            KalmanPredictor(system),
+        ]
+        curve = agnostic_gap(system, alg, baselines, grid, x0_grid=states, **_SHARED)
+
+        # the definition, one (x0, g) at a time
+        per_x0 = []
+        for x0 in states:  # fresh streams: every x0 sees the same noise
+            rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), n_traj)
+            Ys = systems.simulate_ensemble(system, int(grid[-1]) + window, x0, rngs)
+            la = learnability._grid_losses(alg.run_ensemble(Ys), Ys, grid, window)
+            lbs = [learnability._grid_losses(b.run_ensemble(Ys), Ys, grid, window) for b in baselines]
+            per_x0.append((la, lbs))
+        expected = {"excess_mean": [], "excess_ci_half": [], "raw_alg": [], "raw_oracle": []}
+        winners = np.empty((len(per_x0), grid.size), dtype=int)
+        for g in range(grid.size):
+            worst = None
+            for xi, (la, lbs) in enumerate(per_x0):
+                means = [lb.mean(axis=0)[g] for lb in lbs]
+                k = winners[xi, g] = means.index(min(means))
+                gap = la.mean(axis=0)[g] - means[k]
+                if worst is None or gap > worst[0]:
+                    worst = (gap, la[:, g] - lbs[k][:, g], la.mean(axis=0)[g], means[k])
+            gap, diffs, mean_alg, mean_best = worst
+            expected["excess_mean"].append(gap)
+            expected["excess_ci_half"].append(
+                learnability.CI_Z * diffs.std(ddof=1) / math.sqrt(n_traj)
+            )
+            expected["raw_alg"].append(mean_alg)
+            expected["raw_oracle"].append(mean_best)
+
+        assert any(len(set(row)) > 1 for row in winners)  # changes with the grid time
+        assert any(len(set(col)) > 1 for col in winners.T)  # changes with x0
+        for name, values in expected.items():
+            assert getattr(curve, name).tobytes() == np.array(values).tobytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,7 @@ from dynolearn import (
     SeededRng,
     TruthOracle,
     default_kernel_truncation,
-    deterministic_truth,
     estimate_excess_risk,
-    kalman_step,
     simulate_lds,
     simulate_lorenz,
 )
@@ -138,12 +136,17 @@ class TestKalman:
         assert builds == [10]  # horizon 8 + 2
         assert kal.regularized_steps == 10
 
-    def test_kalman_step_function_wrapper(self):
-        spec = _spec(a=0.5)
+    def test_step_from_explicit_state(self):
+        spec = _spec(a=0.5)  # q = r = 0.01
         state = KalmanState(np.zeros(1), np.eye(1))
-        new_state, yhat = kalman_step(spec, state, np.array([1.0]))
+        new_state, yhat = KalmanPredictor(spec).step(state, np.array([1.0]))
         assert np.isfinite(yhat).all()
         assert new_state.P.shape == (1, 1)
+        # scalar update from P = 1: gain 1/1.01, posterior variance 0.01/1.01,
+        # then the time update x' = 0.5 x, P' = 0.25 P + q
+        assert new_state.xhat[0] == pytest.approx(0.5 / 1.01, rel=1e-12)
+        assert yhat[0] == pytest.approx(0.5 / 1.01, rel=1e-12)
+        assert new_state.P[0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
 
     def test_requires_linear_system(self):
         with pytest.raises(IncompatiblePairing):
@@ -238,6 +241,8 @@ class TestKernelOracle:
 
 
 class TestDeterministicTruth:
+    """`TruthOracle`: exact predictions, zero loss on deterministic systems."""
+
     def test_noiseless_lds_zero_loss(self):
         spec = LdsSpec(
             A=[[0.5]],
@@ -245,32 +250,34 @@ class TestDeterministicTruth:
             noise=NoiseSpec(kind="none"),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
-        traj = simulate_lds(spec, 50, [1.0], 0, record_states=True)
-        preds = deterministic_truth(traj, spec)
-        assert ((preds - traj.ys) ** 2).sum() == 0.0
+        traj = simulate_lds(spec, 50, [1.0], 0)
+        oracle = TruthOracle(spec)
+        assert oracle.label == "truth"
+        assert ((oracle.run(traj.ys) - traj.ys) ** 2).sum() == 0.0
+        Ys = traj.ys[None]
+        assert ((oracle.run_ensemble(Ys) - Ys) ** 2).sum() == 0.0
 
     def test_noiseless_lorenz_zero_loss(self):
         spec = LorenzSpec()
-        traj = simulate_lorenz(spec, 100, [1.0, 1.0, 1.0], 0, record_states=True)
-        preds = deterministic_truth(traj, spec)
-        assert ((preds - traj.ys) ** 2).sum() == 0.0
+        traj = simulate_lorenz(spec, 100, [1.0, 1.0, 1.0], 0)
+        oracle = TruthOracle(spec)
+        assert ((oracle.run(traj.ys) - traj.ys) ** 2).sum() == 0.0
+        Ys = traj.ys[None]
+        assert ((oracle.run_ensemble(Ys) - Ys) ** 2).sum() == 0.0
 
     def test_refuses_noisy_spec(self):
-        spec = _spec(a=0.5)
-        traj = simulate_lds(spec, 20, [1.0], 0, record_states=True)
         with pytest.raises(ContractViolation, match="noiseless"):
-            deterministic_truth(traj, spec)
+            TruthOracle(_spec(a=0.5))
 
-    def test_refuses_missing_states(self):
-        spec = LdsSpec(
-            A=[[0.5]],
-            C=[[1.0]],
-            noise=NoiseSpec(kind="none"),
-            init=InitPolicy(kind="fixed", x0=(1.0,)),
-        )
-        traj = simulate_lds(spec, 20, [1.0], 0, record_states=False)
-        with pytest.raises(ContractViolation, match="latent"):
-            deterministic_truth(traj, spec)
+    def test_without_spec_is_the_zero_risk_reference(self):
+        # no spec, no noiseless check: the loss is zero by construction
+        ys = simulate_lds(_spec(a=0.5), 20, [1.0], 0).ys
+        oracle = TruthOracle()
+        assert oracle.label == "zero"
+        preds = oracle.run(ys)
+        assert preds is not ys
+        np.testing.assert_array_equal(preds, ys)
+        np.testing.assert_array_equal(oracle.run_ensemble(ys[None]), ys[None])
 
     def test_truth_oracle_rejects_noisy_lorenz(self):
         with pytest.raises(ContractViolation):
@@ -287,7 +294,7 @@ class TestBayesOrdering:
         )
         from dynolearn import simulate_lds_ensemble
 
-        rngs = SeededRng(5).split(60)
+        rngs = [SeededRng(5).child(i) for i in range(60)]
         Ys = simulate_lds_ensemble(spec, 400, np.array([1.0]), rngs)
         kal = KalmanPredictor(spec).run_ensemble(Ys)
         ker = KernelOracle(spec).run_ensemble(Ys)

@@ -157,7 +157,7 @@ class TestSpectralPredictor:
         from dynolearn import KalmanPredictor
 
         bank = build_filter_bank(100, 15)
-        rngs = SeededRng(12).split(120)
+        rngs = [SeededRng(12).child(i) for i in range(120)]
         Ys = simulate_lds_ensemble(scalar_spec, 2000, np.array([1.0]), rngs)
         sf = SpectralPredictor(bank).run_ensemble(Ys)
         kal = KalmanPredictor(scalar_spec).run_ensemble(Ys)

@@ -76,9 +76,9 @@ class TestLdsSimulation:
         assert a.spec_digest == b.spec_digest
 
     def test_ensemble_matches_single(self, scalar_spec):
-        rngs = SeededRng(9).split(4)
+        rngs = [SeededRng(9).child(i) for i in range(4)]
         Ys = simulate_lds_ensemble(scalar_spec, 300, np.array([1.0]), rngs)
-        for i, rng in enumerate(SeededRng(9).split(4)):
+        for i, rng in enumerate([SeededRng(9).child(i) for i in range(4)]):
             single = simulate_lds(scalar_spec, 300, [1.0], rng)
             np.testing.assert_allclose(Ys[i], single.ys, rtol=1e-12, atol=1e-14)
 
@@ -221,9 +221,9 @@ class TestLorenz:
 
     def test_ensemble_matches_single(self):
         spec = LorenzSpec(obs_noise=0.1)
-        rngs = SeededRng(2).split(3)
+        rngs = [SeededRng(2).child(i) for i in range(3)]
         Ys = simulate_lorenz_ensemble(spec, 200, np.array([1.0, 1.0, 1.0]), rngs)
-        for i, rng in enumerate(SeededRng(2).split(3)):
+        for i, rng in enumerate([SeededRng(2).child(i) for i in range(3)]):
             single = simulate_lorenz(spec, 200, [1.0, 1.0, 1.0], rng)
             np.testing.assert_allclose(Ys[i], single.ys, rtol=1e-12, atol=1e-12)
 
