@@ -15,7 +15,9 @@ thread.  `filters` takes its window and filter count from the config's
 Each line of the report names a (config, subcommand) pair and either `same`,
 the CSVs whose SHA-256 differs, or differing exit codes.  A subcommand that
 fails with the same exit code and the same CSVs under both trees counts as
-the same.  Exit status: 0 when nothing differs, 1 otherwise.
+the same.  Each line also gives both trees' wall time and peak RSS for that
+run (the child's `ru_maxrss`, from `os.wait4`), and the last lines total the
+wall time per tree.  Exit status: 0 when nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,32 +60,47 @@ def command_args(subcommand: str, config: Path, out: Path, jobs: int) -> list[st
     return [subcommand, "-c", str(config), "--out", str(out), "-j", str(jobs)]
 
 
-def run(src: Path, args: list[str], out: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and {csv name: sha256} of one CLI run writing into `out`."""
+@dataclass(frozen=True)
+class Run:
+    code: int
+    csv: dict[str, str]  # csv name -> sha256
+    wall_s: float
+    peak_rss_mib: float
+
+
+def run(src: Path, args: list[str], out: Path) -> Run:
+    """Exit code, CSV digests, wall time and peak RSS of one CLI run writing into `out`."""
     out.mkdir(parents=True)
-    proc = subprocess.run(
-        [sys.executable, "-m", "dynolearn", *args],
-        cwd=out,
-        env=child_env(src),
-        capture_output=True,
-        text=True,
-    )
-    (out / "stderr.log").write_text(proc.stderr)
+    with open(out / "stderr.log", "w") as stderr:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dynolearn", *args],
+            cwd=out,
+            env=child_env(src),
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
     }
-    return proc.returncode, digests
+    return Run(proc.returncode, digests, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
 
 
-def compare(old: tuple[int, dict], new: tuple[int, dict]) -> str:
-    (old_code, old_csv), (new_code, new_csv) = old, new
+def compare(old: Run, new: Run) -> str:
     problems = []
-    if old_code != new_code:
-        problems.append(f"exit old={old_code} new={new_code}")
-    for name in sorted(set(old_csv) | set(new_csv)):
-        if old_csv.get(name) != new_csv.get(name):
+    if old.code != new.code:
+        problems.append(f"exit old={old.code} new={new.code}")
+    for name in sorted(set(old.csv) | set(new.csv)):
+        if old.csv.get(name) != new.csv.get(name):
             problems.append(f"{name} differs")
-    return "; ".join(problems) if problems else f"same (exit {new_code}, {len(new_csv)} csv)"
+    verdict = "; ".join(problems) if problems else f"same (exit {new.code}, {len(new.csv)} csv)"
+    cost = ", ".join(
+        f"{tag} {r.wall_s:.2f} s {r.peak_rss_mib:.1f} MiB" for tag, r in (("old", old), ("new", new))
+    )
+    return f"{verdict}; {cost}"
 
 
 def main(argv=None) -> int:
@@ -98,6 +117,7 @@ def main(argv=None) -> int:
     work = args.keep or Path(tempfile.mkdtemp(prefix="check_bytes-"))
     configs = sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg"))
     differing = 0
+    wall = {"old": 0.0, "new": 0.0}
     try:
         for config in configs:
             label = config.relative_to(ROOT)
@@ -106,12 +126,14 @@ def main(argv=None) -> int:
                 for tag, src in (("old", args.old_src), ("new", args.new_src)):
                     out = work / f"{config.parent.name}-{config.stem}" / sub / tag
                     results.append(run(src, command_args(sub, config, out, args.jobs), out))
+                    wall[tag] += results[-1].wall_s
                 line = compare(*results)
                 differing += not line.startswith("same")
                 print(f"{label} {sub}: {line}", flush=True)
     finally:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)
+    print(f"wall time: old {wall['old']:.1f} s, new {wall['new']:.1f} s")
     print(f"{differing} of {len(configs) * len(SUBCOMMANDS)} runs differ")
     return 1 if differing else 0
 

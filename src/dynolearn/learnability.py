@@ -2,9 +2,10 @@
 
 Excess risk, m*, the agnostic gap and the bias/variance split are one
 measurement: the worst case over initial states of a gap between two
-per-trajectory losses on one seeded ensemble.  `_evaluate` runs the "arms"
-(predictors, or losses derived from them) on the ensemble for every
-admissible x0 and returns one tensor [arm, x0, traj, g] of squared losses
+per-trajectory losses on one seeded ensemble.  `_evaluate` draws the
+ensemble's noise, simulates every admissible x0 from it, releases the
+noise and then maps the "arms" (predictors, or losses derived from them)
+over x0.  It returns one tensor [arm, x0, traj, g] of squared losses
 averaged over a short window at each grid time; `_worst_case` reduces two
 arms to the largest mean gap over x0, its 95% CI and both means.
 
@@ -12,7 +13,8 @@ Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
 deliberately sees the same noise realizations (common random numbers), so
 differences across the grid come from the initial state alone; the noise is
-drawn once per ensemble and every x0 task reads it.
+drawn once per ensemble, read by the simulation of every x0, and freed
+before the arms run.
 """
 
 from __future__ import annotations
@@ -208,11 +210,15 @@ def _parallel_map(fn, items, n_workers: int) -> list:
 def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int, losses):
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
-    The ensemble's noise is drawn once into preallocated arrays, one block
-    of trajectories per worker; every row comes from its own stream, so the
-    bits do not depend on n_workers.  Each x0 task simulates its
-    observations `Ys` from that shared noise and maps them to `losses(Ys)`,
-    one (n_traj, G) array per arm.
+    Four phases:
+    1. Draw the ensemble's noise once into preallocated arrays, one block
+       of trajectories per worker; every row comes from its own stream, so
+       the bits do not depend on n_workers.
+    2. Simulate the observations `Ys` of every x0 from that noise: the
+       Lorenz grid in one stacked RK4 recursion, an LDS with one call per
+       x0, in parallel (batching its matmul over x0 would change the bits).
+    3. Release the noise, so the arms never hold it.
+    4. Map each x0's `Ys` to `losses(Ys)`, one (n_traj, G) array per arm.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
@@ -231,10 +237,15 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
     k = max(1, min(n_workers, n_traj))
     _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
 
-    def one_x0(x0):
-        return np.stack(losses(simulate_ensemble(system, horizon, x0, rngs, noise=noise)))
+    def simulate(x0):
+        return simulate_ensemble(system, horizon, x0, rngs, noise=noise)
 
-    return np.stack(_parallel_map(one_x0, states, n_workers), axis=1)
+    if lds:
+        Ys = _parallel_map(simulate, states, n_workers)
+    else:  # (x0, traj, t, p) from one call
+        Ys = simulate(np.stack(states))
+    del noise
+    return np.stack(_parallel_map(lambda y: np.stack(losses(y)), Ys, n_workers), axis=1)
 
 
 def _predictor_losses(predictors, grid: np.ndarray, window: int):

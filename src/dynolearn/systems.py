@@ -2,7 +2,9 @@
 
 Simulation is a pure function of (spec, x0, seed); replaying the same seed
 reproduces the trajectory bit for bit.  Ensemble simulators vectorize the
-same recursions across trajectories, one child random stream per row.
+same recursions across trajectories, one child random stream per row; the
+Lorenz one also takes a stack of initial states and integrates the whole
+grid in one in-place RK4 recursion, with the same bits as one x0 at a time.
 Drawing an ensemble's noise (`ensemble_noise`) is separate from the state
 recursion, so the Monte Carlo harness draws the noise once per ensemble and
 shares it, read-only, across the whole x0 grid.
@@ -376,24 +378,90 @@ def simulate_lds_ensemble(
 # Lorenz simulation
 
 
-def _lorenz_deriv(s: np.ndarray, sigma: float, rho: float, beta: float) -> np.ndarray:
-    x, y, z = s[..., 0], s[..., 1], s[..., 2]
-    return np.stack([sigma * (y - x), x * (rho - z) - y, x * y - beta * z], axis=-1)
-
-
 def _lorenz_noise(spec: LorenzSpec, horizon: int, rng: SeededRng) -> np.ndarray:
     if spec.obs_noise > 0:
         return rng.normals((horizon, spec.p), 0.0, spec.obs_noise)
     return np.zeros((horizon, spec.p))
 
 
-def _rk4_step(s: np.ndarray, dt: float, sigma: float, rho: float, beta: float) -> np.ndarray:
+class _Rk4:
+    """Classical RK4 on the Lorenz field, stepping one (3, ...) state in place.
+
+    The state is laid out coordinate first, so x, y and z are contiguous
+    arrays of any shape.  Every stage writes into buffers allocated once,
+    and the elementwise operations and their order are those of the textbook
+    step `s + dt/6 (k1 + 2 k2 + 2 k3 + k4)`, so the bits do not depend on the
+    shape: one run alone and the same run inside a stack agree exactly.
+    """
+
+    def __init__(self, spec: LorenzSpec, s: np.ndarray):
+        self.s, self.dt = s, spec.dt
+        self.sigma, self.rho, self.beta = spec.sigma, spec.rho, spec.beta
+        self.k = np.empty((4,) + s.shape)
+        self.arg = np.empty_like(s)
+        self.tmp = np.empty(s.shape[1:])
+        # coordinate views of each stage's input and output, made once
+        inputs = (s, self.arg, self.arg, self.arg)
+        self.stages = [(tuple(i), tuple(k)) for i, k in zip(inputs, self.k)]
+
+    def _deriv(self, inp, out) -> None:
+        (x, y, z), (dx, dy, dz) = inp, out
+        np.subtract(y, x, out=dx)
+        dx *= self.sigma  # sigma (y - x)
+        np.subtract(self.rho, z, out=dy)
+        dy *= x
+        dy -= y  # x (rho - z) - y
+        np.multiply(x, y, out=dz)
+        np.multiply(z, self.beta, out=self.tmp)
+        dz -= self.tmp  # x y - beta z
+
+    def step(self) -> None:
+        s, arg, stages = self.s, self.arg, self.stages
+        k1, k2, k3, k4 = self.k
+        half = 0.5 * self.dt
+        self._deriv(*stages[0])
+        np.multiply(k1, half, out=arg)
+        arg += s
+        self._deriv(*stages[1])
+        np.multiply(k2, half, out=arg)
+        arg += s
+        self._deriv(*stages[2])
+        np.multiply(k3, self.dt, out=arg)
+        arg += s
+        self._deriv(*stages[3])
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= self.dt / 6.0
+        s += k2
+
+
+_RECORD_VALUES = 1 << 16  # state values buffered between two calls of `record`
+
+
+def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int, record) -> None:
+    """Step the (3, ...) state s `horizon` times in place, recording each state.
+
+    `record(t0, X)` receives, in order, blocks X (b, 3, ...) holding the
+    states of steps t0 .. t0 + b - 1, each taken before it moves.  A
+    non-finite state raises IntegrationBlowup naming the first step that
+    produced one.
+    """
+    rk4 = _Rk4(spec, s)
+    X = np.empty((max(1, min(horizon, _RECORD_VALUES // s.size)),) + s.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
-        k1 = _lorenz_deriv(s, sigma, rho, beta)
-        k2 = _lorenz_deriv(s + 0.5 * dt * k1, sigma, rho, beta)
-        k3 = _lorenz_deriv(s + 0.5 * dt * k2, sigma, rho, beta)
-        k4 = _lorenz_deriv(s + dt * k3, sigma, rho, beta)
-        return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for t0 in range(0, horizon, len(X)):
+            block = X[: min(len(X), horizon - t0)]
+            for i, x in enumerate(block):
+                x[...] = s
+                rk4.step()
+                if not np.isfinite(s).all():
+                    raise IntegrationBlowup(
+                        f"Lorenz integration produced non-finite state at step {t0 + i + 1}"
+                    )
+            record(t0, block)
 
 
 def simulate_lorenz(
@@ -410,38 +478,47 @@ def simulate_lorenz(
     v = _lorenz_noise(spec, horizon, rng)
     ys = np.empty((horizon, spec.p))
     xs = np.empty((horizon, 3)) if record_states else None
-    s = x0.copy()
-    for t in range(horizon):
-        ys[t] = s[coords] + v[t]
+
+    def record(t0, X):
+        t1 = t0 + len(X)
+        np.add(X[:, coords, 0], v[t0:t1], out=ys[t0:t1])
         if xs is not None:
-            xs[t] = s
-        s = _rk4_step(s, spec.dt, spec.sigma, spec.rho, spec.beta)
-        if not np.isfinite(s).all():
-            raise IntegrationBlowup(f"Lorenz integration produced non-finite state at step {t + 1}")
+            xs[t0:t1] = X[:, :, 0]
+
+    _lorenz_steps(spec, x0[:, None].copy(), horizon, record)
     return Trajectory(ys=ys, xs=xs, us=None, seed=rng.seed, spec_digest=spec.digest())
 
 
 def simulate_lorenz_ensemble(
     spec: LorenzSpec, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
 ) -> np.ndarray:
-    """Observations (n, H, p) for n Lorenz runs from the same x0 (noise streams differ).
+    """Observations of n Lorenz runs from each initial state (noise streams differ).
 
-    `noise`, if given, is the V that `ensemble_noise(spec, horizon, rngs)`
-    returned; it is read, not drawn again.
+    x0 is one state (3,), giving (n, H, p), or a stack (k, 3), giving
+    (k, n, H, p): the whole stack integrates in one recursion, and row i
+    equals the call with x0[i] alone, bit for bit.  Every initial state
+    reads the same noise.  `noise`, if given, is the V that
+    `ensemble_noise(spec, horizon, rngs)` returned; it is read, not drawn
+    again.
     """
-    x0 = as_vector(x0, "x0")
-    n = len(rngs)
+    X0 = np.asarray(x0, dtype=float)
+    if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
+        raise ContractViolation(f"Lorenz x0 must be (3,) or (k, 3), got shape {X0.shape}")
+    if not np.isfinite(X0).all():
+        raise ContractViolation("x0 contains non-finite entries")
+    stack = np.atleast_2d(X0)
+    k, n = stack.shape[0], len(rngs)
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
     V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
     _check_noise((V,), n, horizon)
-    Ys = np.empty((n, horizon, spec.p))
-    S = np.broadcast_to(x0, (n, 3)).copy()
-    for t in range(horizon):
-        Ys[:, t, :] = S[:, coords] + V[:, t]
-        S = _rk4_step(S, spec.dt, spec.sigma, spec.rho, spec.beta)
-        if not np.isfinite(S).all():
-            raise IntegrationBlowup(f"Lorenz integration produced non-finite state at step {t + 1}")
-    return Ys
+    Ys = np.empty((k, n, horizon, spec.p))
+
+    def record(t0, X):  # X (b, 3, k, n) -> Ys[:, :, t0:t0 + b] (k, n, b, p)
+        t1 = t0 + len(X)
+        np.add(X[:, coords].transpose(2, 3, 0, 1), V[:, t0:t1], out=Ys[:, :, t0:t1])
+
+    _lorenz_steps(spec, np.repeat(stack.T[:, :, None], n, axis=2), horizon, record)
+    return Ys[0] if X0.ndim == 1 else Ys
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +577,16 @@ def _stationary_states(system, points: int) -> list[np.ndarray]:
         # burn onto the attractor, then take states spaced two time units
         burn = int(round(10.0 / system.dt))
         gap = int(round(2.0 / system.dt))
-        s = np.array([1.0, 1.0, 1.0])
-        for _ in range(burn):
-            s = _rk4_step(s, system.dt, system.sigma, system.rho, system.beta)
+        s = np.ones((3, 1))
+        rk4 = _Rk4(system, s)
         states = []
-        for _ in range(points):
-            states.append(s.copy())
-            for _ in range(gap):
-                s = _rk4_step(s, system.dt, system.sigma, system.rho, system.beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(burn):
+                rk4.step()
+            for _ in range(points):
+                states.append(s[:, 0].copy())
+                for _ in range(gap):
+                    rk4.step()
         return states
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 

@@ -106,6 +106,17 @@ class TestSimulate:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "numerical_failure"
 
+    def test_lorenz_blowup_in_risk_exits_four(self, workdir):
+        (workdir / "blow.cfg").write_text(
+            "[system]\nkind = lorenz\ndt = 0.05\nx0_kind = fixed\nx0 = 1e8,1e8,1e8\n"
+            "[harness]\nt_grid = 10,20\nn_traj = 4\n"
+        )
+        res = run_cli(["risk", "-c", "blow.cfg", "--out", "r"], workdir)
+        assert res.returncode == 4
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "numerical_failure"
+        assert "step" in err["message"]
+
 
 class TestFilters:
     def test_window_two_spectrum(self, tmp_path):

@@ -28,7 +28,7 @@ from dynolearn import (
     write_burn_in_csv,
 )
 from dynolearn import learnability, systems
-from dynolearn.errors import IncompatiblePairing
+from dynolearn.errors import IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, _traj_rngs
 from dynolearn.numerics import SeededRng
 
@@ -147,6 +147,30 @@ class TestEstimateExcessRisk:
             estimate_excess_risk(scalar_spec, kal, kal, (30, 10), n_traj=4)
         with pytest.raises(ContractViolation):
             estimate_excess_risk(scalar_spec, kal, kal, (), n_traj=4)
+
+
+class TestLorenzBlowup:
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_diverging_grid_state_names_the_step(self, position):
+        spec = LorenzSpec(dt=0.05, init=InitPolicy(kind="stationary", points=2))
+        bad = np.array([1e8, 1e8, 1e8])
+        with pytest.raises(IntegrationBlowup, match=r"at step \d+") as single:
+            systems.simulate_lorenz(spec, 24, bad, 0)
+        a, b = systems.initial_states(spec)
+        grid = {"first": [bad, a, b], "middle": [a, bad, b], "last": [a, b, bad]}[position]
+        for n_workers in (1, 2, 3):
+            with pytest.raises(IntegrationBlowup) as exc:
+                estimate_excess_risk(
+                    spec,
+                    BaselinePredictor("last_value"),
+                    TruthOracle(),
+                    (10, 20),
+                    n_traj=4,
+                    x0_grid=grid,
+                    window=4,
+                    n_workers=n_workers,
+                )
+            assert str(exc.value) == str(single.value)
 
 
 class TestResolveOracle:
@@ -515,14 +539,16 @@ class TestSharedNoise:
         replays = []
 
         def replay(system, horizon, x0, rngs, noise=None):
-            if noise is not None:  # ignore the shared draw; draw again for this x0
-                replays.append(x0)
+            if noise is not None:  # ignore the shared draw; draw again for these x0
+                replays.extend(np.atleast_2d(x0))  # one row per x0 of a stacked call
                 rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
             return systems.simulate_ensemble(system, horizon, x0, rngs)
 
         monkeypatch.setattr(learnability, "simulate_ensemble", replay)
         replayed = _measure(name, system)
-        assert len(replays) == len(systems.initial_states(system))
+        states = systems.initial_states(system)
+        assert len(replays) == len(states)
+        assert all(np.array_equal(r, s) for r, s in zip(replays, states))
         assert _worst_case(replayed) == _worst_case(shared)
 
     def test_reversed_x0_order_keeps_worst_case(self, name, kind):

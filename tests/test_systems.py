@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynolearn import (
     ContractViolation,
@@ -197,6 +199,12 @@ class TestLorenz:
         assert err[:500].max() <= 1e-3
         assert err.max() <= 2e-3
 
+    @pytest.mark.parametrize("dt", [0.001, 0.01, 0.05])
+    def test_states_equal_textbook_step(self, dt):
+        # the in-place stepper keeps the textbook operations in their order
+        traj = simulate_lorenz(LorenzSpec(dt=dt), 500, [1.0, -2.0, 20.0], 0, record_states=True)
+        assert np.array_equal(traj.xs, _reference_rk4([1.0, -2.0, 20.0], dt, 500))
+
     def test_sensitive_dependence(self):
         spec = LorenzSpec(dt=0.01)
         steps = 2500  # 25 time units
@@ -225,7 +233,45 @@ class TestLorenz:
         Ys = simulate_lorenz_ensemble(spec, 200, np.array([1.0, 1.0, 1.0]), rngs)
         for i, rng in enumerate([SeededRng(2).child(i) for i in range(3)]):
             single = simulate_lorenz(spec, 200, [1.0, 1.0, 1.0], rng)
-            np.testing.assert_allclose(Ys[i], single.ys, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(Ys[i], single.ys)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 8),
+        horizon=st.integers(1, 30),
+        dt=st.floats(0.001, 0.05),
+        coords=st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True),
+        obs_noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_grid_matches_per_x0_and_single(
+        self, k, n, horizon, dt, coords, obs_noise, seed, data
+    ):
+        spec = LorenzSpec(dt=dt, obs_coords=tuple(coords), obs_noise=obs_noise)
+        g = np.random.default_rng(seed)
+        X0 = np.column_stack([g.uniform(-20, 20, k), g.uniform(-25, 25, k), g.uniform(0, 45, k)])
+        order = data.draw(st.permutations(range(k)))
+
+        def rngs():
+            return [SeededRng(seed).child(i) for i in range(n)]
+
+        stacked = simulate_lorenz_ensemble(spec, horizon, X0[order], rngs())
+        assert stacked.shape == (k, n, horizon, spec.p)
+        for row, i in enumerate(order):
+            per_x0 = simulate_lorenz_ensemble(spec, horizon, X0[i], rngs())
+            assert np.array_equal(stacked[row], per_x0)
+            for j, rng in enumerate(rngs()):
+                assert np.array_equal(per_x0[j], simulate_lorenz(spec, horizon, X0[i], rng).ys)
+
+    def test_grid_rejects_bad_x0_shape(self):
+        rngs = [SeededRng(0).child(0)]
+        for x0 in (np.ones(2), np.ones((2, 4)), np.ones((1, 2, 3)), np.empty((0, 3))):
+            with pytest.raises(ContractViolation, match="x0"):
+                simulate_lorenz_ensemble(LorenzSpec(), 5, x0, rngs)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            simulate_lorenz_ensemble(LorenzSpec(), 5, [[1.0, np.nan, 0.0]], rngs)
 
     def test_invariants(self):
         with pytest.raises(ContractViolation):
