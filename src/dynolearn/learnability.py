@@ -9,6 +9,13 @@ over x0.  It returns one tensor [arm, x0, traj, g] of squared losses
 averaged over a short window at each grid time; `_worst_case` reduces two
 arms to the largest mean gap over x0, its 95% CI and both means.
 
+The learners stream each x0's observations one refit block at a time (see
+`predictors`), so an arm holds O(n * (q^2 + window * p)) besides the
+(n, H, p) observations and predictions.  Spectral arms of one x0 task share
+one convolution per block: m*'s sweep reads every filter count's columns
+from the largest bank's block, and the bias/variance split's w*-readout and
+online learner read the same block.
+
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
 deliberately sees the same noise realizations (common random numbers), so
@@ -29,8 +36,20 @@ from ._canon import content_digest
 from .errors import ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor, _run_streaming_ridge
-from .spectral import FilterBank, build_filter_bank, shifted_features, truncate_bank
+from .predictors import (
+    DEFAULT_REFIT_PERIOD,
+    DEFAULT_REG,
+    SpectralPredictor,
+    _EnsembleRidge,
+    _run_filter_sweep,
+)
+from .spectral import (
+    FilterBank,
+    _feature_blocks,
+    build_filter_bank,
+    trajectory_features,
+    truncate_bank,
+)
 from .systems import (
     LdsSpec,
     LorenzSpec,
@@ -383,13 +402,18 @@ def minimal_filter_count(
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
     bank_max = build_filter_bank(window_len, max(ms), sign_augmented=sign_augmented)
-    arms = [oracle] + [
+    sweep = [
         SpectralPredictor(
             truncate_bank(bank_max, m), obs_dim=system.p, reg=reg, refit_period=refit_period
         )
         for m in ms
     ]
-    losses = _predictor_losses(arms, grid, window)  # the whole m sweep inside each x0 task
+
+    def losses(Ys):  # the whole m sweep inside each x0 task, on one convolution per block
+        # only rows [t_eval, horizon) enter the loss, so only those are kept
+        preds = [oracle.run_ensemble(Ys)[:, t_eval:], *_run_filter_sweep(sweep, Ys, t_eval)]
+        return [_grid_losses(pr, Ys[:, t_eval:], grid - t_eval, window) for pr in preds]
+
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
     excess, ci = np.empty(len(ms)), np.empty(len(ms))
     for j in range(len(ms)):
@@ -481,16 +505,20 @@ def bias_variance_split(
     ref_rng = master.child(_REF_NS, 0)
     ref_x0 = initial_states(system)[0]
     ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])[0]
-    Zref = shifted_features(bank, ys_ref[None])[0]
+    Zref = np.zeros((ys_ref.shape[0], bank.feature_count * system.p))
+    Zref[1:] = trajectory_features(bank, ys_ref)[:-1]  # row t: the features before ys_ref[t]
     gram = Zref.T @ Zref
     tiny = 1e-8 * float(np.trace(gram)) / max(gram.shape[0], 1)
     w_star = solve_normal_system(gram, Zref.T @ ys_ref, ridge=tiny)
     kalman = KalmanPredictor(system)
 
-    def losses(Ys):
-        Zp = shifted_features(bank, Ys)
-        preds_star = Zp @ w_star
-        preds_learn = _run_streaming_ridge(Zp, Ys, reg, refit_period)
+    def losses(Ys):  # the w*-readout and the online learner read one convolution per block
+        learner = _EnsembleRidge(Ys, bank.feature_count * system.p, reg, refit_period)
+        preds_star = np.empty_like(Ys)
+        for s, e, Z in _feature_blocks(bank, Ys, refit_period):
+            preds_star[:, s:e] = Z @ w_star
+            learner.feed(s, e, Z)
+        preds_learn = learner.preds
         return [
             _grid_losses(preds_star, Ys, grid, window),
             _grid_losses(kalman.run_ensemble(Ys), Ys, grid, window),

@@ -10,6 +10,17 @@ Readout fitting uses a scale-free ridge that decays relative to the Gram:
 with q the feature dimension.  Early fits (where windowed features are
 heavily collinear) are strongly damped while the relative shrinkage
 vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
+
+`run_ensemble` drives every trajectory of an (n, H, p) ensemble through a
+blocked engine, one refit period at a time.  A block kernel
+(`spectral._feature_blocks` for the filter convolution, `_lag_blocks` for AR
+lags) writes the block's features from its own observations and the
+window - 1 before it into buffers allocated once per call; `_EnsembleRidge`
+predicts the block, adds it to the per-trajectory Gram and moment, and
+refits.  No (n, H, q) feature tensor is built: besides the (n, H, p)
+predictions, the working set is O(n * (q^2 + window * p)) for a fixed refit
+period, whatever H is.  `_run_filter_sweep` runs several filter counts of one
+bank on one convolution per block.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation, SingularSystem
 from .numerics import solve_normal_system
-from .spectral import FilterBank, features, shifted_features
+from .spectral import FilterBank, _feature_blocks, _history, features
 
 DEFAULT_REG = 2.0
 DEFAULT_REFIT_PERIOD = 16
@@ -79,45 +90,110 @@ class _StreamingRidge:
         return self.gram.size + self.moment.size + self.w.size
 
 
-def _run_streaming_ridge(
-    Zpred: np.ndarray, Ys: np.ndarray, reg: float, refit_period: int
-) -> np.ndarray:
-    """Blocked replay of the per-step predict/accumulate/refit loop.
+class _EnsembleRidge:
+    """The streaming ridge of every trajectory of an (n, H, p) ensemble, fed
+    one refit block of features at a time.
 
-    Zpred[i, t] must be the feature vector available *before* observing
-    Ys[i, t].  Within a refit period the readout is constant, so predictions
-    and Gram updates are batched per block; results match the per-step path
-    up to floating-point summation order.
+    `feed(s, e, Z)` replays the per-step predict/accumulate/refit loop over
+    rows [s, e): within a refit period the readout is constant, so the block
+    is predicted and absorbed at once, and the readouts are refit when e ends
+    a period.  Results match the per-step path up to summation order.
+    `preds` keeps the predictions of rows keep_from..H-1.
     """
-    n, H, q = Zpred.shape
-    p = Ys.shape[2]
-    preds = np.zeros((n, H, p))
-    gram = np.zeros((n, q, q))
-    moment = np.zeros((n, q, p))
-    w = np.zeros((n, q, p))
-    eye = np.eye(q)
-    s = 0
-    while s < H:
-        e = min(s + refit_period, H)
-        zb = Zpred[:, s:e]
-        preds[:, s:e] = zb @ w
-        gram += zb.transpose(0, 2, 1) @ zb
-        moment += zb.transpose(0, 2, 1) @ Ys[:, s:e]
-        if e % refit_period == 0:
-            traces = np.trace(gram, axis1=1, axis2=2)
-            active = traces > 0.0
-            if active.any():
-                ridges = _effective_ridge(reg, traces[active], q, e)
-                lhs = gram[active] + ridges[:, None, None] * eye
-                try:
-                    w[active] = np.linalg.solve(lhs, moment[active])
-                except np.linalg.LinAlgError as exc:
-                    # only reachable with reg == 0 and a singular Gram
-                    raise SingularSystem(
-                        f"readout refit at step {e} is singular (reg={reg:g})"
-                    ) from exc
-        s = e
-    return preds
+
+    def __init__(self, Ys: np.ndarray, q: int, reg: float, refit_period: int, keep_from: int = 0):
+        n, H, p = Ys.shape
+        self.Ys, self.q, self.reg, self.refit_period = Ys, q, reg, refit_period
+        self.keep_from = keep_from
+        self.preds = np.zeros((n, H - keep_from, p))
+        self.gram = np.zeros((n, q, q))
+        self.moment = np.zeros((n, q, p))
+        self.w = np.zeros((n, q, p))
+        self._eye = np.eye(q)
+
+    def feed(self, s: int, e: int, Z: np.ndarray) -> None:
+        """Absorb Z[i, t - s], the features available before Ys[i, t], t in [s, e)."""
+        k = self.keep_from
+        if e > k:
+            self.preds[:, max(s - k, 0) : e - k] = (Z @ self.w)[:, max(k - s, 0) :]
+        Zt = Z.transpose(0, 2, 1)
+        self.gram += Zt @ Z
+        self.moment += Zt @ self.Ys[:, s:e]
+        if e % self.refit_period:
+            return
+        traces = np.trace(self.gram, axis1=1, axis2=2)
+        active = traces > 0.0
+        if active.any():
+            ridges = _effective_ridge(self.reg, traces[active], self.q, e)
+            lhs = self.gram[active] + ridges[:, None, None] * self._eye
+            try:
+                self.w[active] = np.linalg.solve(lhs, self.moment[active])
+            except np.linalg.LinAlgError as exc:
+                # only reachable with reg == 0 and a singular Gram
+                raise SingularSystem(
+                    f"readout refit at step {e} is singular (reg={self.reg:g})"
+                ) from exc
+
+
+def _check_ensemble(Ys, obs_dim: int) -> np.ndarray:
+    Ys = np.asarray(Ys, dtype=float)
+    _, _, p = Ys.shape
+    if p != obs_dim:
+        raise ContractViolation(f"observation dim {p} does not match predictor ({obs_dim})")
+    return Ys
+
+
+def _run_streaming_ridge(blocks, Ys: np.ndarray, q: int, reg: float, refit_period: int):
+    """Predictions of the streaming ridge on Ys, with features from `blocks`.
+
+    `blocks` is a block kernel (`_feature_blocks`, `_lag_blocks`) over Ys with
+    block size `refit_period`; only one block of q features is alive at a time.
+    """
+    ridge = _EnsembleRidge(Ys, q, reg, refit_period)
+    for s, e, Z in blocks:
+        ridge.feed(s, e, Z)
+    return ridge.preds
+
+
+def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:
+    """Columns of `bank`'s features that are the features of its first m filters."""
+    cols = np.arange(m)
+    if bank.sign_augmented:
+        cols = np.concatenate([cols, bank.m + cols])
+    return (bank.feature_count * np.arange(p)[:, None] + cols).ravel()
+
+
+def _run_filter_sweep(predictors, Ys: np.ndarray, keep_from: int = 0) -> list[np.ndarray]:
+    """`run_ensemble(Ys)[:, keep_from:]` of spectral predictors whose banks are
+    prefixes of one bank.
+
+    One convolution per block, by the largest bank, serves every predictor:
+    each reads its own columns of that block.  A column's last bits can differ
+    from those of the predictor's own, narrower, convolution.  Only the kept
+    rows of each predictor's predictions are stored.
+    """
+    big = max(predictors, key=lambda pr: pr.bank.m)
+    for pr in predictors:
+        b = pr.bank
+        if (
+            b.window != big.bank.window
+            or b.sign_augmented != big.bank.sign_augmented
+            or pr.refit_period != big.refit_period
+            or not np.array_equal(b.phis, big.bank.phis[:, : b.m])
+        ):
+            raise ContractViolation("filter sweep needs prefixes of one bank and one refit period")
+    Ys = _check_ensemble(Ys, big.obs_dim)
+    n, _, p = Ys.shape
+    arms = []
+    for pr in predictors:
+        q = pr.bank.feature_count * p
+        cols = None if pr.bank.m == big.bank.m else _bank_columns(big.bank, pr.bank.m, p)
+        buf = None if cols is None else np.empty((n, pr.refit_period, q))
+        arms.append((_EnsembleRidge(Ys, q, pr.reg, pr.refit_period, keep_from), cols, buf))
+    for s, e, Z in _feature_blocks(big.bank, Ys, big.refit_period):
+        for ridge, cols, buf in arms:
+            ridge.feed(s, e, Z if cols is None else np.take(Z, cols, axis=2, out=buf[:, : e - s]))
+    return [ridge.preds for ridge, _, _ in arms]
 
 
 class SpectralPredictor:
@@ -198,12 +274,13 @@ class SpectralPredictor:
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
-        Ys = np.asarray(Ys, dtype=float)
-        _, _, p = Ys.shape
-        if p != self.obs_dim:
-            raise ContractViolation(f"observation dim {p} does not match predictor ({self.obs_dim})")
+        Ys = _check_ensemble(Ys, self.obs_dim)
         return _run_streaming_ridge(
-            shifted_features(self.bank, Ys), Ys, self.reg, self.refit_period
+            _feature_blocks(self.bank, Ys, self.refit_period),
+            Ys,
+            self._core.q,
+            self.reg,
+            self.refit_period,
         )
 
 
@@ -220,15 +297,24 @@ def _normalize_history(history, p: int) -> np.ndarray:
     return h
 
 
-def _shifted_lags(Ys: np.ndarray, k: int) -> np.ndarray:
-    """Lag features of an (n, H, p) ensemble, shifted one step: row t holds the
-    last k observations ending at t-1, newest first, zero padded, flattened
-    row-major (lag-major); row 0 is zero."""
+def _lag_blocks(k: int, Ys: np.ndarray, block: int):
+    """Shifted lag features of an (n, H, p) ensemble, one block of rows at a time.
+
+    Yields (s, e, Z) like `spectral._feature_blocks`: row t - s of Z[i] holds
+    Ys[i, t-1], ..., Ys[i, t-k], newest first, zero before row 0, flattened
+    lag-major.  A block reads Ys rows [s - k, e - 1) only, into buffers that
+    live as long as the generator.
+    """
     n, H, p = Ys.shape
-    out = np.zeros((n, H, k, p))
-    for j in range(min(k, H - 1)):  # lag j of row t: y_{t-1-j}; none for j >= H-1
-        out[:, j + 1 :, j, :] = Ys[:, : H - 1 - j]
-    return out.reshape(n, H, k * p)
+    hist = np.empty((n, k - 1 + block, p))
+    lags = np.empty((n, block, k, p))
+    for s in range(0, H, block):
+        e = min(s + block, H)
+        L = e - s
+        ys = _history(Ys, s - k, e - 1, hist)  # row r: observation s - k + r
+        for j in range(k):
+            lags[:, :L, j] = ys[:, k - 1 - j : k - 1 - j + L]
+        yield s, e, lags[:, :L].reshape(n, L, k * p)
 
 
 def _lag_vector(h_newest_first: np.ndarray, k: int) -> np.ndarray:
@@ -295,18 +381,17 @@ class BaselinePredictor:
         return preds[:, 0] if squeeze else preds
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        Ys = np.asarray(Ys, dtype=float)
-        _, H, p = Ys.shape
-        if p != self.obs_dim:
-            raise ContractViolation(f"observation dim {p} does not match predictor ({self.obs_dim})")
+        Ys = _check_ensemble(Ys, self.obs_dim)
+        H = Ys.shape[1]
         if self.kind == "zero":
             return np.zeros_like(Ys)
         if self.kind == "last_value":
             preds = np.zeros_like(Ys)
             preds[:, 1:] = Ys[:, : H - 1]
             return preds
+        core = self._core
         return _run_streaming_ridge(
-            _shifted_lags(Ys, self.order), Ys, self._core.reg, self._core.refit_period
+            _lag_blocks(self.order, Ys, core.refit_period), Ys, core.q, core.reg, core.refit_period
         )
 
 

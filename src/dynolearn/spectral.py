@@ -5,6 +5,13 @@ Hilbert matrix H[i, j] = 1/(i + j - 1) over a fixed window length.  Its
 eigenvalues decay exponentially, so a small bank captures every impulse
 response of the form (1, a, a^2, ...) with a in [0, 1] almost perfectly;
 the optional sign-augmented variant extends coverage to a in [-1, 0).
+
+Features need only the last `window` observations.  `trajectory_features`
+convolves a whole trajectory at once; the learners use the block kernel
+`_feature_blocks`, which convolves an ensemble one block of rows at a time
+from the block's observations and the window - 1 before it, so its working
+set, O(n * block * p * (window + feature_count)), does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -194,19 +201,46 @@ def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
     return out.reshape(H, p * F.shape[1])
 
 
-def shifted_features(bank: FilterBank, Ys: np.ndarray) -> np.ndarray:
-    """Features of an (n, H, p) ensemble, shifted one step, built in place.
+def _history(Ys: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """Rows [start, stop) of every trajectory of an (n, H, p) ensemble, zero
+    before row 0, copied into the front of `buf` (n, >= stop - start, p)."""
+    out = buf[:, : stop - start]
+    pad = min(max(-start, 0), stop - start)
+    out[:, :pad] = 0.0
+    out[:, pad:] = Ys[:, start + pad : stop]
+    return out
 
-    Row t of trajectory i is the feature vector ending at observation t-1
-    (row 0 is zero): the input of a predictor about to see Ys[i, t].  Each
-    trajectory goes through `trajectory_features` unchanged, so the result
-    equals its rows shifted down one, bit for bit.
+
+def _feature_blocks(bank: FilterBank, Ys: np.ndarray, block: int):
+    """Shifted features of an (n, H, p) ensemble, one block of rows at a time.
+
+    Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] is the
+    `trajectory_features` row of Ys[i, :t] (zero for t = 0), the input of a
+    predictor about to see Ys[i, t].  A block reads Ys rows [s - window + 1, e)
+    only; Z is a view into a buffer the next block overwrites, so the working
+    set is O(n * block * p * (window + feature_count)) whatever H is.
+
+    Each block computes `trajectory_features` rows [s, e) with one matmul and
+    carries its last row into the next block, so its row groups line up with
+    those of the whole-trajectory product: with OpenBLAS the bits agree when
+    `block` is a multiple of 4 and there is more than one filter column.
     """
     n, H, p = Ys.shape
-    out = np.zeros((n, H, bank.feature_count * p))
-    for i in range(n):
-        out[i, 1:] = trajectory_features(bank, Ys[i])[: H - 1]
-    return out
+    F = bank.filter_matrix()
+    window, f = F.shape
+    Fflip = F[::-1].copy()  # windows below are oldest-first
+    hist = np.empty((n, window - 1 + block, p))
+    windows = np.empty((n, p, block, window))
+    rows = np.zeros((n, block + 1, p, f))  # row 0: the row carried from the last block
+    for s in range(0, H, block):
+        e = min(s + block, H)
+        L = e - s
+        ys = _history(Ys, s - window + 1, e, hist)
+        view = np.lib.stride_tricks.sliding_window_view(ys, window, axis=1)  # (n, L, p, window)
+        np.copyto(windows[:, :, :L], view.transpose(0, 2, 1, 3))
+        np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
+        yield s, e, rows[:, :L].reshape(n, L, p * f)
+        rows[:, 0] = rows[:, L]
 
 
 def residual_energy(bank: FilterBank, lam: float) -> float:

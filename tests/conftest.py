@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynolearn import InitPolicy, LdsSpec, NoiseSpec
+from dynolearn import InitPolicy, LdsSpec, NoiseSpec, trajectory_features
+from dynolearn.errors import SingularSystem
+from dynolearn.predictors import _effective_ridge
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,4 +56,57 @@ def stream_predictions(pred, ys):
         preds[t] = pred.predict(hist)
         pred.observe(ys[t], hist)
         hist = np.concatenate([ys[t][None, :], hist], axis=0)
+    return preds
+
+
+# The whole-tensor learner path that the blocked engine replaced: every
+# trajectory's shifted features built at once, then one refit loop over them.
+# The blocked engine is checked against it.
+
+
+def shifted_features_reference(bank, Ys):
+    """Row t of trajectory i: the `trajectory_features` row ending at Ys[i, t-1]; row 0 zero."""
+    n, H, p = Ys.shape
+    out = np.zeros((n, H, bank.feature_count * p))
+    for i in range(n):
+        out[i, 1:] = trajectory_features(bank, Ys[i])[: H - 1]
+    return out
+
+
+def shifted_lags_reference(Ys, k):
+    """Row t: the last k observations ending at t-1, newest first, zero padded, lag-major."""
+    n, H, p = Ys.shape
+    out = np.zeros((n, H, k, p))
+    for j in range(min(k, H - 1)):  # lag j of row t: y_{t-1-j}; none for j >= H-1
+        out[:, j + 1 :, j, :] = Ys[:, : H - 1 - j]
+    return out.reshape(n, H, k * p)
+
+
+def streaming_ridge_reference(Zpred, Ys, reg, refit_period):
+    """Predictions of the streaming ridge with Zpred[i, t] the features before Ys[i, t]."""
+    n, H, q = Zpred.shape
+    p = Ys.shape[2]
+    preds = np.zeros((n, H, p))
+    gram = np.zeros((n, q, q))
+    moment = np.zeros((n, q, p))
+    w = np.zeros((n, q, p))
+    eye = np.eye(q)
+    s = 0
+    while s < H:
+        e = min(s + refit_period, H)
+        zb = Zpred[:, s:e]
+        preds[:, s:e] = zb @ w
+        gram += zb.transpose(0, 2, 1) @ zb
+        moment += zb.transpose(0, 2, 1) @ Ys[:, s:e]
+        if e % refit_period == 0:
+            traces = np.trace(gram, axis1=1, axis2=2)
+            active = traces > 0.0
+            if active.any():
+                ridges = _effective_ridge(reg, traces[active], q, e)
+                lhs = gram[active] + ridges[:, None, None] * eye
+                try:
+                    w[active] = np.linalg.solve(lhs, moment[active])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularSystem(f"readout refit at step {e} is singular") from exc
+        s = e
     return preds

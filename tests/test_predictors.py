@@ -18,8 +18,14 @@ from dynolearn import (
     simulate_lds,
     simulate_lds_ensemble,
 )
-from conftest import stream_predictions
-from dynolearn.predictors import _effective_ridge, _shifted_lags
+from conftest import (
+    shifted_features_reference,
+    shifted_lags_reference,
+    stream_predictions,
+    streaming_ridge_reference,
+)
+from dynolearn.predictors import _bank_columns, _effective_ridge, _lag_blocks, _run_filter_sweep
+from dynolearn.spectral import _feature_blocks, reliable_filter_cap, truncate_bank
 
 
 @pytest.fixture(scope="module")
@@ -234,15 +240,18 @@ class TestKernels:
         H=st.integers(1, 30),
         p=st.sampled_from([1, 2, 3]),
         k=st.integers(1, 8),
+        block=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_shifted_lags_bitwise_equal_to_shifted_lag_rows(self, n, H, p, k, seed):
+    def test_shifted_lags_bitwise_equal_to_shifted_lag_rows(self, n, H, p, k, block, seed):
+        # both the blocked lags and the whole-tensor reference
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         Zfull = np.stack([self._lag_matrix(Ys[i], k) for i in range(n)])
         expected = np.concatenate([np.zeros((n, 1, k * p)), Zfull[:, : H - 1]], axis=1)
-        got = _shifted_lags(Ys, k)
+        got = np.concatenate([Z.copy() for _, _, Z in _lag_blocks(k, Ys, block)], axis=1)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        assert shifted_lags_reference(Ys, k).tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -263,6 +272,122 @@ class TestKernels:
             assert got.tobytes() == np.float64(_effective_ridge(reg, float(tr), q, steps)).tobytes()
         if reg == 0.0 or steps == 0:
             assert (ridges == 0.0).all()
+
+
+def _close(got, want):
+    # rounding-level drift may sit on predictions that cancel to near zero
+    scale = max(float(np.abs(want).max()), 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestBlockedEngine:
+    """The blocked learner against the whole-tensor reference path it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        H=st.integers(1, 70),
+        p=st.sampled_from([1, 2, 3]),
+        window=st.integers(1, 24),
+        refit_period=st.integers(1, 20),
+        sign_augmented=st.booleans(),
+        reg=st.floats(0.05, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_spectral_matches_reference(
+        self, n, H, p, window, refit_period, sign_augmented, reg, seed, data
+    ):
+        # H < window and H not a multiple of refit_period are inside the drawn ranges
+        m = data.draw(st.integers(1, min(6, reliable_filter_cap(window))), label="m")
+        bank = build_filter_bank(window, m, sign_augmented=sign_augmented)
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        got = SpectralPredictor(bank, p, reg, refit_period).run_ensemble(Ys)
+        want = streaming_ridge_reference(shifted_features_reference(bank, Ys), Ys, reg, refit_period)
+        _close(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        H=st.integers(1, 70),
+        p=st.sampled_from([1, 2, 3]),
+        order=st.integers(1, 8),
+        refit_period=st.integers(1, 20),
+        reg=st.floats(0.05, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ar_matches_reference(self, n, H, p, order, refit_period, reg, seed):
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        got = BaselinePredictor("ar", order, p, reg, refit_period).run_ensemble(Ys)
+        want = streaming_ridge_reference(shifted_lags_reference(Ys, order), Ys, reg, refit_period)
+        assert got.tobytes() == want.tobytes()  # the lags are copies: the same arithmetic
+
+    @pytest.mark.parametrize(
+        "kind, window_or_order, m, p, H",
+        [("spectral", 100, 15, 1, 2016), ("spectral", 32, 13, 3, 1016), ("ar", 1, 0, 1, 2016),
+         ("ar", 5, 0, 1, 2016)],
+    )
+    def test_bitwise_on_benchmark_shapes(self, kind, window_or_order, m, p, H):
+        Ys = np.random.default_rng(H + p).standard_normal((4, H, p))
+        if kind == "spectral":
+            bank = build_filter_bank(window_or_order, m)
+            got = SpectralPredictor(bank, p).run_ensemble(Ys)
+            Z = shifted_features_reference(bank, Ys)
+        else:
+            got = BaselinePredictor("ar", window_or_order, p).run_ensemble(Ys)
+            Z = shifted_lags_reference(Ys, window_or_order)
+        want = streaming_ridge_reference(Z, Ys, 2.0, 16)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p, sign_augmented", [(1, False), (3, False), (2, True)])
+    def test_sweep_columns_equal_each_arms_own_features(self, p, sign_augmented):
+        big = build_filter_bank(32, 13, sign_augmented=sign_augmented)
+        Ys = np.random.default_rng(p).standard_normal((3, 200, p))
+        shared = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(big, Ys, 16)], axis=1)
+        for m in (1, 2, 5, 12, 13):
+            own = np.concatenate(
+                [Z.copy() for _, _, Z in _feature_blocks(truncate_bank(big, m), Ys, 16)], axis=1
+            )
+            np.testing.assert_allclose(
+                shared[:, :, _bank_columns(big, m, p)], own, rtol=1e-12, atol=1e-13
+            )
+
+    def test_sweep_matches_each_predictor_run_alone(self, scalar_spec):
+        big = build_filter_bank(100, 15)
+        sweep = [SpectralPredictor(truncate_bank(big, m)) for m in (1, 4, 10, 15)]
+        Ys = simulate_lds_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
+        got = _run_filter_sweep(sweep, Ys)
+        for preds, kept in zip(got, _run_filter_sweep(sweep, Ys, keep_from=150)):
+            assert kept.tobytes() == preds[:, 150:].tobytes()
+        for pr, preds in zip(sweep, got):
+            alone = pr.run_ensemble(Ys)
+            if pr.bank.m == big.m:  # the largest arm reads the convolution it would run alone
+                assert preds.tobytes() == alone.tobytes()
+            np.testing.assert_allclose(preds, alone, rtol=1e-9, atol=1e-12)
+
+    def test_sweep_rejects_banks_that_are_not_prefixes(self):
+        sweep = [SpectralPredictor(build_filter_bank(32, 4)), SpectralPredictor(build_filter_bank(30, 4))]
+        with pytest.raises(ContractViolation):
+            _run_filter_sweep(sweep, np.zeros((1, 20, 1)))
+
+    def test_memory_flat_in_horizon(self):
+        # lorenz-long's learner shape; the (n, H, p) observations and
+        # predictions grow with H, the learner's working set must not
+        import tracemalloc
+
+        bank = build_filter_bank(32, 13)
+        pred = SpectralPredictor(bank, obs_dim=3)
+        above = []
+        for H in (10016, 40016):
+            Ys = np.random.default_rng(H).standard_normal((16, H, 3))
+            tracemalloc.start()
+            try:
+                preds = pred.run_ensemble(Ys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above.append((peak - preds.nbytes) / 2**20)
+        assert abs(above[1] - above[0]) < 2.0, above
 
 
 class TestIterateForecast:

@@ -17,7 +17,8 @@ from dynolearn import (
     trajectory_features,
     truncate_bank,
 )
-from dynolearn.spectral import positive_filter_limit, shifted_features
+from conftest import shifted_features_reference
+from dynolearn.spectral import _feature_blocks, positive_filter_limit
 
 
 class TestHilbertMatrix:
@@ -205,26 +206,40 @@ class TestResidualEnergy:
             residual_energy(bank, 1.5)
 
 
-class TestShiftedFeatures:
+class TestFeatureBlocks:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 4),
         H=st.integers(1, 40),
         p=st.sampled_from([1, 2, 3]),
         window=st.integers(1, 24),
+        block=st.integers(1, 20),
         sign_augmented=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_bitwise_equal_to_shifted_trajectory_features(
-        self, n, H, p, window, sign_augmented, seed, data
+    def test_matches_shifted_trajectory_features(
+        self, n, H, p, window, block, sign_augmented, seed, data
     ):
-        # H < window and m in {2, 3} are inside the drawn ranges
+        # H < window, H not a multiple of the block and m in {2, 3} are inside the drawn ranges
         m = data.draw(st.integers(1, min(6, reliable_filter_cap(window))), label="m")
         bank = build_filter_bank(window, m, sign_augmented=sign_augmented)
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
-        Zfull = np.stack([trajectory_features(bank, Ys[i]) for i in range(n)])
-        expected = np.concatenate([np.zeros((n, 1, Zfull.shape[2])), Zfull[:, : H - 1]], axis=1)
-        got = shifted_features(bank, Ys)
-        assert got.shape == expected.shape == (n, H, bank.feature_count * p)
-        assert got.tobytes() == expected.tobytes()
+        expected = shifted_features_reference(bank, Ys)
+        starts, got = [], []
+        for s, e, Z in _feature_blocks(bank, Ys, block):
+            assert Z.shape == (n, e - s, bank.feature_count * p)
+            starts.append(s)
+            got.append(Z.copy())  # the next block overwrites Z
+        assert starts == list(range(0, H, block))
+        got = np.concatenate(got, axis=1)
+        # the block products sum in the whole product's order except where
+        # BLAS groups rows differently; every row stays within rounding
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("window, m, p, H", [(100, 15, 1, 2016), (32, 13, 3, 1016)])
+    def test_bitwise_on_benchmark_shapes(self, window, m, p, H):
+        bank = build_filter_bank(window, m)
+        Ys = np.random.default_rng(window).standard_normal((3, H, p))
+        got = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(bank, Ys, 16)], axis=1)
+        assert got.tobytes() == shifted_features_reference(bank, Ys).tobytes()
