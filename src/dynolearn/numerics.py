@@ -8,7 +8,6 @@ downstream simulation is a deterministic function of (inputs, seed).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation, NumericalFailure, SingularSystem
 
@@ -86,6 +85,8 @@ def solve_normal_system(gram, rhs, ridge: float = 0.0) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if ridge > 0:
         G = G + ridge * np.eye(G.shape[0])
+    import scipy.linalg  # here, not at the top: it dominates the package's import time
+
     try:
         factor = scipy.linalg.cho_factor(G, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._canon import content_digest
 from .errors import ContractViolation, IntegrationBlowup
@@ -554,6 +553,8 @@ def stationary_state_covariance(spec: LdsSpec) -> np.ndarray:
     if not spectral_radius(A) < 1.0 - 1e-12:
         raise ContractViolation("stationary covariance requires spectral radius < 1")
     Q = spec.process_cov()
+    import scipy.linalg  # here, not at the top: it dominates the package's import time
+
     return scipy.linalg.solve_discrete_lyapunov(A, Q)
 
 

@@ -306,3 +306,14 @@ class TestPerformanceBudgets:
         elapsed = time.monotonic() - start
         assert (tmp_path / "p" / "burnin.csv").exists()
         assert elapsed < 120.0, f"pipeline took {elapsed:.1f}s"
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # scipy.linalg is most of the package's import time; only the Cholesky
+        # solve and the Lyapunov solve need it, and they import it themselves
+        code = "import sys, dynolearn.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
