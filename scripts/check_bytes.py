@@ -13,9 +13,12 @@ thread.  `filters` takes its window and filter count from the config's
 [predictor] section.  The configs are only read.
 
 Each line of the report names a (config, subcommand) pair and either `same`,
-the CSVs whose SHA-256 differs, or differing exit codes.  A subcommand that
-fails with the same exit code and the same CSVs under both trees counts as
-the same.  Each line also gives both trees' wall time and peak RSS for that
+the CSVs whose bytes differ, or differing exit codes.  For a CSV written by
+both trees with the same shape, the line says how far it moved: how many
+cells differ, the largest relative difference over numeric cells, and
+whether any non-numeric cell (such as m*'s `achieved`) changed.  A
+subcommand that fails with the same exit code and the same CSVs under both
+trees counts as the same.  Each line also gives both trees' wall time and peak RSS for that
 run (the child's `ru_maxrss`, from `os.wait4`), and the last lines total the
 wall time per tree.  Exit status: 0 when nothing differs, 1 otherwise.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -63,7 +66,7 @@ def command_args(subcommand: str, config: Path, out: Path, jobs: int) -> list[st
 @dataclass(frozen=True)
 class Run:
     code: int
-    csv: dict[str, str]  # csv name -> sha256
+    csv: dict[str, str]  # csv name -> contents
     wall_s: float
     peak_rss_mib: float
 
@@ -83,10 +86,37 @@ def run(src: Path, args: list[str], out: Path) -> Run:
         _, status, usage = os.wait4(proc.pid, 0)
         wall_s = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
-    }
-    return Run(proc.returncode, digests, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
+    csvs = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))}
+    return Run(proc.returncode, csvs, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def drift(old: str, new: str) -> str:
+    """How far a CSV moved between two runs: differing cells, the largest
+    relative difference over numeric cells, and whether any other cell changed."""
+    old_rows = [line.split(",") for line in old.splitlines()]
+    new_rows = [line.split(",") for line in new.splitlines()]
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        return "shape changed"
+    cells, rel, text_changed = 0, 0.0, False
+    for old_row, new_row in zip(old_rows, new_rows):
+        for a, b in zip(old_row, new_row):
+            if a == b:
+                continue
+            cells += 1
+            try:
+                rel = max(rel, _relative(float(a), float(b)))
+            except ValueError:
+                text_changed = True
+    text = "changed" if text_changed else "same"
+    return f"{cells} cells, max rel {rel:.3g}, non-numeric cells {text}"
 
 
 def compare(old: Run, new: Run) -> str:
@@ -94,8 +124,12 @@ def compare(old: Run, new: Run) -> str:
     if old.code != new.code:
         problems.append(f"exit old={old.code} new={new.code}")
     for name in sorted(set(old.csv) | set(new.csv)):
-        if old.csv.get(name) != new.csv.get(name):
-            problems.append(f"{name} differs")
+        if old.csv.get(name) == new.csv.get(name):
+            continue
+        if name in old.csv and name in new.csv:
+            problems.append(f"{name} differs ({drift(old.csv[name], new.csv[name])})")
+        else:
+            problems.append(f"{name} differs (written by one tree only)")
     verdict = "; ".join(problems) if problems else f"same (exit {new.code}, {len(new.csv)} csv)"
     cost = ", ".join(
         f"{tag} {r.wall_s:.2f} s {r.peak_rss_mib:.1f} MiB" for tag, r in (("old", old), ("new", new))
