@@ -201,6 +201,12 @@ def _grid_losses(preds: np.ndarray, Ys: np.ndarray, grid: np.ndarray, window: in
 
 
 def _resolve_states(system, x0_grid) -> list[np.ndarray]:
+    """The distinct initial states in a canonical order.
+
+    `_worst_case` takes the first x0 on an exact tie, so the order must not
+    be the caller's: an explicit grid is sorted lexicographically, and a
+    system's own grid has one fixed order.
+    """
     if x0_grid is None:
         return initial_states(system)
     states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x0_grid]
@@ -210,7 +216,7 @@ def _resolve_states(system, x0_grid) -> list[np.ndarray]:
     for s in states:
         if not any(np.array_equal(s, t) for t in unique):
             unique.append(s)
-    return unique
+    return sorted(unique, key=tuple)
 
 
 def _traj_rngs(master: SeededRng, n_traj: int) -> list[SeededRng]:
@@ -275,9 +281,10 @@ def _predictor_losses(predictors, grid: np.ndarray, window: int):
 def _worst_case(a: np.ndarray, b: np.ndarray):
     """Worst case over x0 of the mean gap between two [x0, traj, g] loss tensors.
 
-    Per grid time, at the x0 with the largest `a.mean - b.mean` (the first
-    such x0 on exact ties), returns that gap, a 95% CI half-width from the
-    per-trajectory differences, and the two means.
+    Per grid time, at the x0 with the largest `a.mean - b.mean` (on exact
+    ties, the first in `_resolve_states`' canonical order), returns that gap,
+    a 95% CI half-width from the per-trajectory differences, and the two
+    means.
     """
     ma, mb = a.mean(axis=1), b.mean(axis=1)
     gap = ma - mb  # not the mean of a - b: the excess is then exactly raw_a - raw_b

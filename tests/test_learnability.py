@@ -132,6 +132,33 @@ class TestEstimateExcessRisk:
         np.testing.assert_array_equal(both.excess_mean, stacked.max(axis=0))
         assert (both.excess_mean >= stacked).all()
 
+    @pytest.mark.parametrize("measure", ["risk", "agnostic"])
+    def test_exact_ties_do_not_depend_on_x0_order(self, scalar_spec, measure):
+        # an arm against an identical arm ties at exactly 0 gap on every x0,
+        # while the raw losses differ from one x0 to the next
+        xs = [[1.0], [-0.5], [0.25]]
+        grid = (2, 10, 30)
+
+        def run(x0_grid):
+            alg = BaselinePredictor("last_value")
+            if measure == "risk":
+                return estimate_excess_risk(
+                    scalar_spec, alg, BaselinePredictor("last_value"), grid, n_traj=6,
+                    x0_grid=x0_grid, window=4,
+                )
+            return agnostic_gap(
+                scalar_spec, alg, [BaselinePredictor("last_value")], grid, n_traj=6,
+                x0_grid=x0_grid, window=4,
+            )
+
+        raw = {run([x]).raw_alg.tobytes() for x in xs}
+        assert len(raw) == len(xs)  # the tie-break decides which raw losses are reported
+        curves = [run(order) for order in (xs, xs[::-1], xs[1:] + xs[:1])]
+        for c in curves:
+            assert (c.excess_mean == 0.0).all()
+            for col in ("excess_ci_half", "raw_alg", "raw_oracle"):
+                assert getattr(c, col).tobytes() == getattr(curves[0], col).tobytes()
+
     def test_threaded_run_is_identical(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
         alg = BaselinePredictor("ar", order=2)
