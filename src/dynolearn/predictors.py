@@ -178,10 +178,12 @@ def _run_filter_sweep(predictors, Ys: np.ndarray, keep_from: int = 0) -> list[np
         if (
             b.window != big.bank.window
             or b.sign_augmented != big.bank.sign_augmented
-            or pr.refit_period != big.refit_period
+            or (pr.obs_dim, pr.refit_period) != (big.obs_dim, big.refit_period)
             or not np.array_equal(b.phis, big.bank.phis[:, : b.m])
         ):
-            raise ContractViolation("filter sweep needs prefixes of one bank and one refit period")
+            raise ContractViolation(
+                "a filter sweep needs prefixes of one bank, one obs_dim and one refit period"
+            )
     Ys = _check_ensemble(Ys, big.obs_dim)
     n, _, p = Ys.shape
     arms = []
