@@ -525,11 +525,10 @@ def bias_variance_split(
         for s, e, Z in _feature_blocks(bank, Ys, refit_period):
             preds_star[:, s:e] = Z @ w_star
             learner.feed(s, e, Z)
-        preds_learn = learner.preds
         return [
             _grid_losses(preds_star, Ys, grid, window),
             _grid_losses(kalman.run_ensemble(Ys), Ys, grid, window),
-            _grid_losses(preds_learn, preds_star, grid, window),  # squared pred diff
+            _grid_losses(learner.preds, preds_star, grid, window),  # squared pred diff
         ]
 
     L = _evaluate(system, states, horizon, n_traj, master, n_workers, losses)
