@@ -215,15 +215,16 @@ def _feature_blocks(bank: FilterBank, Ys: np.ndarray, block: int):
     """Shifted features of an (n, H, p) ensemble, one block of rows at a time.
 
     Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] is the
-    `trajectory_features` row of Ys[i, :t] (zero for t = 0), the input of a
-    predictor about to see Ys[i, t].  A block reads Ys rows [s - window + 1, e)
+    last `trajectory_features` row of Ys[i, :t] (zero for t = 0), the input of
+    a predictor about to see Ys[i, t].  A block reads Ys rows [s - window + 1, e)
     only; Z is a view into a buffer the next block overwrites, so the working
     set is O(n * block * p * (window + feature_count)) whatever H is.
 
     Each block computes `trajectory_features` rows [s, e) with one matmul and
     carries its last row into the next block, so its row groups line up with
-    those of the whole-trajectory product: with OpenBLAS the bits agree when
-    `block` is a multiple of 4 and there is more than one filter column.
+    those of the whole-trajectory product.  Measured with OpenBLAS, the bits
+    agree when `block` is a multiple of 4 and there is more than one filter
+    column; otherwise rows differ at rounding level.
     """
     n, H, p = Ys.shape
     F = bank.filter_matrix()

@@ -236,10 +236,3 @@ class TestFeatureBlocks:
         # the block products sum in the whole product's order except where
         # BLAS groups rows differently; every row stays within rounding
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
-
-    @pytest.mark.parametrize("window, m, p, H", [(100, 15, 1, 2016), (32, 13, 3, 1016)])
-    def test_bitwise_on_benchmark_shapes(self, window, m, p, H):
-        bank = build_filter_bank(window, m)
-        Ys = np.random.default_rng(window).standard_normal((3, H, p))
-        got = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(bank, Ys, 16)], axis=1)
-        assert got.tobytes() == shifted_features_reference(bank, Ys).tobytes()
