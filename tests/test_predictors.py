@@ -303,7 +303,8 @@ class TestBlockedEngine:
         bank = build_filter_bank(window, m, sign_augmented=sign_augmented)
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         got = SpectralPredictor(bank, p, reg, refit_period).run_ensemble(Ys)
-        want = streaming_ridge_reference(shifted_features_reference(bank, Ys), Ys, reg, refit_period)
+        Z = shifted_features_reference(bank, Ys)
+        want = streaming_ridge_reference(Z, Ys, reg, refit_period)
         _close(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -324,8 +325,12 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize(
         "kind, window_or_order, m, p, H",
-        [("spectral", 100, 15, 1, 2016), ("spectral", 32, 13, 3, 1016), ("ar", 1, 0, 1, 2016),
-         ("ar", 5, 0, 1, 2016)],
+        [
+            ("spectral", 100, 15, 1, 2016),
+            ("spectral", 32, 13, 3, 1016),
+            ("ar", 1, 0, 1, 2016),
+            ("ar", 5, 0, 1, 2016),
+        ],
     )
     def test_bitwise_on_benchmark_shapes(self, kind, window_or_order, m, p, H):
         Ys = np.random.default_rng(H + p).standard_normal((4, H, p))
@@ -366,7 +371,7 @@ class TestBlockedEngine:
             np.testing.assert_allclose(preds, alone, rtol=1e-9, atol=1e-12)
 
     def test_sweep_rejects_banks_that_are_not_prefixes(self):
-        sweep = [SpectralPredictor(build_filter_bank(32, 4)), SpectralPredictor(build_filter_bank(30, 4))]
+        sweep = [SpectralPredictor(build_filter_bank(w, 4)) for w in (32, 30)]
         with pytest.raises(ContractViolation):
             _run_filter_sweep(sweep, np.zeros((1, 20, 1)))
 
