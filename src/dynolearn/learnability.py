@@ -3,11 +3,19 @@
 Excess risk, m*, the agnostic gap and the bias/variance split are one
 measurement: the worst case over initial states of a gap between two
 per-trajectory losses on one seeded ensemble.  `_evaluate` draws the
-ensemble's noise, simulates every admissible x0 from it, releases the
-noise and then maps the "arms" (predictors, or losses derived from them)
-over x0.  It returns one tensor [arm, x0, traj, g] of squared losses
-averaged over a short window at each grid time; `_worst_case` reduces two
-arms to the largest mean gap over x0, its 95% CI and both means.
+ensemble's noise, simulates the admissible x0 from it, releases the noise
+and then maps the "arms" (predictors, or losses derived from them) over x0.
+It returns one tensor [arm, x0, traj, g] of squared losses averaged over a
+short window at each grid time; `_worst_case` reduces two arms to the
+largest mean gap over x0, its 95% CI and both means.
+
+For a linear system, x0 moves the observations only through its free
+response C A^t x0, since every x0 shares the noise.  `_evaluate` therefore
+simulates the ensemble once, from x0 = 0, and gives each x0 that base plus
+its free response.  A predictor declared linear (see `oracles`) runs once on
+the base and once on the stacked free responses, and each x0 gets the sum;
+only the learners run once per x0.  The Lorenz grid is simulated directly,
+in one stacked recursion.
 
 The learners stream each x0's observations one refit block at a time (see
 `predictors`), so an arm holds O(n * (q^2 + window * p)) besides the
@@ -20,13 +28,15 @@ Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
 deliberately sees the same noise realizations (common random numbers), so
 differences across the grid come from the initial state alone; the noise is
-drawn once per ensemble, read by the simulation of every x0, and freed
-before the arms run.
+drawn once per ensemble, read by the simulation, and freed before the arms
+run.  Superposition moves an LDS result by rounding only (at most a relative
+3e-13 on the committed configs) against simulating each x0 on its own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,19 +53,14 @@ from .predictors import (
     _EnsembleRidge,
     _run_filter_sweep,
 )
-from .spectral import (
-    FilterBank,
-    _feature_blocks,
-    build_filter_bank,
-    trajectory_features,
-    truncate_bank,
-)
+from .spectral import FilterBank, _feature_blocks, build_filter_bank, truncate_bank
 from .systems import (
     LdsSpec,
     LorenzSpec,
     ensemble_noise,
     format_float as ff,
     initial_states,
+    lds_free_responses,
     simulate_ensemble,
 )
 
@@ -65,6 +70,7 @@ CI_Z = 1.96  # two-sided 95% normal quantile
 
 _TRAJ_NS = 0  # child-stream namespace for ensemble trajectories
 _REF_NS = 2**31  # child-stream namespace for reference runs
+_REF_BLOCK = 256  # rows of the reference run's features alive at a time
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +201,17 @@ def _validate_grid(t_grid, window: int) -> tuple[np.ndarray, int]:
 
 
 def _grid_losses(preds: np.ndarray, Ys: np.ndarray, grid: np.ndarray, window: int) -> np.ndarray:
-    """Per-trajectory squared losses averaged over [t, t + window) per grid time."""
-    L = ((preds - Ys) ** 2).sum(axis=2)
-    return np.stack([L[:, t : t + window].mean(axis=1) for t in grid], axis=1)
+    """Per-trajectory squared losses averaged over [t, t + window) per grid time.
+
+    Only the rows of those windows are read, so the temporaries are
+    (n, window, p), not (n, H, p).
+    """
+
+    def window_loss(t):
+        err = preds[:, t : t + window] - Ys[:, t : t + window]
+        return (err**2).sum(axis=2).mean(axis=1)
+
+    return np.stack([window_loss(t) for t in grid], axis=1)
 
 
 def _resolve_states(system, x0_grid) -> list[np.ndarray]:
@@ -235,15 +249,21 @@ def _parallel_map(fn, items, n_workers: int) -> list:
 def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int, losses):
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
-    Four phases:
+    `losses(Ys, run)` maps one x0's observations Ys (n_traj, H, p) to one
+    (n_traj, G) array per arm; `run(P, keep_from=0)` is
+    `P.run_ensemble(Ys)[:, keep_from:]`.  Phases:
     1. Draw the ensemble's noise once into preallocated arrays, one block
        of trajectories per worker; every row comes from its own stream, so
        the bits do not depend on n_workers.
-    2. Simulate the observations `Ys` of every x0 from that noise: the
-       Lorenz grid in one stacked RK4 recursion, an LDS with one call per
-       x0, in parallel (batching its matmul over x0 would change the bits).
+    2. Simulate from that noise.  Lorenz: every x0 in one stacked RK4
+       recursion.  LDS: the ensemble once from x0 = 0 (the base), and the
+       grid's free responses C A^t x0 as one (k, H, p) array; an x0's Ys is
+       the base plus its free response.
     3. Release the noise, so the arms never hold it.
-    4. Map each x0's `Ys` to `losses(Ys)`, one (n_traj, G) array per arm.
+    4. Map each x0 to `losses(Ys, run)`, in parallel.  For an LDS, `run`
+       of a linear predictor (`P.linear`, see `oracles`) adds P on the base
+       and P on the free responses, each computed once per evaluation by
+       whichever task first asks; any other P runs on Ys.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
@@ -262,20 +282,43 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
     k = max(1, min(n_workers, n_traj))
     _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
 
-    def simulate(x0):
-        return simulate_ensemble(system, horizon, x0, rngs, noise=noise)
+    if not lds:
+        grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, noise=noise)
+        del noise  # grid_Ys is (x0, traj, t, p), from one call
 
-    if lds:
-        Ys = _parallel_map(simulate, states, n_workers)
-    else:  # (x0, traj, t, p) from one call
-        Ys = simulate(np.stack(states))
+        def direct(Ys):
+            return np.stack(losses(Ys, lambda P, keep_from=0: P.run_ensemble(Ys)[:, keep_from:]))
+
+        return np.stack(_parallel_map(direct, grid_Ys, n_workers), axis=1)
+
+    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, noise=noise)
     del noise
-    return np.stack(_parallel_map(lambda y: np.stack(losses(y)), Ys, n_workers), axis=1)
+    free = lds_free_responses(system, horizon, states)
+    runs, lock = {}, threading.Lock()
+
+    def superposed(P):  # (P on the base, P on the free responses), once per P
+        with lock:
+            if id(P) not in runs:
+                runs[id(P)] = (P, P.run_ensemble(base), P.run_ensemble(free))
+            return runs[id(P)][1:]
+
+    def task(j):
+        Ys = base + free[j]
+
+        def run(P, keep_from=0):
+            if not getattr(P, "linear", False):
+                return P.run_ensemble(Ys)[:, keep_from:]
+            on_base, on_free = superposed(P)
+            return on_base[:, keep_from:] + on_free[j, keep_from:]
+
+        return np.stack(losses(Ys, run))
+
+    return np.stack(_parallel_map(task, range(len(states)), n_workers), axis=1)
 
 
 def _predictor_losses(predictors, grid: np.ndarray, window: int):
     """`losses` for `_evaluate`: one arm per predictor, its grid losses on Ys."""
-    return lambda Ys: [_grid_losses(p.run_ensemble(Ys), Ys, grid, window) for p in predictors]
+    return lambda Ys, run: [_grid_losses(run(p), Ys, grid, window) for p in predictors]
 
 
 def _worst_case(a: np.ndarray, b: np.ndarray):
@@ -416,9 +459,9 @@ def minimal_filter_count(
         for m in ms
     ]
 
-    def losses(Ys):  # the whole m sweep inside each x0 task, on one convolution per block
+    def losses(Ys, run):  # the whole m sweep inside each x0 task, on one convolution per block
         # only rows [t_eval, horizon) enter the loss, so only those are kept
-        preds = [oracle.run_ensemble(Ys)[:, t_eval:], *_run_filter_sweep(sweep, Ys, t_eval)]
+        preds = [run(oracle, t_eval), *_run_filter_sweep(sweep, Ys, t_eval)]
         return [_grid_losses(pr, Ys[:, t_eval:], grid - t_eval, window) for pr in preds]
 
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
@@ -494,7 +537,8 @@ def bias_variance_split(
 
     The reference readout w* is fit by near-unregularized ridge on one long
     run (ref_multiplier times the horizon), so it is the best fixed linear
-    readout in feature space.  That run starts from the system's first grid
+    readout in feature space; its Gram and moment are summed over blocks of
+    `_REF_BLOCK` feature rows.  That run starts from the system's first grid
     state, so w* does not depend on the order of x0_grid.  Bias is the excess
     of the w*-readout over the conditional-mean predictor; variance is the
     mean squared gap between the online learner's predictions and the
@@ -511,23 +555,25 @@ def bias_variance_split(
     # reference readout on a long run
     ref_rng = master.child(_REF_NS, 0)
     ref_x0 = initial_states(system)[0]
-    ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])[0]
-    Zref = np.zeros((ys_ref.shape[0], bank.feature_count * system.p))
-    Zref[1:] = trajectory_features(bank, ys_ref)[:-1]  # row t: the features before ys_ref[t]
-    gram = Zref.T @ Zref
-    tiny = 1e-8 * float(np.trace(gram)) / max(gram.shape[0], 1)
-    w_star = solve_normal_system(gram, Zref.T @ ys_ref, ridge=tiny)
+    ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])
+    q = bank.feature_count * system.p
+    gram, moment = np.zeros((q, q)), np.zeros((q, system.p))
+    for s, e, Z in _feature_blocks(bank, ys_ref, _REF_BLOCK):  # Z[0, t - s]: features before y_t
+        gram += Z[0].T @ Z[0]
+        moment += Z[0].T @ ys_ref[0, s:e]
+    tiny = 1e-8 * float(np.trace(gram)) / q
+    w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
 
-    def losses(Ys):  # the w*-readout and the online learner read one convolution per block
-        learner = _EnsembleRidge(Ys, bank.feature_count * system.p, reg, refit_period)
+    def losses(Ys, run):  # the w*-readout and the online learner read one convolution per block
+        learner = _EnsembleRidge(Ys, q, reg, refit_period)
         preds_star = np.empty_like(Ys)
         for s, e, Z in _feature_blocks(bank, Ys, refit_period):
             preds_star[:, s:e] = Z @ w_star
             learner.feed(s, e, Z)
         return [
             _grid_losses(preds_star, Ys, grid, window),
-            _grid_losses(kalman.run_ensemble(Ys), Ys, grid, window),
+            _grid_losses(run(kalman), Ys, grid, window),
             _grid_losses(learner.preds, preds_star, grid, window),  # squared pred diff
         ]
 

@@ -74,8 +74,9 @@ def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
 def solve_normal_system(gram, rhs, ridge: float = 0.0) -> np.ndarray:
     """Solve (gram + ridge*I) w = rhs for a symmetric PSD gram matrix.
 
-    Uses a Cholesky factorization; raises `SingularSystem` when the
-    regularized matrix is not numerically positive definite.
+    Uses a Cholesky factorization L L^T and solves with L, then L^T; raises
+    `SingularSystem` when the regularized matrix is not numerically
+    positive definite.
     """
     G = as_matrix(gram, "gram")
     if G.shape[0] != G.shape[1]:
@@ -85,15 +86,13 @@ def solve_normal_system(gram, rhs, ridge: float = 0.0) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if ridge > 0:
         G = G + ridge * np.eye(G.shape[0])
-    import scipy.linalg  # here, not at the top: it dominates the package's import time
-
     try:
-        factor = scipy.linalg.cho_factor(G, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"normal system is singular or indefinite (ridge={ridge:g})"
         ) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def ridge_solve(X, y, reg: float) -> np.ndarray:
@@ -143,11 +142,15 @@ class SeededRng:
         """Derive the independent child stream at `path + indices`."""
         return SeededRng(self.seed, self.path + tuple(indices))
 
-    def normals(self, shape, mean: float = 0.0, stdev: float = 1.0) -> np.ndarray:
+    def normals(self, shape, mean: float = 0.0, stdev: float = 1.0, out=None) -> np.ndarray:
+        """Gaussian draws of `shape`, written into `out` (a C-contiguous float
+        array of that shape) when given.  The bits do not depend on `out`."""
         if stdev < 0:
             raise ContractViolation(f"stdev must be nonnegative, got {stdev}")
-        draws = self._gen.standard_normal(shape)
-        return mean + stdev * draws
+        draws = self._gen.standard_normal(shape, out=out)
+        draws *= stdev
+        draws += mean
+        return draws
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"

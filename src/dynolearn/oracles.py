@@ -15,6 +15,16 @@ drift apart.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
+
+Linearity contract: a predictor class whose `linear` attribute is true
+promises that `run_ensemble` is a fixed linear map of `Ys` with zero initial
+mean that acts on each trajectory alone, so run(a + b) = run(a) + run(b) up
+to rounding.  All three classes here declare it.  The harness relies on it
+for a linear system: it runs such a predictor once on the ensemble simulated
+from x0 = 0 and once on the grid's free responses C A^t x0, and gives each
+x0 the sum, in every role (algorithm, oracle or baseline), so two equal arms
+still get identical bits.  The learners in `predictors` fit their readout to
+the data and are not linear.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ class KalmanPredictor:
     """
 
     label = "kalman"
+    linear = True  # see the module docstring
 
     def __init__(self, spec: LdsSpec, init_cov: np.ndarray | float | None = None):
         if not isinstance(spec, LdsSpec):
@@ -175,6 +186,7 @@ class KernelOracle:
     beta_k = C A^{k-1} C^T."""
 
     label = "kernel"
+    linear = True  # see the module docstring
 
     def __init__(self, spec: LdsSpec, k_trunc: int | None = None):
         if not isinstance(spec, LdsSpec):
@@ -234,6 +246,8 @@ class TruthOracle:
     no optimal predictor is available (or wanted): the excess over it is the
     raw risk, and the label "zero" makes raw-risk mode visible in the outputs.
     """
+
+    linear = True  # see the module docstring
 
     def __init__(self, spec=None):
         self.spec, self.label = spec, "zero" if spec is None else "truth"

@@ -8,6 +8,11 @@ grid in one in-place RK4 recursion, with the same bits as one x0 at a time.
 Drawing an ensemble's noise (`ensemble_noise`) is separate from the state
 recursion, so the Monte Carlo harness draws the noise once per ensemble and
 shares it, read-only, across the whole x0 grid.
+
+An LDS observation is linear in (x0, noise): the run from x0 is the run from
+0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
+The harness therefore simulates an LDS ensemble once, from 0, for a whole
+grid; the sum agrees with a direct run from x0 up to rounding.
 """
 
 from __future__ import annotations
@@ -263,11 +268,16 @@ class Trajectory:
 # linear simulation
 
 
-def _lds_noise(spec: LdsSpec, horizon: int, rng: SeededRng):
+def _lds_noise(spec: LdsSpec, horizon: int, rng: SeededRng, out=None):
+    """Process and observation noise (w, v) of one trajectory, drawn into `out`
+    ((H, d), (H, p)) when given."""
+    w, v = (np.empty((horizon, spec.d)), np.empty((horizon, spec.p))) if out is None else out
     if spec.noise.kind == "none":
-        return np.zeros((horizon, spec.d)), np.zeros((horizon, spec.p))
-    w = rng.normals((horizon, spec.d), 0.0, spec.noise.stdev_process)
-    v = rng.normals((horizon, spec.p), 0.0, spec.noise.stdev_obs)
+        w[...] = 0.0
+        v[...] = 0.0
+    else:
+        rng.normals(w.shape, 0.0, spec.noise.stdev_process, out=w)
+        rng.normals(v.shape, 0.0, spec.noise.stdev_obs, out=v)
     return w, v
 
 
@@ -320,7 +330,8 @@ def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
     Row i comes from rngs[i] alone, drawn in the order of the
     single-trajectory simulators (w, then v), so any split of the rows
     between callers gives the same bits.  `out`, if given, has the layout of
-    the result (or is a block of its rows) and is filled in place.
+    the result (or is a block of its rows) and is filled in place: each row
+    is drawn straight into its slot.
     """
     n = len(rngs)
     if isinstance(system, LdsSpec):
@@ -328,12 +339,12 @@ def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
             out = (np.empty((n, horizon, system.d)), np.empty((n, horizon, system.p)))
         W, V = out
         for i, rng in enumerate(rngs):
-            W[i], V[i] = _lds_noise(system, horizon, rng)
+            _lds_noise(system, horizon, rng, out=(W[i], V[i]))
         return out
     if isinstance(system, LorenzSpec):
         V = np.empty((n, horizon, system.p)) if out is None else out
         for i, rng in enumerate(rngs):
-            V[i] = _lorenz_noise(system, horizon, rng)
+            _lorenz_noise(system, horizon, rng, out=V[i])
         return V
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 
@@ -362,14 +373,36 @@ def simulate_lds_ensemble(
     n = len(rngs)
     W, V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
     _check_noise((W, V), n, horizon)
-    A = spec.effective_transition()
-    C = spec.C
-    Ys = np.empty((n, horizon, spec.p))
-    X = np.broadcast_to(x0, (n, spec.d)).copy()
-    At, Ct = A.T.copy(), C.T.copy()
+    return _lds_steps(spec, horizon, np.broadcast_to(x0, (n, spec.d)).copy(), (W, V))
+
+
+def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
+    """Noise-free observations C A^t x0 (k, H, p) of a stack of k initial states.
+
+    With the same noise, the run from x0 is the run from 0 plus x0's free
+    response.  Row j depends on the whole stack only through the rounding of
+    one (k, d) matmul per step, so a given stack always gives the same bits.
+    """
+    rows = [as_vector(x0, "x0") for x0 in states]
+    for x0 in rows:
+        if x0.shape != (spec.d,):
+            raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
+    if not rows:
+        raise ContractViolation("states must be nonempty")
+    return _lds_steps(spec, horizon, np.stack(rows))
+
+
+def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None) -> np.ndarray:
+    """Observations (k, H, p) of x' = A x + w, y = C x + v from the k rows of
+    X, with (W, V) = `noise`, or none."""
+    At, Ct = spec.effective_transition().T.copy(), spec.C.T.copy()
+    Ys = np.empty((len(X), horizon, spec.p))
     for t in range(horizon):
-        Ys[:, t, :] = X @ Ct + V[:, t]
-        X = X @ At + W[:, t]
+        Ys[:, t, :] = X @ Ct
+        X = X @ At
+        if noise is not None:
+            Ys[:, t, :] += noise[1][:, t]
+            X += noise[0][:, t]
     return Ys
 
 
@@ -377,10 +410,14 @@ def simulate_lds_ensemble(
 # Lorenz simulation
 
 
-def _lorenz_noise(spec: LorenzSpec, horizon: int, rng: SeededRng) -> np.ndarray:
+def _lorenz_noise(spec: LorenzSpec, horizon: int, rng: SeededRng, out=None) -> np.ndarray:
+    """Observation noise (H, p) of one trajectory, drawn into `out` when given."""
+    v = np.empty((horizon, spec.p)) if out is None else out
     if spec.obs_noise > 0:
-        return rng.normals((horizon, spec.p), 0.0, spec.obs_noise)
-    return np.zeros((horizon, spec.p))
+        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
+    else:
+        v[...] = 0.0
+    return v
 
 
 class _Rk4:

@@ -310,9 +310,26 @@ class TestPerformanceBudgets:
 
 class TestImport:
     def test_cli_import_leaves_scipy_linalg_out(self):
-        # scipy.linalg is most of the package's import time; only the Cholesky
-        # solve and the Lyapunov solve need it, and they import it themselves
+        # scipy.linalg is most of the package's import time; only the Lyapunov
+        # solve needs it, and it imports it itself
         code = "import sys, dynolearn.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_bias_variance_split_leaves_scipy_linalg_out(self):
+        # the w* solve is a numpy Cholesky: biasvar on a ball grid needs no scipy
+        code = (
+            "import sys\n"
+            "from dynolearn import InitPolicy, LdsSpec, NoiseSpec, bias_variance_split, "
+            "build_filter_bank\n"
+            "spec = LdsSpec(A=[[0.9]], C=[[1.0]], noise=NoiseSpec(stdev_process=0.1,"
+            " stdev_obs=0.1), init=InitPolicy(kind='ball_grid'))\n"
+            "rep = bias_variance_split(spec, build_filter_bank(16, 4), (20, 40), n_traj=4)\n"
+            "assert rep.bias.shape == (2,)\n"
+            "print('scipy.linalg' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
         )

@@ -417,13 +417,23 @@ class TestAgnosticGap:
         ]
         curve = agnostic_gap(system, alg, baselines, grid, x0_grid=states, **_SHARED)
 
-        # the definition, one (x0, g) at a time
+        # the definition, one (x0, g) at a time, on the superposed observations:
+        # fresh streams from x0 = 0 (every x0 sees the same noise) plus each
+        # x0's free response, in the canonical (sorted) order of the grid;
+        # the Kalman baseline runs on the two parts and its predictions add
+        horizon = int(grid[-1]) + window
+        rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), n_traj)
+        base = systems.simulate_ensemble(system, horizon, np.zeros(system.d), rngs)
+        states = sorted(states, key=tuple)
+        free = systems.lds_free_responses(system, horizon, states)
+        kalman = baselines[3]
+        on_base, on_free = kalman.run_ensemble(base), kalman.run_ensemble(free)
         per_x0 = []
-        for x0 in states:  # fresh streams: every x0 sees the same noise
-            rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), n_traj)
-            Ys = systems.simulate_ensemble(system, int(grid[-1]) + window, x0, rngs)
+        for j in range(len(states)):
+            Ys = base + free[j]
             la = learnability._grid_losses(alg.run_ensemble(Ys), Ys, grid, window)
-            lbs = [learnability._grid_losses(b.run_ensemble(Ys), Ys, grid, window) for b in baselines]
+            preds = [b.run_ensemble(Ys) for b in baselines[:3]] + [on_base + on_free[j]]
+            lbs = [learnability._grid_losses(pr, Ys, grid, window) for pr in preds]
             per_x0.append((la, lbs))
         expected = {"excess_mean": [], "excess_ci_half": [], "raw_alg": [], "raw_oracle": []}
         winners = np.empty((len(per_x0), grid.size), dtype=int)
@@ -561,9 +571,11 @@ class TestSharedNoise:
         assert fields[1] == fields[0] and fields[2] == fields[0]
 
     def test_matches_per_x0_replay_with_fresh_streams(self, name, kind, monkeypatch):
+        # Lorenz simulates every x0 of the grid in one stacked call; an LDS
+        # simulates once from x0 = 0 and adds the grid's free responses
         system = _shared_system(kind)
         shared = _measure(name, system)
-        replays = []
+        replays, free_stacks = [], []
 
         def replay(system, horizon, x0, rngs, noise=None):
             if noise is not None:  # ignore the shared draw; draw again for these x0
@@ -571,11 +583,19 @@ class TestSharedNoise:
                 rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
             return systems.simulate_ensemble(system, horizon, x0, rngs)
 
+        def free_responses(system, horizon, states):
+            free_stacks.append(np.array(states))
+            return systems.lds_free_responses(system, horizon, states)
+
         monkeypatch.setattr(learnability, "simulate_ensemble", replay)
+        monkeypatch.setattr(learnability, "lds_free_responses", free_responses)
         replayed = _measure(name, system)
-        states = systems.initial_states(system)
-        assert len(replays) == len(states)
-        assert all(np.array_equal(r, s) for r, s in zip(replays, states))
+        states = np.array(systems.initial_states(system))
+        if kind == "lds":
+            assert len(replays) == 1 and np.array_equal(replays[0], np.zeros(system.d))
+            assert len(free_stacks) == 1 and np.array_equal(free_stacks[0], states)
+        else:
+            assert np.array_equal(np.array(replays), states) and not free_stacks
         assert _worst_case(replayed) == _worst_case(shared)
 
     def test_reversed_x0_order_keeps_worst_case(self, name, kind):
@@ -584,3 +604,73 @@ class TestSharedNoise:
         forward = _measure(name, system, x0_grid=states)
         backward = _measure(name, system, x0_grid=states[::-1])
         assert _worst_case(backward) == _worst_case(forward)
+
+
+# --- superposed LDS grid ----------------------------------------------------
+
+
+def _superposition_system(kind, g, d, p):
+    """A random LDS: stable symmetric, symmetric with a pole at +-1, or a
+    non-symmetric closed loop A + B K with spectral radius 0.9."""
+    C = g.standard_normal((p, d))
+    noise = NoiseSpec(stdev_process=g.uniform(0.01, 1.0), stdev_obs=g.uniform(0.01, 1.0))
+    if kind == "closed_loop":
+        A, B, K = g.standard_normal((d, d)), g.standard_normal((d, 2)), g.standard_normal((2, d))
+        shrink = 0.9 / systems.spectral_radius(A + B @ K)
+        return LdsSpec(A=A * shrink, C=C, noise=noise, B=B, K=K * shrink, symmetric_flag=False)
+    Q, _ = np.linalg.qr(g.standard_normal((d, d)))
+    lam = g.uniform(-0.99, 0.99, d)
+    if kind == "marginal":
+        lam[0] = g.choice([-1.0, 1.0])
+    A = (Q * lam) @ Q.T
+    return LdsSpec(A=0.5 * (A + A.T) if d > 1 else lam[None, :], C=C, noise=noise)
+
+
+class TestSuperposedGrid:
+    @pytest.mark.parametrize("kind", ["stable", "marginal", "closed_loop"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        p=st.integers(1, 2),
+        k=st.integers(1, 4),
+        n_traj=st.integers(2, 5),
+        horizon=st.integers(1, 80),
+    )
+    def test_grid_observations_match_direct_simulation(
+        self, kind, seed, d, p, k, n_traj, horizon
+    ):
+        # each x0's observations are the run from 0 plus its free response:
+        # equal, up to rounding, to simulating that x0 on the same noise
+        g = np.random.default_rng(seed)
+        system = _superposition_system(kind, g, d, p)
+        states = list(3.0 * g.standard_normal((k, d)))
+        seen = []
+
+        def losses(Ys, run):
+            seen.append(Ys.copy())
+            # a linear predictor in the "truth" role reproduces Ys exactly
+            return [learnability._grid_losses(run(TruthOracle()), Ys, np.array([0]), 1)]
+
+        L = learnability._evaluate(system, states, horizon, n_traj, SeededRng(seed), 1, losses)
+        assert (L == 0.0).all()
+        assert len(seen) == k
+        for x0, Ys in zip(states, seen):
+            rngs = _traj_rngs(SeededRng(seed), n_traj)
+            direct = systems.simulate_lds_ensemble(system, horizon, x0, rngs)
+            scale = np.abs(direct).max()
+            np.testing.assert_allclose(Ys, direct, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_distinct_kalman_arms_tie_exactly_in_every_role(self):
+        # two Kalman instances are superposed alike, as algorithm, oracle or
+        # baseline, so their gap is exactly 0 on a grid of several x0
+        system = _shared_system("lds")
+        stem = dict(n_traj=6, master_seed=3, window=4)
+        risk = estimate_excess_risk(
+            system, KalmanPredictor(system), KalmanPredictor(system), (2, 10, 30), **stem
+        )
+        gap = agnostic_gap(
+            system, KalmanPredictor(system), [KalmanPredictor(system)], (2, 10, 30), **stem
+        )
+        for curve in (risk, gap):
+            assert (curve.excess_mean == 0.0).all() and (curve.excess_ci_half == 0.0).all()

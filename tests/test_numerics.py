@@ -163,6 +163,18 @@ class TestSeededRng:
         bulk = SeededRng(11).normals(8192, mean=1.0, stdev=2.0)[:64]
         np.testing.assert_array_equal(head, bulk)
 
+    @pytest.mark.parametrize("mean,stdev", [(0.0, 0.1), (1.0, 2.0), (-3.5, 0.0)])
+    def test_in_place_draws_equal_mean_plus_stdev_times_z(self, mean, stdev):
+        # the draws are scaled and shifted in place, into `out` when given;
+        # the bits are those of mean + stdev * z on the same stream
+        z = SeededRng(21).generator.standard_normal((5, 3))
+        expected = mean + stdev * z
+        out = np.empty((4, 5, 3))
+        drawn = SeededRng(21).normals((5, 3), mean, stdev, out=out[2])
+        assert np.shares_memory(drawn, out[2])
+        assert out[2].tobytes() == expected.tobytes()
+        assert SeededRng(21).normals((5, 3), mean, stdev).tobytes() == expected.tobytes()
+
     def test_rejects_bad_seed_and_stdev(self):
         with pytest.raises(ContractViolation):
             SeededRng(-1)

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynolearn import (
     ContractViolation,
@@ -20,6 +22,7 @@ from dynolearn import (
     simulate_lds,
     simulate_lorenz,
 )
+from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
 
 
@@ -304,3 +307,47 @@ class TestBayesOrdering:
         mse_0 = (Ys**2)[:, tail].mean()
         assert mse_k <= mse_c + 1e-6
         assert mse_k < mse_0
+
+
+class TestLinearity:
+    def test_declared_by_exactly_the_reference_predictors(self):
+        # the harness superposes every class that declares it; the additivity
+        # property below covers each of them
+        declared = {
+            c
+            for module in (oracles, predictors)
+            for c in vars(module).values()
+            if isinstance(c, type) and getattr(c, "linear", False)
+        }
+        assert declared == {KalmanPredictor, KernelOracle, TruthOracle}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        p=st.integers(1, 2),
+        n=st.integers(1, 4),
+        H=st.integers(1, 50),
+        kind=st.sampled_from(["kalman", "kernel", "truth", "zero"]),
+    )
+    def test_run_is_additive(self, seed, d, p, n, H, kind):
+        g = np.random.default_rng(seed)
+        M = g.standard_normal((d, d))
+        A = M + M.T
+        A *= g.uniform(0.0, 1.0) / np.abs(np.linalg.eigvalsh(A)).max()
+        noise = (
+            NoiseSpec(kind="none")
+            if kind == "truth"
+            else NoiseSpec(stdev_process=g.uniform(0.0, 1.0), stdev_obs=g.uniform(0.01, 1.0))
+        )
+        spec = LdsSpec(A=A, C=g.standard_normal((p, d)), noise=noise)
+        P = {
+            "kalman": lambda: KalmanPredictor(spec),
+            "kernel": lambda: KernelOracle(spec, k_trunc=int(g.integers(1, 60))),
+            "truth": lambda: TruthOracle(spec),
+            "zero": lambda: TruthOracle(),
+        }[kind]()
+        a, b = 3.0 * g.standard_normal((2, n, H, p))
+        ra, rb = P.run_ensemble(a), P.run_ensemble(b)
+        scale = max(np.abs(ra).max(), np.abs(rb).max())
+        np.testing.assert_allclose(P.run_ensemble(a + b), ra + rb, rtol=1e-12, atol=1e-12 * scale)

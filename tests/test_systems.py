@@ -23,7 +23,7 @@ from dynolearn import (
     stationary_state_covariance,
     write_trajectory_csv,
 )
-from dynolearn.systems import simulate_lorenz_ensemble
+from dynolearn.systems import ensemble_noise, lds_free_responses, simulate_lorenz_ensemble
 
 
 class TestLdsSimulation:
@@ -91,6 +91,49 @@ class TestLdsSimulation:
     def test_stationary_observation_power_scalar(self, scalar_spec):
         expected = 0.1**2 / (1 - 0.9**2) + 0.1**2
         assert abs(stationary_observation_power(scalar_spec) - expected) < 1e-12
+
+
+class TestEnsembleNoise:
+    @pytest.mark.parametrize("kind", ["lds", "lorenz", "noiseless"])
+    def test_rows_drawn_in_place_equal_per_row_normals(self, kind):
+        # each row is drawn straight into its slot of a block of preallocated
+        # rows, with the bits of mean + stdev * z from that row's own stream
+        # (w before v)
+        if kind == "lorenz":
+            system = LorenzSpec(obs_coords=("x", "z"), obs_noise=0.3)
+            sizes = [(system.p, 0.3)]
+        else:
+            stdevs = (0.0, 0.0) if kind == "noiseless" else (0.2, 0.05)
+            noise = NoiseSpec("none") if kind == "noiseless" else NoiseSpec("gaussian", *stdevs)
+            system = LdsSpec(A=[[0.5, 0.1], [0.1, 0.2]], C=[[1.0, 0.0]], noise=noise)
+            sizes = [(system.d, stdevs[0]), (system.p, stdevs[1])]
+        n, H = 5, 33
+        rngs = [SeededRng(8).child(0, i) for i in range(n)]
+        full = tuple(np.full((n, H, size), np.nan) for size, _ in sizes)
+        block = tuple(a[1:4] for a in full)
+        ensemble_noise(system, H, rngs[1:4], out=block if kind != "lorenz" else block[0])
+        for i in range(1, 4):
+            gen = SeededRng(8).child(0, i).generator
+            for a, (size, stdev) in zip(full, sizes):
+                expected = np.zeros((H, size))
+                if kind != "noiseless":
+                    expected = 0.0 + stdev * gen.standard_normal((H, size))
+                assert a[i].tobytes() == expected.tobytes()
+        assert all(np.isnan(a[[0, 4]]).all() for a in full)  # rows outside the block untouched
+
+
+class TestFreeResponses:
+    def test_equal_noiseless_simulation_and_validate_shape(self):
+        spec = LdsSpec(A=[[0.5, 0.2], [0.2, -0.4]], C=[[1.0, -2.0]], noise=NoiseSpec(kind="none"))
+        states = np.array([[1.0, 0.0], [0.3, -0.7], [0.0, 2.0]])
+        free = lds_free_responses(spec, 12, states)
+        assert free.shape == (3, 12, 1)
+        for j, x0 in enumerate(states):
+            direct = simulate_lds(spec, 12, x0, 0).ys
+            np.testing.assert_allclose(free[j], direct, rtol=1e-14, atol=1e-15)
+        for bad in ([[1.0, 0.0], [1.0, 0.0, 0.0]], [[np.nan, 0.0]], []):
+            with pytest.raises(ContractViolation):
+                lds_free_responses(spec, 12, bad)
 
 
 class TestClosedLoop:
