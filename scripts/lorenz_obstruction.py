@@ -27,19 +27,21 @@ def main() -> None:
     signal = float((ys**2).mean())
 
     bank = dl.build_filter_bank(args.window, args.filters)
-    pred = dl.SpectralPredictor(bank, obs_dim=1)
-    preds = pred.run(ys)
+    preds, readouts = dl.SpectralPredictor(bank, obs_dim=1).fit(ys[None])
     tail = slice(int(0.9 * args.horizon), args.horizon)
-    one_step = float(((preds[tail] - ys[tail]) ** 2).mean())
+    one_step = float(((preds[0, tail] - ys[tail]) ** 2).mean())
 
-    live = dl.SpectralPredictor(bank, obs_dim=1)
-    for t in range(args.horizon):
-        live.observe(ys[t], ys[:t][::-1])
+    # roll the final readout forward, feeding its predictions back as observations
+    w, F = readouts[0, :, 0], bank.filter_matrix()
     errs = []
     hi = args.horizon - args.rollout - 1
     for anchor in range(int(0.65 * args.horizon), hi, max((hi - int(0.65 * args.horizon)) // 16, 1)):
-        fc = dl.iterate_forecast(live, ys[:anchor][::-1], steps=args.rollout)
-        errs.append(float((fc[-1, 0] - ys[anchor + args.rollout - 1, 0]) ** 2))
+        h = np.zeros(bank.window)  # newest first, zero padded
+        past = ys[:anchor, 0][::-1][: bank.window]
+        h[: past.size] = past
+        for _ in range(args.rollout):
+            h = np.concatenate([[(F.T @ h) @ w], h[:-1]])
+        errs.append(float((h[0] - ys[anchor + args.rollout - 1, 0]) ** 2))
     rollout_mse = float(np.mean(errs))
 
     a = dl.simulate_lorenz(spec, 2500, [1.0, 1.0, 1.0], 0, record_states=True)

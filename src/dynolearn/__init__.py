@@ -26,20 +26,17 @@ from .learnability import (
     resolve_oracle,
     write_burn_in_csv,
 )
-from .numerics import SeededRng, ridge_solve, solve_normal_system, sym_eig
+from .numerics import SeededRng, solve_normal_system, sym_eig
 from .oracles import (
     KalmanPredictor,
-    KalmanState,
     KernelOracle,
     TruthOracle,
     default_kernel_truncation,
 )
-from .predictors import BaselinePredictor, SpectralPredictor, iterate_forecast
+from .predictors import BaselinePredictor, SpectralPredictor
 from .spectral import (
     FilterBank,
     build_filter_bank,
-    default_filter_count,
-    features,
     hilbert_matrix,
     reliable_filter_cap,
     residual_energy,
@@ -53,11 +50,9 @@ from .systems import (
     NoiseSpec,
     Trajectory,
     initial_states,
-    simulate_closed_loop,
     simulate_lds,
     simulate_lds_ensemble,
     simulate_lorenz,
-    spectral_norm,
     spectral_radius,
     spectral_radius_symmetric,
     stationary_observation_power,

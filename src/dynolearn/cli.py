@@ -43,7 +43,6 @@ from .systems import (
     LdsSpec,
     format_float,
     initial_states,
-    simulate_closed_loop,
     simulate_lds,
     simulate_lorenz,
     write_trajectory_csv,
@@ -109,8 +108,7 @@ def _cmd_simulate(args) -> int:
     seed = SeededRng(cfg.run.seed).child(0, 0)
     record = cfg.harness.record_states
     if isinstance(system, LdsSpec):
-        sim = simulate_closed_loop if system.B is not None else simulate_lds
-        traj = sim(system, cfg.harness.horizon, x0, seed, record_states=record)
+        traj = simulate_lds(system, cfg.harness.horizon, x0, seed, record_states=record)
     else:
         traj = simulate_lorenz(system, cfg.harness.horizon, x0, seed, record_states=record)
     path = out / "trajectory.csv"

@@ -95,26 +95,6 @@ def solve_normal_system(gram, rhs, ridge: float = 0.0) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def ridge_solve(X, y, reg: float) -> np.ndarray:
-    """argmin_w ||X w - y||^2 + reg ||w||^2 via the explicit normal equations.
-
-    `y` may be a vector or a matrix of stacked targets.  With reg > 0 the
-    solution is unique; with reg = 0 a rank-deficient system raises
-    `SingularSystem`.
-    """
-    A = as_matrix(X, "design matrix")
-    t = np.asarray(y, dtype=float)
-    if t.shape[0] != A.shape[0]:
-        raise ContractViolation(
-            f"design matrix has {A.shape[0]} rows but target has {t.shape[0]}"
-        )
-    if not np.isfinite(t).all():
-        raise ContractViolation("target contains non-finite entries")
-    if reg < 0:
-        raise ContractViolation(f"reg must be nonnegative, got {reg}")
-    return solve_normal_system(A.T @ A, A.T @ t, ridge=reg)
-
-
 class SeededRng:
     """Deterministic random stream with hierarchical splitting.
 

@@ -9,9 +9,8 @@ zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
-`KalmanPredictor.step` and the data-independent gain schedule behind
-`run_ensemble` share one covariance recursion, so the two paths cannot
-drift apart.
+`KalmanPredictor.run_ensemble` runs the filter from a data-independent gain
+schedule: one covariance recursion, built once per horizon.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
@@ -35,23 +34,9 @@ import threading
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
-from .numerics import as_vector
-from .systems import LdsSpec, LorenzSpec, spectral_norm, stationary_state_covariance
+from .systems import LdsSpec, LorenzSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
-
-
-class KalmanState:
-    """Posterior mean and covariance of the latent state (predictive form)."""
-
-    def __init__(self, xhat: np.ndarray, P: np.ndarray):
-        self.xhat = np.asarray(xhat, dtype=float)
-        self.P = np.asarray(P, dtype=float)
-        d = self.xhat.shape[0]
-        if self.P.shape != (d, d):
-            raise ContractViolation(f"covariance shape {self.P.shape} does not match state {d}")
-        if float(np.abs(self.P - self.P.T).max()) > 1e-9:
-            raise ContractViolation("covariance must be symmetric")
 
 
 class KalmanPredictor:
@@ -85,27 +70,19 @@ class KalmanPredictor:
         elif np.isscalar(init_cov):
             self.P0 = float(init_cov) * np.eye(self.d)
         else:
-            self.P0 = np.asarray(init_cov, dtype=float)
+            P0 = np.asarray(init_cov, dtype=float)
+            if (
+                P0.shape != (self.d, self.d)
+                or not np.isfinite(P0).all()
+                or float(np.abs(P0 - P0.T).max()) > 1e-9
+            ):
+                raise ContractViolation(
+                    f"init_cov must be a finite symmetric ({self.d}, {self.d}) matrix"
+                )
+            self.P0 = P0
         self.regularized_steps = 0
         self._schedule_cache: dict[int, tuple] = {}
         self._schedule_lock = threading.Lock()
-
-    def initial_state(self) -> KalmanState:
-        return KalmanState(np.zeros(self.d), self.P0.copy())
-
-    def step(self, state: KalmanState, y) -> tuple[KalmanState, np.ndarray]:
-        """Measurement update with y, then time update.
-
-        Returns the new predictive state and the prediction of the next
-        observation, C A xhat_posterior.
-        """
-        y = as_vector(y, "observation")
-        if y.shape != (self.p,):
-            raise ContractViolation(f"observation has length {y.size}, expected {self.p}")
-        xhat = state.xhat
-        gain, _, Ppred = self._covariance_update(state.P)
-        xpred = self.A @ (xhat + gain @ (y - self.C @ xhat))
-        return KalmanState(xpred, Ppred), self.C @ xpred
 
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
@@ -172,7 +149,7 @@ class KalmanPredictor:
 def default_kernel_truncation(spec: LdsSpec, tail: float = 1e-8, cap: int = 10_000) -> int:
     """Smallest K with ||A||_2^K <= tail, capped; the convolution tail beyond
     K is then negligible for stable systems."""
-    a = spectral_norm(spec.effective_transition())
+    a = float(np.linalg.norm(spec.effective_transition(), 2))
     if a <= 0.0:
         return 1
     if a >= 1.0:
@@ -209,16 +186,6 @@ class KernelOracle:
             betas[k] = C @ M @ C.T
             M = M @ A
         self.betas = betas
-
-    def predict(self, history) -> np.ndarray:
-        """Prediction from a newest-first history (history[0] = latest y)."""
-        h = np.asarray(history, dtype=float)
-        if h.ndim == 1:
-            h = h[:, None]
-        if h.shape[0] < 1:
-            raise ContractViolation("kernel oracle needs at least one observation")
-        kk = min(self.k_trunc, h.shape[0])
-        return np.einsum("kij,kj->i", self.betas[:kk], h[:kk])
 
     def run(self, ys: np.ndarray) -> np.ndarray:
         return self.run_ensemble(np.asarray(ys, dtype=float)[None])[0]

@@ -28,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, SingularSystem
-from .numerics import solve_normal_system
-from .spectral import FilterBank, _feature_blocks, _history, features
+from .spectral import FilterBank, _feature_blocks, _history
 
 DEFAULT_REG = 2.0
 DEFAULT_REFIT_PERIOD = 16
@@ -43,65 +42,23 @@ def _effective_ridge(reg: float, gram_trace, q: int, steps: int):
     return reg * gram_trace / (q * steps**RIDGE_DECAY_EXPONENT)
 
 
-def _as_obs(y, p: int, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if arr.shape != (p,):
-        raise ContractViolation(f"{what} has shape {arr.shape}, expected ({p},)")
-    if not np.isfinite(arr).all():
-        raise ContractViolation(f"{what} contains non-finite entries")
-    return arr
-
-
-class _StreamingRidge:
-    """Shared accumulate/refit state for linear-in-features predictors."""
-
-    def __init__(self, q: int, p: int, reg: float, refit_period: int):
-        if reg < 0:
-            raise ContractViolation(f"reg must be nonnegative, got {reg}")
-        if refit_period < 1:
-            raise ContractViolation(f"refit_period must be >= 1, got {refit_period}")
-        self.q = q
-        self.p = p
-        self.reg = reg
-        self.refit_period = refit_period
-        self.gram = np.zeros((q, q))
-        self.moment = np.zeros((q, p))
-        self.w = np.zeros((q, p))
-        self.steps_seen = 0
-
-    def effective_ridge(self) -> float:
-        return _effective_ridge(self.reg, float(np.trace(self.gram)), self.q, self.steps_seen)
-
-    def accumulate(self, z: np.ndarray, y: np.ndarray) -> None:
-        self.gram += np.outer(z, z)
-        self.moment += np.outer(z, y)
-        self.steps_seen += 1
-        if self.steps_seen % self.refit_period == 0:
-            self.refit()
-
-    def refit(self) -> None:
-        tr = float(np.trace(self.gram))
-        if tr == 0.0:
-            return  # no signal yet; keep the zero readout
-        self.w = solve_normal_system(self.gram, self.moment, ridge=self.effective_ridge())
-
-    @property
-    def state_size(self) -> int:
-        return self.gram.size + self.moment.size + self.w.size
-
-
 class _EnsembleRidge:
     """The streaming ridge of every trajectory of an (n, H, p) ensemble, fed
     one refit block of features at a time.
 
-    `feed(s, e, Z)` replays the per-step predict/accumulate/refit loop over
-    rows [s, e): within a refit period the readout is constant, so the block
-    is predicted and absorbed at once, and the readouts are refit when e ends
-    a period.  Results match the per-step path up to summation order.
-    `preds` keeps the predictions of rows keep_from..H-1.
+    `feed(s, e, Z)` replays a per-step loop (predict, absorb the pair, refit
+    every `refit_period` steps) over rows [s, e): within a refit period the
+    readout is constant, so the block is predicted and absorbed at once, and
+    the readouts are refit when e ends a period.  Results match the per-step
+    loop up to summation order.  `preds` keeps the predictions of rows
+    keep_from..H-1; `w` holds the latest readouts.
     """
 
     def __init__(self, Ys: np.ndarray, q: int, reg: float, refit_period: int, keep_from: int = 0):
+        if reg < 0:
+            raise ContractViolation(f"reg must be nonnegative, got {reg}")
+        if refit_period < 1:
+            raise ContractViolation(f"refit_period must be >= 1, got {refit_period}")
         n, H, p = Ys.shape
         self.Ys, self.q, self.reg, self.refit_period = Ys, q, reg, refit_period
         self.keep_from = keep_from
@@ -144,7 +101,8 @@ def _check_ensemble(Ys, obs_dim: int) -> np.ndarray:
 
 
 def _run_streaming_ridge(blocks, Ys: np.ndarray, q: int, reg: float, refit_period: int):
-    """Predictions of the streaming ridge on Ys, with features from `blocks`.
+    """Predictions (n, H, p) of the streaming ridge on Ys, with features from
+    `blocks`, and each trajectory's final readout (n, q, p).
 
     `blocks` is a block kernel (`_feature_blocks`, `_lag_blocks`) over Ys with
     block size `refit_period`; only one block of q features is alive at a time.
@@ -152,7 +110,7 @@ def _run_streaming_ridge(blocks, Ys: np.ndarray, q: int, reg: float, refit_perio
     ridge = _EnsembleRidge(Ys, q, reg, refit_period)
     for s, e, Z in blocks:
         ridge.feed(s, e, Z)
-    return ridge.preds
+    return ridge.preds, ridge.w
 
 
 def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:
@@ -189,9 +147,10 @@ def _run_filter_sweep(predictors, Ys: np.ndarray, keep_from: int = 0) -> list[np
     arms = []
     for pr in predictors:
         q = pr.bank.feature_count * p
+        ridge = _EnsembleRidge(Ys, q, pr.reg, pr.refit_period, keep_from)
         cols = None if pr.bank.m == big.bank.m else _bank_columns(big.bank, pr.bank.m, p)
         buf = None if cols is None else np.empty((n, pr.refit_period, q))
-        arms.append((_EnsembleRidge(Ys, q, pr.reg, pr.refit_period, keep_from), cols, buf))
+        arms.append((ridge, cols, buf))
     for s, e, Z in _feature_blocks(big.bank, Ys, big.refit_period):
         for ridge, cols, buf in arms:
             ridge.feed(s, e, Z if cols is None else np.take(Z, cols, axis=2, out=buf[:, : e - s]))
@@ -219,54 +178,16 @@ class SpectralPredictor:
             raise ContractViolation(f"obs_dim must be >= 1, got {obs_dim}")
         self.bank = bank
         self.obs_dim = obs_dim
-        self._core = _StreamingRidge(bank.feature_count * obs_dim, obs_dim, reg, refit_period)
-
-    # streaming interface -------------------------------------------------
-    @property
-    def gram(self) -> np.ndarray:
-        return self._core.gram
-
-    @property
-    def moment(self) -> np.ndarray:
-        return self._core.moment
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._core.w
-
-    @property
-    def reg(self) -> float:
-        return self._core.reg
-
-    @property
-    def refit_period(self) -> int:
-        return self._core.refit_period
-
-    @property
-    def steps_seen(self) -> int:
-        return self._core.steps_seen
+        self.reg = reg
+        self.refit_period = refit_period
 
     @property
     def state_size(self) -> int:
-        """Number of stored readout/accumulator scalars; independent of the
-        hidden dimension of whatever generated the data."""
-        return self._core.state_size
+        """Readout scalars kept per trajectory (Gram, moment, weights); independent
+        of the hidden dimension of whatever generated the data."""
+        q = self.bank.feature_count * self.obs_dim
+        return q * q + 2 * q * self.obs_dim
 
-    def effective_ridge(self) -> float:
-        return self._core.effective_ridge()
-
-    def predict(self, history) -> np.ndarray:
-        """One-step prediction from a newest-first history (may be empty)."""
-        z = features(self.bank, _normalize_history(history, self.obs_dim))
-        return self._core.w.T @ z
-
-    def observe(self, y_next, history_before) -> None:
-        """Absorb the pair (features(history_before), y_next); refit on schedule."""
-        y = _as_obs(y_next, self.obs_dim, "y_next")
-        z = features(self.bank, _normalize_history(history_before, self.obs_dim))
-        self._core.accumulate(z, y)
-
-    # trajectory interface -------------------------------------------------
     def run(self, ys: np.ndarray) -> np.ndarray:
         """Per-step predictions over one trajectory (fresh state, self untouched)."""
         ys = np.asarray(ys, dtype=float)
@@ -276,27 +197,15 @@ class SpectralPredictor:
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
+        return self.fit(Ys)[0]
+
+    def fit(self, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`run_ensemble(Ys)` and each trajectory's readout (n, q, p) after its
+        last refit: the prediction from features z is z @ readout."""
         Ys = _check_ensemble(Ys, self.obs_dim)
-        return _run_streaming_ridge(
-            _feature_blocks(self.bank, Ys, self.refit_period),
-            Ys,
-            self._core.q,
-            self.reg,
-            self.refit_period,
-        )
-
-
-def _normalize_history(history, p: int) -> np.ndarray:
-    h = np.asarray(history, dtype=float)
-    if h.size == 0:
-        return np.zeros((0, p))
-    if h.ndim == 1:
-        if p != 1:
-            raise ContractViolation("1-d history passed to a multi-coordinate predictor")
-        return h[:, None]
-    if h.ndim != 2 or h.shape[1] != p:
-        raise ContractViolation(f"history shape {h.shape} incompatible with obs dim {p}")
-    return h
+        q = self.bank.feature_count * self.obs_dim
+        blocks = _feature_blocks(self.bank, Ys, self.refit_period)
+        return _run_streaming_ridge(blocks, Ys, q, self.reg, self.refit_period)
 
 
 def _lag_blocks(k: int, Ys: np.ndarray, block: int):
@@ -317,15 +226,6 @@ def _lag_blocks(k: int, Ys: np.ndarray, block: int):
         for j in range(k):
             lags[:, :L, j] = ys[:, k - 1 - j : k - 1 - j + L]
         yield s, e, lags[:, :L].reshape(n, L, k * p)
-
-
-def _lag_vector(h_newest_first: np.ndarray, k: int) -> np.ndarray:
-    """The newest-first lag window as one zero-padded feature vector."""
-    p = h_newest_first.shape[1]
-    z = np.zeros((k, p))
-    take = min(h_newest_first.shape[0], k)
-    z[:take] = h_newest_first[:take]
-    return z.ravel()
 
 
 class BaselinePredictor:
@@ -350,31 +250,9 @@ class BaselinePredictor:
         self.kind = kind
         self.order = order
         self.obs_dim = obs_dim
+        self.reg = reg
+        self.refit_period = refit_period
         self.label = f"ar{order}" if kind == "ar" else kind
-        self._core = (
-            _StreamingRidge(order * obs_dim, obs_dim, reg, refit_period) if kind == "ar" else None
-        )
-
-    @property
-    def w(self) -> np.ndarray:
-        if self._core is None:
-            raise ContractViolation(f"{self.kind} baseline has no readout weights")
-        return self._core.w
-
-    def predict(self, history) -> np.ndarray:
-        h = _normalize_history(history, self.obs_dim)
-        if self.kind == "zero":
-            return np.zeros(self.obs_dim)
-        if self.kind == "last_value":
-            return h[0].copy() if h.shape[0] else np.zeros(self.obs_dim)
-        return self._core.w.T @ _lag_vector(h, self.order)
-
-    def observe(self, y_next, history_before) -> None:
-        if self._core is None:
-            return
-        y = _as_obs(y_next, self.obs_dim, "y_next")
-        h = _normalize_history(history_before, self.obs_dim)
-        self._core.accumulate(_lag_vector(h, self.order), y)
 
     def run(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
@@ -391,26 +269,8 @@ class BaselinePredictor:
             preds = np.zeros_like(Ys)
             preds[:, 1:] = Ys[:, : H - 1]
             return preds
-        core = self._core
+        blocks = _lag_blocks(self.order, Ys, self.refit_period)
         return _run_streaming_ridge(
-            _lag_blocks(self.order, Ys, core.refit_period), Ys, core.q, core.reg, core.refit_period
-        )
+            blocks, Ys, self.order * self.obs_dim, self.reg, self.refit_period
+        )[0]
 
-
-def iterate_forecast(predictor, history, steps: int) -> np.ndarray:
-    """Multi-step forecast by feeding predictions back as observations.
-
-    `history` is newest first; returns (steps, p) with row h the forecast of
-    the observation h+1 steps ahead.  Uses the predictor's current readout
-    without updating it.
-    """
-    if steps < 1:
-        raise ContractViolation(f"steps must be >= 1, got {steps}")
-    p = predictor.obs_dim
-    h = _normalize_history(history, p)
-    out = np.empty((steps, p))
-    for s in range(steps):
-        yhat = predictor.predict(h)
-        out[s] = yhat
-        h = np.concatenate([yhat[None, :], h], axis=0)
-    return out

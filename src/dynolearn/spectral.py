@@ -17,7 +17,6 @@ horizon.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -147,44 +146,13 @@ def truncate_bank(bank: FilterBank, m: int) -> FilterBank:
     )
 
 
-def default_filter_count(window: int, eps_target: float) -> int:
-    """Heuristic bank size ceil(ln(window) * ln(1/eps)), clipped to the positive limit."""
-    if not 0 < eps_target < 1:
-        raise ContractViolation(f"eps_target must be in (0, 1), got {eps_target}")
-    raw = math.ceil(math.log(max(window, 2)) * math.log(1.0 / eps_target))
-    return max(1, min(raw, positive_filter_limit(window)))
-
-
-def _window_history(history, window: int) -> np.ndarray:
-    """Newest-first history as a zero-padded (window, p) block."""
-    h = np.asarray(history, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None]
-    if h.ndim != 2:
-        raise ContractViolation(f"history must be 1-d or 2-d, got shape {h.shape}")
-    out = np.zeros((window, h.shape[1]))
-    take = min(h.shape[0], window)
-    out[:take] = h[:take]
-    return out
-
-
-def features(bank: FilterBank, history) -> np.ndarray:
-    """Convolutional features of a newest-first observation window.
-
-    Histories shorter than the bank window are zero padded.  For p-dimensional
-    observations the features are computed per coordinate and concatenated
-    coordinate-major, giving a vector of length feature_count * p.
-    """
-    win = _window_history(history, bank.window)
-    z = bank.filter_matrix().T @ win  # (f, p)
-    return z.T.ravel()
-
-
 def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
     """Features for every step of a trajectory, row t ending at observation t.
 
-    `ys` is (H,) or (H, p); the result is (H, feature_count * p) and matches
-    `features(bank, ys[:t+1][::-1])` row by row.
+    `ys` is (H,) or (H, p); the result is (H, feature_count * p).  Row t is
+    `filter_matrix().T` applied to each coordinate's last `window`
+    observations up to t, newest first and zero padded, concatenated
+    coordinate-major.
     """
     Y = np.asarray(ys, dtype=float)
     if Y.ndim == 1:

@@ -242,11 +242,10 @@ class LorenzSpec:
 
 @dataclass(eq=False)
 class Trajectory:
-    """A realized observation sequence with optional latent states/inputs."""
+    """A realized observation sequence with optional latent states."""
 
     ys: np.ndarray  # (H, p)
     xs: np.ndarray | None
-    us: np.ndarray | None
     seed: int
     spec_digest: str
 
@@ -285,9 +284,9 @@ def _coerce_rng(seed) -> SeededRng:
     return seed if isinstance(seed, SeededRng) else SeededRng(seed)
 
 
-def _simulate_linear(
-    spec: LdsSpec, horizon: int, x0, rng: SeededRng, record_states: bool, record_inputs: bool
-) -> Trajectory:
+def simulate_lds(spec: LdsSpec, horizon: int, x0, seed, record_states: bool = False) -> Trajectory:
+    """Simulate x' = A x + w, y = C x + v for `horizon` steps from x0, with
+    A + B K in place of A for a closed-loop spec."""
     if horizon < 1:
         raise ContractViolation(f"horizon must be >= 1, got {horizon}")
     x0 = as_vector(x0, "x0")
@@ -295,33 +294,17 @@ def _simulate_linear(
         raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
     A = spec.effective_transition()
     C = spec.C
+    rng = _coerce_rng(seed)
     w, v = _lds_noise(spec, horizon, rng)
     ys = np.empty((horizon, spec.p))
     xs = np.empty((horizon, spec.d)) if record_states else None
-    us = np.empty((horizon, spec.K.shape[0])) if (record_inputs and spec.K is not None) else None
     x = x0.copy()
     for t in range(horizon):
         ys[t] = C @ x + v[t]
         if xs is not None:
             xs[t] = x
-        if us is not None:
-            us[t] = spec.K @ x
         x = A @ x + w[t]
-    return Trajectory(ys=ys, xs=xs, us=us, seed=rng.seed, spec_digest=spec.digest())
-
-
-def simulate_lds(spec: LdsSpec, horizon: int, x0, seed, record_states: bool = False) -> Trajectory:
-    """Simulate x' = A x + w, y = C x + v for `horizon` steps from x0."""
-    return _simulate_linear(spec, horizon, x0, _coerce_rng(seed), record_states, False)
-
-
-def simulate_closed_loop(
-    spec: LdsSpec, horizon: int, x0, seed, record_states: bool = False
-) -> Trajectory:
-    """Simulate the closed loop x' = (A + B K) x + w; records u = K x with the states."""
-    if spec.B is None:
-        raise ContractViolation("closed-loop simulation requires B and K in the spec")
-    return _simulate_linear(spec, horizon, x0, _coerce_rng(seed), record_states, record_states)
+    return Trajectory(ys=ys, xs=xs, seed=rng.seed, spec_digest=spec.digest())
 
 
 def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
@@ -522,7 +505,7 @@ def simulate_lorenz(
             xs[t0:t1] = X[:, :, 0]
 
     _lorenz_steps(spec, x0[:, None].copy(), horizon, record)
-    return Trajectory(ys=ys, xs=xs, us=None, seed=rng.seed, spec_digest=spec.digest())
+    return Trajectory(ys=ys, xs=xs, seed=rng.seed, spec_digest=spec.digest())
 
 
 def simulate_lorenz_ensemble(
@@ -559,15 +542,6 @@ def simulate_lorenz_ensemble(
 
 # ---------------------------------------------------------------------------
 # spec utilities
-
-
-def spectral_norm(M) -> float:
-    """Largest singular value, computed from the eigenvalues of M^T M."""
-    A = as_matrix(M, "matrix")
-    if A.shape[0] != A.shape[1]:
-        raise ContractViolation(f"spectral_norm expects a square matrix, got {A.shape}")
-    evals, _ = sym_eig(A.T @ A)
-    return float(np.sqrt(max(evals[0], 0.0)))
 
 
 def spectral_radius_symmetric(M) -> float:

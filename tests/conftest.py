@@ -8,7 +8,8 @@ from dynolearn import InitPolicy, LdsSpec, NoiseSpec, trajectory_features
 from dynolearn.errors import SingularSystem
 from dynolearn.predictors import _effective_ridge
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 
 def cli_env(extra=None):
@@ -44,19 +45,67 @@ def noiseless_scalar_spec():
     )
 
 
+# The per-step learner, written from the ridge formula in the `predictors`
+# docstring.  It shares no code with the blocked engine: it is the oracle that
+# `test_blocked_run_matches_per_step` checks that engine against.
+
+
+def window_features(bank, history):
+    """Spectral features of a newest-first (t, p) history: each coordinate's
+    last `window` observations, zero padded, against the filters, coordinate-major."""
+    win = np.zeros((bank.window, history.shape[1]))
+    take = min(len(history), bank.window)
+    win[:take] = history[:take]
+    return (bank.filter_matrix().T @ win).T.ravel()
+
+
+def lag_features(k, history):
+    """The last k observations of a newest-first (t, p) history, zero padded, lag-major."""
+    z = np.zeros((k, history.shape[1]))
+    take = min(len(history), k)
+    z[:take] = history[:take]
+    return z.ravel()
+
+
+class StepRidge:
+    """One trajectory's streaming ridge, one step at a time, for a
+    `SpectralPredictor` or an AR `BaselinePredictor`: predict w^T z, absorb
+    (z, y), and every `refit_period` steps solve
+    (Gram_t + ridge(t) I) w = moment_t, ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))."""
+
+    def __init__(self, pred):
+        p = pred.obs_dim
+        if hasattr(pred, "bank"):
+            self.featurize = lambda h: window_features(pred.bank, h)
+            q = pred.bank.feature_count * p
+        else:
+            self.featurize = lambda h: lag_features(pred.order, h)
+            q = pred.order * p
+        self.reg, self.refit_period = pred.reg, pred.refit_period
+        self.gram, self.moment, self.w = np.zeros((q, q)), np.zeros((q, p)), np.zeros((q, p))
+        self.steps = 0
+
+    def step(self, history, y):
+        """The prediction of y from the newest-first history; then absorb y."""
+        z = self.featurize(history)
+        yhat = self.w.T @ z
+        self.gram += np.outer(z, z)
+        self.moment += np.outer(z, y)
+        self.steps += 1
+        trace = np.trace(self.gram)
+        if self.steps % self.refit_period == 0 and trace > 0.0:
+            ridge = self.reg * trace / (z.size * self.steps**0.75)
+            self.w = np.linalg.solve(self.gram + ridge * np.eye(z.size), self.moment)
+        return yhat
+
+
 def stream_predictions(pred, ys):
-    """Reference per-step driver: predict, observe, grow the history."""
+    """Per-step predictions of `pred`'s learner on one (H,) or (H, p) trajectory."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    H, p = ys.shape
-    hist = np.zeros((0, p))
-    preds = np.zeros((H, p))
-    for t in range(H):
-        preds[t] = pred.predict(hist)
-        pred.observe(ys[t], hist)
-        hist = np.concatenate([ys[t][None, :], hist], axis=0)
-    return preds
+    ref = StepRidge(pred)
+    return np.stack([ref.step(ys[:t][::-1], ys[t]) for t in range(len(ys))])
 
 
 # The whole-tensor learner path that the blocked engine replaced: every

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import REPO, cli_env
 
 SCALAR_NOISELESS = """
 [system]
@@ -268,6 +268,16 @@ class TestRiskPipeline:
     def test_usage_error_exits_one(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("override", ["predictor.refit_period=0", "predictor.reg=-1"])
+    @pytest.mark.parametrize("command", ["risk", "mstar", "agnostic", "biasvar"])
+    def test_bad_ridge_parameter_exits_two(self, command, override, tmp_path):
+        # every learner arm builds the one streaming ridge, which checks both
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        args = [command, "-c", str(cfg), "--out", "o", override, "harness.n_traj=4"]
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "contract_violation"
 
 
 class TestPerformanceBudgets:

@@ -10,7 +10,6 @@ from dynolearn import (
     ContractViolation,
     InitPolicy,
     KalmanPredictor,
-    KalmanState,
     KernelOracle,
     LdsSpec,
     LorenzSpec,
@@ -46,18 +45,17 @@ class TestKalman:
         )
         kal = KalmanPredictor(spec, init_cov=1.0)
         y = np.array([0.3, -0.7])
-        state, yhat = kal.step(kal.initial_state(), y)
-        np.testing.assert_allclose(yhat, A @ y, atol=1e-12)
-        np.testing.assert_allclose(state.xhat, A @ y, atol=1e-12)
+        preds = kal.run(np.stack([y, np.zeros(2)]))
+        np.testing.assert_allclose(preds[1], A @ y, atol=1e-12)
+        # the posterior mean is y itself: x' = F x + G y with F = 0, G = A
+        F, G, _ = kal.gain_schedule(1)
+        np.testing.assert_allclose(F[0], np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(G[0], A, atol=1e-12)
 
     def test_memoryless_system_predicts_zero(self):
         spec = _spec(a=0.0)
-        kal = KalmanPredictor(spec)
-        state = kal.initial_state()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            state, yhat = kal.step(state, rng.standard_normal(1))
-            assert yhat == pytest.approx(0.0, abs=1e-15)
+        ys = np.random.default_rng(0).standard_normal((20, 1))
+        np.testing.assert_allclose(KalmanPredictor(spec).run(ys), 0.0, rtol=0, atol=1e-15)
 
     def test_scalar_riccati_steady_state(self):
         a, c, q, r = 0.9, 1.0, 0.01, 0.01
@@ -94,13 +92,17 @@ class TestKalman:
         )
         ys = simulate_lds(spec, 200, [1.0, 0.0], 3).ys
         kal = KalmanPredictor(spec)
-        state = kal.initial_state()
-        preds = np.zeros_like(ys)
+        # the textbook filter: measurement update, then time update
+        A, C, Q, R = spec.A, spec.C, spec.process_cov(), spec.obs_cov()
+        x, P = np.zeros(2), kal.P0.copy()
+        preds, Ps = np.zeros_like(ys), np.zeros((200, 2, 2))
         for t in range(200):
-            preds[t] = kal.C @ state.xhat
-            state, _ = kal.step(state, ys[t])
-        fast = kal.run(ys)
-        np.testing.assert_allclose(fast, preds, rtol=1e-9, atol=1e-12)
+            preds[t], Ps[t] = C @ x, P
+            gain = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
+            x = A @ (x + gain @ (ys[t] - C @ x))
+            P = A @ (P - gain @ C @ P) @ A.T + Q
+        np.testing.assert_allclose(kal.run(ys), preds, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(kal.gain_schedule(200)[2], Ps, rtol=1e-9, atol=1e-12)
 
     def test_zero_obs_noise_regularizes_singular_innovation(self):
         spec = LdsSpec(
@@ -110,9 +112,9 @@ class TestKalman:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec, init_cov=0.0)  # P = 0 and R = 0: singular S
-        state, yhat = kal.step(kal.initial_state(), np.zeros(1))
-        assert kal.regularized_steps == 1  # singular innovation was flagged
-        assert np.isfinite(yhat).all()
+        preds = kal.run(np.ones((5, 1)))
+        assert kal.regularized_steps == 5  # every singular innovation was flagged
+        assert np.isfinite(preds).all()
 
     @pytest.mark.parametrize("n_workers", [1, 4])
     def test_schedule_built_once_under_threads(self, n_workers, monkeypatch):
@@ -141,15 +143,31 @@ class TestKalman:
 
     def test_step_from_explicit_state(self):
         spec = _spec(a=0.5)  # q = r = 0.01
-        state = KalmanState(np.zeros(1), np.eye(1))
-        new_state, yhat = KalmanPredictor(spec).step(state, np.array([1.0]))
-        assert np.isfinite(yhat).all()
-        assert new_state.P.shape == (1, 1)
+        kal = KalmanPredictor(spec, init_cov=np.eye(1))
+        F, G, Ps = kal.gain_schedule(2)
+        preds = kal.run(np.array([[1.0], [0.0]]))
         # scalar update from P = 1: gain 1/1.01, posterior variance 0.01/1.01,
         # then the time update x' = 0.5 x, P' = 0.25 P + q
-        assert new_state.xhat[0] == pytest.approx(0.5 / 1.01, rel=1e-12)
-        assert yhat[0] == pytest.approx(0.5 / 1.01, rel=1e-12)
-        assert new_state.P[0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
+        assert G[0, 0, 0] == pytest.approx(0.5 / 1.01, rel=1e-12)
+        assert F[0, 0, 0] == pytest.approx(0.5 * 0.01 / 1.01, rel=1e-12)
+        assert preds[1, 0] == pytest.approx(0.5 / 1.01, rel=1e-12)
+        assert Ps[1, 0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
+
+    def test_rejects_bad_init_cov(self):
+        spec = LdsSpec(
+            A=[[0.5, 0.0], [0.0, 0.4]],
+            C=[[1.0, 1.0]],
+            noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+            init=InitPolicy(kind="fixed", x0=(0.0, 0.0)),
+        )
+        bad = (np.eye(3), [[1.0, 0.5], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]])
+        for cov in bad:
+            with pytest.raises(ContractViolation, match="init_cov"):
+                KalmanPredictor(spec, init_cov=cov)
+        with pytest.raises(ContractViolation, match="init_cov"):
+            KalmanPredictor(_spec(a=0.5), init_cov=np.eye(3))  # (3, 3) for d = 1
+        ok = KalmanPredictor(spec, init_cov=2 * np.eye(2))
+        np.testing.assert_array_equal(ok.P0, 2 * np.eye(2))
 
     def test_requires_linear_system(self):
         with pytest.raises(IncompatiblePairing):
@@ -174,9 +192,13 @@ class TestKernelOracle:
     def test_newest_observation_weight_is_identity_for_unit_c(self):
         spec = _spec(a=0.5)
         oracle = KernelOracle(spec, k_trunc=10)
-        history = np.zeros(10)
-        history[0] = 1.0  # newest-first impulse
-        assert oracle.predict(history)[0] == pytest.approx(1.0)
+        impulse = np.zeros((12, 1))
+        impulse[0] = 1.0
+        preds = oracle.run(impulse)[:, 0]
+        assert preds[1] == pytest.approx(1.0)  # the step after the impulse
+        # the impulse response reads the coefficients, up to the truncation
+        np.testing.assert_allclose(preds[1:11], 0.5 ** np.arange(10), rtol=1e-13)
+        assert preds[0] == preds[11] == 0.0
 
     def test_matches_matrix_power_oracle(self):
         A = np.diag([0.9, 0.4])
@@ -202,19 +224,20 @@ class TestKernelOracle:
     def test_truncation_tail_negligible(self):
         spec = _spec(a=0.9)
         k = default_kernel_truncation(spec)
+        assert k == 175  # ceil(ln 1e-8 / ln 0.9)
         assert 0.9**k <= 1e-8
         g = np.random.default_rng(0)
-        history = g.standard_normal(k + 200)
-        short = KernelOracle(spec, k_trunc=k).predict(history)
-        long = KernelOracle(spec, k_trunc=k + 200).predict(history)
-        assert abs(short[0] - long[0]) <= 1e-6 * np.abs(history).max()
+        ys = g.standard_normal((k + 201, 1))
+        short = KernelOracle(spec, k_trunc=k).run(ys)[-1]
+        long = KernelOracle(spec, k_trunc=k + 200).run(ys)[-1]
+        assert abs(short[0] - long[0]) <= 1e-6 * np.abs(ys).max()
 
     def test_linearity(self):
         oracle = KernelOracle(_spec(a=0.6), k_trunc=15)
         g = np.random.default_rng(2)
-        h1, h2 = g.standard_normal(30), g.standard_normal(30)
-        lhs = oracle.predict(2.5 * h1 + h2)
-        rhs = 2.5 * oracle.predict(h1) + oracle.predict(h2)
+        h1, h2 = g.standard_normal((2, 30, 1))
+        lhs = oracle.run(2.5 * h1 + h2)
+        rhs = 2.5 * oracle.run(h1) + oracle.run(h2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_run_ensemble_matches_predict_loop(self):
@@ -226,9 +249,11 @@ class TestKernelOracle:
         )
         ys = simulate_lds(spec, 120, [1.0, -1.0], 1).ys
         oracle = KernelOracle(spec, k_trunc=40)
+        # the convolution sum: y_hat_t = sum_k beta_k y_{t-1-k}, k < min(K, t)
         preds = np.zeros_like(ys)
         for t in range(1, 120):
-            preds[t] = oracle.predict(ys[:t][::-1])
+            for k in range(min(40, t)):
+                preds[t] += oracle.betas[k] @ ys[t - 1 - k]
         fast = oracle.run(ys)
         np.testing.assert_allclose(fast, preds, rtol=1e-11, atol=1e-12)
 

@@ -12,9 +12,6 @@ from dynolearn import (
     SeededRng,
     SpectralPredictor,
     build_filter_bank,
-    features,
-    iterate_forecast,
-    ridge_solve,
     simulate_lds,
     simulate_lds_ensemble,
 )
@@ -23,6 +20,7 @@ from conftest import (
     shifted_lags_reference,
     stream_predictions,
     streaming_ridge_reference,
+    window_features,
 )
 from dynolearn.predictors import _bank_columns, _effective_ridge, _lag_blocks, _run_filter_sweep
 from dynolearn.spectral import _feature_blocks, reliable_filter_cap, truncate_bank
@@ -35,8 +33,11 @@ def small_bank():
 
 class TestSpectralPredictor:
     def test_zero_readout_predicts_zero(self, small_bank):
-        pred = SpectralPredictor(small_bank)
-        assert pred.predict(np.ones(10)) == pytest.approx(0.0)
+        # no refit within 10 steps: the readout stays zero, whatever the data
+        preds, readouts = SpectralPredictor(small_bank, refit_period=16).fit(np.ones((2, 10, 1)))
+        assert readouts.shape == (2, small_bank.m, 1)
+        assert (readouts == 0).all()
+        assert (preds == 0).all()
 
     def test_zero_until_first_refit(self, small_bank, scalar_spec):
         ys = simulate_lds(scalar_spec, 40, [1.0], 0).ys
@@ -52,7 +53,7 @@ class TestSpectralPredictor:
         ys = np.zeros(H)
         ys[0] = 1.0
         for t in range(1, H):
-            z = features(small_bank, ys[:t][::-1])
+            z = window_features(small_bank, ys[:t][::-1, None])
             ys[t] = w_star @ z
         pred = SpectralPredictor(small_bank, reg=1e-10)
         preds = pred.run(ys)
@@ -60,41 +61,40 @@ class TestSpectralPredictor:
         assert err <= 1e-8
 
     def test_rank_one_normal_equations(self, small_bank):
-        pred = SpectralPredictor(small_bank, reg=0.5, refit_period=16)
-        history = np.zeros(10)
-        history[0] = 2.0
-        z = features(small_bank, history)
-        y = np.array([1.5])
-        n = 32
-        for _ in range(n):
-            pred.observe(y, history)
-        ridge = pred.effective_ridge()
-        assert ridge == pytest.approx(0.5 * n * (z @ z) / (small_bank.m * n**0.75))
-        lhs = (n * np.outer(z, z) + ridge * np.eye(small_bank.m)) @ pred.w[:, 0]
-        rhs = n * z * y[0]
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+        # one nonzero feature row, z = 2 F[0] before y = 1.5 at the last step: the
+        # Gram z z^T has rank one, and the ridge alone makes the refit unique
+        H = 32
+        Ys = np.zeros((1, H, 1))
+        Ys[0, H - 2, 0], Ys[0, H - 1, 0] = 2.0, 1.5
+        preds, readouts = SpectralPredictor(small_bank, reg=0.5, refit_period=16).fit(Ys)
+        z = 2.0 * small_bank.filter_matrix()[0]
+        ridge = 0.5 * (z @ z) / (small_bank.m * H**0.75)
+        w = readouts[0, :, 0]
+        np.testing.assert_allclose(w, 1.5 * z / (z @ z + ridge), rtol=1e-12)
+        lhs = (np.outer(z, z) + ridge * np.eye(small_bank.m)) @ w
+        np.testing.assert_allclose(lhs, 1.5 * z, atol=1e-12)
+        assert (preds == 0).all()  # the refit at step 16 saw no signal
 
-    def test_replay_doubles_accumulators(self, small_bank, scalar_spec):
+    def test_readout_is_scale_free(self, small_bank, scalar_spec):
+        # Gram, moment and ridge all scale by c^2: the readout is unchanged
         ys = simulate_lds(scalar_spec, 64, [1.0], 1).ys
         pred = SpectralPredictor(small_bank)
-        stream_predictions(pred, ys)
-        gram_once = pred.gram.copy()
-        moment_once = pred.moment.copy()
-        stream_predictions(pred, ys)
-        np.testing.assert_allclose(pred.gram, 2.0 * gram_once, rtol=1e-13)
-        np.testing.assert_allclose(pred.moment, 2.0 * moment_once, rtol=1e-13)
-        assert pred.steps_seen == 128
+        preds, readouts = pred.fit(ys[None])
+        preds2, readouts2 = pred.fit(2.0 * ys[None])
+        assert readouts2.tobytes() == readouts.tobytes()
+        assert preds2.tobytes() == (2.0 * preds).tobytes()
 
     def test_refit_matches_ridge_solve_recomputation(self, small_bank, scalar_spec):
         ys = simulate_lds(scalar_spec, 96, [1.0], 2).ys
-        pred = SpectralPredictor(small_bank, reg=1.0, refit_period=16)
-        stream_predictions(pred, ys)
-        # rebuild the design matrix the accumulators summarize
+        _, readouts = SpectralPredictor(small_bank, reg=1.0, refit_period=16).fit(ys[None])
+        # rebuild the design matrix the accumulators summarize; ridge-solve it
         Z = np.zeros((96, small_bank.m))
         for t in range(1, 96):
-            Z[t] = features(small_bank, ys[:t][::-1])
-        w = ridge_solve(Z, ys[:, 0], pred.effective_ridge())
-        np.testing.assert_allclose(pred.w[:, 0], w, rtol=1e-9, atol=1e-12)
+            Z[t] = window_features(small_bank, ys[:t][::-1])
+        gram = Z.T @ Z
+        ridge = 1.0 * np.trace(gram) / (small_bank.m * 96**0.75)
+        w = np.linalg.solve(gram + ridge * np.eye(small_bank.m), Z.T @ ys[:, 0])
+        np.testing.assert_allclose(readouts[0, :, 0], w, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_blocked_run_matches_per_step(self, p):
@@ -124,17 +124,20 @@ class TestSpectralPredictor:
             )
             ys = simulate_lds(spec, 64, np.zeros(d), 0).ys
             pred = SpectralPredictor(small_bank)
-            pred.run(ys)  # run_ensemble is pure; the state stays bank-sized
-            stream_predictions(pred, ys)
-            sizes.append(pred.state_size)
+            _, readouts = pred.fit(ys[None])
+            sizes.append((pred.state_size, readouts.shape))
         assert len(set(sizes)) == 1
+        assert sizes[0] == (small_bank.m**2 + 2 * small_bank.m, (1, small_bank.m, 1))
 
     def test_run_is_pure(self, small_bank, scalar_spec):
         ys = simulate_lds(scalar_spec, 50, [1.0], 3).ys
         pred = SpectralPredictor(small_bank)
-        pred.run(ys)
-        assert pred.steps_seen == 0
-        assert (pred.w == 0).all()
+        before = dict(vars(pred))
+        first = pred.run(ys)
+        assert vars(pred) == before
+        pred.run(-ys)
+        assert pred.run(ys).tobytes() == first.tobytes()
+        assert pred.fit(ys[None])[0][0].tobytes() == first.tobytes()
 
     def test_sign_augmentation_handles_negative_pole(self):
         # low observation SNR with a strongly negative pole: the predictive
@@ -175,10 +178,9 @@ class TestSpectralPredictor:
 
 class TestBaselines:
     def test_zero(self):
-        pred = BaselinePredictor("zero")
-        assert pred.predict(np.ones(5)) == pytest.approx(0.0)
-        preds = pred.run(np.ones(10))
+        preds = BaselinePredictor("zero").run(np.ones(10))
         assert (preds == 0).all()
+        assert (BaselinePredictor("zero", obs_dim=2).run_ensemble(np.ones((3, 5, 2))) == 0).all()
 
     def test_last_value_constant_sequence(self):
         pred = BaselinePredictor("last_value")
@@ -189,21 +191,23 @@ class TestBaselines:
 
     def test_ar1_identifies_decay_coefficient(self):
         ys = (0.5 ** np.arange(60))[:, None]
-        pred = BaselinePredictor("ar", order=1, reg=1e-10, refit_period=16)
-        stream_predictions(pred, ys)
-        assert pred.w[0, 0] == pytest.approx(0.5, abs=1e-6)
+        preds = BaselinePredictor("ar", order=1, reg=1e-10, refit_period=16).run(ys)
+        # rows 48..59 read the readout refit at step 48: y_hat_t = w y_{t-1}
+        np.testing.assert_allclose(preds[48:, 0] / ys[47:-1, 0], 0.5, rtol=0, atol=1e-6)
 
     def test_ar_matches_batch_least_squares(self, scalar_spec):
         k = 3
         ys = simulate_lds(scalar_spec, 128, [1.0], 9).ys
-        pred = BaselinePredictor("ar", order=k, reg=0.7, refit_period=16)
-        stream_predictions(pred, ys)
+        preds = BaselinePredictor("ar", order=k, reg=0.7, refit_period=16).run(ys)
         Z = np.zeros((128, k))
         for t in range(1, 128):
             lag = ys[max(0, t - k) : t][::-1, 0]
             Z[t, : lag.size] = lag
-        w = ridge_solve(Z, ys[:, 0], pred._core.effective_ridge())
-        np.testing.assert_allclose(pred.w[:, 0], w, atol=1e-9)
+        # the readout refit at step 112, by batch ridge, predicts rows 112..127
+        gram = Z[:112].T @ Z[:112]
+        ridge = 0.7 * np.trace(gram) / (k * 112**0.75)
+        w = np.linalg.solve(gram + ridge * np.eye(k), Z[:112].T @ ys[:112, 0])
+        np.testing.assert_allclose(preds[112:, 0], Z[112:] @ w, atol=1e-9)
 
     def test_ar_blocked_matches_per_step(self, scalar_spec):
         ys = simulate_lds(scalar_spec, 150, [1.0], 4).ys
@@ -394,25 +398,3 @@ class TestBlockedEngine:
             above.append((peak - preds.nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
-
-class TestIterateForecast:
-    def test_last_value_forecast_is_constant(self):
-        pred = BaselinePredictor("last_value")
-        out = iterate_forecast(pred, np.array([2.0, 1.0, 0.0]), steps=5)
-        np.testing.assert_array_equal(out, np.full((5, 1), 2.0))
-
-    def test_linear_model_matches_manual_rollout(self, small_bank):
-        pred = SpectralPredictor(small_bank)
-        ys = (0.9 ** np.arange(80))[:, None]
-        stream_predictions(pred, ys)
-        hist = ys[::-1]
-        out = iterate_forecast(pred, hist, steps=3)
-        h = hist.copy()
-        for s in range(3):
-            expected = pred.predict(h)
-            np.testing.assert_allclose(out[s], expected)
-            h = np.concatenate([expected[None, :], h], axis=0)
-
-    def test_rejects_bad_steps(self, small_bank):
-        with pytest.raises(ContractViolation):
-            iterate_forecast(SpectralPredictor(small_bank), np.ones(3), steps=0)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from dynolearn import (
     ContractViolation,
     build_filter_bank,
-    default_filter_count,
-    features,
     hilbert_matrix,
     reliable_filter_cap,
     residual_energy,
@@ -17,7 +15,7 @@ from dynolearn import (
     trajectory_features,
     truncate_bank,
 )
-from conftest import shifted_features_reference
+from conftest import shifted_features_reference, window_features
 from dynolearn.spectral import _feature_blocks, positive_filter_limit
 
 
@@ -98,11 +96,6 @@ class TestFilterBank:
         with pytest.raises(ContractViolation):
             truncate_bank(bank, 9)
 
-    def test_default_filter_count(self):
-        m = default_filter_count(256, 1e-3)
-        assert m == math.ceil(math.log(256) * math.log(1e3))
-        assert default_filter_count(4, 1e-12) <= positive_filter_limit(4)
-
     def test_sign_augmented_filters(self):
         bank = build_filter_bank(16, 4, sign_augmented=True)
         assert bank.feature_count == 8
@@ -113,26 +106,33 @@ class TestFilterBank:
 
 
 class TestFeatures:
+    """`trajectory_features`: row t holds the features of the observations up to t."""
+
     def test_filter_history_recovers_basis_vector(self):
         bank = build_filter_bank(16, 5)
-        z = features(bank, bank.phis[:, 0])
+        z = trajectory_features(bank, bank.phis[::-1, 0])[-1]  # newest observation last
         np.testing.assert_allclose(z, np.eye(5)[0], atol=1e-12)
 
     def test_zero_history(self):
         bank = build_filter_bank(16, 5)
-        np.testing.assert_array_equal(features(bank, np.zeros(16)), np.zeros(5))
-        np.testing.assert_array_equal(features(bank, np.zeros(0)), np.zeros(5))
+        np.testing.assert_array_equal(trajectory_features(bank, np.zeros(16)), np.zeros((16, 5)))
+        # before the first observation the learners' features are zero
+        _, _, Z = next(_feature_blocks(bank, np.ones((2, 16, 1)), 16))
+        np.testing.assert_array_equal(Z[:, 0], np.zeros((2, 5)))
 
     def test_impulse_reads_first_filter_row(self):
+        # an impulse t steps back reads filter row t
         bank = build_filter_bank(16, 5)
-        impulse = np.zeros(16)
+        impulse = np.zeros(20)
         impulse[0] = 1.0
-        np.testing.assert_allclose(features(bank, impulse), bank.phis[0], atol=1e-14)
+        Z = trajectory_features(bank, impulse)
+        np.testing.assert_allclose(Z[:16], bank.phis, atol=1e-14)
+        np.testing.assert_array_equal(Z[16:], np.zeros((4, 5)))
 
     def test_short_history_zero_padded(self):
         bank = build_filter_bank(16, 5)
-        short = features(bank, [2.0, 1.0])
-        padded = features(bank, [2.0, 1.0] + [0.0] * 14)
+        short = trajectory_features(bank, [1.0, 2.0])[-1]
+        padded = trajectory_features(bank, [0.0] * 14 + [1.0, 2.0])[-1]
         np.testing.assert_array_equal(short, padded)
 
     @settings(max_examples=30, deadline=None)
@@ -140,18 +140,18 @@ class TestFeatures:
     def test_linearity(self, seed, alpha):
         bank = build_filter_bank(12, 4)
         g = np.random.default_rng(seed)
-        h1, h2 = g.standard_normal(12), g.standard_normal(12)
-        lhs = features(bank, alpha * h1 + h2)
-        rhs = alpha * features(bank, h1) + features(bank, h2)
+        h1, h2 = g.standard_normal(30), g.standard_normal(30)
+        lhs = trajectory_features(bank, alpha * h1 + h2)
+        rhs = alpha * trajectory_features(bank, h1) + trajectory_features(bank, h2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_multicoordinate_concatenation(self):
         bank = build_filter_bank(8, 3)
         g = np.random.default_rng(1)
-        h = g.standard_normal((8, 2))
-        z = features(bank, h)
-        np.testing.assert_allclose(z[:3], features(bank, h[:, 0]))
-        np.testing.assert_allclose(z[3:], features(bank, h[:, 1]))
+        ys = g.standard_normal((20, 2))
+        Z = trajectory_features(bank, ys)
+        np.testing.assert_allclose(Z[:, :3], trajectory_features(bank, ys[:, 0]))
+        np.testing.assert_allclose(Z[:, 3:], trajectory_features(bank, ys[:, 1]))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_trajectory_features_match_per_step(self, p):
@@ -160,7 +160,7 @@ class TestFeatures:
         ys = g.standard_normal((40, p))
         Z = trajectory_features(bank, ys)
         for t in range(40):
-            z = features(bank, ys[: t + 1][::-1])
+            z = window_features(bank, ys[: t + 1][::-1])
             np.testing.assert_allclose(Z[t], z, atol=1e-12)
 
 

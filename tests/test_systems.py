@@ -12,11 +12,9 @@ from dynolearn import (
     NoiseSpec,
     SeededRng,
     initial_states,
-    simulate_closed_loop,
     simulate_lds,
     simulate_lds_ensemble,
     simulate_lorenz,
-    spectral_norm,
     spectral_radius,
     spectral_radius_symmetric,
     stationary_observation_power,
@@ -162,17 +160,18 @@ class TestClosedLoop:
             K=[[-0.5]],
         )
         a = simulate_lds(open_spec, 400, [1.0], 77)
-        b = simulate_closed_loop(closed_spec, 400, [1.0], 77)
+        b = simulate_lds(closed_spec, 400, [1.0], 77)
         assert np.array_equal(a.ys, b.ys)  # bit identical
 
     def test_scalar_pole_placement(self):
-        traj = simulate_closed_loop(self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
+        traj = simulate_lds(self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
         np.testing.assert_allclose(traj.ys[:, 0], 0.7 ** np.arange(20), rtol=1e-12)
 
     def test_control_inputs_recorded(self):
-        traj = simulate_closed_loop(self._spec(), 10, [1.0], 0, record_states=True)
-        assert traj.us is not None
-        np.testing.assert_allclose(traj.us, traj.xs @ np.array([[-0.5]]).T)
+        # the input u = K x enters through B: x' - A x = B K x
+        traj = simulate_lds(self._spec(), 10, [1.0], 0, record_states=True)
+        xs = traj.xs[:, 0]
+        np.testing.assert_allclose(xs[1:] - 1.4 * xs[:-1], 1.0 * (-0.5 * xs[:-1]), rtol=1e-12)
 
     def test_unstable_loop_rejected_at_construction(self):
         with pytest.raises(ContractViolation, match="unstable"):
@@ -194,14 +193,10 @@ class TestClosedLoop:
         )
         rho = spectral_radius(spec.effective_transition())
         assert rho < 1
-        traj = simulate_closed_loop(spec, 10**5, np.zeros(3), 5, record_states=True)
+        traj = simulate_lds(spec, 10**5, np.zeros(3), 5, record_states=True)
         max_norm = np.linalg.norm(traj.xs, axis=1).max()
         assert np.isfinite(max_norm)
         assert max_norm < 10 * 0.1 * np.sqrt(3) / (1 - rho)
-
-    def test_open_loop_simulation_requires_control_terms(self, scalar_spec):
-        with pytest.raises(ContractViolation):
-            simulate_closed_loop(scalar_spec, 10, [1.0], 0)
 
 
 def _reference_rk4(x0, dt, steps, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
@@ -337,13 +332,11 @@ def _power_iteration_psd(M, iters=5000):
 
 class TestMatrixNorms:
     def test_identity(self):
-        assert spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
         assert spectral_radius_symmetric(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
         M = np.diag([0.3, -0.9])
         assert spectral_radius_symmetric(M) == pytest.approx(0.9, abs=1e-12)
-        assert spectral_norm(M) == pytest.approx(0.9, abs=1e-12)
 
     def test_matches_power_iteration(self):
         g = np.random.default_rng(8)
@@ -351,7 +344,6 @@ class TestMatrixNorms:
         M = 0.5 * (A + A.T)
         # power iteration on M^T M gives the squared top singular value
         expected = np.sqrt(_power_iteration_psd(M.T @ M))
-        assert spectral_norm(M) == pytest.approx(expected, abs=1e-8)
         assert spectral_radius_symmetric(M) == pytest.approx(expected, abs=1e-8)
 
     def test_general_radius(self):
