@@ -23,7 +23,7 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = dl.LorenzSpec()
-    ys = dl.simulate_lorenz(spec, args.horizon, [1.0, 1.0, 1.0], 0).ys
+    ys = dl.simulate_ensemble(spec, args.horizon, [1.0, 1.0, 1.0], [dl.SeededRng(0)])[0]
     signal = float((ys**2).mean())
 
     bank = dl.build_filter_bank(args.window, args.filters)
@@ -44,9 +44,9 @@ def main() -> None:
         errs.append(float((h[0] - ys[anchor + args.rollout - 1, 0]) ** 2))
     rollout_mse = float(np.mean(errs))
 
-    a = dl.simulate_lorenz(spec, 2500, [1.0, 1.0, 1.0], 0, record_states=True)
-    b = dl.simulate_lorenz(spec, 2500, [1.0 + 1e-8, 1.0, 1.0], 0, record_states=True)
-    sep = np.linalg.norm(a.xs - b.xs, axis=1)
+    x0 = [[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]]
+    _, xs = dl.simulate_ensemble(spec, 2500, x0, [dl.SeededRng(0)], record_states=True)
+    sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
     crossing = np.argmax(sep > 1e-2)
 
     print(f"signal power E[y^2] = {signal:.2f}")

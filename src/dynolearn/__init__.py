@@ -48,11 +48,9 @@ from .systems import (
     LdsSpec,
     LorenzSpec,
     NoiseSpec,
-    Trajectory,
     initial_states,
-    simulate_lds,
+    simulate_ensemble,
     simulate_lds_ensemble,
-    simulate_lorenz,
     spectral_radius,
     spectral_radius_symmetric,
     stationary_observation_power,

@@ -1,10 +1,11 @@
 """Experiment runner CLI.
 
 Subcommands: simulate | filters | risk | burnin | mstar | agnostic | biasvar.
-Every run writes its artifacts plus a manifest (resolved config, digest,
-seed, version) into the output directory, sufficient to reproduce the run
-bit for bit.  Exit codes: 0 success, 1 config error, 2 contract violation,
-3 incompatible system/oracle pairing, 4 numerical failure.
+Every successful run writes its artifacts plus a manifest (resolved config,
+digest, seed, version) into the output directory, sufficient to reproduce
+the run bit for bit; a failed run writes nothing.  Exit codes: 0 success,
+1 config error, 2 contract violation, 3 incompatible system/oracle pairing,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .systems import (
     LdsSpec,
     format_float,
     initial_states,
-    simulate_lds,
-    simulate_lorenz,
+    simulate_ensemble,
     write_trajectory_csv,
 )
 
@@ -103,17 +103,14 @@ def _load(args) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
-    out = _prepare_out(cfg, "simulate", args.out)
     x0 = initial_states(system)[0]
-    seed = SeededRng(cfg.run.seed).child(0, 0)
+    rngs = [SeededRng(cfg.run.seed).child(0, 0)]
     record = cfg.harness.record_states
-    if isinstance(system, LdsSpec):
-        traj = simulate_lds(system, cfg.harness.horizon, x0, seed, record_states=record)
-    else:
-        traj = simulate_lorenz(system, cfg.harness.horizon, x0, seed, record_states=record)
-    path = out / "trajectory.csv"
-    write_trajectory_csv(traj, path)
-    print(f"rows={traj.horizon} seed={cfg.run.seed}")
+    run = simulate_ensemble(system, cfg.harness.horizon, x0, rngs, record_states=record)
+    ys, xs = (run[0][0], run[1][0]) if record else (run[0], None)
+    path = _prepare_out(cfg, "simulate", args.out) / "trajectory.csv"
+    write_trajectory_csv(ys, path, xs)
+    print(f"rows={len(ys)} seed={cfg.run.seed}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -162,9 +159,8 @@ def _cmd_risk(args) -> int:
     system = build_system(cfg)
     algorithm = build_predictor(cfg, system)
     oracle = build_oracle(cfg, system)
-    out = _prepare_out(cfg, "risk", args.out)
     curve = _risk_curve(cfg, args, system, algorithm, oracle)
-    path = out / "risk.csv"
+    path = _prepare_out(cfg, "risk", args.out) / "risk.csv"
     curve.write_csv(path)
     print(f"wrote {path} (oracle={curve.oracle_label}, n_traj={curve.n_traj})")
     return EXIT_OK
@@ -172,7 +168,6 @@ def _cmd_risk(args) -> int:
 
 def _cmd_burnin(args) -> int:
     cfg = _load(args)
-    out = _prepare_out(cfg, "burnin", args.out)
     if args.curve is not None:
         curve = read_risk_curve_csv(args.curve)
     else:
@@ -180,8 +175,10 @@ def _cmd_burnin(args) -> int:
         algorithm = build_predictor(cfg, system)
         oracle = build_oracle(cfg, system)
         curve = _risk_curve(cfg, args, system, algorithm, oracle)
-        curve.write_csv(out / "risk.csv")
     reports = [burn_in_time(curve, eps) for eps in cfg.harness.epsilons]
+    out = _prepare_out(cfg, "burnin", args.out)
+    if args.curve is None:
+        curve.write_csv(out / "risk.csv")
     path = out / "burnin.csv"
     write_burn_in_csv(reports, path)
     for r in reports:
@@ -195,7 +192,6 @@ def _cmd_mstar(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
     oracle = build_oracle(cfg, system)
-    out = _prepare_out(cfg, "mstar", args.out)
     report = minimal_filter_count(
         system,
         epsilon=cfg.harness.epsilon,
@@ -211,6 +207,7 @@ def _cmd_mstar(args) -> int:
         sign_augmented=cfg.predictor.sign_augmented,
         n_workers=_threads(cfg.run.threads, args.threads),
     )
+    out = _prepare_out(cfg, "mstar", args.out)
     report.write_csv(out / "mstar_table.csv")
     report.write_summary_csv(out / "mstar.csv")
     star = "none" if report.m_star is None else str(report.m_star)
@@ -224,7 +221,6 @@ def _cmd_agnostic(args) -> int:
     system = build_system(cfg)
     algorithm = build_predictor(cfg, system)
     baselines = build_baselines(cfg, system)
-    out = _prepare_out(cfg, "agnostic", args.out)
     curve = agnostic_gap(
         system,
         algorithm,
@@ -235,7 +231,7 @@ def _cmd_agnostic(args) -> int:
         window=cfg.harness.window,
         n_workers=_threads(cfg.run.threads, args.threads),
     )
-    path = out / "agnostic.csv"
+    path = _prepare_out(cfg, "agnostic", args.out) / "agnostic.csv"
     curve.write_csv(path)
     print(f"wrote {path} (comparator={curve.oracle_label})")
     return EXIT_OK
@@ -249,7 +245,6 @@ def _cmd_biasvar(args) -> int:
     bank = build_filter_bank(
         cfg.predictor.window, cfg.predictor.m, sign_augmented=cfg.predictor.sign_augmented
     )
-    out = _prepare_out(cfg, "biasvar", args.out)
     report = bias_variance_split(
         system,
         bank,
@@ -262,7 +257,7 @@ def _cmd_biasvar(args) -> int:
         ref_multiplier=cfg.harness.ref_multiplier,
         n_workers=_threads(cfg.run.threads, args.threads),
     )
-    path = out / "biasvar.csv"
+    path = _prepare_out(cfg, "biasvar", args.out) / "biasvar.csv"
     report.write_csv(path)
     print(f"wrote {path}")
     return EXIT_OK

@@ -17,13 +17,14 @@ Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 
 Linearity contract: a predictor class whose `linear` attribute is true
 promises that `run_ensemble` is a fixed linear map of `Ys` with zero initial
-mean that acts on each trajectory alone, so run(a + b) = run(a) + run(b) up
-to rounding.  All three classes here declare it.  The harness relies on it
-for a linear system: it runs such a predictor once on the ensemble simulated
-from x0 = 0 and once on the grid's free responses C A^t x0, and gives each
-x0 the sum, in every role (algorithm, oracle or baseline), so two equal arms
-still get identical bits.  The learners in `predictors` fit their readout to
-the data and are not linear.
+mean that acts on each trajectory alone, so run_ensemble(a + b) =
+run_ensemble(a) + run_ensemble(b) up to rounding.  All three classes here
+declare it.  The harness relies on it for a linear system: it runs such a
+predictor once on the ensemble simulated from x0 = 0 and once on the grid's
+free responses C A^t x0, and gives each x0 the sum, in every role
+(algorithm, oracle or baseline), so two equal arms still get identical bits.
+The learners in `predictors` fit their readout to the data and are not
+linear.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class KalmanPredictor:
             G[t] = self.A @ gain
         return F, G, Ps
 
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        return self.run_ensemble(np.asarray(ys, dtype=float)[None])[0]
-
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         n, H, p = Ys.shape
         if p != self.p:
@@ -187,9 +185,6 @@ class KernelOracle:
             M = M @ A
         self.betas = betas
 
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        return self.run_ensemble(np.asarray(ys, dtype=float)[None])[0]
-
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         n, H, p = Ys.shape
         if p != self.p:
@@ -228,9 +223,6 @@ class TruthOracle:
             raise ContractViolation(f"unsupported system type {type(spec)!r}")
         if not noiseless:
             raise ContractViolation("perfect-prediction oracle requires a noiseless system")
-
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        return np.asarray(ys, dtype=float).copy()
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         return np.asarray(Ys, dtype=float).copy()

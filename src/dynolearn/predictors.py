@@ -188,13 +188,6 @@ class SpectralPredictor:
         q = self.bank.feature_count * self.obs_dim
         return q * q + 2 * q * self.obs_dim
 
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        """Per-step predictions over one trajectory (fresh state, self untouched)."""
-        ys = np.asarray(ys, dtype=float)
-        squeeze = ys.ndim == 1
-        preds = self.run_ensemble(ys.reshape(1, ys.shape[0], -1))[0]
-        return preds[:, 0] if squeeze else preds
-
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
         return self.fit(Ys)[0]
@@ -253,12 +246,6 @@ class BaselinePredictor:
         self.reg = reg
         self.refit_period = refit_period
         self.label = f"ar{order}" if kind == "ar" else kind
-
-    def run(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        squeeze = ys.ndim == 1
-        preds = self.run_ensemble(ys.reshape(1, ys.shape[0], -1))[0]
-        return preds[:, 0] if squeeze else preds
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         Ys = _check_ensemble(Ys, self.obs_dim)

@@ -1,13 +1,15 @@
 """System generators: linear state-space models, closed-loop variants, Lorenz.
 
-Simulation is a pure function of (spec, x0, seed); replaying the same seed
-reproduces the trajectory bit for bit.  Ensemble simulators vectorize the
-same recursions across trajectories, one child random stream per row; the
-Lorenz one also takes a stack of initial states and integrates the whole
-grid in one in-place RK4 recursion, with the same bits as one x0 at a time.
-Drawing an ensemble's noise (`ensemble_noise`) is separate from the state
-recursion, so the Monte Carlo harness draws the noise once per ensemble and
-shares it, read-only, across the whole x0 grid.
+Every simulation is an ensemble: n trajectories from one initial state, one
+child random stream per row, so a pure function of (spec, x0, streams);
+replaying the same streams reproduces the ensemble bit for bit.  Each system
+type has one recursion: `_lds_steps` for a linear system, `_lorenz_steps`
+(in-place RK4) for Lorenz, which also takes a stack of initial states and
+integrates the whole grid at once, with the same bits as one x0 at a time.
+A non-finite observation or state raises IntegrationBlowup naming the first
+step that produced one.  Drawing an ensemble's noise (`ensemble_noise`) is
+separate from the recursion, so the Monte Carlo harness draws the noise once
+per ensemble and shares it, read-only, across the whole x0 grid.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
 0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
@@ -22,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._canon import content_digest
 from .errors import ContractViolation, IntegrationBlowup
 from .numerics import SeededRng, as_matrix, as_vector, sym_eig
 
@@ -176,20 +177,6 @@ class LdsSpec:
         s = 0.0 if self.noise.kind == "none" else self.noise.stdev_obs
         return (s * s) * np.eye(self.p)
 
-    def digest(self) -> str:
-        return content_digest(
-            {
-                "type": "lds",
-                "A": self.A,
-                "C": self.C,
-                "B": self.B if self.B is None else self.B,
-                "K": self.K if self.K is None else self.K,
-                "noise": (self.noise.kind, self.noise.stdev_process, self.noise.stdev_obs),
-                "init": (self.init.kind, self.init.x0, self.init.radius, self.init.points),
-                "symmetric": self.symmetric_flag,
-            }
-        )
-
 
 @dataclass(eq=False)
 class LorenzSpec:
@@ -228,90 +215,25 @@ class LorenzSpec:
     def is_noiseless(self) -> bool:
         return self.obs_noise == 0.0
 
-    def digest(self) -> str:
-        return content_digest(
-            {
-                "type": "lorenz",
-                "params": (self.sigma, self.rho, self.beta, self.dt),
-                "obs": self.obs_coords,
-                "obs_noise": self.obs_noise,
-                "init": (self.init.kind, self.init.x0, self.init.radius, self.init.points),
-            }
-        )
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """A realized observation sequence with optional latent states."""
-
-    ys: np.ndarray  # (H, p)
-    xs: np.ndarray | None
-    seed: int
-    spec_digest: str
-
-    def __post_init__(self):
-        self.ys = np.asarray(self.ys, dtype=float)
-        if self.ys.ndim != 2 or self.ys.shape[0] < 1:
-            raise ContractViolation(f"ys must be (H, p) with H >= 1, got {self.ys.shape}")
-        if not np.isfinite(self.ys).all():
-            raise ContractViolation("trajectory contains non-finite observations")
-        if self.xs is not None and self.xs.shape[0] != self.ys.shape[0]:
-            raise ContractViolation("xs and ys must have equal length")
-
-    @property
-    def horizon(self) -> int:
-        return self.ys.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # linear simulation
 
 
-def _lds_noise(spec: LdsSpec, horizon: int, rng: SeededRng, out=None):
-    """Process and observation noise (w, v) of one trajectory, drawn into `out`
-    ((H, d), (H, p)) when given."""
-    w, v = (np.empty((horizon, spec.d)), np.empty((horizon, spec.p))) if out is None else out
+def _lds_noise(spec: LdsSpec, rng: SeededRng, w: np.ndarray, v: np.ndarray) -> None:
+    """Draw one trajectory's process noise w (H, d), then its observation noise v (H, p)."""
     if spec.noise.kind == "none":
         w[...] = 0.0
         v[...] = 0.0
     else:
         rng.normals(w.shape, 0.0, spec.noise.stdev_process, out=w)
         rng.normals(v.shape, 0.0, spec.noise.stdev_obs, out=v)
-    return w, v
-
-
-def _coerce_rng(seed) -> SeededRng:
-    return seed if isinstance(seed, SeededRng) else SeededRng(seed)
-
-
-def simulate_lds(spec: LdsSpec, horizon: int, x0, seed, record_states: bool = False) -> Trajectory:
-    """Simulate x' = A x + w, y = C x + v for `horizon` steps from x0, with
-    A + B K in place of A for a closed-loop spec."""
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    x0 = as_vector(x0, "x0")
-    if x0.shape != (spec.d,):
-        raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
-    A = spec.effective_transition()
-    C = spec.C
-    rng = _coerce_rng(seed)
-    w, v = _lds_noise(spec, horizon, rng)
-    ys = np.empty((horizon, spec.p))
-    xs = np.empty((horizon, spec.d)) if record_states else None
-    x = x0.copy()
-    for t in range(horizon):
-        ys[t] = C @ x + v[t]
-        if xs is not None:
-            xs[t] = x
-        x = A @ x + w[t]
-    return Trajectory(ys=ys, xs=xs, seed=rng.seed, spec_digest=spec.digest())
 
 
 def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
     """Noise of an n-trajectory ensemble: (W, V) for an LDS, V for Lorenz.
 
-    Row i comes from rngs[i] alone, drawn in the order of the
-    single-trajectory simulators (w, then v), so any split of the rows
+    Row i comes from rngs[i] alone (w, then v), so any split of the rows
     between callers gives the same bits.  `out`, if given, has the layout of
     the result (or is a block of its rows) and is filled in place: each row
     is drawn straight into its slot.
@@ -322,12 +244,12 @@ def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
             out = (np.empty((n, horizon, system.d)), np.empty((n, horizon, system.p)))
         W, V = out
         for i, rng in enumerate(rngs):
-            _lds_noise(system, horizon, rng, out=(W[i], V[i]))
+            _lds_noise(system, rng, W[i], V[i])
         return out
     if isinstance(system, LorenzSpec):
         V = np.empty((n, horizon, system.p)) if out is None else out
         for i, rng in enumerate(rngs):
-            _lorenz_noise(system, horizon, rng, out=V[i])
+            _lorenz_noise(system, rng, V[i])
         return V
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 
@@ -341,14 +263,22 @@ def _check_noise(arrays, n: int, horizon: int) -> None:
 
 
 def simulate_lds_ensemble(
-    spec: LdsSpec, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
-) -> np.ndarray:
-    """Observations (n, H, p) for n trajectories sharing x0, one child stream each.
+    spec: LdsSpec,
+    horizon: int,
+    x0,
+    rngs: Sequence[SeededRng],
+    *,
+    noise=None,
+    record_states: bool = False,
+):
+    """Observations (n, H, p) of x' = A x + w, y = C x + v for n trajectories
+    from x0, one child stream each, with A + B K in place of A for a
+    closed-loop spec.
 
-    Mathematically identical to stacking `simulate_lds` outputs; the recursion
-    is vectorized across trajectories.  `noise`, if given, is the (W, V) that
-    `ensemble_noise(spec, horizon, rngs)` returned: it is read, not drawn
-    again, so one draw can serve every x0 of a grid.
+    `noise`, if given, is the (W, V) that `ensemble_noise(spec, horizon,
+    rngs)` returned: it is read, not drawn again, so one draw can serve every
+    x0 of a grid.  With `record_states` the result is (Ys, Xs), Xs (n, H, d)
+    holding the state that each observation reads.
     """
     x0 = as_vector(x0, "x0")
     if x0.shape != (spec.d,):
@@ -356,7 +286,9 @@ def simulate_lds_ensemble(
     n = len(rngs)
     W, V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
     _check_noise((W, V), n, horizon)
-    return _lds_steps(spec, horizon, np.broadcast_to(x0, (n, spec.d)).copy(), (W, V))
+    Xs = np.empty((n, horizon, spec.d)) if record_states else None
+    Ys = _lds_steps(spec, horizon, np.broadcast_to(x0, (n, spec.d)).copy(), (W, V), Xs)
+    return (Ys, Xs) if record_states else Ys
 
 
 def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
@@ -375,17 +307,29 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     return _lds_steps(spec, horizon, np.stack(rows))
 
 
-def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None) -> np.ndarray:
+def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None, Xs=None) -> np.ndarray:
     """Observations (k, H, p) of x' = A x + w, y = C x + v from the k rows of
-    X, with (W, V) = `noise`, or none."""
+    X, with (W, V) = `noise`, or none; each step's state goes to Xs (k, H, d)
+    when given.
+
+    The output is checked once, after the loop: a non-finite observation
+    raises IntegrationBlowup naming the first step that has one.
+    """
     At, Ct = spec.effective_transition().T.copy(), spec.C.T.copy()
     Ys = np.empty((len(X), horizon, spec.p))
-    for t in range(horizon):
-        Ys[:, t, :] = X @ Ct
-        X = X @ At
-        if noise is not None:
-            Ys[:, t, :] += noise[1][:, t]
-            X += noise[0][:, t]
+    with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
+        for t in range(horizon):
+            if Xs is not None:
+                Xs[:, t] = X
+            Ys[:, t, :] = X @ Ct
+            X = X @ At
+            if noise is not None:
+                Ys[:, t, :] += noise[1][:, t]
+                X += noise[0][:, t]
+    # NaN propagates through min and max, so both are finite iff every entry is
+    if not (np.isfinite(Ys.min(initial=0.0)) and np.isfinite(Ys.max(initial=0.0))):
+        step = int(np.argmin(np.isfinite(Ys).all(axis=(0, 2)))) + 1
+        raise IntegrationBlowup(f"LDS simulation produced a non-finite observation at step {step}")
     return Ys
 
 
@@ -393,14 +337,12 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None) -> np.nda
 # Lorenz simulation
 
 
-def _lorenz_noise(spec: LorenzSpec, horizon: int, rng: SeededRng, out=None) -> np.ndarray:
-    """Observation noise (H, p) of one trajectory, drawn into `out` when given."""
-    v = np.empty((horizon, spec.p)) if out is None else out
+def _lorenz_noise(spec: LorenzSpec, rng: SeededRng, v: np.ndarray) -> None:
+    """Draw one trajectory's observation noise v (H, p)."""
     if spec.obs_noise > 0:
         rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
     else:
         v[...] = 0.0
-    return v
 
 
 class _Rk4:
@@ -483,34 +425,15 @@ def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int, record) -> None
             record(t0, block)
 
 
-def simulate_lorenz(
-    spec: LorenzSpec, horizon: int, x0, seed, record_states: bool = False
-) -> Trajectory:
-    """Integrate the Lorenz equations, observing the selected coordinates each step."""
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    x0 = as_vector(x0, "x0")
-    if x0.shape != (3,):
-        raise ContractViolation(f"Lorenz x0 must have length 3, got {x0.size}")
-    rng = _coerce_rng(seed)
-    coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    v = _lorenz_noise(spec, horizon, rng)
-    ys = np.empty((horizon, spec.p))
-    xs = np.empty((horizon, 3)) if record_states else None
-
-    def record(t0, X):
-        t1 = t0 + len(X)
-        np.add(X[:, coords, 0], v[t0:t1], out=ys[t0:t1])
-        if xs is not None:
-            xs[t0:t1] = X[:, :, 0]
-
-    _lorenz_steps(spec, x0[:, None].copy(), horizon, record)
-    return Trajectory(ys=ys, xs=xs, seed=rng.seed, spec_digest=spec.digest())
-
-
 def simulate_lorenz_ensemble(
-    spec: LorenzSpec, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
-) -> np.ndarray:
+    spec: LorenzSpec,
+    horizon: int,
+    x0,
+    rngs: Sequence[SeededRng],
+    *,
+    noise=None,
+    record_states: bool = False,
+):
     """Observations of n Lorenz runs from each initial state (noise streams differ).
 
     x0 is one state (3,), giving (n, H, p), or a stack (k, 3), giving
@@ -518,7 +441,8 @@ def simulate_lorenz_ensemble(
     equals the call with x0[i] alone, bit for bit.  Every initial state
     reads the same noise.  `noise`, if given, is the V that
     `ensemble_noise(spec, horizon, rngs)` returned; it is read, not drawn
-    again.
+    again.  With `record_states` the result is (Ys, Xs), Xs ((n, H, 3) or
+    (k, n, H, 3)) holding the state that each observation reads.
     """
     X0 = np.asarray(x0, dtype=float)
     if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
@@ -531,13 +455,18 @@ def simulate_lorenz_ensemble(
     V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
     _check_noise((V,), n, horizon)
     Ys = np.empty((k, n, horizon, spec.p))
+    Xs = np.empty((k, n, horizon, 3)) if record_states else None
 
     def record(t0, X):  # X (b, 3, k, n) -> Ys[:, :, t0:t0 + b] (k, n, b, p)
         t1 = t0 + len(X)
         np.add(X[:, coords].transpose(2, 3, 0, 1), V[:, t0:t1], out=Ys[:, :, t0:t1])
+        if Xs is not None:
+            Xs[:, :, t0:t1] = X.transpose(2, 3, 0, 1)
 
     _lorenz_steps(spec, np.repeat(stack.T[:, :, None], n, axis=2), horizon, record)
-    return Ys[0] if X0.ndim == 1 else Ys
+    if X0.ndim == 1:
+        Ys, Xs = Ys[0], None if Xs is None else Xs[0]
+    return (Ys, Xs) if record_states else Ys
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +543,22 @@ def initial_states(system) -> list[np.ndarray]:
 
 
 def simulate_ensemble(
-    system, horizon: int, x0, rngs: Sequence[SeededRng], *, noise=None
-) -> np.ndarray:
+    system,
+    horizon: int,
+    x0,
+    rngs: Sequence[SeededRng],
+    *,
+    noise=None,
+    record_states: bool = False,
+):
+    """`simulate_lds_ensemble` or `simulate_lorenz_ensemble`, by system type."""
     if isinstance(system, LdsSpec):
-        return simulate_lds_ensemble(system, horizon, x0, rngs, noise=noise)
-    if isinstance(system, LorenzSpec):
-        return simulate_lorenz_ensemble(system, horizon, x0, rngs, noise=noise)
-    raise ContractViolation(f"unsupported system type {type(system)!r}")
+        sim = simulate_lds_ensemble
+    elif isinstance(system, LorenzSpec):
+        sim = simulate_lorenz_ensemble
+    else:
+        raise ContractViolation(f"unsupported system type {type(system)!r}")
+    return sim(system, horizon, x0, rngs, noise=noise, record_states=record_states)
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +569,18 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header t,y_0,...,y_{p-1}[,x_0,...,x_{d-1}], one row per step."""
-    p = traj.ys.shape[1]
-    cols = ["t"] + [f"y_{j}" for j in range(p)]
-    if traj.xs is not None:
-        cols += [f"x_{j}" for j in range(traj.xs.shape[1])]
+def write_trajectory_csv(ys: np.ndarray, path, xs: np.ndarray | None = None) -> None:
+    """CSV with header t,y_0,...,y_{p-1}[,x_0,...,x_{d-1}], one row per step of
+    the observations ys (H, p) and, when given, the states xs (H, d)."""
+    cols = ["t"] + [f"y_{j}" for j in range(ys.shape[1])]
+    if xs is not None:
+        cols += [f"x_{j}" for j in range(xs.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for t in range(traj.horizon):
-            row = [str(t + 1)] + [format_float(v) for v in traj.ys[t]]
-            if traj.xs is not None:
-                row += [format_float(v) for v in traj.xs[t]]
+        for t in range(len(ys)):
+            row = [str(t + 1)] + [format_float(v) for v in ys[t]]
+            if xs is not None:
+                row += [format_float(v) for v in xs[t]]
             fh.write(",".join(row) + "\n")
 
 

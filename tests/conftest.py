@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynolearn import InitPolicy, LdsSpec, NoiseSpec, trajectory_features
+from dynolearn import InitPolicy, LdsSpec, NoiseSpec, SeededRng, trajectory_features
 from dynolearn.errors import SingularSystem
 from dynolearn.predictors import _effective_ridge
 
@@ -43,6 +43,29 @@ def noiseless_scalar_spec():
         noise=NoiseSpec(kind="none"),
         init=InitPolicy(kind="fixed", x0=(1.0,)),
     )
+
+
+def lds_reference(spec, horizon, x0, seed):
+    """One LDS trajectory by the textbook loop, y = C x + v; x = A x + w, with
+    A + B K for a closed loop; returns (ys (H, p), xs (H, d)).
+
+    The noise comes from `seed` (an int or a `SeededRng`), w (H, d) before
+    v (H, p): a stream gives the noise of the ensemble row it drives.  It is
+    the reference that the ensemble recursion is checked against.
+    """
+    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
+    A, C = spec.effective_transition(), spec.C
+    w, v = np.zeros((horizon, spec.d)), np.zeros((horizon, spec.p))
+    if spec.noise.kind != "none":
+        w = rng.normals(w.shape, 0.0, spec.noise.stdev_process)
+        v = rng.normals(v.shape, 0.0, spec.noise.stdev_obs)
+    ys, xs = np.empty((horizon, spec.p)), np.empty((horizon, spec.d))
+    x = np.asarray(x0, dtype=float)
+    for t in range(horizon):
+        xs[t] = x
+        ys[t] = C @ x + v[t]
+        x = A @ x + w[t]
+    return ys, xs
 
 
 # The per-step learner, written from the ridge formula in the `predictors`

@@ -230,7 +230,7 @@ def test_c06_dynamic_learnability_scalar(scalar_excess_curve):
 def test_c07_persistent_excitation(scalar_excess_curve):
     spec, _, _ = scalar_excess_curve
     bank = _quiet_bank(100, 15)
-    ys = dl.simulate_lds(spec, 5000, np.array([1.0]), SeededRng(1000).child(0, 0)).ys
+    ys = dl.simulate_lds_ensemble(spec, 5000, np.array([1.0]), [SeededRng(1000).child(0, 0)])[0]
     Z = dl.trajectory_features(bank, ys)
     checkpoints = np.arange(500, 5001, 500)
     ratios = []
@@ -276,8 +276,7 @@ def test_c08_dimension_independence():
 def test_c09_lorenz_chaos_obstruction():
     spec = dl.LorenzSpec()  # canonical parameters, dt=0.01, x-coordinate, noiseless
     H = 6000
-    traj = dl.simulate_lorenz(spec, H, [1.0, 1.0, 1.0], 0)
-    ys = traj.ys
+    ys = dl.simulate_ensemble(spec, H, [1.0, 1.0, 1.0], [SeededRng(0)])[0]
     signal_power = float((ys**2).mean())
 
     bank = _quiet_bank(32, 13)
@@ -299,9 +298,9 @@ def test_c09_lorenz_chaos_obstruction():
 
     # sensitivity: 1e-8 perturbation reaches 1e-2 separation within 25 units
     steps = 2500
-    a = dl.simulate_lorenz(spec, steps, [1.0, 1.0, 1.0], 0, record_states=True)
-    b = dl.simulate_lorenz(spec, steps, [1.0 + 1e-8, 1.0, 1.0], 0, record_states=True)
-    sep = np.linalg.norm(a.xs - b.xs, axis=1)
+    x0 = np.array([[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]])
+    _, xs = dl.simulate_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
+    sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
     ok_lyap = bool(sep.max() > 1e-2)
 
     ok = ok_one and ok_iter and ok_lyap
@@ -319,9 +318,9 @@ def test_c10_closed_loop_equivalence():
     init = dl.InitPolicy(kind="fixed", x0=(1.0,))
     open_spec = dl.LdsSpec(A=[[0.9]], C=[[1.0]], noise=noise, init=init)
     zero_b = dl.LdsSpec(A=[[0.9]], C=[[1.0]], noise=noise, init=init, B=[[0.0]], K=[[-0.5]])
-    t_open = dl.simulate_lds(open_spec, 500, [1.0], 99)
-    t_closed = dl.simulate_lds(zero_b, 500, [1.0], 99)
-    bit_identical = bool(np.array_equal(t_open.ys, t_closed.ys))
+    y_open = dl.simulate_lds_ensemble(open_spec, 500, [1.0], [SeededRng(99)])
+    y_closed = dl.simulate_lds_ensemble(zero_b, 500, [1.0], [SeededRng(99)])
+    bit_identical = bool(np.array_equal(y_open, y_closed))
 
     # stabilized unstable plant: effective pole 0.9, same slope law as C6(a)
     closed = dl.LdsSpec(

@@ -105,6 +105,7 @@ class TestSimulate:
         assert res.returncode == 4
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "numerical_failure"
+        assert not (workdir / "b" / "manifest.txt").exists()  # a failed run writes nothing
 
     def test_lorenz_blowup_in_risk_exits_four(self, workdir):
         (workdir / "blow.cfg").write_text(
@@ -116,6 +117,20 @@ class TestSimulate:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "numerical_failure"
         assert "step" in err["message"]
+        assert not (workdir / "r" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "risk", "mstar"])
+    def test_diverging_lds_exits_four(self, command, tmp_path):
+        # |a| = 1.5 overflows within the horizon: the LDS recursion names the step
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        overrides = ["system.a=1.5", "system.symmetric=false", "harness.n_traj=4"]
+        overrides += ["harness.t_grid=100,1900", "harness.horizon=1900"]
+        res = run_cli([command, "-c", str(cfg), "--out", "o", *overrides], tmp_path)
+        assert res.returncode == 4, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "numerical_failure"
+        assert "step" in err["message"]
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
 class TestFilters:
@@ -278,6 +293,7 @@ class TestRiskPipeline:
         res = run_cli(args, tmp_path)
         assert res.returncode == 2, res.stderr
         assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "contract_violation"
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
 class TestPerformanceBudgets:

@@ -182,7 +182,7 @@ class TestLorenzBlowup:
         spec = LorenzSpec(dt=0.05, init=InitPolicy(kind="stationary", points=2))
         bad = np.array([1e8, 1e8, 1e8])
         with pytest.raises(IntegrationBlowup, match=r"at step \d+") as single:
-            systems.simulate_lorenz(spec, 24, bad, 0)
+            systems.simulate_lorenz_ensemble(spec, 24, bad, [SeededRng(0)])
         a, b = systems.initial_states(spec)
         grid = {"first": [bad, a, b], "middle": [a, bad, b], "last": [a, b, bad]}[position]
         for n_workers in (1, 2, 3):
@@ -674,3 +674,51 @@ class TestSuperposedGrid:
         )
         for curve in (risk, gap):
             assert (curve.excess_mean == 0.0).all() and (curve.excess_ci_half == 0.0).all()
+
+
+# --- determinism over random systems ----------------------------------------
+
+
+class TestRandomSystemDeterminism:
+    """A risk curve depends only on (system, x0 grid, seed): not on the worker
+    count, nor on the order in which the x0 grid is given."""
+
+    @pytest.mark.parametrize("kind", ["lds", "lorenz"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        rho=st.floats(0.0, 0.99),
+        stdevs=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+        k=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_curve_ignores_workers_and_x0_order(self, kind, seed, d, rho, stdevs, k, data):
+        from dynolearn.systems import random_symmetric_psd, random_unit_row
+
+        g = np.random.default_rng(seed)
+        if kind == "lds":
+            system = LdsSpec(
+                A=random_symmetric_psd(d, 0.0, rho, SeededRng(seed)),
+                C=random_unit_row(d, SeededRng(seed).child(1)),
+                noise=NoiseSpec(stdev_process=stdevs[0], stdev_obs=stdevs[1]),
+            )
+            x0_grid = list(g.standard_normal((k, d)))
+            oracle = KalmanPredictor(system)
+        else:
+            system = LorenzSpec(obs_noise=stdevs[1])
+            x0_grid = list(g.uniform([-20, -25, 0], [20, 25, 45], (k, 3)))
+            oracle = TruthOracle()  # the zero reference: raw risk
+        order = data.draw(st.permutations(range(k)))
+        learner = SpectralPredictor(build_filter_bank(8, 3), obs_dim=1)
+
+        def curve(grid, n_workers):
+            return estimate_excess_risk(
+                system, learner, oracle, (5, 20), n_traj=4, x0_grid=grid,
+                master_seed=seed, n_workers=n_workers,
+            )
+
+        base = curve(x0_grid, 1)
+        for other in (curve(x0_grid, 3), curve([x0_grid[i] for i in order], 1)):
+            for col in ("t_grid", "excess_mean", "excess_ci_half", "raw_alg", "raw_oracle"):
+                assert getattr(other, col).tobytes() == getattr(base, col).tobytes(), col

@@ -18,11 +18,16 @@ from dynolearn import (
     TruthOracle,
     default_kernel_truncation,
     estimate_excess_risk,
-    simulate_lds,
-    simulate_lorenz,
 )
+from conftest import lds_reference
 from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
+from dynolearn.systems import simulate_lorenz_ensemble
+
+
+def _run(predictor, ys):
+    """`predictor`'s predictions on one (H, p) trajectory."""
+    return predictor.run_ensemble(ys[None])[0]
 
 
 def _spec(a, c=1.0, q=0.01, r=0.01, x0=(1.0,)):
@@ -45,7 +50,7 @@ class TestKalman:
         )
         kal = KalmanPredictor(spec, init_cov=1.0)
         y = np.array([0.3, -0.7])
-        preds = kal.run(np.stack([y, np.zeros(2)]))
+        preds = _run(kal, np.stack([y, np.zeros(2)]))
         np.testing.assert_allclose(preds[1], A @ y, atol=1e-12)
         # the posterior mean is y itself: x' = F x + G y with F = 0, G = A
         F, G, _ = kal.gain_schedule(1)
@@ -55,7 +60,7 @@ class TestKalman:
     def test_memoryless_system_predicts_zero(self):
         spec = _spec(a=0.0)
         ys = np.random.default_rng(0).standard_normal((20, 1))
-        np.testing.assert_allclose(KalmanPredictor(spec).run(ys), 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_run(KalmanPredictor(spec), ys), 0.0, rtol=0, atol=1e-15)
 
     def test_scalar_riccati_steady_state(self):
         a, c, q, r = 0.9, 1.0, 0.01, 0.01
@@ -90,7 +95,7 @@ class TestKalman:
             noise=NoiseSpec(stdev_process=0.2, stdev_obs=0.1),
             init=InitPolicy(kind="fixed", x0=(1.0, 0.0)),
         )
-        ys = simulate_lds(spec, 200, [1.0, 0.0], 3).ys
+        ys, _ = lds_reference(spec, 200, [1.0, 0.0], 3)
         kal = KalmanPredictor(spec)
         # the textbook filter: measurement update, then time update
         A, C, Q, R = spec.A, spec.C, spec.process_cov(), spec.obs_cov()
@@ -101,7 +106,7 @@ class TestKalman:
             gain = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
             x = A @ (x + gain @ (ys[t] - C @ x))
             P = A @ (P - gain @ C @ P) @ A.T + Q
-        np.testing.assert_allclose(kal.run(ys), preds, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(_run(kal, ys), preds, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(kal.gain_schedule(200)[2], Ps, rtol=1e-9, atol=1e-12)
 
     def test_zero_obs_noise_regularizes_singular_innovation(self):
@@ -112,7 +117,7 @@ class TestKalman:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec, init_cov=0.0)  # P = 0 and R = 0: singular S
-        preds = kal.run(np.ones((5, 1)))
+        preds = _run(kal, np.ones((5, 1)))
         assert kal.regularized_steps == 5  # every singular innovation was flagged
         assert np.isfinite(preds).all()
 
@@ -145,7 +150,7 @@ class TestKalman:
         spec = _spec(a=0.5)  # q = r = 0.01
         kal = KalmanPredictor(spec, init_cov=np.eye(1))
         F, G, Ps = kal.gain_schedule(2)
-        preds = kal.run(np.array([[1.0], [0.0]]))
+        preds = _run(kal, np.array([[1.0], [0.0]]))
         # scalar update from P = 1: gain 1/1.01, posterior variance 0.01/1.01,
         # then the time update x' = 0.5 x, P' = 0.25 P + q
         assert G[0, 0, 0] == pytest.approx(0.5 / 1.01, rel=1e-12)
@@ -194,7 +199,7 @@ class TestKernelOracle:
         oracle = KernelOracle(spec, k_trunc=10)
         impulse = np.zeros((12, 1))
         impulse[0] = 1.0
-        preds = oracle.run(impulse)[:, 0]
+        preds = _run(oracle, impulse)[:, 0]
         assert preds[1] == pytest.approx(1.0)  # the step after the impulse
         # the impulse response reads the coefficients, up to the truncation
         np.testing.assert_allclose(preds[1:11], 0.5 ** np.arange(10), rtol=1e-13)
@@ -228,16 +233,16 @@ class TestKernelOracle:
         assert 0.9**k <= 1e-8
         g = np.random.default_rng(0)
         ys = g.standard_normal((k + 201, 1))
-        short = KernelOracle(spec, k_trunc=k).run(ys)[-1]
-        long = KernelOracle(spec, k_trunc=k + 200).run(ys)[-1]
+        short = _run(KernelOracle(spec, k_trunc=k), ys)[-1]
+        long = _run(KernelOracle(spec, k_trunc=k + 200), ys)[-1]
         assert abs(short[0] - long[0]) <= 1e-6 * np.abs(ys).max()
 
     def test_linearity(self):
         oracle = KernelOracle(_spec(a=0.6), k_trunc=15)
         g = np.random.default_rng(2)
         h1, h2 = g.standard_normal((2, 30, 1))
-        lhs = oracle.run(2.5 * h1 + h2)
-        rhs = 2.5 * oracle.run(h1) + oracle.run(h2)
+        lhs = _run(oracle, 2.5 * h1 + h2)
+        rhs = 2.5 * _run(oracle, h1) + _run(oracle, h2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_run_ensemble_matches_predict_loop(self):
@@ -247,14 +252,14 @@ class TestKernelOracle:
             noise=NoiseSpec(stdev_process=0.2, stdev_obs=0.1),
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
-        ys = simulate_lds(spec, 120, [1.0, -1.0], 1).ys
+        ys, _ = lds_reference(spec, 120, [1.0, -1.0], 1)
         oracle = KernelOracle(spec, k_trunc=40)
         # the convolution sum: y_hat_t = sum_k beta_k y_{t-1-k}, k < min(K, t)
         preds = np.zeros_like(ys)
         for t in range(1, 120):
             for k in range(min(40, t)):
                 preds[t] += oracle.betas[k] @ ys[t - 1 - k]
-        fast = oracle.run(ys)
+        fast = _run(oracle, ys)
         np.testing.assert_allclose(fast, preds, rtol=1e-11, atol=1e-12)
 
     def test_default_truncation_edge_cases(self):
@@ -278,19 +283,15 @@ class TestDeterministicTruth:
             noise=NoiseSpec(kind="none"),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
-        traj = simulate_lds(spec, 50, [1.0], 0)
+        ys, _ = lds_reference(spec, 50, [1.0], 0)
         oracle = TruthOracle(spec)
         assert oracle.label == "truth"
-        assert ((oracle.run(traj.ys) - traj.ys) ** 2).sum() == 0.0
-        Ys = traj.ys[None]
-        assert ((oracle.run_ensemble(Ys) - Ys) ** 2).sum() == 0.0
+        assert ((_run(oracle, ys) - ys) ** 2).sum() == 0.0
 
     def test_noiseless_lorenz_zero_loss(self):
         spec = LorenzSpec()
-        traj = simulate_lorenz(spec, 100, [1.0, 1.0, 1.0], 0)
+        Ys = simulate_lorenz_ensemble(spec, 100, [1.0, 1.0, 1.0], [SeededRng(0)])
         oracle = TruthOracle(spec)
-        assert ((oracle.run(traj.ys) - traj.ys) ** 2).sum() == 0.0
-        Ys = traj.ys[None]
         assert ((oracle.run_ensemble(Ys) - Ys) ** 2).sum() == 0.0
 
     def test_refuses_noisy_spec(self):
@@ -299,13 +300,12 @@ class TestDeterministicTruth:
 
     def test_without_spec_is_the_zero_risk_reference(self):
         # no spec, no noiseless check: the loss is zero by construction
-        ys = simulate_lds(_spec(a=0.5), 20, [1.0], 0).ys
+        Ys = lds_reference(_spec(a=0.5), 20, [1.0], 0)[0][None]
         oracle = TruthOracle()
         assert oracle.label == "zero"
-        preds = oracle.run(ys)
-        assert preds is not ys
-        np.testing.assert_array_equal(preds, ys)
-        np.testing.assert_array_equal(oracle.run_ensemble(ys[None]), ys[None])
+        preds = oracle.run_ensemble(Ys)
+        assert preds is not Ys
+        np.testing.assert_array_equal(preds, Ys)
 
     def test_truth_oracle_rejects_noisy_lorenz(self):
         with pytest.raises(ContractViolation):

@@ -12,10 +12,10 @@ from dynolearn import (
     SeededRng,
     SpectralPredictor,
     build_filter_bank,
-    simulate_lds,
     simulate_lds_ensemble,
 )
 from conftest import (
+    lds_reference,
     shifted_features_reference,
     shifted_lags_reference,
     stream_predictions,
@@ -40,8 +40,8 @@ class TestSpectralPredictor:
         assert (preds == 0).all()
 
     def test_zero_until_first_refit(self, small_bank, scalar_spec):
-        ys = simulate_lds(scalar_spec, 40, [1.0], 0).ys
-        preds = SpectralPredictor(small_bank, refit_period=16).run(ys)
+        ys, _ = lds_reference(scalar_spec, 40, [1.0], 0)
+        preds = SpectralPredictor(small_bank, refit_period=16).run_ensemble(ys[None])[0]
         assert (preds[:16] == 0.0).all()
         assert (preds[16:] != 0.0).any()
 
@@ -56,7 +56,7 @@ class TestSpectralPredictor:
             z = window_features(small_bank, ys[:t][::-1, None])
             ys[t] = w_star @ z
         pred = SpectralPredictor(small_bank, reg=1e-10)
-        preds = pred.run(ys)
+        preds = pred.run_ensemble(ys[None, :, None])[0, :, 0]
         err = np.abs(preds[64:] - ys[64:]).max()
         assert err <= 1e-8
 
@@ -77,7 +77,7 @@ class TestSpectralPredictor:
 
     def test_readout_is_scale_free(self, small_bank, scalar_spec):
         # Gram, moment and ridge all scale by c^2: the readout is unchanged
-        ys = simulate_lds(scalar_spec, 64, [1.0], 1).ys
+        ys, _ = lds_reference(scalar_spec, 64, [1.0], 1)
         pred = SpectralPredictor(small_bank)
         preds, readouts = pred.fit(ys[None])
         preds2, readouts2 = pred.fit(2.0 * ys[None])
@@ -85,7 +85,7 @@ class TestSpectralPredictor:
         assert preds2.tobytes() == (2.0 * preds).tobytes()
 
     def test_refit_matches_ridge_solve_recomputation(self, small_bank, scalar_spec):
-        ys = simulate_lds(scalar_spec, 96, [1.0], 2).ys
+        ys, _ = lds_reference(scalar_spec, 96, [1.0], 2)
         _, readouts = SpectralPredictor(small_bank, reg=1.0, refit_period=16).fit(ys[None])
         # rebuild the design matrix the accumulators summarize; ridge-solve it
         Z = np.zeros((96, small_bank.m))
@@ -105,7 +105,7 @@ class TestSpectralPredictor:
             noise=NoiseSpec(stdev_process=0.3, stdev_obs=0.1),
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
-        ys = simulate_lds(spec, 150, [1.0, -1.0], 7).ys
+        ys, _ = lds_reference(spec, 150, [1.0, -1.0], 7)
         fast = SpectralPredictor(bank, obs_dim=p).run_ensemble(ys[None])[0]
         slow = stream_predictions(SpectralPredictor(bank, obs_dim=p), ys)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
@@ -122,7 +122,7 @@ class TestSpectralPredictor:
                 noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
                 init=InitPolicy(kind="fixed", x0=tuple(np.zeros(d))),
             )
-            ys = simulate_lds(spec, 64, np.zeros(d), 0).ys
+            ys, _ = lds_reference(spec, 64, np.zeros(d), 0)
             pred = SpectralPredictor(small_bank)
             _, readouts = pred.fit(ys[None])
             sizes.append((pred.state_size, readouts.shape))
@@ -130,14 +130,14 @@ class TestSpectralPredictor:
         assert sizes[0] == (small_bank.m**2 + 2 * small_bank.m, (1, small_bank.m, 1))
 
     def test_run_is_pure(self, small_bank, scalar_spec):
-        ys = simulate_lds(scalar_spec, 50, [1.0], 3).ys
+        ys, _ = lds_reference(scalar_spec, 50, [1.0], 3)
         pred = SpectralPredictor(small_bank)
         before = dict(vars(pred))
-        first = pred.run(ys)
+        first = pred.run_ensemble(ys[None])
         assert vars(pred) == before
-        pred.run(-ys)
-        assert pred.run(ys).tobytes() == first.tobytes()
-        assert pred.fit(ys[None])[0][0].tobytes() == first.tobytes()
+        pred.run_ensemble(-ys[None])
+        assert pred.run_ensemble(ys[None]).tobytes() == first.tobytes()
+        assert pred.fit(ys[None])[0].tobytes() == first.tobytes()
 
     def test_sign_augmentation_handles_negative_pole(self):
         # low observation SNR with a strongly negative pole: the predictive
@@ -178,27 +178,28 @@ class TestSpectralPredictor:
 
 class TestBaselines:
     def test_zero(self):
-        preds = BaselinePredictor("zero").run(np.ones(10))
+        preds = BaselinePredictor("zero").run_ensemble(np.ones((1, 10, 1)))
         assert (preds == 0).all()
         assert (BaselinePredictor("zero", obs_dim=2).run_ensemble(np.ones((3, 5, 2))) == 0).all()
 
     def test_last_value_constant_sequence(self):
         pred = BaselinePredictor("last_value")
         ys = np.full(10, 3.3)
-        preds = pred.run(ys)
+        preds = pred.run_ensemble(ys[None, :, None])[0, :, 0]
         assert preds[0] == 0.0
         np.testing.assert_array_equal(preds[1:], ys[1:])  # zero loss from step 2
 
     def test_ar1_identifies_decay_coefficient(self):
         ys = (0.5 ** np.arange(60))[:, None]
-        preds = BaselinePredictor("ar", order=1, reg=1e-10, refit_period=16).run(ys)
+        pred = BaselinePredictor("ar", order=1, reg=1e-10, refit_period=16)
+        preds = pred.run_ensemble(ys[None])[0]
         # rows 48..59 read the readout refit at step 48: y_hat_t = w y_{t-1}
         np.testing.assert_allclose(preds[48:, 0] / ys[47:-1, 0], 0.5, rtol=0, atol=1e-6)
 
     def test_ar_matches_batch_least_squares(self, scalar_spec):
         k = 3
-        ys = simulate_lds(scalar_spec, 128, [1.0], 9).ys
-        preds = BaselinePredictor("ar", order=k, reg=0.7, refit_period=16).run(ys)
+        ys, _ = lds_reference(scalar_spec, 128, [1.0], 9)
+        preds = BaselinePredictor("ar", order=k, reg=0.7, refit_period=16).run_ensemble(ys[None])[0]
         Z = np.zeros((128, k))
         for t in range(1, 128):
             lag = ys[max(0, t - k) : t][::-1, 0]
@@ -210,8 +211,8 @@ class TestBaselines:
         np.testing.assert_allclose(preds[112:, 0], Z[112:] @ w, atol=1e-9)
 
     def test_ar_blocked_matches_per_step(self, scalar_spec):
-        ys = simulate_lds(scalar_spec, 150, [1.0], 4).ys
-        fast = BaselinePredictor("ar", order=4).run(ys[:, 0])
+        ys, _ = lds_reference(scalar_spec, 150, [1.0], 4)
+        fast = BaselinePredictor("ar", order=4).run_ensemble(ys[None])[0, :, 0]
         slow = stream_predictions(BaselinePredictor("ar", order=4), ys)[:, 0]
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -224,7 +225,7 @@ class TestBaselines:
     def test_last_value_shifts(self, seed):
         g = np.random.default_rng(seed)
         ys = g.standard_normal(20)
-        preds = BaselinePredictor("last_value").run(ys)
+        preds = BaselinePredictor("last_value").run_ensemble(ys[None, :, None])[0, :, 0]
         np.testing.assert_array_equal(preds[1:], ys[:-1])
 
 

@@ -12,22 +12,28 @@ from dynolearn import (
     NoiseSpec,
     SeededRng,
     initial_states,
-    simulate_lds,
     simulate_lds_ensemble,
-    simulate_lorenz,
     spectral_radius,
     spectral_radius_symmetric,
     stationary_observation_power,
     stationary_state_covariance,
     write_trajectory_csv,
 )
+from conftest import lds_reference
 from dynolearn.systems import ensemble_noise, lds_free_responses, simulate_lorenz_ensemble
+
+
+def _one_run(simulate, spec, horizon, x0, seed, record_states=False):
+    """One trajectory of an ensemble simulator: ys, or (ys, xs) when recording."""
+    rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
+    run = simulate(spec, horizon, np.asarray(x0, dtype=float), [rng], record_states=record_states)
+    return (run[0][0], run[1][0]) if record_states else run[0]
 
 
 class TestLdsSimulation:
     def test_noiseless_geometric_decay(self, noiseless_scalar_spec):
-        traj = simulate_lds(noiseless_scalar_spec, 30, [1.0], 0)
-        np.testing.assert_array_equal(traj.ys[:, 0], 0.5 ** np.arange(30))
+        ys = _one_run(simulate_lds_ensemble, noiseless_scalar_spec, 30, [1.0], 0)
+        np.testing.assert_array_equal(ys[:, 0], 0.5 ** np.arange(30))
 
     def test_white_noise_variance(self):
         spec = LdsSpec(
@@ -36,8 +42,7 @@ class TestLdsSimulation:
             noise=NoiseSpec(stdev_process=0.0, stdev_obs=0.3),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
-        traj = simulate_lds(spec, 10**5, [0.0], 11)
-        var = traj.ys.var()
+        var = _one_run(simulate_lds_ensemble, spec, 10**5, [0.0], 11).var()
         assert abs(var - 0.09) < 0.05 * 0.09
 
     def test_state_covariance_matches_lyapunov_fixed_point(self):
@@ -48,8 +53,8 @@ class TestLdsSimulation:
             noise=NoiseSpec(stdev_process=1.0, stdev_obs=0.0),
             init=InitPolicy(kind="fixed", x0=(0.0, 0.0)),
         )
-        traj = simulate_lds(spec, 10**5, [0.0, 0.0], 2, record_states=True)
-        emp = traj.xs.T @ traj.xs / traj.xs.shape[0]
+        _, xs = _one_run(simulate_lds_ensemble, spec, 10**5, [0.0, 0.0], 2, record_states=True)
+        emp = xs.T @ xs / xs.shape[0]
         # independent oracle: iterate Sigma <- A Sigma A^T + Q to convergence
         sigma = np.zeros((2, 2))
         for _ in range(2000):
@@ -64,27 +69,44 @@ class TestLdsSimulation:
             noise=NoiseSpec(kind="none"),
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
-        traj = simulate_lds(spec, 200, [1.0, -1.0], 0, record_states=True)
-        A = spec.A
+        ys, xs = _one_run(simulate_lds_ensemble, spec, 200, [1.0, -1.0], 0, record_states=True)
+        # observation t reads state t, before it moves; C picks its first coordinate
+        assert np.array_equal(xs[0], [1.0, -1.0])
+        assert np.array_equal(ys[:, 0], xs[:, 0])
+        # the ensemble steps row vectors, x' = x A^T, against a contiguous A^T
+        At = np.ascontiguousarray(spec.A.T)
         for t in range(199):
-            assert np.array_equal(traj.xs[t + 1], A @ traj.xs[t])
+            assert np.array_equal(xs[t + 1], xs[t] @ At)
 
     def test_replay_bit_identical(self, scalar_spec):
-        a = simulate_lds(scalar_spec, 500, [1.0], 123)
-        b = simulate_lds(scalar_spec, 500, [1.0], 123)
-        assert np.array_equal(a.ys, b.ys)
-        assert a.spec_digest == b.spec_digest
+        a = _one_run(simulate_lds_ensemble, scalar_spec, 500, [1.0], 123)
+        b = _one_run(simulate_lds_ensemble, scalar_spec, 500, [1.0], 123)
+        assert np.array_equal(a, b)
 
     def test_ensemble_matches_single(self, scalar_spec):
         rngs = [SeededRng(9).child(i) for i in range(4)]
         Ys = simulate_lds_ensemble(scalar_spec, 300, np.array([1.0]), rngs)
         for i, rng in enumerate([SeededRng(9).child(i) for i in range(4)]):
-            single = simulate_lds(scalar_spec, 300, [1.0], rng)
-            np.testing.assert_allclose(Ys[i], single.ys, rtol=1e-12, atol=1e-14)
+            ys, _ = lds_reference(scalar_spec, 300, [1.0], rng)
+            np.testing.assert_allclose(Ys[i], ys, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self, scalar_spec):
         with pytest.raises(ContractViolation):
-            simulate_lds(scalar_spec, 10, [1.0, 2.0], 0)
+            simulate_lds_ensemble(scalar_spec, 10, [1.0, 2.0], [SeededRng(0)])
+
+    @pytest.mark.parametrize("x0, c", [(1e308, 1.0), (-1e308, 1.0), (1e308, 0.0)])
+    def test_blowup_names_first_non_finite_step(self, x0, c):
+        # x_2 = 2 x0 overflows, so y_2 = c x_2 is +inf, -inf or nan (0 * inf) while
+        # y_1 is finite, from the run or from the free response
+        spec = LdsSpec(A=[[2.0]], C=[[c]], noise=NoiseSpec(kind="none"), symmetric_flag=False)
+        with pytest.raises(IntegrationBlowup, match="non-finite observation at step 2$"):
+            simulate_lds_ensemble(spec, 5, [x0], [SeededRng(0)] * 2)
+        with pytest.raises(IntegrationBlowup, match="at step 2$"):
+            lds_free_responses(spec, 5, [[1.0], [x0]])
+        noise = NoiseSpec(stdev_process=0.1)
+        noisy = LdsSpec(A=[[1.5]], C=[[1.0]], noise=noise, symmetric_flag=False)
+        with pytest.raises(IntegrationBlowup, match="step"):
+            simulate_lds_ensemble(noisy, 2000, [0.0], [SeededRng(1).child(i) for i in range(3)])
 
     def test_stationary_observation_power_scalar(self, scalar_spec):
         expected = 0.1**2 / (1 - 0.9**2) + 0.1**2
@@ -127,7 +149,7 @@ class TestFreeResponses:
         free = lds_free_responses(spec, 12, states)
         assert free.shape == (3, 12, 1)
         for j, x0 in enumerate(states):
-            direct = simulate_lds(spec, 12, x0, 0).ys
+            direct, _ = lds_reference(spec, 12, x0, 0)
             np.testing.assert_allclose(free[j], direct, rtol=1e-14, atol=1e-15)
         for bad in ([[1.0, 0.0], [1.0, 0.0, 0.0]], [[np.nan, 0.0]], []):
             with pytest.raises(ContractViolation):
@@ -159,18 +181,18 @@ class TestClosedLoop:
             B=[[0.0]],
             K=[[-0.5]],
         )
-        a = simulate_lds(open_spec, 400, [1.0], 77)
-        b = simulate_lds(closed_spec, 400, [1.0], 77)
-        assert np.array_equal(a.ys, b.ys)  # bit identical
+        a = _one_run(simulate_lds_ensemble, open_spec, 400, [1.0], 77)
+        b = _one_run(simulate_lds_ensemble, closed_spec, 400, [1.0], 77)
+        assert np.array_equal(a, b)  # bit identical
 
     def test_scalar_pole_placement(self):
-        traj = simulate_lds(self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
-        np.testing.assert_allclose(traj.ys[:, 0], 0.7 ** np.arange(20), rtol=1e-12)
+        ys = _one_run(simulate_lds_ensemble, self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
+        np.testing.assert_allclose(ys[:, 0], 0.7 ** np.arange(20), rtol=1e-12)
 
     def test_control_inputs_recorded(self):
         # the input u = K x enters through B: x' - A x = B K x
-        traj = simulate_lds(self._spec(), 10, [1.0], 0, record_states=True)
-        xs = traj.xs[:, 0]
+        _, xs = _one_run(simulate_lds_ensemble, self._spec(), 10, [1.0], 0, record_states=True)
+        xs = xs[:, 0]
         np.testing.assert_allclose(xs[1:] - 1.4 * xs[:-1], 1.0 * (-0.5 * xs[:-1]), rtol=1e-12)
 
     def test_unstable_loop_rejected_at_construction(self):
@@ -193,8 +215,8 @@ class TestClosedLoop:
         )
         rho = spectral_radius(spec.effective_transition())
         assert rho < 1
-        traj = simulate_lds(spec, 10**5, np.zeros(3), 5, record_states=True)
-        max_norm = np.linalg.norm(traj.xs, axis=1).max()
+        _, xs = _one_run(simulate_lds_ensemble, spec, 10**5, np.zeros(3), 5, record_states=True)
+        max_norm = np.linalg.norm(xs, axis=1).max()
         assert np.isfinite(max_norm)
         assert max_norm < 10 * 0.1 * np.sqrt(3) / (1 - rho)
 
@@ -221,16 +243,16 @@ def _reference_rk4(x0, dt, steps, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
 class TestLorenz:
     def test_origin_is_equilibrium(self):
         spec = LorenzSpec(init=InitPolicy(kind="fixed", x0=(0.0, 0.0, 0.0)))
-        traj = simulate_lorenz(spec, 100, [0.0, 0.0, 0.0], 0)
-        assert np.array_equal(traj.ys, np.zeros((100, 1)))
+        ys = _one_run(simulate_lorenz_ensemble, spec, 100, [0.0, 0.0, 0.0], 0)
+        assert np.array_equal(ys, np.zeros((100, 1)))
 
     def test_matches_finer_reference_integration(self):
         spec = LorenzSpec(dt=0.01, obs_coords=("x", "y", "z"))
         steps = 1000  # ten time units
-        traj = simulate_lorenz(spec, steps, [1.0, 1.0, 1.0], 0, record_states=True)
+        _, xs = _one_run(simulate_lorenz_ensemble, spec, steps, [1.0] * 3, 0, record_states=True)
         # reference at dt/10, subsampled to the coarse grid
         ref = _reference_rk4([1.0, 1.0, 1.0], 0.001, 10 * steps)[::10]
-        err = np.abs(traj.xs - ref).max(axis=1)
+        err = np.abs(xs - ref).max(axis=1)
         # before chaos amplifies the dt^4 truncation gap the agreement is tight;
         # by ten time units the deviation has grown to ~1.8e-3 (verified against
         # an adaptive high-order integrator, which the fine run matches to 1e-7)
@@ -240,38 +262,39 @@ class TestLorenz:
     @pytest.mark.parametrize("dt", [0.001, 0.01, 0.05])
     def test_states_equal_textbook_step(self, dt):
         # the in-place stepper keeps the textbook operations in their order
-        traj = simulate_lorenz(LorenzSpec(dt=dt), 500, [1.0, -2.0, 20.0], 0, record_states=True)
-        assert np.array_equal(traj.xs, _reference_rk4([1.0, -2.0, 20.0], dt, 500))
+        spec, x0 = LorenzSpec(dt=dt), [1.0, -2.0, 20.0]
+        _, xs = _one_run(simulate_lorenz_ensemble, spec, 500, x0, 0, record_states=True)
+        assert np.array_equal(xs, _reference_rk4(x0, dt, 500))
 
     def test_sensitive_dependence(self):
         spec = LorenzSpec(dt=0.01)
         steps = 2500  # 25 time units
-        a = simulate_lorenz(spec, steps, [1.0, 1.0, 1.0], 0, record_states=True)
-        b = simulate_lorenz(spec, steps, [1.0 + 1e-8, 1.0, 1.0], 0, record_states=True)
-        sep = np.linalg.norm(a.xs - b.xs, axis=1)
+        x0 = np.array([[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]])
+        _, xs = simulate_lorenz_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
+        sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
         assert sep[0] <= 2e-8
         assert sep.max() > 1e-2
 
     def test_observation_subset_and_noise(self):
         spec = LorenzSpec(obs_coords=("x", "z"), obs_noise=0.5)
-        traj = simulate_lorenz(spec, 50, [1.0, 1.0, 1.0], 3, record_states=True)
-        assert traj.ys.shape == (50, 2)
-        clean = traj.xs[:, [0, 2]]
-        assert not np.array_equal(traj.ys, clean)
-        assert np.abs(traj.ys - clean).max() < 5.0  # noise scale, not dynamics
+        ys, xs = _one_run(simulate_lorenz_ensemble, spec, 50, [1.0] * 3, 3, record_states=True)
+        assert ys.shape == (50, 2)
+        clean = xs[:, [0, 2]]
+        assert not np.array_equal(ys, clean)
+        assert np.abs(ys - clean).max() < 5.0  # noise scale, not dynamics
 
     def test_blowup_reports_step(self):
         spec = LorenzSpec(dt=0.05)
         with pytest.raises(IntegrationBlowup, match="step"):
-            simulate_lorenz(spec, 1000, [1e8, 1e8, 1e8], 0)
+            _one_run(simulate_lorenz_ensemble, spec, 1000, [1e8, 1e8, 1e8], 0)
 
     def test_ensemble_matches_single(self):
         spec = LorenzSpec(obs_noise=0.1)
         rngs = [SeededRng(2).child(i) for i in range(3)]
         Ys = simulate_lorenz_ensemble(spec, 200, np.array([1.0, 1.0, 1.0]), rngs)
         for i, rng in enumerate([SeededRng(2).child(i) for i in range(3)]):
-            single = simulate_lorenz(spec, 200, [1.0, 1.0, 1.0], rng)
-            assert np.array_equal(Ys[i], single.ys)
+            single = _one_run(simulate_lorenz_ensemble, spec, 200, [1.0, 1.0, 1.0], rng)
+            assert np.array_equal(Ys[i], single)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -301,7 +324,8 @@ class TestLorenz:
             per_x0 = simulate_lorenz_ensemble(spec, horizon, X0[i], rngs())
             assert np.array_equal(stacked[row], per_x0)
             for j, rng in enumerate(rngs()):
-                assert np.array_equal(per_x0[j], simulate_lorenz(spec, horizon, X0[i], rng).ys)
+                single = _one_run(simulate_lorenz_ensemble, spec, horizon, X0[i], rng)
+                assert np.array_equal(per_x0[j], single)
 
     def test_grid_rejects_bad_x0_shape(self):
         rngs = [SeededRng(0).child(0)]
@@ -407,19 +431,19 @@ class TestInitPolicies:
 
 class TestTrajectoryCsv:
     def test_format_and_round_trip(self, tmp_path, noiseless_scalar_spec):
-        traj = simulate_lds(noiseless_scalar_spec, 12, [1.0], 0, record_states=True)
+        ys, xs = _one_run(simulate_lds_ensemble, noiseless_scalar_spec, 12, [1.0], 0, True)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv(ys, path, xs)
         text = path.read_text().splitlines()
         assert text[0] == "t,y_0,x_0"
-        assert text[1].startswith("1,1,")
+        assert text[1] == "1,1,1"  # y_1 = x_1 = x0
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 0], np.arange(1, 13))
-        np.testing.assert_array_equal(data[:, 1], traj.ys[:, 0])  # 17g round-trips exactly
-        np.testing.assert_array_equal(data[:, 2], traj.xs[:, 0])
+        np.testing.assert_array_equal(data[:, 1], ys[:, 0])  # 17g round-trips exactly
+        np.testing.assert_array_equal(data[:, 2], xs[:, 0])
 
     def test_byte_identical_across_runs(self, tmp_path, scalar_spec):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(simulate_lds(scalar_spec, 100, [1.0], 5), p1)
-        write_trajectory_csv(simulate_lds(scalar_spec, 100, [1.0], 5), p2)
+        write_trajectory_csv(_one_run(simulate_lds_ensemble, scalar_spec, 100, [1.0], 5), p1)
+        write_trajectory_csv(_one_run(simulate_lds_ensemble, scalar_spec, 100, [1.0], 5), p2)
         assert p1.read_bytes() == p2.read_bytes()
