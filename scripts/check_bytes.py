@@ -49,7 +49,6 @@ def child_env(src: Path) -> dict[str, str]:
     env["PYTHONPATH"] = str(src.resolve())
     for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[key] = "1"
-    env.pop("DYNOLEARN_THREADS", None)
     return env
 
 

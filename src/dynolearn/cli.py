@@ -40,13 +40,7 @@ from .learnability import (
 )
 from .numerics import SeededRng
 from .spectral import build_filter_bank, reliable_filter_cap
-from .systems import (
-    LdsSpec,
-    format_float,
-    initial_states,
-    simulate_ensemble,
-    write_trajectory_csv,
-)
+from .systems import format_float, initial_states, simulate_ensemble, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,18 +54,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _threads(cfg_threads: int, flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    if cfg_threads > 0:
-        return cfg_threads
-    env = os.environ.get("DYNOLEARN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad DYNOLEARN_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
+def _threads(flag: int | None) -> int:
+    """Worker threads: `-j`, else every core; the outputs do not depend on it."""
+    return (os.cpu_count() or 1) if flag is None else max(1, flag)
 
 
 def _prepare_out(cfg: ExperimentConfig, subcommand: str, out_flag: str | None) -> Path:
@@ -150,7 +135,7 @@ def _risk_curve(cfg: ExperimentConfig, args, system, algorithm, oracle):
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
         window=cfg.harness.window,
-        n_workers=_threads(cfg.run.threads, args.threads),
+        n_workers=_threads(args.threads),
     )
 
 
@@ -205,7 +190,7 @@ def _cmd_mstar(args) -> int:
         reg=cfg.predictor.reg,
         refit_period=cfg.predictor.refit_period,
         sign_augmented=cfg.predictor.sign_augmented,
-        n_workers=_threads(cfg.run.threads, args.threads),
+        n_workers=_threads(args.threads),
     )
     out = _prepare_out(cfg, "mstar", args.out)
     report.write_csv(out / "mstar_table.csv")
@@ -229,7 +214,7 @@ def _cmd_agnostic(args) -> int:
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
         window=cfg.harness.window,
-        n_workers=_threads(cfg.run.threads, args.threads),
+        n_workers=_threads(args.threads),
     )
     path = _prepare_out(cfg, "agnostic", args.out) / "agnostic.csv"
     curve.write_csv(path)
@@ -240,8 +225,6 @@ def _cmd_agnostic(args) -> int:
 def _cmd_biasvar(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
-    if not isinstance(system, LdsSpec):
-        raise IncompatiblePairing("biasvar requires a linear system")
     bank = build_filter_bank(
         cfg.predictor.window, cfg.predictor.m, sign_augmented=cfg.predictor.sign_augmented
     )
@@ -255,7 +238,7 @@ def _cmd_biasvar(args) -> int:
         reg=cfg.predictor.reg,
         refit_period=cfg.predictor.refit_period,
         ref_multiplier=cfg.harness.ref_multiplier,
-        n_workers=_threads(cfg.run.threads, args.threads),
+        n_workers=_threads(args.threads),
     )
     path = _prepare_out(cfg, "biasvar", args.out) / "biasvar.csv"
     report.write_csv(path)

@@ -15,13 +15,13 @@ identity, so resolved configs double as re-run manifests.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import io
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._canon import content_digest
 from .errors import ConfigError, ContractViolation
 from .learnability import resolve_oracle
 from .numerics import SeededRng
@@ -45,10 +45,8 @@ class SystemConfig:
     c: float | None = None
     c_row: tuple[float, ...] | None = None
     c_random: bool = False
-    b: tuple[float, ...] | None = None  # d*k entries, row major
-    k: tuple[float, ...] | None = None  # k*d entries, row major
-    k_dim: int = 1
-    noise: str = "gaussian"
+    b: tuple[float, ...] | None = None  # d*m entries, row major, for m inputs
+    k: tuple[float, ...] | None = None  # m*d entries, row major
     process_stdev: float = 0.0
     obs_stdev: float = 0.0
     symmetric: bool = True
@@ -95,7 +93,6 @@ class HarnessConfig:
 class RunConfig:
     seed: int = 0
     out_dir: str = "out"
-    threads: int = 0  # 0 -> available parallelism
 
 
 @dataclass
@@ -106,7 +103,7 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def digest(self) -> str:
-        return content_digest(canonical_text(self))
+        return hashlib.sha256(canonical_text(self).encode()).hexdigest()
 
 
 _SECTIONS = {
@@ -322,9 +319,14 @@ def build_system(cfg: ExperimentConfig):
         if sc.kind == "closed_loop":
             if sc.b is None or sc.k is None:
                 raise ConfigError("closed_loop systems require system.b and system.k")
-            B = np.asarray(sc.b, dtype=float).reshape(d, sc.k_dim)
-            K = np.asarray(sc.k, dtype=float).reshape(sc.k_dim, d)
-        noise = NoiseSpec(kind=sc.noise, stdev_process=sc.process_stdev, stdev_obs=sc.obs_stdev)
+            if not sc.b or len(sc.b) != len(sc.k) or len(sc.b) % d:
+                raise ConfigError(
+                    f"system.b and system.k need the same nonzero multiple of d = {d} entries, "
+                    f"got {len(sc.b)} and {len(sc.k)}"
+                )
+            B = np.asarray(sc.b, dtype=float).reshape(d, -1)
+            K = np.asarray(sc.k, dtype=float).reshape(-1, d)
+        noise = NoiseSpec(stdev_process=sc.process_stdev, stdev_obs=sc.obs_stdev)
         return LdsSpec(
             A=A,
             C=C,
@@ -393,5 +395,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("harness.epsilons must be positive and finite")
     if h.n_traj < 2:
         raise ConfigError(f"harness.n_traj must be >= 2, got {h.n_traj}")
-    if cfg.run.threads < 0:
-        raise ConfigError(f"run.threads must be >= 0, got {cfg.run.threads}")

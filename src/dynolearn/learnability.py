@@ -2,9 +2,9 @@
 
 Excess risk, m*, the agnostic gap and the bias/variance split are one
 measurement: the worst case over initial states of a gap between two
-per-trajectory losses on one seeded ensemble.  `_evaluate` draws the
-ensemble's noise, simulates the admissible x0 from it, releases the noise
-and then maps the "arms" (predictors, or losses derived from them) over x0.
+per-trajectory losses on one seeded ensemble.  `_evaluate` simulates the
+admissible x0 in one call and then maps the "arms" (predictors, or losses
+derived from them) over x0.
 It returns one tensor [arm, x0, traj, g] of squared losses averaged over a
 short window at each grid time; `_worst_case` reduces two arms to the
 largest mean gap over x0, its 95% CI and both means.
@@ -27,25 +27,23 @@ online learner read the same block.
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
 deliberately sees the same noise realizations (common random numbers), so
-differences across the grid come from the initial state alone; the noise is
-drawn once per ensemble, read by the simulation, and freed before the arms
-run.  Superposition moves an LDS result by rounding only (at most a relative
-4.9e-12 on the committed configs, in `biasvar.csv` on the scalar system)
-against simulating each x0 on its own.
+differences across the grid come from the initial state alone; the simulator
+draws that noise inside its one call and frees it on return, before the
+arms run.  Superposition moves an LDS result by rounding only (at most a
+relative 4.9e-12 on the committed configs, in `biasvar.csv` on the scalar
+system) against simulating each x0 on its own.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._canon import content_digest
 from .errors import ContractViolation, IncompatiblePairing
-from .numerics import SeededRng, solve_normal_system
+from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
 from .predictors import (
     DEFAULT_REFIT_PERIOD,
@@ -58,7 +56,6 @@ from .spectral import FilterBank, _feature_blocks, build_filter_bank, truncate_b
 from .systems import (
     LdsSpec,
     LorenzSpec,
-    ensemble_noise,
     format_float as ff,
     initial_states,
     lds_free_responses,
@@ -88,7 +85,6 @@ class RiskCurve:
     raw_alg: np.ndarray
     raw_oracle: np.ndarray
     n_traj: int
-    x0_policy_digest: str
     oracle_label: str = "oracle"
 
     def write_csv(self, path) -> None:
@@ -114,7 +110,6 @@ def read_risk_curve_csv(path) -> RiskCurve:
         raw_alg=rows[:, 3],
         raw_oracle=rows[:, 4],
         n_traj=2,
-        x0_policy_digest="loaded",
         oracle_label="loaded",
     )
 
@@ -240,28 +235,18 @@ def _traj_rngs(master: SeededRng, n_traj: int) -> list[SeededRng]:
     return [master.child(_TRAJ_NS, i) for i in range(n_traj)]
 
 
-def _parallel_map(fn, items, n_workers: int) -> list:
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int, losses):
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
     `losses(Ys, run)` maps one x0's observations Ys (n_traj, H, p) to one
     (n_traj, G) array per arm; `run(P, keep_from=0)` is
     `P.run_ensemble(Ys)[:, keep_from:]`.  Phases:
-    1. Draw the ensemble's noise once into preallocated arrays, one block
-       of trajectories per worker; every row comes from its own stream, so
-       the bits do not depend on n_workers.
-    2. Simulate from that noise.  Lorenz: every x0 in one stacked RK4
-       recursion.  LDS: the ensemble once from x0 = 0 (the base), and the
-       grid's free responses C A^t x0 as one (k, H, p) array; an x0's Ys is
-       the base plus its free response.
-    3. Release the noise, so the arms never hold it.
-    4. Map each x0 to `losses(Ys, run)`, in parallel.  For an LDS, `run`
+    1. Simulate, in one call that draws the ensemble's noise on n_workers
+       threads.  Lorenz: every x0 in one stacked RK4 recursion.  LDS: the
+       ensemble once from x0 = 0 (the base), and the grid's free responses
+       C A^t x0 as one (k, H, p) array; an x0's Ys is the base plus its
+       free response.
+    2. Map each x0 to `losses(Ys, run)`, in parallel.  For an LDS, `run`
        of a linear predictor (`P.linear`, see `oracles`) adds P on the base
        and P on the free responses, each computed once per evaluation by
        whichever task first asks; any other P runs on Ys.
@@ -269,31 +254,16 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     rngs = _traj_rngs(master, n_traj)
-    lds = isinstance(system, LdsSpec)
-    noise = (
-        (np.empty((n_traj, horizon, system.d)), np.empty((n_traj, horizon, system.p)))
-        if lds
-        else np.empty((n_traj, horizon, system.p))
-    )
-
-    def fill(b):  # rows b of the shared arrays, in place
-        rows = tuple(a[b] for a in noise) if lds else noise[b]
-        ensemble_noise(system, horizon, rngs[b], out=rows)
-
-    k = max(1, min(n_workers, n_traj))
-    _parallel_map(fill, [slice(n_traj * j // k, n_traj * (j + 1) // k) for j in range(k)], k)
-
-    if not lds:
-        grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, noise=noise)
-        del noise  # grid_Ys is (x0, traj, t, p), from one call
+    if not isinstance(system, LdsSpec):
+        # (x0, traj, t, p), from one call
+        grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, n_workers=n_workers)
 
         def direct(Ys):
             return np.stack(losses(Ys, lambda P, keep_from=0: P.run_ensemble(Ys)[:, keep_from:]))
 
         return np.stack(_parallel_map(direct, grid_Ys, n_workers), axis=1)
 
-    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, noise=noise)
-    del noise
+    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
     free = lds_free_responses(system, horizon, states)
     runs, lock = {}, threading.Lock()
 
@@ -399,7 +369,6 @@ def estimate_excess_risk(
         raw_alg=raw_alg,
         raw_oracle=raw_oracle,
         n_traj=n_traj,
-        x0_policy_digest=content_digest([s for s in states]),
         oracle_label=getattr(oracle, "label", "oracle"),
     )
 
@@ -516,7 +485,6 @@ def agnostic_gap(
         raw_alg=raw_alg,
         raw_oracle=raw_best,
         n_traj=n_traj,
-        x0_policy_digest=content_digest([s for s in states]),
         oracle_label=f"best_of({labels})",
     )
 

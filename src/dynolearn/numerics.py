@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels and seeded Gaussian sampling.
+"""Dense linear-algebra kernels, seeded Gaussian sampling and a thread map.
 
 Matrices and vectors are plain float64 numpy arrays.  All operations are
 pure; random draws come from explicit `SeededRng` handles so that every
@@ -6,6 +6,8 @@ downstream simulation is a deterministic function of (inputs, seed).
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -134,3 +136,11 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={self.path})"
+
+
+def _parallel_map(fn, items, n_workers: int) -> list:
+    """[fn(item) for item in items], on up to n_workers threads, in order."""
+    if n_workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, items))

@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
-from .systems import LdsSpec, LorenzSpec, stationary_state_covariance
+from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
 
@@ -213,15 +213,7 @@ class TruthOracle:
 
     def __init__(self, spec=None):
         self.spec, self.label = spec, "zero" if spec is None else "truth"
-        if spec is None:
-            return
-        if isinstance(spec, LdsSpec):
-            noiseless = spec.noise.is_noiseless
-        elif isinstance(spec, LorenzSpec):
-            noiseless = spec.is_noiseless
-        else:
-            raise ContractViolation(f"unsupported system type {type(spec)!r}")
-        if not noiseless:
+        if spec is not None and not spec.is_noiseless:
             raise ContractViolation("perfect-prediction oracle requires a noiseless system")
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:

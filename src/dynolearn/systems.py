@@ -7,9 +7,10 @@ type has one recursion: `_lds_steps` for a linear system, `_lorenz_steps`
 (in-place RK4) for Lorenz, which also takes a stack of initial states and
 integrates the whole grid at once, with the same bits as one x0 at a time.
 A non-finite observation or state raises IntegrationBlowup naming the first
-step that produced one.  Drawing an ensemble's noise (`ensemble_noise`) is
-separate from the recursion, so the Monte Carlo harness draws the noise once
-per ensemble and shares it, read-only, across the whole x0 grid.
+step that produced one.  Each simulator draws its ensemble's noise itself,
+once per call, one block of rows per worker; row i comes from rngs[i] alone,
+so the bits do not depend on the worker count.  A standard deviation of 0
+disables that noise; a noiseless system draws nothing.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
 0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
@@ -20,12 +21,13 @@ grid; the sum agrees with a direct run from x0 up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, IntegrationBlowup
-from .numerics import SeededRng, as_matrix, as_vector, sym_eig
+from .numerics import SeededRng, _parallel_map, as_matrix, as_vector, sym_eig
 
 LORENZ_COORDS = {"x": 0, "y": 1, "z": 2}
 
@@ -36,23 +38,16 @@ _GRID_ENTROPY = 0x1E7BA5E5
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Isotropic process / observation noise levels (Gaussian or disabled)."""
+    """Isotropic Gaussian process / observation noise levels; 0 disables one."""
 
-    kind: str = "gaussian"  # "gaussian" | "none"
     stdev_process: float = 0.0
     stdev_obs: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "none"):
-            raise ContractViolation(f"unknown noise kind {self.kind!r}")
         for name in ("stdev_process", "stdev_obs"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ContractViolation(f"{name} must be finite and >= 0, got {v}")
-
-    @property
-    def is_noiseless(self) -> bool:
-        return self.kind == "none" or (self.stdev_process == 0.0 and self.stdev_obs == 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,18 +159,20 @@ class LdsSpec:
     def p(self) -> int:
         return self.C.shape[0]
 
+    @property
+    def is_noiseless(self) -> bool:
+        return self.noise.stdev_process == 0.0 and self.noise.stdev_obs == 0.0
+
     def effective_transition(self) -> np.ndarray:
         if self.B is None:
             return self.A
         return self.A + self.B @ self.K
 
     def process_cov(self) -> np.ndarray:
-        s = 0.0 if self.noise.kind == "none" else self.noise.stdev_process
-        return (s * s) * np.eye(self.d)
+        return self.noise.stdev_process**2 * np.eye(self.d)
 
     def obs_cov(self) -> np.ndarray:
-        s = 0.0 if self.noise.kind == "none" else self.noise.stdev_obs
-        return (s * s) * np.eye(self.p)
+        return self.noise.stdev_obs**2 * np.eye(self.p)
 
 
 @dataclass(eq=False)
@@ -217,12 +214,29 @@ class LorenzSpec:
 
 
 # ---------------------------------------------------------------------------
-# linear simulation
+# noise
+
+
+def _draw_noise(draw_row, sizes, horizon: int, rngs: Sequence[SeededRng], n_workers: int):
+    """Noise arrays (n, H, size), one per entry of `sizes`, of an n-trajectory
+    ensemble: `draw_row(rngs[i], *rows)` fills row i of every array from
+    rngs[i] alone, one block of rows per worker, so the bits do not depend
+    on n_workers."""
+    n = len(rngs)
+    arrays = [np.empty((n, horizon, size)) for size in sizes]
+
+    def fill(rows):
+        for i in rows:
+            draw_row(rngs[i], *(a[i] for a in arrays))
+
+    k = max(1, min(n_workers, n))
+    _parallel_map(fill, [range(n * j // k, n * (j + 1) // k) for j in range(k)], k)
+    return arrays
 
 
 def _lds_noise(spec: LdsSpec, rng: SeededRng, w: np.ndarray, v: np.ndarray) -> None:
     """Draw one trajectory's process noise w (H, d), then its observation noise v (H, p)."""
-    if spec.noise.kind == "none":
+    if spec.is_noiseless:
         w[...] = 0.0
         v[...] = 0.0
     else:
@@ -230,36 +244,16 @@ def _lds_noise(spec: LdsSpec, rng: SeededRng, w: np.ndarray, v: np.ndarray) -> N
         rng.normals(v.shape, 0.0, spec.noise.stdev_obs, out=v)
 
 
-def ensemble_noise(system, horizon: int, rngs: Sequence[SeededRng], out=None):
-    """Noise of an n-trajectory ensemble: (W, V) for an LDS, V for Lorenz.
-
-    Row i comes from rngs[i] alone (w, then v), so any split of the rows
-    between callers gives the same bits.  `out`, if given, has the layout of
-    the result (or is a block of its rows) and is filled in place: each row
-    is drawn straight into its slot.
-    """
-    n = len(rngs)
-    if isinstance(system, LdsSpec):
-        if out is None:
-            out = (np.empty((n, horizon, system.d)), np.empty((n, horizon, system.p)))
-        W, V = out
-        for i, rng in enumerate(rngs):
-            _lds_noise(system, rng, W[i], V[i])
-        return out
-    if isinstance(system, LorenzSpec):
-        V = np.empty((n, horizon, system.p)) if out is None else out
-        for i, rng in enumerate(rngs):
-            _lorenz_noise(system, rng, V[i])
-        return V
-    raise ContractViolation(f"unsupported system type {type(system)!r}")
+def _lorenz_noise(spec: LorenzSpec, rng: SeededRng, v: np.ndarray) -> None:
+    """Draw one trajectory's observation noise v (H, p)."""
+    if spec.obs_noise > 0:
+        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
+    else:
+        v[...] = 0.0
 
 
-def _check_noise(arrays, n: int, horizon: int) -> None:
-    for a in arrays:
-        if a.shape[:2] != (n, horizon):
-            raise ContractViolation(
-                f"noise has shape {a.shape}, expected ({n}, {horizon}, ...) for this ensemble"
-            )
+# ---------------------------------------------------------------------------
+# linear simulation
 
 
 def simulate_lds_ensemble(
@@ -268,24 +262,22 @@ def simulate_lds_ensemble(
     x0,
     rngs: Sequence[SeededRng],
     *,
-    noise=None,
+    n_workers: int = 1,
     record_states: bool = False,
 ):
     """Observations (n, H, p) of x' = A x + w, y = C x + v for n trajectories
     from x0, one child stream each, with A + B K in place of A for a
     closed-loop spec.
 
-    `noise`, if given, is the (W, V) that `ensemble_noise(spec, horizon,
-    rngs)` returned: it is read, not drawn again, so one draw can serve every
-    x0 of a grid.  With `record_states` the result is (Ys, Xs), Xs (n, H, d)
+    The noise is drawn on up to `n_workers` threads, with the same bits at
+    any count.  With `record_states` the result is (Ys, Xs), Xs (n, H, d)
     holding the state that each observation reads.
     """
     x0 = as_vector(x0, "x0")
     if x0.shape != (spec.d,):
         raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
     n = len(rngs)
-    W, V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
-    _check_noise((W, V), n, horizon)
+    W, V = _draw_noise(partial(_lds_noise, spec), (spec.d, spec.p), horizon, rngs, n_workers)
     Xs = np.empty((n, horizon, spec.d)) if record_states else None
     Ys = _lds_steps(spec, horizon, np.broadcast_to(x0, (n, spec.d)).copy(), (W, V), Xs)
     return (Ys, Xs) if record_states else Ys
@@ -335,14 +327,6 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None, Xs=None) 
 
 # ---------------------------------------------------------------------------
 # Lorenz simulation
-
-
-def _lorenz_noise(spec: LorenzSpec, rng: SeededRng, v: np.ndarray) -> None:
-    """Draw one trajectory's observation noise v (H, p)."""
-    if spec.obs_noise > 0:
-        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
-    else:
-        v[...] = 0.0
 
 
 class _Rk4:
@@ -431,7 +415,7 @@ def simulate_lorenz_ensemble(
     x0,
     rngs: Sequence[SeededRng],
     *,
-    noise=None,
+    n_workers: int = 1,
     record_states: bool = False,
 ):
     """Observations of n Lorenz runs from each initial state (noise streams differ).
@@ -439,10 +423,10 @@ def simulate_lorenz_ensemble(
     x0 is one state (3,), giving (n, H, p), or a stack (k, 3), giving
     (k, n, H, p): the whole stack integrates in one recursion, and row i
     equals the call with x0[i] alone, bit for bit.  Every initial state
-    reads the same noise.  `noise`, if given, is the V that
-    `ensemble_noise(spec, horizon, rngs)` returned; it is read, not drawn
-    again.  With `record_states` the result is (Ys, Xs), Xs ((n, H, 3) or
-    (k, n, H, 3)) holding the state that each observation reads.
+    reads the same noise, drawn once on up to `n_workers` threads, with the
+    same bits at any count.  With `record_states` the result is (Ys, Xs), Xs
+    ((n, H, 3) or (k, n, H, 3)) holding the state that each observation
+    reads.
     """
     X0 = np.asarray(x0, dtype=float)
     if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
@@ -452,8 +436,7 @@ def simulate_lorenz_ensemble(
     stack = np.atleast_2d(X0)
     k, n = stack.shape[0], len(rngs)
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    V = ensemble_noise(spec, horizon, rngs) if noise is None else noise
-    _check_noise((V,), n, horizon)
+    (V,) = _draw_noise(partial(_lorenz_noise, spec), (spec.p,), horizon, rngs, n_workers)
     Ys = np.empty((k, n, horizon, spec.p))
     Xs = np.empty((k, n, horizon, 3)) if record_states else None
 
@@ -501,8 +484,7 @@ def stationary_state_covariance(spec: LdsSpec) -> np.ndarray:
 def stationary_observation_power(spec: LdsSpec) -> float:
     """Stationary E||y||^2 = tr(C Sigma C^T) + p * stdev_obs^2."""
     sigma = stationary_state_covariance(spec)
-    r = 0.0 if spec.noise.kind == "none" else spec.noise.stdev_obs ** 2
-    return float(np.trace(spec.C @ sigma @ spec.C.T) + spec.p * r)
+    return float(np.trace(spec.C @ sigma @ spec.C.T) + spec.p * spec.noise.stdev_obs**2)
 
 
 def _stationary_states(system, points: int) -> list[np.ndarray]:
@@ -548,7 +530,7 @@ def simulate_ensemble(
     x0,
     rngs: Sequence[SeededRng],
     *,
-    noise=None,
+    n_workers: int = 1,
     record_states: bool = False,
 ):
     """`simulate_lds_ensemble` or `simulate_lorenz_ensemble`, by system type."""
@@ -558,7 +540,7 @@ def simulate_ensemble(
         sim = simulate_lorenz_ensemble
     else:
         raise ContractViolation(f"unsupported system type {type(system)!r}")
-    return sim(system, horizon, x0, rngs, noise=noise, record_states=record_states)
+    return sim(system, horizon, x0, rngs, n_workers=n_workers, record_states=record_states)
 
 
 # ---------------------------------------------------------------------------

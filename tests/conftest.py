@@ -40,7 +40,7 @@ def noiseless_scalar_spec():
     return LdsSpec(
         A=[[0.5]],
         C=[[1.0]],
-        noise=NoiseSpec(kind="none"),
+        noise=NoiseSpec(),
         init=InitPolicy(kind="fixed", x0=(1.0,)),
     )
 
@@ -56,7 +56,7 @@ def lds_reference(spec, horizon, x0, seed):
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
     A, C = spec.effective_transition(), spec.C
     w, v = np.zeros((horizon, spec.d)), np.zeros((horizon, spec.p))
-    if spec.noise.kind != "none":
+    if not spec.is_noiseless:
         w = rng.normals(w.shape, 0.0, spec.noise.stdev_process)
         v = rng.normals(v.shape, 0.0, spec.noise.stdev_obs)
     ys, xs = np.empty((horizon, spec.p)), np.empty((horizon, spec.d))

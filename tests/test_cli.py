@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,6 @@ SCALAR_NOISELESS = """
 kind = lds
 a = 0.5
 c = 1.0
-noise = none
 x0_kind = fixed
 x0 = 1.0
 
@@ -87,14 +87,25 @@ class TestSimulate:
         assert "subcommand = simulate" in manifest
         assert "seed = 3" in manifest
         assert "config_digest = " in manifest
-        resolved = (workdir / "sim" / "resolved.cfg").read_text()
-        assert "[system]" in resolved and "a = 0.5" in resolved
+        resolved = (workdir / "sim" / "resolved.cfg").read_bytes()
+        assert b"[system]" in resolved and b"a = 0.5" in resolved
+        assert f"config_digest = {hashlib.sha256(resolved).hexdigest()}\n" in manifest
 
     def test_bad_config_exits_one_with_json_error(self, workdir):
         res = run_cli(["simulate", "-c", "missing.cfg"], workdir)
         assert res.returncode == 1
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "config"
+
+    def test_mismatched_control_matrices_exit_one(self, workdir):
+        (workdir / "cl.cfg").write_text(
+            "[system]\nkind = closed_loop\na = 1.4\nc = 1.0\nb = 1,1\nk = -0.5\n"
+            "symmetric = false\nx0_kind = fixed\nx0 = 1.0\n"
+        )
+        res = run_cli(["simulate", "-c", "cl.cfg", "--out", "cl"], workdir)
+        assert res.returncode == 1
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "system.b and system.k" in err["message"]
 
     def test_lorenz_blowup_exits_four(self, workdir):
         (workdir / "blow.cfg").write_text(
@@ -179,12 +190,13 @@ class TestRiskPipeline:
         header = a.decode().splitlines()[0]
         assert header == "t,excess_mean,excess_ci,raw_alg,raw_oracle"
 
-    def test_kalman_oracle_on_lorenz_exits_three(self, workdir):
+    @pytest.mark.parametrize("command", ["risk", "biasvar"])
+    def test_kalman_oracle_on_lorenz_exits_three(self, command, workdir):
         (workdir / "lor.cfg").write_text(
             "[system]\nkind = lorenz\nobs_stdev = 0.1\n"
             "[harness]\nt_grid = 10,20\nn_traj = 4\noracle = kalman\n"
         )
-        res = run_cli(["risk", "-c", "lor.cfg", "--out", "r"], workdir)
+        res = run_cli([command, "-c", "lor.cfg", "--out", "r"], workdir)
         assert res.returncode == 3
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "incompatible_pairing"
@@ -270,15 +282,22 @@ class TestRiskPipeline:
         header = (workdir / "bv" / "biasvar.csv").read_text().splitlines()[0]
         assert header == "t,bias,bias_ci,variance,variance_ci"
 
-    def test_threads_env_fallback(self, workdir):
-        res = run_cli(
-            ["risk", "-c", "risk.cfg", "--out", "rt"], workdir, env_extra={"DYNOLEARN_THREADS": "2"}
+    def test_thread_count_keeps_bytes(self, workdir):
+        # -j is the one way to set the worker count, and it moves no output bit
+        (workdir / "lor.cfg").write_text(
+            "[system]\nkind = lorenz\nobs_stdev = 0.1\nx0_kind = stationary\nx0_points = 2\n"
+            "[predictor]\nwindow = 20\nm = 4\n"
+            "[harness]\nt_grid = 20,40\nn_traj = 5\noracle = zero\n"
         )
-        assert res.returncode == 0, res.stderr
-        a = (workdir / "rt" / "risk.csv").read_bytes()
-        b = (workdir / "r1" / "risk.csv").read_bytes() if (workdir / "r1").exists() else None
-        if b is not None:
-            assert a == b
+        for cfg in ("risk.cfg", "lor.cfg"):
+            csvs = []
+            for j in ("1", "3"):
+                res = run_cli(["risk", "-c", cfg, "--out", f"r{j}", "-j", j], workdir)
+                assert res.returncode == 0, res.stderr
+                csvs.append((workdir / f"r{j}" / "risk.csv").read_bytes())
+            assert csvs[0] == csvs[1]
+        res = run_cli(["risk", "-c", "risk.cfg", "--out", "rt", "run.threads=2"], workdir)
+        assert res.returncode == 1
 
     def test_usage_error_exits_one(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)

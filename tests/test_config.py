@@ -141,6 +141,21 @@ class TestBuilders:
         assert system.B is not None
         assert system.effective_transition()[0, 0] == pytest.approx(0.9)
 
+    def test_two_input_closed_loop(self):
+        # len(b) = 2 d: two inputs, B (1, 2) and K (2, 1), so A + B K = 1.4 - 0.5
+        cfg = parse_config(
+            "[system]\nkind = closed_loop\na = 1.4\nc = 1.0\nb = 1,1\nk = -0.25,-0.25\n"
+            "symmetric = false\nx0_kind = fixed\nx0 = 1.0\n"
+        )
+        system = build_system(cfg)
+        assert system.B.shape == (1, 2) and system.K.shape == (2, 1)
+        assert system.effective_transition()[0, 0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("key", ["system.noise=none", "system.k_dim=1", "run.threads=2"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown override target"):
+            parse_config(SCALAR_TEXT, overrides=[key])
+
     def test_lorenz_system(self):
         cfg = parse_config("[system]\nkind = lorenz\nobs_coords = x,z\nobs_stdev = 0.1\n")
         system = build_system(cfg)

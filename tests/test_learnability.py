@@ -52,7 +52,6 @@ def _fixture_curve(excess, grid):
         raw_alg=excess,
         raw_oracle=np.zeros_like(excess),
         n_traj=2,
-        x0_policy_digest="fixture",
         oracle_label="fixture",
     )
 
@@ -68,7 +67,7 @@ class TestEstimateExcessRisk:
         spec = LdsSpec(
             A=[[0.9]],
             C=[[1.0]],
-            noise=NoiseSpec(kind="none"),
+            noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
         curve = estimate_excess_risk(
@@ -577,8 +576,9 @@ class TestSharedNoise:
         shared = _measure(name, system)
         replays, free_stacks = [], []
 
-        def replay(system, horizon, x0, rngs, noise=None):
-            if noise is not None:  # ignore the shared draw; draw again for these x0
+        def replay(system, horizon, x0, rngs, n_workers=1):
+            # biasvar's reference run is one stream in its own namespace
+            if rngs[0].path[0] != learnability._REF_NS:
                 replays.extend(np.atleast_2d(x0))  # one row per x0 of a stacked call
                 rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
             return systems.simulate_ensemble(system, horizon, x0, rngs)

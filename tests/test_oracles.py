@@ -113,7 +113,7 @@ class TestKalman:
         spec = LdsSpec(
             A=[[0.0]],
             C=[[1.0]],
-            noise=NoiseSpec(kind="none"),
+            noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec, init_cov=0.0)  # P = 0 and R = 0: singular S
@@ -126,7 +126,7 @@ class TestKalman:
         spec = LdsSpec(
             A=[[0.5]],
             C=[[1.0]],
-            noise=NoiseSpec(kind="none"),
+            noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: every innovation is singular
@@ -280,7 +280,7 @@ class TestDeterministicTruth:
         spec = LdsSpec(
             A=[[0.5]],
             C=[[1.0]],
-            noise=NoiseSpec(kind="none"),
+            noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
         ys, _ = lds_reference(spec, 50, [1.0], 0)
@@ -361,7 +361,7 @@ class TestLinearity:
         A = M + M.T
         A *= g.uniform(0.0, 1.0) / np.abs(np.linalg.eigvalsh(A)).max()
         noise = (
-            NoiseSpec(kind="none")
+            NoiseSpec()
             if kind == "truth"
             else NoiseSpec(stdev_process=g.uniform(0.0, 1.0), stdev_obs=g.uniform(0.01, 1.0))
         )

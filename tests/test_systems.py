@@ -12,6 +12,7 @@ from dynolearn import (
     NoiseSpec,
     SeededRng,
     initial_states,
+    simulate_ensemble,
     simulate_lds_ensemble,
     spectral_radius,
     spectral_radius_symmetric,
@@ -20,7 +21,7 @@ from dynolearn import (
     write_trajectory_csv,
 )
 from conftest import lds_reference
-from dynolearn.systems import ensemble_noise, lds_free_responses, simulate_lorenz_ensemble
+from dynolearn.systems import lds_free_responses, simulate_lorenz_ensemble
 
 
 def _one_run(simulate, spec, horizon, x0, seed, record_states=False):
@@ -66,7 +67,7 @@ class TestLdsSimulation:
         spec = LdsSpec(
             A=[[0.6, 0.2], [0.2, 0.3]],
             C=[[1.0, 0.0]],
-            noise=NoiseSpec(kind="none"),
+            noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
         ys, xs = _one_run(simulate_lds_ensemble, spec, 200, [1.0, -1.0], 0, record_states=True)
@@ -98,7 +99,7 @@ class TestLdsSimulation:
     def test_blowup_names_first_non_finite_step(self, x0, c):
         # x_2 = 2 x0 overflows, so y_2 = c x_2 is +inf, -inf or nan (0 * inf) while
         # y_1 is finite, from the run or from the free response
-        spec = LdsSpec(A=[[2.0]], C=[[c]], noise=NoiseSpec(kind="none"), symmetric_flag=False)
+        spec = LdsSpec(A=[[2.0]], C=[[c]], noise=NoiseSpec(), symmetric_flag=False)
         with pytest.raises(IntegrationBlowup, match="non-finite observation at step 2$"):
             simulate_lds_ensemble(spec, 5, [x0], [SeededRng(0)] * 2)
         with pytest.raises(IntegrationBlowup, match="at step 2$"):
@@ -116,35 +117,53 @@ class TestLdsSimulation:
 class TestEnsembleNoise:
     @pytest.mark.parametrize("kind", ["lds", "lorenz", "noiseless"])
     def test_rows_drawn_in_place_equal_per_row_normals(self, kind):
-        # each row is drawn straight into its slot of a block of preallocated
-        # rows, with the bits of mean + stdev * z from that row's own stream
-        # (w before v)
-        if kind == "lorenz":
-            system = LorenzSpec(obs_coords=("x", "z"), obs_noise=0.3)
-            sizes = [(system.p, 0.3)]
-        else:
-            stdevs = (0.0, 0.0) if kind == "noiseless" else (0.2, 0.05)
-            noise = NoiseSpec("none") if kind == "noiseless" else NoiseSpec("gaussian", *stdevs)
-            system = LdsSpec(A=[[0.5, 0.1], [0.1, 0.2]], C=[[1.0, 0.0]], noise=noise)
-            sizes = [(system.d, stdevs[0]), (system.p, stdevs[1])]
+        # at every worker count, row i of the ensemble is the textbook run on
+        # mean + stdev * z drawn from that row's own stream (w before v).  With
+        # A = 0 each LDS state is the previous step's w exactly, so the
+        # comparison is bitwise; Lorenz observes its bitwise recursion plus v.
         n, H = 5, 33
-        rngs = [SeededRng(8).child(0, i) for i in range(n)]
-        full = tuple(np.full((n, H, size), np.nan) for size, _ in sizes)
-        block = tuple(a[1:4] for a in full)
-        ensemble_noise(system, H, rngs[1:4], out=block if kind != "lorenz" else block[0])
-        for i in range(1, 4):
-            gen = SeededRng(8).child(0, i).generator
-            for a, (size, stdev) in zip(full, sizes):
-                expected = np.zeros((H, size))
-                if kind != "noiseless":
-                    expected = 0.0 + stdev * gen.standard_normal((H, size))
-                assert a[i].tobytes() == expected.tobytes()
-        assert all(np.isnan(a[[0, 4]]).all() for a in full)  # rows outside the block untouched
+        if kind == "lorenz":
+            system, x0 = LorenzSpec(obs_coords=("x", "z"), obs_noise=0.3), [1.0, -2.0, 20.0]
+        else:
+            noise = NoiseSpec() if kind == "noiseless" else NoiseSpec(0.2, 0.05)
+            system, x0 = LdsSpec(A=np.zeros((2, 2)), C=[[1.0, 0.0]], noise=noise), [1.0, -0.5]
+        expected = []
+        for i in range(n):
+            rng = SeededRng(8).child(0, i)
+            if kind == "lorenz":
+                states = LorenzSpec(obs_coords=("x", "z"))  # the same run, observed without noise
+                v = 0.0 + 0.3 * rng.generator.standard_normal((H, 2))
+                expected.append(simulate_ensemble(states, H, x0, [SeededRng(0)])[0] + v)
+            else:
+                expected.append(np.concatenate(lds_reference(system, H, x0, rng), axis=1))
+        for n_workers in (1, 2, 3):
+            rngs = [SeededRng(8).child(0, i) for i in range(n)]
+            run = simulate_ensemble(system, H, x0, rngs, n_workers=n_workers, record_states=True)
+            got = run[0] if kind == "lorenz" else np.concatenate(run, axis=2)
+            for i in range(n):
+                assert got[i].tobytes() == expected[i].tobytes()
+
+    def test_noiseless_lds_draws_nothing(self, monkeypatch):
+        calls = []
+        normals = SeededRng.normals
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return normals(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeededRng, "normals", counted)
+        rngs = [SeededRng(0).child(i) for i in range(3)]
+        Ys = simulate_ensemble(LdsSpec(A=[[0.5]], C=[[1.0]], noise=NoiseSpec()), 10, [1.0], rngs)
+        assert calls == []
+        assert Ys.tobytes() == np.tile(0.5 ** np.arange(10), 3).tobytes()
+        noisy = LdsSpec(A=[[0.5]], C=[[1.0]], noise=NoiseSpec(stdev_obs=0.1))
+        simulate_ensemble(noisy, 10, [1.0], rngs[:1])
+        assert len(calls) == 2  # one stdev above 0: w and v are both drawn
 
 
 class TestFreeResponses:
     def test_equal_noiseless_simulation_and_validate_shape(self):
-        spec = LdsSpec(A=[[0.5, 0.2], [0.2, -0.4]], C=[[1.0, -2.0]], noise=NoiseSpec(kind="none"))
+        spec = LdsSpec(A=[[0.5, 0.2], [0.2, -0.4]], C=[[1.0, -2.0]], noise=NoiseSpec())
         states = np.array([[1.0, 0.0], [0.3, -0.7], [0.0, 2.0]])
         free = lds_free_responses(spec, 12, states)
         assert free.shape == (3, 12, 1)
@@ -161,7 +180,7 @@ class TestClosedLoop:
         return LdsSpec(
             A=[[a]],
             C=[[1.0]],
-            noise=noise or NoiseSpec(kind="none"),
+            noise=noise or NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
             B=[[b]],
             K=[[k]],
