@@ -224,13 +224,10 @@ def _cmd_agnostic(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _load(args)
-    system = build_system(cfg)
-    bank = build_filter_bank(
-        cfg.predictor.window, cfg.predictor.m, sign_augmented=cfg.predictor.sign_augmented
-    )
     report = bias_variance_split(
-        system,
-        bank,
+        build_system(cfg),
+        cfg.predictor.window,
+        cfg.predictor.m,
         t_grid=cfg.harness.t_grid,
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
@@ -238,6 +235,7 @@ def _cmd_biasvar(args) -> int:
         reg=cfg.predictor.reg,
         refit_period=cfg.predictor.refit_period,
         ref_multiplier=cfg.harness.ref_multiplier,
+        sign_augmented=cfg.predictor.sign_augmented,
         n_workers=_threads(args.threads),
     )
     path = _prepare_out(cfg, "biasvar", args.out) / "biasvar.csv"

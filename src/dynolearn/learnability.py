@@ -52,7 +52,7 @@ from .predictors import (
     _EnsembleRidge,
     _run_filter_sweep,
 )
-from .spectral import FilterBank, _feature_blocks, build_filter_bank, truncate_bank
+from .spectral import _feature_blocks, build_filter_bank, truncate_bank
 from .systems import (
     LdsSpec,
     LorenzSpec,
@@ -491,7 +491,8 @@ def agnostic_gap(
 
 def bias_variance_split(
     system: LdsSpec,
-    bank: FilterBank,
+    window_len: int,
+    m: int,
     t_grid,
     n_traj: int = DEFAULT_N_TRAJ,
     x0_grid=None,
@@ -500,10 +501,13 @@ def bias_variance_split(
     reg: float | None = None,
     refit_period: int | None = None,
     ref_multiplier: int = 10,
+    sign_augmented: bool = False,
     n_workers: int = 1,
 ) -> BiasVarianceReport:
     """Split the learner's excess into approximation and estimation parts.
 
+    The learner reads m filters of length window_len; the bank is built only
+    once the system is known to be linear.
     The reference readout w* is fit by near-unregularized ridge on one long
     run (ref_multiplier times the horizon), so it is the best fixed linear
     readout in feature space; its Gram and moment are summed over blocks of
@@ -515,6 +519,7 @@ def bias_variance_split(
     """
     if not isinstance(system, LdsSpec):
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
+    bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
     grid, horizon = _validate_grid(t_grid, window)

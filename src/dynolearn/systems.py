@@ -197,8 +197,8 @@ class LorenzSpec:
         if not coords or any(c not in LORENZ_COORDS for c in coords):
             raise ContractViolation(f"obs_coords must be a nonempty subset of x,y,z, got {coords}")
         self.obs_coords = coords
-        if self.obs_noise < 0:
-            raise ContractViolation(f"obs_noise must be >= 0, got {self.obs_noise}")
+        if not np.isfinite(self.obs_noise) or self.obs_noise < 0:
+            raise ContractViolation(f"obs_noise must be finite and >= 0, got {self.obs_noise}")
 
     @property
     def d(self) -> int:
@@ -246,10 +246,10 @@ def _lds_noise(spec: LdsSpec, rng: SeededRng, w: np.ndarray, v: np.ndarray) -> N
 
 def _lorenz_noise(spec: LorenzSpec, rng: SeededRng, v: np.ndarray) -> None:
     """Draw one trajectory's observation noise v (H, p)."""
-    if spec.obs_noise > 0:
-        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
-    else:
+    if spec.is_noiseless:
         v[...] = 0.0
+    else:
+        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
 
 
 # ---------------------------------------------------------------------------

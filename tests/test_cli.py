@@ -367,11 +367,10 @@ class TestImport:
         # the w* solve is a numpy Cholesky: biasvar on a ball grid needs no scipy
         code = (
             "import sys\n"
-            "from dynolearn import InitPolicy, LdsSpec, NoiseSpec, bias_variance_split, "
-            "build_filter_bank\n"
+            "from dynolearn import InitPolicy, LdsSpec, NoiseSpec, bias_variance_split\n"
             "spec = LdsSpec(A=[[0.9]], C=[[1.0]], noise=NoiseSpec(stdev_process=0.1,"
             " stdev_obs=0.1), init=InitPolicy(kind='ball_grid'))\n"
-            "rep = bias_variance_split(spec, build_filter_bank(16, 4), (20, 40), n_traj=4)\n"
+            "rep = bias_variance_split(spec, 16, 4, (20, 40), n_traj=4)\n"
             "assert rep.bias.shape == (2,)\n"
             "print('scipy.linalg' in sys.modules)"
         )

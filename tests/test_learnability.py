@@ -461,8 +461,7 @@ class TestAgnosticGap:
 @pytest.fixture(scope="module")
 def biasvar_report():
     spec = _noisy_scalar()
-    bank = build_filter_bank(64, 15)
-    rep = bias_variance_split(spec, bank, t_grid=(100, 200, 400, 800), n_traj=120, master_seed=11)
+    rep = bias_variance_split(spec, 64, 15, t_grid=(100, 200, 400, 800), n_traj=120, master_seed=11)
     return rep, spec
 
 
@@ -481,14 +480,17 @@ class TestBiasVarianceSplit:
     def test_more_filters_cost_variance(self):
         spec = _noisy_scalar()
         grids = dict(t_grid=(150,), n_traj=80, master_seed=13)
-        small = bias_variance_split(spec, build_filter_bank(64, 6), **grids)
-        big = bias_variance_split(spec, build_filter_bank(64, 12), **grids)
+        small = bias_variance_split(spec, 64, 6, **grids)
+        big = bias_variance_split(spec, 64, 12, **grids)
         slack = small.variance_ci_half[0] + big.variance_ci_half[0]
         assert big.variance[0] >= small.variance[0] - slack
 
-    def test_requires_linear_system(self):
+    def test_requires_linear_system(self, monkeypatch):  # and builds no bank first
+        built = []
+        monkeypatch.setattr(learnability, "build_filter_bank", lambda *a, **k: built.append(a))
         with pytest.raises(IncompatiblePairing):
-            bias_variance_split(LorenzSpec(), build_filter_bank(16, 4), t_grid=(10,), n_traj=4)
+            bias_variance_split(LorenzSpec(), 16, 4, t_grid=(10,), n_traj=4)
+        assert built == []
 
     def test_csv(self, tmp_path, biasvar_report):
         rep, _ = biasvar_report
@@ -539,7 +541,7 @@ def _measure(name, system, n_workers=1, x0_grid=None):
     if name == "agnostic":
         baselines = [BaselinePredictor("last_value", obs_dim=p), oracle]
         return agnostic_gap(system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common)
-    return bias_variance_split(system, bank, _TIMES, ref_multiplier=3, **common)
+    return bias_variance_split(system, 8, 3, _TIMES, ref_multiplier=3, **common)
 
 
 def _worst_case(result):

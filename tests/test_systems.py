@@ -361,6 +361,9 @@ class TestLorenz:
             LorenzSpec(obs_coords=())
         with pytest.raises(ContractViolation):
             LorenzSpec(obs_coords=("w",))
+        for bad in (np.nan, np.inf, -0.1):
+            with pytest.raises(ContractViolation, match="obs_noise"):
+                LorenzSpec(obs_noise=bad)
 
 
 def _power_iteration_psd(M, iters=5000):
