@@ -41,7 +41,6 @@ from .spectral import (
     reliable_filter_cap,
     residual_energy,
     trajectory_features,
-    truncate_bank,
 )
 from .systems import (
     InitPolicy,

@@ -393,5 +393,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"harness.horizon must be >= 1, got {h.horizon}")
     if any(e <= 0 or not math.isfinite(e) for e in h.epsilons):
         raise ConfigError("harness.epsilons must be positive and finite")
+    if not (h.epsilon > 0 and math.isfinite(h.epsilon)):
+        raise ConfigError(f"harness.epsilon must be positive and finite, got {h.epsilon}")
     if h.n_traj < 2:
         raise ConfigError(f"harness.n_traj must be >= 2, got {h.n_traj}")

@@ -45,17 +45,12 @@ import numpy as np
 from .errors import ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import (
-    DEFAULT_REFIT_PERIOD,
-    DEFAULT_REG,
-    SpectralPredictor,
-    _EnsembleRidge,
-    _run_filter_sweep,
-)
-from .spectral import _feature_blocks, build_filter_bank, truncate_bank
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _EnsembleRidge, _run_arms
+from .spectral import _bank_columns, _feature_blocks, build_filter_bank
 from .systems import (
     LdsSpec,
     LorenzSpec,
+    _distinct,
     format_float as ff,
     initial_states,
     lds_free_responses,
@@ -222,11 +217,7 @@ def _resolve_states(system, x0_grid) -> list[np.ndarray]:
     states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x0_grid]
     if not states:
         raise ContractViolation("x0_grid must be nonempty")
-    unique: list[np.ndarray] = []
-    for s in states:
-        if not any(np.array_equal(s, t) for t in unique):
-            unique.append(s)
-    return sorted(unique, key=tuple)
+    return sorted(_distinct(states), key=tuple)
 
 
 def _traj_rngs(master: SeededRng, n_traj: int) -> list[SeededRng]:
@@ -412,8 +403,8 @@ def minimal_filter_count(
     table differs only through the filter count.
     """
     ms = sorted(int(m) for m in m_range)
-    if not ms:
-        raise ContractViolation("m_range must be nonempty")
+    if not ms or ms[0] < 1:
+        raise ContractViolation(f"m_range must be nonempty with entries >= 1, got {ms}")
     if not epsilon > 0:
         raise ContractViolation(f"epsilon must be > 0, got {epsilon}")
     grid, horizon = _validate_grid([t_eval], window)
@@ -421,17 +412,15 @@ def minimal_filter_count(
     oracle = oracle if oracle is not None else resolve_oracle(system, "auto")
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
-    bank_max = build_filter_bank(window_len, max(ms), sign_augmented=sign_augmented)
-    sweep = [
-        SpectralPredictor(
-            truncate_bank(bank_max, m), obs_dim=system.p, reg=reg, refit_period=refit_period
-        )
-        for m in ms
-    ]
+    # every filter count reads its columns of the largest bank's convolution
+    bank = build_filter_bank(window_len, ms[-1], sign_augmented=sign_augmented)
+    F = bank.filter_matrix()
+    arms = [(None if m == bank.m else _bank_columns(bank, m, system.p), reg) for m in ms]
 
     def losses(Ys, run):  # the whole m sweep inside each x0 task, on one convolution per block
         # only rows [t_eval, horizon) enter the loss, so only those are kept
-        preds = [run(oracle, t_eval), *_run_filter_sweep(sweep, Ys, t_eval)]
+        preds = [run(oracle, t_eval)]
+        preds += [ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, t_eval)]
         return [_grid_losses(pr, Ys[:, t_eval:], grid - t_eval, window) for pr in preds]
 
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
@@ -532,7 +521,8 @@ def bias_variance_split(
     ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])
     q = bank.feature_count * system.p
     gram, moment = np.zeros((q, q)), np.zeros((q, system.p))
-    for s, e, Z in _feature_blocks(bank, ys_ref, _REF_BLOCK):  # Z[0, t - s]: features before y_t
+    F = bank.filter_matrix()
+    for s, e, Z in _feature_blocks(F, ys_ref, _REF_BLOCK):  # Z[0, t - s]: features before y_t
         gram += Z[0].T @ Z[0]
         moment += Z[0].T @ ys_ref[0, s:e]
     tiny = 1e-8 * float(np.trace(gram)) / q
@@ -542,7 +532,7 @@ def bias_variance_split(
     def losses(Ys, run):  # the w*-readout and the online learner read one convolution per block
         learner = _EnsembleRidge(Ys, q, reg, refit_period)
         preds_star = np.empty_like(Ys)
-        for s, e, Z in _feature_blocks(bank, Ys, refit_period):
+        for s, e, Z in _feature_blocks(F, Ys, refit_period):
             preds_star[:, s:e] = Z @ w_star
             learner.feed(s, e, Z)
         return [

@@ -1,10 +1,13 @@
 """Reference predictors that excess risk is measured against.
 
 `KalmanPredictor` is the conditional-mean predictor for a Gaussian linear
-system and serves as the optimal baseline.  `KernelOracle` is the unrolled
-convolution with coefficients beta_k = C A^{k-1} C^T, exact for noiseless
-observations and used as the realizability reference for the spectral
-learner.  `TruthOracle` emits the realized next observation, whose loss is
+system and serves as the optimal baseline.  `KernelOracle` convolves the
+past observations with beta_k = C A^(k-1) C^T, which is not the optimal
+predictor even of a noiseless system: on a = 0.5 from x0 = 1, observations
+1, 0.5, 0.25, 0.125, it predicts 0, 1, 1, 0.75 where the Kalman predictor
+gives 0, 0.5, 0.25, 0.125.  Building it from the Kalman predictor's own
+convolution is an open ROADMAP item ("The kernel oracle predicts the wrong
+thing").  `TruthOracle` emits the realized next observation, whose loss is
 zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
@@ -51,7 +54,7 @@ class KalmanPredictor:
     label = "kalman"
     linear = True  # see the module docstring
 
-    def __init__(self, spec: LdsSpec, init_cov: np.ndarray | float | None = None):
+    def __init__(self, spec: LdsSpec):
         if not isinstance(spec, LdsSpec):
             raise IncompatiblePairing(
                 f"Kalman prediction requires a linear system spec, got {type(spec).__name__}"
@@ -63,24 +66,10 @@ class KalmanPredictor:
         self.R = spec.obs_cov()
         self.d = spec.d
         self.p = spec.p
-        if init_cov is None:
-            if spec.init.kind == "stationary":
-                self.P0 = stationary_state_covariance(spec)
-            else:
-                self.P0 = spec.init.covariance_scale() * np.eye(self.d)
-        elif np.isscalar(init_cov):
-            self.P0 = float(init_cov) * np.eye(self.d)
+        if spec.init.kind == "stationary":
+            self.P0 = stationary_state_covariance(spec)
         else:
-            P0 = np.asarray(init_cov, dtype=float)
-            if (
-                P0.shape != (self.d, self.d)
-                or not np.isfinite(P0).all()
-                or float(np.abs(P0 - P0.T).max()) > 1e-9
-            ):
-                raise ContractViolation(
-                    f"init_cov must be a finite symmetric ({self.d}, {self.d}) matrix"
-                )
-            self.P0 = P0
+            self.P0 = spec.init.covariance_scale() * np.eye(self.d)
         self.regularized_steps = 0
         self._schedule_cache: dict[int, tuple] = {}
         self._schedule_lock = threading.Lock()
@@ -157,8 +146,11 @@ def default_kernel_truncation(spec: LdsSpec, tail: float = 1e-8, cap: int = 10_0
 
 
 class KernelOracle:
-    """Truncated convolution predictor y' = sum_k beta_k y_{t+1-k},
-    beta_k = C A^{k-1} C^T."""
+    """Truncated convolution predictor y_hat_t = sum_{k=1..K} beta_k y_{t-k},
+    beta_k = C A^(k-1) C^T.
+
+    Not the conditional mean, even without noise (see the module docstring).
+    """
 
     label = "kernel"
     linear = True  # see the module docstring

@@ -11,16 +11,17 @@ with q the feature dimension.  Early fits (where windowed features are
 heavily collinear) are strongly damped while the relative shrinkage
 vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
 
-`run_ensemble` drives every trajectory of an (n, H, p) ensemble through a
-blocked engine, one refit period at a time.  A block kernel
-(`spectral._feature_blocks` for the filter convolution, `_lag_blocks` for AR
-lags) writes the block's features from its own observations and the
-window - 1 before it into buffers allocated once per call; `_EnsembleRidge`
-predicts the block, adds it to the per-trajectory Gram and moment, and
-refits.  No (n, H, q) feature tensor is built: besides the (n, H, p)
-predictions, the working set is O(n * (q^2 + window * p)) for a fixed refit
-period, whatever H is.  `_run_filter_sweep` runs several filter counts of one
-bank on one convolution per block.
+`run_ensemble` drives every trajectory of an (n, H, p) ensemble through one
+blocked engine, one refit period at a time.  The block kernel
+`spectral._feature_blocks` convolves the block's observations and the
+window - 1 before it with a filter matrix: the bank's filters for the
+spectral learner, the k x k identity for AR(k), whose features are then the
+last k observations.  `_run_arms` feeds each block to one `_EnsembleRidge`
+per arm, which predicts the block, adds it to the per-trajectory Gram and
+moment, and refits; arms that read different columns of one convolution (the
+filter counts of m*) share it.  No (n, H, q) feature tensor is built: besides
+the (n, H, p) predictions, the working set is O(n * (q^2 + window * p)) for
+a fixed refit period, whatever H is.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, SingularSystem
-from .spectral import FilterBank, _feature_blocks, _history
+from .spectral import FilterBank, _feature_blocks
 
 DEFAULT_REG = 2.0
 DEFAULT_REFIT_PERIOD = 16
@@ -100,61 +101,25 @@ def _check_ensemble(Ys, obs_dim: int) -> np.ndarray:
     return Ys
 
 
-def _run_streaming_ridge(blocks, Ys: np.ndarray, q: int, reg: float, refit_period: int):
-    """Predictions (n, H, p) of the streaming ridge on Ys, with features from
-    `blocks`, and each trajectory's final readout (n, q, p).
+def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, keep_from: int = 0):
+    """The streaming ridge of each arm on Ys, from one convolution of Ys by
+    the filter matrix F per refit block; returns one `_EnsembleRidge` per arm.
 
-    `blocks` is a block kernel (`_feature_blocks`, `_lag_blocks`) over Ys with
-    block size `refit_period`; only one block of q features is alive at a time.
+    An arm is (cols, reg): its features are columns `cols` of each block's
+    features, or all of them when cols is None.  Each ridge keeps its
+    predictions of rows keep_from..H-1.  Only one block of features is alive
+    at a time.
     """
-    ridge = _EnsembleRidge(Ys, q, reg, refit_period)
-    for s, e, Z in blocks:
-        ridge.feed(s, e, Z)
-    return ridge.preds, ridge.w
-
-
-def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:
-    """Columns of `bank`'s features that are the features of its first m filters."""
-    cols = np.arange(m)
-    if bank.sign_augmented:
-        cols = np.concatenate([cols, bank.m + cols])
-    return (bank.feature_count * np.arange(p)[:, None] + cols).ravel()
-
-
-def _run_filter_sweep(predictors, Ys: np.ndarray, keep_from: int = 0) -> list[np.ndarray]:
-    """`run_ensemble(Ys)[:, keep_from:]` of spectral predictors whose banks are
-    prefixes of one bank.
-
-    One convolution per block, by the largest bank, serves every predictor:
-    each reads its own columns of that block.  A column's last bits can differ
-    from those of the predictor's own, narrower, convolution.  Only the kept
-    rows of each predictor's predictions are stored.
-    """
-    big = max(predictors, key=lambda pr: pr.bank.m)
-    for pr in predictors:
-        b = pr.bank
-        if (
-            b.window != big.bank.window
-            or b.sign_augmented != big.bank.sign_augmented
-            or (pr.obs_dim, pr.refit_period) != (big.obs_dim, big.refit_period)
-            or not np.array_equal(b.phis, big.bank.phis[:, : b.m])
-        ):
-            raise ContractViolation(
-                "a filter sweep needs prefixes of one bank, one obs_dim and one refit period"
-            )
-    Ys = _check_ensemble(Ys, big.obs_dim)
     n, _, p = Ys.shape
-    arms = []
-    for pr in predictors:
-        q = pr.bank.feature_count * p
-        ridge = _EnsembleRidge(Ys, q, pr.reg, pr.refit_period, keep_from)
-        cols = None if pr.bank.m == big.bank.m else _bank_columns(big.bank, pr.bank.m, p)
-        buf = None if cols is None else np.empty((n, pr.refit_period, q))
-        arms.append((ridge, cols, buf))
-    for s, e, Z in _feature_blocks(big.bank, Ys, big.refit_period):
-        for ridge, cols, buf in arms:
+    runs = []
+    for cols, reg in arms:
+        q = F.shape[1] * p if cols is None else len(cols)
+        ridge = _EnsembleRidge(Ys, q, reg, refit_period, keep_from)
+        runs.append((ridge, cols, None if cols is None else np.empty((n, refit_period, q))))
+    for s, e, Z in _feature_blocks(F, Ys, refit_period):
+        for ridge, cols, buf in runs:
             ridge.feed(s, e, Z if cols is None else np.take(Z, cols, axis=2, out=buf[:, : e - s]))
-    return [ridge.preds for ridge, _, _ in arms]
+    return [ridge for ridge, _, _ in runs]
 
 
 class SpectralPredictor:
@@ -196,36 +161,15 @@ class SpectralPredictor:
         """`run_ensemble(Ys)` and each trajectory's readout (n, q, p) after its
         last refit: the prediction from features z is z @ readout."""
         Ys = _check_ensemble(Ys, self.obs_dim)
-        q = self.bank.feature_count * self.obs_dim
-        blocks = _feature_blocks(self.bank, Ys, self.refit_period)
-        return _run_streaming_ridge(blocks, Ys, q, self.reg, self.refit_period)
-
-
-def _lag_blocks(k: int, Ys: np.ndarray, block: int):
-    """Shifted lag features of an (n, H, p) ensemble, one block of rows at a time.
-
-    Yields (s, e, Z) like `spectral._feature_blocks`: row t - s of Z[i] holds
-    Ys[i, t-1], ..., Ys[i, t-k], newest first, zero before row 0, flattened
-    lag-major.  A block reads Ys rows [s - k, e - 1) only, into buffers that
-    live as long as the generator.
-    """
-    n, H, p = Ys.shape
-    hist = np.empty((n, k - 1 + block, p))
-    lags = np.empty((n, block, k, p))
-    for s in range(0, H, block):
-        e = min(s + block, H)
-        L = e - s
-        ys = _history(Ys, s - k, e - 1, hist)  # row r: observation s - k + r
-        for j in range(k):
-            lags[:, :L, j] = ys[:, k - 1 - j : k - 1 - j + L]
-        yield s, e, lags[:, :L].reshape(n, L, k * p)
+        (ridge,) = _run_arms(self.bank.filter_matrix(), Ys, [(None, self.reg)], self.refit_period)
+        return ridge.preds, ridge.w
 
 
 class BaselinePredictor:
     """Comparator-class predictors: zero, last value, or order-k autoregression.
 
-    The autoregressive variant shares the streaming ridge discipline of the
-    spectral learner, with raw lag vectors as features.
+    The autoregressive variant is the spectral learner's engine with the
+    k x k identity as its filters: its features are the last k observations.
     """
 
     def __init__(
@@ -256,8 +200,6 @@ class BaselinePredictor:
             preds = np.zeros_like(Ys)
             preds[:, 1:] = Ys[:, : H - 1]
             return preds
-        blocks = _lag_blocks(self.order, Ys, self.refit_period)
-        return _run_streaming_ridge(
-            blocks, Ys, self.order * self.obs_dim, self.reg, self.refit_period
-        )[0]
+        (ridge,) = _run_arms(np.eye(self.order), Ys, [(None, self.reg)], self.refit_period)
+        return ridge.preds
 

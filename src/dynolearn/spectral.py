@@ -8,10 +8,13 @@ the optional sign-augmented variant extends coverage to a in [-1, 0).
 
 Features need only the last `window` observations.  `trajectory_features`
 convolves a whole trajectory at once; the learners use the block kernel
-`_feature_blocks`, which convolves an ensemble one block of rows at a time
-from the block's observations and the window - 1 before it, so its working
-set, O(n * block * p * (window + feature_count)), does not grow with the
-horizon.
+`_feature_blocks`, which convolves an ensemble with a (window, f) filter
+matrix one block of rows at a time, from the block's observations and the
+window - 1 before it, so its working set, O(n * block * p * (window + f)),
+does not grow with the horizon.  Every learner runs on it: the spectral
+learner with `FilterBank.filter_matrix()`, AR(k) with the k x k identity,
+whose features are the last k observations.  Features are laid out
+coordinate-major (`_bank_columns`).
 """
 
 from __future__ import annotations
@@ -132,20 +135,6 @@ def build_filter_bank(window: int, m: int, sign_augmented: bool = False) -> Filt
     )
 
 
-def truncate_bank(bank: FilterBank, m: int) -> FilterBank:
-    """The sub-bank of the first m filters (same window, same spectrum prefix)."""
-    if not 1 <= m <= bank.m:
-        raise ContractViolation(f"cannot truncate bank of {bank.m} filters to m={m}")
-    return FilterBank(
-        window=bank.window,
-        m=m,
-        phis=bank.phis[:, :m],
-        mus=bank.mus[:m],
-        sign_augmented=bank.sign_augmented,
-        reliable_m=min(m, bank.reliable_m),
-    )
-
-
 def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
     """Features for every step of a trajectory, row t ending at observation t.
 
@@ -169,33 +158,27 @@ def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
     return out.reshape(H, p * F.shape[1])
 
 
-def _history(Ys: np.ndarray, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-    """Rows [start, stop) of every trajectory of an (n, H, p) ensemble, zero
-    before row 0, copied into the front of `buf` (n, >= stop - start, p)."""
-    out = buf[:, : stop - start]
-    pad = min(max(-start, 0), stop - start)
-    out[:, :pad] = 0.0
-    out[:, pad:] = Ys[:, start + pad : stop]
-    return out
+def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
+    """Shifted features of an (n, H, p) ensemble by the (window, f) filter
+    matrix F, one block of rows at a time.
 
-
-def _feature_blocks(bank: FilterBank, Ys: np.ndarray, block: int):
-    """Shifted features of an (n, H, p) ensemble, one block of rows at a time.
-
-    Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] is the
-    last `trajectory_features` row of Ys[i, :t] (zero for t = 0), the input of
-    a predictor about to see Ys[i, t].  A block reads Ys rows [s - window + 1, e)
-    only; Z is a view into a buffer the next block overwrites, so the working
-    set is O(n * block * p * (window + feature_count)) whatever H is.
+    Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] holds,
+    for each coordinate c, F.T applied to Ys[i, t-1, c], ..., Ys[i, t-window, c]
+    (newest first, zero before row 0), as columns c * f .. c * f + f - 1: the
+    last `trajectory_features` row of Ys[i, :t] for a bank's filter matrix,
+    the input of a predictor about to see Ys[i, t].  A block reads Ys rows
+    [s - window + 1, e) only; Z is a view into a buffer the next block
+    overwrites, so the working set is O(n * block * p * (window + f)) whatever
+    H is.
 
     Each block computes `trajectory_features` rows [s, e) with one matmul and
     carries its last row into the next block, so its row groups line up with
     those of the whole-trajectory product.  Measured with OpenBLAS, the bits
     agree when `block` is a multiple of 4 and there is more than one filter
-    column; otherwise rows differ at rounding level.
+    column; otherwise rows differ at rounding level.  Products with an
+    identity F are exact whatever the block.
     """
     n, H, p = Ys.shape
-    F = bank.filter_matrix()
     window, f = F.shape
     Fflip = F[::-1].copy()  # windows below are oldest-first
     hist = np.empty((n, window - 1 + block, p))
@@ -204,12 +187,23 @@ def _feature_blocks(bank: FilterBank, Ys: np.ndarray, block: int):
     for s in range(0, H, block):
         e = min(s + block, H)
         L = e - s
-        ys = _history(Ys, s - window + 1, e, hist)
+        pad = max(window - 1 - s, 0)  # history rows before row 0
+        ys = hist[:, : L + window - 1]
+        ys[:, :pad] = 0.0
+        ys[:, pad:] = Ys[:, s - window + 1 + pad : e]
         view = np.lib.stride_tricks.sliding_window_view(ys, window, axis=1)  # (n, L, p, window)
         np.copyto(windows[:, :, :L], view.transpose(0, 2, 1, 3))
         np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
         yield s, e, rows[:, :L].reshape(n, L, p * f)
         rows[:, 0] = rows[:, L]
+
+
+def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:
+    """Columns of `bank`'s features that are the features of its first m filters."""
+    cols = np.arange(m)
+    if bank.sign_augmented:
+        cols = np.concatenate([cols, bank.m + cols])
+    return (bank.feature_count * np.arange(p)[:, None] + cols).ravel()
 
 
 def residual_energy(bank: FilterBank, lam: float) -> float:

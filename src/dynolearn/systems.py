@@ -514,14 +514,18 @@ def _stationary_states(system, points: int) -> list[np.ndarray]:
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 
 
-def initial_states(system) -> list[np.ndarray]:
-    """Initial-state grid of a system spec, with exact duplicates removed."""
-    states = system.init.states(system.d, system)
+def _distinct(states) -> list[np.ndarray]:
+    """`states` without exact duplicates, each kept at its first occurrence."""
     seen: list[np.ndarray] = []
     for s in states:
         if not any(np.array_equal(s, t) for t in seen):
             seen.append(s)
     return seen
+
+
+def initial_states(system) -> list[np.ndarray]:
+    """Initial-state grid of a system spec, with exact duplicates removed."""
+    return _distinct(system.init.states(system.d, system))
 
 
 def simulate_ensemble(

@@ -168,7 +168,7 @@ def test_c05_kalman_validation():
     # closed-form scalar steady state
     a, q, r = 0.9, 0.01, 0.01
     spec1 = _c5_system(1)
-    kal1 = dl.KalmanPredictor(spec1, init_cov=1.0)
+    kal1 = dl.KalmanPredictor(spec1)  # x0 = 1 gives P0 = 1
     _, _, Ps = kal1.gain_schedule(1001)
     b = r - q - a * a * r
     p_star = (-b + math.sqrt(b * b + 4 * q * r)) / 2.0

@@ -264,6 +264,22 @@ class TestRiskPipeline:
         summary = (workdir / "ms" / "mstar.csv").read_text().splitlines()
         assert summary[0] == "epsilon,t_eval,m_star"
 
+    @pytest.mark.parametrize(
+        "override, code, error",
+        [
+            ("harness.epsilon=inf", 1, "config"),  # checked with the config, as epsilons is
+            ("harness.epsilon=nan", 1, "config"),
+            ("harness.m_range=0,2", 2, "contract_violation"),
+        ],
+    )
+    def test_mstar_rejects_bad_target(self, override, code, error, tmp_path):
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        args = ["mstar", "-c", str(cfg), "--out", "o", override, "harness.n_traj=4"]
+        res = run_cli(args, tmp_path)
+        assert res.returncode == code, res.stderr
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == error
+        assert not (tmp_path / "o" / "mstar.csv").exists()
+
     def test_agnostic_runs(self, workdir):
         res = run_cli(
             ["agnostic", "-c", "risk.cfg", "--out", "ag", "harness.baselines=zero,ar1"],

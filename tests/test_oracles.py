@@ -48,7 +48,7 @@ class TestKalman:
             noise=NoiseSpec(stdev_process=0.5, stdev_obs=0.0),
             init=InitPolicy(kind="fixed", x0=(1.0, 1.0)),
         )
-        kal = KalmanPredictor(spec, init_cov=1.0)
+        kal = KalmanPredictor(spec)
         y = np.array([0.3, -0.7])
         preds = _run(kal, np.stack([y, np.zeros(2)]))
         np.testing.assert_allclose(preds[1], A @ y, atol=1e-12)
@@ -65,7 +65,7 @@ class TestKalman:
     def test_scalar_riccati_steady_state(self):
         a, c, q, r = 0.9, 1.0, 0.01, 0.01
         spec = _spec(a, c, q, r)
-        kal = KalmanPredictor(spec, init_cov=1.0)
+        kal = KalmanPredictor(spec)
         _, _, Ps = kal.gain_schedule(1001)
         # positive root of p = a^2 p r / (p + r) + q, solved in closed form
         bcoef = r - q - a * a * r
@@ -116,7 +116,7 @@ class TestKalman:
             noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
-        kal = KalmanPredictor(spec, init_cov=0.0)  # P = 0 and R = 0: singular S
+        kal = KalmanPredictor(spec)  # x0 = 0 gives P0 = 0, and R = 0: singular S
         preds = _run(kal, np.ones((5, 1)))
         assert kal.regularized_steps == 5  # every singular innovation was flagged
         assert np.isfinite(preds).all()
@@ -148,7 +148,7 @@ class TestKalman:
 
     def test_step_from_explicit_state(self):
         spec = _spec(a=0.5)  # q = r = 0.01
-        kal = KalmanPredictor(spec, init_cov=np.eye(1))
+        kal = KalmanPredictor(spec)  # x0 = 1 gives P0 = 1
         F, G, Ps = kal.gain_schedule(2)
         preds = _run(kal, np.array([[1.0], [0.0]]))
         # scalar update from P = 1: gain 1/1.01, posterior variance 0.01/1.01,
@@ -157,22 +157,6 @@ class TestKalman:
         assert F[0, 0, 0] == pytest.approx(0.5 * 0.01 / 1.01, rel=1e-12)
         assert preds[1, 0] == pytest.approx(0.5 / 1.01, rel=1e-12)
         assert Ps[1, 0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
-
-    def test_rejects_bad_init_cov(self):
-        spec = LdsSpec(
-            A=[[0.5, 0.0], [0.0, 0.4]],
-            C=[[1.0, 1.0]],
-            noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
-            init=InitPolicy(kind="fixed", x0=(0.0, 0.0)),
-        )
-        bad = (np.eye(3), [[1.0, 0.5], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]])
-        for cov in bad:
-            with pytest.raises(ContractViolation, match="init_cov"):
-                KalmanPredictor(spec, init_cov=cov)
-        with pytest.raises(ContractViolation, match="init_cov"):
-            KalmanPredictor(_spec(a=0.5), init_cov=np.eye(3))  # (3, 3) for d = 1
-        ok = KalmanPredictor(spec, init_cov=2 * np.eye(2))
-        np.testing.assert_array_equal(ok.P0, 2 * np.eye(2))
 
     def test_requires_linear_system(self):
         with pytest.raises(IncompatiblePairing):

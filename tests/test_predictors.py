@@ -22,8 +22,8 @@ from conftest import (
     streaming_ridge_reference,
     window_features,
 )
-from dynolearn.predictors import _bank_columns, _effective_ridge, _lag_blocks, _run_filter_sweep
-from dynolearn.spectral import _feature_blocks, reliable_filter_cap, truncate_bank
+from dynolearn.predictors import _effective_ridge, _run_arms
+from dynolearn.spectral import _bank_columns, _feature_blocks, reliable_filter_cap
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +211,19 @@ class TestBaselines:
         np.testing.assert_allclose(preds[112:, 0], Z[112:] @ w, atol=1e-9)
 
     def test_ar_blocked_matches_per_step(self, scalar_spec):
-        ys, _ = lds_reference(scalar_spec, 150, [1.0], 4)
-        fast = BaselinePredictor("ar", order=4).run_ensemble(ys[None])[0, :, 0]
-        slow = stream_predictions(BaselinePredictor("ar", order=4), ys)[:, 0]
-        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
+        # at p = 3 the engine's features are coordinate-major and the per-step
+        # reference's lag-major: the same readout, solved on a permuted Gram
+        three = LdsSpec(
+            A=np.diag([0.9, 0.5, -0.3]),
+            C=np.eye(3),
+            noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+            init=InitPolicy(kind="fixed", x0=(1.0, -1.0, 0.5)),
+        )
+        for spec, x0 in ((scalar_spec, [1.0]), (three, [1.0, -1.0, 0.5])):
+            ys, _ = lds_reference(spec, 150, x0, 4)
+            pred = BaselinePredictor("ar", order=4, obs_dim=spec.p)
+            fast = pred.run_ensemble(ys[None])[0]
+            np.testing.assert_allclose(fast, stream_predictions(pred, ys), rtol=1e-9, atol=1e-12)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ContractViolation):
@@ -227,6 +236,13 @@ class TestBaselines:
         ys = g.standard_normal(20)
         preds = BaselinePredictor("last_value").run_ensemble(ys[None, :, None])[0, :, 0]
         np.testing.assert_array_equal(preds[1:], ys[:-1])
+
+
+def _coordinate_major(Z, k):
+    """Lag-major (n, H, k * p) lag features reordered into the filter layout,
+    coordinate-major (n, H, p * k)."""
+    n, H, kp = Z.shape
+    return Z.reshape(n, H, k, kp // k).transpose(0, 1, 3, 2).reshape(n, H, kp)
 
 
 class TestKernels:
@@ -249,13 +265,16 @@ class TestKernels:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_shifted_lags_bitwise_equal_to_shifted_lag_rows(self, n, H, p, k, block, seed):
-        # both the blocked lags and the whole-tensor reference
+        # the identity filters' blocks, reordered lag-major, and the
+        # whole-tensor reference: products with the identity are exact
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         Zfull = np.stack([self._lag_matrix(Ys[i], k) for i in range(n)])
         expected = np.concatenate([np.zeros((n, 1, k * p)), Zfull[:, : H - 1]], axis=1)
-        got = np.concatenate([Z.copy() for _, _, Z in _lag_blocks(k, Ys, block)], axis=1)
+        blocks = _feature_blocks(np.eye(k), Ys, block)
+        got = np.concatenate([Z.copy() for _, _, Z in blocks], axis=1)
         assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        lag_major = got.reshape(n, H, p, k).transpose(0, 1, 3, 2).reshape(n, H, k * p)
+        assert lag_major.tobytes() == expected.tobytes()
         assert shifted_lags_reference(Ys, k).tobytes() == expected.tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -325,8 +344,9 @@ class TestBlockedEngine:
     def test_ar_matches_reference(self, n, H, p, order, refit_period, reg, seed):
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         got = BaselinePredictor("ar", order, p, reg, refit_period).run_ensemble(Ys)
-        want = streaming_ridge_reference(shifted_lags_reference(Ys, order), Ys, reg, refit_period)
-        assert got.tobytes() == want.tobytes()  # the lags are copies: the same arithmetic
+        Z = _coordinate_major(shifted_lags_reference(Ys, order), order)
+        want = streaming_ridge_reference(Z, Ys, reg, refit_period)
+        assert got.tobytes() == want.tobytes()  # exact features in one layout: the same arithmetic
 
     @pytest.mark.parametrize(
         "kind, window_or_order, m, p, H",
@@ -353,32 +373,30 @@ class TestBlockedEngine:
     def test_sweep_columns_equal_each_arms_own_features(self, p, sign_augmented):
         big = build_filter_bank(32, 13, sign_augmented=sign_augmented)
         Ys = np.random.default_rng(p).standard_normal((3, 200, p))
-        shared = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(big, Ys, 16)], axis=1)
+        F = big.filter_matrix()
+        shared = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(F, Ys, 16)], axis=1)
         for m in (1, 2, 5, 12, 13):
-            own = np.concatenate(
-                [Z.copy() for _, _, Z in _feature_blocks(truncate_bank(big, m), Ys, 16)], axis=1
-            )
+            own_F = build_filter_bank(32, m, sign_augmented=sign_augmented).filter_matrix()
+            own = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(own_F, Ys, 16)], axis=1)
             np.testing.assert_allclose(
                 shared[:, :, _bank_columns(big, m, p)], own, rtol=1e-12, atol=1e-13
             )
 
     def test_sweep_matches_each_predictor_run_alone(self, scalar_spec):
+        # m*'s arms: each filter count as columns of the largest bank
         big = build_filter_bank(100, 15)
-        sweep = [SpectralPredictor(truncate_bank(big, m)) for m in (1, 4, 10, 15)]
+        ms, regs = (1, 4, 10, 15), (2.0, 0.5, 2.0, 1.0)
+        arms = [(None if m == big.m else _bank_columns(big, m, 1), reg) for m, reg in zip(ms, regs)]
         Ys = simulate_lds_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
-        got = _run_filter_sweep(sweep, Ys)
-        for preds, kept in zip(got, _run_filter_sweep(sweep, Ys, keep_from=150)):
-            assert kept.tobytes() == preds[:, 150:].tobytes()
-        for pr, preds in zip(sweep, got):
-            alone = pr.run_ensemble(Ys)
-            if pr.bank.m == big.m:  # the largest arm reads the convolution it would run alone
+        got = [ridge.preds for ridge in _run_arms(big.filter_matrix(), Ys, arms, 16)]
+        kept = _run_arms(big.filter_matrix(), Ys, arms, 16, keep_from=150)
+        for preds, ridge in zip(got, kept):
+            assert ridge.preds.tobytes() == preds[:, 150:].tobytes()
+        for m, reg, preds in zip(ms, regs, got):
+            alone = SpectralPredictor(build_filter_bank(100, m), reg=reg).run_ensemble(Ys)
+            if m == big.m:  # the largest arm reads the convolution it would run alone
                 assert preds.tobytes() == alone.tobytes()
             np.testing.assert_allclose(preds, alone, rtol=1e-9, atol=1e-12)
-
-    def test_sweep_rejects_banks_that_are_not_prefixes(self):
-        sweep = [SpectralPredictor(build_filter_bank(w, 4)) for w in (32, 30)]
-        with pytest.raises(ContractViolation):
-            _run_filter_sweep(sweep, np.zeros((1, 20, 1)))
 
     def test_memory_flat_in_horizon(self):
         # lorenz-long's learner shape; the (n, H, p) observations and

@@ -13,7 +13,6 @@ from dynolearn import (
     residual_energy,
     sym_eig,
     trajectory_features,
-    truncate_bank,
 )
 from conftest import shifted_features_reference, window_features
 from dynolearn.spectral import _feature_blocks, positive_filter_limit
@@ -88,13 +87,12 @@ class TestFilterBank:
         assert (bank.mus > 0).all()
         assert (np.diff(bank.mus) < 0).all()
 
-    def test_truncate(self):
+    def test_smaller_bank_is_prefix(self):
+        # m* reads each filter count as the first columns of the largest bank
         bank = build_filter_bank(32, 8)
-        sub = truncate_bank(bank, 3)
+        sub = build_filter_bank(32, 3)
         np.testing.assert_array_equal(sub.phis, bank.phis[:, :3])
         np.testing.assert_array_equal(sub.mus, bank.mus[:3])
-        with pytest.raises(ContractViolation):
-            truncate_bank(bank, 9)
 
     def test_sign_augmented_filters(self):
         bank = build_filter_bank(16, 4, sign_augmented=True)
@@ -117,7 +115,7 @@ class TestFeatures:
         bank = build_filter_bank(16, 5)
         np.testing.assert_array_equal(trajectory_features(bank, np.zeros(16)), np.zeros((16, 5)))
         # before the first observation the learners' features are zero
-        _, _, Z = next(_feature_blocks(bank, np.ones((2, 16, 1)), 16))
+        _, _, Z = next(_feature_blocks(bank.filter_matrix(), np.ones((2, 16, 1)), 16))
         np.testing.assert_array_equal(Z[:, 0], np.zeros((2, 5)))
 
     def test_impulse_reads_first_filter_row(self):
@@ -171,11 +169,10 @@ class TestResidualEnergy:
             assert residual_energy(bank, lam) <= 1e-9
 
     def test_monotone_in_filter_count(self):
-        big = build_filter_bank(40, 10)
         grid = np.linspace(0, 0.99, 34)
         prev = None
         for m in range(2, 11):
-            bank = truncate_bank(big, m)
+            bank = build_filter_bank(40, m)
             vals = np.array([residual_energy(bank, lam) for lam in grid])
             if prev is not None:
                 assert (vals <= prev + 1e-12).all()
@@ -227,7 +224,7 @@ class TestFeatureBlocks:
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         expected = shifted_features_reference(bank, Ys)
         starts, got = [], []
-        for s, e, Z in _feature_blocks(bank, Ys, block):
+        for s, e, Z in _feature_blocks(bank.filter_matrix(), Ys, block):
             assert Z.shape == (n, e - s, bank.feature_count * p)
             starts.append(s)
             got.append(Z.copy())  # the next block overwrites Z
