@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two dynolearn source trees write byte-identical CSVs.
+"""Check that two dynolearn source trees write byte-identical outputs.
 
     python3 scripts/check_bytes.py OLD_SRC NEW_SRC [-j N] [--keep DIR]
 
@@ -12,15 +12,19 @@ mstar, agnostic, biasvar) runs on every `configs/*.cfg` and
 thread.  `filters` takes its window and filter count from the config's
 [predictor] section.  The configs are only read.
 
-Each line of the report names a (config, subcommand) pair and either `same`,
-the CSVs whose bytes differ, or differing exit codes.  For a CSV written by
-both trees with the same shape, the line says how far it moved: how many
-cells differ, the largest relative difference over numeric cells, and
-whether any non-numeric cell (such as m*'s `achieved`) changed.  A
-subcommand that fails with the same exit code and the same CSVs under both
-trees counts as the same.  Each line also gives both trees' wall time and peak RSS for that
-run (the child's `ru_maxrss`, from `os.wait4`), and the last lines total the
-wall time per tree.  Exit status: 0 when nothing differs, 1 otherwise.
+Each run's CSVs, `resolved.cfg` and `manifest.txt` are compared byte for
+byte; the last two are where a drift of the config codec shows (the manifest
+holds the config digest).  Each line of the report names a (config,
+subcommand) pair and either `same`, the files whose bytes differ, or
+differing exit codes.  For a CSV written by both trees with the same shape,
+the line says how far it moved: how many cells differ, the largest relative
+difference over numeric cells, and whether any non-numeric cell (such as
+m*'s `achieved`) changed; a differing `resolved.cfg` or `manifest.txt` is
+reported as `differs`.  A subcommand that fails with the same exit code and
+the same files under both trees counts as the same.  Each line also gives
+both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
+from `os.wait4`), and the last lines total the wall time per tree.  Exit
+status: 0 when nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ CONFIG_DIRS = (ROOT / "configs", ROOT / "perfbench" / "configs")
 SUBCOMMANDS = ("simulate", "filters", "risk", "burnin", "mstar", "agnostic", "biasvar")
 # the CLI's defaults when a config has no [predictor] window / m
 DEFAULT_WINDOW, DEFAULT_M = 100, 15
+# compared byte for byte besides the CSVs; `filters` writes neither
+RECORDS = ("resolved.cfg", "manifest.txt")
 
 
 def child_env(src: Path) -> dict[str, str]:
@@ -65,13 +71,13 @@ def command_args(subcommand: str, config: Path, out: Path, jobs: int) -> list[st
 @dataclass(frozen=True)
 class Run:
     code: int
-    csv: dict[str, str]  # csv name -> contents
+    files: dict[str, str]  # CSV or record name -> contents
     wall_s: float
     peak_rss_mib: float
 
 
 def run(src: Path, args: list[str], out: Path) -> Run:
-    """Exit code, CSV digests, wall time and peak RSS of one CLI run writing into `out`."""
+    """Exit code, output files, wall time and peak RSS of one CLI run writing into `out`."""
     out.mkdir(parents=True)
     with open(out / "stderr.log", "w") as stderr:
         t0 = time.perf_counter()
@@ -85,8 +91,9 @@ def run(src: Path, args: list[str], out: Path) -> Run:
         _, status, usage = os.wait4(proc.pid, 0)
         wall_s = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    csvs = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))}
-    return Run(proc.returncode, csvs, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
+    paths = [*sorted(out.glob("*.csv")), *(out / name for name in RECORDS)]
+    files = {p.name: p.read_text() for p in paths if p.is_file()}
+    return Run(proc.returncode, files, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
 
 
 def _relative(a: float, b: float) -> float:
@@ -122,14 +129,17 @@ def compare(old: Run, new: Run) -> str:
     problems = []
     if old.code != new.code:
         problems.append(f"exit old={old.code} new={new.code}")
-    for name in sorted(set(old.csv) | set(new.csv)):
-        if old.csv.get(name) == new.csv.get(name):
+    for name in sorted(set(old.files) | set(new.files)):
+        if old.files.get(name) == new.files.get(name):
             continue
-        if name in old.csv and name in new.csv:
-            problems.append(f"{name} differs ({drift(old.csv[name], new.csv[name])})")
-        else:
+        if name not in old.files or name not in new.files:
             problems.append(f"{name} differs (written by one tree only)")
-    verdict = "; ".join(problems) if problems else f"same (exit {new.code}, {len(new.csv)} csv)"
+        elif name in RECORDS:
+            problems.append(f"{name} differs")
+        else:
+            problems.append(f"{name} differs ({drift(old.files[name], new.files[name])})")
+    same = f"same (exit {new.code}, {len(new.files)} files)"
+    verdict = "; ".join(problems) if problems else same
     cost = ", ".join(
         f"{tag} {r.wall_s:.2f} s {r.peak_rss_mib:.1f} MiB" for tag, r in (("old", old), ("new", new))
     )

@@ -40,7 +40,9 @@ from .learnability import (
 )
 from .numerics import SeededRng
 from .spectral import build_filter_bank, reliable_filter_cap
-from .systems import format_float, initial_states, simulate_ensemble, write_trajectory_csv
+from .systems import (
+    _write_table, format_float, initial_states, simulate_ensemble, write_trajectory_csv
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,8 +64,7 @@ def _threads(flag: int | None) -> int:
 def _prepare_out(cfg: ExperimentConfig, subcommand: str, out_flag: str | None) -> Path:
     out = Path(out_flag or cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = canonical_text(cfg)
-    (out / "resolved.cfg").write_text(resolved)
+    (out / "resolved.cfg").write_text(canonical_text(cfg))
     manifest = (
         f"tool = dynolearn {__version__}\n"
         f"subcommand = {subcommand}\n"
@@ -112,15 +113,10 @@ def _cmd_filters(args) -> int:
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     spec_path = out / "spectrum.csv"
-    with open(spec_path, "w", newline="") as fh:
-        fh.write("i,mu_i\n")
-        for i, mu in enumerate(bank.mus, start=1):
-            fh.write(f"{i},{format_float(mu)}\n")
+    _write_table(spec_path, ["i", "mu_i"], enumerate(bank.mus, start=1))
     filt_path = out / "filters.csv"
-    with open(filt_path, "w", newline="") as fh:
-        fh.write("k," + ",".join(f"phi_{j}" for j in range(1, m + 1)) + "\n")
-        for k in range(window):
-            fh.write(str(k + 1) + "," + ",".join(format_float(v) for v in bank.phis[k]) + "\n")
+    header = ["k", *(f"phi_{j}" for j in range(1, m + 1))]
+    _write_table(filt_path, header, ([k, *phi] for k, phi in enumerate(bank.phis, start=1)))
     print(f"wrote {spec_path} and {filt_path} (reliable cap {cap})")
     return EXIT_OK
 

@@ -7,9 +7,11 @@ The on-disk format is INI-like::
     a = 0.9
     ...
 
-Every field has a declared type; unknown sections or keys are rejected.
+Every field has a declared type, and one codec per annotation (`_CODECS`)
+both parses and writes it; unknown sections or keys are rejected.
 `canonical_text` emits a fully resolved, sorted form whose parse is the
-identity, so resolved configs double as re-run manifests.
+identity, so resolved configs double as re-run manifests.  Floats are
+written with `repr`, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .learnability import resolve_oracle
+from .learnability import DEFAULT_N_TRAJ, DEFAULT_WINDOW, resolve_oracle
 from .numerics import SeededRng
 from .oracles import KalmanPredictor, KernelOracle
-from .predictors import BaselinePredictor, SpectralPredictor
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, BaselinePredictor, SpectralPredictor
 from .spectral import build_filter_bank
 from .systems import InitPolicy, LdsSpec, LorenzSpec, NoiseSpec, random_symmetric_psd, random_unit_row
 
@@ -67,8 +69,8 @@ class PredictorConfig:
     kind: str = "spectral"  # spectral | ar | last_value | zero | kalman | kernel
     window: int = 100
     m: int = 15
-    reg: float = 2.0
-    refit_period: int = 16
+    reg: float = DEFAULT_REG
+    refit_period: int = DEFAULT_REFIT_PERIOD
     sign_augmented: bool = False
     ar_order: int = 1
 
@@ -77,8 +79,8 @@ class PredictorConfig:
 class HarnessConfig:
     horizon: int = 1000
     t_grid: tuple[int, ...] = (25, 50, 100, 150, 200, 300, 400, 600, 800, 1000)
-    window: int = 16
-    n_traj: int = 200
+    window: int = DEFAULT_WINDOW
+    n_traj: int = DEFAULT_N_TRAJ
     epsilons: tuple[float, ...] = (0.05,)
     oracle: str = "auto"  # auto | kalman | kernel | truth | zero
     baselines: tuple[str, ...] = ("zero", "last_value", "ar1", "ar5")
@@ -113,78 +115,47 @@ _SECTIONS = {
     "run": RunConfig,
 }
 
-# type tags per field, used for both parsing and serialization
-_FIELD_TYPES: dict[tuple[str, str], str] = {}
-for _sec, _cls in _SECTIONS.items():
-    for _f in fields(_cls):
-        t = _f.type
-        if t in ("str", str):
-            tag = "str"
-        elif t in ("int", int):
-            tag = "int"
-        elif t in ("float", float):
-            tag = "float"
-        elif t in ("bool", bool):
-            tag = "bool"
-        elif "tuple[int" in str(t):
-            tag = "ints"
-        elif "tuple[float" in str(t):
-            tag = "floats"
-        elif "tuple[str" in str(t):
-            tag = "strs"
-        elif "float | None" in str(t):
-            tag = "float?"
-        elif "int | None" in str(t):
-            tag = "int?"
-        else:
-            raise TypeError(f"unhandled config field type {t!r} for {_sec}.{_f.name}")
-        _FIELD_TYPES[(_sec, _f.name)] = tag
-
-def _parse_value(tag: str, raw: str, where: str):
-    raw = raw.strip()
-    try:
-        if tag == "str":
-            return raw
-        if tag in ("int", "int?"):
-            return int(raw)
-        if tag in ("float", "float?"):
-            return float(raw)
-        if tag == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "ints":
-            if raw.startswith("geom(") and raw.endswith(")"):
-                a, b, n = (int(x) for x in raw[5:-1].split(","))
-                return geometric_grid(a, b, n)
-            return tuple(int(x) for x in raw.split(",") if x.strip())
-        if tag == "floats":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        if tag == "strs":
-            return tuple(x.strip() for x in raw.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {where}: {exc}") from exc
-    raise ConfigError(f"unhandled type tag {tag} for {where}")
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _format_value(tag: str, value) -> str:
-    if tag == "str":
-        return str(value)
-    if tag in ("int", "int?"):
-        return str(int(value))
-    if tag in ("float", "float?"):
-        return repr(float(value))
-    if tag == "bool":
-        return "true" if value else "false"
-    if tag == "ints":
-        return ",".join(str(int(v)) for v in value)
-    if tag == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if tag == "strs":
-        return ",".join(str(v) for v in value)
-    raise ConfigError(f"unhandled type tag {tag}")
+def _split(raw: str, item) -> tuple:
+    return tuple(item(x) for x in raw.split(",") if x.strip())
+
+
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    if raw.startswith("geom(") and raw.endswith(")"):
+        a, b, n = (int(x) for x in raw[5:-1].split(","))
+        return geometric_grid(a, b, n)
+    return _split(raw, int)
+
+
+# (parse, format) per field annotation with "| None" removed: parse reads the
+# stripped raw text and raises ValueError on a bad value; None is not written
+_CODECS = {
+    "str": (str, str),
+    "int": (int, lambda v: str(int(v))),
+    "float": (float, lambda v: repr(float(v))),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "tuple[int, ...]": (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),
+    "tuple[float, ...]": (
+        lambda raw: _split(raw, float),
+        lambda v: ",".join(repr(float(x)) for x in v),
+    ),
+    "tuple[str, ...]": (lambda raw: _split(raw, str.strip), ",".join),
+}
+
+
+# a field whose annotation has no codec fails here, at import, with a KeyError
+_FIELD_CODECS = {
+    (sec, f.name): _CODECS[f.type.removesuffix(" | None")]
+    for sec, cls in _SECTIONS.items()
+    for f in fields(cls)
+}
 
 
 def geometric_grid(start: int, stop: int, count: int) -> tuple[int, ...]:
@@ -208,7 +179,7 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, value in parser.items(sec):
-            if (sec, key) not in _FIELD_TYPES:
+            if (sec, key) not in _FIELD_CODECS:
                 raise ConfigError(f"unknown config key {sec}.{key}")
             raw[(sec, key)] = value
     for ov in overrides or []:
@@ -216,13 +187,16 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
             raise ConfigError(f"override must look like section.key=value, got {ov!r}")
         dotted, value = ov.split("=", 1)
         sec, key = dotted.split(".", 1)
-        if (sec, key) not in _FIELD_TYPES:
+        if (sec, key) not in _FIELD_CODECS:
             raise ConfigError(f"unknown override target {sec}.{key}")
         raw[(sec, key)] = value
     cfg = ExperimentConfig()
     for (sec, key), value in raw.items():
-        tag = _FIELD_TYPES[(sec, key)]
-        setattr(getattr(cfg, sec), key, _parse_value(tag, value, f"{sec}.{key}"))
+        parse = _FIELD_CODECS[(sec, key)][0]
+        try:
+            setattr(getattr(cfg, sec), key, parse(value.strip()))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {sec}.{key}: {exc}") from exc
     return cfg
 
 
@@ -243,10 +217,8 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         obj = getattr(cfg, sec)
         for f in sorted(fields(obj), key=lambda f: f.name):
             value = getattr(obj, f.name)
-            if value is None:
-                continue
-            tag = _FIELD_TYPES[(sec, f.name)]
-            out.write(f"{f.name} = {_format_value(tag, value)}\n")
+            if value is not None:
+                out.write(f"{f.name} = {_FIELD_CODECS[(sec, f.name)][1](value)}\n")
         out.write("\n")
     return out.getvalue()
 

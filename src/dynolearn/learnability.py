@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, IncompatiblePairing
+from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
 from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _EnsembleRidge, _run_arms
@@ -51,7 +51,7 @@ from .systems import (
     LdsSpec,
     LorenzSpec,
     _distinct,
-    format_float as ff,
+    _write_table,
     initial_states,
     lds_free_responses,
     simulate_ensemble,
@@ -83,14 +83,8 @@ class RiskCurve:
     oracle_label: str = "oracle"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,excess_mean,excess_ci,raw_alg,raw_oracle\n")
-            for g in range(len(self.t_grid)):
-                fh.write(
-                    f"{int(self.t_grid[g])},{ff(self.excess_mean[g])},"
-                    f"{ff(self.excess_ci_half[g])},{ff(self.raw_alg[g])},"
-                    f"{ff(self.raw_oracle[g])}\n"
-                )
+        cols = (self.t_grid, self.excess_mean, self.excess_ci_half, self.raw_alg, self.raw_oracle)
+        _write_table(path, ["t", "excess_mean", "excess_ci", "raw_alg", "raw_oracle"], zip(*cols))
 
 
 def read_risk_curve_csv(path) -> RiskCurve:
@@ -123,11 +117,10 @@ class BurnInReport:
 
 
 def write_burn_in_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epsilon,t_star,uniform_checked_to\n")
-        for r in reports:
-            t = "inf" if not r.is_finite else str(int(r.t_star))
-            fh.write(f"{ff(r.epsilon)},{t},{r.uniform_checked_to}\n")
+    rows = (
+        (r.epsilon, int(r.t_star) if r.is_finite else "inf", r.uniform_checked_to) for r in reports
+    )
+    _write_table(path, ["epsilon", "t_star", "uniform_checked_to"], rows)
 
 
 @dataclass(eq=False)
@@ -142,17 +135,13 @@ class MStarReport:
     m_star: int | None  # smallest m achieving excess <= epsilon, None if none
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("m,excess,ci,achieved\n")
-            for i, m in enumerate(self.m_values):
-                ach = "yes" if self.excess[i] <= self.epsilon else "no"
-                fh.write(f"{int(m)},{ff(self.excess[i])},{ff(self.ci_half[i])},{ach}\n")
+        achieved = ("yes" if e <= self.epsilon else "no" for e in self.excess)
+        rows = zip(self.m_values, self.excess, self.ci_half, achieved)
+        _write_table(path, ["m", "excess", "ci", "achieved"], rows)
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("epsilon,t_eval,m_star\n")
-            star = "none" if self.m_star is None else str(self.m_star)
-            fh.write(f"{ff(self.epsilon)},{self.t_eval},{star}\n")
+        star = "none" if self.m_star is None else self.m_star
+        _write_table(path, ["epsilon", "t_eval", "m_star"], [(self.epsilon, self.t_eval, star)])
 
 
 @dataclass(eq=False)
@@ -167,13 +156,8 @@ class BiasVarianceReport:
     n_traj: int
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,bias,bias_ci,variance,variance_ci\n")
-            for g in range(len(self.t_grid)):
-                fh.write(
-                    f"{int(self.t_grid[g])},{ff(self.bias[g])},{ff(self.bias_ci_half[g])},"
-                    f"{ff(self.variance[g])},{ff(self.variance_ci_half[g])}\n"
-                )
+        cols = (self.t_grid, self.bias, self.bias_ci_half, self.variance, self.variance_ci_half)
+        _write_table(path, ["t", "bias", "bias_ci", "variance", "variance_ci"], zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +307,7 @@ def resolve_oracle(system, kind: str = "auto"):
         return TruthOracle(system)
     if kind == "zero":
         return TruthOracle()
-    raise ContractViolation(f"unknown oracle kind {kind!r}")
+    raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -555,19 +555,31 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format_float(value)
+
+
+def _write_table(path, header, rows) -> None:
+    """The one CSV writer: the header, then one line per row of cells.  A str
+    cell is written as is, an integer (Python or NumPy) in decimal, anything
+    else through `format_float` (17 significant digits, lossless)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def write_trajectory_csv(ys: np.ndarray, path, xs: np.ndarray | None = None) -> None:
     """CSV with header t,y_0,...,y_{p-1}[,x_0,...,x_{d-1}], one row per step of
     the observations ys (H, p) and, when given, the states xs (H, d)."""
-    cols = ["t"] + [f"y_{j}" for j in range(ys.shape[1])]
-    if xs is not None:
-        cols += [f"x_{j}" for j in range(xs.shape[1])]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(len(ys)):
-            row = [str(t + 1)] + [format_float(v) for v in ys[t]]
-            if xs is not None:
-                row += [format_float(v) for v in xs[t]]
-            fh.write(",".join(row) + "\n")
+    xs = np.empty((len(ys), 0)) if xs is None else xs
+    header = ["t", *(f"y_{j}" for j in range(ys.shape[1])), *(f"x_{j}" for j in range(xs.shape[1]))]
+    rows = ([t, *y, *x] for t, (y, x) in enumerate(zip(ys, xs), start=1))
+    _write_table(path, header, rows)
 
 
 def random_symmetric_psd(d: int, eig_low: float, eig_high: float, rng: SeededRng) -> np.ndarray:

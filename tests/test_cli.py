@@ -153,6 +153,9 @@ class TestFilters:
         mus = [float(line.split(",")[1]) for line in lines[1:]]
         assert mus[0] == pytest.approx((4 + np.sqrt(13)) / 6, rel=1e-12)
         assert mus[1] == pytest.approx((4 - np.sqrt(13)) / 6, rel=1e-12)
+        assert lines[1] == "1,1.2675918792439982"  # 17 significant digits
+        filters = (tmp_path / "f" / "filters.csv").read_text().splitlines()
+        assert filters[:2] == ["k,phi_1,phi_2", "1,0.88167459876794363,-0.47185792553202427"]
 
     def test_spectrum_strictly_decreasing(self, tmp_path):
         res = run_cli(["filters", "-T", "256", "-m", "19", "--out", "f"], tmp_path)
@@ -318,6 +321,26 @@ class TestRiskPipeline:
     def test_usage_error_exits_one(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("risk", "harness.oracle=bogus"),
+            ("mstar", "harness.oracle=bogus"),
+            ("risk", "predictor.kind=bogus"),
+            ("risk", "system.kind=bogus"),
+            ("risk", "system.x0_kind=bogus"),
+            ("agnostic", "harness.baselines=bogus"),
+        ],
+    )
+    def test_unknown_token_exits_one(self, command, override, tmp_path):
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        args = [command, "-c", str(cfg), "--out", "o", override, "harness.n_traj=4"]
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "bogus" in err["message"]
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("override", ["predictor.refit_period=0", "predictor.reg=-1"])
     @pytest.mark.parametrize("command", ["risk", "mstar", "agnostic", "biasvar"])

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynolearn import (
     BaselinePredictor,
@@ -22,6 +26,37 @@ from dynolearn.config import (
     validate_config,
 )
 from dynolearn.errors import ConfigError
+
+# One value strategy per field annotation ("| None" removed).  The format
+# cannot carry NaN, nor strings with commas (in lists) or edge whitespace.
+_TEXT = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters=","),
+    max_size=12,
+).filter(lambda t: t == t.strip())
+_FLOAT = st.floats(allow_nan=False)
+_VALUES = {
+    "str": _TEXT,
+    "int": st.integers(),
+    "float": _FLOAT,
+    "bool": st.booleans(),
+    "tuple[int, ...]": st.lists(st.integers(), max_size=4).map(tuple),
+    "tuple[float, ...]": st.lists(_FLOAT, max_size=4).map(tuple),
+    "tuple[str, ...]": st.lists(_TEXT.filter(bool), max_size=4).map(tuple),
+}
+
+
+def _section(cls):
+    values = {}
+    for f in fields(cls):
+        value = _VALUES[f.type.removesuffix(" | None")]
+        values[f.name] = st.none() | value if f.type.endswith(" | None") else value
+    return st.fixed_dictionaries(values).map(lambda kw: cls(**kw))
+
+
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    **{f.name: _section(f.default_factory) for f in fields(ExperimentConfig)},
+)
 
 SCALAR_TEXT = """
 [system]
@@ -59,6 +94,33 @@ class TestParsing:
         assert again == cfg
         assert canonical_text(again) == text
         assert again.digest() == cfg.digest()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIGS)
+    def test_every_field_round_trips(self, cfg):
+        text = canonical_text(cfg)
+        again = parse_config(text)
+        assert again == cfg
+        assert canonical_text(again) == text
+
+    def test_canonical_spelling(self):
+        # repr floats, decimal ints, true/false, comma-joined lists; None is left out
+        cfg = parse_config(
+            "[system]\na = 0.1\nsymmetric = no\nobs_coords = x , z\n"
+            "[predictor]\nsign_augmented = yes\n[harness]\nepsilons = inf,1e-3\n"
+            "t_grid = geom(1,8,4)\n"
+        )
+        lines = canonical_text(cfg).splitlines()
+        for line in (
+            "a = 0.1",
+            "symmetric = false",
+            "obs_coords = x,z",
+            "sign_augmented = true",
+            "epsilons = inf,0.001",
+            "t_grid = 1,2,4,8",
+        ):
+            assert line in lines
+        assert not any(line.startswith("d = ") for line in lines)
 
     def test_defaults_fill_missing_sections(self):
         cfg = parse_config("[system]\nkind = lorenz\n")

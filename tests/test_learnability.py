@@ -28,8 +28,8 @@ from dynolearn import (
     write_burn_in_csv,
 )
 from dynolearn import learnability, systems
-from dynolearn.errors import IncompatiblePairing, IntegrationBlowup
-from dynolearn.learnability import BurnInReport, _traj_rngs
+from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
+from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
 from dynolearn.numerics import SeededRng
 
 
@@ -214,6 +214,10 @@ class TestResolveOracle:
         with pytest.raises(IncompatiblePairing):
             resolve_oracle(LorenzSpec(obs_noise=0.1), "auto")
 
+    def test_unknown_kind_is_config_error(self, scalar_spec):
+        with pytest.raises(ConfigError, match="unknown oracle kind 'bogus'"):
+            resolve_oracle(scalar_spec, "bogus")
+
     def test_zero_fallback_labels_curve(self):
         spec = LorenzSpec(obs_noise=0.1)
         oracle = resolve_oracle(spec, "zero")
@@ -281,6 +285,8 @@ class TestBurnIn:
         assert lines[0] == "epsilon,t_star,uniform_checked_to"
         assert lines[1].split(",")[1] == "500"
         assert lines[2].split(",")[1] == "inf"
+        # floats at 17 significant digits, integers in decimal
+        assert lines[1:] == ["0.050000000000000003,500,1000", "0.01,inf,1000"]
 
 
 class TestMinimalFilterCount:
@@ -323,8 +329,27 @@ class TestMinimalFilterCount:
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert table[0] == "m,excess,ci,achieved"
         assert len(table) == 3
+        assert table[1].startswith("1,") and table[1].endswith(",yes")
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert summary[1].endswith(",1")
+        assert summary == ["epsilon,t_eval,m_star", "0.5,100,1"]
+        # exact cells: a NumPy-integer m column, 17 digits for 0.1, the no/none tokens
+        unmet = MStarReport(
+            epsilon=0.1,
+            t_eval=1000,
+            m_values=np.array([1, 2], dtype=np.int64),
+            excess=np.array([0.5, 0.2]),
+            ci_half=np.array([0.25, 0.0]),
+            m_star=None,
+        )
+        unmet.write_csv(tmp_path / "unmet.csv")
+        unmet.write_summary_csv(tmp_path / "unmet_summary.csv")
+        assert (tmp_path / "unmet.csv").read_text() == (
+            "m,excess,ci,achieved\n1,0.5,0.25,no\n2,0.20000000000000001,0,no\n"
+        )
+        assert (tmp_path / "unmet_summary.csv").read_text() == (
+            "epsilon,t_eval,m_star\n0.10000000000000001,1000,none\n"
+        )
 
     @pytest.mark.filterwarnings("ignore:filter count")
     def test_high_dimensional_system_needs_few_filters(self):
@@ -498,6 +523,12 @@ class TestBiasVarianceSplit:
         lines = (tmp_path / "bv.csv").read_text().splitlines()
         assert lines[0] == "t,bias,bias_ci,variance,variance_ci"
         assert len(lines) == 5
+        # the NumPy-integer grid in decimal; every float cell reads back exactly
+        assert rep.t_grid.dtype.kind == "i"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["100", "200", "400", "800"]
+        cols = (rep.bias, rep.bias_ci_half, rep.variance, rep.variance_ci_half)
+        assert [[float(c) for c in row[1:]] for row in rows] == np.column_stack(cols).tolist()
 
 
 # --- shared noise across the x0 grid --------------------------------------

@@ -463,6 +463,9 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(data[:, 0], np.arange(1, 13))
         np.testing.assert_array_equal(data[:, 1], ys[:, 0])  # 17g round-trips exactly
         np.testing.assert_array_equal(data[:, 2], xs[:, 0])
+        # without states: observation columns only, 17 significant digits
+        write_trajectory_csv(np.array([[0.1, -2.5], [1e-300, 3.0]]), path)
+        assert path.read_text() == "t,y_0,y_1\n1,0.10000000000000001,-2.5\n2,1e-300,3\n"
 
     def test_byte_identical_across_runs(self, tmp_path, scalar_spec):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
