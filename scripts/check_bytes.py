@@ -24,7 +24,9 @@ reported as `differs`.  A subcommand that fails with the same exit code and
 the same files under both trees counts as the same.  Each line also gives
 both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
 from `os.wait4`), and the last lines total the wall time per tree.  Exit
-status: 0 when nothing differs, 1 otherwise.
+status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
+running child, removes the work directory (unless `--keep`) and exits with
+128 + the signal number.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import configparser
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -88,7 +91,12 @@ def run(src: Path, args: list[str], out: Path) -> Run:
             stdout=subprocess.DEVNULL,
             stderr=stderr,
         )
-        _, status, usage = os.wait4(proc.pid, 0)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:  # SIGTERM or Ctrl-C (see `_stop`): leave no child running
+            proc.kill()
+            proc.wait()
+            raise
         wall_s = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     paths = [*sorted(out.glob("*.csv")), *(out / name for name in RECORDS)]
@@ -146,6 +154,12 @@ def compare(old: Run, new: Run) -> str:
     return f"{verdict}; {cost}"
 
 
+def _stop(signum, frame):
+    """SIGTERM or Ctrl-C: unwind, so the running child is killed and the work
+    directory removed, then exit with 128 + the signal number."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -157,6 +171,8 @@ def main(argv=None) -> int:
         if not (src / "dynolearn" / "__init__.py").is_file():
             parser.error(f"no dynolearn package under {src}")
 
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     work = args.keep or Path(tempfile.mkdtemp(prefix="check_bytes-"))
     configs = sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg"))
     differing = 0

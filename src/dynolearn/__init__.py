@@ -27,12 +27,7 @@ from .learnability import (
     write_burn_in_csv,
 )
 from .numerics import SeededRng, solve_normal_system, sym_eig
-from .oracles import (
-    KalmanPredictor,
-    KernelOracle,
-    TruthOracle,
-    default_kernel_truncation,
-)
+from .oracles import KalmanPredictor, KernelOracle, TruthOracle
 from .predictors import BaselinePredictor, SpectralPredictor
 from .spectral import (
     FilterBank,

@@ -1,19 +1,17 @@
 """Reference predictors that excess risk is measured against.
 
 `KalmanPredictor` is the conditional-mean predictor for a Gaussian linear
-system and serves as the optimal baseline.  `KernelOracle` convolves the
-past observations with beta_k = C A^(k-1) C^T, which is not the optimal
-predictor even of a noiseless system: on a = 0.5 from x0 = 1, observations
-1, 0.5, 0.25, 0.125, it predicts 0, 1, 1, 0.75 where the Kalman predictor
-gives 0, 0.5, 0.25, 0.125.  Building it from the Kalman predictor's own
-convolution is an open ROADMAP item ("The kernel oracle predicts the wrong
-thing").  `TruthOracle` emits the realized next observation, whose loss is
+system and serves as the optimal baseline.  `KernelOracle` is the same
+predictor in steady state, written as a truncated convolution over past
+observations: the improper comparator that needs no system identification.
+`TruthOracle` emits the realized next observation, whose loss is
 zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
 `KalmanPredictor.run_ensemble` runs the filter from a data-independent gain
-schedule: one covariance recursion, built once per horizon.
+schedule: one covariance recursion, built once per horizon.  `KernelOracle`
+reads its taps off the converged step of that same recursion.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
@@ -32,7 +30,6 @@ linear.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -41,6 +38,10 @@ from .errors import ContractViolation, IncompatiblePairing
 from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
+COLLAPSE_RTOL = 1e-12  # S is rounding once min eig(S) <= this times the first S's max eig
+CONVERGED_RTOL = 1e-12  # P has converged once a step moves it <= this times max|P0| + max|Q|
+MAX_STEPS = 10_000  # bound on the covariance steps to convergence and on the kernel's taps
+KERNEL_TAIL = 1e-8  # the kernel's last tap K is the first k with ||F^k||_2 <= KERNEL_TAIL
 
 
 class KalmanPredictor:
@@ -70,6 +71,8 @@ class KalmanPredictor:
             self.P0 = stationary_state_covariance(spec)
         else:
             self.P0 = spec.init.covariance_scale() * np.eye(self.d)
+        S0 = self.C @ self.P0 @ self.C.T + self.R
+        self._collapsed = COLLAPSE_RTOL * np.linalg.eigvalsh(S0)[-1]
         self.regularized_steps = 0
         self._schedule_cache: dict[int, tuple] = {}
         self._schedule_lock = threading.Lock()
@@ -77,16 +80,15 @@ class KalmanPredictor:
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
 
-        Returns (gain, I - gain C, next predictive covariance).  A singular
-        innovation covariance is regularized by INNOVATION_RIDGE and counted
-        in `regularized_steps`.
+        Returns (gain, I - gain C, next predictive covariance).  An
+        innovation covariance that has collapsed to rounding (COLLAPSE_RTOL)
+        is regularized by INNOVATION_RIDGE and counted in `regularized_steps`.
         """
         S = self.C @ P @ self.C.T + self.R
-        try:
-            gain = np.linalg.solve(S, self.C @ P).T  # (d, p)
-        except np.linalg.LinAlgError:
+        if np.linalg.eigvalsh(S)[0] <= self._collapsed:
             self.regularized_steps += 1
-            gain = np.linalg.solve(S + INNOVATION_RIDGE * np.eye(self.p), self.C @ P).T
+            S = S + INNOVATION_RIDGE * np.eye(self.p)
+        gain = np.linalg.solve(S, self.C @ P).T  # (d, p)
         ImKC = np.eye(self.d) - gain @ self.C
         Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T  # Joseph form keeps PSD
         Ppred = self.A @ Ppost @ self.A.T + self.Q
@@ -117,6 +119,27 @@ class KalmanPredictor:
             G[t] = self.A @ gain
         return F, G, Ps
 
+    def steady_state(self):
+        """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
+
+        P steps from P0 until it converges (CONVERGED_RTOL).  On a noiseless
+        system P collapses instead, and the step is the last one before the
+        innovation covariance collapses: the dead-beat predictor.  A P that
+        has not settled within MAX_STEPS steps raises IncompatiblePairing.
+        """
+        scale = np.abs(self.P0).max() + np.abs(self.Q).max()
+        P, step = self.P0, None
+        for _ in range(MAX_STEPS):
+            regularized = self.regularized_steps
+            gain, ImKC, P_next = self._covariance_update(P)
+            if self.regularized_steps > regularized and step is not None:
+                return step
+            step = self.A @ ImKC, self.A @ gain
+            if np.abs(P_next - P).max() <= CONVERGED_RTOL * scale:
+                return step
+            P = P_next
+        raise IncompatiblePairing(f"the Kalman gain does not converge within {MAX_STEPS} steps")
+
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         n, H, p = Ys.shape
         if p != self.p:
@@ -133,61 +156,37 @@ class KalmanPredictor:
         return preds
 
 
-def default_kernel_truncation(spec: LdsSpec, tail: float = 1e-8, cap: int = 10_000) -> int:
-    """Smallest K with ||A||_2^K <= tail, capped; the convolution tail beyond
-    K is then negligible for stable systems."""
-    a = float(np.linalg.norm(spec.effective_transition(), 2))
-    if a <= 0.0:
-        return 1
-    if a >= 1.0:
-        return cap
-    k = math.ceil(math.log(tail) / math.log(a))
-    return int(min(max(k, 1), cap))
-
-
 class KernelOracle:
     """Truncated convolution predictor y_hat_t = sum_{k=1..K} beta_k y_{t-k},
-    beta_k = C A^(k-1) C^T.
+    beta_k = C F^(k-1) G, with (F, G) = `KalmanPredictor.steady_state()`.
 
-    Not the conditional mean, even without noise (see the module docstring).
+    It is the steady-state Kalman predictor unrolled over past observations;
+    K is the first k with ||F^k||_2 <= KERNEL_TAIL.  A system whose gain does
+    not converge, or whose taps do not decay within MAX_STEPS, has no kernel
+    and raises IncompatiblePairing.
     """
 
     label = "kernel"
     linear = True  # see the module docstring
 
-    def __init__(self, spec: LdsSpec, k_trunc: int | None = None):
-        if not isinstance(spec, LdsSpec):
-            raise IncompatiblePairing(
-                f"kernel oracle requires a linear system spec, got {type(spec).__name__}"
-            )
-        if k_trunc is None:
-            k_trunc = default_kernel_truncation(spec)
-        if k_trunc < 1:
-            raise ContractViolation(f"k_trunc must be >= 1, got {k_trunc}")
-        self.spec = spec
-        self.k_trunc = int(k_trunc)
-        A = spec.effective_transition()
-        C = spec.C
-        p, d = C.shape
-        self.p = p
-        betas = np.empty((self.k_trunc, p, p))
-        M = np.eye(d)
-        for k in range(self.k_trunc):
-            betas[k] = C @ M @ C.T
-            M = M @ A
-        self.betas = betas
+    def __init__(self, spec: LdsSpec):
+        F, G = KalmanPredictor(spec).steady_state()  # refuses a non-linear spec
+        taps, Fk = [spec.C @ G], F
+        while np.linalg.norm(Fk, 2) > KERNEL_TAIL:
+            if len(taps) == MAX_STEPS:
+                raise IncompatiblePairing(f"the kernel's taps do not decay within {MAX_STEPS}")
+            taps.append(spec.C @ Fk @ G)
+            Fk = Fk @ F
+        self.p = spec.p
+        self.betas = np.stack(taps)  # (K, p, p)
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         n, H, p = Ys.shape
         if p != self.p:
             raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        K = self.k_trunc
-        bflip = self.betas[::-1]  # window below is oldest-first
-        preds = np.empty((n, H, p))
-        for i in range(n):
-            ypad = np.concatenate([np.zeros((K, p)), Ys[i, : H - 1]], axis=0)
-            win = np.lib.stride_tricks.sliding_window_view(ypad, K, axis=0)  # (H, p, K)
-            preds[i] = np.einsum("tqk,kiq->ti", win, bflip)
+        preds = np.zeros((n, H, p))
+        for k, beta in zip(range(1, H), self.betas):
+            preds[:, k:] += Ys[:, : H - k] @ beta.T
         return preds
 
 

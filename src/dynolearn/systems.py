@@ -500,16 +500,13 @@ def _stationary_states(system, points: int) -> list[np.ndarray]:
         # burn onto the attractor, then take states spaced two time units
         burn = int(round(10.0 / system.dt))
         gap = int(round(2.0 / system.dt))
-        s = np.ones((3, 1))
-        rk4 = _Rk4(system, s)
+        picks = [burn + i * gap for i in range(points)]
         states = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(burn):
-                rk4.step()
-            for _ in range(points):
-                states.append(s[:, 0].copy())
-                for _ in range(gap):
-                    rk4.step()
+
+        def record(t0, X):  # X (b, 3, 1) holds the states of steps t0 .. t0 + b - 1
+            states.extend(X[t - t0, :, 0].copy() for t in picks if t0 <= t < t0 + len(X))
+
+        _lorenz_steps(system, np.ones((3, 1)), picks[-1] + 1, record)
         return states
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 

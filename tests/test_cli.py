@@ -118,10 +118,18 @@ class TestSimulate:
         assert err["error"] == "numerical_failure"
         assert not (workdir / "b" / "manifest.txt").exists()  # a failed run writes nothing
 
-    def test_lorenz_blowup_in_risk_exits_four(self, workdir):
+    @pytest.mark.parametrize(
+        "x0",
+        [
+            "x0_kind = fixed\nx0 = 1e8,1e8,1e8\n",
+            # the stationary grid's burn-in overflows before any measurement
+            "rho = 1e6\nx0_kind = stationary\nx0_points = 2\n",
+        ],
+        ids=["fixed", "stationary"],
+    )
+    def test_lorenz_blowup_in_risk_exits_four(self, x0, workdir):
         (workdir / "blow.cfg").write_text(
-            "[system]\nkind = lorenz\ndt = 0.05\nx0_kind = fixed\nx0 = 1e8,1e8,1e8\n"
-            "[harness]\nt_grid = 10,20\nn_traj = 4\n"
+            f"[system]\nkind = lorenz\ndt = 0.05\n{x0}[harness]\nt_grid = 10,20\nn_traj = 4\n"
         )
         res = run_cli(["risk", "-c", "blow.cfg", "--out", "r"], workdir)
         assert res.returncode == 4
@@ -192,6 +200,33 @@ class TestRiskPipeline:
         assert a == b
         header = a.decode().splitlines()[0]
         assert header == "t,excess_mean,excess_ci,raw_alg,raw_oracle"
+
+    @pytest.mark.parametrize("command", ["risk", "biasvar"])
+    def test_noiseless_multi_state_lds_is_finite(self, command, tmp_path):
+        # the innovation covariance collapses to rounding after d = 3 steps
+        (tmp_path / "nl.cfg").write_text(
+            "[system]\nkind = lds\na_diag = 0.9,0.5,-0.3\nc_row = 1,1,1\n"
+            "x0_kind = ball_grid\nx0_points = 4\n"
+            "[harness]\nt_grid = geom(25,2000,24)\nn_traj = 8\n"
+        )
+        res = run_cli([command, "-c", "nl.cfg", "--out", "o"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = np.loadtxt(tmp_path / "o" / f"{command}.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(data).all()
+
+    def test_kernel_oracle_matches_kalman(self, tmp_path):
+        # the kernel is the steady-state Kalman predictor, so the two oracles'
+        # losses agree within the excess CI at every grid time
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        runs = {}
+        for oracle in ("auto", "kernel"):
+            args = ["risk", "-c", str(cfg), "--out", oracle, "harness.n_traj=20"]
+            res = run_cli([*args, f"harness.oracle={oracle}"], tmp_path)
+            assert res.returncode == 0, res.stderr
+            runs[oracle] = np.loadtxt(tmp_path / oracle / "risk.csv", delimiter=",", skiprows=1)
+        auto, kernel = runs["auto"], runs["kernel"]
+        for column in (1, 4):  # excess_mean, raw_oracle
+            assert (np.abs(kernel[:, column] - auto[:, column]) <= auto[:, 2]).all()
 
     @pytest.mark.parametrize("command", ["risk", "biasvar"])
     def test_kalman_oracle_on_lorenz_exits_three(self, command, workdir):

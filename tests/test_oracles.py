@@ -16,13 +16,13 @@ from dynolearn import (
     NoiseSpec,
     SeededRng,
     TruthOracle,
-    default_kernel_truncation,
     estimate_excess_risk,
+    simulate_lds_ensemble,
 )
 from conftest import lds_reference
 from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
-from dynolearn.systems import simulate_lorenz_ensemble
+from dynolearn.systems import random_symmetric_psd, random_unit_row, simulate_lorenz_ensemble
 
 
 def _run(predictor, ys):
@@ -172,57 +172,103 @@ class TestKalman:
         assert KalmanPredictor(spec).P0[0, 0] == pytest.approx(9.0)
 
 
+def _scalar_steady_state(a, q, r):
+    """Steady-state (f, g) = (a(1 - l), a l) of the scalar filter, with the
+    predictive variance the positive root of p = a^2 p r / (p + r) + q."""
+    b = r - q - a * a * r
+    p_star = (-b + math.sqrt(b * b + 4 * q * r)) / 2.0
+    gain = p_star / (p_star + r)
+    return a * (1.0 - gain), a * gain
+
+
+def _rotation_spec(angle=0.3, radius=0.95):
+    c, s = math.cos(angle), math.sin(angle)
+    return LdsSpec(
+        A=radius * np.array([[c, -s], [s, c]]),
+        C=[[1.0, 0.0]],
+        noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+        init=InitPolicy(kind="fixed", x0=(1.0, 1.0)),
+        symmetric_flag=False,
+    )
+
+
+def _psd_spec(d=10):
+    return LdsSpec(
+        A=random_symmetric_psd(d, 0.0, 0.95, SeededRng(0)),
+        C=random_unit_row(d, SeededRng(1)),
+        noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+        init=InitPolicy(kind="fixed", x0=tuple(np.ones(d))),
+    )
+
+
+# the systems of the kernel/Kalman comparison: stable, marginal and
+# alternating scalars, a d = 10 PSD system and a rotation seen through one
+# coordinate, all with noise 0.1/0.1
+KERNEL_SYSTEMS = {
+    "a=0.9": lambda: _spec(0.9, q=0.01, r=0.01),
+    "a=0.99": lambda: _spec(0.99, q=0.01, r=0.01),
+    "a=1": lambda: _spec(1.0, q=0.01, r=0.01),
+    "a=-1": lambda: _spec(-1.0, q=0.01, r=0.01),
+    "d=10-psd": _psd_spec,
+    "rotation": _rotation_spec,
+}
+
+
 class TestKernelOracle:
+    """`KernelOracle` is the steady-state Kalman predictor as a convolution:
+    beta_k = C F^(k-1) G, truncated at the first K with ||F^K||_2 <= 1e-8."""
+
     def test_scalar_coefficients_are_powers(self):
-        spec = _spec(a=0.7)
-        oracle = KernelOracle(spec, k_trunc=20)
-        np.testing.assert_allclose(oracle.betas[:, 0, 0], 0.7 ** np.arange(20), rtol=1e-13)
+        a, q, r = 0.7, 0.01, 0.01
+        f, g = _scalar_steady_state(a, q, r)
+        oracle = KernelOracle(_spec(a, q=q, r=r))
+        K = len(oracle.betas)
+        np.testing.assert_allclose(oracle.betas[:, 0, 0], g * f ** np.arange(K), rtol=1e-9)
 
     def test_newest_observation_weight_is_identity_for_unit_c(self):
-        spec = _spec(a=0.5)
-        oracle = KernelOracle(spec, k_trunc=10)
+        # a random walk observed without noise: the best guess is the last value
+        spec = _spec(a=1.0, q=0.01, r=0.0)
+        oracle = KernelOracle(spec)
+        np.testing.assert_allclose(oracle.betas, [[[1.0]]], rtol=0, atol=1e-15)
         impulse = np.zeros((12, 1))
         impulse[0] = 1.0
         preds = _run(oracle, impulse)[:, 0]
-        assert preds[1] == pytest.approx(1.0)  # the step after the impulse
-        # the impulse response reads the coefficients, up to the truncation
-        np.testing.assert_allclose(preds[1:11], 0.5 ** np.arange(10), rtol=1e-13)
-        assert preds[0] == preds[11] == 0.0
+        np.testing.assert_allclose(preds, np.eye(12)[1], rtol=0, atol=1e-15)
 
     def test_matches_matrix_power_oracle(self):
-        A = np.diag([0.9, 0.4])
         spec = LdsSpec(
-            A=A,
+            A=np.diag([0.9, 0.4]),
             C=[[1.0, 1.0]],
             noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.0),
             init=InitPolicy(kind="fixed", x0=(0.0, 0.0)),
         )
-        oracle = KernelOracle(spec, k_trunc=50)
-        M = np.eye(2)
-        for k in range(50):
-            expected = np.array([[1.0, 1.0]]) @ M @ np.array([[1.0], [1.0]])
-            assert abs(oracle.betas[k, 0, 0] - expected[0, 0]) < 1e-12
-            assert abs(oracle.betas[k, 0, 0] - (0.9**k + 0.4**k)) < 1e-12
-            M = M @ A
+        oracle = KernelOracle(spec)
+        # the converged step is the gain schedule's late step
+        F, G, _ = KalmanPredictor(spec).gain_schedule(2000)
+        for k, beta in enumerate(oracle.betas):
+            expected = spec.C @ np.linalg.matrix_power(F[-1], k) @ G[-1]
+            np.testing.assert_allclose(beta, expected, rtol=0, atol=1e-12)
 
     def test_coefficient_envelope_nonincreasing(self):
-        oracle = KernelOracle(_spec(a=0.8), k_trunc=30)
+        oracle = KernelOracle(_spec(a=0.8))
         norms = np.abs(oracle.betas[:, 0, 0])
         assert (np.diff(norms) <= 1e-15).all()
 
     def test_truncation_tail_negligible(self):
-        spec = _spec(a=0.9)
-        k = default_kernel_truncation(spec)
-        assert k == 175  # ceil(ln 1e-8 / ln 0.9)
-        assert 0.9**k <= 1e-8
-        g = np.random.default_rng(0)
-        ys = g.standard_normal((k + 201, 1))
-        short = _run(KernelOracle(spec, k_trunc=k), ys)[-1]
-        long = _run(KernelOracle(spec, k_trunc=k + 200), ys)[-1]
-        assert abs(short[0] - long[0]) <= 1e-6 * np.abs(ys).max()
+        a, q, r = 0.9, 0.01, 0.01
+        f, _ = _scalar_steady_state(a, q, r)
+        spec = _spec(a, q=q, r=r)
+        oracle = KernelOracle(spec)
+        K = len(oracle.betas)
+        assert K == math.ceil(math.log(1e-8) / math.log(f)) == 19
+        # the untruncated steady-state predictor is the Kalman filter once
+        # its gain has converged: the two agree up to the dropped tail
+        ys = np.random.default_rng(0).standard_normal((400, 1))
+        kalman = _run(KalmanPredictor(spec), ys)
+        assert np.abs(_run(oracle, ys) - kalman)[200:].max() <= 1e-6 * np.abs(ys).max()
 
     def test_linearity(self):
-        oracle = KernelOracle(_spec(a=0.6), k_trunc=15)
+        oracle = KernelOracle(_spec(a=0.6))
         g = np.random.default_rng(2)
         h1, h2 = g.standard_normal((2, 30, 1))
         lhs = _run(oracle, 2.5 * h1 + h2)
@@ -237,24 +283,59 @@ class TestKernelOracle:
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
         ys, _ = lds_reference(spec, 120, [1.0, -1.0], 1)
-        oracle = KernelOracle(spec, k_trunc=40)
+        oracle = KernelOracle(spec)
+        K = len(oracle.betas)
         # the convolution sum: y_hat_t = sum_k beta_k y_{t-1-k}, k < min(K, t)
         preds = np.zeros_like(ys)
         for t in range(1, 120):
-            for k in range(min(40, t)):
+            for k in range(min(K, t)):
                 preds[t] += oracle.betas[k] @ ys[t - 1 - k]
         fast = _run(oracle, ys)
         np.testing.assert_allclose(fast, preds, rtol=1e-11, atol=1e-12)
 
     def test_default_truncation_edge_cases(self):
-        assert default_kernel_truncation(_spec(a=0.0)) == 1
-        spec_marginal = LdsSpec(
-            A=[[1.0]],
-            C=[[1.0]],
-            noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
-            init=InitPolicy(kind="fixed", x0=(0.0,)),
-        )
-        assert default_kernel_truncation(spec_marginal) == 10_000
+        # memoryless: one zero tap
+        np.testing.assert_array_equal(KernelOracle(_spec(a=0.0)).betas, np.zeros((1, 1, 1)))
+        # marginal poles with process noise: the gain pulls F inside the unit circle
+        assert len(KernelOracle(_spec(a=1.0, q=0.01, r=0.01)).betas) == 20
+        # no process noise at |a| = 1: P falls like r / t and the gain never settles
+        for a in (1.0, -1.0):
+            with pytest.raises(IncompatiblePairing, match="does not converge"):
+                KernelOracle(_spec(a=a, q=0.0, r=0.01))
+        # an unobserved marginal mode: the gain settles at once, the taps never decay
+        with pytest.raises(IncompatiblePairing, match="do not decay"):
+            KernelOracle(_spec(a=1.0, c=0.0, q=0.0, r=0.01))
+
+    @pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
+    def test_losses_equal_kalman(self, name):
+        spec = KERNEL_SYSTEMS[name]()
+        rngs = [SeededRng(1).child(i) for i in range(50)]
+        Ys = simulate_lds_ensemble(spec, 400, np.ones(spec.d), rngs)
+        losses = [
+            ((P.run_ensemble(Ys) - Ys) ** 2).sum(2)[:, 200:].mean(1)
+            for P in (KalmanPredictor(spec), KernelOracle(spec))
+        ]
+        diff = losses[1] - losses[0]
+        ci = 1.96 * diff.std(ddof=1) / math.sqrt(len(diff))
+        assert abs(diff.mean()) <= ci, (diff.mean(), ci)
+        # and on every trajectory, up to the dropped tail (1e-8 of the taps)
+        assert np.abs(diff).max() <= 1e-7 * losses[0].mean()
+
+    @pytest.mark.parametrize(
+        "A, C, taps",
+        [([[0.5]], [[1.0]], [0.5]), (np.diag([0.9, 0.5, -0.3]), [[1.0, 1.0, 1.0]], [1.1, -0.03, -0.135])],
+        ids=["d=1", "d=3"],
+    )
+    def test_noiseless_observable_system_is_dead_beat(self, A, C, taps):
+        spec = LdsSpec(A=A, C=C, noise=NoiseSpec(), init=InitPolicy(kind="ball_grid", points=4))
+        oracle = KernelOracle(spec)
+        # the taps are minus the coefficients of A's characteristic polynomial
+        np.testing.assert_allclose(oracle.betas[:, 0, 0], taps, rtol=0, atol=1e-14)
+        d = spec.d
+        x0s = np.random.default_rng(3).standard_normal((5, d))
+        Ys = np.stack([lds_reference(spec, 60, x0, 0)[0] for x0 in x0s])
+        losses = ((oracle.run_ensemble(Ys) - Ys) ** 2).sum(2)
+        assert losses[:, d:].max() <= 1e-28
 
 
 class TestDeterministicTruth:
@@ -304,8 +385,6 @@ class TestBayesOrdering:
             noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
-        from dynolearn import simulate_lds_ensemble
-
         rngs = [SeededRng(5).child(i) for i in range(60)]
         Ys = simulate_lds_ensemble(spec, 400, np.array([1.0]), rngs)
         kal = KalmanPredictor(spec).run_ensemble(Ys)
@@ -343,7 +422,8 @@ class TestLinearity:
         g = np.random.default_rng(seed)
         M = g.standard_normal((d, d))
         A = M + M.T
-        A *= g.uniform(0.0, 1.0) / np.abs(np.linalg.eigvalsh(A)).max()
+        # spectral radius <= 0.95: the gain converges and the kernel exists
+        A *= g.uniform(0.0, 0.95) / np.abs(np.linalg.eigvalsh(A)).max()
         noise = (
             NoiseSpec()
             if kind == "truth"
@@ -352,7 +432,7 @@ class TestLinearity:
         spec = LdsSpec(A=A, C=g.standard_normal((p, d)), noise=noise)
         P = {
             "kalman": lambda: KalmanPredictor(spec),
-            "kernel": lambda: KernelOracle(spec, k_trunc=int(g.integers(1, 60))),
+            "kernel": lambda: KernelOracle(spec),
             "truth": lambda: TruthOracle(spec),
             "zero": lambda: TruthOracle(),
         }[kind]()
