@@ -23,7 +23,8 @@ m*'s `achieved`) changed; a differing `resolved.cfg` or `manifest.txt` is
 reported as `differs`.  A subcommand that fails with the same exit code and
 the same files under both trees counts as the same.  Each line also gives
 both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
-from `os.wait4`), and the last lines total the wall time per tree.  Exit
+from `os.wait4`), and the last lines total the wall time per tree and give
+each tree's largest peak RSS with the run it came from.  Exit
 status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
 running child, removes the work directory (unless `--keep`) and exits with
 128 + the signal number.
@@ -177,6 +178,7 @@ def main(argv=None) -> int:
     configs = sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg"))
     differing = 0
     wall = {"old": 0.0, "new": 0.0}
+    peak = {"old": (0.0, "none"), "new": (0.0, "none")}  # largest RSS, MiB, and its run
     try:
         for config in configs:
             label = config.relative_to(ROOT)
@@ -186,6 +188,7 @@ def main(argv=None) -> int:
                     out = work / f"{config.parent.name}-{config.stem}" / sub / tag
                     results.append(run(src, command_args(sub, config, out, args.jobs), out))
                     wall[tag] += results[-1].wall_s
+                    peak[tag] = max(peak[tag], (results[-1].peak_rss_mib, f"{label} {sub}"))
                 line = compare(*results)
                 differing += not line.startswith("same")
                 print(f"{label} {sub}: {line}", flush=True)
@@ -193,6 +196,7 @@ def main(argv=None) -> int:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)
     print(f"wall time: old {wall['old']:.1f} s, new {wall['new']:.1f} s")
+    print("peak RSS: " + ", ".join(f"{t} {peak[t][0]:.1f} MiB ({peak[t][1]})" for t in peak))
     print(f"{differing} of {len(configs) * len(SUBCOMMANDS)} runs differ")
     return 1 if differing else 0
 

@@ -28,10 +28,11 @@ Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
 deliberately sees the same noise realizations (common random numbers), so
 differences across the grid come from the initial state alone; the simulator
-draws that noise inside its one call and frees it on return, before the
-arms run.  Superposition moves an LDS result by rounding only (at most a
-relative 4.9e-12 on the committed configs, in `biasvar.csv` on the scalar
-system) against simulating each x0 on its own.
+draws that noise inside its one call, an LDS's process noise one time chunk
+at a time, and none of it outlives the call, so the arms run without it.
+Superposition moves an LDS result by rounding only (at most a relative
+4.9e-12 on the committed configs, in `biasvar.csv` on the scalar system)
+against simulating each x0 on its own.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
-`KalmanPredictor.run_ensemble` runs the filter from a data-independent gain
-schedule: one covariance recursion, built once per horizon.  `KernelOracle`
-reads its taps off the converged step of that same recursion.
+`KalmanPredictor.run_ensemble` runs the filter from data-independent gains:
+one covariance recursion, computed once per horizon, keeps each step's gain
+(H, d, p), and each step forms its filter matrices from its gain, so nothing
+of size H d^2 is held.  `KernelOracle` reads its taps off the converged step
+of that same recursion.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
@@ -74,15 +76,15 @@ class KalmanPredictor:
         S0 = self.C @ self.P0 @ self.C.T + self.R
         self._collapsed = COLLAPSE_RTOL * np.linalg.eigvalsh(S0)[-1]
         self.regularized_steps = 0
-        self._schedule_cache: dict[int, tuple] = {}
+        self._schedule_cache: dict[int, np.ndarray] = {}
         self._schedule_lock = threading.Lock()
 
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
 
-        Returns (gain, I - gain C, next predictive covariance).  An
-        innovation covariance that has collapsed to rounding (COLLAPSE_RTOL)
-        is regularized by INNOVATION_RIDGE and counted in `regularized_steps`.
+        Returns (gain, next predictive covariance).  An innovation covariance
+        that has collapsed to rounding (COLLAPSE_RTOL) is regularized by
+        INNOVATION_RIDGE and counted in `regularized_steps`.
         """
         S = self.C @ P @ self.C.T + self.R
         if np.linalg.eigvalsh(S)[0] <= self._collapsed:
@@ -92,32 +94,35 @@ class KalmanPredictor:
         ImKC = np.eye(self.d) - gain @ self.C
         Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T  # Joseph form keeps PSD
         Ppred = self.A @ Ppost @ self.A.T + self.Q
-        return gain, ImKC, 0.5 * (Ppred + Ppred.T)
+        return gain, 0.5 * (Ppred + Ppred.T)
 
-    def gain_schedule(self, horizon: int):
-        """Data-independent filter recursion matrices for `horizon` steps.
+    def _filter_step(self, gain: np.ndarray):
+        """The filter step (F, G) = (A (I - gain C), A gain) of one gain:
+        xpred' = F xpred + G y."""
+        return self.A @ (np.eye(self.d) - gain @ self.C), self.A @ gain
 
-        Returns (F, G, Ps) with xpred' = F[t] xpred + G[t] y_t and Ps[t] the
-        predictive covariance before absorbing y_t.  Each horizon is built
-        once per predictor: concurrent callers wait for that one build, so
-        `regularized_steps` does not depend on the thread count.
+    def gain_schedule(self, horizon: int) -> np.ndarray:
+        """Data-independent Kalman gains (H, d, p) of `horizon` steps; step t
+        absorbs y_t through `_filter_step(gains[t])`.
+
+        Each horizon is built once per predictor: concurrent callers wait for
+        that one build, so `regularized_steps` does not depend on the thread
+        count.  Only the gains are kept, not the (H, d, d) filter matrices.
         """
         with self._schedule_lock:
             if horizon not in self._schedule_cache:
                 self._schedule_cache[horizon] = self._build_schedule(horizon)
             return self._schedule_cache[horizon]
 
-    def _build_schedule(self, horizon: int):
+    def _build_schedule(self, horizon: int) -> np.ndarray:
+        # each gain is stored in the layout `_covariance_update` returns it
+        # in, so a step's products round as they would on the fresh gain
         P = self.P0.copy()
-        F = np.empty((horizon, self.d, self.d))
-        G = np.empty((horizon, self.d, self.p))
-        Ps = np.empty((horizon, self.d, self.d))
+        gains = np.empty((horizon, self.p, self.d))
         for t in range(horizon):
-            Ps[t] = P
-            gain, ImKC, P = self._covariance_update(P)
-            F[t] = self.A @ ImKC
-            G[t] = self.A @ gain
-        return F, G, Ps
+            gain, P = self._covariance_update(P)
+            gains[t] = gain.T
+        return gains.transpose(0, 2, 1)
 
     def steady_state(self):
         """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
@@ -131,10 +136,10 @@ class KalmanPredictor:
         P, step = self.P0, None
         for _ in range(MAX_STEPS):
             regularized = self.regularized_steps
-            gain, ImKC, P_next = self._covariance_update(P)
+            gain, P_next = self._covariance_update(P)
             if self.regularized_steps > regularized and step is not None:
                 return step
-            step = self.A @ ImKC, self.A @ gain
+            step = self._filter_step(gain)
             if np.abs(P_next - P).max() <= CONVERGED_RTOL * scale:
                 return step
             P = P_next
@@ -144,15 +149,14 @@ class KalmanPredictor:
         n, H, p = Ys.shape
         if p != self.p:
             raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        F, G, _ = self.gain_schedule(H)
-        Ft = F.transpose(0, 2, 1)
-        Gt = G.transpose(0, 2, 1)
+        gains = self.gain_schedule(H)
         Ct = self.C.T
         preds = np.empty((n, H, p))
         X = np.zeros((n, self.d))
         for t in range(H):
+            F, G = self._filter_step(gains[t])
             preds[:, t, :] = X @ Ct
-            X = X @ Ft[t] + Ys[:, t, :] @ Gt[t]
+            X = X @ F.T + Ys[:, t, :] @ G.T
         return preds
 
 

@@ -8,9 +8,13 @@ type has one recursion: `_lds_steps` for a linear system, `_lorenz_steps`
 integrates the whole grid at once, with the same bits as one x0 at a time.
 A non-finite observation or state raises IntegrationBlowup naming the first
 step that produced one.  Each simulator draws its ensemble's noise itself,
-once per call, one block of rows per worker; row i comes from rngs[i] alone,
-so the bits do not depend on the worker count.  A standard deviation of 0
-disables that noise; a noiseless system draws nothing.
+one block of rows per worker; row i comes from rngs[i] alone, so the bits do
+not depend on the worker count.  An LDS draws its process noise one time
+chunk at a time as the recursion reaches it, so the noise alive is bounded
+by the chunk and not the horizon; the chunks read each stream in the order
+of one whole draw, so the bits do not depend on the chunk size either.  A
+standard deviation of 0 disables that noise; a noiseless system draws
+nothing.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
 0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
@@ -21,7 +25,6 @@ grid; the sum agrees with a direct run from x0 up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -217,39 +220,22 @@ class LorenzSpec:
 # noise
 
 
-def _draw_noise(draw_row, sizes, horizon: int, rngs: Sequence[SeededRng], n_workers: int):
-    """Noise arrays (n, H, size), one per entry of `sizes`, of an n-trajectory
-    ensemble: `draw_row(rngs[i], *rows)` fills row i of every array from
-    rngs[i] alone, one block of rows per worker, so the bits do not depend
-    on n_workers."""
+def _draw_noise(rngs: Sequence[SeededRng], shape, stdev: float, n_workers: int, out=None):
+    """Gaussian noise (n, *shape) of an n-trajectory ensemble, written into
+    `out` when given: row i is the next prod(shape) normals of rngs[i] alone,
+    drawn one block of rows per worker, so the bits do not depend on
+    n_workers.  A stream read in consecutive pieces gives the values of one
+    draw of the whole."""
     n = len(rngs)
-    arrays = [np.empty((n, horizon, size)) for size in sizes]
+    out = np.empty((n, *shape)) if out is None else out
 
     def fill(rows):
         for i in rows:
-            draw_row(rngs[i], *(a[i] for a in arrays))
+            rngs[i].normals(shape, 0.0, stdev, out=out[i])
 
     k = max(1, min(n_workers, n))
     _parallel_map(fill, [range(n * j // k, n * (j + 1) // k) for j in range(k)], k)
-    return arrays
-
-
-def _lds_noise(spec: LdsSpec, rng: SeededRng, w: np.ndarray, v: np.ndarray) -> None:
-    """Draw one trajectory's process noise w (H, d), then its observation noise v (H, p)."""
-    if spec.is_noiseless:
-        w[...] = 0.0
-        v[...] = 0.0
-    else:
-        rng.normals(w.shape, 0.0, spec.noise.stdev_process, out=w)
-        rng.normals(v.shape, 0.0, spec.noise.stdev_obs, out=v)
-
-
-def _lorenz_noise(spec: LorenzSpec, rng: SeededRng, v: np.ndarray) -> None:
-    """Draw one trajectory's observation noise v (H, p)."""
-    if spec.is_noiseless:
-        v[...] = 0.0
-    else:
-        rng.normals(v.shape, 0.0, spec.obs_noise, out=v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +256,17 @@ def simulate_lds_ensemble(
     closed-loop spec.
 
     The noise is drawn on up to `n_workers` threads, with the same bits at
-    any count.  With `record_states` the result is (Ys, Xs), Xs (n, H, d)
-    holding the state that each observation reads.
+    any count, the process noise one time chunk at a time (see `_lds_steps`).
+    With `record_states` the result is (Ys, Xs), Xs (n, H, d) holding the
+    state that each observation reads.
     """
     x0 = as_vector(x0, "x0")
     if x0.shape != (spec.d,):
         raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
     n = len(rngs)
-    W, V = _draw_noise(partial(_lds_noise, spec), (spec.d, spec.p), horizon, rngs, n_workers)
     Xs = np.empty((n, horizon, spec.d)) if record_states else None
-    Ys = _lds_steps(spec, horizon, np.broadcast_to(x0, (n, spec.d)).copy(), (W, V), Xs)
+    X = np.broadcast_to(x0, (n, spec.d)).copy()
+    Ys = _lds_steps(spec, horizon, X, rngs, n_workers, Xs)
     return (Ys, Xs) if record_states else Ys
 
 
@@ -299,25 +286,42 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     return _lds_steps(spec, horizon, np.stack(rows))
 
 
-def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, noise=None, Xs=None) -> np.ndarray:
-    """Observations (k, H, p) of x' = A x + w, y = C x + v from the k rows of
-    X, with (W, V) = `noise`, or none; each step's state goes to Xs (k, H, d)
-    when given.
+_NOISE_VALUES = 1 << 20  # process-noise values drawn per time chunk of an LDS ensemble
 
-    The output is checked once, after the loop: a non-finite observation
-    raises IntegrationBlowup naming the first step that has one.
+
+def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=1, Xs=None):
+    """Observations (k, H, p) of x' = A x + w, y = C x + v from the k rows of
+    X; each step's state goes to Xs (k, H, d) when given.
+
+    Without `rngs` there is no noise.  With one stream per row, row i reads
+    rngs[i] as w (H, d), then v (H, p).  The w are drawn one time chunk of
+    about `_NOISE_VALUES` values at a time, so the process noise alive is
+    bounded by the chunk, not the horizon; v is drawn after the loop and
+    added to every observation at once.  A noiseless spec draws nothing and
+    adds zeros, as the noisy run adds its draws.
+
+    The output is checked once, after the noise is added: a non-finite
+    observation raises IntegrationBlowup naming the first step that has one.
     """
     At, Ct = spec.effective_transition().T.copy(), spec.C.T.copy()
-    Ys = np.empty((len(X), horizon, spec.p))
+    (k, d), p = X.shape, spec.p
+    Ys = np.empty((k, horizon, p))
+    noisy = rngs is not None and not spec.is_noiseless
+    chunk = max(1, _NOISE_VALUES // max(1, k * d))  # k = 0: an empty ensemble
+    W = None if rngs is None else np.zeros((k, min(chunk, horizon), d))
     with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
         for t in range(horizon):
+            if noisy and t % chunk == 0:
+                b = min(chunk, horizon - t)
+                _draw_noise(rngs, (b, d), spec.noise.stdev_process, n_workers, out=W[:, :b])
             if Xs is not None:
                 Xs[:, t] = X
             Ys[:, t, :] = X @ Ct
             X = X @ At
-            if noise is not None:
-                Ys[:, t, :] += noise[1][:, t]
-                X += noise[0][:, t]
+            if W is not None:
+                X += W[:, t % chunk]
+        if rngs is not None:
+            Ys += _draw_noise(rngs, (horizon, p), spec.noise.stdev_obs, n_workers) if noisy else 0.0
     # NaN propagates through min and max, so both are finite iff every entry is
     if not (np.isfinite(Ys.min(initial=0.0)) and np.isfinite(Ys.max(initial=0.0))):
         step = int(np.argmin(np.isfinite(Ys).all(axis=(0, 2)))) + 1
@@ -436,7 +440,10 @@ def simulate_lorenz_ensemble(
     stack = np.atleast_2d(X0)
     k, n = stack.shape[0], len(rngs)
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    (V,) = _draw_noise(partial(_lorenz_noise, spec), (spec.p,), horizon, rngs, n_workers)
+    if spec.is_noiseless:
+        V = np.zeros((n, horizon, spec.p))
+    else:
+        V = _draw_noise(rngs, (horizon, spec.p), spec.obs_noise, n_workers)
     Ys = np.empty((k, n, horizon, spec.p))
     Xs = np.empty((k, n, horizon, 3)) if record_states else None
 

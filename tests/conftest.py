@@ -68,6 +68,23 @@ def lds_reference(spec, horizon, x0, seed):
     return ys, xs
 
 
+def kalman_steps(kal, horizon):
+    """Each step's filter matrices F (H, d, d) and G (H, d, p), formed from
+    `kal`'s cached gains by the per-step expression that `run_ensemble` uses."""
+    steps = [kal._filter_step(gain) for gain in kal.gain_schedule(horizon)]
+    return np.stack([F for F, _ in steps]), np.stack([G for _, G in steps])
+
+
+def kalman_covariances(kal, horizon):
+    """The predictive covariances (H, d, d) of `kal`'s recursion, P_t before
+    y_t is absorbed, stepped by `_covariance_update` from P0."""
+    Ps, P = np.empty((horizon, kal.d, kal.d)), kal.P0
+    for t in range(horizon):
+        Ps[t] = P
+        _, P = kal._covariance_update(P)
+    return Ps
+
+
 # The per-step learner, written from the ridge formula in the `predictors`
 # docstring.  It shares no code with the blocked engine: it is the oracle that
 # `test_blocked_run_matches_per_step` checks that engine against.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dynolearn as dl
-from conftest import cli_env
+from conftest import cli_env, kalman_covariances
 from dynolearn.numerics import SeededRng
 from dynolearn.systems import random_symmetric_psd, random_unit_row
 
@@ -169,7 +169,7 @@ def test_c05_kalman_validation():
     a, q, r = 0.9, 0.01, 0.01
     spec1 = _c5_system(1)
     kal1 = dl.KalmanPredictor(spec1)  # x0 = 1 gives P0 = 1
-    _, _, Ps = kal1.gain_schedule(1001)
+    Ps = kalman_covariances(kal1, 1001)
     b = r - q - a * a * r
     p_star = (-b + math.sqrt(b * b + 4 * q * r)) / 2.0
     riccati_err = abs(float(Ps[1000, 0, 0]) - p_star)

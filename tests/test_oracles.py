@@ -19,7 +19,7 @@ from dynolearn import (
     estimate_excess_risk,
     simulate_lds_ensemble,
 )
-from conftest import lds_reference
+from conftest import kalman_covariances, kalman_steps, lds_reference
 from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
 from dynolearn.systems import random_symmetric_psd, random_unit_row, simulate_lorenz_ensemble
@@ -53,7 +53,7 @@ class TestKalman:
         preds = _run(kal, np.stack([y, np.zeros(2)]))
         np.testing.assert_allclose(preds[1], A @ y, atol=1e-12)
         # the posterior mean is y itself: x' = F x + G y with F = 0, G = A
-        F, G, _ = kal.gain_schedule(1)
+        F, G = kalman_steps(kal, 1)
         np.testing.assert_allclose(F[0], np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(G[0], A, atol=1e-12)
 
@@ -66,7 +66,7 @@ class TestKalman:
         a, c, q, r = 0.9, 1.0, 0.01, 0.01
         spec = _spec(a, c, q, r)
         kal = KalmanPredictor(spec)
-        _, _, Ps = kal.gain_schedule(1001)
+        Ps = kalman_covariances(kal, 1001)
         # positive root of p = a^2 p r / (p + r) + q, solved in closed form
         bcoef = r - q - a * a * r
         p_star = (-bcoef + math.sqrt(bcoef * bcoef + 4 * q * r)) / 2.0
@@ -80,7 +80,7 @@ class TestKalman:
             init=InitPolicy(kind="ball_grid", radius=1.0, points=4),
         )
         kal = KalmanPredictor(spec)
-        _, _, Ps = kal.gain_schedule(10**5)
+        Ps = kalman_covariances(kal, 10**5)
         traces = np.trace(Ps, axis1=1, axis2=2)
         assert np.isfinite(traces).all()
         assert traces.max() <= traces[0] + 1.0  # no divergence over 1e5 steps
@@ -107,7 +107,7 @@ class TestKalman:
             x = A @ (x + gain @ (ys[t] - C @ x))
             P = A @ (P - gain @ C @ P) @ A.T + Q
         np.testing.assert_allclose(_run(kal, ys), preds, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(kal.gain_schedule(200)[2], Ps, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(kalman_covariances(kal, 200), Ps, rtol=1e-9, atol=1e-12)
 
     def test_zero_obs_noise_regularizes_singular_innovation(self):
         spec = LdsSpec(
@@ -149,7 +149,7 @@ class TestKalman:
     def test_step_from_explicit_state(self):
         spec = _spec(a=0.5)  # q = r = 0.01
         kal = KalmanPredictor(spec)  # x0 = 1 gives P0 = 1
-        F, G, Ps = kal.gain_schedule(2)
+        (F, G), Ps = kalman_steps(kal, 2), kalman_covariances(kal, 2)
         preds = _run(kal, np.array([[1.0], [0.0]]))
         # scalar update from P = 1: gain 1/1.01, posterior variance 0.01/1.01,
         # then the time update x' = 0.5 x, P' = 0.25 P + q
@@ -157,6 +157,25 @@ class TestKalman:
         assert F[0, 0, 0] == pytest.approx(0.5 * 0.01 / 1.01, rel=1e-12)
         assert preds[1, 0] == pytest.approx(0.5 / 1.01, rel=1e-12)
         assert Ps[1, 0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
+
+    def test_memory_flat_in_horizon(self):
+        # d50's shape with fewer rows: the (n, H, p) predictions and the
+        # (H, d, p) gains grow with H, the filter's working set must not
+        import tracemalloc
+
+        spec = _psd_spec(50)
+        above = []
+        for H in (1100, 4400):
+            Ys = np.random.default_rng(H).standard_normal((20, H, 1))
+            kal = KalmanPredictor(spec)
+            tracemalloc.start()
+            try:
+                preds = kal.run_ensemble(Ys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above.append((peak - preds.nbytes - kal.gain_schedule(H).nbytes) / 2**20)
+        assert abs(above[1] - above[0]) < 2.0, above
 
     def test_requires_linear_system(self):
         with pytest.raises(IncompatiblePairing):
@@ -244,7 +263,7 @@ class TestKernelOracle:
         )
         oracle = KernelOracle(spec)
         # the converged step is the gain schedule's late step
-        F, G, _ = KalmanPredictor(spec).gain_schedule(2000)
+        F, G = kalman_steps(KalmanPredictor(spec), 2000)
         for k, beta in enumerate(oracle.betas):
             expected = spec.C @ np.linalg.matrix_power(F[-1], k) @ G[-1]
             np.testing.assert_allclose(beta, expected, rtol=0, atol=1e-12)

@@ -21,7 +21,13 @@ from dynolearn import (
     write_trajectory_csv,
 )
 from conftest import lds_reference
-from dynolearn.systems import lds_free_responses, simulate_lorenz_ensemble
+from dynolearn import systems
+from dynolearn.systems import (
+    lds_free_responses,
+    random_symmetric_psd,
+    random_unit_row,
+    simulate_lorenz_ensemble,
+)
 
 
 def _one_run(simulate, spec, horizon, x0, seed, record_states=False):
@@ -159,6 +165,83 @@ class TestEnsembleNoise:
         noisy = LdsSpec(A=[[0.5]], C=[[1.0]], noise=NoiseSpec(stdev_obs=0.1))
         simulate_ensemble(noisy, 10, [1.0], rngs[:1])
         assert len(calls) == 2  # one stdev above 0: w and v are both drawn
+
+    # the systems of the chunked-noise check: each transition is diagonal, so
+    # the ensemble recursion rounds as the textbook loop does, bit for bit
+    CHUNK_SYSTEMS = {
+        "noisy": dict(A=np.diag([0.9, -0.5]), noise=NoiseSpec(0.2, 0.05)),
+        "obs-only": dict(A=np.diag([0.9, -0.5]), noise=NoiseSpec(0.0, 0.3)),
+        "noiseless": dict(A=np.diag([0.9, -0.5]), noise=NoiseSpec()),
+        "closed-loop": dict(
+            A=np.diag([1.4, 0.5]),
+            B=[[1.0], [0.0]],
+            K=[[-0.5, 0.0]],
+            noise=NoiseSpec(0.2, 0.05),
+            symmetric_flag=False,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(CHUNK_SYSTEMS))
+    def test_rows_equal_reference_across_noise_chunks(self, kind, monkeypatch):
+        # 7-step chunks: H = 33 spans five of them, the last of 5 steps.  Each
+        # row reads its stream as w chunk by chunk, then v, as the reference
+        # draws w (H, d) and then v (H, p) whole
+        n, H, x0 = 5, 33, [1.0, -0.5]
+        system = LdsSpec(C=[[1.0, 0.0]], **self.CHUNK_SYSTEMS[kind])
+        monkeypatch.setattr(systems, "_NOISE_VALUES", 7 * n * system.d)
+        calls = []
+        normals = SeededRng.normals
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return normals(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeededRng, "normals", counted)
+        expected = [lds_reference(system, H, x0, SeededRng(8).child(0, i)) for i in range(n)]
+        for n_workers in (1, 2, 3):
+            calls.clear()
+            rngs = [SeededRng(8).child(0, i) for i in range(n)]
+            Ys, Xs = simulate_lds_ensemble(
+                system, H, x0, rngs, n_workers=n_workers, record_states=True
+            )
+            for i, (ys, xs) in enumerate(expected):
+                assert Ys[i].tobytes() == ys.tobytes()
+                assert Xs[i].tobytes() == xs.tobytes()
+            if not system.is_noiseless:  # five w chunks and one v per row
+                assert sorted(calls) == sorted(4 * n * [(7, 2)] + n * [(5, 2), (H, 1)])
+
+    def test_blowup_in_a_later_noise_chunk_names_its_step(self, monkeypatch):
+        # x_t = 2^(t - 21) 1e308 first overflows at step 22, in the fourth 7-step chunk
+        n = 3
+        monkeypatch.setattr(systems, "_NOISE_VALUES", 7 * n)
+        spec = LdsSpec(A=[[2.0]], C=[[1.0]], noise=NoiseSpec(0.1, 0.1), symmetric_flag=False)
+        for n_workers in (1, 2):
+            rngs = [SeededRng(1).child(i) for i in range(n)]
+            with pytest.raises(IntegrationBlowup, match="observation at step 22$"):
+                simulate_lds_ensemble(spec, 33, [1e308 / 2**20], rngs, n_workers=n_workers)
+
+    def test_memory_flat_in_horizon(self):
+        # d50's shape with fewer rows: the (n, H, p) observations and their
+        # noise v grow with H, the process noise alive must not
+        import tracemalloc
+
+        d, n = 50, 20
+        spec = LdsSpec(
+            A=random_symmetric_psd(d, 0.0, 0.95, SeededRng(0)),
+            C=random_unit_row(d, SeededRng(1)),
+            noise=NoiseSpec(0.1, 0.1),
+        )
+        above = []
+        for H in (1100, 4400):
+            rngs = [SeededRng(2).child(i) for i in range(n)]
+            tracemalloc.start()
+            try:
+                Ys = simulate_lds_ensemble(spec, H, np.zeros(d), rngs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above.append((peak - 2 * Ys.nbytes) / 2**20)
+        assert abs(above[1] - above[0]) < 2.0, above
 
 
 class TestFreeResponses:
