@@ -23,8 +23,10 @@ m*'s `achieved`) changed; a differing `resolved.cfg` or `manifest.txt` is
 reported as `differs`.  A subcommand that fails with the same exit code and
 the same files under both trees counts as the same.  Each line also gives
 both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
-from `os.wait4`), and the last lines total the wall time per tree and give
-each tree's largest peak RSS with the run it came from.  Exit
+from `os.wait4`).  After those lines come each subcommand's wall time
+summed over the configs for each tree, with the old-to-new ratio, then the
+total wall time per tree and each tree's largest peak RSS with the run it
+came from.  Exit
 status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
 running child, removes the work directory (unless `--keep`) and exits with
 128 + the signal number.
@@ -178,6 +180,7 @@ def main(argv=None) -> int:
     configs = sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg"))
     differing = 0
     wall = {"old": 0.0, "new": 0.0}
+    sub_wall = {tag: dict.fromkeys(SUBCOMMANDS, 0.0) for tag in wall}
     peak = {"old": (0.0, "none"), "new": (0.0, "none")}  # largest RSS, MiB, and its run
     try:
         for config in configs:
@@ -188,6 +191,7 @@ def main(argv=None) -> int:
                     out = work / f"{config.parent.name}-{config.stem}" / sub / tag
                     results.append(run(src, command_args(sub, config, out, args.jobs), out))
                     wall[tag] += results[-1].wall_s
+                    sub_wall[tag][sub] += results[-1].wall_s
                     peak[tag] = max(peak[tag], (results[-1].peak_rss_mib, f"{label} {sub}"))
                 line = compare(*results)
                 differing += not line.startswith("same")
@@ -195,6 +199,10 @@ def main(argv=None) -> int:
     finally:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)
+    for sub in SUBCOMMANDS:
+        old_s, new_s = sub_wall["old"][sub], sub_wall["new"][sub]
+        ratio = f"{old_s / new_s:.2f}x" if new_s > 0 else "n/a"
+        print(f"{sub} wall time: old {old_s:.1f} s, new {new_s:.1f} s ({ratio})")
     print(f"wall time: old {wall['old']:.1f} s, new {wall['new']:.1f} s")
     print("peak RSS: " + ", ".join(f"{t} {peak[t][0]:.1f} MiB ({peak[t][1]})" for t in peak))
     print(f"{differing} of {len(configs) * len(SUBCOMMANDS)} runs differ")

@@ -19,7 +19,13 @@ in one stacked recursion.
 
 The learners stream each x0's observations one refit block at a time (see
 `predictors`), so an arm holds O(n * (q^2 + window * p)) besides the
-(n, H, p) observations and predictions.  Spectral arms of one x0 task share
+(n, H, p) observations and predictions.  A measurement reads only the rows
+[t, t + window) after its grid times (m*: the rows from t_eval), so it
+builds that mask once, `_read_rows`, and the learners predict only blocks
+that hold a read row and solve a refit only when a read row uses it; every
+block still enters their Gram and moment, so the read rows and the tables
+keep the bits of a full run.  Predictions are kept from the first read row
+on.  Spectral arms of one x0 task share
 one convolution per block: m*'s sweep reads every filter count's columns
 from the largest bank's block, and the bias/variance split's w*-readout and
 online learner read the same block.
@@ -176,6 +182,14 @@ def _validate_grid(t_grid, window: int) -> tuple[np.ndarray, int]:
     return grid, int(grid[-1] + window)
 
 
+def _read_rows(grid: np.ndarray, window: int, horizon: int) -> np.ndarray:
+    """The rows [t, t + window) that a grid loss reads, as a mask over the horizon."""
+    rows = np.zeros(horizon, dtype=bool)
+    for t in grid:
+        rows[t : t + window] = True
+    return rows
+
+
 def _grid_losses(preds: np.ndarray, Ys: np.ndarray, grid: np.ndarray, window: int) -> np.ndarray:
     """Per-trajectory squared losses averaged over [t, t + window) per grid time.
 
@@ -215,8 +229,11 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
     `losses(Ys, run)` maps one x0's observations Ys (n_traj, H, p) to one
-    (n_traj, G) array per arm; `run(P, keep_from=0)` is
-    `P.run_ensemble(Ys)[:, keep_from:]`.  Phases:
+    (n_traj, G) array per arm; `run(P, rows)` is P's predictions of Ys's rows
+    first..H-1, first the first row of the mask `rows`, from
+    `P.run_ensemble(Ys, rows)` for a learner (only the rows in `rows` are
+    computed, see `predictors`) and `P.run_ensemble(Ys)[:, first:]` for a
+    linear P.  Phases:
     1. Simulate, in one call that draws the ensemble's noise on n_workers
        threads.  Lorenz: every x0 in one stacked RK4 recursion.  LDS: the
        ensemble once from x0 = 0 (the base), and the grid's free responses
@@ -235,7 +252,7 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
         grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, n_workers=n_workers)
 
         def direct(Ys):
-            return np.stack(losses(Ys, lambda P, keep_from=0: P.run_ensemble(Ys)[:, keep_from:]))
+            return np.stack(losses(Ys, lambda P, rows: _run_rows(P, Ys, rows)))
 
         return np.stack(_parallel_map(direct, grid_Ys, n_workers), axis=1)
 
@@ -252,20 +269,34 @@ def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int,
     def task(j):
         Ys = base + free[j]
 
-        def run(P, keep_from=0):
+        def run(P, rows):
             if not getattr(P, "linear", False):
-                return P.run_ensemble(Ys)[:, keep_from:]
+                return _run_rows(P, Ys, rows)
             on_base, on_free = superposed(P)
-            return on_base[:, keep_from:] + on_free[j, keep_from:]
+            first = int(np.argmax(rows))
+            return on_base[:, first:] + on_free[j, first:]
 
         return np.stack(losses(Ys, run))
 
     return np.stack(_parallel_map(task, range(len(states)), n_workers), axis=1)
 
 
-def _predictor_losses(predictors, grid: np.ndarray, window: int):
+def _run_rows(P, Ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """P's predictions of Ys's rows first..H-1, first the first row of `rows`:
+    a linear P runs whole, a learner only where `rows` reads."""
+    if getattr(P, "linear", False):
+        return P.run_ensemble(Ys)[:, int(np.argmax(rows)) :]
+    return P.run_ensemble(Ys, rows)
+
+
+def _predictor_losses(predictors, grid: np.ndarray, window: int, horizon: int):
     """`losses` for `_evaluate`: one arm per predictor, its grid losses on Ys."""
-    return lambda Ys, run: [_grid_losses(run(p), Ys, grid, window) for p in predictors]
+    rows, first = _read_rows(grid, window, horizon), grid[0]
+
+    def losses(Ys, run):
+        return [_grid_losses(run(p, rows), Ys[:, first:], grid - first, window) for p in predictors]
+
+    return losses
 
 
 def _worst_case(a: np.ndarray, b: np.ndarray):
@@ -335,7 +366,7 @@ def estimate_excess_risk(
     """
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    losses = _predictor_losses((algorithm, oracle), grid, window)
+    losses = _predictor_losses((algorithm, oracle), grid, window, horizon)
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
     excess, ci, raw_alg, raw_oracle = _worst_case(L[0], L[1])
     return RiskCurve(
@@ -401,11 +432,11 @@ def minimal_filter_count(
     bank = build_filter_bank(window_len, ms[-1], sign_augmented=sign_augmented)
     F = bank.filter_matrix()
     arms = [(None if m == bank.m else _bank_columns(bank, m, system.p), reg) for m in ms]
+    rows = _read_rows(grid, window, horizon)  # [t_eval, horizon)
 
     def losses(Ys, run):  # the whole m sweep inside each x0 task, on one convolution per block
-        # only rows [t_eval, horizon) enter the loss, so only those are kept
-        preds = [run(oracle, t_eval)]
-        preds += [ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, t_eval)]
+        preds = [run(oracle, rows)]
+        preds += [ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, rows)]
         return [_grid_losses(pr, Ys[:, t_eval:], grid - t_eval, window) for pr in preds]
 
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
@@ -446,7 +477,7 @@ def agnostic_gap(
         raise ContractViolation("baseline_class must be nonempty")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    losses = _predictor_losses([algorithm, *baselines], grid, window)
+    losses = _predictor_losses([algorithm, *baselines], grid, window, horizon)
     L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
     best = L[1:].mean(axis=2).argmin(axis=0)  # (x0, g): the baseline with the least mean loss
     comparator = np.take_along_axis(L[1:], best[None, :, None, :], axis=0)[0]
@@ -513,17 +544,20 @@ def bias_variance_split(
     tiny = 1e-8 * float(np.trace(gram)) / q
     w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
+    rows, first = _read_rows(grid, window, horizon), grid[0]
 
     def losses(Ys, run):  # the w*-readout and the online learner read one convolution per block
-        learner = _EnsembleRidge(Ys, q, reg, refit_period)
-        preds_star = np.empty_like(Ys)
+        learner = _EnsembleRidge(Ys, q, reg, refit_period, rows)
+        preds_star = np.empty_like(Ys)  # only the blocks holding a read row are filled
         for s, e, Z in _feature_blocks(F, Ys, refit_period):
-            preds_star[:, s:e] = Z @ w_star
+            if learner.reads(s):
+                preds_star[:, s:e] = Z @ w_star
             learner.feed(s, e, Z)
+        star, ys = preds_star[:, first:], Ys[:, first:]
         return [
-            _grid_losses(preds_star, Ys, grid, window),
-            _grid_losses(run(kalman), Ys, grid, window),
-            _grid_losses(learner.preds, preds_star, grid, window),  # squared pred diff
+            _grid_losses(star, ys, grid - first, window),
+            _grid_losses(run(kalman, rows), ys, grid - first, window),
+            _grid_losses(learner.preds, star, grid - first, window),  # squared pred diff
         ]
 
     L = _evaluate(system, states, horizon, n_traj, master, n_workers, losses)

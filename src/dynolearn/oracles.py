@@ -12,8 +12,10 @@ excess risk into raw risk ("zero").
 `KalmanPredictor.run_ensemble` runs the filter from data-independent gains:
 one covariance recursion, computed once per horizon, keeps each step's gain
 (H, d, p), and each step forms its filter matrices from its gain, so nothing
-of size H d^2 is held.  `KernelOracle` reads its taps off the converged step
-of that same recursion.
+of size H d^2 is held.  Once a covariance step returns its input bit for bit,
+every later gain is that step's: the recursion stops there, and the filter
+matrices are formed once for all the remaining steps.  `KernelOracle` reads
+its taps off the converged step of that same recursion.
 
 Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
 (n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
@@ -76,7 +78,7 @@ class KalmanPredictor:
         S0 = self.C @ self.P0 @ self.C.T + self.R
         self._collapsed = COLLAPSE_RTOL * np.linalg.eigvalsh(S0)[-1]
         self.regularized_steps = 0
-        self._schedule_cache: dict[int, np.ndarray] = {}
+        self._schedule_cache: dict[int, tuple[np.ndarray, int]] = {}
         self._schedule_lock = threading.Lock()
 
     def _covariance_update(self, P: np.ndarray):
@@ -109,20 +111,32 @@ class KalmanPredictor:
         that one build, so `regularized_steps` does not depend on the thread
         count.  Only the gains are kept, not the (H, d, d) filter matrices.
         """
+        return self._schedule(horizon)[0]
+
+    def _schedule(self, horizon: int) -> tuple[np.ndarray, int]:
+        """`gain_schedule(horizon)` and the step from which every gain is that
+        step's (`horizon` when the recursion reaches no fixed point)."""
         with self._schedule_lock:
             if horizon not in self._schedule_cache:
                 self._schedule_cache[horizon] = self._build_schedule(horizon)
             return self._schedule_cache[horizon]
 
-    def _build_schedule(self, horizon: int) -> np.ndarray:
+    def _build_schedule(self, horizon: int) -> tuple[np.ndarray, int]:
         # each gain is stored in the layout `_covariance_update` returns it
         # in, so a step's products round as they would on the fresh gain
         P = self.P0.copy()
         gains = np.empty((horizon, self.p, self.d))
         for t in range(horizon):
-            gain, P = self._covariance_update(P)
+            regularized = self.regularized_steps
+            gain, P_next = self._covariance_update(P)
             gains[t] = gain.T
-        return gains.transpose(0, 2, 1)
+            if P_next.tobytes() == P.tobytes():
+                # a fixed point: every later step repeats this one, regularization included
+                gains[t + 1 :] = gain.T
+                self.regularized_steps += (self.regularized_steps - regularized) * (horizon - 1 - t)
+                return gains.transpose(0, 2, 1), t
+            P = P_next
+        return gains.transpose(0, 2, 1), horizon
 
     def steady_state(self):
         """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
@@ -149,12 +163,13 @@ class KalmanPredictor:
         n, H, p = Ys.shape
         if p != self.p:
             raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        gains = self.gain_schedule(H)
+        gains, fixed_from = self._schedule(H)
         Ct = self.C.T
         preds = np.empty((n, H, p))
         X = np.zeros((n, self.d))
         for t in range(H):
-            F, G = self._filter_step(gains[t])
+            if t <= fixed_from:  # later gains are bitwise gains[fixed_from]
+                F, G = self._filter_step(gains[t])
             preds[:, t, :] = X @ Ct
             X = X @ F.T + Ys[:, t, :] @ G.T
         return preds

@@ -182,6 +182,8 @@ def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
     window, f = F.shape
     Fflip = F[::-1].copy()  # windows below are oldest-first
     hist = np.empty((n, window - 1 + block, p))
+    # (n, p, block, window): the windows of hist, built once; a block reads the first L
+    view = np.lib.stride_tricks.sliding_window_view(hist, window, axis=1).transpose(0, 2, 1, 3)
     windows = np.empty((n, p, block, window))
     rows = np.zeros((n, block + 1, p, f))  # row 0: the row carried from the last block
     for s in range(0, H, block):
@@ -191,8 +193,7 @@ def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
         ys = hist[:, : L + window - 1]
         ys[:, :pad] = 0.0
         ys[:, pad:] = Ys[:, s - window + 1 + pad : e]
-        view = np.lib.stride_tricks.sliding_window_view(ys, window, axis=1)  # (n, L, p, window)
-        np.copyto(windows[:, :, :L], view.transpose(0, 2, 1, 3))
+        np.copyto(windows[:, :, :L], view[:, :, :L])
         np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
         yield s, e, rows[:, :L].reshape(n, L, p * f)
         rows[:, 0] = rows[:, L]

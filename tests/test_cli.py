@@ -151,6 +151,26 @@ class TestSimulate:
         assert "step" in err["message"]
         assert not (tmp_path / "o" / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("t_grid, code", [("10,20", 0), ("2,20", 4)])
+    def test_singular_readout_fails_only_where_read(self, t_grid, code, tmp_path):
+        # AR(2) with reg = 0 refit every 2 steps: the refit at step 2 sees a
+        # zero lag-2 column.  Grid windows [10, 14) and [20, 24) never use
+        # that readout, so it is not solved; a window from step 2 uses it.
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        overrides = ["predictor.kind=ar", "predictor.ar_order=2", "predictor.reg=0"]
+        overrides += ["predictor.refit_period=2", f"harness.t_grid={t_grid}"]
+        overrides += ["harness.window=4", "harness.n_traj=4"]
+        res = run_cli(["risk", "-c", str(cfg), "--out", "o", *overrides], tmp_path)
+        assert res.returncode == code, res.stderr
+        if code:
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "numerical_failure"
+            assert "refit at step 2 is singular" in err["message"]
+            assert not (tmp_path / "o" / "manifest.txt").exists()
+        else:
+            table = np.loadtxt(tmp_path / "o" / "risk.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(table).all()
+
 
 class TestFilters:
     def test_window_two_spectrum(self, tmp_path):

@@ -683,7 +683,8 @@ class TestSuperposedGrid:
         def losses(Ys, run):
             seen.append(Ys.copy())
             # a linear predictor in the "truth" role reproduces Ys exactly
-            return [learnability._grid_losses(run(TruthOracle()), Ys, np.array([0]), 1)]
+            every_row = np.ones(horizon, dtype=bool)
+            return [learnability._grid_losses(run(TruthOracle(), every_row), Ys, np.array([0]), 1)]
 
         L = learnability._evaluate(system, states, horizon, n_traj, SeededRng(seed), 1, losses)
         assert (L == 0.0).all()

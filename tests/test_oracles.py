@@ -146,6 +146,48 @@ class TestKalman:
         assert builds == [10]  # horizon 8 + 2
         assert kal.regularized_steps == 10
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _spec(0.9),
+            LdsSpec(  # a 2-d system whose P settles bit for bit
+                A=[[0.8, 0.1], [0.1, 0.6]],
+                C=[[1.0, -1.0]],
+                noise=NoiseSpec(stdev_process=0.2, stdev_obs=0.1),
+                init=InitPolicy(kind="fixed", x0=(1.0, 0.0)),
+            ),
+        ],
+        ids=["scalar", "2d"],
+    )
+    def test_schedule_stops_at_its_exact_fixed_point(self, spec):
+        H = 400
+        kal = KalmanPredictor(spec)
+        gains, fixed_from = kal._schedule(H)
+        assert fixed_from < H // 2
+        # the whole recursion, stepped without stopping
+        P, want = kal.P0.copy(), []
+        for _ in range(H):
+            gain, P = kal._covariance_update(P)
+            want.append(gain)
+        assert gains.tobytes() == np.stack(want).tobytes()
+        assert kal.regularized_steps == 0
+        # the filter loop with each step's own matrices, as before the shortcut
+        Ys = simulate_lds_ensemble(spec, H, spec.init.x0, [SeededRng(i) for i in range(3)])
+        X, preds = np.zeros((3, spec.d)), np.empty_like(Ys)
+        for t in range(H):
+            F, G = kal._filter_step(want[t])
+            preds[:, t] = X @ spec.C.T
+            X = X @ F.T + Ys[:, t] @ G.T
+        assert kal.run_ensemble(Ys).tobytes() == preds.tobytes()
+
+    def test_regularized_fixed_point_counts_every_remaining_step(self):
+        spec = LdsSpec(
+            A=[[0.5]], C=[[1.0]], noise=NoiseSpec(), init=InitPolicy(kind="fixed", x0=(0.0,))
+        )
+        kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: P stays 0, every innovation is singular
+        assert kal._schedule(37)[1] == 0
+        assert kal.regularized_steps == 37
+
     def test_step_from_explicit_state(self):
         spec = _spec(a=0.5)  # q = r = 0.01
         kal = KalmanPredictor(spec)  # x0 = 1 gives P0 = 1

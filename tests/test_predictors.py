@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
     BaselinePredictor,
     ContractViolation,
+    SingularSystem,
     InitPolicy,
     LdsSpec,
     NoiseSpec,
@@ -389,7 +390,7 @@ class TestBlockedEngine:
         arms = [(None if m == big.m else _bank_columns(big, m, 1), reg) for m, reg in zip(ms, regs)]
         Ys = simulate_lds_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
         got = [ridge.preds for ridge in _run_arms(big.filter_matrix(), Ys, arms, 16)]
-        kept = _run_arms(big.filter_matrix(), Ys, arms, 16, keep_from=150)
+        kept = _run_arms(big.filter_matrix(), Ys, arms, 16, np.arange(400) >= 150)
         for preds, ridge in zip(got, kept):
             assert ridge.preds.tobytes() == preds[:, 150:].tobytes()
         for m, reg, preds in zip(ms, regs, got):
@@ -417,3 +418,90 @@ class TestBlockedEngine:
             above.append((peak - preds.nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
+
+
+def _read_mask(H, data):
+    """Rows a loss reads: the windows [t, t + window) after some grid times,
+    or (m*) every row from t_eval."""
+    rows = np.zeros(H, dtype=bool)
+    if data.draw(st.booleans(), label="tail"):
+        rows[data.draw(st.integers(0, H - 1), label="t_eval") :] = True
+        return rows
+    window = data.draw(st.integers(1, 20), label="window")
+    for t in data.draw(st.lists(st.integers(0, H - 1), min_size=1, max_size=6), label="grid"):
+        rows[t : t + window] = True
+    return rows
+
+
+class TestRowRestrictedEngine:
+    """A ridge told which rows are read predicts those rows with the full
+    run's bits, and solves only the refits they use."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        H=st.integers(1, 90),
+        p=st.sampled_from([1, 2, 3]),
+        refit_period=st.integers(1, 20),
+        reg=st.sampled_from([0.0, 0.3, 2.0]),
+        kind=st.sampled_from(["spectral", "ar", "columns"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_read_rows_equal_the_full_run(self, n, H, p, refit_period, reg, kind, seed, data):
+        # H not a multiple of refit_period and refit_period > H are inside the drawn ranges
+        if kind == "ar":
+            F = np.eye(data.draw(st.integers(1, 4), label="order"))
+            arms = [(None, reg)]
+        else:
+            bank = build_filter_bank(data.draw(st.integers(4, 24), label="window"), 4)
+            F = bank.filter_matrix()
+            # m*'s arms: filter counts as columns of the largest bank's features
+            arms = [(None, reg)]
+            if kind == "columns":
+                arms = [(_bank_columns(bank, m, p), reg) for m in (1, 3)]
+        rows = _read_mask(H, data)
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        try:
+            full = _run_arms(F, Ys, arms, refit_period)
+        except SingularSystem:
+            assume(False)  # reg = 0 with a structurally singular Gram: see test_singular_refit_*
+        kept = _run_arms(F, Ys, arms, refit_period, rows)
+        read = np.flatnonzero(rows)
+        # the Gram has a positive trace from e = 2 on: row 0's features are zero
+        boundaries = [e for e in range(refit_period, H + 1, refit_period) if e >= 2]
+        for whole, part in zip(full, kept):
+            assert part.first == read[0]
+            assert part.preds.shape == (n, H - read[0], p)
+            assert part.preds[:, read - read[0]].tobytes() == whole.preds[:, read].tobytes()
+            assert whole.solves == len(boundaries)
+            assert part.solves == sum(rows[e : e + refit_period].any() for e in boundaries)
+
+    def test_public_runs_keep_every_row_and_the_final_readout(self):
+        Ys = np.random.default_rng(5).standard_normal((3, 64, 2))
+        pred = SpectralPredictor(build_filter_bank(20, 4), obs_dim=2, refit_period=16)
+        (ridge,) = _run_arms(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16)
+        assert ridge.solves == 4  # the refit at e = H = 64 included
+        preds, readouts = pred.fit(Ys)
+        assert preds.tobytes() == ridge.preds.tobytes() == pred.run_ensemble(Ys).tobytes()
+        assert readouts.tobytes() == ridge.w.tobytes()
+        rows = np.zeros(64, dtype=bool)
+        rows[40:44] = True
+        (part,) = _run_arms(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16, rows)
+        assert part.solves == 1  # only the refit at 32 feeds rows 40..43
+        assert pred.run_ensemble(Ys, rows)[:, :4].tobytes() == preds[:, 40:44].tobytes()
+
+    def test_singular_refit_that_no_read_row_uses_is_skipped(self):
+        # AR(2) with reg = 0: the Gram of rows 0 and 1 has a zero lag-2 column,
+        # so the refit at e = 2 is singular; the refit at 4 is not
+        Ys = np.random.default_rng(2).standard_normal((3, 40, 1))
+        ar2 = BaselinePredictor("ar", order=2, reg=0.0, refit_period=2)
+        with pytest.raises(SingularSystem, match="step 2"):
+            ar2.run_ensemble(Ys)  # the public run solves every refit
+        rows = np.zeros(40, dtype=bool)
+        rows[10:20] = True
+        preds = ar2.run_ensemble(Ys, rows)
+        assert preds.shape == (3, 30, 1) and np.isfinite(preds).all()
+        rows[3] = True  # row 3 reads the refit at 2
+        with pytest.raises(SingularSystem, match="step 2"):
+            ar2.run_ensemble(Ys, rows)

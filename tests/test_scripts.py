@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts: each exits 0 and prints its result.
-`check_bytes.py` is also stopped mid-run and must leave nothing behind."""
+`check_bytes.py` is also stopped mid-run and must leave nothing behind, and
+its summary is checked on stand-in runs."""
 
+import importlib.util
 import signal
 import subprocess
 import sys
@@ -67,3 +69,30 @@ def test_check_bytes_cleans_up_on_sigterm(tmp_path):
     # a child left running would recreate its --out directory when it finishes
     time.sleep(3)
     assert not list(tmp_path.glob("check_bytes-*"))
+
+
+def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("check_bytes", REPO / "scripts" / "check_bytes.py")
+    check_bytes = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "check_bytes", check_bytes)  # dataclasses look it up
+    spec.loader.exec_module(check_bytes)
+    for name in ("one", "two"):
+        (tmp_path / f"{name}.cfg").write_text("[system]\n")
+    for tree in ("old", "new"):
+        (tmp_path / tree / "dynolearn").mkdir(parents=True)
+        (tmp_path / tree / "dynolearn" / "__init__.py").touch()
+
+    def stand_in(src, args, out):  # the new tree runs mstar 4x faster, the rest alike
+        wall = 0.5 if src.name == "new" and args[0] == "mstar" else 2.0
+        return check_bytes.Run(0, {"out.csv": "1\n"}, wall, 10.0)
+
+    monkeypatch.setattr(check_bytes, "ROOT", tmp_path)
+    monkeypatch.setattr(check_bytes, "CONFIG_DIRS", (tmp_path,))
+    monkeypatch.setattr(check_bytes, "run", stand_in)
+    monkeypatch.setattr(check_bytes.signal, "signal", lambda *args: None)
+    assert check_bytes.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "mstar wall time: old 4.0 s, new 1.0 s (4.00x)" in lines
+    assert "risk wall time: old 4.0 s, new 4.0 s (1.00x)" in lines
+    assert lines[-3] == "wall time: old 28.0 s, new 25.0 s"
+    assert lines[-1] == "0 of 14 runs differ"
