@@ -26,7 +26,7 @@ from .learnability import (
     resolve_oracle,
     write_burn_in_csv,
 )
-from .numerics import SeededRng, solve_normal_system, sym_eig
+from .numerics import SeededRng, sym_eig
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
 from .predictors import BaselinePredictor, SpectralPredictor
 from .spectral import (
@@ -35,7 +35,6 @@ from .spectral import (
     hilbert_matrix,
     reliable_filter_cap,
     residual_energy,
-    trajectory_features,
 )
 from .systems import (
     InitPolicy,
@@ -46,7 +45,6 @@ from .systems import (
     simulate_ensemble,
     simulate_lds_ensemble,
     spectral_radius,
-    spectral_radius_symmetric,
     stationary_observation_power,
     stationary_state_covariance,
     write_trajectory_csv,

@@ -369,3 +369,5 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"harness.epsilon must be positive and finite, got {h.epsilon}")
     if h.n_traj < 2:
         raise ConfigError(f"harness.n_traj must be >= 2, got {h.n_traj}")
+    if h.ref_multiplier < 1:
+        raise ConfigError(f"harness.ref_multiplier must be >= 1, got {h.ref_multiplier}")

@@ -25,10 +25,14 @@ builds that mask once, `_read_rows`, and the learners predict only blocks
 that hold a read row and solve a refit only when a read row uses it; every
 block still enters their Gram and moment, so the read rows and the tables
 keep the bits of a full run.  Predictions are kept from the first read row
-on.  Spectral arms of one x0 task share
-one convolution per block: m*'s sweep reads every filter count's columns
-from the largest bank's block, and the bias/variance split's w*-readout and
-online learner read the same block.
+on.  Every learner, in every measurement, runs as an arm of
+`predictors._run_arms`, and the spectral arms of one x0 task share one
+convolution per block: m*'s sweep reads every filter count's columns from
+the largest bank's block, and the bias/variance split runs its online
+learner beside a frozen arm that predicts with the fixed w*-readout.  The
+split's reference fit is one more arm, on the long reference run, with a
+mask that reads no row: it only sums the Gram and moment that w* is solved
+from.
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index.  Every x0
@@ -52,8 +56,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _EnsembleRidge, _run_arms
-from .spectral import _bank_columns, _feature_blocks, build_filter_bank
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _run_arms
+from .spectral import _bank_columns, build_filter_bank
 from .systems import (
     LdsSpec,
     LorenzSpec,
@@ -514,16 +518,22 @@ def bias_variance_split(
     The learner reads m filters of length window_len; the bank is built only
     once the system is known to be linear.
     The reference readout w* is fit by near-unregularized ridge on one long
-    run (ref_multiplier times the horizon), so it is the best fixed linear
-    readout in feature space; its Gram and moment are summed over blocks of
-    `_REF_BLOCK` feature rows.  That run starts from the system's first grid
-    state, so w* does not depend on the order of x0_grid.  Bias is the excess
-    of the w*-readout over the conditional-mean predictor; variance is the
-    mean squared gap between the online learner's predictions and the
+    run (ref_multiplier >= 1 times the horizon), so it is the best fixed
+    linear readout in feature space.  Its Gram and moment are those of a
+    `_run_arms` arm over that run, in blocks of `_REF_BLOCK` rows, whose
+    mask reads no row, so it never predicts or refits; w* is the Cholesky
+    solve of them (`numerics.solve_normal_system`).  That run starts from the
+    system's first grid state, so w* does not depend on the order of
+    x0_grid.  On each x0's ensemble, the online learner and a frozen arm
+    holding w* share one convolution per block.  Bias is the excess of the
+    w*-readout over the conditional-mean predictor; variance is the mean
+    squared gap between the online learner's predictions and the
     w*-readout's.
     """
     if not isinstance(system, LdsSpec):
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
+    if ref_multiplier < 1:
+        raise ContractViolation(f"ref_multiplier must be >= 1, got {ref_multiplier}")
     bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
     reg = DEFAULT_REG if reg is None else reg
     refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
@@ -535,29 +545,23 @@ def bias_variance_split(
     ref_rng = master.child(_REF_NS, 0)
     ref_x0 = initial_states(system)[0]
     ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])
-    q = bank.feature_count * system.p
-    gram, moment = np.zeros((q, q)), np.zeros((q, system.p))
     F = bank.filter_matrix()
-    for s, e, Z in _feature_blocks(F, ys_ref, _REF_BLOCK):  # Z[0, t - s]: features before y_t
-        gram += Z[0].T @ Z[0]
-        moment += Z[0].T @ ys_ref[0, s:e]
-    tiny = 1e-8 * float(np.trace(gram)) / q
+    no_read = np.zeros(ys_ref.shape[1], dtype=bool)
+    (ref,) = _run_arms(F, ys_ref, [(None, 0.0)], _REF_BLOCK, no_read)
+    gram, moment = ref.gram[0], ref.moment[0]
+    tiny = 1e-8 * float(np.trace(gram)) / ref.q
     w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
     rows, first = _read_rows(grid, window, horizon), grid[0]
+    arms = [(None, reg), (None, 0.0, w_star)]  # the online learner and the frozen w*-readout
 
-    def losses(Ys, run):  # the w*-readout and the online learner read one convolution per block
-        learner = _EnsembleRidge(Ys, q, reg, refit_period, rows)
-        preds_star = np.empty_like(Ys)  # only the blocks holding a read row are filled
-        for s, e, Z in _feature_blocks(F, Ys, refit_period):
-            if learner.reads(s):
-                preds_star[:, s:e] = Z @ w_star
-            learner.feed(s, e, Z)
-        star, ys = preds_star[:, first:], Ys[:, first:]
+    def losses(Ys, run):  # both arms read one convolution per block
+        learner, star = (ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, rows))
+        ys = Ys[:, first:]
         return [
             _grid_losses(star, ys, grid - first, window),
             _grid_losses(run(kalman, rows), ys, grid - first, window),
-            _grid_losses(learner.preds, star, grid - first, window),  # squared pred diff
+            _grid_losses(learner, star, grid - first, window),  # squared pred diff
         ]
 
     L = _evaluate(system, states, horizon, n_traj, master, n_workers, losses)

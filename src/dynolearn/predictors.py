@@ -19,9 +19,11 @@ spectral learner, the k x k identity for AR(k), whose features are then the
 last k observations.  `_run_arms` feeds each block to one `_EnsembleRidge`
 per arm, which predicts the block, adds it to the per-trajectory Gram and
 moment, and refits; arms that read different columns of one convolution (the
-filter counts of m*) share it.  No (n, H, q) feature tensor is built: besides
-the (n, H, p) predictions, the working set is O(n * (q^2 + window * p)) for
-a fixed refit period, whatever H is.
+filter counts of m*) share it.  A frozen arm is given a fixed readout: it
+predicts its read blocks from that readout and never accumulates or refits
+(the bias/variance split's w*-readout).  No (n, H, q) feature tensor is
+built: besides the (n, H, p) predictions, the working set is
+O(n * (q^2 + window * p)) for a fixed refit period, whatever H is.
 
 A readout is a pure function of the Gram and moment accumulated up to its
 refit, so a caller that reads only some rows (the harness reads the windows
@@ -30,7 +32,9 @@ steps.  Every block still enters the Gram and moment, in order, but only
 blocks holding a read row are predicted, and the readouts are solved at a
 refit only when a read row lies in the period it starts: the read rows keep
 the bits of the full run.  Without `rows` every row is predicted and every
-refit solved, the final one included.
+refit solved, the final one included; with a mask that reads no row, an arm
+only accumulates its Gram and moment (the bias/variance split's reference
+fit).
 """
 
 from __future__ import annotations
@@ -65,11 +69,13 @@ class _EnsembleRidge:
     `reads(e)`.  `preds` keeps the predictions of rows first..H-1, first the
     first read row (0 without `rows`); a row that is not read holds zero or
     its prediction.  `w` holds the latest readouts, `solves` counts the
-    refits solved.
+    refits solved.  Given a (q, p) `readout`, the ridge is frozen: every
+    trajectory's `w` is that readout, and `feed` only predicts, so `gram`,
+    `moment` and `solves` stay zero.
     """
 
     def __init__(
-        self, Ys: np.ndarray, q: int, reg: float, refit_period: int, rows: np.ndarray | None = None
+        self, Ys: np.ndarray, q: int, reg: float, refit_period: int, rows=None, readout=None
     ):
         if reg < 0:
             raise ContractViolation(f"reg must be nonnegative, got {reg}")
@@ -82,7 +88,8 @@ class _EnsembleRidge:
         self.preds = np.zeros((n, H - self.first, p))
         self.gram = np.zeros((n, q, q))
         self.moment = np.zeros((n, q, p))
-        self.w = np.zeros((n, q, p))
+        self.frozen = readout is not None
+        self.w = np.broadcast_to(readout, (n, q, p)) if self.frozen else np.zeros((n, q, p))
         self.solves = 0
         self._eye = np.eye(q)
 
@@ -95,6 +102,8 @@ class _EnsembleRidge:
         if self.reads(s):
             k = self.first
             self.preds[:, max(s - k, 0) : e - k] = (Z @ self.w)[:, max(k - s, 0) :]
+        if self.frozen:
+            return
         Zt = Z.transpose(0, 2, 1)
         self.gram += Zt @ Z
         self.moment += Zt @ self.Ys[:, s:e]
@@ -127,16 +136,16 @@ def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None)
     """The streaming ridge of each arm on Ys, from one convolution of Ys by
     the filter matrix F per refit block; returns one `_EnsembleRidge` per arm.
 
-    An arm is (cols, reg): its features are columns `cols` of each block's
-    features, or all of them when cols is None.  Each ridge predicts the
-    rows in the mask `rows` (every row when None).  Only one block of
-    features is alive at a time.
+    An arm is (cols, reg), or (cols, reg, readout) for a frozen arm: its
+    features are columns `cols` of each block's features, or all of them
+    when cols is None.  Each ridge predicts the rows in the mask `rows`
+    (every row when None).  Only one block of features is alive at a time.
     """
     n, _, p = Ys.shape
     runs = []
-    for cols, reg in arms:
+    for cols, reg, *readout in arms:
         q = F.shape[1] * p if cols is None else len(cols)
-        ridge = _EnsembleRidge(Ys, q, reg, refit_period, rows)
+        ridge = _EnsembleRidge(Ys, q, reg, refit_period, rows, *readout)
         runs.append((ridge, cols, None if cols is None else np.empty((n, refit_period, q))))
     for s, e, Z in _feature_blocks(F, Ys, refit_period):
         for ridge, cols, buf in runs:

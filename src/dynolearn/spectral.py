@@ -6,15 +6,17 @@ eigenvalues decay exponentially, so a small bank captures every impulse
 response of the form (1, a, a^2, ...) with a in [0, 1] almost perfectly;
 the optional sign-augmented variant extends coverage to a in [-1, 0).
 
-Features need only the last `window` observations.  `trajectory_features`
-convolves a whole trajectory at once; the learners use the block kernel
-`_feature_blocks`, which convolves an ensemble with a (window, f) filter
-matrix one block of rows at a time, from the block's observations and the
-window - 1 before it, so its working set, O(n * block * p * (window + f)),
-does not grow with the horizon.  Every learner runs on it: the spectral
+Features need only the last `window` observations.  The one feature kernel
+is the block kernel `_feature_blocks`, which convolves an ensemble with a
+(window, f) filter matrix one block of rows at a time, from the block's
+observations and the window - 1 before it, so its working set,
+O(n * block * p * (window + f)), does not grow with the horizon.  Its one
+caller is `predictors._run_arms`, which every learner runs on: the spectral
 learner with `FilterBank.filter_matrix()`, AR(k) with the k x k identity,
 whose features are the last k observations.  Features are laid out
-coordinate-major (`_bank_columns`).
+coordinate-major (`_bank_columns`).  The whole-trajectory convolution that
+the kernel is checked against, `trajectory_features`, is a test reference
+(`tests/conftest.py`), not library code.
 """
 
 from __future__ import annotations
@@ -135,29 +137,6 @@ def build_filter_bank(window: int, m: int, sign_augmented: bool = False) -> Filt
     )
 
 
-def trajectory_features(bank: FilterBank, ys: np.ndarray) -> np.ndarray:
-    """Features for every step of a trajectory, row t ending at observation t.
-
-    `ys` is (H,) or (H, p); the result is (H, feature_count * p).  Row t is
-    `filter_matrix().T` applied to each coordinate's last `window`
-    observations up to t, newest first and zero padded, concatenated
-    coordinate-major.
-    """
-    Y = np.asarray(ys, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    H, p = Y.shape
-    F = bank.filter_matrix()
-    Fflip = F[::-1].copy()  # windows below are oldest-first
-    out = np.empty((H, p, F.shape[1]))
-    pad = np.zeros(bank.window - 1)
-    for c in range(p):
-        ypad = np.concatenate([pad, Y[:, c]])
-        windows = np.lib.stride_tricks.sliding_window_view(ypad, bank.window)
-        out[:, c, :] = windows @ Fflip
-    return out.reshape(H, p * F.shape[1])
-
-
 def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
     """Shifted features of an (n, H, p) ensemble by the (window, f) filter
     matrix F, one block of rows at a time.
@@ -165,13 +144,13 @@ def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
     Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] holds,
     for each coordinate c, F.T applied to Ys[i, t-1, c], ..., Ys[i, t-window, c]
     (newest first, zero before row 0), as columns c * f .. c * f + f - 1: the
-    last `trajectory_features` row of Ys[i, :t] for a bank's filter matrix,
-    the input of a predictor about to see Ys[i, t].  A block reads Ys rows
-    [s - window + 1, e) only; Z is a view into a buffer the next block
-    overwrites, so the working set is O(n * block * p * (window + f)) whatever
-    H is.
+    last row of the tests' whole-trajectory reference `trajectory_features`
+    on Ys[i, :t] for a bank's filter matrix, the input of a predictor about
+    to see Ys[i, t].  A block reads Ys rows [s - window + 1, e) only; Z is a
+    view into a buffer the next block overwrites, so the working set is
+    O(n * block * p * (window + f)) whatever H is.
 
-    Each block computes `trajectory_features` rows [s, e) with one matmul and
+    Each block computes the reference's rows [s, e) with one matmul and
     carries its last row into the next block, so its row groups line up with
     those of the whole-trajectory product.  Measured with OpenBLAS, the bits
     agree when `block` is a multiple of 4 and there is more than one filter

@@ -56,7 +56,11 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class InitPolicy:
     """Admissible initial states: a fixed point, a deterministic sphere grid,
-    or draws from the stationary law of the system."""
+    or draws from the stationary law of the system.
+
+    The 1-d sphere has two points, so a 1-d `ball_grid` has the two states
+    +radius and -radius whatever `points` (the config's `x0_points`) asks
+    for above 1: `configs/scalar_lds.cfg` asks for 8 and gets 2."""
 
     kind: str = "fixed"  # "fixed" | "ball_grid" | "stationary"
     x0: tuple[float, ...] | None = None
@@ -147,7 +151,7 @@ class LdsSpec:
             asym = float(np.abs(self.A - self.A.T).max())
             if asym > 1e-12:
                 raise ContractViolation(f"symmetric_flag set but max |A - A^T| = {asym:.3e}")
-            norm = spectral_radius_symmetric(self.A)
+            norm = float(np.linalg.norm(self.A, 2))
             if norm > 1.0 + 1e-10:
                 raise ContractViolation(f"symmetric_flag set but ||A||_2 = {norm:.6f} > 1")
         for M in (self.A, self.C, self.B, self.K):
@@ -461,12 +465,6 @@ def simulate_lorenz_ensemble(
 
 # ---------------------------------------------------------------------------
 # spec utilities
-
-
-def spectral_radius_symmetric(M) -> float:
-    """Largest |eigenvalue| of a symmetric matrix."""
-    evals, _ = sym_eig(M)
-    return float(max(abs(evals[0]), abs(evals[-1])))
 
 
 def spectral_radius(M) -> float:

@@ -4,9 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynolearn import InitPolicy, LdsSpec, NoiseSpec, SeededRng, trajectory_features
+from dynolearn import (
+    InitPolicy,
+    KalmanPredictor,
+    LdsSpec,
+    NoiseSpec,
+    SeededRng,
+    SpectralPredictor,
+    build_filter_bank,
+    initial_states,
+    simulate_ensemble,
+)
+from dynolearn import learnability
 from dynolearn.errors import SingularSystem
+from dynolearn.numerics import solve_normal_system
 from dynolearn.predictors import _effective_ridge
+from dynolearn.spectral import _feature_blocks
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -148,6 +161,30 @@ def stream_predictions(pred, ys):
     return np.stack([ref.step(ys[:t][::-1], ys[t]) for t in range(len(ys))])
 
 
+def trajectory_features(bank, ys):
+    """Features for every step of a trajectory, row t ending at observation t.
+
+    `ys` is (H,) or (H, p); the result is (H, feature_count * p).  Row t is
+    `filter_matrix().T` applied to each coordinate's last `window`
+    observations up to t, newest first and zero padded, concatenated
+    coordinate-major.  It convolves the whole trajectory at once: the
+    reference that the block kernel `_feature_blocks` is checked against.
+    """
+    Y = np.asarray(ys, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    H, p = Y.shape
+    F = bank.filter_matrix()
+    Fflip = F[::-1].copy()  # windows below are oldest-first
+    out = np.empty((H, p, F.shape[1]))
+    pad = np.zeros(bank.window - 1)
+    for c in range(p):
+        ypad = np.concatenate([pad, Y[:, c]])
+        windows = np.lib.stride_tricks.sliding_window_view(ypad, bank.window)
+        out[:, c, :] = windows @ Fflip
+    return out.reshape(H, p * F.shape[1])
+
+
 # The whole-tensor learner path that the blocked engine replaced: every
 # trajectory's shifted features built at once, then one refit loop over them.
 # The blocked engine is checked against it.
@@ -199,3 +236,72 @@ def streaming_ridge_reference(Zpred, Ys, reg, refit_period):
                     raise SingularSystem(f"readout refit at step {e} is singular") from exc
         s = e
     return preds
+
+
+# The bias/variance split with its own feature loops, as it was written
+# before its w*-readout and reference fit became arms of `_run_arms`: the
+# reference that the split is checked against bit for bit.
+
+
+def reference_readout(bank, ys_ref):
+    """w* of a (1, H, p) reference run: the 2-d Gram and moment summed over
+    blocks of 256 feature rows, then the Cholesky solve with ridge
+    1e-8 * trace(Gram) / q."""
+    p = ys_ref.shape[2]
+    q = bank.feature_count * p
+    gram, moment = np.zeros((q, q)), np.zeros((q, p))
+    for s, e, Z in _feature_blocks(bank.filter_matrix(), ys_ref, 256):
+        gram += Z[0].T @ Z[0]
+        moment += Z[0].T @ ys_ref[0, s:e]
+    return solve_normal_system(gram, moment, ridge=1e-8 * float(np.trace(gram)) / q)
+
+
+def readout_predictions(bank, Ys, w_star, rows, refit_period):
+    """Z @ w_star on the refit blocks that hold a row of the mask `rows`;
+    the other rows are left unset."""
+    preds = np.empty_like(Ys)
+    for s, e, Z in _feature_blocks(bank.filter_matrix(), Ys, refit_period):
+        if rows[s : s + refit_period].any():
+            preds[:, s:e] = Z @ w_star
+    return preds
+
+
+def bias_variance_reference(
+    system,
+    window_len,
+    m,
+    t_grid,
+    n_traj,
+    master_seed,
+    window,
+    reg,
+    refit_period,
+    ref_multiplier,
+    sign_augmented,
+):
+    """(bias, bias CI, variance, variance CI) of `bias_variance_split` on the
+    system's own x0 grid, from `reference_readout` and `readout_predictions`."""
+    bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
+    grid = np.asarray(t_grid, dtype=int)
+    horizon = int(grid[-1] + window)
+    master = SeededRng(master_seed)
+    ref_rng = master.child(learnability._REF_NS, 0)
+    ys_ref = simulate_ensemble(
+        system, ref_multiplier * horizon, initial_states(system)[0], [ref_rng]
+    )
+    w_star = reference_readout(bank, ys_ref)
+    learner = SpectralPredictor(bank, system.p, reg=reg, refit_period=refit_period)
+    kalman = KalmanPredictor(system)
+    rows, first = learnability._read_rows(grid, window, horizon), grid[0]
+
+    def losses(Ys, run):
+        star = readout_predictions(bank, Ys, w_star, rows, refit_period)[:, first:]
+        ys = Ys[:, first:]
+        pairs = [(star, ys), (run(kalman, rows), ys), (learner.run_ensemble(Ys, rows), star)]
+        return [learnability._grid_losses(a, b, grid - first, window) for a, b in pairs]
+
+    states = learnability._resolve_states(system, None)
+    L = learnability._evaluate(system, states, horizon, n_traj, master, 1, losses)
+    bias, bias_ci, _, _ = learnability._worst_case(L[0], L[1])
+    variance, var_ci, _, _ = learnability._worst_case(L[2], np.zeros_like(L[2]))
+    return bias, bias_ci, variance, var_ci

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dynolearn as dl
-from conftest import cli_env, kalman_covariances
+from conftest import cli_env, kalman_covariances, trajectory_features
 from dynolearn.numerics import SeededRng
 from dynolearn.systems import random_symmetric_psd, random_unit_row
 
@@ -231,7 +231,7 @@ def test_c07_persistent_excitation(scalar_excess_curve):
     spec, _, _ = scalar_excess_curve
     bank = _quiet_bank(100, 15)
     ys = dl.simulate_lds_ensemble(spec, 5000, np.array([1.0]), [SeededRng(1000).child(0, 0)])[0]
-    Z = dl.trajectory_features(bank, ys)
+    Z = trajectory_features(bank, ys)
     checkpoints = np.arange(500, 5001, 500)
     ratios = []
     for t in checkpoints:

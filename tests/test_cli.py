@@ -356,6 +356,15 @@ class TestRiskPipeline:
         header = (workdir / "bv" / "biasvar.csv").read_text().splitlines()[0]
         assert header == "t,bias,bias_ci,variance,variance_ci"
 
+    @pytest.mark.parametrize("multiplier", ["0", "-1"])
+    def test_biasvar_rejects_reference_multiplier_below_one(self, multiplier, workdir):
+        args = ["biasvar", "-c", "risk.cfg", "--out", "bv", f"harness.ref_multiplier={multiplier}"]
+        res = run_cli(args, workdir)
+        assert res.returncode == 1, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "ref_multiplier" in err["message"]
+        assert not (workdir / "bv" / "biasvar.csv").exists()
+
     def test_thread_count_keeps_bytes(self, workdir):
         # -j is the one way to set the worker count, and it moves no output bit
         (workdir / "lor.cfg").write_text(

@@ -27,6 +27,7 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
+from conftest import bias_variance_reference
 from dynolearn import learnability, systems
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
@@ -516,6 +517,52 @@ class TestBiasVarianceSplit:
         with pytest.raises(IncompatiblePairing):
             bias_variance_split(LorenzSpec(), 16, 4, t_grid=(10,), n_traj=4)
         assert built == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        p=st.integers(1, 2),
+        sign_augmented=st.booleans(),
+        refit_period=st.sampled_from([4, 8, 16]),
+        ref_multiplier=st.integers(1, 3),
+        first=st.integers(1, 40),
+        gap=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_loop_reference(
+        self, d, p, sign_augmented, refit_period, ref_multiplier, first, gap, seed
+    ):
+        # the split on _run_arms arms against its own hand-written feature loops
+        g = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(g.standard_normal((d, d)))
+        A = Q @ np.diag(g.uniform(-0.95, 0.95, d)) @ Q.T
+        system = LdsSpec(
+            A=0.5 * (A + A.T),
+            C=g.standard_normal((p, d)),
+            noise=NoiseSpec(*g.uniform(0.05, 0.5, 2)),
+            init=InitPolicy(kind="ball_grid", radius=1.0, points=2),
+        )
+        kw = dict(
+            window_len=8,
+            m=3,
+            t_grid=(first, first + gap),
+            n_traj=3,
+            master_seed=seed,
+            window=4,
+            reg=2.0,
+            refit_period=refit_period,
+            ref_multiplier=ref_multiplier,
+            sign_augmented=sign_augmented,
+        )
+        rep = bias_variance_split(system, **kw)
+        got = (rep.bias, rep.bias_ci_half, rep.variance, rep.variance_ci_half)
+        want = bias_variance_reference(system, **kw)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("multiplier", [0, -1])
+    def test_rejects_reference_multiplier_below_one(self, multiplier):
+        with pytest.raises(ContractViolation, match="ref_multiplier"):
+            bias_variance_split(_noisy_scalar(), 8, 3, (10,), n_traj=4, ref_multiplier=multiplier)
 
     def test_csv(self, tmp_path, biasvar_report):
         rep, _ = biasvar_report

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from dynolearn import (
     simulate_lds_ensemble,
 )
 from conftest import (
+    SRC,
     lds_reference,
     shifted_features_reference,
     shifted_lags_reference,
@@ -505,3 +508,59 @@ class TestRowRestrictedEngine:
         rows[3] = True  # row 3 reads the refit at 2
         with pytest.raises(SingularSystem, match="step 2"):
             ar2.run_ensemble(Ys, rows)
+
+
+class TestFrozenArm:
+    """An arm given a fixed readout predicts with it and never learns."""
+
+    @pytest.mark.parametrize("read", ["all", "mask"])
+    def test_predicts_its_readout_and_never_accumulates(self, read):
+        g = np.random.default_rng(9)
+        Ys = g.standard_normal((3, 70, 2))
+        F = build_filter_bank(12, 3, sign_augmented=True).filter_matrix()
+        readout = g.standard_normal((F.shape[1] * 2, 2))
+        rows = None
+        if read == "mask":
+            rows = np.zeros(70, dtype=bool)
+            rows[[21, 22, 50, 69]] = True
+        arms = [(None, 2.0), (None, 0.0, readout)]
+        learner, frozen = _run_arms(F, Ys, arms, 8, rows)
+        assert all(w.tobytes() == readout.tobytes() for w in frozen.w)
+        assert not frozen.gram.any() and not frozen.moment.any() and frozen.solves == 0
+        # a learner beside it keeps the bits it has alone
+        (alone,) = _run_arms(F, Ys, arms[:1], 8, rows)
+        assert learner.preds.tobytes() == alone.preds.tobytes()
+        expected = np.concatenate([Z @ readout for _, _, Z in _feature_blocks(F, Ys, 8)], axis=1)
+        read_rows = np.arange(70) if rows is None else np.flatnonzero(rows)
+        got = frozen.preds[:, read_rows - frozen.first]
+        assert got.tobytes() == expected[:, read_rows].tobytes()
+
+
+def _calls_by_scope(tree):
+    """(enclosing def/class names, callee name) of every call in a module."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                calls.append((scope, f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return calls
+
+
+@pytest.mark.parametrize("callee", ["_feature_blocks", "_EnsembleRidge"])
+def test_one_streaming_ridge_path(callee):
+    # every learner, reference fit and frozen readout runs through _run_arms:
+    # it is the one library caller of the block kernel and of the ridge
+    callers = set()
+    for path in sorted((SRC / "dynolearn").glob("*.py")):
+        for scope, name in _calls_by_scope(ast.parse(path.read_text())):
+            if name == callee:
+                callers.add((path.name, scope))
+    assert callers == {("predictors.py", ("_run_arms",))}

@@ -12,9 +12,8 @@ from dynolearn import (
     reliable_filter_cap,
     residual_energy,
     sym_eig,
-    trajectory_features,
 )
-from conftest import shifted_features_reference, window_features
+from conftest import shifted_features_reference, trajectory_features, window_features
 from dynolearn.spectral import _feature_blocks, positive_filter_limit
 
 

@@ -15,7 +15,6 @@ from dynolearn import (
     simulate_ensemble,
     simulate_lds_ensemble,
     spectral_radius,
-    spectral_radius_symmetric,
     stationary_observation_power,
     stationary_state_covariance,
     write_trajectory_csv,
@@ -460,20 +459,29 @@ def _power_iteration_psd(M, iters=5000):
 
 
 class TestMatrixNorms:
+    """The symmetric-flag check of `LdsSpec`, ||A||_2 > 1 + 1e-10, at its
+    boundary: each matrix scaled to a norm 5e-11 above 1 is accepted, and
+    scaled to 2e-10 above 1 is rejected."""
+
+    @staticmethod
+    def check_boundary(M, norm):
+        C = np.eye(1, M.shape[0])
+        LdsSpec(A=M * ((1 + 5e-11) / norm), C=C)
+        with pytest.raises(ContractViolation, match=r"\|\|A\|\|_2 = 1\.000000 > 1"):
+            LdsSpec(A=M * ((1 + 2e-10) / norm), C=C)
+
     def test_identity(self):
-        assert spectral_radius_symmetric(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+        self.check_boundary(np.eye(4), 1.0)
 
     def test_diagonal(self):
-        M = np.diag([0.3, -0.9])
-        assert spectral_radius_symmetric(M) == pytest.approx(0.9, abs=1e-12)
+        self.check_boundary(np.diag([0.3, -0.9]), 0.9)
 
     def test_matches_power_iteration(self):
         g = np.random.default_rng(8)
         A = g.standard_normal((8, 8))
         M = 0.5 * (A + A.T)
         # power iteration on M^T M gives the squared top singular value
-        expected = np.sqrt(_power_iteration_psd(M.T @ M))
-        assert spectral_radius_symmetric(M) == pytest.approx(expected, abs=1e-8)
+        self.check_boundary(M, np.sqrt(_power_iteration_psd(M.T @ M)))
 
     def test_general_radius(self):
         M = np.array([[0.0, 1.0], [-0.25, 0.0]])  # complex pair, |lambda| = 0.5
