@@ -3,52 +3,58 @@
 Excess risk, m*, the agnostic gap and the bias/variance split are one
 measurement: the worst case over initial states of a gap between two
 per-trajectory losses on one seeded ensemble.  `_evaluate` simulates the
-admissible x0 in one call and then maps the "arms" (predictors, or losses
-derived from them) over x0.
-It returns one tensor [arm, x0, traj, g] of squared losses averaged over a
+admissible x0 in one call, runs the predictors and learner arms, and
+returns one tensor [arm, x0, traj, g] of squared losses averaged over a
 short window at each grid time; `_worst_case` reduces two arms to the
 largest mean gap over x0, its 95% CI and both means.
 
 For a linear system, x0 moves the observations only through its free
 response C A^t x0, since every x0 shares the noise.  `_evaluate` therefore
 simulates the ensemble once, from x0 = 0, and gives each x0 that base plus
-its free response.  A predictor declared linear (see `oracles`) runs once on
-the base and once on the stacked free responses, and each x0 gets the sum;
-only the learners run once per x0.  The Lorenz grid is simulated directly,
-in one stacked recursion.
+its free response, and it never runs a predictor once per x0.  A predictor
+declared linear (see `oracles`) runs once on the base and once on the
+stacked free responses, and each x0 gets the sum.  The learners' features
+are linear in the observations too, so each learner runs once for the whole
+grid: every refit block of the base is convolved once, and so is the block
+of the free responses, and each x0 reads the sum (`predictors._run_arms`
+with `free`); only the Grams, moments, readouts and predictions are per x0.
+The Lorenz grid is simulated directly, in one stacked recursion, and every
+predictor runs on each x0's observations.
 
-The learners stream each x0's observations one refit block at a time (see
-`predictors`), so an arm holds O(n * (q^2 + window * p)) besides the
-(n, H, p) observations and predictions.  A measurement reads only the rows
-[t, t + window) after its grid times (m*: the rows from t_eval), so it
-builds that mask once, `_read_rows`, and the learners predict only blocks
-that hold a read row and solve a refit only when a read row uses it; every
-block still enters their Gram and moment, so the read rows and the tables
-keep the bits of a full run.  Predictions are kept from the first read row
-on.  Every learner, in every measurement, runs as an arm of
-`predictors._run_arms`, and the spectral arms of one x0 task share one
+A measurement reads only the rows [t, t + window) after its grid times
+(m*: the rows from t_eval), so it builds that mask once, `_read_rows`, and
+every prediction is kept on those rows only, in order; the losses read the
+window of grid time t at its position among them.  The learners predict
+only blocks that hold a read row and solve a refit only when a read row
+uses it; every block still enters their Gram and moment, so the read rows
+keep the bits of a full run.  Every learner, in every measurement, runs as
+an arm of `predictors._run_arms`, and arms of one learner share one
 convolution per block: m*'s sweep reads every filter count's columns from
 the largest bank's block, and the bias/variance split runs its online
 learner beside a frozen arm that predicts with the fixed w*-readout.  The
 split's reference fit is one more arm, on the long reference run, with a
 mask that reads no row: it only sums the Gram and moment that w* is solved
-from.
+from.  A learner's state for the whole grid is (x0, traj) Grams, so the
+grid runs in groups of x0 that fit `_GROUP_BYTES` (the whole grid unless
+the arms are many and large, as m*'s sweep on a large ensemble).
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
-worker count: trajectory random streams are pre-assigned by index.  Every x0
-deliberately sees the same noise realizations (common random numbers), so
-differences across the grid come from the initial state alone; the simulator
-draws that noise inside its one call, an LDS's process noise one time chunk
-at a time, and none of it outlives the call, so the arms run without it.
-Superposition moves an LDS result by rounding only (at most a relative
-4.9e-12 on the committed configs, in `biasvar.csv` on the scalar system)
-against simulating each x0 on its own.
+worker count: trajectory random streams are pre-assigned by index, and the
+tasks split the work by predictor and group of x0, never within a sum.
+Every x0 deliberately sees the same noise realizations
+(common random numbers), so differences across the grid come from the
+initial state alone; the simulator draws that noise inside its one call, an
+LDS's process noise one time chunk at a time, and none of it outlives the
+call, so the arms run without it.  Superposition moves an LDS result by
+rounding only: summing the learners' features of the base and of the free
+response, instead of convolving each x0's observations, moved the committed
+configs' LDS outputs by at most a relative 6.1e-13 (d50's `biasvar.csv`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +62,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _run_arms
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _check_obs_dim, _run_arms
 from .spectral import _bank_columns, build_filter_bank
 from .systems import (
     LdsSpec,
@@ -75,6 +81,7 @@ CI_Z = 1.96  # two-sided 95% normal quantile
 _TRAJ_NS = 0  # child-stream namespace for ensemble trajectories
 _REF_NS = 2**31  # child-stream namespace for reference runs
 _REF_BLOCK = 256  # rows of the reference run's features alive at a time
+_GROUP_BYTES = 8 << 20  # ridge state, over every trajectory, of one group of x0 at most
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +193,27 @@ def _validate_grid(t_grid, window: int) -> tuple[np.ndarray, int]:
     return grid, int(grid[-1] + window)
 
 
-def _read_rows(grid: np.ndarray, window: int, horizon: int) -> np.ndarray:
-    """The rows [t, t + window) that a grid loss reads, as a mask over the horizon."""
+def _read_rows(grid: np.ndarray, window: int, horizon: int):
+    """The rows [t, t + window) that a grid loss reads, as a mask over the
+    horizon, and where each grid time's window starts among the read rows."""
     rows = np.zeros(horizon, dtype=bool)
     for t in grid:
         rows[t : t + window] = True
-    return rows
+    return rows, np.cumsum(rows)[grid] - 1
 
 
-def _grid_losses(preds: np.ndarray, Ys: np.ndarray, grid: np.ndarray, window: int) -> np.ndarray:
-    """Per-trajectory squared losses averaged over [t, t + window) per grid time.
+def _grid_losses(preds: np.ndarray, Ys: np.ndarray, starts, window: int) -> np.ndarray:
+    """Per-trajectory squared losses averaged over [s, s + window) per start s.
 
     Only the rows of those windows are read, so the temporaries are
-    (n, window, p), not (n, H, p).
+    (n, window, p).
     """
 
-    def window_loss(t):
-        err = preds[:, t : t + window] - Ys[:, t : t + window]
+    def window_loss(s):
+        err = preds[:, s : s + window] - Ys[:, s : s + window]
         return (err**2).sum(axis=2).mean(axis=1)
 
-    return np.stack([window_loss(t) for t in grid], axis=1)
+    return np.stack([window_loss(s) for s in starts], axis=1)
 
 
 def _resolve_states(system, x0_grid) -> list[np.ndarray]:
@@ -229,76 +237,126 @@ def _traj_rngs(master: SeededRng, n_traj: int) -> list[SeededRng]:
     return [master.child(_TRAJ_NS, i) for i in range(n_traj)]
 
 
-def _evaluate(system, states, horizon: int, n_traj: int, master, n_workers: int, losses):
+def _evaluate(
+    system, states, horizon: int, n_traj: int, master, n_workers: int, rows, runs, losses
+):
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
-    `losses(Ys, run)` maps one x0's observations Ys (n_traj, H, p) to one
-    (n_traj, G) array per arm; `run(P, rows)` is P's predictions of Ys's rows
-    first..H-1, first the first row of the mask `rows`, from
-    `P.run_ensemble(Ys, rows)` for a learner (only the rows in `rows` are
-    computed, see `predictors`) and `P.run_ensemble(Ys)[:, first:]` for a
-    linear P.  Phases:
+    `rows` masks the R steps that a loss reads.  `runs` lists what predicts
+    them: predictors, and learners given as the (filter matrix, arms, refit
+    period) of `predictors._run_arms`; a learner predictor (spectral, AR)
+    runs as its own `_engine()`.  For each x0, `losses(ys, preds)` maps its
+    observations on the read rows, ys (n_traj, R, p), and their predictions,
+    one (n_traj, R, p) array per predictor and per learner arm in the order
+    of `runs`, to one (n_traj, G) array per loss arm.  Phases:
     1. Simulate, in one call that draws the ensemble's noise on n_workers
        threads.  Lorenz: every x0 in one stacked RK4 recursion.  LDS: the
        ensemble once from x0 = 0 (the base), and the grid's free responses
-       C A^t x0 as one (k, H, p) array; an x0's Ys is the base plus its
-       free response.
-    2. Map each x0 to `losses(Ys, run)`, in parallel.  For an LDS, `run`
-       of a linear predictor (`P.linear`, see `oracles`) adds P on the base
-       and P on the free responses, each computed once per evaluation by
-       whichever task first asks; any other P runs on Ys.
+       C A^t x0 as one (k, H, p) array; an x0's observations are the base
+       plus its free response.
+    2. Predict.  Lorenz: each x0 in its own task, every run on its
+       observations.  LDS, by superposition, with no task per x0: a linear
+       predictor (`P.linear`, see `oracles`) runs once on the base and once
+       on the free responses, each its own task, and x0 j gets the sum; a
+       learner runs as `_run_arms(base, ..., free=free)`, one task per group
+       of x0 (`_x0_groups`).  Each trajectory of each x0 is its own batch
+       entry in the learner's products and solves, so the bits do not
+       depend on the groups.
+    3. Reduce each x0's predictions with `losses`.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     rngs = _traj_rngs(master, n_traj)
+    engines = [_engine(run, system.p) for run in runs]
+
+    def read(a):  # the read rows of (..., H, p) arrays, C-ordered as the losses sum them
+        return np.compress(rows, a, axis=-2)
+
     if not isinstance(system, LdsSpec):
         # (x0, traj, t, p), from one call
         grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, n_workers=n_workers)
 
         def direct(Ys):
-            return np.stack(losses(Ys, lambda P, rows: _run_rows(P, Ys, rows)))
+            preds = []
+            for run, engine in zip(runs, engines):
+                if engine is None:
+                    preds.append(read(run.run_ensemble(Ys)))
+                else:
+                    F, arms, refit_period = engine
+                    preds += [r.preds for r in _run_arms(F, Ys, arms, refit_period, rows)]
+            return np.stack(losses(read(Ys), preds))
 
         return np.stack(_parallel_map(direct, grid_Ys, n_workers), axis=1)
 
     base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
     free = lds_free_responses(system, horizon, states)
-    runs, lock = {}, threading.Lock()
+    k = len(states)
+    linear = {id(run): run for run, e in zip(runs, engines) if e is None}
+    on_base, on_free = {}, {}  # a linear predictor's read rows, by id
+    learned = {i: [None] * k for i, e in enumerate(engines) if e}  # per x0, each arm's rows
 
-    def superposed(P):  # (P on the base, P on the free responses), once per P
-        with lock:
-            if id(P) not in runs:
-                runs[id(P)] = (P, P.run_ensemble(base), P.run_ensemble(free))
-            return runs[id(P)][1:]
+    def predict(P, Ys, into):
+        into[id(P)] = read(P.run_ensemble(Ys))
 
-    def task(j):
-        Ys = base + free[j]
+    def learn(i, group):  # learner i on the whole base, for a group of x0
+        F, arms, refit_period = engines[i]
+        ridges = _run_arms(F, base, arms, refit_period, rows, free[group])
+        # (x0, traj, row, p) views: the ridges stack the group x0-major
+        stacks = [ridge.preds.reshape((-1, n_traj) + ridge.preds.shape[1:]) for ridge in ridges]
+        for j in range(k)[group]:
+            learned[i][j] = [preds[j - group.start] for preds in stacks]
 
-        def run(P, rows):
-            if not getattr(P, "linear", False):
-                return _run_rows(P, Ys, rows)
-            on_base, on_free = superposed(P)
-            first = int(np.argmax(rows))
-            return on_base[:, first:] + on_free[j, first:]
+    tasks = [functools.partial(predict, P, base, on_base) for P in linear.values()]
+    for i in learned:
+        groups = _x0_groups(engines[i], k, n_traj, system.p)
+        tasks += [functools.partial(learn, i, g) for g in groups]
+    # a predictor's run on the free responses comes last, when its run on the
+    # base has built whatever the two share (the Kalman gains), so no worker waits
+    tasks += [functools.partial(predict, P, free, on_free) for P in linear.values()]
+    _parallel_map(lambda t: t(), tasks, n_workers)
+    ys_base, ys_free = read(base), read(free)
 
-        return np.stack(losses(Ys, run))
+    def x0_losses(j):
+        preds = []
+        for i, run in enumerate(runs):
+            if i in learned:
+                preds += learned[i][j]
+            else:
+                preds.append(on_base[id(run)] + on_free[id(run)][j])
+        return np.stack(losses(ys_base + ys_free[j], preds))
 
-    return np.stack(_parallel_map(task, range(len(states)), n_workers), axis=1)
+    return np.stack([x0_losses(j) for j in range(k)], axis=1)
 
 
-def _run_rows(P, Ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """P's predictions of Ys's rows first..H-1, first the first row of `rows`:
-    a linear P runs whole, a learner only where `rows` reads."""
-    if getattr(P, "linear", False):
-        return P.run_ensemble(Ys)[:, int(np.argmax(rows)) :]
-    return P.run_ensemble(Ys, rows)
+def _x0_groups(engine, k: int, n: int, p: int) -> list[slice]:
+    """The x0 grid in contiguous groups whose ridge state (Grams, moments,
+    readouts) on n trajectories fits in `_GROUP_BYTES`, at least one x0 each."""
+    F, arms, _ = engine
+    qs = [F.shape[1] * p if cols is None else len(cols) for cols, *_ in arms]
+    size = max(1, _GROUP_BYTES // (8 * n * sum(q * q + 2 * q * p for q in qs)))
+    return [slice(j, j + size) for j in range(0, k, size)]
 
 
-def _predictor_losses(predictors, grid: np.ndarray, window: int, horizon: int):
-    """`losses` for `_evaluate`: one arm per predictor, its grid losses on Ys."""
-    rows, first = _read_rows(grid, window, horizon), grid[0]
+def _engine(run, p: int):
+    """A learner run's (filter matrix, arms, refit period) on observations of
+    dimension p; None for a linear predictor."""
+    if isinstance(run, tuple):
+        return run
+    if getattr(run, "linear", False):
+        return None
+    if not hasattr(run, "_engine"):
+        raise ContractViolation(
+            f"{type(run).__name__} is neither linear (see `oracles`) nor a streaming learner"
+        )
+    _check_obs_dim(p, run.obs_dim)
+    return run._engine()
 
-    def losses(Ys, run):
-        return [_grid_losses(run(p, rows), Ys[:, first:], grid - first, window) for p in predictors]
+
+def _versus_ys(starts, window: int):
+    """`losses` for `_evaluate`: one arm per prediction, its grid losses on the observations."""
+
+    def losses(ys, preds):
+        return [_grid_losses(pr, ys, starts, window) for pr in preds]
 
     return losses
 
@@ -370,8 +428,11 @@ def estimate_excess_risk(
     """
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    losses = _predictor_losses((algorithm, oracle), grid, window, horizon)
-    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    rows, starts = _read_rows(grid, window, horizon)
+    runs, master = (algorithm, oracle), SeededRng(master_seed)
+    L = _evaluate(
+        system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
+    )
     excess, ci, raw_alg, raw_oracle = _worst_case(L[0], L[1])
     return RiskCurve(
         t_grid=grid,
@@ -436,14 +497,11 @@ def minimal_filter_count(
     bank = build_filter_bank(window_len, ms[-1], sign_augmented=sign_augmented)
     F = bank.filter_matrix()
     arms = [(None if m == bank.m else _bank_columns(bank, m, system.p), reg) for m in ms]
-    rows = _read_rows(grid, window, horizon)  # [t_eval, horizon)
-
-    def losses(Ys, run):  # the whole m sweep inside each x0 task, on one convolution per block
-        preds = [run(oracle, rows)]
-        preds += [ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, rows)]
-        return [_grid_losses(pr, Ys[:, t_eval:], grid - t_eval, window) for pr in preds]
-
-    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    rows, starts = _read_rows(grid, window, horizon)  # [t_eval, horizon)
+    runs, master = (oracle, (F, arms, refit_period)), SeededRng(master_seed)
+    L = _evaluate(
+        system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
+    )
     excess, ci = np.empty(len(ms)), np.empty(len(ms))
     for j in range(len(ms)):
         (excess[j],), (ci[j],), _, _ = _worst_case(L[1 + j], L[0])
@@ -481,8 +539,11 @@ def agnostic_gap(
         raise ContractViolation("baseline_class must be nonempty")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
-    losses = _predictor_losses([algorithm, *baselines], grid, window, horizon)
-    L = _evaluate(system, states, horizon, n_traj, SeededRng(master_seed), n_workers, losses)
+    rows, starts = _read_rows(grid, window, horizon)
+    runs, master = (algorithm, *baselines), SeededRng(master_seed)
+    L = _evaluate(
+        system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
+    )
     best = L[1:].mean(axis=2).argmin(axis=0)  # (x0, g): the baseline with the least mean loss
     comparator = np.take_along_axis(L[1:], best[None, :, None, :], axis=0)[0]
     gap, ci, raw_alg, raw_best = _worst_case(L[0], comparator)
@@ -552,19 +613,20 @@ def bias_variance_split(
     tiny = 1e-8 * float(np.trace(gram)) / ref.q
     w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
-    rows, first = _read_rows(grid, window, horizon), grid[0]
-    arms = [(None, reg), (None, 0.0, w_star)]  # the online learner and the frozen w*-readout
+    rows, starts = _read_rows(grid, window, horizon)
+    # the online learner and the frozen w*-readout, on one convolution per block
+    arms = [(None, reg), (None, 0.0, w_star)]
 
-    def losses(Ys, run):  # both arms read one convolution per block
-        learner, star = (ridge.preds for ridge in _run_arms(F, Ys, arms, refit_period, rows))
-        ys = Ys[:, first:]
+    def losses(ys, preds):
+        learner, star, on_kalman = preds
         return [
-            _grid_losses(star, ys, grid - first, window),
-            _grid_losses(run(kalman, rows), ys, grid - first, window),
-            _grid_losses(learner, star, grid - first, window),  # squared pred diff
+            _grid_losses(star, ys, starts, window),
+            _grid_losses(on_kalman, ys, starts, window),
+            _grid_losses(learner, star, starts, window),  # squared pred diff
         ]
 
-    L = _evaluate(system, states, horizon, n_traj, master, n_workers, losses)
+    runs = ((F, arms, refit_period), kalman)
+    L = _evaluate(system, states, horizon, n_traj, master, n_workers, rows, runs, losses)
     bias, bias_ci, _, _ = _worst_case(L[0], L[1])
     variance, var_ci, _, _ = _worst_case(L[2], np.zeros_like(L[2]))
     return BiasVarianceReport(

@@ -24,12 +24,13 @@ Linearity contract: a predictor class whose `linear` attribute is true
 promises that `run_ensemble` is a fixed linear map of `Ys` with zero initial
 mean that acts on each trajectory alone, so run_ensemble(a + b) =
 run_ensemble(a) + run_ensemble(b) up to rounding.  All three classes here
-declare it.  The harness relies on it for a linear system: it runs such a
-predictor once on the ensemble simulated from x0 = 0 and once on the grid's
-free responses C A^t x0, and gives each x0 the sum, in every role
-(algorithm, oracle or baseline), so two equal arms still get identical bits.
-The learners in `predictors` fit their readout to the data and are not
-linear.
+declare it, and so do the zero and last-value baselines in `predictors`.
+The harness relies on it for a linear system: it runs such a predictor once
+on the ensemble simulated from x0 = 0 and once on the grid's free responses
+C A^t x0, and gives each x0 the sum, in every role (algorithm, oracle or
+baseline), so two equal arms still get identical bits.  The learners in
+`predictors` (spectral, AR) fit their readout to the data and are not
+linear; only their features are, which the harness superposes instead.
 """
 
 from __future__ import annotations

@@ -400,20 +400,25 @@ def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int, record) -> None
     `record(t0, X)` receives, in order, blocks X (b, 3, ...) holding the
     states of steps t0 .. t0 + b - 1, each taken before it moves.  A
     non-finite state raises IntegrationBlowup naming the first step that
-    produced one.
+    produced one, before its block is recorded.  A non-finite value stays
+    non-finite under the RK4 step, so each block is checked once, by its
+    last state, and searched for its first bad step only on failure.
     """
     rk4 = _Rk4(spec, s)
     X = np.empty((max(1, min(horizon, _RECORD_VALUES // s.size)),) + s.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
         for t0 in range(0, horizon, len(X)):
             block = X[: min(len(X), horizon - t0)]
-            for i, x in enumerate(block):
+            for x in block:
                 x[...] = s
                 rk4.step()
-                if not np.isfinite(s).all():
-                    raise IntegrationBlowup(
-                        f"Lorenz integration produced non-finite state at step {t0 + i + 1}"
-                    )
+            if not np.isfinite(s).all():
+                # the state each step of the block produced: the next one's start, then s
+                made = np.concatenate([block[1:], s[None]]).reshape(len(block), -1)
+                step = t0 + int(np.argmin(np.isfinite(made).all(axis=1))) + 1
+                raise IntegrationBlowup(
+                    f"Lorenz integration produced non-finite state at step {step}"
+                )
             record(t0, block)
 
 

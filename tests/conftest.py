@@ -10,11 +10,11 @@ from dynolearn import (
     LdsSpec,
     NoiseSpec,
     SeededRng,
-    SpectralPredictor,
     build_filter_bank,
     initial_states,
     simulate_ensemble,
 )
+from dynolearn.systems import lds_free_responses
 from dynolearn import learnability
 from dynolearn.errors import SingularSystem
 from dynolearn.numerics import solve_normal_system
@@ -238,9 +238,22 @@ def streaming_ridge_reference(Zpred, Ys, reg, refit_period):
     return preds
 
 
-# The bias/variance split with its own feature loops, as it was written
-# before its w*-readout and reference fit became arms of `_run_arms`: the
-# reference that the split is checked against bit for bit.
+def superposed_features(bank, base, free):
+    """Shifted features of the ensemble base + free, free one trajectory
+    (H, p): by superposition, the base's plus the free response's."""
+    return shifted_features_reference(bank, base) + shifted_features_reference(bank, free[None])
+
+
+def superposed_learner(pred, base, free):
+    """A spectral learner's predictions on the ensemble base + free, by the
+    superposed definition: the streaming ridge on `superposed_features`."""
+    Z = superposed_features(pred.bank, base, free)
+    return streaming_ridge_reference(Z, base + free, pred.reg, pred.refit_period)
+
+
+# The bias/variance split with its own feature loops, on the superposed
+# definition of each x0's features: the reference that the split is checked
+# against bit for bit.
 
 
 def reference_readout(bank, ys_ref):
@@ -256,14 +269,11 @@ def reference_readout(bank, ys_ref):
     return solve_normal_system(gram, moment, ridge=1e-8 * float(np.trace(gram)) / q)
 
 
-def readout_predictions(bank, Ys, w_star, rows, refit_period):
-    """Z @ w_star on the refit blocks that hold a row of the mask `rows`;
-    the other rows are left unset."""
-    preds = np.empty_like(Ys)
-    for s, e, Z in _feature_blocks(bank.filter_matrix(), Ys, refit_period):
-        if rows[s : s + refit_period].any():
-            preds[:, s:e] = Z @ w_star
-    return preds
+def readout_predictions(Z, w_star, refit_period):
+    """Z @ w_star, one refit block of rows at a time."""
+    H = Z.shape[1]
+    blocks = [Z[:, s : s + refit_period] @ w_star for s in range(0, H, refit_period)]
+    return np.concatenate(blocks, axis=1)
 
 
 def bias_variance_reference(
@@ -280,7 +290,10 @@ def bias_variance_reference(
     sign_augmented,
 ):
     """(bias, bias CI, variance, variance CI) of `bias_variance_split` on the
-    system's own x0 grid, from `reference_readout` and `readout_predictions`."""
+    system's own x0 grid: each x0's observations are the run from x0 = 0 plus
+    its free response, its features `superposed_features`, the learner
+    `streaming_ridge_reference` on them and the w*-readout
+    `readout_predictions`; Kalman runs on the two parts and its predictions add."""
     bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
     grid = np.asarray(t_grid, dtype=int)
     horizon = int(grid[-1] + window)
@@ -290,18 +303,21 @@ def bias_variance_reference(
         system, ref_multiplier * horizon, initial_states(system)[0], [ref_rng]
     )
     w_star = reference_readout(bank, ys_ref)
-    learner = SpectralPredictor(bank, system.p, reg=reg, refit_period=refit_period)
     kalman = KalmanPredictor(system)
-    rows, first = learnability._read_rows(grid, window, horizon), grid[0]
-
-    def losses(Ys, run):
-        star = readout_predictions(bank, Ys, w_star, rows, refit_period)[:, first:]
-        ys = Ys[:, first:]
-        pairs = [(star, ys), (run(kalman, rows), ys), (learner.run_ensemble(Ys, rows), star)]
-        return [learnability._grid_losses(a, b, grid - first, window) for a, b in pairs]
-
-    states = learnability._resolve_states(system, None)
-    L = learnability._evaluate(system, states, horizon, n_traj, master, 1, losses)
+    rngs = learnability._traj_rngs(master, n_traj)
+    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs)
+    free = lds_free_responses(system, horizon, learnability._resolve_states(system, None))
+    on_base, on_free = kalman.run_ensemble(base), kalman.run_ensemble(free)
+    L = [[], [], []]
+    for j in range(len(free)):
+        Ys = base + free[j]
+        Z = superposed_features(bank, base, free[j])
+        star = readout_predictions(Z, w_star, refit_period)
+        learner = streaming_ridge_reference(Z, Ys, reg, refit_period)
+        pairs = [(star, Ys), (on_base + on_free[j], Ys), (learner, star)]
+        for arm, (a, b) in zip(L, pairs):
+            arm.append(learnability._grid_losses(a, b, grid, window))
+    L = np.array(L)
     bias, bias_ci, _, _ = learnability._worst_case(L[0], L[1])
     variance, var_ci, _, _ = learnability._worst_case(L[2], np.zeros_like(L[2]))
     return bias, bias_ci, variance, var_ci

@@ -27,11 +27,13 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
-from conftest import bias_variance_reference
+from conftest import bias_variance_reference, superposed_learner
 from dynolearn import learnability, systems
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
 from dynolearn.numerics import SeededRng
+from dynolearn.predictors import _run_arms
+from dynolearn.spectral import _bank_columns
 
 
 def _noisy_scalar(a=0.9, radius=1.0, points=2):
@@ -174,6 +176,28 @@ class TestEstimateExcessRisk:
             estimate_excess_risk(scalar_spec, kal, kal, (30, 10), n_traj=4)
         with pytest.raises(ContractViolation):
             estimate_excess_risk(scalar_spec, kal, kal, (), n_traj=4)
+
+    @pytest.mark.parametrize("kind", ["lds", "lorenz"])
+    @pytest.mark.parametrize("learner", ["spectral", "ar"])
+    def test_rejects_a_learner_of_another_observation_dim(self, kind, learner):
+        # both systems observe p = 2 coordinates; the learner expects 1
+        system = (
+            LdsSpec(A=np.diag([0.8, 0.5]), C=np.eye(2), noise=NoiseSpec(0.1, 0.1))
+            if kind == "lds"
+            else LorenzSpec(obs_coords=("x", "y"))
+        )
+        wrong = (
+            SpectralPredictor(build_filter_bank(8, 3), obs_dim=1)
+            if learner == "spectral"
+            else BaselinePredictor("ar", order=2, obs_dim=1)
+        )
+        right = BaselinePredictor("last_value", obs_dim=2)
+        stem = dict(n_traj=2, window=2)
+        match = r"observation dim 2 does not match predictor \(1\)"
+        with pytest.raises(ContractViolation, match=match):
+            estimate_excess_risk(system, wrong, TruthOracle(), (4,), **stem)
+        with pytest.raises(ContractViolation, match=match):
+            agnostic_gap(system, right, [right, wrong], (4,), **stem)
 
 
 class TestLorenzBlowup:
@@ -445,7 +469,9 @@ class TestAgnosticGap:
         # the definition, one (x0, g) at a time, on the superposed observations:
         # fresh streams from x0 = 0 (every x0 sees the same noise) plus each
         # x0's free response, in the canonical (sorted) order of the grid;
-        # the Kalman baseline runs on the two parts and its predictions add
+        # the Kalman baseline runs on the two parts and its predictions add,
+        # and the spectral learner reads the base's features plus the free
+        # response's (AR's lags of the sum are exact, so it runs on Ys)
         horizon = int(grid[-1]) + window
         rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), n_traj)
         base = systems.simulate_ensemble(system, horizon, np.zeros(system.d), rngs)
@@ -456,7 +482,7 @@ class TestAgnosticGap:
         per_x0 = []
         for j in range(len(states)):
             Ys = base + free[j]
-            la = learnability._grid_losses(alg.run_ensemble(Ys), Ys, grid, window)
+            la = learnability._grid_losses(superposed_learner(alg, base, free[j]), Ys, grid, window)
             preds = [b.run_ensemble(Ys) for b in baselines[:3]] + [on_base + on_free[j]]
             lbs = [learnability._grid_losses(pr, Ys, grid, window) for pr in preds]
             per_x0.append((la, lbs))
@@ -727,13 +753,15 @@ class TestSuperposedGrid:
         states = list(3.0 * g.standard_normal((k, d)))
         seen = []
 
-        def losses(Ys, run):
-            seen.append(Ys.copy())
-            # a linear predictor in the "truth" role reproduces Ys exactly
-            every_row = np.ones(horizon, dtype=bool)
-            return [learnability._grid_losses(run(TruthOracle(), every_row), Ys, np.array([0]), 1)]
+        def losses(ys, preds):
+            seen.append(ys.copy())
+            # a linear predictor in the "truth" role reproduces ys exactly
+            return [learnability._grid_losses(preds[0], ys, np.array([0]), 1)]
 
-        L = learnability._evaluate(system, states, horizon, n_traj, SeededRng(seed), 1, losses)
+        every_row = np.ones(horizon, dtype=bool)
+        L = learnability._evaluate(
+            system, states, horizon, n_traj, SeededRng(seed), 1, every_row, [TruthOracle()], losses
+        )
         assert (L == 0.0).all()
         assert len(seen) == k
         for x0, Ys in zip(states, seen):
@@ -741,6 +769,78 @@ class TestSuperposedGrid:
             direct = systems.simulate_lds_ensemble(system, horizon, x0, rngs)
             scale = np.abs(direct).max()
             np.testing.assert_allclose(Ys, direct, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["stable", "marginal", "closed_loop"]),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        p=st.integers(1, 2),
+        k=st.integers(1, 4),
+        n_traj=st.integers(2, 7),
+        horizon=st.integers(1, 90),
+        sign_augmented=st.booleans(),
+        order=st.integers(1, 3),
+        refit_period=st.sampled_from([4, 8, 16]),
+        reg=st.floats(0.1, 5.0),
+        data=st.data(),
+    )
+    def test_learners_match_direct_runs(
+        self, kind, seed, d, p, k, n_traj, horizon, sign_augmented, order, refit_period, reg, data
+    ):
+        # every learner arm runs once for the whole x0 grid, on the base's
+        # features plus each free response's: each x0's read rows equal a run
+        # on base + free[j] up to rounding (AR's identity features exactly),
+        # with the same bits at any worker count
+        g = np.random.default_rng(seed)
+        system = _superposition_system(kind, g, d, p)
+        states = list(3.0 * g.standard_normal((k, d)))
+        if data.draw(st.booleans(), label="tail"):  # m*'s rows from t_eval
+            rows = np.arange(horizon) >= data.draw(st.integers(0, horizon - 1), label="t_eval")
+        else:
+            times = st.lists(st.integers(0, horizon - 1), min_size=1, max_size=5)
+            grid = data.draw(times, label="grid")
+            window = data.draw(st.integers(1, 12), label="window")
+            rows, _ = learnability._read_rows(sorted(set(grid)), window, horizon)
+        bank = build_filter_bank(8, 3, sign_augmented=sign_augmented)
+        F = bank.filter_matrix()
+        readout = g.standard_normal((F.shape[1] * p, p))
+        # the learner, an m* column arm and a frozen w*-readout, then AR(order)
+        spectral = (F, [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)])
+        ar = (np.eye(order), [(None, reg)])
+        runs = [(*spectral, refit_period), (*ar, refit_period)]
+
+        def predictions(n_workers):
+            seen = []
+
+            def losses(ys, preds):
+                seen.append(preds)
+                return [np.zeros((n_traj, 1))]
+
+            learnability._evaluate(
+                system, states, horizon, n_traj, SeededRng(seed), n_workers, rows, runs, losses
+            )
+            return seen
+
+        got = predictions(1)
+        for n_workers in (2, 3):
+            other = predictions(n_workers)
+            assert [[a.tobytes() for a in x0] for x0 in other] == [
+                [a.tobytes() for a in x0] for x0 in got
+            ]
+        base = systems.simulate_ensemble(
+            system, horizon, np.zeros(d), _traj_rngs(SeededRng(seed), n_traj)
+        )
+        free = systems.lds_free_responses(system, horizon, states)
+        for j, preds in enumerate(got):
+            Ys = base + free[j]
+            direct = [r.preds for r in _run_arms(F, Ys, spectral[1], refit_period, rows)]
+            (on_ar,) = _run_arms(ar[0], Ys, ar[1], refit_period, rows)
+            assert all(a.shape == (n_traj, rows.sum(), p) for a in preds)
+            for a, want in zip(preds, direct):  # measured: within 3e-15 of |want| + scale
+                scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+                np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12 * scale)
+            assert preds[3].tobytes() == on_ar.preds.tobytes()
 
     def test_distinct_kalman_arms_tie_exactly_in_every_role(self):
         # two Kalman instances are superposed alike, as algorithm, oracle or

@@ -474,9 +474,8 @@ class TestRowRestrictedEngine:
         # the Gram has a positive trace from e = 2 on: row 0's features are zero
         boundaries = [e for e in range(refit_period, H + 1, refit_period) if e >= 2]
         for whole, part in zip(full, kept):
-            assert part.first == read[0]
-            assert part.preds.shape == (n, H - read[0], p)
-            assert part.preds[:, read - read[0]].tobytes() == whole.preds[:, read].tobytes()
+            assert part.preds.shape == (n, read.size, p)
+            assert part.preds.tobytes() == whole.preds[:, read].tobytes()
             assert whole.solves == len(boundaries)
             assert part.solves == sum(rows[e : e + refit_period].any() for e in boundaries)
 
@@ -492,7 +491,7 @@ class TestRowRestrictedEngine:
         rows[40:44] = True
         (part,) = _run_arms(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16, rows)
         assert part.solves == 1  # only the refit at 32 feeds rows 40..43
-        assert pred.run_ensemble(Ys, rows)[:, :4].tobytes() == preds[:, 40:44].tobytes()
+        assert part.preds.tobytes() == preds[:, 40:44].tobytes()
 
     def test_singular_refit_that_no_read_row_uses_is_skipped(self):
         # AR(2) with reg = 0: the Gram of rows 0 and 1 has a zero lag-2 column,
@@ -501,13 +500,14 @@ class TestRowRestrictedEngine:
         ar2 = BaselinePredictor("ar", order=2, reg=0.0, refit_period=2)
         with pytest.raises(SingularSystem, match="step 2"):
             ar2.run_ensemble(Ys)  # the public run solves every refit
+        F, arms, refit_period = ar2._engine()
         rows = np.zeros(40, dtype=bool)
         rows[10:20] = True
-        preds = ar2.run_ensemble(Ys, rows)
-        assert preds.shape == (3, 30, 1) and np.isfinite(preds).all()
+        (ridge,) = _run_arms(F, Ys, arms, refit_period, rows)
+        assert ridge.preds.shape == (3, 10, 1) and np.isfinite(ridge.preds).all()
         rows[3] = True  # row 3 reads the refit at 2
         with pytest.raises(SingularSystem, match="step 2"):
-            ar2.run_ensemble(Ys, rows)
+            _run_arms(F, Ys, arms, refit_period, rows)
 
 
 class TestFrozenArm:
@@ -532,8 +532,33 @@ class TestFrozenArm:
         assert learner.preds.tobytes() == alone.preds.tobytes()
         expected = np.concatenate([Z @ readout for _, _, Z in _feature_blocks(F, Ys, 8)], axis=1)
         read_rows = np.arange(70) if rows is None else np.flatnonzero(rows)
-        got = frozen.preds[:, read_rows - frozen.first]
-        assert got.tobytes() == expected[:, read_rows].tobytes()
+        assert frozen.preds.tobytes() == expected[:, read_rows].tobytes()
+
+
+class TestKeptRows:
+    """A ridge keeps the predictions of the rows its mask marks, in order, and no others."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        H=st.integers(1, 60),
+        p=st.sampled_from([1, 2]),
+        refit_period=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_preds_hold_exactly_the_marked_rows(self, n, H, p, refit_period, seed, data):
+        g = np.random.default_rng(seed)
+        bank = build_filter_bank(8, 3)
+        F = bank.filter_matrix()
+        readout = g.standard_normal((F.shape[1] * p, p))
+        arms = [(None, 1.0), (_bank_columns(bank, 2, p), 0.5), (None, 0.0, readout)]
+        # share 0 is the bias/variance reference fit's mask, which reads no row
+        rows = g.random(H) < data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="share")
+        Ys = g.standard_normal((n, H, p))
+        for F_, arms_ in ((F, arms), (np.eye(2), [(None, 1.0)])):  # spectral and AR(2)
+            for ridge in _run_arms(F_, Ys, arms_, refit_period, rows):
+                assert ridge.preds.shape == (n, rows.sum(), p)
 
 
 def _calls_by_scope(tree):

@@ -448,6 +448,57 @@ class TestLorenz:
                 LorenzSpec(obs_noise=bad)
 
 
+def _first_bad_step(spec, s, horizon):
+    """The step that first leaves a non-finite value in the (3, ...) state s,
+    checking after every step: the reference for the once-per-block check."""
+    rk4 = systems._Rk4(spec, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            rk4.step()
+            if not np.isfinite(s).all():
+                return t + 1
+    return None
+
+
+class TestLorenzBlowupBlocks:
+    """The RK4 loop checks finiteness once per recorded block and still names
+    the step that a check after every step would name."""
+
+    @pytest.mark.parametrize(
+        "where, block", [("first", 3), ("middle", 4), ("last", 7), ("alone", 1)]
+    )
+    def test_names_the_per_step_reference_step(self, where, block, monkeypatch):
+        spec = LorenzSpec(dt=0.05)
+        x0 = np.array([[1.0, 1.0, 1.0], [60.0, 60.0, 60.0], [2.0, 1.0, 1.0]])
+        state = np.repeat(x0.T[:, :, None], 2, axis=2)  # (3, x0, traj), as the ensemble stacks it
+        step = _first_bad_step(spec, state.copy(), 50)
+        assert step == 7  # the x0 at 60 diverges; the other two stay finite
+        t0 = (step - 1) // block * block  # the block holding the step covers t0 + 1 .. t0 + block
+        position = {"first": step == t0 + 1, "middle": t0 + 1 < step < t0 + block}
+        position.update(last=step == t0 + block, alone=block == 1)
+        assert position[where]
+        monkeypatch.setattr(systems, "_RECORD_VALUES", block * state.size)
+        recorded = []
+
+        def record(start, X):
+            recorded.append((start, len(X), bool(np.isfinite(X).all())))
+
+        with pytest.raises(IntegrationBlowup, match=f"non-finite state at step {step}$"):
+            systems._lorenz_steps(spec, state, 50, record)
+        # every block before the bad one, and nothing of it
+        assert recorded == [(start, block, True) for start in range(0, t0, block)]
+
+    def test_stationary_burn_in_returns_no_state_after_a_blowup(self, monkeypatch):
+        spec = LorenzSpec(
+            dt=0.05, sigma=100.0, rho=100.0, init=InitPolicy(kind="stationary", points=2)
+        )
+        step = _first_bad_step(spec, np.ones((3, 1)), 300)
+        assert step == 5
+        monkeypatch.setattr(systems, "_RECORD_VALUES", 3 * 3)  # blocks of 3 steps: 4..6 is bad
+        with pytest.raises(IntegrationBlowup, match=f"at step {step}$"):
+            initial_states(spec)
+
+
 def _power_iteration_psd(M, iters=5000):
     v = np.full(M.shape[0], 1.0 / np.sqrt(M.shape[0]))
     lam = 0.0
