@@ -220,18 +220,15 @@ def _cmd_agnostic(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _load(args)
+    system = build_system(cfg)
     report = bias_variance_split(
-        build_system(cfg),
-        cfg.predictor.window,
-        cfg.predictor.m,
+        system,
+        build_predictor(cfg, system),
         t_grid=cfg.harness.t_grid,
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
         window=cfg.harness.window,
-        reg=cfg.predictor.reg,
-        refit_period=cfg.predictor.refit_period,
         ref_multiplier=cfg.harness.ref_multiplier,
-        sign_augmented=cfg.predictor.sign_augmented,
         n_workers=_threads(args.threads),
     )
     path = _prepare_out(cfg, "biasvar", args.out) / "biasvar.csv"

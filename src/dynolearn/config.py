@@ -321,7 +321,7 @@ def build_predictor(cfg: ExperimentConfig, system):
         bank = build_filter_bank(pc.window, pc.m, sign_augmented=pc.sign_augmented)
         return SpectralPredictor(bank, obs_dim=p, reg=pc.reg, refit_period=pc.refit_period)
     if pc.kind == "ar":
-        return BaselinePredictor("ar", order=pc.ar_order, obs_dim=p, reg=pc.reg, refit_period=pc.refit_period)
+        return SpectralPredictor.ar(pc.ar_order, p, pc.reg, pc.refit_period)
     if pc.kind in ("last_value", "zero"):
         return BaselinePredictor(pc.kind, obs_dim=p)
     if pc.kind == "kalman":
@@ -346,11 +346,7 @@ def build_baselines(cfg: ExperimentConfig, system):
                 order = int(token[2:])
             except ValueError as exc:
                 raise ConfigError(f"bad baseline token {token!r}") from exc
-            out.append(
-                BaselinePredictor(
-                    "ar", order=order, obs_dim=system.p, reg=pc.reg, refit_period=pc.refit_period
-                )
-            )
+            out.append(SpectralPredictor.ar(order, system.p, pc.reg, pc.refit_period))
         else:
             raise ConfigError(f"unknown baseline token {token!r}")
     if not out:

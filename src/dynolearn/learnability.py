@@ -62,7 +62,9 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, _check_obs_dim, _run_arms
+from .predictors import (
+    DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor, _check_obs_dim, _run_arms
+)
 from .spectral import _bank_columns, build_filter_bank
 from .systems import (
     LdsSpec,
@@ -97,7 +99,7 @@ class RiskCurve:
     excess_ci_half: np.ndarray
     raw_alg: np.ndarray
     raw_oracle: np.ndarray
-    n_traj: int
+    n_traj: int | None  # None for a curve loaded from CSV, which does not record it
     oracle_label: str = "oracle"
 
     def write_csv(self, path) -> None:
@@ -106,7 +108,7 @@ class RiskCurve:
 
 
 def read_risk_curve_csv(path) -> RiskCurve:
-    """Load a risk-curve CSV (grid and loss columns only)."""
+    """Load a risk-curve CSV (grid and loss columns only; `n_traj` is None)."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[1] != 5:
         raise ContractViolation(f"risk-curve CSV must have 5 columns, got {rows.shape[1]}")
@@ -116,7 +118,7 @@ def read_risk_curve_csv(path) -> RiskCurve:
         excess_ci_half=rows[:, 2],
         raw_alg=rows[:, 3],
         raw_oracle=rows[:, 4],
-        n_traj=2,
+        n_traj=None,
         oracle_label="loaded",
     )
 
@@ -244,8 +246,8 @@ def _evaluate(
 
     `rows` masks the R steps that a loss reads.  `runs` lists what predicts
     them: predictors, and learners given as the (filter matrix, arms, refit
-    period) of `predictors._run_arms`; a learner predictor (spectral, AR)
-    runs as its own `_engine()`.  For each x0, `losses(ys, preds)` maps its
+    period) of `predictors._run_arms`; a `SpectralPredictor` runs as
+    `_engine` gives it.  For each x0, `losses(ys, preds)` maps its
     observations on the read rows, ys (n_traj, R, p), and their predictions,
     one (n_traj, R, p) array per predictor and per learner arm in the order
     of `runs`, to one (n_traj, G) array per loss arm.  Phases:
@@ -344,12 +346,12 @@ def _engine(run, p: int):
         return run
     if getattr(run, "linear", False):
         return None
-    if not hasattr(run, "_engine"):
+    if not isinstance(run, SpectralPredictor):
         raise ContractViolation(
             f"{type(run).__name__} is neither linear (see `oracles`) nor a streaming learner"
         )
     _check_obs_dim(p, run.obs_dim)
-    return run._engine()
+    return run.bank.filter_matrix(), [(None, run.reg)], run.refit_period
 
 
 def _versus_ys(starts, window: int):
@@ -561,23 +563,19 @@ def agnostic_gap(
 
 def bias_variance_split(
     system: LdsSpec,
-    window_len: int,
-    m: int,
+    learner: SpectralPredictor,
     t_grid,
     n_traj: int = DEFAULT_N_TRAJ,
     x0_grid=None,
     master_seed: int = 0,
     window: int = DEFAULT_WINDOW,
-    reg: float | None = None,
-    refit_period: int | None = None,
     ref_multiplier: int = 10,
-    sign_augmented: bool = False,
     n_workers: int = 1,
 ) -> BiasVarianceReport:
-    """Split the learner's excess into approximation and estimation parts.
+    """Split a learner's excess into approximation and estimation parts.
 
-    The learner reads m filters of length window_len; the bank is built only
-    once the system is known to be linear.
+    The learner is any `SpectralPredictor` (the Hilbert bank, or AR(k) over
+    the identity bank); a linear predictor fits no readout and is refused.
     The reference readout w* is fit by near-unregularized ridge on one long
     run (ref_multiplier >= 1 times the horizon), so it is the best fixed
     linear readout in feature space.  Its Gram and moment are those of a
@@ -595,9 +593,10 @@ def bias_variance_split(
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
     if ref_multiplier < 1:
         raise ContractViolation(f"ref_multiplier must be >= 1, got {ref_multiplier}")
-    bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
-    reg = DEFAULT_REG if reg is None else reg
-    refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
+    if getattr(learner, "linear", False):
+        name = type(learner).__name__
+        raise IncompatiblePairing(f"bias/variance split needs a learner, not the linear {name}")
+    F, (online,), refit_period = _engine(learner, system.p)
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
     master = SeededRng(master_seed)
@@ -606,7 +605,6 @@ def bias_variance_split(
     ref_rng = master.child(_REF_NS, 0)
     ref_x0 = initial_states(system)[0]
     ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])
-    F = bank.filter_matrix()
     no_read = np.zeros(ys_ref.shape[1], dtype=bool)
     (ref,) = _run_arms(F, ys_ref, [(None, 0.0)], _REF_BLOCK, no_read)
     gram, moment = ref.gram[0], ref.moment[0]
@@ -615,14 +613,14 @@ def bias_variance_split(
     kalman = KalmanPredictor(system)
     rows, starts = _read_rows(grid, window, horizon)
     # the online learner and the frozen w*-readout, on one convolution per block
-    arms = [(None, reg), (None, 0.0, w_star)]
+    arms = [online, (None, 0.0, w_star)]
 
     def losses(ys, preds):
-        learner, star, on_kalman = preds
+        learned, star, on_kalman = preds
         return [
             _grid_losses(star, ys, starts, window),
             _grid_losses(on_kalman, ys, starts, window),
-            _grid_losses(learner, star, starts, window),  # squared pred diff
+            _grid_losses(learned, star, starts, window),  # squared pred diff
         ]
 
     runs = ((F, arms, refit_period), kalman)

@@ -28,9 +28,10 @@ declare it, and so do the zero and last-value baselines in `predictors`.
 The harness relies on it for a linear system: it runs such a predictor once
 on the ensemble simulated from x0 = 0 and once on the grid's free responses
 C A^t x0, and gives each x0 the sum, in every role (algorithm, oracle or
-baseline), so two equal arms still get identical bits.  The learners in
-`predictors` (spectral, AR) fit their readout to the data and are not
-linear; only their features are, which the harness superposes instead.
+baseline), so two equal arms still get identical bits.  The learner in
+`predictors`, `SpectralPredictor` (AR(k) included), fits its readout to the
+data and is not linear; only its features are, which the harness
+superposes instead.
 """
 
 from __future__ import annotations
@@ -104,19 +105,15 @@ class KalmanPredictor:
         xpred' = F xpred + G y."""
         return self.A @ (np.eye(self.d) - gain @ self.C), self.A @ gain
 
-    def gain_schedule(self, horizon: int) -> np.ndarray:
-        """Data-independent Kalman gains (H, d, p) of `horizon` steps; step t
-        absorbs y_t through `_filter_step(gains[t])`.
+    def gain_schedule(self, horizon: int) -> tuple[np.ndarray, int]:
+        """Data-independent Kalman gains (H, d, p) of `horizon` steps (step t
+        absorbs y_t through `_filter_step(gains[t])`) and the step from which
+        every gain is that step's (`horizon` if the recursion has no fixed point).
 
         Each horizon is built once per predictor: concurrent callers wait for
         that one build, so `regularized_steps` does not depend on the thread
         count.  Only the gains are kept, not the (H, d, d) filter matrices.
         """
-        return self._schedule(horizon)[0]
-
-    def _schedule(self, horizon: int) -> tuple[np.ndarray, int]:
-        """`gain_schedule(horizon)` and the step from which every gain is that
-        step's (`horizon` when the recursion reaches no fixed point)."""
         with self._schedule_lock:
             if horizon not in self._schedule_cache:
                 self._schedule_cache[horizon] = self._build_schedule(horizon)
@@ -164,7 +161,7 @@ class KalmanPredictor:
         n, H, p = Ys.shape
         if p != self.p:
             raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        gains, fixed_from = self._schedule(H)
+        gains, fixed_from = self.gain_schedule(H)
         Ct = self.C.T
         preds = np.empty((n, H, p))
         X = np.zeros((n, self.d))

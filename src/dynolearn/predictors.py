@@ -1,9 +1,11 @@
-"""Learning predictors: the spectral-filter learner and simple baselines.
+"""Predictors: the learner, a ridge readout over fixed filters, and baselines.
 
-The spectral learner is improper by construction: its entire state is the
-fixed filter bank plus the least-squares readout accumulators (Gram, moment,
-weights).  It never forms estimates of the system matrices or the latent
-state, so its memory footprint is independent of the hidden dimension.
+The learner is improper by construction: its entire state is the fixed
+filter bank (the Hilbert eigenfilters, or for AR(k) the identity, whose
+features are the last k observations) plus the least-squares readout
+accumulators (Gram, moment, weights).  It never forms estimates of the
+system matrices or the latent state, so its memory footprint is independent
+of the hidden dimension.  The zero and last-value baselines fit nothing.
 
 Readout fitting uses a scale-free ridge that decays relative to the Gram:
     ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))
@@ -11,23 +13,22 @@ with q the feature dimension.  Early fits (where windowed features are
 heavily collinear) are strongly damped while the relative shrinkage
 vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
 
-`run_ensemble` drives every trajectory of an (n, H, p) ensemble through one
-blocked engine, one refit period at a time.  The block kernel
+`fit` drives every trajectory of an (n, H, p) ensemble through one blocked
+engine, one refit period at a time.  The block kernel
 `spectral._feature_blocks` convolves the block's observations and the
-window - 1 before it with a filter matrix: the bank's filters for the
-spectral learner, the k x k identity for AR(k), whose features are then the
-last k observations.  `_run_arms` feeds each block to one `_EnsembleRidge`
-per arm, which predicts the block, adds it to the per-trajectory Gram and
-moment, and refits; arms that read different columns of one convolution (the
-filter counts of m*) share it.  A frozen arm is given a fixed readout: it
-predicts its read blocks from that readout and never accumulates or refits
-(the bias/variance split's w*-readout).  Given the free responses of a grid
-of initial states, `_run_arms` runs the arms on every ensemble base + free[j]
-at once, from one convolution of the base and one of the free responses per
-block (superposition, see `learnability`).  No (n, H, q) feature tensor is
-built: besides the observations and the kept predictions, the working set
-is O(n * (q^2 + window * p)) per ensemble for a fixed refit period,
-whatever H is.
+window - 1 before it with the bank's filter matrix.  `_run_arms` feeds
+each block to one `_EnsembleRidge` per arm, which predicts the block, adds
+it to the per-trajectory Gram and moment, and refits; arms that read
+different columns of one convolution (the filter counts of m*) share it.
+A frozen arm is given a fixed readout: it predicts its read blocks from
+that readout and never accumulates or refits (the bias/variance split's
+w*-readout).  Given the free responses of a grid of initial states,
+`_run_arms` runs the arms on every ensemble base + free[j] at once, from one
+convolution of the base and one of the free responses per block
+(superposition, see `learnability`).  No (n, H, q) feature tensor is built:
+besides the observations and the kept predictions, the working set is
+O(n * (q^2 + window * p)) per ensemble for a fixed refit period, whatever H
+is.
 
 A readout is a pure function of the Gram and moment accumulated up to its
 refit, so a caller that reads only some rows (the harness reads the windows
@@ -188,14 +189,14 @@ def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None,
 
 
 class SpectralPredictor:
-    """Linear readout over fixed spectral-filter features, fit online by ridge.
+    """The learner: a linear readout over a filter bank's features, fit
+    online by ridge; the bank is the Hilbert eigenfilters, or AR(k)'s
+    identity (`SpectralPredictor.ar`).
 
     Histories shorter than the filter window are zero padded, and the
     prediction is zero until the first refit.  Multi-dimensional outputs use
     per-coordinate feature concatenation and a matrix readout.
     """
-
-    label = "spectral"
 
     def __init__(
         self,
@@ -210,6 +211,20 @@ class SpectralPredictor:
         self.obs_dim = obs_dim
         self.reg = reg
         self.refit_period = refit_period
+        self.label = "spectral"
+
+    @classmethod
+    def ar(
+        cls,
+        k: int,
+        obs_dim: int = 1,
+        reg: float = DEFAULT_REG,
+        refit_period: int = DEFAULT_REFIT_PERIOD,
+    ) -> SpectralPredictor:
+        """AR(k), labelled "ar{k}": the learner over `FilterBank.identity(k)`."""
+        pred = cls(FilterBank.identity(k), obs_dim, reg, refit_period)
+        pred.label = f"ar{k}"
+        return pred
 
     @property
     def state_size(self) -> int:
@@ -220,64 +235,32 @@ class SpectralPredictor:
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
-        return self._ridge(Ys).preds
+        return self.fit(Ys)[0]
 
     def fit(self, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`run_ensemble(Ys)` and each trajectory's readout (n, q, p) after its
         last refit: the prediction from features z is z @ readout."""
-        ridge = self._ridge(Ys)
+        Ys = _check_ensemble(Ys, self.obs_dim)
+        F = self.bank.filter_matrix()
+        (ridge,) = _run_arms(F, Ys, [(None, self.reg)], self.refit_period)
         return ridge.preds, ridge.w
-
-    def _engine(self):
-        """The learner as `_run_arms` runs it: (filter matrix, arms, refit period)."""
-        return self.bank.filter_matrix(), [(None, self.reg)], self.refit_period
-
-    def _ridge(self, Ys: np.ndarray) -> _EnsembleRidge:
-        F, arms, refit_period = self._engine()
-        (ridge,) = _run_arms(F, _check_ensemble(Ys, self.obs_dim), arms, refit_period)
-        return ridge
 
 
 class BaselinePredictor:
-    """Comparator-class predictors: zero, last value, or order-k autoregression.
+    """The zero and last-value predictors: fixed linear maps of the
+    observations, so they declare `linear` (see `oracles`)."""
 
-    The autoregressive variant is the spectral learner's engine with the
-    k x k identity as its filters: its features are the last k observations.
-    Zero and last value are fixed linear maps of the observations, so they
-    declare `linear` (see `oracles`); AR fits its readout and does not.
-    """
+    linear = True
 
-    def __init__(
-        self,
-        kind: str,
-        order: int = 1,
-        obs_dim: int = 1,
-        reg: float = DEFAULT_REG,
-        refit_period: int = DEFAULT_REFIT_PERIOD,
-    ):
-        if kind not in ("zero", "last_value", "ar"):
+    def __init__(self, kind: str, obs_dim: int = 1):
+        if kind not in ("zero", "last_value"):
             raise ContractViolation(f"unknown baseline kind {kind!r}")
-        if kind == "ar" and order < 1:
-            raise ContractViolation(f"ar order must be >= 1, got {order}")
-        self.kind = kind
-        self.order = order
+        self.kind = self.label = kind
         self.obs_dim = obs_dim
-        self.reg = reg
-        self.refit_period = refit_period
-        self.label = f"ar{order}" if kind == "ar" else kind
-        self.linear = kind != "ar"
-
-    def _engine(self):
-        """AR(k) as `_run_arms` runs it: (k x k identity, arms, refit period)."""
-        return np.eye(self.order), [(None, self.reg)], self.refit_period
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
         Ys = _check_ensemble(Ys, self.obs_dim)
-        if self.kind == "ar":
-            F, arms, refit_period = self._engine()
-            (ridge,) = _run_arms(F, Ys, arms, refit_period)
-            return ridge.preds
         preds = np.zeros_like(Ys)
         if self.kind == "last_value":
             preds[:, 1:] = Ys[:, : Ys.shape[1] - 1]

@@ -12,7 +12,7 @@ is the block kernel `_feature_blocks`, which convolves an ensemble with a
 observations and the window - 1 before it, so its working set,
 O(n * block * p * (window + f)), does not grow with the horizon.  Its one
 caller is `predictors._run_arms`, which every learner runs on: the spectral
-learner with `FilterBank.filter_matrix()`, AR(k) with the k x k identity,
+learner with `FilterBank.filter_matrix()`, AR(k) with `FilterBank.identity`,
 whose features are the last k observations.  Features are laid out
 coordinate-major (`_bank_columns`).  The whole-trajectory convolution that
 the kernel is checked against, `trajectory_features`, is a test reference
@@ -72,7 +72,7 @@ def positive_filter_limit(window: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Top-m Hilbert eigenfilters over a fixed window.
+    """Top-m Hilbert eigenfilters over a fixed window, or the identity bank.
 
     `phis` holds filter j in column j (orthonormal columns, descending
     eigenvalue order).  When `sign_augmented` is set, features are computed
@@ -88,6 +88,17 @@ class FilterBank:
     mus: np.ndarray
     sign_augmented: bool = False
     reliable_m: int = 0
+
+    @classmethod
+    def identity(cls, k: int) -> FilterBank:
+        """AR(k)'s bank: k identity filters over a window of k, whose
+        features are the last k observations."""
+        if k < 1:
+            raise ContractViolation(f"ar order must be >= 1, got {k}")
+        phis, mus = np.eye(k), np.ones(k)
+        phis.setflags(write=False)
+        mus.setflags(write=False)
+        return cls(window=k, m=k, phis=phis, mus=mus, reliable_m=k)
 
     @property
     def feature_count(self) -> int:

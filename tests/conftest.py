@@ -10,7 +10,6 @@ from dynolearn import (
     LdsSpec,
     NoiseSpec,
     SeededRng,
-    build_filter_bank,
     initial_states,
     simulate_ensemble,
 )
@@ -84,7 +83,7 @@ def lds_reference(spec, horizon, x0, seed):
 def kalman_steps(kal, horizon):
     """Each step's filter matrices F (H, d, d) and G (H, d, p), formed from
     `kal`'s cached gains by the per-step expression that `run_ensemble` uses."""
-    steps = [kal._filter_step(gain) for gain in kal.gain_schedule(horizon)]
+    steps = [kal._filter_step(gain) for gain in kal.gain_schedule(horizon)[0]]
     return np.stack([F for F, _ in steps]), np.stack([G for _, G in steps])
 
 
@@ -112,28 +111,16 @@ def window_features(bank, history):
     return (bank.filter_matrix().T @ win).T.ravel()
 
 
-def lag_features(k, history):
-    """The last k observations of a newest-first (t, p) history, zero padded, lag-major."""
-    z = np.zeros((k, history.shape[1]))
-    take = min(len(history), k)
-    z[:take] = history[:take]
-    return z.ravel()
-
-
 class StepRidge:
     """One trajectory's streaming ridge, one step at a time, for a
-    `SpectralPredictor` or an AR `BaselinePredictor`: predict w^T z, absorb
-    (z, y), and every `refit_period` steps solve
+    `SpectralPredictor` (AR(k) included: the identity bank's window features
+    are the last k observations): predict w^T z, absorb (z, y), and every
+    `refit_period` steps solve
     (Gram_t + ridge(t) I) w = moment_t, ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))."""
 
     def __init__(self, pred):
-        p = pred.obs_dim
-        if hasattr(pred, "bank"):
-            self.featurize = lambda h: window_features(pred.bank, h)
-            q = pred.bank.feature_count * p
-        else:
-            self.featurize = lambda h: lag_features(pred.order, h)
-            q = pred.order * p
+        p, q = pred.obs_dim, pred.bank.feature_count * pred.obs_dim
+        self.featurize = lambda h: window_features(pred.bank, h)
         self.reg, self.refit_period = pred.reg, pred.refit_period
         self.gram, self.moment, self.w = np.zeros((q, q)), np.zeros((q, p)), np.zeros((q, p))
         self.steps = 0
@@ -276,25 +263,13 @@ def readout_predictions(Z, w_star, refit_period):
     return np.concatenate(blocks, axis=1)
 
 
-def bias_variance_reference(
-    system,
-    window_len,
-    m,
-    t_grid,
-    n_traj,
-    master_seed,
-    window,
-    reg,
-    refit_period,
-    ref_multiplier,
-    sign_augmented,
-):
+def bias_variance_reference(system, learner, t_grid, n_traj, master_seed, window, ref_multiplier):
     """(bias, bias CI, variance, variance CI) of `bias_variance_split` on the
     system's own x0 grid: each x0's observations are the run from x0 = 0 plus
-    its free response, its features `superposed_features`, the learner
-    `streaming_ridge_reference` on them and the w*-readout
+    its free response, its features `superposed_features` of the learner's
+    bank, the learner `streaming_ridge_reference` on them and the w*-readout
     `readout_predictions`; Kalman runs on the two parts and its predictions add."""
-    bank = build_filter_bank(window_len, m, sign_augmented=sign_augmented)
+    bank, reg, refit_period = learner.bank, learner.reg, learner.refit_period
     grid = np.asarray(t_grid, dtype=int)
     horizon = int(grid[-1] + window)
     master = SeededRng(master_seed)

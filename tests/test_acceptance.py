@@ -186,8 +186,8 @@ def test_c05_kalman_validation():
             "spectral": dl.SpectralPredictor(bank, obs_dim=1),
             "zero": dl.BaselinePredictor("zero"),
             "last_value": dl.BaselinePredictor("last_value"),
-            "ar1": dl.BaselinePredictor("ar", order=1),
-            "ar5": dl.BaselinePredictor("ar", order=5),
+            "ar1": dl.SpectralPredictor.ar(1),
+            "ar5": dl.SpectralPredictor.ar(5),
         }
         kal_losses = ((dl.KalmanPredictor(spec).run_ensemble(Ys) - Ys) ** 2).sum(2)[
             :, 490:506

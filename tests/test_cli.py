@@ -356,6 +356,24 @@ class TestRiskPipeline:
         header = (workdir / "bv" / "biasvar.csv").read_text().splitlines()[0]
         assert header == "t,bias,bias_ci,variance,variance_ci"
 
+    def test_biasvar_splits_the_configured_learner(self, workdir):
+        # predictor.kind picks the learner: AR(2) splits differently from the
+        # spectral learner, and a linear predictor has no readout to split
+        tables = {}
+        for kind in ("spectral", "ar"):
+            args = ["biasvar", "-c", "risk.cfg", "--out", kind, "harness.ref_multiplier=3"]
+            res = run_cli([*args, f"predictor.kind={kind}", "predictor.ar_order=2"], workdir)
+            assert res.returncode == 0, res.stderr
+            tables[kind] = (workdir / kind / "biasvar.csv").read_bytes()
+        assert tables["ar"] != tables["spectral"]
+        for kind in ("kalman", "kernel", "zero", "last_value"):
+            args = ["biasvar", "-c", "risk.cfg", "--out", kind, f"predictor.kind={kind}"]
+            res = run_cli(args, workdir)
+            assert res.returncode == 3, res.stderr
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "incompatible_pairing" and "needs a learner" in err["message"]
+            assert not (workdir / kind / "manifest.txt").exists()
+
     @pytest.mark.parametrize("multiplier", ["0", "-1"])
     def test_biasvar_rejects_reference_multiplier_below_one(self, multiplier, workdir):
         args = ["biasvar", "-c", "risk.cfg", "--out", "bv", f"harness.ref_multiplier={multiplier}"]
@@ -470,10 +488,12 @@ class TestImport:
         # the w* solve is a numpy Cholesky: biasvar on a ball grid needs no scipy
         code = (
             "import sys\n"
-            "from dynolearn import InitPolicy, LdsSpec, NoiseSpec, bias_variance_split\n"
+            "from dynolearn import InitPolicy, LdsSpec, NoiseSpec, SpectralPredictor,"
+            " bias_variance_split, build_filter_bank\n"
             "spec = LdsSpec(A=[[0.9]], C=[[1.0]], noise=NoiseSpec(stdev_process=0.1,"
             " stdev_obs=0.1), init=InitPolicy(kind='ball_grid'))\n"
-            "rep = bias_variance_split(spec, 16, 4, (20, 40), n_traj=4)\n"
+            "learner = SpectralPredictor(build_filter_bank(16, 4))\n"
+            "rep = bias_variance_split(spec, learner, (20, 40), n_traj=4)\n"
             "assert rep.bias.shape == (2,)\n"
             "print('scipy.linalg' in sys.modules)"
         )

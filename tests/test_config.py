@@ -233,8 +233,9 @@ class TestBuilders:
         cfg = parse_config(SCALAR_TEXT)
         system = build_system(cfg)
         assert isinstance(build_predictor(cfg, system), SpectralPredictor)
+        cfg.predictor.ar_order = 3
         for kind, cls in (
-            ("ar", BaselinePredictor),
+            ("ar", SpectralPredictor),
             ("last_value", BaselinePredictor),
             ("zero", BaselinePredictor),
             ("kalman", KalmanPredictor),
@@ -242,6 +243,9 @@ class TestBuilders:
         ):
             cfg.predictor.kind = kind
             assert isinstance(build_predictor(cfg, system), cls)
+        cfg.predictor.kind = "ar"
+        ar = build_predictor(cfg, system)
+        assert (ar.label, ar.bank.filter_matrix().tobytes()) == ("ar3", np.eye(3).tobytes())
 
     def test_oracle_auto(self):
         cfg = parse_config(SCALAR_TEXT)
@@ -256,7 +260,11 @@ class TestBuilders:
         baselines = build_baselines(cfg, system)
         assert [b.label for b in baselines] == ["zero", "last_value", "ar1", "ar5"]
         cfg.harness.baselines = ("ar3",)
-        assert build_baselines(cfg, system)[0].order == 3
+        (ar3,) = build_baselines(cfg, system)
+        pc = cfg.predictor
+        assert (ar3.label, ar3.bank.m, ar3.reg, ar3.refit_period) == (
+            "ar3", 3, pc.reg, pc.refit_period
+        )
         cfg.harness.baselines = ("median",)
         with pytest.raises(ConfigError):
             build_baselines(cfg, system)

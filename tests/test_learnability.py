@@ -121,6 +121,10 @@ class TestEstimateExcessRisk:
         assert pa.read_bytes() == pb.read_bytes()
         loaded = read_risk_curve_csv(pa)
         np.testing.assert_array_equal(loaded.excess_mean, a.excess_mean)
+        # the CSV does not record the ensemble size, so a loaded curve has none
+        assert (a.n_traj, loaded.n_traj, loaded.oracle_label) == (12, None, "loaded")
+        loaded.write_csv(tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == pa.read_bytes()
 
     def test_worst_case_over_x0_is_pointwise_max(self, scalar_spec):
         stem = dict(n_traj=10, master_seed=3, window=8)
@@ -163,7 +167,7 @@ class TestEstimateExcessRisk:
 
     def test_threaded_run_is_identical(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
-        alg = BaselinePredictor("ar", order=2)
+        alg = SpectralPredictor.ar(2)
         a = estimate_excess_risk(scalar_spec, alg, kal, (10, 30), n_traj=8, master_seed=2, n_workers=1)
         b = estimate_excess_risk(scalar_spec, alg, kal, (10, 30), n_traj=8, master_seed=2, n_workers=4)
         assert np.array_equal(a.excess_mean, b.excess_mean)
@@ -189,7 +193,7 @@ class TestEstimateExcessRisk:
         wrong = (
             SpectralPredictor(build_filter_bank(8, 3), obs_dim=1)
             if learner == "spectral"
-            else BaselinePredictor("ar", order=2, obs_dim=1)
+            else SpectralPredictor.ar(2, obs_dim=1)
         )
         right = BaselinePredictor("last_value", obs_dim=2)
         stem = dict(n_traj=2, window=2)
@@ -406,7 +410,7 @@ class TestMinimalFilterCount:
 
 class TestAgnosticGap:
     def test_gap_to_self_is_zero(self, scalar_spec):
-        alg = BaselinePredictor("ar", order=2)
+        alg = SpectralPredictor.ar(2)
         curve = agnostic_gap(scalar_spec, alg, [alg], (10, 40), n_traj=8, master_seed=1)
         assert (curve.excess_mean == 0.0).all()
 
@@ -436,8 +440,8 @@ class TestAgnosticGap:
             spec,
             SpectralPredictor(bank),
             [
-                BaselinePredictor("ar", order=1),
-                BaselinePredictor("ar", order=5),
+                SpectralPredictor.ar(1),
+                SpectralPredictor.ar(5),
                 BaselinePredictor("last_value"),
             ],
             (3000,),
@@ -461,7 +465,7 @@ class TestAgnosticGap:
         baselines = [
             BaselinePredictor("last_value"),
             BaselinePredictor("zero"),
-            BaselinePredictor("ar", order=2),
+            SpectralPredictor.ar(2),
             KalmanPredictor(system),
         ]
         curve = agnostic_gap(system, alg, baselines, grid, x0_grid=states, **_SHARED)
@@ -513,7 +517,8 @@ class TestAgnosticGap:
 @pytest.fixture(scope="module")
 def biasvar_report():
     spec = _noisy_scalar()
-    rep = bias_variance_split(spec, 64, 15, t_grid=(100, 200, 400, 800), n_traj=120, master_seed=11)
+    learner = SpectralPredictor(build_filter_bank(64, 15))
+    rep = bias_variance_split(spec, learner, (100, 200, 400, 800), n_traj=120, master_seed=11)
     return rep, spec
 
 
@@ -532,17 +537,34 @@ class TestBiasVarianceSplit:
     def test_more_filters_cost_variance(self):
         spec = _noisy_scalar()
         grids = dict(t_grid=(150,), n_traj=80, master_seed=13)
-        small = bias_variance_split(spec, 64, 6, **grids)
-        big = bias_variance_split(spec, 64, 12, **grids)
+        small = bias_variance_split(spec, SpectralPredictor(build_filter_bank(64, 6)), **grids)
+        big = bias_variance_split(spec, SpectralPredictor(build_filter_bank(64, 12)), **grids)
         slack = small.variance_ci_half[0] + big.variance_ci_half[0]
         assert big.variance[0] >= small.variance[0] - slack
 
-    def test_requires_linear_system(self, monkeypatch):  # and builds no bank first
-        built = []
-        monkeypatch.setattr(learnability, "build_filter_bank", lambda *a, **k: built.append(a))
+    def test_requires_linear_system(self):
+        learner = SpectralPredictor(build_filter_bank(16, 4))
         with pytest.raises(IncompatiblePairing):
-            bias_variance_split(LorenzSpec(), 16, 4, t_grid=(10,), n_traj=4)
-        assert built == []
+            bias_variance_split(LorenzSpec(), learner, t_grid=(10,), n_traj=4)
+
+    def test_splits_an_ar_learner(self):
+        # AR(k) is the learner over the identity bank: its w* is the best
+        # fixed readout of the last k observations
+        system = _noisy_scalar()
+        learner = SpectralPredictor.ar(3, reg=0.5, refit_period=8)
+        kw = dict(t_grid=(40, 80), n_traj=4, master_seed=3, window=4, ref_multiplier=2)
+        rep = bias_variance_split(system, learner, **kw)
+        got = (rep.bias, rep.bias_ci_half, rep.variance, rep.variance_ci_half)
+        want = bias_variance_reference(system, learner, **kw)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert (rep.variance > 0).all()
+
+    @pytest.mark.parametrize("kind", ["kalman", "zero", "last_value"])
+    def test_refuses_a_linear_predictor(self, kind):
+        spec = _noisy_scalar()
+        linear = KalmanPredictor(spec) if kind == "kalman" else BaselinePredictor(kind)
+        with pytest.raises(IncompatiblePairing, match="needs a learner"):
+            bias_variance_split(spec, linear, (10,), n_traj=4)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -568,17 +590,14 @@ class TestBiasVarianceSplit:
             noise=NoiseSpec(*g.uniform(0.05, 0.5, 2)),
             init=InitPolicy(kind="ball_grid", radius=1.0, points=2),
         )
+        bank = build_filter_bank(8, 3, sign_augmented=sign_augmented)
         kw = dict(
-            window_len=8,
-            m=3,
+            learner=SpectralPredictor(bank, p, reg=2.0, refit_period=refit_period),
             t_grid=(first, first + gap),
             n_traj=3,
             master_seed=seed,
             window=4,
-            reg=2.0,
-            refit_period=refit_period,
             ref_multiplier=ref_multiplier,
-            sign_augmented=sign_augmented,
         )
         rep = bias_variance_split(system, **kw)
         got = (rep.bias, rep.bias_ci_half, rep.variance, rep.variance_ci_half)
@@ -587,8 +606,11 @@ class TestBiasVarianceSplit:
 
     @pytest.mark.parametrize("multiplier", [0, -1])
     def test_rejects_reference_multiplier_below_one(self, multiplier):
+        learner = SpectralPredictor(build_filter_bank(8, 3))
         with pytest.raises(ContractViolation, match="ref_multiplier"):
-            bias_variance_split(_noisy_scalar(), 8, 3, (10,), n_traj=4, ref_multiplier=multiplier)
+            bias_variance_split(
+                _noisy_scalar(), learner, (10,), n_traj=4, ref_multiplier=multiplier
+            )
 
     def test_csv(self, tmp_path, biasvar_report):
         rep, _ = biasvar_report
@@ -631,7 +653,7 @@ def _measure(name, system, n_workers=1, x0_grid=None):
     oracle = (
         KalmanPredictor(system)
         if isinstance(system, LdsSpec)
-        else BaselinePredictor("ar", order=2, obs_dim=p)
+        else SpectralPredictor.ar(2, obs_dim=p)
     )
     common = dict(_SHARED, x0_grid=x0_grid, n_workers=n_workers)
     if name == "risk":
@@ -645,7 +667,8 @@ def _measure(name, system, n_workers=1, x0_grid=None):
     if name == "agnostic":
         baselines = [BaselinePredictor("last_value", obs_dim=p), oracle]
         return agnostic_gap(system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common)
-    return bias_variance_split(system, 8, 3, _TIMES, ref_multiplier=3, **common)
+    learner = SpectralPredictor(bank, obs_dim=p)
+    return bias_variance_split(system, learner, _TIMES, ref_multiplier=3, **common)
 
 
 def _worst_case(result):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
+    BaselinePredictor,
     ContractViolation,
     InitPolicy,
     KalmanPredictor,
@@ -146,6 +147,24 @@ class TestKalman:
         assert builds == [10]  # horizon 8 + 2
         assert kal.regularized_steps == 10
 
+    def test_measurement_reads_the_public_schedule(self, monkeypatch):
+        # the filter takes its gains from `gain_schedule`, the one schedule
+        # method, which profilers and tracers hook
+        calls = []
+        schedule = KalmanPredictor.gain_schedule
+
+        def counted(self, horizon):
+            calls.append(horizon)
+            return schedule(self, horizon)
+
+        monkeypatch.setattr(KalmanPredictor, "gain_schedule", counted)
+        spec = _spec(0.9)
+        kal = KalmanPredictor(spec)
+        estimate_excess_risk(
+            spec, TruthOracle(), kal, (4, 8), n_traj=2, x0_grid=[[1.0], [-1.0]], window=2
+        )
+        assert calls == [10, 10]  # horizon 8 + 2: the base run and the free responses' run
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -162,7 +181,7 @@ class TestKalman:
     def test_schedule_stops_at_its_exact_fixed_point(self, spec):
         H = 400
         kal = KalmanPredictor(spec)
-        gains, fixed_from = kal._schedule(H)
+        gains, fixed_from = kal.gain_schedule(H)
         assert fixed_from < H // 2
         # the whole recursion, stepped without stopping
         P, want = kal.P0.copy(), []
@@ -185,7 +204,7 @@ class TestKalman:
             A=[[0.5]], C=[[1.0]], noise=NoiseSpec(), init=InitPolicy(kind="fixed", x0=(0.0,))
         )
         kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: P stays 0, every innovation is singular
-        assert kal._schedule(37)[1] == 0
+        assert kal.gain_schedule(37)[1] == 0
         assert kal.regularized_steps == 37
 
     def test_step_from_explicit_state(self):
@@ -216,7 +235,7 @@ class TestKalman:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            above.append((peak - preds.nbytes - kal.gain_schedule(H).nbytes) / 2**20)
+            above.append((peak - preds.nbytes - kal.gain_schedule(H)[0].nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
     def test_requires_linear_system(self):
@@ -468,7 +487,7 @@ class TestLinearity:
             for c in vars(module).values()
             if isinstance(c, type) and getattr(c, "linear", False)
         }
-        assert declared == {KalmanPredictor, KernelOracle, TruthOracle}
+        assert declared == {KalmanPredictor, KernelOracle, TruthOracle, BaselinePredictor}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -477,7 +496,7 @@ class TestLinearity:
         p=st.integers(1, 2),
         n=st.integers(1, 4),
         H=st.integers(1, 50),
-        kind=st.sampled_from(["kalman", "kernel", "truth", "zero"]),
+        kind=st.sampled_from(["kalman", "kernel", "truth", "zero", "zero_baseline", "last_value"]),
     )
     def test_run_is_additive(self, seed, d, p, n, H, kind):
         g = np.random.default_rng(seed)
@@ -496,6 +515,8 @@ class TestLinearity:
             "kernel": lambda: KernelOracle(spec),
             "truth": lambda: TruthOracle(spec),
             "zero": lambda: TruthOracle(),
+            "zero_baseline": lambda: BaselinePredictor("zero", obs_dim=p),
+            "last_value": lambda: BaselinePredictor("last_value", obs_dim=p),
         }[kind]()
         a, b = 3.0 * g.standard_normal((2, n, H, p))
         ra, rb = P.run_ensemble(a), P.run_ensemble(b)

@@ -26,6 +26,7 @@ from conftest import (
     streaming_ridge_reference,
     window_features,
 )
+from dynolearn.learnability import _engine
 from dynolearn.predictors import _effective_ridge, _run_arms
 from dynolearn.spectral import _bank_columns, _feature_blocks, reliable_filter_cap
 
@@ -195,7 +196,7 @@ class TestBaselines:
 
     def test_ar1_identifies_decay_coefficient(self):
         ys = (0.5 ** np.arange(60))[:, None]
-        pred = BaselinePredictor("ar", order=1, reg=1e-10, refit_period=16)
+        pred = SpectralPredictor.ar(1, reg=1e-10, refit_period=16)
         preds = pred.run_ensemble(ys[None])[0]
         # rows 48..59 read the readout refit at step 48: y_hat_t = w y_{t-1}
         np.testing.assert_allclose(preds[48:, 0] / ys[47:-1, 0], 0.5, rtol=0, atol=1e-6)
@@ -203,7 +204,7 @@ class TestBaselines:
     def test_ar_matches_batch_least_squares(self, scalar_spec):
         k = 3
         ys, _ = lds_reference(scalar_spec, 128, [1.0], 9)
-        preds = BaselinePredictor("ar", order=k, reg=0.7, refit_period=16).run_ensemble(ys[None])[0]
+        preds = SpectralPredictor.ar(k, reg=0.7, refit_period=16).run_ensemble(ys[None])[0]
         Z = np.zeros((128, k))
         for t in range(1, 128):
             lag = ys[max(0, t - k) : t][::-1, 0]
@@ -215,8 +216,8 @@ class TestBaselines:
         np.testing.assert_allclose(preds[112:, 0], Z[112:] @ w, atol=1e-9)
 
     def test_ar_blocked_matches_per_step(self, scalar_spec):
-        # at p = 3 the engine's features are coordinate-major and the per-step
-        # reference's lag-major: the same readout, solved on a permuted Gram
+        # the per-step reference reads the identity bank's window features:
+        # the last 4 observations, coordinate-major as in the engine
         three = LdsSpec(
             A=np.diag([0.9, 0.5, -0.3]),
             C=np.eye(3),
@@ -225,13 +226,35 @@ class TestBaselines:
         )
         for spec, x0 in ((scalar_spec, [1.0]), (three, [1.0, -1.0, 0.5])):
             ys, _ = lds_reference(spec, 150, x0, 4)
-            pred = BaselinePredictor("ar", order=4, obs_dim=spec.p)
+            pred = SpectralPredictor.ar(4, spec.p)
             fast = pred.run_ensemble(ys[None])[0]
             np.testing.assert_allclose(fast, stream_predictions(pred, ys), rtol=1e-9, atol=1e-12)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ContractViolation):
             BaselinePredictor("median")
+
+    def test_ar_is_a_learner_not_a_baseline_kind(self):
+        # AR(k) is `SpectralPredictor.ar`; the baselines are the fixed linear maps
+        with pytest.raises(ContractViolation, match="unknown baseline kind 'ar'"):
+            BaselinePredictor("ar")
+        assert BaselinePredictor("zero").linear and BaselinePredictor("last_value").linear
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_ar_is_the_learner_over_the_identity(self, k, p):
+        Ys = np.random.default_rng(10 * k + p).standard_normal((3, 90, p))
+        ar = SpectralPredictor.ar(k, p, 0.7, 8)
+        assert (ar.label, ar.bank.window, ar.bank.feature_count) == (f"ar{k}", k, k)
+        assert ar.bank.filter_matrix().tobytes() == np.eye(k).tobytes()
+        (ridge,) = _run_arms(np.eye(k), Ys, [(None, 0.7)], 8)
+        preds, readouts = ar.fit(Ys)
+        assert preds.tobytes() == ridge.preds.tobytes() == ar.run_ensemble(Ys).tobytes()
+        assert readouts.tobytes() == ridge.w.tobytes()
+
+    def test_ar_order_below_one_is_refused(self):
+        with pytest.raises(ContractViolation, match="ar order must be >= 1"):
+            SpectralPredictor.ar(0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -347,7 +370,7 @@ class TestBlockedEngine:
     )
     def test_ar_matches_reference(self, n, H, p, order, refit_period, reg, seed):
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
-        got = BaselinePredictor("ar", order, p, reg, refit_period).run_ensemble(Ys)
+        got = SpectralPredictor.ar(order, p, reg, refit_period).run_ensemble(Ys)
         Z = _coordinate_major(shifted_lags_reference(Ys, order), order)
         want = streaming_ridge_reference(Z, Ys, reg, refit_period)
         assert got.tobytes() == want.tobytes()  # exact features in one layout: the same arithmetic
@@ -368,7 +391,7 @@ class TestBlockedEngine:
             got = SpectralPredictor(bank, p).run_ensemble(Ys)
             Z = shifted_features_reference(bank, Ys)
         else:
-            got = BaselinePredictor("ar", window_or_order, p).run_ensemble(Ys)
+            got = SpectralPredictor.ar(window_or_order, p).run_ensemble(Ys)
             Z = shifted_lags_reference(Ys, window_or_order)
         want = streaming_ridge_reference(Z, Ys, 2.0, 16)
         assert got.tobytes() == want.tobytes()
@@ -497,10 +520,10 @@ class TestRowRestrictedEngine:
         # AR(2) with reg = 0: the Gram of rows 0 and 1 has a zero lag-2 column,
         # so the refit at e = 2 is singular; the refit at 4 is not
         Ys = np.random.default_rng(2).standard_normal((3, 40, 1))
-        ar2 = BaselinePredictor("ar", order=2, reg=0.0, refit_period=2)
+        ar2 = SpectralPredictor.ar(2, reg=0.0, refit_period=2)
         with pytest.raises(SingularSystem, match="step 2"):
             ar2.run_ensemble(Ys)  # the public run solves every refit
-        F, arms, refit_period = ar2._engine()
+        F, arms, refit_period = _engine(ar2, 1)  # as the harness runs it
         rows = np.zeros(40, dtype=bool)
         rows[10:20] = True
         (ridge,) = _run_arms(F, Ys, arms, refit_period, rows)
@@ -579,13 +602,36 @@ def _calls_by_scope(tree):
     return calls
 
 
-@pytest.mark.parametrize("callee", ["_feature_blocks", "_EnsembleRidge"])
-def test_one_streaming_ridge_path(callee):
-    # every learner, reference fit and frozen readout runs through _run_arms:
-    # it is the one library caller of the block kernel and of the ridge
+def _library_callers(callee):
+    """(module file, enclosing scope) of every library call of `callee`."""
     callers = set()
     for path in sorted((SRC / "dynolearn").glob("*.py")):
         for scope, name in _calls_by_scope(ast.parse(path.read_text())):
             if name == callee:
                 callers.add((path.name, scope))
-    assert callers == {("predictors.py", ("_run_arms",))}
+    return callers
+
+
+@pytest.mark.parametrize("callee", ["_feature_blocks", "_EnsembleRidge"])
+def test_one_streaming_ridge_path(callee):
+    # every learner, reference fit and frozen readout runs through _run_arms:
+    # it is the one library caller of the block kernel and of the ridge
+    assert _library_callers(callee) == {("predictors.py", ("_run_arms",))}
+
+
+def test_one_learner_runs_the_ridge():
+    # the one learner class fits through _run_arms, and the harness runs its
+    # arms there; no other predictor class or module does
+    callers = _library_callers("_run_arms")
+    assert any(module == "learnability.py" for module, _ in callers)
+    others = {c for c in callers if c[0] != "learnability.py"}
+    assert others == {("predictors.py", ("SpectralPredictor", "fit"))}
+    # the harness reads a learner's engine off its bank, reg and refit period
+    engines = [
+        (path.name, cls.name)
+        for path in (SRC / "dynolearn").glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_engine" for f in cls.body)
+    ]
+    assert engines == []
