@@ -43,7 +43,7 @@ def main() -> None:
         curve = dl.estimate_excess_risk(
             spec,
             alg,
-            dl.KalmanPredictor(spec),
+            (dl.KalmanPredictor(spec),),
             t_grid=(100, 200, 400),
             n_traj=args.n_traj,
             master_seed=args.seed,
@@ -58,9 +58,10 @@ def main() -> None:
     eps = 0.1 * dl.stationary_observation_power(spec)
     report = dl.minimal_filter_count(
         spec,
+        dl.SpectralPredictor(dl.build_filter_bank(window=100, m=25), obs_dim=1),
+        dl.KalmanPredictor(spec),
         epsilon=eps,
         m_range=range(1, 26),
-        window_len=100,
         t_eval=400,
         n_traj=100,
         master_seed=17,

@@ -35,7 +35,7 @@ def main() -> None:
     curve = dl.estimate_excess_risk(
         spec,
         dl.SpectralPredictor(bank, obs_dim=1),
-        dl.KalmanPredictor(spec),
+        (dl.KalmanPredictor(spec),),
         t_grid=grid,
         n_traj=args.n_traj,
         master_seed=args.seed,

@@ -17,7 +17,6 @@ from .learnability import (
     BurnInReport,
     MStarReport,
     RiskCurve,
-    agnostic_gap,
     bias_variance_split,
     burn_in_time,
     estimate_excess_risk,

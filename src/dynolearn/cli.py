@@ -11,6 +11,7 @@ the run bit for bit; a failed run writes nothing.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from .config import (
 )
 from .errors import ConfigError, ContractViolation, IncompatiblePairing, NumericalFailure
 from .learnability import (
-    agnostic_gap,
     bias_variance_split,
     burn_in_time,
     estimate_excess_risk,
@@ -121,12 +121,13 @@ def _cmd_filters(args) -> int:
     return EXIT_OK
 
 
-def _risk_curve(cfg: ExperimentConfig, args, system, algorithm, oracle):
-    """The configured excess-risk curve; `risk` and `burnin` share it."""
+def _risk_curve(cfg: ExperimentConfig, args, system, algorithm, references):
+    """The configured excess-risk curve over `references`; `risk` and
+    `burnin` pass the oracle alone, `agnostic` the baselines."""
     return estimate_excess_risk(
         system,
         algorithm,
-        oracle,
+        references,
         t_grid=cfg.harness.t_grid,
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
@@ -139,8 +140,7 @@ def _cmd_risk(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
     algorithm = build_predictor(cfg, system)
-    oracle = build_oracle(cfg, system)
-    curve = _risk_curve(cfg, args, system, algorithm, oracle)
+    curve = _risk_curve(cfg, args, system, algorithm, (build_oracle(cfg, system),))
     path = _prepare_out(cfg, "risk", args.out) / "risk.csv"
     curve.write_csv(path)
     print(f"wrote {path} (oracle={curve.oracle_label}, n_traj={curve.n_traj})")
@@ -154,8 +154,7 @@ def _cmd_burnin(args) -> int:
     else:
         system = build_system(cfg)
         algorithm = build_predictor(cfg, system)
-        oracle = build_oracle(cfg, system)
-        curve = _risk_curve(cfg, args, system, algorithm, oracle)
+        curve = _risk_curve(cfg, args, system, algorithm, (build_oracle(cfg, system),))
     reports = [burn_in_time(curve, eps) for eps in cfg.harness.epsilons]
     out = _prepare_out(cfg, "burnin", args.out)
     if args.curve is None:
@@ -172,20 +171,21 @@ def _cmd_burnin(args) -> int:
 def _cmd_mstar(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
-    oracle = build_oracle(cfg, system)
+    # the configured learner with as many filters (AR lags) as the sweep reaches;
+    # an empty m_range is refused by the sweep
+    top = max(cfg.harness.m_range, default=1)
+    widest = dataclasses.replace(cfg.predictor, m=top, ar_order=top)
+    learner = build_predictor(dataclasses.replace(cfg, predictor=widest), system)
     report = minimal_filter_count(
         system,
+        learner,
+        build_oracle(cfg, system),
         epsilon=cfg.harness.epsilon,
         m_range=cfg.harness.m_range,
-        window_len=cfg.predictor.window,
         t_eval=cfg.harness.t_eval,
         n_traj=cfg.harness.n_traj,
         master_seed=cfg.run.seed,
         window=cfg.harness.window,
-        oracle=oracle,
-        reg=cfg.predictor.reg,
-        refit_period=cfg.predictor.refit_period,
-        sign_augmented=cfg.predictor.sign_augmented,
         n_workers=_threads(args.threads),
     )
     out = _prepare_out(cfg, "mstar", args.out)
@@ -201,17 +201,7 @@ def _cmd_agnostic(args) -> int:
     cfg = _load(args)
     system = build_system(cfg)
     algorithm = build_predictor(cfg, system)
-    baselines = build_baselines(cfg, system)
-    curve = agnostic_gap(
-        system,
-        algorithm,
-        baselines,
-        t_grid=cfg.harness.t_grid,
-        n_traj=cfg.harness.n_traj,
-        master_seed=cfg.run.seed,
-        window=cfg.harness.window,
-        n_workers=_threads(args.threads),
-    )
+    curve = _risk_curve(cfg, args, system, algorithm, build_baselines(cfg, system))
     path = _prepare_out(cfg, "agnostic", args.out) / "agnostic.csv"
     curve.write_csv(path)
     print(f"wrote {path} (comparator={curve.oracle_label})")

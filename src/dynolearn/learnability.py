@@ -1,12 +1,14 @@
 """Monte Carlo measurement of excess prediction risk and burn-in complexity.
 
-Excess risk, m*, the agnostic gap and the bias/variance split are one
-measurement: the worst case over initial states of a gap between two
-per-trajectory losses on one seeded ensemble.  `_evaluate` simulates the
-admissible x0 in one call, runs the predictors and learner arms, and
-returns one tensor [arm, x0, traj, g] of squared losses averaged over a
-short window at each grid time; `_worst_case` reduces two arms to the
-largest mean gap over x0, its 95% CI and both means.
+Excess risk, m* and the bias/variance split are one measurement: the worst
+case over initial states of a gap between two per-trajectory losses on one
+seeded ensemble.  Excess risk is taken over a reference class, the
+pointwise-best reference at each (x0, grid time): the oracle alone gives
+the realizable excess, a class of baselines the agnostic gap.  `_evaluate`
+simulates the admissible x0 in one call, runs the predictors and learner
+arms, and returns one tensor [arm, x0, traj, g] of squared losses averaged
+over a short window at each grid time; `_worst_case` reduces two arms to
+the largest mean gap over x0, its 95% CI and both means.
 
 For a linear system, x0 moves the observations only through its free
 response C A^t x0, since every x0 shares the noise.  `_evaluate` therefore
@@ -29,14 +31,15 @@ only blocks that hold a read row and solve a refit only when a read row
 uses it; every block still enters their Gram and moment, so the read rows
 keep the bits of a full run.  Every learner, in every measurement, runs as
 an arm of `predictors._run_arms`, and arms of one learner share one
-convolution per block: m*'s sweep reads every filter count's columns from
-the largest bank's block, and the bias/variance split runs its online
-learner beside a frozen arm that predicts with the fixed w*-readout.  The
-split's reference fit is one more arm, on the long reference run, with a
-mask that reads no row: it only sums the Gram and moment that w* is solved
-from.  A learner's state for the whole grid is (x0, traj) Grams, so the
-grid runs in groups of x0 that fit `_GROUP_BYTES` (the whole grid unless
-the arms are many and large, as m*'s sweep on a large ensemble).
+convolution per block: m*'s sweep reads every filter count's columns (its
+first m filters) from the block of the learner it is given, and the
+bias/variance split runs its online learner beside a frozen arm that
+predicts with the fixed w*-readout.  The split's reference fit is one more
+arm, on the long reference run, with a mask that reads no row: it only sums
+the Gram and moment that w* is solved from.  A learner's state for the
+whole grid is (x0, traj) Grams, so the grid runs in groups of x0 that fit
+`_GROUP_BYTES` (the whole grid unless the arms are many and large, as m*'s
+sweep on a large ensemble).
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index, and the
@@ -62,10 +65,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import (
-    DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor, _check_obs_dim, _run_arms
-)
-from .spectral import _bank_columns, build_filter_bank
+from .predictors import SpectralPredictor, _check_obs_dim, _run_arms
+from .spectral import _bank_columns
 from .systems import (
     LdsSpec,
     LorenzSpec,
@@ -354,6 +355,15 @@ def _engine(run, p: int):
     return run.bank.filter_matrix(), [(None, run.reg)], run.refit_period
 
 
+def _learner_engine(learner, p: int, measurement: str):
+    """`_engine` of a learner that `measurement` reads the readout of; a
+    linear predictor fits none and is refused."""
+    if getattr(learner, "linear", False):
+        name = type(learner).__name__
+        raise IncompatiblePairing(f"{measurement} needs a learner, not the linear {name}")
+    return _engine(learner, p)
+
+
 def _versus_ys(starts, window: int):
     """`losses` for `_evaluate`: one arm per prediction, its grid losses on the observations."""
 
@@ -413,7 +423,7 @@ def resolve_oracle(system, kind: str = "auto"):
 def estimate_excess_risk(
     system,
     algorithm,
-    oracle,
+    references,
     t_grid,
     n_traj: int = DEFAULT_N_TRAJ,
     x0_grid=None,
@@ -421,29 +431,39 @@ def estimate_excess_risk(
     window: int = DEFAULT_WINDOW,
     n_workers: int = 1,
 ) -> RiskCurve:
-    """Excess risk of `algorithm` over `oracle`, worst case over initial states.
+    """Excess risk of `algorithm` over a reference class, worst case over initial states.
 
-    For each x0 on the grid, both predictors run on the same `n_traj` seeded
-    trajectories; the curve reports, per grid time, the largest per-x0 mean
-    excess together with that x0's raw losses and a 95% CI half-width from
-    the per-trajectory loss differences.
+    The comparator at each (x0, grid time) is the reference with the least
+    mean loss there: `(oracle,)` gives the realizable excess over the
+    optimal predictor, a class of baselines the agnostic gap.  Every
+    predictor runs on the same `n_traj` seeded trajectories; the curve
+    reports, per grid time, the largest per-x0 mean excess together with
+    that x0's raw losses and a 95% CI half-width from the per-trajectory
+    loss differences.  The label is a lone reference's own, else
+    `best_of(...)` of theirs.
     """
+    references = list(references)
+    if not references:
+        raise ContractViolation("references must be nonempty")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
     rows, starts = _read_rows(grid, window, horizon)
-    runs, master = (algorithm, oracle), SeededRng(master_seed)
+    runs, master = (algorithm, *references), SeededRng(master_seed)
     L = _evaluate(
         system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
     )
-    excess, ci, raw_alg, raw_oracle = _worst_case(L[0], L[1])
+    best = L[1:].mean(axis=2).argmin(axis=0)  # (x0, g): the reference with the least mean loss
+    comparator = np.take_along_axis(L[1:], best[None, :, None, :], axis=0)[0]
+    excess, ci, raw_alg, raw_best = _worst_case(L[0], comparator)
+    labels = [getattr(r, "label", "reference") for r in references]
     return RiskCurve(
         t_grid=grid,
         excess_mean=excess,
         excess_ci_half=ci,
         raw_alg=raw_alg,
-        raw_oracle=raw_oracle,
+        raw_oracle=raw_best,
         n_traj=n_traj,
-        oracle_label=getattr(oracle, "label", "oracle"),
+        oracle_label=labels[0] if len(labels) == 1 else f"best_of({','.join(labels)})",
     )
 
 
@@ -466,38 +486,37 @@ def burn_in_time(curve: RiskCurve, epsilon: float) -> BurnInReport:
 
 def minimal_filter_count(
     system,
+    learner: SpectralPredictor,
+    oracle,
     epsilon: float,
     m_range,
-    window_len: int,
     t_eval: int,
     n_traj: int = DEFAULT_N_TRAJ,
     x0_grid=None,
     master_seed: int = 0,
     window: int = DEFAULT_WINDOW,
-    oracle=None,
-    reg: float | None = None,
-    refit_period: int | None = None,
-    sign_augmented: bool = False,
     n_workers: int = 1,
 ) -> MStarReport:
     """Smallest filter count whose terminal excess risk is <= epsilon.
 
-    Shares trajectories and oracle losses across the m sweep so the reported
-    table differs only through the filter count.
+    Filter count m is the learner over the first m filters of its own bank,
+    so the sweep needs max(m_range) <= `learner.bank.m`; for AR(k)'s
+    identity bank the first m filters are the last m observations, and m is
+    AR(m).  Shares trajectories and oracle losses across the m sweep so the
+    reported table differs only through the filter count.
     """
     ms = sorted(int(m) for m in m_range)
     if not ms or ms[0] < 1:
         raise ContractViolation(f"m_range must be nonempty with entries >= 1, got {ms}")
     if not epsilon > 0:
         raise ContractViolation(f"epsilon must be > 0, got {epsilon}")
+    F, ((_, reg),), refit_period = _learner_engine(learner, system.p, "the m* sweep")
+    bank = learner.bank
+    if ms[-1] > bank.m:
+        raise ContractViolation(f"m_range reaches {ms[-1]}, past the learner's {bank.m} filters")
     grid, horizon = _validate_grid([t_eval], window)
     states = _resolve_states(system, x0_grid)
-    oracle = oracle if oracle is not None else resolve_oracle(system, "auto")
-    reg = DEFAULT_REG if reg is None else reg
-    refit_period = DEFAULT_REFIT_PERIOD if refit_period is None else refit_period
-    # every filter count reads its columns of the largest bank's convolution
-    bank = build_filter_bank(window_len, ms[-1], sign_augmented=sign_augmented)
-    F = bank.filter_matrix()
+    # every filter count reads its columns of the learner's convolution
     arms = [(None if m == bank.m else _bank_columns(bank, m, system.p), reg) for m in ms]
     rows, starts = _read_rows(grid, window, horizon)  # [t_eval, horizon)
     runs, master = (oracle, (F, arms, refit_period)), SeededRng(master_seed)
@@ -516,48 +535,6 @@ def minimal_filter_count(
         excess=excess,
         ci_half=ci,
         m_star=m_star,
-    )
-
-
-def agnostic_gap(
-    system,
-    algorithm,
-    baseline_class,
-    t_grid,
-    n_traj: int = DEFAULT_N_TRAJ,
-    x0_grid=None,
-    master_seed: int = 0,
-    window: int = DEFAULT_WINDOW,
-    n_workers: int = 1,
-) -> RiskCurve:
-    """Excess of the algorithm over the pointwise-best baseline raw risk.
-
-    At each grid time the comparator is the baseline with the smallest mean
-    raw loss at that time (per initial state); the curve is again the worst
-    case over the x0 grid.
-    """
-    baselines = list(baseline_class)
-    if not baselines:
-        raise ContractViolation("baseline_class must be nonempty")
-    grid, horizon = _validate_grid(t_grid, window)
-    states = _resolve_states(system, x0_grid)
-    rows, starts = _read_rows(grid, window, horizon)
-    runs, master = (algorithm, *baselines), SeededRng(master_seed)
-    L = _evaluate(
-        system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
-    )
-    best = L[1:].mean(axis=2).argmin(axis=0)  # (x0, g): the baseline with the least mean loss
-    comparator = np.take_along_axis(L[1:], best[None, :, None, :], axis=0)[0]
-    gap, ci, raw_alg, raw_best = _worst_case(L[0], comparator)
-    labels = ",".join(getattr(b, "label", "baseline") for b in baselines)
-    return RiskCurve(
-        t_grid=grid,
-        excess_mean=gap,
-        excess_ci_half=ci,
-        raw_alg=raw_alg,
-        raw_oracle=raw_best,
-        n_traj=n_traj,
-        oracle_label=f"best_of({labels})",
     )
 
 
@@ -593,10 +570,7 @@ def bias_variance_split(
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
     if ref_multiplier < 1:
         raise ContractViolation(f"ref_multiplier must be >= 1, got {ref_multiplier}")
-    if getattr(learner, "linear", False):
-        name = type(learner).__name__
-        raise IncompatiblePairing(f"bias/variance split needs a learner, not the linear {name}")
-    F, (online,), refit_period = _engine(learner, system.p)
+    F, (online,), refit_period = _learner_engine(learner, system.p, "bias/variance split")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
     master = SeededRng(master_seed)

@@ -52,7 +52,7 @@ def scalar_excess_curve():
     curve = dl.estimate_excess_risk(
         spec,
         dl.SpectralPredictor(bank, obs_dim=1),
-        dl.KalmanPredictor(spec),
+        (dl.KalmanPredictor(spec),),
         t_grid=DENSE_GRID,
         n_traj=200,
         master_seed=1000,
@@ -259,7 +259,7 @@ def test_c08_dimension_independence():
         )
         alg = dl.SpectralPredictor(bank, obs_dim=1)
         curve = dl.estimate_excess_risk(
-            spec, alg, dl.KalmanPredictor(spec), (100, 200, 400), n_traj=200, master_seed=77
+            spec, alg, (dl.KalmanPredictor(spec),), (100, 200, 400), n_traj=200, master_seed=77
         )
         excesses[d] = curve.excess_mean[-1]  # terminal grid point
         sizes[d] = alg.state_size
@@ -336,7 +336,7 @@ def test_c10_closed_loop_equivalence():
     curve = dl.estimate_excess_risk(
         closed,
         dl.SpectralPredictor(bank, obs_dim=1),
-        dl.KalmanPredictor(closed),
+        (dl.KalmanPredictor(closed),),
         t_grid=DENSE_GRID,
         n_traj=200,
         master_seed=1000,

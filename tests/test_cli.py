@@ -328,6 +328,7 @@ class TestRiskPipeline:
             ("harness.epsilon=inf", 1, "config"),  # checked with the config, as epsilons is
             ("harness.epsilon=nan", 1, "config"),
             ("harness.m_range=0,2", 2, "contract_violation"),
+            ("harness.m_range=", 2, "contract_violation"),
         ],
     )
     def test_mstar_rejects_bad_target(self, override, code, error, tmp_path):
@@ -337,6 +338,36 @@ class TestRiskPipeline:
         assert res.returncode == code, res.stderr
         assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == error
         assert not (tmp_path / "o" / "mstar.csv").exists()
+        assert not (tmp_path / "o" / "manifest.txt").exists()
+
+    def test_mstar_sweeps_the_configured_learner(self, tmp_path):
+        # predictor.kind picks the learner whose first m filters are swept:
+        # AR's rows are AR(m), not the spectral bank's; a linear predictor
+        # has no filters to sweep
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        small = ["harness.n_traj=8", "harness.t_eval=200"]
+
+        def run(kind):
+            args = ["mstar", "-c", str(cfg), "--out", kind, f"predictor.kind={kind}", *small]
+            return run_cli(args, tmp_path)
+
+        tables = {}
+        for kind in ("spectral", "ar"):
+            res = run(kind)
+            assert res.returncode == 0, res.stderr
+            tables[kind] = (tmp_path / kind / "mstar_table.csv").read_text()
+            # the written config is the one given, not the widened learner's
+            resolved = (tmp_path / kind / "resolved.cfg").read_text()
+            assert "m = 15\n" in resolved and "ar_order = 1\n" in resolved
+        ms = [row.split(",")[0] for row in tables["ar"].splitlines()[1:]]
+        assert ms == ["1", "2", "3", "4", "5", "6", "8", "10", "12", "15"]
+        assert tables["ar"] != tables["spectral"]
+        for kind in ("kalman", "kernel", "zero", "last_value"):
+            res = run(kind)
+            assert res.returncode == 3, res.stderr
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "incompatible_pairing" and "needs a learner" in err["message"]
+            assert not (tmp_path / kind / "manifest.txt").exists()
 
     def test_agnostic_runs(self, workdir):
         res = run_cli(

@@ -16,7 +16,6 @@ from dynolearn import (
     RiskCurve,
     SpectralPredictor,
     TruthOracle,
-    agnostic_gap,
     bias_variance_split,
     build_filter_bank,
     burn_in_time,
@@ -62,7 +61,9 @@ def _fixture_curve(excess, grid):
 class TestEstimateExcessRisk:
     def test_algorithm_equal_oracle_gives_exact_zero(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
-        curve = estimate_excess_risk(scalar_spec, kal, kal, (10, 20, 40), n_traj=8, master_seed=1)
+        curve = estimate_excess_risk(
+            scalar_spec, kal, (kal,), (10, 20, 40), n_traj=8, master_seed=1
+        )
         assert (curve.excess_mean == 0.0).all()
         assert (curve.excess_ci_half == 0.0).all()
 
@@ -76,7 +77,7 @@ class TestEstimateExcessRisk:
         curve = estimate_excess_risk(
             spec,
             BaselinePredictor("zero"),
-            TruthOracle(spec),
+            (TruthOracle(spec),),
             (5, 10),
             n_traj=2,
             master_seed=0,
@@ -93,7 +94,7 @@ class TestEstimateExcessRisk:
         curve = estimate_excess_risk(
             scalar_spec,
             BaselinePredictor("last_value"),
-            KalmanPredictor(scalar_spec),
+            (KalmanPredictor(scalar_spec),),
             (10, 30),
             n_traj=16,
             master_seed=5,
@@ -106,7 +107,7 @@ class TestEstimateExcessRisk:
             return estimate_excess_risk(
                 scalar_spec,
                 SpectralPredictor(bank),
-                KalmanPredictor(scalar_spec),
+                (KalmanPredictor(scalar_spec),),
                 (10, 50),
                 n_traj=12,
                 master_seed=9,
@@ -131,9 +132,11 @@ class TestEstimateExcessRisk:
         kal = KalmanPredictor(scalar_spec)
         alg = BaselinePredictor("last_value")
         grid = (10, 40)
-        both = estimate_excess_risk(scalar_spec, alg, kal, grid, x0_grid=[[1.0], [-1.0]], **stem)
-        only_a = estimate_excess_risk(scalar_spec, alg, kal, grid, x0_grid=[[1.0]], **stem)
-        only_b = estimate_excess_risk(scalar_spec, alg, kal, grid, x0_grid=[[-1.0]], **stem)
+        both = estimate_excess_risk(
+            scalar_spec, alg, (kal,), grid, x0_grid=[[1.0], [-1.0]], **stem
+        )
+        only_a = estimate_excess_risk(scalar_spec, alg, (kal,), grid, x0_grid=[[1.0]], **stem)
+        only_b = estimate_excess_risk(scalar_spec, alg, (kal,), grid, x0_grid=[[-1.0]], **stem)
         stacked = np.stack([only_a.excess_mean, only_b.excess_mean])
         np.testing.assert_array_equal(both.excess_mean, stacked.max(axis=0))
         assert (both.excess_mean >= stacked).all()
@@ -149,10 +152,10 @@ class TestEstimateExcessRisk:
             alg = BaselinePredictor("last_value")
             if measure == "risk":
                 return estimate_excess_risk(
-                    scalar_spec, alg, BaselinePredictor("last_value"), grid, n_traj=6,
+                    scalar_spec, alg, (BaselinePredictor("last_value"),), grid, n_traj=6,
                     x0_grid=x0_grid, window=4,
                 )
-            return agnostic_gap(
+            return estimate_excess_risk(
                 scalar_spec, alg, [BaselinePredictor("last_value")], grid, n_traj=6,
                 x0_grid=x0_grid, window=4,
             )
@@ -168,18 +171,19 @@ class TestEstimateExcessRisk:
     def test_threaded_run_is_identical(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
         alg = SpectralPredictor.ar(2)
-        a = estimate_excess_risk(scalar_spec, alg, kal, (10, 30), n_traj=8, master_seed=2, n_workers=1)
-        b = estimate_excess_risk(scalar_spec, alg, kal, (10, 30), n_traj=8, master_seed=2, n_workers=4)
+        stem = dict(n_traj=8, master_seed=2)
+        a = estimate_excess_risk(scalar_spec, alg, (kal,), (10, 30), n_workers=1, **stem)
+        b = estimate_excess_risk(scalar_spec, alg, (kal,), (10, 30), n_workers=4, **stem)
         assert np.array_equal(a.excess_mean, b.excess_mean)
 
     def test_validation(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
         with pytest.raises(ContractViolation):
-            estimate_excess_risk(scalar_spec, kal, kal, (10,), n_traj=1)
+            estimate_excess_risk(scalar_spec, kal, (kal,), (10,), n_traj=1)
         with pytest.raises(ContractViolation):
-            estimate_excess_risk(scalar_spec, kal, kal, (30, 10), n_traj=4)
+            estimate_excess_risk(scalar_spec, kal, (kal,), (30, 10), n_traj=4)
         with pytest.raises(ContractViolation):
-            estimate_excess_risk(scalar_spec, kal, kal, (), n_traj=4)
+            estimate_excess_risk(scalar_spec, kal, (kal,), (), n_traj=4)
 
     @pytest.mark.parametrize("kind", ["lds", "lorenz"])
     @pytest.mark.parametrize("learner", ["spectral", "ar"])
@@ -199,9 +203,9 @@ class TestEstimateExcessRisk:
         stem = dict(n_traj=2, window=2)
         match = r"observation dim 2 does not match predictor \(1\)"
         with pytest.raises(ContractViolation, match=match):
-            estimate_excess_risk(system, wrong, TruthOracle(), (4,), **stem)
+            estimate_excess_risk(system, wrong, (TruthOracle(),), (4,), **stem)
         with pytest.raises(ContractViolation, match=match):
-            agnostic_gap(system, right, [right, wrong], (4,), **stem)
+            estimate_excess_risk(system, right, [right, wrong], (4,), **stem)
 
 
 class TestLorenzBlowup:
@@ -218,7 +222,7 @@ class TestLorenzBlowup:
                 estimate_excess_risk(
                     spec,
                     BaselinePredictor("last_value"),
-                    TruthOracle(),
+                    (TruthOracle(),),
                     (10, 20),
                     n_traj=4,
                     x0_grid=grid,
@@ -253,7 +257,7 @@ class TestResolveOracle:
         curve = estimate_excess_risk(
             spec,
             BaselinePredictor("last_value"),
-            oracle,
+            (oracle,),
             (10, 20),
             n_traj=4,
             master_seed=0,
@@ -323,9 +327,10 @@ class TestMinimalFilterCount:
         spec = _noisy_scalar()
         report = minimal_filter_count(
             spec,
+            SpectralPredictor(build_filter_bank(30, 4)),
+            KalmanPredictor(spec),
             epsilon=0.05,  # generous: roughly the signal power
             m_range=range(1, 5),
-            window_len=30,
             t_eval=300,
             n_traj=40,
             master_seed=4,
@@ -336,9 +341,10 @@ class TestMinimalFilterCount:
         spec = _noisy_scalar()
         report = minimal_filter_count(
             spec,
+            SpectralPredictor(build_filter_bank(30, 8)),
+            KalmanPredictor(spec),
             epsilon=1e-9,  # unattainable: exercise the not-achieved marker
             m_range=[1, 2, 4, 8],
-            window_len=30,
             t_eval=400,
             n_traj=60,
             master_seed=8,
@@ -350,8 +356,9 @@ class TestMinimalFilterCount:
 
     def test_csv_outputs(self, tmp_path):
         spec = _noisy_scalar()
+        learner = SpectralPredictor(build_filter_bank(20, 2))
         report = minimal_filter_count(
-            spec, epsilon=0.5, m_range=[1, 2], window_len=20, t_eval=100, n_traj=10, master_seed=0
+            spec, learner, KalmanPredictor(spec), 0.5, [1, 2], t_eval=100, n_traj=10, master_seed=0
         )
         report.write_csv(tmp_path / "table.csv")
         report.write_summary_csv(tmp_path / "summary.csv")
@@ -397,9 +404,10 @@ class TestMinimalFilterCount:
         epsilon = 0.1 * stationary_observation_power(spec)
         report = minimal_filter_count(
             spec,
+            SpectralPredictor(build_filter_bank(100, 25)),
+            KalmanPredictor(spec),
             epsilon=epsilon,
             m_range=range(1, 26),
-            window_len=100,
             t_eval=400,
             n_traj=100,
             master_seed=17,
@@ -407,11 +415,106 @@ class TestMinimalFilterCount:
         assert report.m_star is not None
         assert report.m_star <= 25
 
+    @pytest.mark.parametrize("kind", ["lds", "lorenz"])
+    def test_ar_sweep_rows_are_ar_orders(self, kind):
+        # over AR(K)'s identity bank the first m filters are the last m
+        # observations, so row m has the bits of AR(m)'s excess at t_eval
+        if kind == "lds":
+            system = LdsSpec(
+                A=np.diag([0.8, 0.5]),
+                C=np.eye(2),
+                noise=NoiseSpec(stdev_process=0.1, stdev_obs=0.1),
+                init=InitPolicy(kind="ball_grid", radius=1.0, points=3),
+            )
+            oracle = KalmanPredictor(system)
+        else:
+            system = LorenzSpec(
+                obs_coords=("x", "y"), obs_noise=0.5, init=InitPolicy(kind="stationary", points=2)
+            )
+            oracle = TruthOracle()  # the zero reference: raw risk
+        stem = dict(n_traj=6, master_seed=5, window=4)
+        ms, t_eval = (1, 2, 3, 5), 40
+        learner = SpectralPredictor.ar(5, obs_dim=2)
+        report = minimal_filter_count(system, learner, oracle, 0.1, ms, t_eval, **stem)
+        for m, excess, ci in zip(ms, report.excess, report.ci_half):
+            ar = SpectralPredictor.ar(m, obs_dim=2)
+            curve = estimate_excess_risk(system, ar, (oracle,), (t_eval,), **stem)
+            assert excess.tobytes() == curve.excess_mean[0].tobytes(), m
+            assert ci.tobytes() == curve.excess_ci_half[0].tobytes(), m
+
+    def test_rejects_counts_past_the_bank_and_linear_predictors(self):
+        spec = _noisy_scalar()
+        kal = KalmanPredictor(spec)
+        stem = dict(t_eval=20, n_traj=4, window=4)
+        with pytest.raises(ContractViolation, match="past the learner's 3 filters"):
+            bank = build_filter_bank(8, 3)
+            minimal_filter_count(spec, SpectralPredictor(bank), kal, 0.1, [2, 4], **stem)
+        with pytest.raises(ContractViolation, match="past the learner's 2 filters"):
+            minimal_filter_count(spec, SpectralPredictor.ar(2), kal, 0.1, [3], **stem)
+        for linear in (kal, BaselinePredictor("last_value")):
+            with pytest.raises(IncompatiblePairing, match="needs a learner"):
+                minimal_filter_count(spec, linear, kal, 0.1, [1], **stem)
+
+
+class TestReferenceClass:
+    """`estimate_excess_risk` over a class of references compares with the
+    pointwise-best one, so duplicates change nothing and more references
+    never lower the excess."""
+
+    @staticmethod
+    def _pool(system):
+        return [
+            BaselinePredictor("last_value"),
+            BaselinePredictor("zero"),
+            SpectralPredictor.ar(1),
+            SpectralPredictor.ar(2),
+            KalmanPredictor(system),
+        ]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        dup=st.integers(0, 2),
+        extra=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_duplicates_keep_bits_and_more_references_never_lower_excess(
+        self, picks, dup, extra, seed
+    ):
+        system = _noisy_scalar()
+        pool = self._pool(system)
+        alg = SpectralPredictor(build_filter_bank(8, 3))
+
+        def curve(idx):
+            refs = [pool[i] for i in idx]
+            return estimate_excess_risk(
+                system, alg, refs, (2, 10, 20, 30), n_traj=6, master_seed=seed, window=4
+            )
+
+        base = curve(picks)
+        fields = ("t_grid", "excess_mean", "excess_ci_half", "raw_alg", "raw_oracle")
+        duplicated = curve([*picks, picks[dup % len(picks)]])
+        for name in fields:
+            assert getattr(duplicated, name).tobytes() == getattr(base, name).tobytes(), name
+        assert duplicated.n_traj == base.n_traj
+        grown = curve([*picks, extra])
+        assert (grown.excess_mean >= base.excess_mean).all()
+        labels = [pool[i].label for i in (*picks, extra)]
+        assert grown.oracle_label == f"best_of({','.join(labels)})"
+
+    def test_a_lone_reference_keeps_its_label(self, scalar_spec):
+        kal = KalmanPredictor(scalar_spec)
+        alg = BaselinePredictor("last_value")
+        curve = estimate_excess_risk(scalar_spec, alg, [kal], (10,), n_traj=4, window=4)
+        assert curve.oracle_label == kal.label
+        with pytest.raises(ContractViolation, match="references must be nonempty"):
+            estimate_excess_risk(scalar_spec, alg, [], (10,), n_traj=4, window=4)
+
 
 class TestAgnosticGap:
     def test_gap_to_self_is_zero(self, scalar_spec):
         alg = SpectralPredictor.ar(2)
-        curve = agnostic_gap(scalar_spec, alg, [alg], (10, 40), n_traj=8, master_seed=1)
+        curve = estimate_excess_risk(scalar_spec, alg, [alg], (10, 40), n_traj=8, master_seed=1)
         assert (curve.excess_mean == 0.0).all()
 
     def test_zero_class_measures_raw_gap(self):
@@ -422,7 +525,8 @@ class TestAgnosticGap:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         alg = BaselinePredictor("last_value")
-        curve = agnostic_gap(spec, alg, [BaselinePredictor("zero")], (20,), n_traj=50, master_seed=2)
+        zero = [BaselinePredictor("zero")]
+        curve = estimate_excess_risk(spec, alg, zero, (20,), n_traj=50, master_seed=2)
         # predicting the previous white-noise sample doubles the noise floor
         assert curve.excess_mean[0] == pytest.approx(curve.raw_oracle[0], rel=0.2)
 
@@ -436,7 +540,7 @@ class TestAgnosticGap:
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
         bank = build_filter_bank(100, 12)
-        curve = agnostic_gap(
+        curve = estimate_excess_risk(
             spec,
             SpectralPredictor(bank),
             [
@@ -468,7 +572,7 @@ class TestAgnosticGap:
             SpectralPredictor.ar(2),
             KalmanPredictor(system),
         ]
-        curve = agnostic_gap(system, alg, baselines, grid, x0_grid=states, **_SHARED)
+        curve = estimate_excess_risk(system, alg, baselines, grid, x0_grid=states, **_SHARED)
 
         # the definition, one (x0, g) at a time, on the superposed observations:
         # fresh streams from x0 = 0 (every x0 sees the same noise) plus each
@@ -658,15 +762,16 @@ def _measure(name, system, n_workers=1, x0_grid=None):
     common = dict(_SHARED, x0_grid=x0_grid, n_workers=n_workers)
     if name == "risk":
         return estimate_excess_risk(
-            system, SpectralPredictor(bank, obs_dim=p), oracle, _TIMES, **common
+            system, SpectralPredictor(bank, obs_dim=p), (oracle,), _TIMES, **common
         )
     if name == "mstar":
-        return minimal_filter_count(
-            system, 0.5, (1, 2, 3), window_len=8, t_eval=30, oracle=oracle, **common
-        )
+        learner = SpectralPredictor(bank, obs_dim=p)
+        return minimal_filter_count(system, learner, oracle, 0.5, (1, 2, 3), t_eval=30, **common)
     if name == "agnostic":
         baselines = [BaselinePredictor("last_value", obs_dim=p), oracle]
-        return agnostic_gap(system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common)
+        return estimate_excess_risk(
+            system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common
+        )
     learner = SpectralPredictor(bank, obs_dim=p)
     return bias_variance_split(system, learner, _TIMES, ref_multiplier=3, **common)
 
@@ -871,9 +976,9 @@ class TestSuperposedGrid:
         system = _shared_system("lds")
         stem = dict(n_traj=6, master_seed=3, window=4)
         risk = estimate_excess_risk(
-            system, KalmanPredictor(system), KalmanPredictor(system), (2, 10, 30), **stem
+            system, KalmanPredictor(system), (KalmanPredictor(system),), (2, 10, 30), **stem
         )
-        gap = agnostic_gap(
+        gap = estimate_excess_risk(
             system, KalmanPredictor(system), [KalmanPredictor(system)], (2, 10, 30), **stem
         )
         for curve in (risk, gap):
@@ -918,7 +1023,7 @@ class TestRandomSystemDeterminism:
 
         def curve(grid, n_workers):
             return estimate_excess_risk(
-                system, learner, oracle, (5, 20), n_traj=4, x0_grid=grid,
+                system, learner, (oracle,), (5, 20), n_traj=4, x0_grid=grid,
                 master_seed=seed, n_workers=n_workers,
             )
 

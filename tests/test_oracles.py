@@ -142,7 +142,7 @@ class TestKalman:
         monkeypatch.setattr(kal, "_build_schedule", slow_build)
         x0_grid = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [7.0]]
         estimate_excess_risk(
-            spec, kal, kal, (4, 8), n_traj=2, x0_grid=x0_grid, window=2, n_workers=n_workers
+            spec, kal, (kal,), (4, 8), n_traj=2, x0_grid=x0_grid, window=2, n_workers=n_workers
         )
         assert builds == [10]  # horizon 8 + 2
         assert kal.regularized_steps == 10
@@ -161,7 +161,7 @@ class TestKalman:
         spec = _spec(0.9)
         kal = KalmanPredictor(spec)
         estimate_excess_risk(
-            spec, TruthOracle(), kal, (4, 8), n_traj=2, x0_grid=[[1.0], [-1.0]], window=2
+            spec, TruthOracle(), (kal,), (4, 8), n_traj=2, x0_grid=[[1.0], [-1.0]], window=2
         )
         assert calls == [10, 10]  # horizon 8 + 2: the base run and the free responses' run
 

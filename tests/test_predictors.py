@@ -635,3 +635,18 @@ def test_one_learner_runs_the_ridge():
         and any(isinstance(f, ast.FunctionDef) and f.name == "_engine" for f in cls.body)
     ]
     assert engines == []
+
+
+def test_measurements_take_built_predictors():
+    # every measurement takes its learner built (bank, reg and refit period
+    # included): the harness builds no bank and reads no ridge default
+    tree = ast.parse((SRC / "dynolearn" / "learnability.py").read_text())
+    called = {name for _, name in _calls_by_scope(tree)}
+    assert not called & {"build_filter_bank", "identity"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"build_filter_bank", "FilterBank", "DEFAULT_REG", "DEFAULT_REFIT_PERIOD"}
