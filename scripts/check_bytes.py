@@ -54,6 +54,8 @@ SUBCOMMANDS = ("simulate", "filters", "risk", "burnin", "mstar", "agnostic", "bi
 DEFAULT_WINDOW, DEFAULT_M = 100, 15
 # compared byte for byte besides the CSVs; `filters` writes neither
 RECORDS = ("resolved.cfg", "manifest.txt")
+# the signals that stop a check (see `_stop`)
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 def child_env(src: Path) -> dict[str, str]:
@@ -82,23 +84,36 @@ class Run:
     peak_rss_mib: float
 
 
+def _unblock_stop_signals() -> None:
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+
+
 def run(src: Path, args: list[str], out: Path) -> Run:
     """Exit code, output files, wall time and peak RSS of one CLI run writing into `out`."""
     out.mkdir(parents=True)
     with open(out / "stderr.log", "w") as stderr:
         t0 = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "dynolearn", *args],
-            cwd=out,
-            env=child_env(src),
-            stdout=subprocess.DEVNULL,
-            stderr=stderr,
-        )
+        # SIGTERM and Ctrl-C are held until `proc` exists: raised inside
+        # Popen, which waits for the child's exec, `_stop` would leave that
+        # child running past the cleanup
+        signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+        proc = None
         try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dynolearn", *args],
+                cwd=out,
+                env=child_env(src),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                preexec_fn=_unblock_stop_signals,  # the child starts with none held
+            )
+            _unblock_stop_signals()  # a held signal is raised here
             _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:  # SIGTERM or Ctrl-C (see `_stop`): leave no child running
-            proc.kill()
-            proc.wait()
+            if proc is not None:
+                proc.kill()
+                proc.wait()
+            _unblock_stop_signals()
             raise
         wall_s = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
@@ -174,7 +189,7 @@ def main(argv=None) -> int:
         if not (src / "dynolearn" / "__init__.py").is_file():
             parser.error(f"no dynolearn package under {src}")
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
+    for signum in STOP_SIGNALS:
         signal.signal(signum, _stop)
     work = args.keep or Path(tempfile.mkdtemp(prefix="check_bytes-"))
     configs = sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg"))

@@ -33,7 +33,6 @@ from .spectral import (
     build_filter_bank,
     hilbert_matrix,
     reliable_filter_cap,
-    residual_energy,
 )
 from .systems import (
     InitPolicy,

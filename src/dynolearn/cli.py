@@ -173,8 +173,7 @@ def _cmd_mstar(args) -> int:
     system = build_system(cfg)
     # the configured learner with as many filters (AR lags) as the sweep reaches;
     # an empty m_range is refused by the sweep
-    top = max(cfg.harness.m_range, default=1)
-    widest = dataclasses.replace(cfg.predictor, m=top, ar_order=top)
+    widest = dataclasses.replace(cfg.predictor, m=max(cfg.harness.m_range, default=1))
     learner = build_predictor(dataclasses.replace(cfg, predictor=widest), system)
     report = minimal_filter_count(
         system,

@@ -20,7 +20,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,11 +68,10 @@ class SystemConfig:
 class PredictorConfig:
     kind: str = "spectral"  # spectral | ar | last_value | zero | kalman | kernel
     window: int = 100
-    m: int = 15
+    m: int = 15  # filters of the spectral bank, lags of AR(m)
     reg: float = DEFAULT_REG
     refit_period: int = DEFAULT_REFIT_PERIOD
     sign_augmented: bool = False
-    ar_order: int = 1
 
 
 @dataclass
@@ -321,7 +320,7 @@ def build_predictor(cfg: ExperimentConfig, system):
         bank = build_filter_bank(pc.window, pc.m, sign_augmented=pc.sign_augmented)
         return SpectralPredictor(bank, obs_dim=p, reg=pc.reg, refit_period=pc.refit_period)
     if pc.kind == "ar":
-        return SpectralPredictor.ar(pc.ar_order, p, pc.reg, pc.refit_period)
+        return SpectralPredictor.ar(pc.m, p, pc.reg, pc.refit_period)
     if pc.kind in ("last_value", "zero"):
         return BaselinePredictor(pc.kind, obs_dim=p)
     if pc.kind == "kalman":
@@ -336,19 +335,20 @@ def build_oracle(cfg: ExperimentConfig, system):
 
 
 def build_baselines(cfg: ExperimentConfig, system):
-    pc = cfg.predictor
+    """`harness.baselines`, each from `build_predictor` (token arK: kind ar, m = K)."""
     out = []
     for token in cfg.harness.baselines:
         if token in ("zero", "last_value"):
-            out.append(BaselinePredictor(token, obs_dim=system.p))
+            pc = replace(cfg.predictor, kind=token)
         elif token.startswith("ar"):
             try:
                 order = int(token[2:])
             except ValueError as exc:
                 raise ConfigError(f"bad baseline token {token!r}") from exc
-            out.append(SpectralPredictor.ar(order, system.p, pc.reg, pc.refit_period))
+            pc = replace(cfg.predictor, kind="ar", m=order)
         else:
             raise ConfigError(f"unknown baseline token {token!r}")
+        out.append(build_predictor(replace(cfg, predictor=pc), system))
     if not out:
         raise ConfigError("harness.baselines must be nonempty")
     return out

@@ -80,8 +80,8 @@ class _EnsembleRidge:
     """
 
     def __init__(self, shape, q: int, reg: float, refit_period: int, rows=None, readout=None):
-        if reg < 0:
-            raise ContractViolation(f"reg must be nonnegative, got {reg}")
+        if not 0.0 <= reg < np.inf:  # NaN fails both comparisons
+            raise ContractViolation(f"reg must be nonnegative and finite, got {reg}")
         if refit_period < 1:
             raise ContractViolation(f"refit_period must be >= 1, got {refit_period}")
         n, H, p = shape

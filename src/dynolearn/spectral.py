@@ -196,17 +196,3 @@ def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:
         cols = np.concatenate([cols, bank.m + cols])
     return (bank.feature_count * np.arange(p)[:, None] + cols).ravel()
 
-
-def residual_energy(bank: FilterBank, lam: float) -> float:
-    """Relative energy of the impulse response (1, lam, lam^2, ...) outside the bank span."""
-    if not -1.0 <= lam <= 1.0:
-        raise ContractViolation(f"lam must lie in [-1, 1], got {lam}")
-    v = np.power(float(lam), np.arange(bank.window, dtype=float))
-    F = bank.filter_matrix()
-    if bank.sign_augmented:
-        coeffs, *_ = np.linalg.lstsq(F, v, rcond=None)
-        proj = F @ coeffs
-    else:
-        proj = F @ (F.T @ v)
-    r = v - proj
-    return float((r @ r) / (v @ v))

@@ -15,7 +15,7 @@ from dynolearn import (
 )
 from dynolearn.systems import lds_free_responses
 from dynolearn import learnability
-from dynolearn.errors import SingularSystem
+from dynolearn.errors import ContractViolation, SingularSystem
 from dynolearn.numerics import solve_normal_system
 from dynolearn.predictors import _effective_ridge
 from dynolearn.spectral import _feature_blocks
@@ -170,6 +170,22 @@ def trajectory_features(bank, ys):
         windows = np.lib.stride_tricks.sliding_window_view(ypad, bank.window)
         out[:, c, :] = windows @ Fflip
     return out.reshape(H, p * F.shape[1])
+
+
+def residual_energy(bank, lam):
+    """Relative energy of the impulse response (1, lam, lam^2, ...) outside the
+    bank span: the approximation adequacy that acceptance C4 bounds."""
+    if not -1.0 <= lam <= 1.0:
+        raise ContractViolation(f"lam must lie in [-1, 1], got {lam}")
+    v = np.power(float(lam), np.arange(bank.window, dtype=float))
+    F = bank.filter_matrix()
+    if bank.sign_augmented:
+        coeffs, *_ = np.linalg.lstsq(F, v, rcond=None)
+        proj = F @ coeffs
+    else:
+        proj = F @ (F.T @ v)
+    r = v - proj
+    return float((r @ r) / (v @ v))
 
 
 # The whole-tensor learner path that the blocked engine replaced: every

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dynolearn as dl
-from conftest import cli_env, kalman_covariances, trajectory_features
+from conftest import cli_env, kalman_covariances, residual_energy, trajectory_features
 from dynolearn.numerics import SeededRng
 from dynolearn.systems import random_symmetric_psd, random_unit_row
 
@@ -143,7 +143,7 @@ def test_c03_mean_residual_identity_midpoint_rule():
 def test_c04_approximation_adequacy():
     bank = _quiet_bank(100, 20)
     grid = np.arange(0, 100) / 100.0
-    mean_res = float(np.mean([dl.residual_energy(bank, lam) for lam in grid]))
+    mean_res = float(np.mean([residual_energy(bank, lam) for lam in grid]))
     ok = mean_res <= 1e-5
     report("C4 approximation-adequacy", ok, f"mean residual={mean_res:.2e}<=1e-5")
 

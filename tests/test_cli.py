@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from conftest import REPO, cli_env
 
+from dynolearn import SpectralPredictor, estimate_excess_risk
+from dynolearn.config import build_oracle, build_system, load_config
+
 SCALAR_NOISELESS = """
 [system]
 kind = lds
@@ -157,7 +160,7 @@ class TestSimulate:
         # zero lag-2 column.  Grid windows [10, 14) and [20, 24) never use
         # that readout, so it is not solved; a window from step 2 uses it.
         cfg = REPO / "configs" / "scalar_lds.cfg"
-        overrides = ["predictor.kind=ar", "predictor.ar_order=2", "predictor.reg=0"]
+        overrides = ["predictor.kind=ar", "predictor.m=2", "predictor.reg=0"]
         overrides += ["predictor.refit_period=2", f"harness.t_grid={t_grid}"]
         overrides += ["harness.window=4", "harness.n_traj=4"]
         res = run_cli(["risk", "-c", str(cfg), "--out", "o", *overrides], tmp_path)
@@ -345,7 +348,7 @@ class TestRiskPipeline:
         # AR's rows are AR(m), not the spectral bank's; a linear predictor
         # has no filters to sweep
         cfg = REPO / "configs" / "scalar_lds.cfg"
-        small = ["harness.n_traj=8", "harness.t_eval=200"]
+        small = ["harness.n_traj=8", "harness.t_eval=200", "predictor.m=4"]
 
         def run(kind):
             args = ["mstar", "-c", str(cfg), "--out", kind, f"predictor.kind={kind}", *small]
@@ -358,7 +361,7 @@ class TestRiskPipeline:
             tables[kind] = (tmp_path / kind / "mstar_table.csv").read_text()
             # the written config is the one given, not the widened learner's
             resolved = (tmp_path / kind / "resolved.cfg").read_text()
-            assert "m = 15\n" in resolved and "ar_order = 1\n" in resolved
+            assert "m = 4\n" in resolved
         ms = [row.split(",")[0] for row in tables["ar"].splitlines()[1:]]
         assert ms == ["1", "2", "3", "4", "5", "6", "8", "10", "12", "15"]
         assert tables["ar"] != tables["spectral"]
@@ -368,6 +371,30 @@ class TestRiskPipeline:
             err = json.loads(res.stderr.strip().splitlines()[-1])
             assert err["error"] == "incompatible_pairing" and "needs a learner" in err["message"]
             assert not (tmp_path / kind / "manifest.txt").exists()
+
+    def test_ar_order_is_predictor_m(self, tmp_path):
+        # predictor.m counts the filters of either bank: kind=ar runs AR(m),
+        # and there is no AR-only order key (predictor.ar_order exits 1)
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        overrides = ["predictor.kind=ar", "predictor.m=5", "harness.n_traj=6"]
+        res = run_cli(["risk", "-c", str(cfg), "--out", "o", "-j", "1", *overrides], tmp_path)
+        assert res.returncode == 0, res.stderr
+        config = load_config(cfg, overrides)
+        system = build_system(config)
+        pc, h = config.predictor, config.harness
+        ar5 = SpectralPredictor.ar(5, system.p, pc.reg, pc.refit_period)
+        curve = estimate_excess_risk(
+            system, ar5, (build_oracle(config, system),), t_grid=h.t_grid, n_traj=h.n_traj,
+            master_seed=config.run.seed, window=h.window, n_workers=1,
+        )
+        curve.write_csv(tmp_path / "ar5.csv")
+        assert (tmp_path / "o" / "risk.csv").read_bytes() == (tmp_path / "ar5.csv").read_bytes()
+        overrides[1] = "predictor.ar_order=2"
+        res = run_cli(["risk", "-c", str(cfg), "--out", "gone", *overrides], tmp_path)
+        assert res.returncode == 1, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "predictor.ar_order" in err["message"]
+        assert not (tmp_path / "gone").exists()
 
     def test_agnostic_runs(self, workdir):
         res = run_cli(
@@ -393,7 +420,7 @@ class TestRiskPipeline:
         tables = {}
         for kind in ("spectral", "ar"):
             args = ["biasvar", "-c", "risk.cfg", "--out", kind, "harness.ref_multiplier=3"]
-            res = run_cli([*args, f"predictor.kind={kind}", "predictor.ar_order=2"], workdir)
+            res = run_cli([*args, f"predictor.kind={kind}", "predictor.m=2"], workdir)
             assert res.returncode == 0, res.stderr
             tables[kind] = (workdir / kind / "biasvar.csv").read_bytes()
         assert tables["ar"] != tables["spectral"]
@@ -455,10 +482,14 @@ class TestRiskPipeline:
         assert err["error"] == "config" and "bogus" in err["message"]
         assert not (tmp_path / "o" / "manifest.txt").exists()
 
-    @pytest.mark.parametrize("override", ["predictor.refit_period=0", "predictor.reg=-1"])
+    @pytest.mark.parametrize(
+        "override",
+        ["predictor.refit_period=0", "predictor.reg=-1", "predictor.reg=nan", "predictor.reg=inf"],
+    )
     @pytest.mark.parametrize("command", ["risk", "mstar", "agnostic", "biasvar"])
     def test_bad_ridge_parameter_exits_two(self, command, override, tmp_path):
-        # every learner arm builds the one streaming ridge, which checks both
+        # every learner arm builds the one streaming ridge, which checks both;
+        # reg must lie in [0, inf): NaN would write NaN risks, inf zero every readout
         cfg = REPO / "configs" / "scalar_lds.cfg"
         args = [command, "-c", str(cfg), "--out", "o", override, "harness.n_traj=4"]
         res = run_cli(args, tmp_path)

@@ -14,6 +14,7 @@ from dynolearn import (
     SpectralPredictor,
     TruthOracle,
 )
+from dynolearn import config
 from dynolearn.config import (
     ExperimentConfig,
     build_baselines,
@@ -213,7 +214,9 @@ class TestBuilders:
         assert system.B.shape == (1, 2) and system.K.shape == (2, 1)
         assert system.effective_transition()[0, 0] == pytest.approx(0.9)
 
-    @pytest.mark.parametrize("key", ["system.noise=none", "system.k_dim=1", "run.threads=2"])
+    @pytest.mark.parametrize(
+        "key", ["system.noise=none", "system.k_dim=1", "run.threads=2", "predictor.ar_order=2"]
+    )
     def test_removed_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown override target"):
             parse_config(SCALAR_TEXT, overrides=[key])
@@ -233,7 +236,7 @@ class TestBuilders:
         cfg = parse_config(SCALAR_TEXT)
         system = build_system(cfg)
         assert isinstance(build_predictor(cfg, system), SpectralPredictor)
-        cfg.predictor.ar_order = 3
+        cfg.predictor.m = 3
         for kind, cls in (
             ("ar", SpectralPredictor),
             ("last_value", BaselinePredictor),
@@ -268,6 +271,39 @@ class TestBuilders:
         cfg.harness.baselines = ("median",)
         with pytest.raises(ConfigError):
             build_baselines(cfg, system)
+
+    @pytest.mark.parametrize("kind, p", [("lds", 1), ("lorenz", 2)])
+    def test_baselines_are_built_by_build_predictor(self, kind, p, monkeypatch):
+        # each token is the predictor section with its kind (arK: ar, m = K)
+        # through the one builder, so AR(K) is SpectralPredictor.ar(K, p, reg,
+        # refit_period) bit for bit
+        text = SCALAR_TEXT if kind == "lds" else "[system]\nkind = lorenz\nobs_coords = x,z\n"
+        cfg = parse_config(text, ["predictor.reg=0.7", "predictor.refit_period=8"])
+        cfg.harness.baselines = ("zero", "ar3", "last_value", "ar1")
+        system = build_system(cfg)
+        built = []
+
+        def spy(cfg, system):
+            built.append(build_predictor(cfg, system))
+            return built[-1]
+
+        monkeypatch.setattr(config, "build_predictor", spy)
+        baselines = build_baselines(cfg, system)
+        assert baselines == built
+        want = [
+            BaselinePredictor("zero", p),
+            SpectralPredictor.ar(3, p, 0.7, 8),
+            BaselinePredictor("last_value", p),
+            SpectralPredictor.ar(1, p, 0.7, 8),
+        ]
+        Ys = np.random.default_rng(p).standard_normal((3, 50, p))
+        for got, ref in zip(baselines, want, strict=True):
+            assert type(got) is type(ref)
+            unbanked = [{k: v for k, v in vars(b).items() if k != "bank"} for b in (got, ref)]
+            assert unbanked[0] == unbanked[1]
+            assert got.run_ensemble(Ys).tobytes() == ref.run_ensemble(Ys).tobytes()
+            if isinstance(ref, SpectralPredictor):
+                assert got.bank.filter_matrix().tobytes() == ref.bank.filter_matrix().tobytes()
 
     def test_default_config_builds(self):
         cfg = ExperimentConfig()

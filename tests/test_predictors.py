@@ -444,6 +444,13 @@ class TestBlockedEngine:
             above.append((peak - preds.nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
+    @pytest.mark.parametrize("reg", [-1.0, np.nan, np.inf])
+    def test_refuses_a_ridge_outside_zero_to_infinity(self, reg):
+        # NaN would write NaN risks, and inf would zero every readout
+        Ys = np.random.default_rng(0).standard_normal((2, 40, 1))
+        with pytest.raises(ContractViolation, match="nonnegative and finite"):
+            _run_arms(np.eye(3), Ys, [(None, 0.5), (None, reg)], 8)
+
 
 
 def _read_mask(H, data):

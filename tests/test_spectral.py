@@ -10,10 +10,14 @@ from dynolearn import (
     build_filter_bank,
     hilbert_matrix,
     reliable_filter_cap,
-    residual_energy,
     sym_eig,
 )
-from conftest import shifted_features_reference, trajectory_features, window_features
+from conftest import (
+    residual_energy,
+    shifted_features_reference,
+    trajectory_features,
+    window_features,
+)
 from dynolearn.spectral import _feature_blocks, positive_filter_limit
 
 
