@@ -24,9 +24,10 @@ reported as `differs`.  A subcommand that fails with the same exit code and
 the same files under both trees counts as the same.  Each line also gives
 both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
 from `os.wait4`).  After those lines come each subcommand's wall time
-summed over the configs for each tree, with the old-to-new ratio, then the
-total wall time per tree and each tree's largest peak RSS with the run it
-came from.  Exit
+summed over the configs for each tree, with the old-to-new ratio, then each
+subcommand's largest peak RSS over the configs for each tree, with the
+old-to-new ratio, then the total wall time per tree and each tree's largest
+peak RSS with the run it came from.  Exit
 status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
 running child, removes the work directory (unless `--keep`) and exits with
 128 + the signal number.
@@ -196,6 +197,7 @@ def main(argv=None) -> int:
     differing = 0
     wall = {"old": 0.0, "new": 0.0}
     sub_wall = {tag: dict.fromkeys(SUBCOMMANDS, 0.0) for tag in wall}
+    sub_peak = {tag: dict.fromkeys(SUBCOMMANDS, 0.0) for tag in wall}  # MiB, largest over configs
     peak = {"old": (0.0, "none"), "new": (0.0, "none")}  # largest RSS, MiB, and its run
     try:
         for config in configs:
@@ -207,6 +209,7 @@ def main(argv=None) -> int:
                     results.append(run(src, command_args(sub, config, out, args.jobs), out))
                     wall[tag] += results[-1].wall_s
                     sub_wall[tag][sub] += results[-1].wall_s
+                    sub_peak[tag][sub] = max(sub_peak[tag][sub], results[-1].peak_rss_mib)
                     peak[tag] = max(peak[tag], (results[-1].peak_rss_mib, f"{label} {sub}"))
                 line = compare(*results)
                 differing += not line.startswith("same")
@@ -218,6 +221,10 @@ def main(argv=None) -> int:
         old_s, new_s = sub_wall["old"][sub], sub_wall["new"][sub]
         ratio = f"{old_s / new_s:.2f}x" if new_s > 0 else "n/a"
         print(f"{sub} wall time: old {old_s:.1f} s, new {new_s:.1f} s ({ratio})")
+    for sub in SUBCOMMANDS:
+        old_mib, new_mib = sub_peak["old"][sub], sub_peak["new"][sub]
+        ratio = f"{old_mib / new_mib:.2f}x" if new_mib > 0 else "n/a"
+        print(f"{sub} peak RSS: old {old_mib:.1f} MiB, new {new_mib:.1f} MiB ({ratio})")
     print(f"wall time: old {wall['old']:.1f} s, new {wall['new']:.1f} s")
     print("peak RSS: " + ", ".join(f"{t} {peak[t][0]:.1f} MiB ({peak[t][1]})" for t in peak))
     print(f"{differing} of {len(configs) * len(SUBCOMMANDS)} runs differ")

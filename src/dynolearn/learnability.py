@@ -20,8 +20,12 @@ are linear in the observations too, so each learner runs once for the whole
 grid: every refit block of the base is convolved once, and so is the block
 of the free responses, and each x0 reads the sum (`predictors._run_arms`
 with `free`); only the Grams, moments, readouts and predictions are per x0.
-The Lorenz grid is simulated directly, in one stacked recursion, and every
-predictor runs on each x0's observations.
+A Lorenz grid is streamed instead: one stacked RK4 recursion integrates
+every x0, and each block of observations it records goes to every learner
+at once (`predictors._Arms`, trajectory j * n + i being trajectory i of x0
+j), the zero and last-value baselines as frozen arms, so no predictor sees
+a whole (..., H, p) array and only the read rows of the observations are
+kept, where the memoryless truth oracle predicts them.
 
 A measurement reads only the rows [t, t + window) after its grid times
 (m*: the rows from t_eval), so it builds that mask once, `_read_rows`, and
@@ -30,7 +34,7 @@ window of grid time t at its position among them.  The learners predict
 only blocks that hold a read row and solve a refit only when a read row
 uses it; every block still enters their Gram and moment, so the read rows
 keep the bits of a full run.  Every learner, in every measurement, runs as
-an arm of `predictors._run_arms`, and arms of one learner share one
+an arm of `predictors._Arms`, and arms of one learner share one
 convolution per block: m*'s sweep reads every filter count's columns (its
 first m filters) from the block of the learner it is given, and the
 bias/variance split runs its online learner beside a frozen arm that
@@ -39,16 +43,21 @@ arm, on the long reference run, with a mask that reads no row: it only sums
 the Gram and moment that w* is solved from.  A learner's state for the
 whole grid is (x0, traj) Grams, so the grid runs in groups of x0 that fit
 `_GROUP_BYTES` (the whole grid unless the arms are many and large, as m*'s
-sweep on a large ensemble).
+sweep on a large ensemble); each group of a Lorenz grid is its own
+recursion, from fresh trajectory streams.
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
-worker count: trajectory random streams are pre-assigned by index, and the
-tasks split the work by predictor and group of x0, never within a sum.
+worker count: trajectory random streams are pre-assigned by index, the
+noise draws are split by trajectory, and an LDS's tasks split the work by
+predictor and group of x0, never within a sum.
 Every x0 deliberately sees the same noise realizations
 (common random numbers), so differences across the grid come from the
-initial state alone; the simulator draws that noise inside its one call, an
-LDS's process noise one time chunk at a time, and none of it outlives the
-call, so the arms run without it.  Superposition moves an LDS result by
+initial state alone; the simulator draws that noise as it goes (an LDS's
+process noise and a Lorenz grid's observation noise one time chunk at a
+time), and none of it outlives the simulation.  So a Lorenz measurement
+holds nothing that grows with the horizon but the read-row mask; an LDS
+measurement holds its simulated (n, H, p) and free (k, H, p) observations.
+Superposition moves an LDS result by
 rounding only: summing the learners' features of the base and of the free
 response, instead of convolving each x0's observations, moved the committed
 configs' LDS outputs by at most a relative 6.1e-13 (d50's `biasvar.csv`).
@@ -65,12 +74,14 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import SpectralPredictor, _check_obs_dim, _run_arms
+from .predictors import SpectralPredictor, _Arms, _check_obs_dim, _run_arms
 from .spectral import _bank_columns
 from .systems import (
     LdsSpec,
     LorenzSpec,
     _distinct,
+    _lorenz_observations,
+    _lorenz_stack,
     _write_table,
     initial_states,
     lds_free_responses,
@@ -247,56 +258,112 @@ def _evaluate(
 
     `rows` masks the R steps that a loss reads.  `runs` lists what predicts
     them: predictors, and learners given as the (filter matrix, arms, refit
-    period) of `predictors._run_arms`; a `SpectralPredictor` runs as
-    `_engine` gives it.  For each x0, `losses(ys, preds)` maps its
-    observations on the read rows, ys (n_traj, R, p), and their predictions,
-    one (n_traj, R, p) array per predictor and per learner arm in the order
-    of `runs`, to one (n_traj, G) array per loss arm.  Phases:
-    1. Simulate, in one call that draws the ensemble's noise on n_workers
-       threads.  Lorenz: every x0 in one stacked RK4 recursion.  LDS: the
-       ensemble once from x0 = 0 (the base), and the grid's free responses
-       C A^t x0 as one (k, H, p) array; an x0's observations are the base
-       plus its free response.
-    2. Predict.  Lorenz: each x0 in its own task, every run on its
-       observations.  LDS, by superposition, with no task per x0: a linear
-       predictor (`P.linear`, see `oracles`) runs once on the base and once
-       on the free responses, each its own task, and x0 j gets the sum; a
-       learner runs as `_run_arms(base, ..., free=free)`, one task per group
-       of x0 (`_x0_groups`).  Each trajectory of each x0 is its own batch
-       entry in the learner's products and solves, so the bits do not
-       depend on the groups.
-    3. Reduce each x0's predictions with `losses`.
+    period) of `predictors._Arms`; a `SpectralPredictor` runs as `_engine`
+    gives it.  For each x0, `losses(ys, preds)` maps its observations on the
+    read rows, ys (n_traj, R, p), and their predictions, one (n_traj, R, p)
+    array per predictor and per learner arm in the order of `runs`, to one
+    (n_traj, G) array per loss arm.  The ensemble's noise is drawn on
+    n_workers threads.
+    A Lorenz grid is streamed (`_stream_lorenz`); an LDS grid is simulated
+    once and superposed (`_superpose_lds`).  Either gives each x0's read
+    observations and predictions, which `losses` then reduces.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
-    rngs = _traj_rngs(master, n_traj)
     engines = [_engine(run, system.p) for run in runs]
+    evaluate = _superpose_lds if isinstance(system, LdsSpec) else _stream_lorenz
+    per_x0 = evaluate(system, states, horizon, master, n_traj, n_workers, rows, runs, engines)
+    return np.stack([np.stack(losses(ys, preds)) for ys, preds in per_x0], axis=1)
 
-    def read(a):  # the read rows of (..., H, p) arrays, C-ordered as the losses sum them
-        return np.compress(rows, a, axis=-2)
 
-    if not isinstance(system, LdsSpec):
-        # (x0, traj, t, p), from one call
-        grid_Ys = simulate_ensemble(system, horizon, np.stack(states), rngs, n_workers=n_workers)
+def _stream_lorenz(system, states, horizon, master, n_traj, n_workers, rows, runs, engines):
+    """Each x0's (read observations, predictions) of a Lorenz grid.
 
-        def direct(Ys):
-            preds = []
-            for run, engine in zip(runs, engines):
-                if engine is None:
-                    preds.append(read(run.run_ensemble(Ys)))
-                else:
-                    F, arms, refit_period = engine
-                    preds += [r.preds for r in _run_arms(F, Ys, arms, refit_period, rows)]
-            return np.stack(losses(read(Ys), preds))
+    The grid runs in groups of x0 (`_x0_groups` of all its learners; one
+    group unless the arms are many and large, as m*'s sweep), each from
+    fresh trajectory streams, so every x0 sees the same noise.  A group is
+    integrated in one stacked RK4 recursion, and each recorded block of
+    observations goes to every learner and baseline (a frozen arm, see
+    `_streamed_engine`) as it is made: each runs once for the group, as
+    `_Arms` over the stacked ensemble, trajectory j * n + i being trajectory
+    i of the group's x0 j.  Only the read rows of the observations are kept,
+    and the truth oracle, which is memoryless, predicts them there; no run
+    sees a whole (..., H, p) array.
+    """
+    n, p, R = n_traj, system.p, int(np.count_nonzero(rows))
+    engines = [_streamed_engine(run, p) if e is None else e for run, e in zip(runs, engines)]
 
-        return np.stack(_parallel_map(direct, grid_Ys, n_workers), axis=1)
+    def group_run(group):
+        g = len(states[group])
+        shape = (g * n, horizon, p)
+        streams = [None if e is None else _Arms(e[0], shape, *e[1:], rows) for e in engines]
+        ys = np.empty((g * n, R, p))
+        kept = 0
 
+        def emit(t0, Y, _states):
+            nonlocal kept
+            Y = Y.reshape(g * n, -1, p)  # x0-major
+            for stream in streams:
+                if stream is not None:
+                    stream.push(Y)
+            read = Y[:, rows[t0 : t0 + Y.shape[1]]]
+            ys[:, kept : kept + read.shape[1]] = read
+            kept += read.shape[1]
+
+        stack = _lorenz_stack(np.stack(states[group]))
+        _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers, emit)
+        preds = []
+        for run, stream in zip(runs, streams):
+            preds += [run.run_ensemble(ys)] if stream is None else [r.preds for r in stream.ridges]
+        for j in range(g):
+            x0 = slice(j * n, (j + 1) * n)
+            yield ys[x0], [pr[x0] for pr in preds]
+
+    learners = [e for e in engines if e is not None]
+    for group in _x0_groups(learners, len(states), n, p):
+        yield from group_run(group)
+
+
+def _streamed_engine(run, p: int):
+    """A linear predictor's engine on a streamed Lorenz grid: a baseline's is
+    one frozen arm, its fixed readout over its bank's features; the truth
+    oracle, which is memoryless, has none and runs on the read rows; any
+    other is refused, as it would need the whole observations."""
+    if isinstance(run, TruthOracle):
+        return None
+    readout = getattr(run, "readout", None)
+    if readout is None:
+        raise IncompatiblePairing(
+            f"{type(run).__name__} cannot run on a Lorenz grid, whose observations are "
+            "streamed: only learners, baselines and the truth oracle can"
+        )
+    _check_obs_dim(p, run.obs_dim)
+    return run.bank.filter_matrix(), [(None, 0.0, readout)], run.refit_period
+
+
+def _superpose_lds(system, states, horizon, master, n_traj, n_workers, rows, runs, engines):
+    """Each x0's (read observations, predictions) of an LDS grid.
+
+    The ensemble is simulated once from x0 = 0 (the base), and the grid's
+    free responses C A^t x0 as one (k, H, p) array; an x0's observations are
+    the base plus its free response.  A linear predictor (`P.linear`, see
+    `oracles`) runs once on the base and once on the free responses, each
+    its own task, and x0 j gets the sum; a learner runs as
+    `_run_arms(base, ..., free=free)`, one task per group of x0
+    (`_x0_groups`).  Each trajectory of each x0 is its own batch entry in
+    the learner's products and solves, so the bits do not depend on the
+    groups.
+    """
+    n, rngs = n_traj, _traj_rngs(master, n_traj)
     base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
     free = lds_free_responses(system, horizon, states)
     k = len(states)
     linear = {id(run): run for run, e in zip(runs, engines) if e is None}
     on_base, on_free = {}, {}  # a linear predictor's read rows, by id
     learned = {i: [None] * k for i, e in enumerate(engines) if e}  # per x0, each arm's rows
+
+    def read(a):  # the read rows of (..., H, p) arrays, C-ordered as the losses sum them
+        return np.compress(rows, a, axis=-2)
 
     def predict(P, Ys, into):
         into[id(P)] = read(P.run_ensemble(Ys))
@@ -305,13 +372,13 @@ def _evaluate(
         F, arms, refit_period = engines[i]
         ridges = _run_arms(F, base, arms, refit_period, rows, free[group])
         # (x0, traj, row, p) views: the ridges stack the group x0-major
-        stacks = [ridge.preds.reshape((-1, n_traj) + ridge.preds.shape[1:]) for ridge in ridges]
+        stacks = [ridge.preds.reshape((-1, n) + ridge.preds.shape[1:]) for ridge in ridges]
         for j in range(k)[group]:
             learned[i][j] = [preds[j - group.start] for preds in stacks]
 
     tasks = [functools.partial(predict, P, base, on_base) for P in linear.values()]
     for i in learned:
-        groups = _x0_groups(engines[i], k, n_traj, system.p)
+        groups = _x0_groups([engines[i]], k, n, system.p)
         tasks += [functools.partial(learn, i, g) for g in groups]
     # a predictor's run on the free responses comes last, when its run on the
     # base has built whatever the two share (the Kalman gains), so no worker waits
@@ -319,24 +386,27 @@ def _evaluate(
     _parallel_map(lambda t: t(), tasks, n_workers)
     ys_base, ys_free = read(base), read(free)
 
-    def x0_losses(j):
+    def x0_preds(j):
         preds = []
         for i, run in enumerate(runs):
             if i in learned:
                 preds += learned[i][j]
             else:
                 preds.append(on_base[id(run)] + on_free[id(run)][j])
-        return np.stack(losses(ys_base + ys_free[j], preds))
+        return preds
 
-    return np.stack([x0_losses(j) for j in range(k)], axis=1)
+    return ((ys_base + ys_free[j], x0_preds(j)) for j in range(k))  # one x0's sum at a time
 
 
-def _x0_groups(engine, k: int, n: int, p: int) -> list[slice]:
+def _x0_groups(engines, k: int, n: int, p: int) -> list[slice]:
     """The x0 grid in contiguous groups whose ridge state (Grams, moments,
-    readouts) on n trajectories fits in `_GROUP_BYTES`, at least one x0 each."""
-    F, arms, _ = engine
-    qs = [F.shape[1] * p if cols is None else len(cols) for cols, *_ in arms]
-    size = max(1, _GROUP_BYTES // (8 * n * sum(q * q + 2 * q * p for q in qs)))
+    readouts) of the learners `engines` on n trajectories fits in
+    `_GROUP_BYTES`, at least one x0 each."""
+    qs = [
+        F.shape[1] * p if cols is None else len(cols) for F, arms, _ in engines for cols, *_ in arms
+    ]
+    per_x0 = 8 * n * sum(q * q + 2 * q * p for q in qs)
+    size = max(1, _GROUP_BYTES // per_x0) if per_x0 else k
     return [slice(j, j + size) for j in range(0, k, size)]
 
 
@@ -508,6 +578,9 @@ def minimal_filter_count(
     ms = sorted(int(m) for m in m_range)
     if not ms or ms[0] < 1:
         raise ContractViolation(f"m_range must be nonempty with entries >= 1, got {ms}")
+    repeated = [a for a, b in zip(ms, ms[1:]) if a == b]
+    if repeated:
+        raise ContractViolation(f"m_range repeats the filter count {repeated[0]}")
     if not epsilon > 0:
         raise ContractViolation(f"epsilon must be > 0, got {epsilon}")
     F, ((_, reg),), refit_period = _learner_engine(learner, system.p, "the m* sweep")

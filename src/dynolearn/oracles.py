@@ -31,7 +31,10 @@ C A^t x0, and gives each x0 the sum, in every role (algorithm, oracle or
 baseline), so two equal arms still get identical bits.  The learner in
 `predictors`, `SpectralPredictor` (AR(k) included), fits its readout to the
 data and is not linear; only its features are, which the harness
-superposes instead.
+superposes instead.  A Lorenz grid is not superposed but streamed block by
+block, so no predictor there sees whole observations: the baselines run as
+frozen arms of the learners' engine, `TruthOracle`, which is memoryless, on
+the read rows alone, and no other linear predictor can run.
 """
 
 from __future__ import annotations

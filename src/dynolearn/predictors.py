@@ -5,7 +5,8 @@ filter bank (the Hilbert eigenfilters, or for AR(k) the identity, whose
 features are the last k observations) plus the least-squares readout
 accumulators (Gram, moment, weights).  It never forms estimates of the
 system matrices or the latent state, so its memory footprint is independent
-of the hidden dimension.  The zero and last-value baselines fit nothing.
+of the hidden dimension.  The zero and last-value baselines fit nothing:
+they are frozen arms of the same engine.
 
 Readout fitting uses a scale-free ridge that decays relative to the Gram:
     ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))
@@ -16,17 +17,21 @@ vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
 `fit` drives every trajectory of an (n, H, p) ensemble through one blocked
 engine, one refit period at a time.  The block kernel
 `spectral._feature_blocks` convolves the block's observations and the
-window - 1 before it with the bank's filter matrix.  `_run_arms` feeds
-each block to one `_EnsembleRidge` per arm, which predicts the block, adds
-it to the per-trajectory Gram and moment, and refits; arms that read
-different columns of one convolution (the filter counts of m*) share it.
-A frozen arm is given a fixed readout: it predicts its read blocks from
-that readout and never accumulates or refits (the bias/variance split's
-w*-readout).  Given the free responses of a grid of initial states,
-`_run_arms` runs the arms on every ensemble base + free[j] at once, from one
-convolution of the base and one of the free responses per block
-(superposition, see `learnability`).  No (n, H, q) feature tensor is built:
-besides the observations and the kept predictions, the working set is
+window - 1 before it with the bank's filter matrix.  `_Arms` feeds each
+block to one `_EnsembleRidge` per arm, which predicts the block, adds it to
+the per-trajectory Gram and moment, and refits; arms that read different
+columns of one convolution (the filter counts of m*) share it.  `_Arms`
+takes the ensemble's rows as they arrive, in pieces of any length: an array
+is pushed whole (`_run_arms`), a Lorenz grid block by block as its
+recursion records them, so the ensemble is never held.  A frozen arm is
+given a fixed readout: it predicts its read blocks from that readout and
+never accumulates or refits (the bias/variance split's w*-readout, and the
+zero and last-value baselines, whose readout 0 or I_p reads the last
+observation, the one feature of `FilterBank.identity(1)`).  Given the free
+responses of a grid of initial states, the arms run on every ensemble
+base + free[j] at once, from one convolution of the base and one of the
+free responses per block (superposition, see `learnability`).  No (n, H, q)
+feature tensor is built: besides the kept predictions, the working set is
 O(n * (q^2 + window * p)) per ensemble for a fixed refit period, whatever H
 is.
 
@@ -87,9 +92,8 @@ class _EnsembleRidge:
         n, H, p = shape
         self.q, self.reg, self.refit_period = q, reg, refit_period
         self.rows = rows
-        # the read rows of [s, e) are rows at[s]..at[e] - 1 of preds
-        self.at = np.arange(H + 1) if rows is None else np.concatenate(([0], np.cumsum(rows)))
-        self.preds = np.zeros((n, self.at[-1], p))
+        self.preds = np.zeros((n, H if rows is None else int(np.count_nonzero(rows)), p))
+        self.kept = 0  # the rows of preds filled so far
         self.gram = np.zeros((n, q, q))
         self.moment = np.zeros((n, q, p))
         self.frozen = readout is not None
@@ -105,9 +109,10 @@ class _EnsembleRidge:
         before the observation Y[i, t - s]."""
         if self.reads(s):
             pred = Z @ self.w
-            self.preds[:, self.at[s] : self.at[e]] = (
-                pred if self.rows is None else pred[:, self.rows[s:e]]
-            )
+            if self.rows is not None:
+                pred = pred[:, self.rows[s:e]]
+            self.preds[:, self.kept : self.kept + pred.shape[1]] = pred
+            self.kept += pred.shape[1]
         if self.frozen:
             return
         Zt = Z.transpose(0, 2, 1)
@@ -142,50 +147,78 @@ def _check_ensemble(Ys, obs_dim: int) -> np.ndarray:
     return Ys
 
 
-def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None, free=None):
-    """The streaming ridge of each arm on Ys, from one convolution of Ys by
-    the filter matrix F per refit block; returns one `_EnsembleRidge` per arm.
+class _Arms:
+    """The streaming ridge of each arm on an (n, H, p) ensemble whose rows
+    arrive in order, from one convolution by the filter matrix F per refit
+    block; `ridges` holds one `_EnsembleRidge` per arm.
 
     An arm is (cols, reg), or (cols, reg, readout) for a frozen arm: its
     features are columns `cols` of each block's features, or all of them
     when cols is None.  Each ridge keeps the predictions of the rows in the
-    mask `rows` (every row when None).  Only one block of features is alive
-    at a time.
+    mask `rows` (every row when None).  `push(ys)` takes the next rows
+    (n, L, p), any L: only one block of features and the rows it reads are
+    alive at a time, so the ensemble need never be held whole.  A Lorenz
+    grid pushes the blocks of its recursion, x0-major: trajectory j * n + i
+    of a stacked run is trajectory i of x0 j, and every trajectory is its own
+    batch entry of the ridge's products and solves, so each keeps the bits it
+    has in a run of its x0 alone.
 
-    With `free`, a (k, H, p) stack, the arms run on the k ensembles
-    Ys + free[j] at once, stacked x0-major: trajectory j * n + i of each
-    ridge is trajectory i of ensemble j.  Features are linear in the
+    With k free responses, `push(ys, free)` also takes their next rows
+    (k, L, p), and the arms run on the k ensembles ys + free[j] at once,
+    stacked x0-major in the same way.  Features are linear in the
     observations, so ensemble j's block features are the base's plus
-    free[j]'s: each block convolves Ys once and free once, and only that
-    sum, the targets Ys + free[j] and the ridges grow with k.  Every
-    trajectory is its own batch entry of the ridge's products and solves, so
-    each keeps the bits it has in a run of its ensemble alone.  The features
-    round differently from those of a convolution of Ys + free[j], except an
-    identity F's (AR), whose products are exact.
+    free[j]'s: each block convolves the base once and the free responses
+    once, and only that sum, the targets and the ridges grow with k.  The
+    features round differently from those of a convolution of Ys + free[j],
+    except an identity F's (AR and the baselines), whose products are exact.
     """
-    n, H, p = Ys.shape
-    k = 1 if free is None else len(free)
-    qf = F.shape[1] * p
-    runs = []
-    for cols, reg, *readout in arms:
-        q = qf if cols is None else len(cols)
-        ridge = _EnsembleRidge((k * n, H, p), q, reg, refit_period, rows, *readout)
-        runs.append((ridge, cols, None if cols is None else np.empty((k * n, refit_period, q))))
-    if free is not None:
-        free_blocks = _feature_blocks(F, free, refit_period)
-        Zk, Yk = np.empty((k, n, refit_period, qf)), np.empty((k, n, refit_period, p))
-    for s, e, Z in _feature_blocks(F, Ys, refit_period):
-        Y = Ys[:, s:e]
-        if free is not None:  # every ensemble's features and targets, x0-major
-            _, _, Zf = next(free_blocks)
-            Z = np.add(Z, Zf[:, None], out=Zk[:, :, : e - s]).reshape(k * n, e - s, qf)
-            Y = np.add(Y, free[:, None, s:e], out=Yk[:, :, : e - s]).reshape(k * n, e - s, p)
-        for ridge, cols, buf in runs:
+
+    def __init__(self, F: np.ndarray, shape, arms, refit_period: int, rows=None, k=None):
+        n, H, p = shape
+        stacked = (n if k is None else k * n, H, p)
+        qf = F.shape[1] * p
+        self.runs = []
+        for cols, reg, *readout in arms:
+            q = qf if cols is None else len(cols)
+            self.runs.append((_EnsembleRidge(stacked, q, reg, refit_period, rows, *readout), cols))
+        self.ridges = [ridge for ridge, _ in self.runs]
+        # the column arms' features, one arm's at a time
+        widest = max([len(cols) for _, cols in self.runs if cols is not None], default=0)
+        self.cols_buf = np.empty(stacked[0] * refit_period * widest)
+        self.blocks = _feature_blocks(F, shape, refit_period)
+        if k is not None:
+            self.free_blocks = _feature_blocks(F, (k, H, p), refit_period)
+            self.Zk = np.empty((k, n, refit_period, qf))
+            self.Yk = np.empty((k, n, refit_period, p))
+
+    def push(self, ys: np.ndarray, free=None) -> None:
+        """Feed the next rows ys (n, L, p), with the free responses' (k, L, p)."""
+        if free is None:
+            for s, e, Z, Y in self.blocks(ys):
+                self._feed(s, e, Z, Y)
+            return
+        for (s, e, Z, Y), (_, _, Zf, Yf) in zip(self.blocks(ys), self.free_blocks(free)):
+            L = e - s  # every ensemble's features and targets, x0-major
+            Z = np.add(Z, Zf[:, None], out=self.Zk[:, :, :L]).reshape(-1, L, Z.shape[2])
+            Y = np.add(Y, Yf[:, None], out=self.Yk[:, :, :L]).reshape(-1, L, Y.shape[2])
+            self._feed(s, e, Z, Y)
+
+    def _feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray) -> None:
+        for ridge, cols in self.runs:
             if cols is None:
                 ridge.feed(s, e, Z, Y)
-            else:  # cols are in range: mode="clip" skips the buffered copy that "raise" makes
-                ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf[:, : e - s], mode="clip"), Y)
-    return [ridge for ridge, _, _ in runs]
+                continue
+            buf = self.cols_buf[: Z.shape[0] * (e - s) * len(cols)].reshape(Z.shape[0], e - s, -1)
+            # cols are in range: mode="clip" skips the buffered copy that "raise" makes
+            ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf, mode="clip"), Y)
+
+
+def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None, free=None):
+    """The ridges of `_Arms` on the whole ensemble Ys (n, H, p), with the
+    free responses `free` (k, H, p) when given: every row pushed at once."""
+    stream = _Arms(F, Ys.shape, arms, refit_period, rows, None if free is None else len(free))
+    stream.push(Ys, free)
+    return stream.ridges
 
 
 class SpectralPredictor:
@@ -247,21 +280,31 @@ class SpectralPredictor:
 
 
 class BaselinePredictor:
-    """The zero and last-value predictors: fixed linear maps of the
-    observations, so they declare `linear` (see `oracles`)."""
+    """The zero and last-value predictors: frozen arms (see `_Arms`) over
+    `FilterBank.identity(1)`, whose features are the last observation, with
+    readout 0 or I_p.  They fit nothing: they are fixed linear maps of the
+    observations, so they declare `linear` (see `oracles`), and a
+    measurement that reads a learner's readout refuses them."""
 
     linear = True
+    refit_period = DEFAULT_REFIT_PERIOD  # the frozen arm's block; no prediction depends on it
 
     def __init__(self, kind: str, obs_dim: int = 1):
         if kind not in ("zero", "last_value"):
             raise ContractViolation(f"unknown baseline kind {kind!r}")
         self.kind = self.label = kind
         self.obs_dim = obs_dim
+        self.bank = FilterBank.identity(1)
+
+    @property
+    def readout(self) -> np.ndarray:
+        """The fixed (p, p) readout of the last observation: 0, or I_p for last_value."""
+        p = self.obs_dim
+        return np.zeros((p, p)) if self.kind == "zero" else np.eye(p)
 
     def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
         """Predictions for (n, H, p) observation arrays; pure function of Ys."""
         Ys = _check_ensemble(Ys, self.obs_dim)
-        preds = np.zeros_like(Ys)
-        if self.kind == "last_value":
-            preds[:, 1:] = Ys[:, : Ys.shape[1] - 1]
-        return preds
+        arm = (None, 0.0, self.readout)
+        (ridge,) = _run_arms(self.bank.filter_matrix(), Ys, [arm], self.refit_period)
+        return ridge.preds

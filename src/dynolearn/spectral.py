@@ -9,11 +9,14 @@ the optional sign-augmented variant extends coverage to a in [-1, 0).
 Features need only the last `window` observations.  The one feature kernel
 is the block kernel `_feature_blocks`, which convolves an ensemble with a
 (window, f) filter matrix one block of rows at a time, from the block's
-observations and the window - 1 before it, so its working set,
-O(n * block * p * (window + f)), does not grow with the horizon.  Its one
-caller is `predictors._run_arms`, which every learner runs on: the spectral
-learner with `FilterBank.filter_matrix()`, AR(k) with `FilterBank.identity`,
-whose features are the last k observations.  Features are laid out
+observations and the window - 1 before it.  It is fed its rows as they
+arrive and keeps only the rows of one block and its history, so its working
+set, O(n * block * p * (window + f)), does not grow with the horizon: an
+LDS's learners push it their simulated array, a Lorenz grid's the blocks of
+its recursion.  Its one caller is `predictors._Arms`, which every learner
+runs on: the spectral learner with `FilterBank.filter_matrix()`, AR(k) and
+the zero and last-value baselines with `FilterBank.identity`, whose
+features are the last k observations.  Features are laid out
 coordinate-major (`_bank_columns`).  The whole-trajectory convolution that
 the kernel is checked against, `trajectory_features`, is a test reference
 (`tests/conftest.py`), not library code.
@@ -148,45 +151,66 @@ def build_filter_bank(window: int, m: int, sign_augmented: bool = False) -> Filt
     )
 
 
-def _feature_blocks(F: np.ndarray, Ys: np.ndarray, block: int):
-    """Shifted features of an (n, H, p) ensemble by the (window, f) filter
-    matrix F, one block of rows at a time.
+def _feature_blocks(F: np.ndarray, shape, block: int):
+    """The convolution of an (n, H, p) ensemble by the (window, f) filter
+    matrix F, one block of rows at a time, fed its rows as they arrive.
 
-    Yields (s, e, Z) for s = 0, block, 2 block, ...: row t - s of Z[i] holds,
-    for each coordinate c, F.T applied to Ys[i, t-1, c], ..., Ys[i, t-window, c]
-    (newest first, zero before row 0), as columns c * f .. c * f + f - 1: the
-    last row of the tests' whole-trajectory reference `trajectory_features`
-    on Ys[i, :t] for a bank's filter matrix, the input of a predictor about
-    to see Ys[i, t].  A block reads Ys rows [s - window + 1, e) only; Z is a
-    view into a buffer the next block overwrites, so the working set is
-    O(n * block * p * (window + f)) whatever H is.
+    Returns `push`: push(ys) takes the next rows ys (n, L, p) of the
+    ensemble, any L >= 0, in order, and yields (s, e, Z, Y) for each block
+    [s, e) that they complete, s = 0, block, 2 block, ... up to H.  Row t - s
+    of Z[i] holds, for each coordinate c, F.T applied to Ys[i, t-1, c], ...,
+    Ys[i, t-window, c] (newest first, zero before row 0), as columns
+    c * f .. c * f + f - 1: the last row of the tests' whole-trajectory
+    reference `trajectory_features` on Ys[i, :t] for a bank's filter matrix,
+    the input of a predictor about to see Ys[i, t].  Y holds the block's
+    observations Ys[:, s:e], the targets.  Z and Y are views into buffers
+    that the next block overwrites, and the stream keeps only the
+    window - 1 + block rows that a block reads, so the working set is
+    O(n * block * p * (window + f)) whatever H is.  A caller that zips two
+    streams pushes them the same rows, so their blocks complete together.
 
     Each block computes the reference's rows [s, e) with one matmul and
     carries its last row into the next block, so its row groups line up with
     those of the whole-trajectory product.  Measured with OpenBLAS, the bits
     agree when `block` is a multiple of 4 and there is more than one filter
     column; otherwise rows differ at rounding level.  Products with an
-    identity F are exact whatever the block.
+    identity F are exact whatever the block.  The blocks, and so the bits,
+    do not depend on how the rows are split between pushes.
     """
-    n, H, p = Ys.shape
+    n, H, p = shape
     window, f = F.shape
     Fflip = F[::-1].copy()  # windows below are oldest-first
-    hist = np.empty((n, window - 1 + block, p))
+    # rows [s - window + 1, e) of the current block [s, e), zero before row 0
+    hist = np.zeros((n, window - 1 + block, p))
     # (n, p, block, window): the windows of hist, built once; a block reads the first L
     view = np.lib.stride_tricks.sliding_window_view(hist, window, axis=1).transpose(0, 2, 1, 3)
     windows = np.empty((n, p, block, window))
     rows = np.zeros((n, block + 1, p, f))  # row 0: the row carried from the last block
-    for s in range(0, H, block):
-        e = min(s + block, H)
-        L = e - s
-        pad = max(window - 1 - s, 0)  # history rows before row 0
-        ys = hist[:, : L + window - 1]
-        ys[:, :pad] = 0.0
-        ys[:, pad:] = Ys[:, s - window + 1 + pad : e]
-        np.copyto(windows[:, :, :L], view[:, :, :L])
-        np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
-        yield s, e, rows[:, :L].reshape(n, L, p * f)
-        rows[:, 0] = rows[:, L]
+    s = t = 0  # rows [s, t) of the current block have arrived
+
+    def push(ys):
+        nonlocal s, t
+        i = 0
+        while i < ys.shape[1]:
+            if t == H:
+                raise ContractViolation(f"rows pushed past the horizon {H}")
+            e = min(s + block, H)
+            if t == e:  # the last block was yielded: carry its history into the next
+                L = e - s
+                rows[:, 0] = rows[:, L]
+                hist[:, : window - 1] = hist[:, L : L + window - 1]
+                s, e = e, min(e + block, H)
+            take = min(e - t, ys.shape[1] - i)
+            at = window - 1 + t - s
+            hist[:, at : at + take] = ys[:, i : i + take]
+            t, i = t + take, i + take
+            if t == e:
+                L = e - s
+                np.copyto(windows[:, :, :L], view[:, :, :L])
+                np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
+                yield s, e, rows[:, :L].reshape(n, L, p * f), hist[:, window - 1 : window - 1 + L]
+
+    return push
 
 
 def _bank_columns(bank: FilterBank, m: int, p: int) -> np.ndarray:

@@ -9,12 +9,14 @@ integrates the whole grid at once, with the same bits as one x0 at a time.
 A non-finite observation or state raises IntegrationBlowup naming the first
 step that produced one.  Each simulator draws its ensemble's noise itself,
 one block of rows per worker; row i comes from rngs[i] alone, so the bits do
-not depend on the worker count.  An LDS draws its process noise one time
-chunk at a time as the recursion reaches it, so the noise alive is bounded
-by the chunk and not the horizon; the chunks read each stream in the order
-of one whole draw, so the bits do not depend on the chunk size either.  A
-standard deviation of 0 disables that noise; a noiseless system draws
-nothing.
+not depend on the worker count.  An LDS draws its process noise, and a
+Lorenz run its observation noise, one time chunk at a time as the recursion
+reaches it, so the noise alive is bounded by the chunk and not the horizon;
+the chunks read each stream in the order of one whole draw, so the bits do
+not depend on the chunk size either.  A standard deviation of 0 disables
+that noise; a noiseless system draws nothing.  Lorenz observations are made
+one recorded block at a time (`_lorenz_observations`): the harness streams
+those blocks to its learners, and `simulate_lorenz_ensemble` collects them.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
 0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
@@ -422,6 +424,53 @@ def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int, record) -> None
             record(t0, block)
 
 
+def _lorenz_observations(spec: LorenzSpec, horizon: int, X0, rngs, n_workers: int, emit) -> None:
+    """Observe n Lorenz runs from each of the k initial states of the checked
+    stack X0 (k, 3) (`_lorenz_stack`) in one stacked recursion, block by block.
+
+    `emit(t0, Y, X)` receives, in order, the observations Y (k, n, b, p) of
+    steps t0 .. t0 + b - 1 and their states X (b, 3, k, n), a view that the
+    next block overwrites.  Run i of every initial state reads rngs[i]: the
+    observation noise is drawn one time chunk of about `_RECORD_VALUES`
+    values (as many as the recursion buffers states) at a time, on up to
+    `n_workers` threads, as the recursion reaches it, so the noise alive is
+    bounded by the chunk, not the horizon.  The chunks read each stream in
+    the order of one whole (H, p) draw, so the bits depend neither on the
+    chunk size nor on the worker count.  A noiseless spec draws nothing and
+    adds zeros, as the noisy run adds its draws.
+    """
+    k, n, p = len(X0), len(rngs), spec.p
+    coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
+    chunk = max(1, _RECORD_VALUES // max(1, n * p))  # n = 0: an empty ensemble
+    V = np.zeros((n, min(chunk, horizon), p))
+
+    def record(t0, X):  # X (b, 3, k, n) -> Y (k, n, b, p)
+        t1, Y = t0 + len(X), np.empty((k, n, len(X), p))
+        t = t0
+        while t < t1:  # the pieces of the block in one noise chunk each
+            if t % chunk == 0 and not spec.is_noiseless:
+                c = min(chunk, horizon - t)
+                _draw_noise(rngs, (c, p), spec.obs_noise, n_workers, out=V[:, :c])
+            e = min(t1, t - t % chunk + chunk)
+            states = X[t - t0 : e - t0, coords].transpose(2, 3, 0, 1)
+            v = V[:, t % chunk : t % chunk + e - t]
+            np.add(states, v, out=Y[:, :, t - t0 : e - t0])
+            t = e
+        emit(t0, Y, X)
+
+    _lorenz_steps(spec, np.repeat(X0.T[:, :, None], n, axis=2), horizon, record)
+
+
+def _lorenz_stack(x0) -> np.ndarray:
+    """A Lorenz initial state (3,) or stack (k, 3), checked, as a (k, 3) stack."""
+    X0 = np.asarray(x0, dtype=float)
+    if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
+        raise ContractViolation(f"Lorenz x0 must be (3,) or (k, 3), got shape {X0.shape}")
+    if not np.isfinite(X0).all():
+        raise ContractViolation("x0 contains non-finite entries")
+    return np.atleast_2d(X0)
+
+
 def simulate_lorenz_ensemble(
     spec: LorenzSpec,
     horizon: int,
@@ -436,34 +485,24 @@ def simulate_lorenz_ensemble(
     x0 is one state (3,), giving (n, H, p), or a stack (k, 3), giving
     (k, n, H, p): the whole stack integrates in one recursion, and row i
     equals the call with x0[i] alone, bit for bit.  Every initial state
-    reads the same noise, drawn once on up to `n_workers` threads, with the
-    same bits at any count.  With `record_states` the result is (Ys, Xs), Xs
+    reads the same noise, drawn on up to `n_workers` threads, with the same
+    bits at any count.  With `record_states` the result is (Ys, Xs), Xs
     ((n, H, 3) or (k, n, H, 3)) holding the state that each observation
-    reads.
+    reads.  The result collects the blocks of `_lorenz_observations`.
     """
-    X0 = np.asarray(x0, dtype=float)
-    if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
-        raise ContractViolation(f"Lorenz x0 must be (3,) or (k, 3), got shape {X0.shape}")
-    if not np.isfinite(X0).all():
-        raise ContractViolation("x0 contains non-finite entries")
-    stack = np.atleast_2d(X0)
+    stack = _lorenz_stack(x0)
     k, n = stack.shape[0], len(rngs)
-    coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    if spec.is_noiseless:
-        V = np.zeros((n, horizon, spec.p))
-    else:
-        V = _draw_noise(rngs, (horizon, spec.p), spec.obs_noise, n_workers)
     Ys = np.empty((k, n, horizon, spec.p))
     Xs = np.empty((k, n, horizon, 3)) if record_states else None
 
-    def record(t0, X):  # X (b, 3, k, n) -> Ys[:, :, t0:t0 + b] (k, n, b, p)
+    def emit(t0, Y, X):
         t1 = t0 + len(X)
-        np.add(X[:, coords].transpose(2, 3, 0, 1), V[:, t0:t1], out=Ys[:, :, t0:t1])
+        Ys[:, :, t0:t1] = Y
         if Xs is not None:
             Xs[:, :, t0:t1] = X.transpose(2, 3, 0, 1)
 
-    _lorenz_steps(spec, np.repeat(stack.T[:, :, None], n, axis=2), horizon, record)
-    if X0.ndim == 1:
+    _lorenz_observations(spec, horizon, stack, rngs, n_workers, emit)
+    if np.ndim(x0) == 1:
         Ys, Xs = Ys[0], None if Xs is None else Xs[0]
     return (Ys, Xs) if record_states else Ys
 

@@ -4,12 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dataclasses
+
 from dynolearn import (
+    BaselinePredictor,
     InitPolicy,
     KalmanPredictor,
     LdsSpec,
     NoiseSpec,
     SeededRng,
+    TruthOracle,
     initial_states,
     simulate_ensemble,
 )
@@ -17,7 +21,7 @@ from dynolearn.systems import lds_free_responses
 from dynolearn import learnability
 from dynolearn.errors import ContractViolation, SingularSystem
 from dynolearn.numerics import solve_normal_system
-from dynolearn.predictors import _effective_ridge
+from dynolearn.predictors import _effective_ridge, _run_arms
 from dynolearn.spectral import _feature_blocks
 
 REPO = Path(__file__).resolve().parent.parent
@@ -266,7 +270,7 @@ def reference_readout(bank, ys_ref):
     p = ys_ref.shape[2]
     q = bank.feature_count * p
     gram, moment = np.zeros((q, q)), np.zeros((q, p))
-    for s, e, Z in _feature_blocks(bank.filter_matrix(), ys_ref, 256):
+    for s, e, Z, _ in _feature_blocks(bank.filter_matrix(), ys_ref.shape, 256)(ys_ref):
         gram += Z[0].T @ Z[0]
         moment += Z[0].T @ ys_ref[0, s:e]
     return solve_normal_system(gram, moment, ridge=1e-8 * float(np.trace(gram)) / q)
@@ -312,3 +316,55 @@ def bias_variance_reference(system, learner, t_grid, n_traj, master_seed, window
     bias, bias_ci, _, _ = learnability._worst_case(L[0], L[1])
     variance, var_ci, _, _ = learnability._worst_case(L[2], np.zeros_like(L[2]))
     return bias, bias_ci, variance, var_ci
+
+
+# The per-x0 full-array Lorenz evaluation that the streamed one replaced: the
+# whole (k, n, H, p) grid of observations, with its noise drawn in one piece
+# per stream, then every run on each x0's whole observations.  The streamed
+# evaluation is checked against it bit for bit.
+
+
+def lorenz_grid_reference(system, horizon, states, rngs):
+    """Observations (k, n, H, p) of a Lorenz grid: the noiseless stacked
+    simulation, which reads no stream, plus one whole (H, p) draw of
+    observation noise per stream."""
+    clean = dataclasses.replace(system, obs_noise=0.0)
+    grid = simulate_ensemble(clean, horizon, np.stack(states), rngs)
+    if system.obs_noise == 0.0:
+        return grid
+    noise = np.stack([rng.normals((horizon, system.p), 0.0, system.obs_noise) for rng in rngs])
+    return grid + noise
+
+
+def baseline_map(kind, Ys):
+    """The zero and last-value predictions of (n, H, p) observations."""
+    preds = np.zeros_like(Ys)
+    if kind == "last_value":
+        preds[:, 1:] = Ys[:, :-1]
+    return preds
+
+
+def lorenz_evaluate_reference(
+    system, states, horizon, n_traj, master, n_workers, rows, runs, losses
+):
+    """`learnability._evaluate` of a Lorenz grid, one x0 at a time on whole
+    arrays: learners by `_run_arms` on the x0's observations, baselines by
+    `baseline_map`, the truth oracle as a copy; `n_workers` is not used."""
+    grid = lorenz_grid_reference(system, horizon, states, learnability._traj_rngs(master, n_traj))
+
+    def read(a):
+        return np.compress(rows, a, axis=-2)
+
+    per_x0 = []
+    for Ys in grid:
+        preds = []
+        for run in runs:
+            if isinstance(run, BaselinePredictor):
+                preds.append(read(baseline_map(run.kind, Ys)))
+            elif isinstance(run, TruthOracle):
+                preds.append(read(Ys.copy()))
+            else:
+                F, arms, refit_period = learnability._engine(run, system.p)
+                preds += [r.preds for r in _run_arms(F, Ys, arms, refit_period, rows)]
+        per_x0.append(np.stack(losses(read(Ys), preds)))
+    return np.stack(per_x0, axis=1)

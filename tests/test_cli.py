@@ -332,6 +332,7 @@ class TestRiskPipeline:
             ("harness.epsilon=nan", 1, "config"),
             ("harness.m_range=0,2", 2, "contract_violation"),
             ("harness.m_range=", 2, "contract_violation"),
+            ("harness.m_range=3,3", 2, "contract_violation"),
         ],
     )
     def test_mstar_rejects_bad_target(self, override, code, error, tmp_path):

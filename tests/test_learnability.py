@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
-from conftest import bias_variance_reference, superposed_learner
+from conftest import bias_variance_reference, lorenz_evaluate_reference, superposed_learner
 from dynolearn import learnability, systems
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
@@ -451,6 +453,8 @@ class TestMinimalFilterCount:
             minimal_filter_count(spec, SpectralPredictor(bank), kal, 0.1, [2, 4], **stem)
         with pytest.raises(ContractViolation, match="past the learner's 2 filters"):
             minimal_filter_count(spec, SpectralPredictor.ar(2), kal, 0.1, [3], **stem)
+        with pytest.raises(ContractViolation, match="repeats the filter count 3"):
+            minimal_filter_count(spec, SpectralPredictor.ar(5), kal, 0.1, [5, 3, 3], **stem)
         for linear in (kal, BaselinePredictor("last_value")):
             with pytest.raises(IncompatiblePairing, match="needs a learner"):
                 minimal_filter_count(spec, linear, kal, 0.1, [1], **stem)
@@ -804,24 +808,33 @@ class TestSharedNoise:
         assert fields[1] == fields[0] and fields[2] == fields[0]
 
     def test_matches_per_x0_replay_with_fresh_streams(self, name, kind, monkeypatch):
-        # Lorenz simulates every x0 of the grid in one stacked call; an LDS
-        # simulates once from x0 = 0 and adds the grid's free responses
+        # Lorenz streams every x0 of the grid from one stacked recursion (per
+        # group of x0); an LDS simulates once from x0 = 0 and adds the grid's
+        # free responses
         system = _shared_system(kind)
         shared = _measure(name, system)
         replays, free_stacks = [], []
+
+        def fresh(rngs):
+            return _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
 
         def replay(system, horizon, x0, rngs, n_workers=1):
             # biasvar's reference run is one stream in its own namespace
             if rngs[0].path[0] != learnability._REF_NS:
                 replays.extend(np.atleast_2d(x0))  # one row per x0 of a stacked call
-                rngs = _traj_rngs(SeededRng(_SHARED["master_seed"]), len(rngs))
+                rngs = fresh(rngs)
             return systems.simulate_ensemble(system, horizon, x0, rngs)
+
+        def replay_lorenz(system, horizon, X0, rngs, n_workers, emit):
+            replays.extend(X0)
+            systems._lorenz_observations(system, horizon, X0, fresh(rngs), 1, emit)
 
         def free_responses(system, horizon, states):
             free_stacks.append(np.array(states))
             return systems.lds_free_responses(system, horizon, states)
 
         monkeypatch.setattr(learnability, "simulate_ensemble", replay)
+        monkeypatch.setattr(learnability, "_lorenz_observations", replay_lorenz)
         monkeypatch.setattr(learnability, "lds_free_responses", free_responses)
         replayed = _measure(name, system)
         states = np.array(systems.initial_states(system))
@@ -1031,3 +1044,96 @@ class TestRandomSystemDeterminism:
         for other in (curve(x0_grid, 3), curve([x0_grid[i] for i in order], 1)):
             for col in ("t_grid", "excess_mean", "excess_ci_half", "raw_alg", "raw_oracle"):
                 assert getattr(other, col).tobytes() == getattr(base, col).tobytes(), col
+
+
+# --- streamed Lorenz grid -----------------------------------------------------
+
+
+class TestStreamedLorenz:
+    """A Lorenz grid is streamed through its learners and baselines block by
+    block; the results keep the bits of the per-x0 full-array evaluation."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        n_traj=st.integers(2, 5),
+        t_end=st.integers(30, 300),
+        loss_window=st.integers(1, 9),
+        refit_period=st.sampled_from([3, 4, 8]),
+        filter_window=st.integers(9, 20),  # longer than every refit period
+        record_values=st.sampled_from([60, 700, 1 << 16]),
+        group_bytes=st.sampled_from([1, 8 << 20]),
+        obs_noise=st.sampled_from([0.0, 0.5]),
+        n_workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_per_x0_full_arrays(
+        self, seed, k, n_traj, t_end, loss_window, refit_period, filter_window,
+        record_values, group_bytes, obs_noise, n_workers,
+    ):
+        # small record buffers and group budgets put record blocks, noise
+        # chunks and x0 groups across the refit blocks and the read rows
+        g = np.random.default_rng(seed)
+        system = LorenzSpec(obs_coords=("x", "z"), obs_noise=obs_noise)
+        x0_grid = list(g.uniform([-20, -25, 0], [20, 25, 45], (k, 3)))
+        p = system.p
+        bank = build_filter_bank(filter_window, 3)
+        order = int(g.integers(1, 4))
+        stem = dict(n_traj=n_traj, x0_grid=x0_grid, master_seed=seed, window=loss_window)
+        grid = sorted({max(1, t_end // 3), max(1, t_end // 2), t_end})
+
+        def learner():
+            return SpectralPredictor(bank, p, 0.7, refit_period)
+
+        def measurements(n_workers):
+            baselines = [
+                BaselinePredictor("zero", p),
+                BaselinePredictor("last_value", p),
+                SpectralPredictor.ar(order, p, 0.7, refit_period),
+            ]
+            run = dict(stem, n_workers=n_workers)
+            return [
+                estimate_excess_risk(system, learner(), (TruthOracle(),), grid, **run),
+                estimate_excess_risk(system, learner(), baselines, grid, **run),
+                minimal_filter_count(
+                    system, learner(), TruthOracle(), 0.5, (1, 2, 3), t_end, **run
+                ),
+            ]
+
+        with mock.patch.object(systems, "_RECORD_VALUES", record_values), mock.patch.object(
+            learnability, "_GROUP_BYTES", group_bytes
+        ):
+            streamed = measurements(n_workers)
+        with mock.patch.object(learnability, "_evaluate", lorenz_evaluate_reference):
+            reference = measurements(1)
+        for got, want in zip(streamed, reference):
+            assert _as_bytes(got) == _as_bytes(want)
+
+    def test_memory_is_flat_in_the_horizon(self):
+        # the traced heap peak of a noisy x,y,z grid (4 x0, 8 trajectories)
+        # does not grow with the horizon: the whole grid of observations
+        # would add 4 * 8 * 3 * 8 B per step, 4.6 MB from H = 2000 to 8000
+        system = LorenzSpec(
+            obs_coords=("x", "y", "z"), obs_noise=0.5, init=InitPolicy(kind="stationary", points=4)
+        )
+        x0_grid = systems.initial_states(system)
+        learner = SpectralPredictor(build_filter_bank(32, 13), obs_dim=3)
+
+        def peak(horizon):
+            grid = (horizon // 4, horizon // 2, horizon - 16)  # the same read rows at any H
+            tracemalloc.start()
+            try:
+                estimate_excess_risk(
+                    system, learner, (TruthOracle(),), grid, n_traj=8, x0_grid=x0_grid, window=16
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2000), peak(8000)
+        assert abs(long - short) < 2**20, (short, long)
+
+
+def _as_bytes(result):
+    """A result's fields, arrays as bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(result).items()}

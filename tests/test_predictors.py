@@ -297,8 +297,8 @@ class TestKernels:
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         Zfull = np.stack([self._lag_matrix(Ys[i], k) for i in range(n)])
         expected = np.concatenate([np.zeros((n, 1, k * p)), Zfull[:, : H - 1]], axis=1)
-        blocks = _feature_blocks(np.eye(k), Ys, block)
-        got = np.concatenate([Z.copy() for _, _, Z in blocks], axis=1)
+        blocks = _feature_blocks(np.eye(k), Ys.shape, block)(Ys)
+        got = np.concatenate([Z.copy() for _, _, Z, _ in blocks], axis=1)
         assert got.shape == expected.shape
         lag_major = got.reshape(n, H, p, k).transpose(0, 1, 3, 2).reshape(n, H, k * p)
         assert lag_major.tobytes() == expected.tobytes()
@@ -401,10 +401,12 @@ class TestBlockedEngine:
         big = build_filter_bank(32, 13, sign_augmented=sign_augmented)
         Ys = np.random.default_rng(p).standard_normal((3, 200, p))
         F = big.filter_matrix()
-        shared = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(F, Ys, 16)], axis=1)
+        blocks = _feature_blocks(F, Ys.shape, 16)(Ys)
+        shared = np.concatenate([Z.copy() for _, _, Z, _ in blocks], axis=1)
         for m in (1, 2, 5, 12, 13):
             own_F = build_filter_bank(32, m, sign_augmented=sign_augmented).filter_matrix()
-            own = np.concatenate([Z.copy() for _, _, Z in _feature_blocks(own_F, Ys, 16)], axis=1)
+            blocks = _feature_blocks(own_F, Ys.shape, 16)(Ys)
+            own = np.concatenate([Z.copy() for _, _, Z, _ in blocks], axis=1)
             np.testing.assert_allclose(
                 shared[:, :, _bank_columns(big, m, p)], own, rtol=1e-12, atol=1e-13
             )
@@ -560,7 +562,8 @@ class TestFrozenArm:
         # a learner beside it keeps the bits it has alone
         (alone,) = _run_arms(F, Ys, arms[:1], 8, rows)
         assert learner.preds.tobytes() == alone.preds.tobytes()
-        expected = np.concatenate([Z @ readout for _, _, Z in _feature_blocks(F, Ys, 8)], axis=1)
+        blocks = _feature_blocks(F, Ys.shape, 8)(Ys)
+        expected = np.concatenate([Z @ readout for _, _, Z, _ in blocks], axis=1)
         read_rows = np.arange(70) if rows is None else np.flatnonzero(rows)
         assert frozen.preds.tobytes() == expected[:, read_rows].tobytes()
 
@@ -621,18 +624,27 @@ def _library_callers(callee):
 
 @pytest.mark.parametrize("callee", ["_feature_blocks", "_EnsembleRidge"])
 def test_one_streaming_ridge_path(callee):
-    # every learner, reference fit and frozen readout runs through _run_arms:
-    # it is the one library caller of the block kernel and of the ridge
-    assert _library_callers(callee) == {("predictors.py", ("_run_arms",))}
+    # every learner, baseline, reference fit and frozen readout runs through
+    # _Arms: it is the one library caller of the block kernel and of the ridge
+    assert _library_callers(callee) == {("predictors.py", ("_Arms", "__init__"))}
 
 
 def test_one_learner_runs_the_ridge():
-    # the one learner class fits through _run_arms, and the harness runs its
-    # arms there; no other predictor class or module does
+    # the one learner class fits through _run_arms, the baselines predict
+    # there as frozen arms, and the harness runs its arms there (an LDS) or
+    # pushes a Lorenz grid's blocks to _Arms; no other class or module does
     callers = _library_callers("_run_arms")
     assert any(module == "learnability.py" for module, _ in callers)
     others = {c for c in callers if c[0] != "learnability.py"}
-    assert others == {("predictors.py", ("SpectralPredictor", "fit"))}
+    assert others == {
+        ("predictors.py", ("SpectralPredictor", "fit")),
+        ("predictors.py", ("BaselinePredictor", "run_ensemble")),
+    }
+    streams = _library_callers("_Arms")
+    assert streams == {
+        ("predictors.py", ("_run_arms",)),
+        ("learnability.py", ("_stream_lorenz", "group_run")),
+    }
     # the harness reads a learner's engine off its bank, reg and refit period
     engines = [
         (path.name, cls.name)

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import REPO, SRC, cli_env
@@ -84,7 +85,10 @@ def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, caps
 
     def stand_in(src, args, out):  # the new tree runs mstar 4x faster, the rest alike
         wall = 0.5 if src.name == "new" and args[0] == "mstar" else 2.0
-        return check_bytes.Run(0, {"out.csv": "1\n"}, wall, 10.0)
+        rss = 10.0  # the new tree's risk peaks at 5 MiB on one.cfg and 8 MiB on two.cfg
+        if src.name == "new" and args[0] == "risk":
+            rss = 5.0 if Path(args[2]).stem == "one" else 8.0
+        return check_bytes.Run(0, {"out.csv": "1\n"}, wall, rss)
 
     monkeypatch.setattr(check_bytes, "ROOT", tmp_path)
     monkeypatch.setattr(check_bytes, "CONFIG_DIRS", (tmp_path,))
@@ -94,5 +98,11 @@ def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, caps
     lines = capsys.readouterr().out.splitlines()
     assert "mstar wall time: old 4.0 s, new 1.0 s (4.00x)" in lines
     assert "risk wall time: old 4.0 s, new 4.0 s (1.00x)" in lines
+    # each subcommand's largest peak RSS over the configs, after the wall times
+    assert "risk peak RSS: old 10.0 MiB, new 8.0 MiB (1.25x)" in lines
+    assert "mstar peak RSS: old 10.0 MiB, new 10.0 MiB (1.00x)" in lines
+    walls = [i for i, line in enumerate(lines) if " wall time: " in line]
+    peaks = [i for i, line in enumerate(lines) if " peak RSS: " in line and " wall " not in line]
+    assert len(peaks) == 7 and min(peaks) > max(walls)
     assert lines[-3] == "wall time: old 28.0 s, new 25.0 s"
     assert lines[-1] == "0 of 14 runs differ"

@@ -118,7 +118,8 @@ class TestFeatures:
         bank = build_filter_bank(16, 5)
         np.testing.assert_array_equal(trajectory_features(bank, np.zeros(16)), np.zeros((16, 5)))
         # before the first observation the learners' features are zero
-        _, _, Z = next(_feature_blocks(bank.filter_matrix(), np.ones((2, 16, 1)), 16))
+        push = _feature_blocks(bank.filter_matrix(), (2, 16, 1), 16)
+        _, _, Z, _ = next(push(np.ones((2, 16, 1))))
         np.testing.assert_array_equal(Z[:, 0], np.zeros((2, 5)))
 
     def test_impulse_reads_first_filter_row(self):
@@ -227,8 +228,9 @@ class TestFeatureBlocks:
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         expected = shifted_features_reference(bank, Ys)
         starts, got = [], []
-        for s, e, Z in _feature_blocks(bank.filter_matrix(), Ys, block):
+        for s, e, Z, Y in _feature_blocks(bank.filter_matrix(), Ys.shape, block)(Ys):
             assert Z.shape == (n, e - s, bank.feature_count * p)
+            assert Y.tobytes() == Ys[:, s:e].tobytes()  # the block's targets
             starts.append(s)
             got.append(Z.copy())  # the next block overwrites Z
         assert starts == list(range(0, H, block))
@@ -236,3 +238,32 @@ class TestFeatureBlocks:
         # the block products sum in the whole product's order except where
         # BLAS groups rows differently; every row stays within rounding
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        H=st.integers(1, 60),
+        p=st.sampled_from([1, 3]),
+        window=st.integers(1, 24),
+        block=st.sampled_from([1, 3, 4, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_pushed_pieces_give_the_blocks_of_one_push(self, n, H, p, window, block, seed, data):
+        # rows pushed as they arrive, in pieces that need not line up with the
+        # blocks, give every block's features and targets bit for bit
+        bank = build_filter_bank(window, min(3, reliable_filter_cap(window)))
+        F = bank.filter_matrix()
+        Ys = np.random.default_rng(seed).standard_normal((n, H, p))
+        blocks = _feature_blocks(F, Ys.shape, block)(Ys)
+        whole = [(s, e, Z.copy(), Y.copy()) for s, e, Z, Y in blocks]
+        cuts = sorted(data.draw(st.lists(st.integers(0, H), max_size=6), label="cuts"))
+        push = _feature_blocks(F, Ys.shape, block)
+        pieces = []
+        for a, b in zip([0, *cuts], [*cuts, H]):
+            pieces += [(s, e, Z.copy(), Y.copy()) for s, e, Z, Y in push(Ys[:, a:b])]
+        assert [(s, e) for s, e, _, _ in pieces] == [(s, e) for s, e, _, _ in whole]
+        for (_, _, Z, Y), (_, _, Zw, Yw) in zip(pieces, whole):
+            assert Z.tobytes() == Zw.tobytes() and Y.tobytes() == Yw.tobytes()
+        with pytest.raises(ContractViolation, match="past the horizon"):
+            next(push(Ys[:, :1]))
