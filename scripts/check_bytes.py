@@ -27,7 +27,9 @@ from `os.wait4`).  After those lines come each subcommand's wall time
 summed over the configs for each tree, with the old-to-new ratio, then each
 subcommand's largest peak RSS over the configs for each tree, with the
 old-to-new ratio, then the total wall time per tree and each tree's largest
-peak RSS with the run it came from.  Exit
+peak RSS with the run it came from.  The first two lines give each tree's
+`dynolearn` size: its total lines, and its code lines, which leave out
+docstrings (module, class and function) and comments.  Exit
 status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
 running child, removes the work directory (unless `--keep`) and exits with
 128 + the signal number.
@@ -36,7 +38,9 @@ running child, removes the work directory (unless `--keep`) and exits with
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
+import io
 import math
 import os
 import shutil
@@ -45,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,6 +178,31 @@ def compare(old: Run, new: Run) -> str:
     return f"{verdict}; {cost}"
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold a token other than a comment, outside
+    the docstrings of the module, its classes and its functions."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout and tok.type != tokenize.ENDMARKER:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def package_size(src: Path) -> str:
+    """The total lines and code lines (`code_lines`) of src's dynolearn package."""
+    texts = [p.read_text() for p in sorted((src / "dynolearn").glob("*.py"))]
+    total = sum(text.count("\n") for text in texts)
+    return f"{total} lines, {sum(map(code_lines, texts))} code lines"
+
+
 def _stop(signum, frame):
     """SIGTERM or Ctrl-C: unwind, so the running child is killed and the work
     directory removed, then exit with 128 + the signal number."""
@@ -190,6 +220,8 @@ def main(argv=None) -> int:
         if not (src / "dynolearn" / "__init__.py").is_file():
             parser.error(f"no dynolearn package under {src}")
 
+    for tag, src in (("old", args.old_src), ("new", args.new_src)):
+        print(f"{tag} dynolearn: {package_size(src)}", flush=True)
     for signum in STOP_SIGNALS:
         signal.signal(signum, _stop)
     work = args.keep or Path(tempfile.mkdtemp(prefix="check_bytes-"))

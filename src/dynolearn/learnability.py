@@ -10,22 +10,22 @@ arms, and returns one tensor [arm, x0, traj, g] of squared losses averaged
 over a short window at each grid time; `_worst_case` reduces two arms to
 the largest mean gap over x0, its 95% CI and both means.
 
-For a linear system, x0 moves the observations only through its free
-response C A^t x0, since every x0 shares the noise.  `_evaluate` therefore
-simulates the ensemble once, from x0 = 0, and gives each x0 that base plus
-its free response, and it never runs a predictor once per x0.  A predictor
-declared linear (see `oracles`) runs once on the base and once on the
-stacked free responses, and each x0 gets the sum.  The learners' features
-are linear in the observations too, so each learner runs once for the whole
-grid: every refit block of the base is convolved once, and so is the block
-of the free responses, and each x0 reads the sum (`predictors._run_arms`
-with `free`); only the Grams, moments, readouts and predictions are per x0.
-A Lorenz grid is streamed instead: one stacked RK4 recursion integrates
-every x0, and each block of observations it records goes to every learner
-at once (`predictors._Arms`, trajectory j * n + i being trajectory i of x0
-j), the zero and last-value baselines as frozen arms, so no predictor sees
-a whole (..., H, p) array and only the read rows of the observations are
-kept, where the memoryless truth oracle predicts them.
+Every run goes through one interface, a stream (`_stream`): it is pushed
+the ensemble's rows in order and keeps its predictions on the rows a loss
+reads.  A learner or a zero or last-value baseline is `predictors._Arms`
+(the baseline a frozen arm), the Kalman and kernel predictors are the
+streams of `oracles`, and the truth oracle, which is memoryless, has none:
+it predicts the read observations themselves.  Only the feeder differs by
+system type.  For a linear system, x0 moves the observations only through
+its free response C A^t x0, since every x0 shares the noise, so the
+ensemble is simulated once, from x0 = 0, and each stream is pushed that
+base and the stacked free responses together; every stream is linear in
+the observations, so x0 j reads the sum (the learners' features of the
+base plus those of free[j]; a reference's predictions of the base plus
+those of free[j]), and no predictor runs once per x0.  A Lorenz grid is
+streamed from one stacked RK4 recursion, each block of observations it
+records pushed to every stream at once (trajectory j * n + i being
+trajectory i of x0 j), so no run sees a whole (..., H, p) array.
 
 A measurement reads only the rows [t, t + window) after its grid times
 (m*: the rows from t_eval), so it builds that mask once, `_read_rows`, and
@@ -49,14 +49,14 @@ recursion, from fresh trajectory streams.
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index, the
 noise draws are split by trajectory, and an LDS's tasks split the work by
-predictor and group of x0, never within a sum.
+stream and group of x0, never within a sum.
 Every x0 deliberately sees the same noise realizations
 (common random numbers), so differences across the grid come from the
-initial state alone; the simulator draws that noise as it goes (an LDS's
-process noise and a Lorenz grid's observation noise one time chunk at a
-time), and none of it outlives the simulation.  So a Lorenz measurement
-holds nothing that grows with the horizon but the read-row mask; an LDS
-measurement holds its simulated (n, H, p) and free (k, H, p) observations.
+initial state alone; the simulator draws that noise one time chunk at a
+time as it goes, and none of it outlives the simulation.  So a Lorenz
+measurement holds nothing that grows with the horizon but the read-row
+mask; an LDS measurement holds its simulated (n, H, p) base and free
+(k, H, p) observations.
 Superposition moves an LDS result by
 rounding only: summing the learners' features of the base and of the free
 response, instead of convolving each x0's observations, moved the committed
@@ -65,7 +65,6 @@ configs' LDS outputs by at most a relative 6.1e-13 (d50's `biasvar.csv`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +73,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import SpectralPredictor, _Arms, _check_obs_dim, _run_arms
+from .predictors import BaselinePredictor, SpectralPredictor, _Arms, _check_obs_dim, _run_arms
 from .spectral import _bank_columns
 from .systems import (
     LdsSpec,
@@ -242,6 +241,9 @@ def _resolve_states(system, x0_grid) -> list[np.ndarray]:
     states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x0_grid]
     if not states:
         raise ContractViolation("x0_grid must be nonempty")
+    for x0 in states:
+        if x0.shape != (system.d,):
+            raise ContractViolation(f"x0 has shape {x0.shape}, expected ({system.d},)")
     return sorted(_distinct(states), key=tuple)
 
 
@@ -258,179 +260,130 @@ def _evaluate(
 
     `rows` masks the R steps that a loss reads.  `runs` lists what predicts
     them: predictors, and learners given as the (filter matrix, arms, refit
-    period) of `predictors._Arms`; a `SpectralPredictor` runs as `_engine`
-    gives it.  For each x0, `losses(ys, preds)` maps its observations on the
-    read rows, ys (n_traj, R, p), and their predictions, one (n_traj, R, p)
-    array per predictor and per learner arm in the order of `runs`, to one
-    (n_traj, G) array per loss arm.  The ensemble's noise is drawn on
-    n_workers threads.
-    A Lorenz grid is streamed (`_stream_lorenz`); an LDS grid is simulated
-    once and superposed (`_superpose_lds`).  Either gives each x0's read
-    observations and predictions, which `losses` then reduces.
+    period) of `predictors._Arms`.  For each x0, `losses(ys, preds)` maps
+    its observations on the read rows, ys (n_traj, R, p), and their
+    predictions, one (n_traj, R, p) array per predictor and per learner arm
+    in the order of `runs`, to one (n_traj, G) array per loss arm.
+
+    Runs that name one object share one stream (`_stream`); the feeder
+    (`_feed_lds`, `_feed_lorenz`) pushes the rows to them and gives each
+    x0's read observations and predictions.  The ensemble's noise is drawn
+    on n_workers threads.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
-    engines = [_engine(run, system.p) for run in runs]
-    evaluate = _superpose_lds if isinstance(system, LdsSpec) else _stream_lorenz
-    per_x0 = evaluate(system, states, horizon, master, n_traj, n_workers, rows, runs, engines)
-    return np.stack([np.stack(losses(ys, preds)) for ys, preds in per_x0], axis=1)
+    engines = {id(r): _engine(r, system.p) for r in runs if not isinstance(r, TruthOracle)}
+    feed = _feed_lds if isinstance(system, LdsSpec) else _feed_lorenz
+    per_x0 = feed(system, states, horizon, master, n_traj, n_workers, rows, engines)
+    L = []
+    for ys, preds in per_x0:  # the truth oracle's predictions are the observations
+        L.append(np.stack(losses(ys, [a for r in runs for a in preds.get(id(r), [ys])])))
+    return np.stack(L, axis=1)
 
 
-def _stream_lorenz(system, states, horizon, master, n_traj, n_workers, rows, runs, engines):
-    """Each x0's (read observations, predictions) of a Lorenz grid.
+def _feed_lds(system, states, horizon, master, n, n_workers, rows, engines):
+    """Each x0's (read observations, {run id: predictions}) of an LDS grid.
+
+    The ensemble is simulated once from x0 = 0 (the base), and the grid's
+    free responses C A^t x0 as one (k, H, p) array.  Each stream is pushed
+    the whole base and the free responses as one task, a learner's once per
+    group of x0 (`_x0_groups`).  Each trajectory of each x0 is its own batch
+    entry in a stream's products and solves, so the bits depend neither on
+    the groups nor on the tasks' order.
+    """
+    k, rngs = len(states), _traj_rngs(master, n)
+    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
+    free = lds_free_responses(system, horizon, states)
+
+    def run(task):
+        key, group = task
+        stream = _stream(engines[key], base.shape, rows, len(free[group]))
+        stream.push(base, free[group])
+        return key, group, stream.reader()
+
+    tasks = [(key, g) for key, e in engines.items() for g in _x0_groups([e], k, n, system.p)]
+    done = _parallel_map(run, tasks, n_workers)
+    ys_base, ys_free = np.compress(rows, base, axis=1), np.compress(rows, free, axis=1)
+    for j in range(k):  # one x0's sums at a time
+        at = [(key, read, j - g.start) for key, g, read in done if g.start <= j < g.stop]
+        yield ys_base + ys_free[j], {key: read(slice(i * n, (i + 1) * n)) for key, read, i in at}
+
+
+def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, engines):
+    """Each x0's (read observations, {run id: predictions}) of a Lorenz grid.
 
     The grid runs in groups of x0 (`_x0_groups` of all its learners; one
-    group unless the arms are many and large, as m*'s sweep), each from
-    fresh trajectory streams, so every x0 sees the same noise.  A group is
-    integrated in one stacked RK4 recursion, and each recorded block of
-    observations goes to every learner and baseline (a frozen arm, see
-    `_streamed_engine`) as it is made: each runs once for the group, as
-    `_Arms` over the stacked ensemble, trajectory j * n + i being trajectory
-    i of the group's x0 j.  Only the read rows of the observations are kept,
-    and the truth oracle, which is memoryless, predicts them there; no run
-    sees a whole (..., H, p) array.
+    group unless the arms are many and large, as m*'s sweep), each its own
+    stacked RK4 recursion from fresh trajectory streams, so every x0 sees
+    the same noise.  Each recorded block of observations is pushed to every
+    stream as it is made, trajectory j * n + i being trajectory i of the
+    group's x0 j, and only its read rows are kept.
     """
-    n, p, R = n_traj, system.p, int(np.count_nonzero(rows))
-    engines = [_streamed_engine(run, p) if e is None else e for run, e in zip(runs, engines)]
-
-    def group_run(group):
-        g = len(states[group])
-        shape = (g * n, horizon, p)
-        streams = [None if e is None else _Arms(e[0], shape, *e[1:], rows) for e in engines]
-        ys = np.empty((g * n, R, p))
+    p = system.p
+    for group in _x0_groups(engines.values(), len(states), n, p):
+        stack = _lorenz_stack(np.stack(states[group]))
+        shape = (len(stack) * n, horizon, p)
+        streams = {key: _stream(e, shape, rows) for key, e in engines.items()}
+        ys = np.empty((shape[0], int(np.count_nonzero(rows)), p))
         kept = 0
 
         def emit(t0, Y, _states):
             nonlocal kept
-            Y = Y.reshape(g * n, -1, p)  # x0-major
-            for stream in streams:
-                if stream is not None:
-                    stream.push(Y)
+            Y = Y.reshape(shape[0], -1, p)  # x0-major
+            for stream in streams.values():
+                stream.push(Y)
             read = Y[:, rows[t0 : t0 + Y.shape[1]]]
             ys[:, kept : kept + read.shape[1]] = read
             kept += read.shape[1]
 
-        stack = _lorenz_stack(np.stack(states[group]))
         _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers, emit)
-        preds = []
-        for run, stream in zip(runs, streams):
-            preds += [run.run_ensemble(ys)] if stream is None else [r.preds for r in stream.ridges]
-        for j in range(g):
-            x0 = slice(j * n, (j + 1) * n)
-            yield ys[x0], [pr[x0] for pr in preds]
-
-    learners = [e for e in engines if e is not None]
-    for group in _x0_groups(learners, len(states), n, p):
-        yield from group_run(group)
+        readers = {key: stream.reader() for key, stream in streams.items()}
+        for x0 in (slice(j * n, (j + 1) * n) for j in range(len(stack))):
+            yield ys[x0], {key: reader(x0) for key, reader in readers.items()}
+        del streams, readers, ys  # before the next group's are made
 
 
-def _streamed_engine(run, p: int):
-    """A linear predictor's engine on a streamed Lorenz grid: a baseline's is
-    one frozen arm, its fixed readout over its bank's features; the truth
-    oracle, which is memoryless, has none and runs on the read rows; any
-    other is refused, as it would need the whole observations."""
-    if isinstance(run, TruthOracle):
-        return None
-    readout = getattr(run, "readout", None)
-    if readout is None:
-        raise IncompatiblePairing(
-            f"{type(run).__name__} cannot run on a Lorenz grid, whose observations are "
-            "streamed: only learners, baselines and the truth oracle can"
-        )
-    _check_obs_dim(p, run.obs_dim)
-    return run.bank.filter_matrix(), [(None, 0.0, readout)], run.refit_period
-
-
-def _superpose_lds(system, states, horizon, master, n_traj, n_workers, rows, runs, engines):
-    """Each x0's (read observations, predictions) of an LDS grid.
-
-    The ensemble is simulated once from x0 = 0 (the base), and the grid's
-    free responses C A^t x0 as one (k, H, p) array; an x0's observations are
-    the base plus its free response.  A linear predictor (`P.linear`, see
-    `oracles`) runs once on the base and once on the free responses, each
-    its own task, and x0 j gets the sum; a learner runs as
-    `_run_arms(base, ..., free=free)`, one task per group of x0
-    (`_x0_groups`).  Each trajectory of each x0 is its own batch entry in
-    the learner's products and solves, so the bits do not depend on the
-    groups.
-    """
-    n, rngs = n_traj, _traj_rngs(master, n_traj)
-    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
-    free = lds_free_responses(system, horizon, states)
-    k = len(states)
-    linear = {id(run): run for run, e in zip(runs, engines) if e is None}
-    on_base, on_free = {}, {}  # a linear predictor's read rows, by id
-    learned = {i: [None] * k for i, e in enumerate(engines) if e}  # per x0, each arm's rows
-
-    def read(a):  # the read rows of (..., H, p) arrays, C-ordered as the losses sum them
-        return np.compress(rows, a, axis=-2)
-
-    def predict(P, Ys, into):
-        into[id(P)] = read(P.run_ensemble(Ys))
-
-    def learn(i, group):  # learner i on the whole base, for a group of x0
-        F, arms, refit_period = engines[i]
-        ridges = _run_arms(F, base, arms, refit_period, rows, free[group])
-        # (x0, traj, row, p) views: the ridges stack the group x0-major
-        stacks = [ridge.preds.reshape((-1, n) + ridge.preds.shape[1:]) for ridge in ridges]
-        for j in range(k)[group]:
-            learned[i][j] = [preds[j - group.start] for preds in stacks]
-
-    tasks = [functools.partial(predict, P, base, on_base) for P in linear.values()]
-    for i in learned:
-        groups = _x0_groups([engines[i]], k, n, system.p)
-        tasks += [functools.partial(learn, i, g) for g in groups]
-    # a predictor's run on the free responses comes last, when its run on the
-    # base has built whatever the two share (the Kalman gains), so no worker waits
-    tasks += [functools.partial(predict, P, free, on_free) for P in linear.values()]
-    _parallel_map(lambda t: t(), tasks, n_workers)
-    ys_base, ys_free = read(base), read(free)
-
-    def x0_preds(j):
-        preds = []
-        for i, run in enumerate(runs):
-            if i in learned:
-                preds += learned[i][j]
-            else:
-                preds.append(on_base[id(run)] + on_free[id(run)][j])
-        return preds
-
-    return ((ys_base + ys_free[j], x0_preds(j)) for j in range(k))  # one x0's sum at a time
+def _stream(engine, shape, rows, k=None):
+    """The stream of an engine (`_engine`) on an ensemble of `shape`, keeping
+    its predictions on `rows`, with k free responses when given: it takes
+    rows by `push(ys, free=None)`, and `reader()` gives the kept predictions
+    by x0 (see `predictors._Arms` and `oracles`)."""
+    if isinstance(engine, tuple):
+        F, arms, refit_period = engine
+        return _Arms(F, shape, arms, refit_period, rows, k)
+    return engine.stream(shape, rows, k)
 
 
 def _x0_groups(engines, k: int, n: int, p: int) -> list[slice]:
     """The x0 grid in contiguous groups whose ridge state (Grams, moments,
-    readouts) of the learners `engines` on n trajectories fits in
+    readouts) of the learners among `engines` on n trajectories fits in
     `_GROUP_BYTES`, at least one x0 each."""
-    qs = [
-        F.shape[1] * p if cols is None else len(cols) for F, arms, _ in engines for cols, *_ in arms
-    ]
+    learners = [e for e in engines if isinstance(e, tuple)]
+    qs = [F.shape[1] * p if c is None else len(c) for F, arms, _ in learners for c, *_ in arms]
     per_x0 = 8 * n * sum(q * q + 2 * q * p for q in qs)
     size = max(1, _GROUP_BYTES // per_x0) if per_x0 else k
     return [slice(j, j + size) for j in range(0, k, size)]
 
 
 def _engine(run, p: int):
-    """A learner run's (filter matrix, arms, refit period) on observations of
-    dimension p; None for a linear predictor."""
-    if isinstance(run, tuple):
+    """What runs `run` on observations of dimension p: a learner's or a
+    baseline's (filter matrix, arms, refit period) of `predictors._Arms`
+    (the baseline's one arm frozen at its readout), or a reference
+    predictor with a stream of its own, itself."""
+    if isinstance(run, tuple) or hasattr(run, "stream"):
         return run
-    if getattr(run, "linear", False):
-        return None
-    if not isinstance(run, SpectralPredictor):
-        raise ContractViolation(
-            f"{type(run).__name__} is neither linear (see `oracles`) nor a streaming learner"
-        )
+    if not isinstance(run, (SpectralPredictor, BaselinePredictor)):
+        raise ContractViolation(f"{type(run).__name__} is neither a predictor nor a learner")
     _check_obs_dim(p, run.obs_dim)
-    return run.bank.filter_matrix(), [(None, run.reg)], run.refit_period
+    arm = (None, run.reg) if isinstance(run, SpectralPredictor) else (None, 0.0, run.readout)
+    return run.bank.filter_matrix(), [arm], run.refit_period
 
 
 def _learner_engine(learner, p: int, measurement: str):
-    """`_engine` of a learner that `measurement` reads the readout of; a
-    linear predictor fits none and is refused."""
-    if getattr(learner, "linear", False):
-        name = type(learner).__name__
-        raise IncompatiblePairing(f"{measurement} needs a learner, not the linear {name}")
+    """`_engine` of a learner that `measurement` reads the readout of; any
+    other predictor fits none and is refused."""
+    if not isinstance(learner, SpectralPredictor):
+        raise IncompatiblePairing(f"{measurement} needs a learner, not {type(learner).__name__}")
     return _engine(learner, p)
 
 

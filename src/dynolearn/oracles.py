@@ -9,41 +9,30 @@ zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
-`KalmanPredictor.run_ensemble` runs the filter from data-independent gains:
-one covariance recursion, computed once per horizon, keeps each step's gain
-(H, d, p), and each step forms its filter matrices from its gain, so nothing
-of size H d^2 is held.  Once a covariance step returns its input bit for bit,
-every later gain is that step's: the recursion stops there, and the filter
-matrices are formed once for all the remaining steps.  `KernelOracle` reads
-its taps off the converged step of that same recursion.
+The Kalman and kernel predictors run as streams (`stream`), as the learners
+run in `predictors._Arms`: `push(ys, free)` takes the next rows of an
+(n, H, p) ensemble, and of k free responses when given, and keeps the
+predictions of the rows in the mask `rows`; `preds[i, t]` depends only on
+`ys[i, :t]`.  Each is a fixed linear map of the observations with zero
+initial mean, acting on each trajectory alone, so on an LDS grid x0 j's
+predictions are those of the ensemble simulated from x0 = 0 plus those of
+its free response C A^t x0 (see `learnability`).  `run_ensemble(Ys)`
+pushes a whole array and returns every row's predictions.
 
-Every predictor exposes `run_ensemble(Ys) -> preds` where `Ys` is
-(n, H, p) and `preds[i, t]` depends only on `Ys[i, :t]`.
-
-Linearity contract: a predictor class whose `linear` attribute is true
-promises that `run_ensemble` is a fixed linear map of `Ys` with zero initial
-mean that acts on each trajectory alone, so run_ensemble(a + b) =
-run_ensemble(a) + run_ensemble(b) up to rounding.  All three classes here
-declare it, and so do the zero and last-value baselines in `predictors`.
-The harness relies on it for a linear system: it runs such a predictor once
-on the ensemble simulated from x0 = 0 and once on the grid's free responses
-C A^t x0, and gives each x0 the sum, in every role (algorithm, oracle or
-baseline), so two equal arms still get identical bits.  The learner in
-`predictors`, `SpectralPredictor` (AR(k) included), fits its readout to the
-data and is not linear; only its features are, which the harness
-superposes instead.  A Lorenz grid is not superposed but streamed block by
-block, so no predictor there sees whole observations: the baselines run as
-frozen arms of the learners' engine, `TruthOracle`, which is memoryless, on
-the read rows alone, and no other linear predictor can run.
+The Kalman stream steps the covariance recursion beside the filter, so it
+holds nothing that grows with the horizon: each step forms its gain and
+filter matrices (F, G) once, for the base and the free states.  Once a
+covariance step returns its input bit for bit, every later step is that
+step, and the recursion stops.  `KernelOracle` reads its taps off the
+converged step of the same covariance update.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
+from .predictors import _check_obs_dim
 from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
@@ -53,7 +42,42 @@ MAX_STEPS = 10_000  # bound on the covariance steps to convergence and on the ke
 KERNEL_TAIL = 1e-8  # the kernel's last tap K is the first k with ||F^k||_2 <= KERNEL_TAIL
 
 
-class KalmanPredictor:
+class _Stream:
+    """A reference predictor's run on an (n, H, p) ensemble whose rows arrive
+    in order, with k free responses when k is given.
+
+    `preds` holds the predictions of the rows in the mask `rows` (every row
+    when None), in order: (n, R, p) for the ensemble, then (k, R, p) for the
+    free responses.  `t` counts the rows pushed, `kept` the rows kept.
+    """
+
+    def __init__(self, p: int, shape, rows=None, k=None):
+        n, H, q = shape
+        _check_obs_dim(q, p)
+        self.rows = np.ones(H, dtype=bool) if rows is None else rows
+        R = int(np.count_nonzero(self.rows))
+        self.preds = [np.empty((m, R, p)) for m in (n, k) if m is not None]
+        self.t = self.kept = 0
+
+    def reader(self):
+        """The kept predictions by trajectories x0 (a slice) of the stacked
+        ensemble, x0-major as in `predictors._Arms`: with free responses,
+        trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
+        base, *free = self.preds
+        return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
+
+
+class _Streamed:
+    """A predictor that runs as a stream (`stream(shape, rows=None, k=None)`)."""
+
+    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
+        """Every row's predictions on the whole ensemble Ys (n, H, p), pushed at once."""
+        stream = self.stream(np.shape(Ys))
+        stream.push(np.asarray(Ys, dtype=float))
+        return stream.preds[0]
+
+
+class KalmanPredictor(_Streamed):
     """Conditional-mean one-step predictor for a Gaussian linear system.
 
     Initialized with zero state mean and a prior covariance encoding
@@ -62,7 +86,6 @@ class KalmanPredictor:
     """
 
     label = "kalman"
-    linear = True  # see the module docstring
 
     def __init__(self, spec: LdsSpec):
         if not isinstance(spec, LdsSpec):
@@ -83,8 +106,6 @@ class KalmanPredictor:
         S0 = self.C @ self.P0 @ self.C.T + self.R
         self._collapsed = COLLAPSE_RTOL * np.linalg.eigvalsh(S0)[-1]
         self.regularized_steps = 0
-        self._schedule_cache: dict[int, tuple[np.ndarray, int]] = {}
-        self._schedule_lock = threading.Lock()
 
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
@@ -108,37 +129,6 @@ class KalmanPredictor:
         xpred' = F xpred + G y."""
         return self.A @ (np.eye(self.d) - gain @ self.C), self.A @ gain
 
-    def gain_schedule(self, horizon: int) -> tuple[np.ndarray, int]:
-        """Data-independent Kalman gains (H, d, p) of `horizon` steps (step t
-        absorbs y_t through `_filter_step(gains[t])`) and the step from which
-        every gain is that step's (`horizon` if the recursion has no fixed point).
-
-        Each horizon is built once per predictor: concurrent callers wait for
-        that one build, so `regularized_steps` does not depend on the thread
-        count.  Only the gains are kept, not the (H, d, d) filter matrices.
-        """
-        with self._schedule_lock:
-            if horizon not in self._schedule_cache:
-                self._schedule_cache[horizon] = self._build_schedule(horizon)
-            return self._schedule_cache[horizon]
-
-    def _build_schedule(self, horizon: int) -> tuple[np.ndarray, int]:
-        # each gain is stored in the layout `_covariance_update` returns it
-        # in, so a step's products round as they would on the fresh gain
-        P = self.P0.copy()
-        gains = np.empty((horizon, self.p, self.d))
-        for t in range(horizon):
-            regularized = self.regularized_steps
-            gain, P_next = self._covariance_update(P)
-            gains[t] = gain.T
-            if P_next.tobytes() == P.tobytes():
-                # a fixed point: every later step repeats this one, regularization included
-                gains[t + 1 :] = gain.T
-                self.regularized_steps += (self.regularized_steps - regularized) * (horizon - 1 - t)
-                return gains.transpose(0, 2, 1), t
-            P = P_next
-        return gains.transpose(0, 2, 1), horizon
-
     def steady_state(self):
         """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
 
@@ -160,23 +150,46 @@ class KalmanPredictor:
             P = P_next
         raise IncompatiblePairing(f"the Kalman gain does not converge within {MAX_STEPS} steps")
 
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        n, H, p = Ys.shape
-        if p != self.p:
-            raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        gains, fixed_from = self.gain_schedule(H)
-        Ct = self.C.T
-        preds = np.empty((n, H, p))
-        X = np.zeros((n, self.d))
-        for t in range(H):
-            if t <= fixed_from:  # later gains are bitwise gains[fixed_from]
-                F, G = self._filter_step(gains[t])
-            preds[:, t, :] = X @ Ct
-            X = X @ F.T + Ys[:, t, :] @ G.T
-        return preds
+    def stream(self, shape, rows=None, k=None) -> _KalmanStream:
+        return _KalmanStream(self, shape, rows, k)
 
 
-class KernelOracle:
+class _KalmanStream(_Stream):
+    """The Kalman filter of an ensemble and its free responses, stepped
+    together: each step's gain comes from one covariance update, and its
+    filter matrices (F, G) are formed once for the base state X (n, d) and
+    the free state (k, d).  `fixed_from` is the step whose covariance update
+    returned its input bit for bit (None until one does); every later step
+    is that one, regularization included, so the recursion stops there."""
+
+    def __init__(self, kal: KalmanPredictor, shape, rows=None, k=None):
+        super().__init__(kal.p, shape, rows, k)
+        self.kal, self.P = kal, kal.P0
+        self.X = [np.zeros((len(preds), kal.d)) for preds in self.preds]
+        self.F = self.G = self.fixed_from = None
+        self.regularized = 0  # regularized steps per step from `fixed_from`
+
+    def push(self, ys: np.ndarray, free=None) -> None:
+        kal, Ct = self.kal, self.kal.C.T
+        for i in range(ys.shape[1]):
+            if self.fixed_from is None:
+                regularized = kal.regularized_steps
+                gain, P = kal._covariance_update(self.P)
+                self.F, self.G = kal._filter_step(gain)
+                if P.tobytes() == self.P.tobytes():  # every later step repeats this one
+                    self.fixed_from, self.regularized = self.t, kal.regularized_steps - regularized
+                self.P = P
+            else:
+                kal.regularized_steps += self.regularized
+            read = self.rows[self.t]
+            for j, y in enumerate((ys, free)[: len(self.X)]):
+                if read:
+                    self.preds[j][:, self.kept] = self.X[j] @ Ct
+                self.X[j] = self.X[j] @ self.F.T + y[:, i, :] @ self.G.T
+            self.t, self.kept = self.t + 1, self.kept + read
+
+
+class KernelOracle(_Streamed):
     """Truncated convolution predictor y_hat_t = sum_{k=1..K} beta_k y_{t-k},
     beta_k = C F^(k-1) G, with (F, G) = `KalmanPredictor.steady_state()`.
 
@@ -187,7 +200,6 @@ class KernelOracle:
     """
 
     label = "kernel"
-    linear = True  # see the module docstring
 
     def __init__(self, spec: LdsSpec):
         F, G = KalmanPredictor(spec).steady_state()  # refuses a non-linear spec
@@ -200,14 +212,35 @@ class KernelOracle:
         self.p = spec.p
         self.betas = np.stack(taps)  # (K, p, p)
 
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        n, H, p = Ys.shape
-        if p != self.p:
-            raise ContractViolation(f"observation dim {p} does not match spec ({self.p})")
-        preds = np.zeros((n, H, p))
-        for k, beta in zip(range(1, H), self.betas):
-            preds[:, k:] += Ys[:, : H - k] @ beta.T
-        return preds
+    def stream(self, shape, rows=None, k=None) -> _KernelStream:
+        return _KernelStream(self, shape, rows, k)
+
+
+class _KernelStream(_Stream):
+    """The kernel's convolution of an ensemble and its free responses: each
+    keeps its last K rows (zero before row 0), and a pushed piece's read
+    rows sum their terms beta_k[:, c] y_{t-k, c} one product at a time, in
+    ascending k, then c, so the bits depend neither on the pieces nor on
+    the rows read.  At p = 1 that is the tap-by-tap whole-array sum."""
+
+    def __init__(self, oracle: KernelOracle, shape, rows=None, k=None):
+        super().__init__(oracle.p, shape, rows, k)
+        self.betas = oracle.betas
+        self.hist = [np.zeros((len(preds), len(self.betas), oracle.p)) for preds in self.preds]
+
+    def push(self, ys: np.ndarray, free=None) -> None:
+        K, L = len(self.betas), ys.shape[1]
+        read = K + np.flatnonzero(self.rows[self.t : self.t + L])  # rows of `past`
+        for j, y in enumerate((ys, free)[: len(self.hist)]):
+            past = np.concatenate([self.hist[j], y], axis=1)
+            acc = np.zeros((len(y), len(read), y.shape[2]))
+            for lag, beta in enumerate(self.betas, start=1):
+                lagged = past[:, read - lag]
+                for c in range(beta.shape[1]):  # one product per term: no matmul's order
+                    acc += lagged[:, :, c, None] * beta[:, c]
+            self.preds[j][:, self.kept : self.kept + len(read)] = acc
+            self.hist[j] = past[:, L:].copy()
+        self.t, self.kept = self.t + L, self.kept + len(read)
 
 
 class TruthOracle:
@@ -217,10 +250,10 @@ class TruthOracle:
     deterministic, noiselessly observed system (label "truth"); the spec
     must be noiseless.  Given none, it is the zero-risk reference used where
     no optimal predictor is available (or wanted): the excess over it is the
-    raw risk, and the label "zero" makes raw-risk mode visible in the outputs.
+    raw risk, and the label "zero" makes raw-risk mode visible in the
+    outputs.  It has no stream: the harness predicts the read observations
+    by themselves.
     """
-
-    linear = True  # see the module docstring
 
     def __init__(self, spec=None):
         self.spec, self.label = spec, "zero" if spec is None else "truth"

@@ -20,20 +20,20 @@ engine, one refit period at a time.  The block kernel
 window - 1 before it with the bank's filter matrix.  `_Arms` feeds each
 block to one `_EnsembleRidge` per arm, which predicts the block, adds it to
 the per-trajectory Gram and moment, and refits; arms that read different
-columns of one convolution (the filter counts of m*) share it.  `_Arms`
-takes the ensemble's rows as they arrive, in pieces of any length: an array
-is pushed whole (`_run_arms`), a Lorenz grid block by block as its
-recursion records them, so the ensemble is never held.  A frozen arm is
-given a fixed readout: it predicts its read blocks from that readout and
-never accumulates or refits (the bias/variance split's w*-readout, and the
-zero and last-value baselines, whose readout 0 or I_p reads the last
-observation, the one feature of `FilterBank.identity(1)`).  Given the free
-responses of a grid of initial states, the arms run on every ensemble
-base + free[j] at once, from one convolution of the base and one of the
-free responses per block (superposition, see `learnability`).  No (n, H, q)
-feature tensor is built: besides the kept predictions, the working set is
-O(n * (q^2 + window * p)) per ensemble for a fixed refit period, whatever H
-is.
+columns of one convolution (the filter counts of m*) share it.  `_Arms` is
+a stream, as the reference predictors' runs in `oracles` are: it takes the
+ensemble's rows as they arrive, in pieces of any length (an array pushed
+whole, or a Lorenz grid block by block as its recursion records them), so
+the ensemble need never be held.  A frozen arm is given a fixed readout: it
+predicts its read blocks from that readout and never accumulates or refits
+(the bias/variance split's w*-readout, and the zero and last-value
+baselines, whose readout 0 or I_p reads the last observation, the one
+feature of `FilterBank.identity(1)`).  Given the free responses of a grid
+of initial states, the arms run on every ensemble base + free[j] at once,
+from one convolution of the base and one of the free responses per block
+(superposition, see `learnability`).  No (n, H, q) feature tensor is built:
+besides the kept predictions, the working set is O(n * (q^2 + window * p))
+per ensemble for a fixed refit period, whatever H is.
 
 A readout is a pure function of the Gram and moment accumulated up to its
 refit, so a caller that reads only some rows (the harness reads the windows
@@ -203,6 +203,13 @@ class _Arms:
             Y = np.add(Y, Yf[:, None], out=self.Yk[:, :, :L]).reshape(-1, L, Y.shape[2])
             self._feed(s, e, Z, Y)
 
+    def reader(self):
+        """The kept predictions by trajectories x0 (a slice) of the stacked
+        ensemble, one array per arm.  It holds the predictions alone, not
+        the ridges' state or the convolution's buffers."""
+        preds = [ridge.preds for ridge in self.ridges]
+        return lambda x0: [a[x0] for a in preds]
+
     def _feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray) -> None:
         for ridge, cols in self.runs:
             if cols is None:
@@ -213,11 +220,11 @@ class _Arms:
             ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf, mode="clip"), Y)
 
 
-def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None, free=None):
-    """The ridges of `_Arms` on the whole ensemble Ys (n, H, p), with the
-    free responses `free` (k, H, p) when given: every row pushed at once."""
-    stream = _Arms(F, Ys.shape, arms, refit_period, rows, None if free is None else len(free))
-    stream.push(Ys, free)
+def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None):
+    """The ridges of `_Arms` on the whole ensemble Ys (n, H, p), every row
+    pushed at once."""
+    stream = _Arms(F, Ys.shape, arms, refit_period, rows)
+    stream.push(Ys)
     return stream.ridges
 
 
@@ -282,11 +289,9 @@ class SpectralPredictor:
 class BaselinePredictor:
     """The zero and last-value predictors: frozen arms (see `_Arms`) over
     `FilterBank.identity(1)`, whose features are the last observation, with
-    readout 0 or I_p.  They fit nothing: they are fixed linear maps of the
-    observations, so they declare `linear` (see `oracles`), and a
-    measurement that reads a learner's readout refuses them."""
+    readout 0 or I_p.  They fit nothing, so a measurement that reads a
+    learner's readout refuses them."""
 
-    linear = True
     refit_period = DEFAULT_REFIT_PERIOD  # the frozen arm's block; no prediction depends on it
 
     def __init__(self, kind: str, obs_dim: int = 1):

@@ -9,11 +9,12 @@ integrates the whole grid at once, with the same bits as one x0 at a time.
 A non-finite observation or state raises IntegrationBlowup naming the first
 step that produced one.  Each simulator draws its ensemble's noise itself,
 one block of rows per worker; row i comes from rngs[i] alone, so the bits do
-not depend on the worker count.  An LDS draws its process noise, and a
-Lorenz run its observation noise, one time chunk at a time as the recursion
-reaches it, so the noise alive is bounded by the chunk and not the horizon;
-the chunks read each stream in the order of one whole draw, so the bits do
-not depend on the chunk size either.  A standard deviation of 0 disables
+not depend on the worker count.  Noise is drawn one time chunk at a time
+(an LDS's process noise and a Lorenz run's observation noise as the
+recursion reaches it, an LDS's observation noise after it), so the noise
+alive is bounded by the chunk and not the horizon; the chunks read each
+stream in the order of one whole draw, so the bits do not depend on the
+chunk size either.  A standard deviation of 0 disables
 that noise; a noiseless system draws nothing.  Lorenz observations are made
 one recorded block at a time (`_lorenz_observations`): the harness streams
 those blocks to its learners, and `simulate_lorenz_ensemble` collects them.
@@ -292,7 +293,7 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     return _lds_steps(spec, horizon, np.stack(rows))
 
 
-_NOISE_VALUES = 1 << 20  # process-noise values drawn per time chunk of an LDS ensemble
+_NOISE_VALUES = 1 << 20  # noise values drawn per time chunk of an LDS ensemble
 
 
 def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=1, Xs=None):
@@ -301,10 +302,10 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=
 
     Without `rngs` there is no noise.  With one stream per row, row i reads
     rngs[i] as w (H, d), then v (H, p).  The w are drawn one time chunk of
-    about `_NOISE_VALUES` values at a time, so the process noise alive is
-    bounded by the chunk, not the horizon; v is drawn after the loop and
-    added to every observation at once.  A noiseless spec draws nothing and
-    adds zeros, as the noisy run adds its draws.
+    about `_NOISE_VALUES` values at a time, and after the loop so are the v,
+    each chunk added to its observations in place, so the noise alive is
+    bounded by the chunk, not the horizon.  A noiseless spec draws nothing
+    and adds zeros, as the noisy run adds its draws.
 
     The output is checked once, after the noise is added: a non-finite
     observation raises IntegrationBlowup naming the first step that has one.
@@ -326,8 +327,15 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=
             X = X @ At
             if W is not None:
                 X += W[:, t % chunk]
-        if rngs is not None:
-            Ys += _draw_noise(rngs, (horizon, p), spec.noise.stdev_obs, n_workers) if noisy else 0.0
+        if noisy:  # w is spent: its buffer goes before v's chunks are drawn
+            W, chunk = None, max(1, _NOISE_VALUES // max(1, k * p))
+            V = np.empty((k, min(chunk, horizon), p))
+            for t in range(0, horizon, chunk):
+                v = V[:, : min(chunk, horizon - t)]
+                _draw_noise(rngs, v.shape[1:], spec.noise.stdev_obs, n_workers, out=v)
+                Ys[:, t : t + chunk] += v
+        elif rngs is not None:
+            Ys += 0.0
     # NaN propagates through min and max, so both are finite iff every entry is
     if not (np.isfinite(Ys.min(initial=0.0)) and np.isfinite(Ys.max(initial=0.0))):
         step = int(np.argmin(np.isfinite(Ys).all(axis=(0, 2)))) + 1

@@ -85,10 +85,36 @@ def lds_reference(spec, horizon, x0, seed):
 
 
 def kalman_steps(kal, horizon):
-    """Each step's filter matrices F (H, d, d) and G (H, d, p), formed from
-    `kal`'s cached gains by the per-step expression that `run_ensemble` uses."""
-    steps = [kal._filter_step(gain) for gain in kal.gain_schedule(horizon)[0]]
+    """Each step's filter matrices F (H, d, d) and G (H, d, p): the gains of
+    `kal`'s covariance recursion, stepped by `_covariance_update` from P0
+    with no stop at a fixed point, each formed into (F, G) by `_filter_step`."""
+    P, steps = kal.P0, []
+    for _ in range(horizon):
+        gain, P = kal._covariance_update(P)
+        steps.append(kal._filter_step(gain))
     return np.stack([F for F, _ in steps]), np.stack([G for _, G in steps])
+
+
+def kalman_reference(kal, Ys):
+    """The Kalman predictions of (n, H, p) observations: the filter loop
+    with each step's own (F, G) of `kalman_steps`."""
+    n, H, _ = Ys.shape
+    F, G = kalman_steps(kal, H)
+    X, preds = np.zeros((n, kal.d)), np.empty(Ys.shape)
+    for t in range(H):
+        preds[:, t] = X @ kal.C.T
+        X = X @ F[t].T + Ys[:, t] @ G[t].T
+    return preds
+
+
+def kernel_reference(oracle, Ys):
+    """The kernel predictions of (n, H, p) observations: the taps added
+    over the whole array one at a time, in ascending order."""
+    H = Ys.shape[1]
+    preds = np.zeros(Ys.shape)
+    for k, beta in zip(range(1, H), oracle.betas):
+        preds[:, k:] += Ys[:, : H - k] @ beta.T
+    return preds
 
 
 def kalman_covariances(kal, horizon):

@@ -28,8 +28,9 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
-from conftest import bias_variance_reference, lorenz_evaluate_reference, superposed_learner
+from conftest import REPO, bias_variance_reference, lorenz_evaluate_reference, superposed_learner
 from dynolearn import learnability, systems
+from dynolearn.config import build_predictor, build_system, geometric_grid, load_config
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
 from dynolearn.numerics import SeededRng
@@ -186,6 +187,19 @@ class TestEstimateExcessRisk:
             estimate_excess_risk(scalar_spec, kal, (kal,), (30, 10), n_traj=4)
         with pytest.raises(ContractViolation):
             estimate_excess_risk(scalar_spec, kal, (kal,), (), n_traj=4)
+
+    @pytest.mark.parametrize("kind", ["lds", "lorenz"])
+    def test_ragged_x0_grid_is_a_contract_violation(self, kind):
+        # every state of an explicit grid must have the system's dimension
+        system = _noisy_scalar() if kind == "lds" else LorenzSpec()
+        d = system.d
+        ragged = [np.ones(d), np.ones(d + 1)] if kind == "lds" else [[1, 2, 3], [1, 2]]
+        wrong = d + 1 if kind == "lds" else 2
+        match = rf"x0 has shape \({wrong},\), expected \({d},\)"
+        with pytest.raises(ContractViolation, match=match):
+            estimate_excess_risk(
+                system, SpectralPredictor.ar(1, 1), (TruthOracle(),), [5], n_traj=2, x0_grid=ragged
+            )
 
     @pytest.mark.parametrize("kind", ["lds", "lorenz"])
     @pytest.mark.parametrize("learner", ["spectral", "ar"])
@@ -1132,6 +1146,35 @@ class TestStreamedLorenz:
 
         short, long = peak(2000), peak(8000)
         assert abs(long - short) < 2**20, (short, long)
+
+
+def test_lds_memory_grows_by_the_base_alone(monkeypatch):
+    # the LDS case of `test_memory_is_flat_in_the_horizon`: `configs/scalar_lds.cfg`'s
+    # system, learner and Kalman reference on 100 trajectories.  The run from
+    # x0 = 0 is held whole, (n, H, p); nothing else may grow with the
+    # horizon: not the reference's predictions, nor its gains, nor the
+    # observation noise.  Noise is drawn in chunks of 2^16 values, so that a
+    # chunk (by default 2^20 values, a scalar ensemble's whole horizon up to
+    # 10485 steps) stops growing within the horizons compared
+    monkeypatch.setattr(systems, "_NOISE_VALUES", 1 << 16)
+    cfg = load_config(REPO / "configs" / "scalar_lds.cfg")
+    system = build_system(cfg)
+    learner = build_predictor(cfg, system)
+    n = 100
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            estimate_excess_risk(
+                system, learner, (KalmanPredictor(system),), geometric_grid(25, T, 24), n_traj=n
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2000), peak(8000)  # horizons 2016 and 8016
+    base_growth = n * (8016 - 2016) * system.p * 8
+    assert long - short <= base_growth + 2**20, (short, long, base_growth)
 
 
 def _as_bytes(result):

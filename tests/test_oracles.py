@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +19,13 @@ from dynolearn import (
     estimate_excess_risk,
     simulate_lds_ensemble,
 )
-from conftest import kalman_covariances, kalman_steps, lds_reference
+from conftest import (
+    kalman_covariances,
+    kalman_reference,
+    kalman_steps,
+    kernel_reference,
+    lds_reference,
+)
 from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
 from dynolearn.systems import random_symmetric_psd, random_unit_row, simulate_lorenz_ensemble
@@ -123,7 +128,11 @@ class TestKalman:
         assert np.isfinite(preds).all()
 
     @pytest.mark.parametrize("n_workers", [1, 4])
-    def test_schedule_built_once_under_threads(self, n_workers, monkeypatch):
+    def test_schedule_built_once_under_threads(self, n_workers):
+        # one covariance recursion per distinct Kalman predictor per
+        # measurement: the algorithm and the reference name one object, so
+        # they share one stream, which steps the base and the free responses
+        # together, whatever the worker count
         spec = LdsSpec(
             A=[[0.5]],
             C=[[1.0]],
@@ -131,39 +140,11 @@ class TestKalman:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: every innovation is singular
-        builds = []
-        build = kal._build_schedule
-
-        def slow_build(horizon):
-            builds.append(horizon)
-            time.sleep(0.05)  # a worker that misses the cache meanwhile would build again
-            return build(horizon)
-
-        monkeypatch.setattr(kal, "_build_schedule", slow_build)
         x0_grid = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [7.0]]
         estimate_excess_risk(
             spec, kal, (kal,), (4, 8), n_traj=2, x0_grid=x0_grid, window=2, n_workers=n_workers
         )
-        assert builds == [10]  # horizon 8 + 2
-        assert kal.regularized_steps == 10
-
-    def test_measurement_reads_the_public_schedule(self, monkeypatch):
-        # the filter takes its gains from `gain_schedule`, the one schedule
-        # method, which profilers and tracers hook
-        calls = []
-        schedule = KalmanPredictor.gain_schedule
-
-        def counted(self, horizon):
-            calls.append(horizon)
-            return schedule(self, horizon)
-
-        monkeypatch.setattr(KalmanPredictor, "gain_schedule", counted)
-        spec = _spec(0.9)
-        kal = KalmanPredictor(spec)
-        estimate_excess_risk(
-            spec, TruthOracle(), (kal,), (4, 8), n_traj=2, x0_grid=[[1.0], [-1.0]], window=2
-        )
-        assert calls == [10, 10]  # horizon 8 + 2: the base run and the free responses' run
+        assert kal.regularized_steps == 10  # horizon 8 + 2, once
 
     @pytest.mark.parametrize(
         "spec",
@@ -181,30 +162,23 @@ class TestKalman:
     def test_schedule_stops_at_its_exact_fixed_point(self, spec):
         H = 400
         kal = KalmanPredictor(spec)
-        gains, fixed_from = kal.gain_schedule(H)
-        assert fixed_from < H // 2
-        # the whole recursion, stepped without stopping
-        P, want = kal.P0.copy(), []
-        for _ in range(H):
-            gain, P = kal._covariance_update(P)
-            want.append(gain)
-        assert gains.tobytes() == np.stack(want).tobytes()
-        assert kal.regularized_steps == 0
-        # the filter loop with each step's own matrices, as before the shortcut
         Ys = simulate_lds_ensemble(spec, H, spec.init.x0, [SeededRng(i) for i in range(3)])
-        X, preds = np.zeros((3, spec.d)), np.empty_like(Ys)
-        for t in range(H):
-            F, G = kal._filter_step(want[t])
-            preds[:, t] = X @ spec.C.T
-            X = X @ F.T + Ys[:, t] @ G.T
-        assert kal.run_ensemble(Ys).tobytes() == preds.tobytes()
+        stream = kal.stream(Ys.shape)
+        stream.push(Ys)
+        assert stream.fixed_from < H // 2
+        assert kal.regularized_steps == 0
+        # the filter loop with each step's own matrices, from the whole
+        # recursion stepped without stopping, as before the shortcut
+        assert stream.preds[0].tobytes() == kalman_reference(KalmanPredictor(spec), Ys).tobytes()
 
     def test_regularized_fixed_point_counts_every_remaining_step(self):
         spec = LdsSpec(
             A=[[0.5]], C=[[1.0]], noise=NoiseSpec(), init=InitPolicy(kind="fixed", x0=(0.0,))
         )
         kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: P stays 0, every innovation is singular
-        assert kal.gain_schedule(37)[1] == 0
+        stream = kal.stream((2, 37, 1))
+        stream.push(np.ones((2, 37, 1)))
+        assert stream.fixed_from == 0
         assert kal.regularized_steps == 37
 
     def test_step_from_explicit_state(self):
@@ -220,23 +194,24 @@ class TestKalman:
         assert Ps[1, 0, 0] == pytest.approx(0.25 * 0.01 / 1.01 + 0.01, rel=1e-12)
 
     def test_memory_flat_in_horizon(self):
-        # d50's shape with fewer rows: the (n, H, p) predictions and the
-        # (H, d, p) gains grow with H, the filter's working set must not
+        # d50's shape with fewer rows, and 8 free responses: a stream that
+        # reads no row keeps no prediction, and its working set must not
+        # grow with H
         import tracemalloc
 
         spec = _psd_spec(50)
-        above = []
+        peaks = []
         for H in (1100, 4400):
             Ys = np.random.default_rng(H).standard_normal((20, H, 1))
-            kal = KalmanPredictor(spec)
+            free = np.random.default_rng(H + 1).standard_normal((8, H, 1))
+            stream = KalmanPredictor(spec).stream(Ys.shape, np.zeros(H, dtype=bool), len(free))
             tracemalloc.start()
             try:
-                preds = kal.run_ensemble(Ys)
-                peak = tracemalloc.get_traced_memory()[1]
+                stream.push(Ys, free)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
             finally:
                 tracemalloc.stop()
-            above.append((peak - preds.nbytes - kal.gain_schedule(H)[0].nbytes) / 2**20)
-        assert abs(above[1] - above[0]) < 2.0, above
+        assert abs(peaks[1] - peaks[0]) < 0.5, peaks
 
     def test_requires_linear_system(self):
         with pytest.raises(IncompatiblePairing):
@@ -479,15 +454,20 @@ class TestBayesOrdering:
 
 class TestLinearity:
     def test_declared_by_exactly_the_reference_predictors(self):
-        # the harness superposes every class that declares it; the additivity
-        # property below covers each of them
+        # the harness superposes every predictor that fits nothing: the
+        # additivity property below covers each of them
         declared = {
             c
             for module in (oracles, predictors)
             for c in vars(module).values()
-            if isinstance(c, type) and getattr(c, "linear", False)
+            if isinstance(c, type) and hasattr(c, "run_ensemble") and c.__name__[0] != "_"
         }
-        assert declared == {KalmanPredictor, KernelOracle, TruthOracle, BaselinePredictor}
+        assert declared - {predictors.SpectralPredictor} == {
+            KalmanPredictor,
+            KernelOracle,
+            TruthOracle,
+            BaselinePredictor,
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -522,3 +502,64 @@ class TestLinearity:
         ra, rb = P.run_ensemble(a), P.run_ensemble(b)
         scale = max(np.abs(ra).max(), np.abs(rb).max())
         np.testing.assert_allclose(P.run_ensemble(a + b), ra + rb, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _stream_spec(g, d, p):
+    """A random stable LDS with noise, or the scalar a = 0.9 system."""
+    if d == 0:
+        return _spec(0.9)
+    M = g.standard_normal((d, d))
+    A = M + M.T
+    A *= g.uniform(0.0, 0.95) / np.abs(np.linalg.eigvalsh(A)).max()
+    noise = NoiseSpec(stdev_process=g.uniform(0.05, 1.0), stdev_obs=g.uniform(0.05, 1.0))
+    return LdsSpec(A=A, C=g.standard_normal((p, d)), noise=noise)
+
+
+class TestStreams:
+    """The Kalman and kernel streams: rows pushed in uneven pieces, with free
+    responses beside them, keep the bits of one push and of the references
+    (`conftest.kalman_reference`, `conftest.kernel_reference`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["kalman", "kernel"]),
+        d=st.integers(0, 2),  # 0: the scalar a = 0.9 system, whose P is fixed from step 19
+        p=st.integers(1, 2),
+        n=st.integers(1, 4),
+        k=st.integers(0, 3),  # 0: no free responses
+        H=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_pieces_keep_the_bits(self, seed, kind, d, p, n, k, H, data):
+        g = np.random.default_rng(seed)
+        spec = _stream_spec(g, d, p)
+        p = spec.p
+        make = {"kalman": lambda: KalmanPredictor(spec), "kernel": lambda: KernelOracle(spec)}[kind]
+        reference = {"kalman": kalman_reference, "kernel": kernel_reference}[kind]
+        Ys, free = 3.0 * g.standard_normal((n, H, p)), 3.0 * g.standard_normal((k, H, p))
+        cuts = sorted(data.draw(st.lists(st.integers(0, H), max_size=6), label="cuts"))
+        rows = None
+        if data.draw(st.booleans(), label="masked"):
+            rows = np.array(data.draw(st.lists(st.booleans(), min_size=H, max_size=H)))
+
+        def run(pieces):
+            P = make()
+            stream = P.stream(Ys.shape, rows, k or None)
+            for a, b in zip([0, *pieces], [*pieces, H]):
+                stream.push(Ys[:, a:b], free[:, a:b] if k else None)
+            return stream, P
+
+        whole, P = run([])
+        pieced, Q = run(cuts)
+        assert [a.tobytes() for a in pieced.preds] == [a.tobytes() for a in whole.preds]
+        want = [reference(make(), Ys)] + ([reference(make(), free)] if k else [])
+        read = np.ones(H, dtype=bool) if rows is None else rows
+        for got, full in zip(whole.preds, want):
+            if kind == "kernel" and p > 1:  # the taps' matmuls may round differently
+                np.testing.assert_allclose(got, full[:, read], rtol=1e-12, atol=1e-12)
+            else:
+                assert got.tobytes() == full[:, read].tobytes()
+        if kind == "kalman":
+            assert pieced.fixed_from == whole.fixed_from
+            assert Q.regularized_steps == P.regularized_steps == 0

@@ -238,7 +238,9 @@ class TestBaselines:
         # AR(k) is `SpectralPredictor.ar`; the baselines are the fixed linear maps
         with pytest.raises(ContractViolation, match="unknown baseline kind 'ar'"):
             BaselinePredictor("ar")
-        assert BaselinePredictor("zero").linear and BaselinePredictor("last_value").linear
+        for kind in ("zero", "last_value"):  # each runs as one frozen arm, at its readout
+            _, (arm,), _ = _engine(BaselinePredictor(kind), 1)
+            assert arm[2].tobytes() == BaselinePredictor(kind).readout.tobytes()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -631,8 +633,9 @@ def test_one_streaming_ridge_path(callee):
 
 def test_one_learner_runs_the_ridge():
     # the one learner class fits through _run_arms, the baselines predict
-    # there as frozen arms, and the harness runs its arms there (an LDS) or
-    # pushes a Lorenz grid's blocks to _Arms; no other class or module does
+    # there as frozen arms, the harness fits biasvar's reference readout
+    # there, and it makes every learner's and baseline's stream in _stream;
+    # no other class or module does
     callers = _library_callers("_run_arms")
     assert any(module == "learnability.py" for module, _ in callers)
     others = {c for c in callers if c[0] != "learnability.py"}
@@ -643,7 +646,7 @@ def test_one_learner_runs_the_ridge():
     streams = _library_callers("_Arms")
     assert streams == {
         ("predictors.py", ("_run_arms",)),
-        ("learnability.py", ("_stream_lorenz", "group_run")),
+        ("learnability.py", ("_stream",)),
     }
     # the harness reads a learner's engine off its bank, reg and refit period
     engines = [

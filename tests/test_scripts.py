@@ -82,6 +82,16 @@ def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, caps
     for tree in ("old", "new"):
         (tmp_path / tree / "dynolearn").mkdir(parents=True)
         (tmp_path / tree / "dynolearn" / "__init__.py").touch()
+    # 12 lines: 4 of module docstring, 1 blank, 1 comment, 2 of function
+    # docstring, and 4 of code, one of them a string's second line
+    (tmp_path / "new" / "dynolearn" / "core.py").write_text(
+        '"""A module.\n\nIts docstring.\n"""\n\n'
+        "# a comment\n"
+        "def f(x):\n"
+        '    """A function\n    docstring."""\n'
+        '    y = """two\n    lines"""  # a trailing comment\n'
+        "    return x, y\n"
+    )
 
     def stand_in(src, args, out):  # the new tree runs mstar 4x faster, the rest alike
         wall = 0.5 if src.name == "new" and args[0] == "mstar" else 2.0
@@ -96,6 +106,11 @@ def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, caps
     monkeypatch.setattr(check_bytes.signal, "signal", lambda *args: None)
     assert check_bytes.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     lines = capsys.readouterr().out.splitlines()
+    # each tree's package size comes first
+    assert lines[:2] == [
+        "old dynolearn: 0 lines, 0 code lines",
+        "new dynolearn: 12 lines, 4 code lines",
+    ]
     assert "mstar wall time: old 4.0 s, new 1.0 s (4.00x)" in lines
     assert "risk wall time: old 4.0 s, new 4.0 s (1.00x)" in lines
     # each subcommand's largest peak RSS over the configs, after the wall times

@@ -182,9 +182,11 @@ class TestEnsembleNoise:
 
     @pytest.mark.parametrize("kind", list(CHUNK_SYSTEMS))
     def test_rows_equal_reference_across_noise_chunks(self, kind, monkeypatch):
-        # 7-step chunks: H = 33 spans five of them, the last of 5 steps.  Each
-        # row reads its stream as w chunk by chunk, then v, as the reference
-        # draws w (H, d) and then v (H, p) whole
+        # 7-step chunks of w: H = 33 spans five of them, the last of 5 steps,
+        # and 14-step chunks of v (the same values per chunk, p = d / 2):
+        # three, the last of 5 steps.  Each row reads its stream as w chunk by
+        # chunk, then v chunk by chunk, as the reference draws w (H, d) and
+        # then v (H, p) whole
         n, H, x0 = 5, 33, [1.0, -0.5]
         system = LdsSpec(C=[[1.0, 0.0]], **self.CHUNK_SYSTEMS[kind])
         monkeypatch.setattr(systems, "_NOISE_VALUES", 7 * n * system.d)
@@ -206,8 +208,9 @@ class TestEnsembleNoise:
             for i, (ys, xs) in enumerate(expected):
                 assert Ys[i].tobytes() == ys.tobytes()
                 assert Xs[i].tobytes() == xs.tobytes()
-            if not system.is_noiseless:  # five w chunks and one v per row
-                assert sorted(calls) == sorted(4 * n * [(7, 2)] + n * [(5, 2), (H, 1)])
+            if not system.is_noiseless:  # five w chunks and three v chunks per row
+                w_chunks = 4 * n * [(7, 2)] + n * [(5, 2)]
+                assert sorted(calls) == sorted(w_chunks + 2 * n * [(14, 1)] + n * [(5, 1)])
 
     def test_blowup_in_a_later_noise_chunk_names_its_step(self, monkeypatch):
         # x_t = 2^(t - 21) 1e308 first overflows at step 22, in the fourth 7-step chunk
@@ -220,8 +223,8 @@ class TestEnsembleNoise:
                 simulate_lds_ensemble(spec, 33, [1e308 / 2**20], rngs, n_workers=n_workers)
 
     def test_memory_flat_in_horizon(self):
-        # d50's shape with fewer rows: the (n, H, p) observations and their
-        # noise v grow with H, the process noise alive must not
+        # d50's shape with fewer rows: the (n, H, p) observations grow with H,
+        # the noise alive (a chunk of w, then one of v) must not
         import tracemalloc
 
         d, n = 50, 20
@@ -239,7 +242,7 @@ class TestEnsembleNoise:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            above.append((peak - 2 * Ys.nbytes) / 2**20)
+            above.append((peak - Ys.nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
 
