@@ -27,7 +27,7 @@ from .learnability import (
 )
 from .numerics import SeededRng, sym_eig
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import BaselinePredictor, SpectralPredictor
+from .predictors import SpectralPredictor
 from .spectral import (
     FilterBank,
     build_filter_bank,

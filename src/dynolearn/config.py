@@ -28,7 +28,7 @@ from .errors import ConfigError, ContractViolation
 from .learnability import DEFAULT_N_TRAJ, DEFAULT_WINDOW, resolve_oracle
 from .numerics import SeededRng
 from .oracles import KalmanPredictor, KernelOracle
-from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, BaselinePredictor, SpectralPredictor
+from .predictors import DEFAULT_REFIT_PERIOD, DEFAULT_REG, SpectralPredictor
 from .spectral import build_filter_bank
 from .systems import InitPolicy, LdsSpec, LorenzSpec, NoiseSpec, random_symmetric_psd, random_unit_row
 
@@ -322,7 +322,7 @@ def build_predictor(cfg: ExperimentConfig, system):
     if pc.kind == "ar":
         return SpectralPredictor.ar(pc.m, p, pc.reg, pc.refit_period)
     if pc.kind in ("last_value", "zero"):
-        return BaselinePredictor(pc.kind, obs_dim=p)
+        return SpectralPredictor.baseline(pc.kind, obs_dim=p)
     if pc.kind == "kalman":
         return KalmanPredictor(system)
     if pc.kind == "kernel":

@@ -10,10 +10,11 @@ arms, and returns one tensor [arm, x0, traj, g] of squared losses averaged
 over a short window at each grid time; `_worst_case` reduces two arms to
 the largest mean gap over x0, its 95% CI and both means.
 
-Every run goes through one interface, a stream (`_stream`): it is pushed
-the ensemble's rows in order and keeps its predictions on the rows a loss
-reads.  A learner or a zero or last-value baseline is `predictors._Arms`
-(the baseline a frozen arm), the Kalman and kernel predictors are the
+Every run goes through one interface, its stream (`run.stream(shape,
+rows, k)`): it is pushed the ensemble's rows in order and keeps its
+predictions on the rows a loss reads.  A learner or a zero or last-value
+baseline is a `SpectralPredictor`, whose stream is `predictors._Arms` (the
+baseline's a frozen arm), the Kalman and kernel predictors have the
 streams of `oracles`, and the truth oracle, which is memoryless, has none:
 it predicts the read observations themselves.  Only the feeder differs by
 system type.  For a linear system, x0 moves the observations only through
@@ -35,13 +36,15 @@ only blocks that hold a read row and solve a refit only when a read row
 uses it; every block still enters their Gram and moment, so the read rows
 keep the bits of a full run.  Every learner, in every measurement, runs as
 an arm of `predictors._Arms`, and arms of one learner share one
-convolution per block: m*'s sweep reads every filter count's columns (its
-first m filters) from the block of the learner it is given, and the
-bias/variance split runs its online learner beside a frozen arm that
-predicts with the fixed w*-readout.  The split's reference fit is one more
-arm, on the long reference run, with a mask that reads no row: it only sums
-the Gram and moment that w* is solved from.  A learner's state for the
-whole grid is (x0, traj) Grams, so the grid runs in groups of x0 that fit
+convolution per block.  A measurement that needs more arms than the
+learner's one runs a shallow copy of it re-armed (`_rearmed`): m*'s sweep
+reads every filter count's columns (its first m filters) from the block of
+the learner it is given, and the bias/variance split runs its online
+learner beside a frozen arm that predicts with the fixed w*-readout.  The
+split's reference fit is one more learner's stream, on the long reference
+run, with a mask that reads no row: it only sums the Gram and moment that
+w* is solved from.  A learner's state for the whole grid is (x0, traj)
+Grams, so the grid runs in groups of x0 whose `state_size` fits
 `_GROUP_BYTES` (the whole grid unless the arms are many and large, as m*'s
 sweep on a large ensemble); each group of a Lorenz grid is its own
 recursion, from fresh trajectory streams.
@@ -65,6 +68,7 @@ configs' LDS outputs by at most a relative 6.1e-13 (d50's `biasvar.csv`).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -73,7 +77,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, IncompatiblePairing
 from .numerics import SeededRng, _parallel_map, solve_normal_system
 from .oracles import KalmanPredictor, KernelOracle, TruthOracle
-from .predictors import BaselinePredictor, SpectralPredictor, _Arms, _check_obs_dim, _run_arms
+from .predictors import SpectralPredictor
 from .spectral import _bank_columns
 from .systems import (
     LdsSpec,
@@ -119,12 +123,21 @@ class RiskCurve:
 
 
 def read_risk_curve_csv(path) -> RiskCurve:
-    """Load a risk-curve CSV (grid and loss columns only; `n_traj` is None)."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Load a risk-curve CSV (grid and loss columns only; `n_traj` is None).
+
+    An unreadable file or a non-numeric cell is a ConfigError; its `t`
+    column must be a grid as `_validate_grid` takes one, of integers."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read risk curve {path}: {exc}") from exc
     if rows.shape[1] != 5:
         raise ContractViolation(f"risk-curve CSV must have 5 columns, got {rows.shape[1]}")
+    t = rows[:, 0]
+    if not (np.isfinite(t) & (t == np.round(t))).all():
+        raise ContractViolation("the risk curve's t column must hold integers")
     return RiskCurve(
-        t_grid=rows[:, 0].astype(int),
+        t_grid=_validate_grid(t.astype(int), 1)[0],
         excess_mean=rows[:, 1],
         excess_ci_half=rows[:, 2],
         raw_alg=rows[:, 3],
@@ -258,30 +271,34 @@ def _evaluate(
 ):
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
-    `rows` masks the R steps that a loss reads.  `runs` lists what predicts
-    them: predictors, and learners given as the (filter matrix, arms, refit
-    period) of `predictors._Arms`.  For each x0, `losses(ys, preds)` maps
-    its observations on the read rows, ys (n_traj, R, p), and their
-    predictions, one (n_traj, R, p) array per predictor and per learner arm
-    in the order of `runs`, to one (n_traj, G) array per loss arm.
+    `rows` masks the R steps that a loss reads.  `runs` lists the
+    predictors that predict them, each run by `run.stream(...)` (a learner
+    may carry several arms), or by itself for a `TruthOracle`.  For each
+    x0, `losses(ys, preds)` maps its observations on the read rows, ys
+    (n_traj, R, p), and their predictions, one (n_traj, R, p) array per
+    predictor arm in the order of `runs`, to one (n_traj, G) array per loss
+    arm.
 
-    Runs that name one object share one stream (`_stream`); the feeder
-    (`_feed_lds`, `_feed_lorenz`) pushes the rows to them and gives each
-    x0's read observations and predictions.  The ensemble's noise is drawn
-    on n_workers threads.
+    Runs that name one object share one stream; the feeder (`_feed_lds`,
+    `_feed_lorenz`) pushes the rows to them and gives each x0's read
+    observations and predictions.  The ensemble's noise is drawn on
+    n_workers threads.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
-    engines = {id(r): _engine(r, system.p) for r in runs if not isinstance(r, TruthOracle)}
+    for r in runs:
+        if not (hasattr(r, "stream") or isinstance(r, TruthOracle)):
+            raise ContractViolation(f"{type(r).__name__} is not a predictor: it has no stream")
+    streamed = {id(r): r for r in runs if not isinstance(r, TruthOracle)}
     feed = _feed_lds if isinstance(system, LdsSpec) else _feed_lorenz
-    per_x0 = feed(system, states, horizon, master, n_traj, n_workers, rows, engines)
+    per_x0 = feed(system, states, horizon, master, n_traj, n_workers, rows, streamed)
     L = []
     for ys, preds in per_x0:  # the truth oracle's predictions are the observations
         L.append(np.stack(losses(ys, [a for r in runs for a in preds.get(id(r), [ys])])))
     return np.stack(L, axis=1)
 
 
-def _feed_lds(system, states, horizon, master, n, n_workers, rows, engines):
+def _feed_lds(system, states, horizon, master, n, n_workers, rows, runs):
     """Each x0's (read observations, {run id: predictions}) of an LDS grid.
 
     The ensemble is simulated once from x0 = 0 (the base), and the grid's
@@ -297,11 +314,11 @@ def _feed_lds(system, states, horizon, master, n, n_workers, rows, engines):
 
     def run(task):
         key, group = task
-        stream = _stream(engines[key], base.shape, rows, len(free[group]))
+        stream = runs[key].stream(base.shape, rows, len(free[group]))
         stream.push(base, free[group])
         return key, group, stream.reader()
 
-    tasks = [(key, g) for key, e in engines.items() for g in _x0_groups([e], k, n, system.p)]
+    tasks = [(key, g) for key, r in runs.items() for g in _x0_groups([r], k, n)]
     done = _parallel_map(run, tasks, n_workers)
     ys_base, ys_free = np.compress(rows, base, axis=1), np.compress(rows, free, axis=1)
     for j in range(k):  # one x0's sums at a time
@@ -309,7 +326,7 @@ def _feed_lds(system, states, horizon, master, n, n_workers, rows, engines):
         yield ys_base + ys_free[j], {key: read(slice(i * n, (i + 1) * n)) for key, read, i in at}
 
 
-def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, engines):
+def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, runs):
     """Each x0's (read observations, {run id: predictions}) of a Lorenz grid.
 
     The grid runs in groups of x0 (`_x0_groups` of all its learners; one
@@ -320,10 +337,10 @@ def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, engines):
     group's x0 j, and only its read rows are kept.
     """
     p = system.p
-    for group in _x0_groups(engines.values(), len(states), n, p):
+    for group in _x0_groups(runs.values(), len(states), n):
         stack = _lorenz_stack(np.stack(states[group]))
         shape = (len(stack) * n, horizon, p)
-        streams = {key: _stream(e, shape, rows) for key, e in engines.items()}
+        streams = {key: r.stream(shape, rows) for key, r in runs.items()}
         ys = np.empty((shape[0], int(np.count_nonzero(rows)), p))
         kept = 0
 
@@ -343,48 +360,28 @@ def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, engines):
         del streams, readers, ys  # before the next group's are made
 
 
-def _stream(engine, shape, rows, k=None):
-    """The stream of an engine (`_engine`) on an ensemble of `shape`, keeping
-    its predictions on `rows`, with k free responses when given: it takes
-    rows by `push(ys, free=None)`, and `reader()` gives the kept predictions
-    by x0 (see `predictors._Arms` and `oracles`)."""
-    if isinstance(engine, tuple):
-        F, arms, refit_period = engine
-        return _Arms(F, shape, arms, refit_period, rows, k)
-    return engine.stream(shape, rows, k)
-
-
-def _x0_groups(engines, k: int, n: int, p: int) -> list[slice]:
+def _x0_groups(runs, k: int, n: int) -> list[slice]:
     """The x0 grid in contiguous groups whose ridge state (Grams, moments,
-    readouts) of the learners among `engines` on n trajectories fits in
+    readouts) of the learners among `runs` on n trajectories fits in
     `_GROUP_BYTES`, at least one x0 each."""
-    learners = [e for e in engines if isinstance(e, tuple)]
-    qs = [F.shape[1] * p if c is None else len(c) for F, arms, _ in learners for c, *_ in arms]
-    per_x0 = 8 * n * sum(q * q + 2 * q * p for q in qs)
+    per_x0 = 8 * n * sum(r.state_size for r in runs if isinstance(r, SpectralPredictor))
     size = max(1, _GROUP_BYTES // per_x0) if per_x0 else k
     return [slice(j, j + size) for j in range(0, k, size)]
 
 
-def _engine(run, p: int):
-    """What runs `run` on observations of dimension p: a learner's or a
-    baseline's (filter matrix, arms, refit period) of `predictors._Arms`
-    (the baseline's one arm frozen at its readout), or a reference
-    predictor with a stream of its own, itself."""
-    if isinstance(run, tuple) or hasattr(run, "stream"):
-        return run
-    if not isinstance(run, (SpectralPredictor, BaselinePredictor)):
-        raise ContractViolation(f"{type(run).__name__} is neither a predictor nor a learner")
-    _check_obs_dim(p, run.obs_dim)
-    arm = (None, run.reg) if isinstance(run, SpectralPredictor) else (None, 0.0, run.readout)
-    return run.bank.filter_matrix(), [arm], run.refit_period
+def _refuse_fixed(learner, measurement: str) -> None:
+    """Refuse a predictor whose readout `measurement` cannot read: one that
+    is not a `SpectralPredictor`, or a baseline frozen at a fixed readout."""
+    if not isinstance(learner, SpectralPredictor) or learner.readout is not None:
+        name = getattr(learner, "label", type(learner).__name__)
+        raise IncompatiblePairing(f"{measurement} needs a learner, not {name}")
 
 
-def _learner_engine(learner, p: int, measurement: str):
-    """`_engine` of a learner that `measurement` reads the readout of; any
-    other predictor fits none and is refused."""
-    if not isinstance(learner, SpectralPredictor):
-        raise IncompatiblePairing(f"{measurement} needs a learner, not {type(learner).__name__}")
-    return _engine(learner, p)
+def _rearmed(learner: SpectralPredictor, arms) -> SpectralPredictor:
+    """A shallow copy of `learner` that runs `arms` (see `predictors._Arms`)."""
+    run = copy.copy(learner)
+    run._arms = arms
+    return run
 
 
 def _versus_ys(starts, window: int):
@@ -536,16 +533,17 @@ def minimal_filter_count(
         raise ContractViolation(f"m_range repeats the filter count {repeated[0]}")
     if not epsilon > 0:
         raise ContractViolation(f"epsilon must be > 0, got {epsilon}")
-    F, ((_, reg),), refit_period = _learner_engine(learner, system.p, "the m* sweep")
+    _refuse_fixed(learner, "the m* sweep")
     bank = learner.bank
     if ms[-1] > bank.m:
         raise ContractViolation(f"m_range reaches {ms[-1]}, past the learner's {bank.m} filters")
     grid, horizon = _validate_grid([t_eval], window)
     states = _resolve_states(system, x0_grid)
     # every filter count reads its columns of the learner's convolution
-    arms = [(None if m == bank.m else _bank_columns(bank, m, system.p), reg) for m in ms]
+    cols = [None if m == bank.m else _bank_columns(bank, m, learner.obs_dim) for m in ms]
+    sweep = _rearmed(learner, [(c, learner.reg) for c in cols])
     rows, starts = _read_rows(grid, window, horizon)  # [t_eval, horizon)
-    runs, master = (oracle, (F, arms, refit_period)), SeededRng(master_seed)
+    runs, master = (oracle, sweep), SeededRng(master_seed)
     L = _evaluate(
         system, states, horizon, n_traj, master, n_workers, rows, runs, _versus_ys(starts, window)
     )
@@ -577,12 +575,13 @@ def bias_variance_split(
 ) -> BiasVarianceReport:
     """Split a learner's excess into approximation and estimation parts.
 
-    The learner is any `SpectralPredictor` (the Hilbert bank, or AR(k) over
-    the identity bank); a linear predictor fits no readout and is refused.
-    The reference readout w* is fit by near-unregularized ridge on one long
-    run (ref_multiplier >= 1 times the horizon), so it is the best fixed
-    linear readout in feature space.  Its Gram and moment are those of a
-    `_run_arms` arm over that run, in blocks of `_REF_BLOCK` rows, whose
+    The learner is any `SpectralPredictor` that fits its readout (the
+    Hilbert bank, or AR(k) over the identity bank); a baseline or a
+    reference predictor fits none and is refused.  The reference readout
+    w* is fit by near-unregularized ridge on one long run (ref_multiplier
+    >= 1 times the horizon), so it is the best fixed linear readout in
+    feature space.  Its Gram and moment are those of an unregularized
+    learner's stream over that run, in blocks of `_REF_BLOCK` rows, whose
     mask reads no row, so it never predicts or refits; w* is the Cholesky
     solve of them (`numerics.solve_normal_system`).  That run starts from the
     system's first grid state, so w* does not depend on the order of
@@ -596,7 +595,7 @@ def bias_variance_split(
         raise IncompatiblePairing("bias/variance split requires a linear system spec")
     if ref_multiplier < 1:
         raise ContractViolation(f"ref_multiplier must be >= 1, got {ref_multiplier}")
-    F, (online,), refit_period = _learner_engine(learner, system.p, "bias/variance split")
+    _refuse_fixed(learner, "bias/variance split")
     grid, horizon = _validate_grid(t_grid, window)
     states = _resolve_states(system, x0_grid)
     master = SeededRng(master_seed)
@@ -606,14 +605,16 @@ def bias_variance_split(
     ref_x0 = initial_states(system)[0]
     ys_ref = simulate_ensemble(system, ref_multiplier * horizon, ref_x0, [ref_rng])
     no_read = np.zeros(ys_ref.shape[1], dtype=bool)
-    (ref,) = _run_arms(F, ys_ref, [(None, 0.0)], _REF_BLOCK, no_read)
+    fit = SpectralPredictor(learner.bank, system.p, 0.0, _REF_BLOCK).stream(ys_ref.shape, no_read)
+    fit.push(ys_ref)
+    (ref,) = fit.ridges
     gram, moment = ref.gram[0], ref.moment[0]
     tiny = 1e-8 * float(np.trace(gram)) / ref.q
     w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
     rows, starts = _read_rows(grid, window, horizon)
     # the online learner and the frozen w*-readout, on one convolution per block
-    arms = [online, (None, 0.0, w_star)]
+    both = _rearmed(learner, [(None, learner.reg), (None, 0.0, w_star)])
 
     def losses(ys, preds):
         learned, star, on_kalman = preds
@@ -623,7 +624,7 @@ def bias_variance_split(
             _grid_losses(learned, star, starts, window),  # squared pred diff
         ]
 
-    runs = ((F, arms, refit_period), kalman)
+    runs = (both, kalman)
     L = _evaluate(system, states, horizon, n_traj, master, n_workers, rows, runs, losses)
     bias, bias_ci, _, _ = _worst_case(L[0], L[1])
     variance, var_ci, _, _ = _worst_case(L[2], np.zeros_like(L[2]))

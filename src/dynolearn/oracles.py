@@ -16,7 +16,8 @@ predictions of the rows in the mask `rows`; `preds[i, t]` depends only on
 `ys[i, :t]`.  Each is a fixed linear map of the observations with zero
 initial mean, acting on each trajectory alone, so on an LDS grid x0 j's
 predictions are those of the ensemble simulated from x0 = 0 plus those of
-its free response C A^t x0 (see `learnability`).  `run_ensemble(Ys)`
+its free response C A^t x0 (see `learnability`).  Both inherit
+`run_ensemble(Ys)` from `predictors._Streamed`, as the learner does: it
 pushes a whole array and returns every row's predictions.
 
 The Kalman stream steps the covariance recursion beside the filter, so it
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
-from .predictors import _check_obs_dim
+from .predictors import _check_obs_dim, _Streamed
 from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
@@ -65,16 +66,6 @@ class _Stream:
         trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
         base, *free = self.preds
         return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
-
-
-class _Streamed:
-    """A predictor that runs as a stream (`stream(shape, rows=None, k=None)`)."""
-
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        """Every row's predictions on the whole ensemble Ys (n, H, p), pushed at once."""
-        stream = self.stream(np.shape(Ys))
-        stream.push(np.asarray(Ys, dtype=float))
-        return stream.preds[0]
 
 
 class KalmanPredictor(_Streamed):

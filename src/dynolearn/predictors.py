@@ -1,4 +1,5 @@
-"""Predictors: the learner, a ridge readout over fixed filters, and baselines.
+"""Predictors: one class, a linear readout over fixed filters, serves the
+learner and its baselines.
 
 The learner is improper by construction: its entire state is the fixed
 filter bank (the Hilbert eigenfilters, or for AR(k) the identity, whose
@@ -6,7 +7,8 @@ features are the last k observations) plus the least-squares readout
 accumulators (Gram, moment, weights).  It never forms estimates of the
 system matrices or the latent state, so its memory footprint is independent
 of the hidden dimension.  The zero and last-value baselines fit nothing:
-they are frozen arms of the same engine.
+they are the same `SpectralPredictor` with a fixed readout, frozen arms of
+the same engine.
 
 Readout fitting uses a scale-free ridge that decays relative to the Gram:
     ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))
@@ -14,8 +16,9 @@ with q the feature dimension.  Early fits (where windowed features are
 heavily collinear) are strongly damped while the relative shrinkage
 vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
 
-`fit` drives every trajectory of an (n, H, p) ensemble through one blocked
-engine, one refit period at a time.  The block kernel
+`SpectralPredictor.stream` drives every trajectory of an (n, H, p)
+ensemble through one blocked engine, `_Arms`, one refit period at a time;
+`run_ensemble` and `fit` push a whole array to it.  The block kernel
 `spectral._feature_blocks` convolves the block's observations and the
 window - 1 before it with the bank's filter matrix.  `_Arms` feeds each
 block to one `_EnsembleRidge` per arm, which predicts the block, adds it to
@@ -141,12 +144,6 @@ def _check_obs_dim(p: int, obs_dim: int) -> None:
         raise ContractViolation(f"observation dim {p} does not match predictor ({obs_dim})")
 
 
-def _check_ensemble(Ys, obs_dim: int) -> np.ndarray:
-    Ys = np.asarray(Ys, dtype=float)
-    _check_obs_dim(Ys.shape[2], obs_dim)
-    return Ys
-
-
 class _Arms:
     """The streaming ridge of each arm on an (n, H, p) ensemble whose rows
     arrive in order, from one convolution by the filter matrix F per refit
@@ -220,22 +217,33 @@ class _Arms:
             ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf, mode="clip"), Y)
 
 
-def _run_arms(F: np.ndarray, Ys: np.ndarray, arms, refit_period: int, rows=None):
-    """The ridges of `_Arms` on the whole ensemble Ys (n, H, p), every row
-    pushed at once."""
-    stream = _Arms(F, Ys.shape, arms, refit_period, rows)
-    stream.push(Ys)
-    return stream.ridges
+class _Streamed:
+    """A predictor that runs as a stream (`stream(shape, rows=None, k=None)`)."""
+
+    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
+        """Every row's predictions on the whole ensemble Ys (n, H, p), pushed at once."""
+        return self._pushed(Ys).reader()(slice(None))[0]
+
+    def _pushed(self, Ys: np.ndarray):
+        """The stream of the whole ensemble Ys, every row pushed at once."""
+        Ys = np.asarray(Ys, dtype=float)
+        stream = self.stream(Ys.shape)
+        stream.push(Ys)
+        return stream
 
 
-class SpectralPredictor:
-    """The learner: a linear readout over a filter bank's features, fit
-    online by ridge; the bank is the Hilbert eigenfilters, or AR(k)'s
-    identity (`SpectralPredictor.ar`).
+class SpectralPredictor(_Streamed):
+    """A linear readout over a filter bank's features: the learner, fit
+    online by ridge over the Hilbert eigenfilters or AR(k)'s identity
+    (`SpectralPredictor.ar`), or a zero or last-value baseline frozen at a
+    fixed readout (`SpectralPredictor.baseline`).
 
-    Histories shorter than the filter window are zero padded, and the
-    prediction is zero until the first refit.  Multi-dimensional outputs use
-    per-coordinate feature concatenation and a matrix readout.
+    Histories shorter than the filter window are zero padded, and a
+    learner's prediction is zero until the first refit.  Multi-dimensional
+    outputs use per-coordinate feature concatenation and a matrix readout.
+    `readout` is None for a learner.  The predictor runs as one `_Arms`
+    stream; a measurement may run a shallow copy whose `_arms` it sets (m*'s
+    filter counts, the bias/variance split's frozen w*-readout).
     """
 
     def __init__(
@@ -252,6 +260,8 @@ class SpectralPredictor:
         self.reg = reg
         self.refit_period = refit_period
         self.label = "spectral"
+        self.readout = None
+        self._arms = None  # the arms of `_Arms`; None for the one arm of `stream`
 
     @classmethod
     def ar(
@@ -266,50 +276,41 @@ class SpectralPredictor:
         pred.label = f"ar{k}"
         return pred
 
+    @classmethod
+    def baseline(cls, kind: str, obs_dim: int = 1) -> SpectralPredictor:
+        """The zero or last-value baseline, labelled `kind`: frozen at the
+        readout 0 or I_p over `FilterBank.identity(1)`, whose feature is the
+        last observation.  It fits nothing, so a measurement that reads a
+        learner's readout refuses it."""
+        if kind not in ("zero", "last_value"):
+            raise ContractViolation(f"unknown baseline kind {kind!r}")
+        pred = cls(FilterBank.identity(1), obs_dim)
+        pred.label = kind
+        pred.readout = np.zeros((obs_dim, obs_dim)) if kind == "zero" else np.eye(obs_dim)
+        return pred
+
+    def _arm_specs(self) -> list:
+        """The arms of `_Arms` it runs: `_arms`, or (None, reg), or (None, 0.0, readout)."""
+        own = (None, self.reg) if self.readout is None else (None, 0.0, self.readout)
+        return self._arms or [own]
+
     @property
     def state_size(self) -> int:
-        """Readout scalars kept per trajectory (Gram, moment, weights); independent
-        of the hidden dimension of whatever generated the data."""
-        q = self.bank.feature_count * self.obs_dim
-        return q * q + 2 * q * self.obs_dim
+        """Readout scalars kept per trajectory (Gram, moment, weights), over
+        its arms; independent of the hidden dimension of whatever generated
+        the data."""
+        p, arms = self.obs_dim, self._arm_specs()
+        qs = [self.bank.feature_count * p if cols is None else len(cols) for cols, *_ in arms]
+        return sum(q * q + 2 * q * p for q in qs)
 
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        """Predictions for (n, H, p) observation arrays; pure function of Ys."""
-        return self.fit(Ys)[0]
+    def stream(self, shape, rows=None, k=None) -> _Arms:
+        """The `_Arms` of this predictor's arms on an (n, H, p) ensemble."""
+        _check_obs_dim(shape[2], self.obs_dim)
+        F, arms = self.bank.filter_matrix(), self._arm_specs()
+        return _Arms(F, shape, arms, self.refit_period, rows, k)
 
     def fit(self, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`run_ensemble(Ys)` and each trajectory's readout (n, q, p) after its
         last refit: the prediction from features z is z @ readout."""
-        Ys = _check_ensemble(Ys, self.obs_dim)
-        F = self.bank.filter_matrix()
-        (ridge,) = _run_arms(F, Ys, [(None, self.reg)], self.refit_period)
+        ridge = self._pushed(Ys).ridges[0]
         return ridge.preds, ridge.w
-
-
-class BaselinePredictor:
-    """The zero and last-value predictors: frozen arms (see `_Arms`) over
-    `FilterBank.identity(1)`, whose features are the last observation, with
-    readout 0 or I_p.  They fit nothing, so a measurement that reads a
-    learner's readout refuses them."""
-
-    refit_period = DEFAULT_REFIT_PERIOD  # the frozen arm's block; no prediction depends on it
-
-    def __init__(self, kind: str, obs_dim: int = 1):
-        if kind not in ("zero", "last_value"):
-            raise ContractViolation(f"unknown baseline kind {kind!r}")
-        self.kind = self.label = kind
-        self.obs_dim = obs_dim
-        self.bank = FilterBank.identity(1)
-
-    @property
-    def readout(self) -> np.ndarray:
-        """The fixed (p, p) readout of the last observation: 0, or I_p for last_value."""
-        p = self.obs_dim
-        return np.zeros((p, p)) if self.kind == "zero" else np.eye(p)
-
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        """Predictions for (n, H, p) observation arrays; pure function of Ys."""
-        Ys = _check_ensemble(Ys, self.obs_dim)
-        arm = (None, 0.0, self.readout)
-        (ridge,) = _run_arms(self.bank.filter_matrix(), Ys, [arm], self.refit_period)
-        return ridge.preds

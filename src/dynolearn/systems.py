@@ -294,6 +294,7 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
 
 
 _NOISE_VALUES = 1 << 20  # noise values drawn per time chunk of an LDS ensemble
+_NOISE_ROWS = 1024  # and steps per chunk, so a chunk stops growing with the horizon
 
 
 def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=1, Xs=None):
@@ -302,10 +303,11 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=
 
     Without `rngs` there is no noise.  With one stream per row, row i reads
     rngs[i] as w (H, d), then v (H, p).  The w are drawn one time chunk of
-    about `_NOISE_VALUES` values at a time, and after the loop so are the v,
-    each chunk added to its observations in place, so the noise alive is
-    bounded by the chunk, not the horizon.  A noiseless spec draws nothing
-    and adds zeros, as the noisy run adds its draws.
+    about `_NOISE_VALUES` values, and at most `_NOISE_ROWS` steps, at a time,
+    and after the loop so are the v, each chunk added to its observations in
+    place, so the noise alive is bounded by the chunk, not the horizon.  A
+    noiseless spec draws nothing and adds zeros, as the noisy run adds its
+    draws.
 
     The output is checked once, after the noise is added: a non-finite
     observation raises IntegrationBlowup naming the first step that has one.
@@ -314,7 +316,7 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=
     (k, d), p = X.shape, spec.p
     Ys = np.empty((k, horizon, p))
     noisy = rngs is not None and not spec.is_noiseless
-    chunk = max(1, _NOISE_VALUES // max(1, k * d))  # k = 0: an empty ensemble
+    chunk = max(1, min(_NOISE_ROWS, _NOISE_VALUES // max(1, k * d)))  # k = 0: no ensemble
     W = None if rngs is None else np.zeros((k, min(chunk, horizon), d))
     with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
         for t in range(horizon):
@@ -328,7 +330,7 @@ def _lds_steps(spec: LdsSpec, horizon: int, X: np.ndarray, rngs=None, n_workers=
             if W is not None:
                 X += W[:, t % chunk]
         if noisy:  # w is spent: its buffer goes before v's chunks are drawn
-            W, chunk = None, max(1, _NOISE_VALUES // max(1, k * p))
+            W, chunk = None, max(1, min(_NOISE_ROWS, _NOISE_VALUES // max(1, k * p)))
             V = np.empty((k, min(chunk, horizon), p))
             for t in range(0, horizon, chunk):
                 v = V[:, : min(chunk, horizon - t)]

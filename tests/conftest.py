@@ -7,7 +7,6 @@ import pytest
 import dataclasses
 
 from dynolearn import (
-    BaselinePredictor,
     InitPolicy,
     KalmanPredictor,
     LdsSpec,
@@ -21,7 +20,7 @@ from dynolearn.systems import lds_free_responses
 from dynolearn import learnability
 from dynolearn.errors import ContractViolation, SingularSystem
 from dynolearn.numerics import solve_normal_system
-from dynolearn.predictors import _effective_ridge, _run_arms
+from dynolearn.predictors import _Arms, _effective_ridge
 from dynolearn.spectral import _feature_blocks
 
 REPO = Path(__file__).resolve().parent.parent
@@ -362,6 +361,14 @@ def lorenz_grid_reference(system, horizon, states, rngs):
     return grid + noise
 
 
+def whole_array_ridges(F, Ys, arms, refit_period, rows=None):
+    """The ridges of `predictors._Arms` (filter matrix F, `arms`) on the
+    whole ensemble Ys (n, H, p), every row pushed at once."""
+    stream = _Arms(F, Ys.shape, arms, refit_period, rows)
+    stream.push(Ys)
+    return stream.ridges
+
+
 def baseline_map(kind, Ys):
     """The zero and last-value predictions of (n, H, p) observations."""
     preds = np.zeros_like(Ys)
@@ -374,8 +381,9 @@ def lorenz_evaluate_reference(
     system, states, horizon, n_traj, master, n_workers, rows, runs, losses
 ):
     """`learnability._evaluate` of a Lorenz grid, one x0 at a time on whole
-    arrays: learners by `_run_arms` on the x0's observations, baselines by
-    `baseline_map`, the truth oracle as a copy; `n_workers` is not used."""
+    arrays: learners' arms by `whole_array_ridges` on the x0's observations,
+    baselines by `baseline_map`, the truth oracle as a copy; `n_workers` is
+    not used."""
     grid = lorenz_grid_reference(system, horizon, states, learnability._traj_rngs(master, n_traj))
 
     def read(a):
@@ -385,12 +393,12 @@ def lorenz_evaluate_reference(
     for Ys in grid:
         preds = []
         for run in runs:
-            if isinstance(run, BaselinePredictor):
-                preds.append(read(baseline_map(run.kind, Ys)))
-            elif isinstance(run, TruthOracle):
+            if isinstance(run, TruthOracle):
                 preds.append(read(Ys.copy()))
+            elif run.readout is not None:  # a zero or last-value baseline
+                preds.append(read(baseline_map(run.label, Ys)))
             else:
-                F, arms, refit_period = learnability._engine(run, system.p)
-                preds += [r.preds for r in _run_arms(F, Ys, arms, refit_period, rows)]
+                F, arms = run.bank.filter_matrix(), run._arm_specs()
+                preds += [r.preds for r in whole_array_ridges(F, Ys, arms, run.refit_period, rows)]
         per_x0.append(np.stack(losses(read(Ys), preds)))
     return np.stack(per_x0, axis=1)

@@ -184,8 +184,8 @@ def test_c05_kalman_validation():
         contenders = {
             "kernel": dl.KernelOracle(spec),
             "spectral": dl.SpectralPredictor(bank, obs_dim=1),
-            "zero": dl.BaselinePredictor("zero"),
-            "last_value": dl.BaselinePredictor("last_value"),
+            "zero": dl.SpectralPredictor.baseline("zero"),
+            "last_value": dl.SpectralPredictor.baseline("last_value"),
             "ar1": dl.SpectralPredictor.ar(1),
             "ar5": dl.SpectralPredictor.ar(5),
         }

@@ -291,6 +291,27 @@ class TestRiskPipeline:
         assert lines[0] == "epsilon,t_star,uniform_checked_to"
         assert lines[1] == "0.050000000000000003,500,1000"
 
+    @pytest.mark.parametrize(
+        "curve, code, error",
+        [
+            (None, 1, "config"),  # no such file
+            ("10,0.5,0,0.5,0\n20,low,0,0.6,0\n", 1, "config"),
+            ("50,0.5,0,0.5,0\n25,0.01,0,0.01,0\n", 2, "contract_violation"),
+            ("10,0.5,0,0.5,0\n25.7,0.01,0,0.01,0\n", 2, "contract_violation"),
+        ],
+        ids=["missing", "non-numeric", "decreasing-t", "fractional-t"],
+    )
+    def test_burnin_refuses_a_bad_curve(self, workdir, curve, code, error):
+        # a curve that cannot be read is a config error; a t column that is
+        # not strictly increasing integers >= 1 is no grid
+        if curve is not None:
+            (workdir / "bad.csv").write_text("t,excess_mean,excess_ci,raw_alg,raw_oracle\n" + curve)
+        res = run_cli(["burnin", "--curve", "bad.csv", "--out", "bi"], workdir)
+        assert res.returncode == code, res.stderr
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == error
+        assert "Traceback" not in res.stderr
+        assert not (workdir / "bi").exists()
+
     def test_burnin_inf_sentinel(self, workdir):
         fixture = workdir / "curve.csv"
         fixture.write_text(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
-    BaselinePredictor,
     KalmanPredictor,
     KernelOracle,
     LdsSpec,
@@ -239,13 +238,17 @@ class TestBuilders:
         cfg.predictor.m = 3
         for kind, cls in (
             ("ar", SpectralPredictor),
-            ("last_value", BaselinePredictor),
-            ("zero", BaselinePredictor),
+            ("last_value", SpectralPredictor),
+            ("zero", SpectralPredictor),
             ("kalman", KalmanPredictor),
             ("kernel", KernelOracle),
         ):
             cfg.predictor.kind = kind
-            assert isinstance(build_predictor(cfg, system), cls)
+            pred = build_predictor(cfg, system)
+            assert isinstance(pred, cls)
+            if kind in ("last_value", "zero"):  # a frozen readout over the last observation
+                want = SpectralPredictor.baseline(kind)
+                assert (pred.label, pred.readout.tobytes()) == (kind, want.readout.tobytes())
         cfg.predictor.kind = "ar"
         ar = build_predictor(cfg, system)
         assert (ar.label, ar.bank.filter_matrix().tobytes()) == ("ar3", np.eye(3).tobytes())
@@ -291,16 +294,20 @@ class TestBuilders:
         baselines = build_baselines(cfg, system)
         assert baselines == built
         want = [
-            BaselinePredictor("zero", p),
+            SpectralPredictor.baseline("zero", p),
             SpectralPredictor.ar(3, p, 0.7, 8),
-            BaselinePredictor("last_value", p),
+            SpectralPredictor.baseline("last_value", p),
             SpectralPredictor.ar(1, p, 0.7, 8),
         ]
         Ys = np.random.default_rng(p).standard_normal((3, 50, p))
         for got, ref in zip(baselines, want, strict=True):
             assert type(got) is type(ref)
-            unbanked = [{k: v for k, v in vars(b).items() if k != "bank"} for b in (got, ref)]
+            unbanked = [
+                {k: v for k, v in vars(b).items() if k not in ("bank", "readout")}
+                for b in (got, ref)
+            ]
             assert unbanked[0] == unbanked[1]
+            np.testing.assert_array_equal(got.readout, ref.readout)
             assert got.run_ensemble(Ys).tobytes() == ref.run_ensemble(Ys).tobytes()
             if isinstance(ref, SpectralPredictor):
                 assert got.bank.filter_matrix().tobytes() == ref.bank.filter_matrix().tobytes()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
-    BaselinePredictor,
     ContractViolation,
     InitPolicy,
     KalmanPredictor,
@@ -28,13 +28,18 @@ from dynolearn import (
     stationary_observation_power,
     write_burn_in_csv,
 )
-from conftest import REPO, bias_variance_reference, lorenz_evaluate_reference, superposed_learner
+from conftest import (
+    REPO,
+    bias_variance_reference,
+    lorenz_evaluate_reference,
+    superposed_learner,
+    whole_array_ridges,
+)
 from dynolearn import learnability, systems
 from dynolearn.config import build_predictor, build_system, geometric_grid, load_config
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
 from dynolearn.numerics import SeededRng
-from dynolearn.predictors import _run_arms
 from dynolearn.spectral import _bank_columns
 
 
@@ -79,7 +84,7 @@ class TestEstimateExcessRisk:
         )
         curve = estimate_excess_risk(
             spec,
-            BaselinePredictor("zero"),
+            SpectralPredictor.baseline("zero"),
             (TruthOracle(spec),),
             (5, 10),
             n_traj=2,
@@ -96,7 +101,7 @@ class TestEstimateExcessRisk:
     def test_additivity_exact(self, scalar_spec):
         curve = estimate_excess_risk(
             scalar_spec,
-            BaselinePredictor("last_value"),
+            SpectralPredictor.baseline("last_value"),
             (KalmanPredictor(scalar_spec),),
             (10, 30),
             n_traj=16,
@@ -133,7 +138,7 @@ class TestEstimateExcessRisk:
     def test_worst_case_over_x0_is_pointwise_max(self, scalar_spec):
         stem = dict(n_traj=10, master_seed=3, window=8)
         kal = KalmanPredictor(scalar_spec)
-        alg = BaselinePredictor("last_value")
+        alg = SpectralPredictor.baseline("last_value")
         grid = (10, 40)
         both = estimate_excess_risk(
             scalar_spec, alg, (kal,), grid, x0_grid=[[1.0], [-1.0]], **stem
@@ -152,14 +157,14 @@ class TestEstimateExcessRisk:
         grid = (2, 10, 30)
 
         def run(x0_grid):
-            alg = BaselinePredictor("last_value")
+            alg = SpectralPredictor.baseline("last_value")
             if measure == "risk":
                 return estimate_excess_risk(
-                    scalar_spec, alg, (BaselinePredictor("last_value"),), grid, n_traj=6,
+                    scalar_spec, alg, (SpectralPredictor.baseline("last_value"),), grid, n_traj=6,
                     x0_grid=x0_grid, window=4,
                 )
             return estimate_excess_risk(
-                scalar_spec, alg, [BaselinePredictor("last_value")], grid, n_traj=6,
+                scalar_spec, alg, [SpectralPredictor.baseline("last_value")], grid, n_traj=6,
                 x0_grid=x0_grid, window=4,
             )
 
@@ -215,7 +220,7 @@ class TestEstimateExcessRisk:
             if learner == "spectral"
             else SpectralPredictor.ar(2, obs_dim=1)
         )
-        right = BaselinePredictor("last_value", obs_dim=2)
+        right = SpectralPredictor.baseline("last_value", obs_dim=2)
         stem = dict(n_traj=2, window=2)
         match = r"observation dim 2 does not match predictor \(1\)"
         with pytest.raises(ContractViolation, match=match):
@@ -237,7 +242,7 @@ class TestLorenzBlowup:
             with pytest.raises(IntegrationBlowup) as exc:
                 estimate_excess_risk(
                     spec,
-                    BaselinePredictor("last_value"),
+                    SpectralPredictor.baseline("last_value"),
                     (TruthOracle(),),
                     (10, 20),
                     n_traj=4,
@@ -272,7 +277,7 @@ class TestResolveOracle:
         oracle = resolve_oracle(spec, "zero")
         curve = estimate_excess_risk(
             spec,
-            BaselinePredictor("last_value"),
+            SpectralPredictor.baseline("last_value"),
             (oracle,),
             (10, 20),
             n_traj=4,
@@ -469,7 +474,7 @@ class TestMinimalFilterCount:
             minimal_filter_count(spec, SpectralPredictor.ar(2), kal, 0.1, [3], **stem)
         with pytest.raises(ContractViolation, match="repeats the filter count 3"):
             minimal_filter_count(spec, SpectralPredictor.ar(5), kal, 0.1, [5, 3, 3], **stem)
-        for linear in (kal, BaselinePredictor("last_value")):
+        for linear in (kal, SpectralPredictor.baseline("last_value")):
             with pytest.raises(IncompatiblePairing, match="needs a learner"):
                 minimal_filter_count(spec, linear, kal, 0.1, [1], **stem)
 
@@ -482,8 +487,8 @@ class TestReferenceClass:
     @staticmethod
     def _pool(system):
         return [
-            BaselinePredictor("last_value"),
-            BaselinePredictor("zero"),
+            SpectralPredictor.baseline("last_value"),
+            SpectralPredictor.baseline("zero"),
             SpectralPredictor.ar(1),
             SpectralPredictor.ar(2),
             KalmanPredictor(system),
@@ -522,7 +527,7 @@ class TestReferenceClass:
 
     def test_a_lone_reference_keeps_its_label(self, scalar_spec):
         kal = KalmanPredictor(scalar_spec)
-        alg = BaselinePredictor("last_value")
+        alg = SpectralPredictor.baseline("last_value")
         curve = estimate_excess_risk(scalar_spec, alg, [kal], (10,), n_traj=4, window=4)
         assert curve.oracle_label == kal.label
         with pytest.raises(ContractViolation, match="references must be nonempty"):
@@ -542,8 +547,8 @@ class TestAgnosticGap:
             noise=NoiseSpec(stdev_process=0.0, stdev_obs=0.5),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
-        alg = BaselinePredictor("last_value")
-        zero = [BaselinePredictor("zero")]
+        alg = SpectralPredictor.baseline("last_value")
+        zero = [SpectralPredictor.baseline("zero")]
         curve = estimate_excess_risk(spec, alg, zero, (20,), n_traj=50, master_seed=2)
         # predicting the previous white-noise sample doubles the noise floor
         assert curve.excess_mean[0] == pytest.approx(curve.raw_oracle[0], rel=0.2)
@@ -564,7 +569,7 @@ class TestAgnosticGap:
             [
                 SpectralPredictor.ar(1),
                 SpectralPredictor.ar(5),
-                BaselinePredictor("last_value"),
+                SpectralPredictor.baseline("last_value"),
             ],
             (3000,),
             n_traj=150,
@@ -585,8 +590,8 @@ class TestAgnosticGap:
         states = systems.initial_states(system)[:: -1 if reverse else 1]
         alg = SpectralPredictor(build_filter_bank(8, 3))
         baselines = [
-            BaselinePredictor("last_value"),
-            BaselinePredictor("zero"),
+            SpectralPredictor.baseline("last_value"),
+            SpectralPredictor.baseline("zero"),
             SpectralPredictor.ar(2),
             KalmanPredictor(system),
         ]
@@ -684,7 +689,7 @@ class TestBiasVarianceSplit:
     @pytest.mark.parametrize("kind", ["kalman", "zero", "last_value"])
     def test_refuses_a_linear_predictor(self, kind):
         spec = _noisy_scalar()
-        linear = KalmanPredictor(spec) if kind == "kalman" else BaselinePredictor(kind)
+        linear = KalmanPredictor(spec) if kind == "kalman" else SpectralPredictor.baseline(kind)
         with pytest.raises(IncompatiblePairing, match="needs a learner"):
             bias_variance_split(spec, linear, (10,), n_traj=4)
 
@@ -702,7 +707,7 @@ class TestBiasVarianceSplit:
     def test_matches_the_loop_reference(
         self, d, p, sign_augmented, refit_period, ref_multiplier, first, gap, seed
     ):
-        # the split on _run_arms arms against its own hand-written feature loops
+        # the split's streamed arms against its own hand-written feature loops
         g = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(g.standard_normal((d, d)))
         A = Q @ np.diag(g.uniform(-0.95, 0.95, d)) @ Q.T
@@ -786,7 +791,7 @@ def _measure(name, system, n_workers=1, x0_grid=None):
         learner = SpectralPredictor(bank, obs_dim=p)
         return minimal_filter_count(system, learner, oracle, 0.5, (1, 2, 3), t_eval=30, **common)
     if name == "agnostic":
-        baselines = [BaselinePredictor("last_value", obs_dim=p), oracle]
+        baselines = [SpectralPredictor.baseline("last_value", obs_dim=p), oracle]
         return estimate_excess_risk(
             system, SpectralPredictor(bank, obs_dim=p), baselines, _TIMES, **common
         )
@@ -961,9 +966,10 @@ class TestSuperposedGrid:
         F = bank.filter_matrix()
         readout = g.standard_normal((F.shape[1] * p, p))
         # the learner, an m* column arm and a frozen w*-readout, then AR(order)
-        spectral = (F, [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)])
-        ar = (np.eye(order), [(None, reg)])
-        runs = [(*spectral, refit_period), (*ar, refit_period)]
+        arms = [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)]
+        spectral = learnability._rearmed(SpectralPredictor(bank, p, reg, refit_period), arms)
+        ar = SpectralPredictor.ar(order, p, reg, refit_period)
+        runs = [spectral, ar]
 
         def predictions(n_workers):
             seen = []
@@ -989,8 +995,8 @@ class TestSuperposedGrid:
         free = systems.lds_free_responses(system, horizon, states)
         for j, preds in enumerate(got):
             Ys = base + free[j]
-            direct = [r.preds for r in _run_arms(F, Ys, spectral[1], refit_period, rows)]
-            (on_ar,) = _run_arms(ar[0], Ys, ar[1], refit_period, rows)
+            direct = [r.preds for r in whole_array_ridges(F, Ys, arms, refit_period, rows)]
+            (on_ar,) = whole_array_ridges(np.eye(order), Ys, [(None, reg)], refit_period, rows)
             assert all(a.shape == (n_traj, rows.sum(), p) for a in preds)
             for a, want in zip(preds, direct):  # measured: within 3e-15 of |want| + scale
                 scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
@@ -1101,8 +1107,8 @@ class TestStreamedLorenz:
 
         def measurements(n_workers):
             baselines = [
-                BaselinePredictor("zero", p),
-                BaselinePredictor("last_value", p),
+                SpectralPredictor.baseline("zero", p),
+                SpectralPredictor.baseline("last_value", p),
                 SpectralPredictor.ar(order, p, 0.7, refit_period),
             ]
             run = dict(stem, n_workers=n_workers)
@@ -1148,15 +1154,13 @@ class TestStreamedLorenz:
         assert abs(long - short) < 2**20, (short, long)
 
 
-def test_lds_memory_grows_by_the_base_alone(monkeypatch):
+def test_lds_memory_grows_by_the_base_alone():
     # the LDS case of `test_memory_is_flat_in_the_horizon`: `configs/scalar_lds.cfg`'s
     # system, learner and Kalman reference on 100 trajectories.  The run from
     # x0 = 0 is held whole, (n, H, p); nothing else may grow with the
     # horizon: not the reference's predictions, nor its gains, nor the
-    # observation noise.  Noise is drawn in chunks of 2^16 values, so that a
-    # chunk (by default 2^20 values, a scalar ensemble's whole horizon up to
-    # 10485 steps) stops growing within the horizons compared
-    monkeypatch.setattr(systems, "_NOISE_VALUES", 1 << 16)
+    # observation noise, whose chunks stop growing at `systems._NOISE_ROWS`
+    # steps (2^20 values alone would be a scalar ensemble's whole horizon)
     cfg = load_config(REPO / "configs" / "scalar_lds.cfg")
     system = build_system(cfg)
     learner = build_predictor(cfg, system)
@@ -1175,6 +1179,44 @@ def test_lds_memory_grows_by_the_base_alone(monkeypatch):
     short, long = peak(2000), peak(8000)  # horizons 2016 and 8016
     base_growth = n * (8016 - 2016) * system.p * 8
     assert long - short <= base_growth + 2**20, (short, long, base_growth)
+
+
+class _Captured(Exception):
+    """Raised in place of `_evaluate` once its arguments are recorded."""
+
+
+# `_x0_groups` of three benchmark workloads, recorded before the groups were
+# sized from `SpectralPredictor.state_size`: an LDS grid is grouped per run
+# (Kalman first for m*, the learner first for risk), a Lorenz grid once over
+# its runs.  The groups set the peak memory, so they must not move.
+X0_GROUPS = [
+    ("d50", "mstar", [[slice(0, 8)], [slice(j, j + 1) for j in range(8)]]),
+    ("d50", "risk", [[slice(0, 20)], [slice(0, 8)]]),
+    ("lorenz_long", "mstar", [slice(0, 2), slice(2, 4)]),
+]
+
+
+@pytest.mark.parametrize("name, subcommand, groups", X0_GROUPS)
+def test_x0_groups_of_the_benchmark_workloads(name, subcommand, groups, monkeypatch):
+    from dynolearn import cli
+
+    seen = {}
+
+    def capture(system, states, horizon, n_traj, master, n_workers, rows, runs, losses):
+        seen.update(system=system, k=len(states), n=n_traj, runs=runs)
+        raise _Captured
+
+    monkeypatch.setattr(learnability, "_evaluate", capture)
+    config = REPO / "perfbench" / "configs" / f"{name}.cfg"
+    with warnings.catch_warnings(), pytest.raises(_Captured):
+        warnings.simplefilter("ignore")  # m*'s widest bank passes the reliable cap
+        cli.main([subcommand, "-c", str(config), "-j", "1"])
+    runs = [r for r in seen["runs"] if not isinstance(r, TruthOracle)]
+    k, n = seen["k"], seen["n"]
+    if isinstance(seen["system"], LdsSpec):
+        assert [learnability._x0_groups([r], k, n) for r in runs] == groups
+    else:
+        assert learnability._x0_groups(runs, k, n) == groups
 
 
 def _as_bytes(result):

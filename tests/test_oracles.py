@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
-    BaselinePredictor,
     ContractViolation,
     InitPolicy,
     KalmanPredictor,
@@ -15,6 +14,7 @@ from dynolearn import (
     LorenzSpec,
     NoiseSpec,
     SeededRng,
+    SpectralPredictor,
     TruthOracle,
     estimate_excess_risk,
     simulate_lds_ensemble,
@@ -455,19 +455,16 @@ class TestBayesOrdering:
 class TestLinearity:
     def test_declared_by_exactly_the_reference_predictors(self):
         # the harness superposes every predictor that fits nothing: the
-        # additivity property below covers each of them
+        # reference predictors and the learner class's frozen baselines
+        # (`SpectralPredictor.baseline`); the additivity property below
+        # covers each of them
         declared = {
             c
             for module in (oracles, predictors)
             for c in vars(module).values()
             if isinstance(c, type) and hasattr(c, "run_ensemble") and c.__name__[0] != "_"
         }
-        assert declared - {predictors.SpectralPredictor} == {
-            KalmanPredictor,
-            KernelOracle,
-            TruthOracle,
-            BaselinePredictor,
-        }
+        assert declared == {SpectralPredictor, KalmanPredictor, KernelOracle, TruthOracle}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -495,8 +492,8 @@ class TestLinearity:
             "kernel": lambda: KernelOracle(spec),
             "truth": lambda: TruthOracle(spec),
             "zero": lambda: TruthOracle(),
-            "zero_baseline": lambda: BaselinePredictor("zero", obs_dim=p),
-            "last_value": lambda: BaselinePredictor("last_value", obs_dim=p),
+            "zero_baseline": lambda: SpectralPredictor.baseline("zero", obs_dim=p),
+            "last_value": lambda: SpectralPredictor.baseline("last_value", obs_dim=p),
         }[kind]()
         a, b = 3.0 * g.standard_normal((2, n, H, p))
         ra, rb = P.run_ensemble(a), P.run_ensemble(b)

@@ -1,4 +1,5 @@
 import ast
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynolearn import (
-    BaselinePredictor,
     ContractViolation,
     SingularSystem,
     InitPolicy,
@@ -19,15 +19,16 @@ from dynolearn import (
 )
 from conftest import (
     SRC,
+    baseline_map,
     lds_reference,
     shifted_features_reference,
     shifted_lags_reference,
     stream_predictions,
     streaming_ridge_reference,
+    whole_array_ridges,
     window_features,
 )
-from dynolearn.learnability import _engine
-from dynolearn.predictors import _effective_ridge, _run_arms
+from dynolearn.predictors import _effective_ridge
 from dynolearn.spectral import _bank_columns, _feature_blocks, reliable_filter_cap
 
 
@@ -183,12 +184,13 @@ class TestSpectralPredictor:
 
 class TestBaselines:
     def test_zero(self):
-        preds = BaselinePredictor("zero").run_ensemble(np.ones((1, 10, 1)))
+        preds = SpectralPredictor.baseline("zero").run_ensemble(np.ones((1, 10, 1)))
         assert (preds == 0).all()
-        assert (BaselinePredictor("zero", obs_dim=2).run_ensemble(np.ones((3, 5, 2))) == 0).all()
+        zero = SpectralPredictor.baseline("zero", obs_dim=2)
+        assert (zero.run_ensemble(np.ones((3, 5, 2))) == 0).all()
 
     def test_last_value_constant_sequence(self):
-        pred = BaselinePredictor("last_value")
+        pred = SpectralPredictor.baseline("last_value")
         ys = np.full(10, 3.3)
         preds = pred.run_ensemble(ys[None, :, None])[0, :, 0]
         assert preds[0] == 0.0
@@ -232,15 +234,29 @@ class TestBaselines:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ContractViolation):
-            BaselinePredictor("median")
+            SpectralPredictor.baseline("median")
 
     def test_ar_is_a_learner_not_a_baseline_kind(self):
         # AR(k) is `SpectralPredictor.ar`; the baselines are the fixed linear maps
         with pytest.raises(ContractViolation, match="unknown baseline kind 'ar'"):
-            BaselinePredictor("ar")
+            SpectralPredictor.baseline("ar")
         for kind in ("zero", "last_value"):  # each runs as one frozen arm, at its readout
-            _, (arm,), _ = _engine(BaselinePredictor(kind), 1)
-            assert arm[2].tobytes() == BaselinePredictor(kind).readout.tobytes()
+            baseline = SpectralPredictor.baseline(kind)
+            (ridge,) = baseline.stream((2, 5, 1)).ridges
+            assert ridge.frozen and ridge.w[0].tobytes() == baseline.readout.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_baselines_are_frozen_learners_over_the_last_observation(self, p):
+        Ys = np.random.default_rng(p).standard_normal((2, 40, p))
+        for kind, readout in (("zero", np.zeros((p, p))), ("last_value", np.eye(p))):
+            baseline = SpectralPredictor.baseline(kind, obs_dim=p)
+            assert isinstance(baseline, SpectralPredictor) and baseline.label == kind
+            assert baseline.bank.filter_matrix().tobytes() == np.eye(1).tobytes()
+            assert baseline.readout.tobytes() == readout.tobytes()
+            preds, readouts = baseline.fit(Ys)  # it fits nothing: the readout stays fixed
+            assert all(w.tobytes() == readout.tobytes() for w in readouts)
+            assert preds.tobytes() == baseline_map(kind, Ys).tobytes()
+        assert SpectralPredictor.ar(2).readout is None  # a learner's readout is fit
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -249,7 +265,7 @@ class TestBaselines:
         ar = SpectralPredictor.ar(k, p, 0.7, 8)
         assert (ar.label, ar.bank.window, ar.bank.feature_count) == (f"ar{k}", k, k)
         assert ar.bank.filter_matrix().tobytes() == np.eye(k).tobytes()
-        (ridge,) = _run_arms(np.eye(k), Ys, [(None, 0.7)], 8)
+        (ridge,) = whole_array_ridges(np.eye(k), Ys, [(None, 0.7)], 8)
         preds, readouts = ar.fit(Ys)
         assert preds.tobytes() == ridge.preds.tobytes() == ar.run_ensemble(Ys).tobytes()
         assert readouts.tobytes() == ridge.w.tobytes()
@@ -263,7 +279,7 @@ class TestBaselines:
     def test_last_value_shifts(self, seed):
         g = np.random.default_rng(seed)
         ys = g.standard_normal(20)
-        preds = BaselinePredictor("last_value").run_ensemble(ys[None, :, None])[0, :, 0]
+        preds = SpectralPredictor.baseline("last_value").run_ensemble(ys[None, :, None])[0, :, 0]
         np.testing.assert_array_equal(preds[1:], ys[:-1])
 
 
@@ -419,8 +435,8 @@ class TestBlockedEngine:
         ms, regs = (1, 4, 10, 15), (2.0, 0.5, 2.0, 1.0)
         arms = [(None if m == big.m else _bank_columns(big, m, 1), reg) for m, reg in zip(ms, regs)]
         Ys = simulate_lds_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
-        got = [ridge.preds for ridge in _run_arms(big.filter_matrix(), Ys, arms, 16)]
-        kept = _run_arms(big.filter_matrix(), Ys, arms, 16, np.arange(400) >= 150)
+        got = [ridge.preds for ridge in whole_array_ridges(big.filter_matrix(), Ys, arms, 16)]
+        kept = whole_array_ridges(big.filter_matrix(), Ys, arms, 16, np.arange(400) >= 150)
         for preds, ridge in zip(got, kept):
             assert ridge.preds.tobytes() == preds[:, 150:].tobytes()
         for m, reg, preds in zip(ms, regs, got):
@@ -453,7 +469,7 @@ class TestBlockedEngine:
         # NaN would write NaN risks, and inf would zero every readout
         Ys = np.random.default_rng(0).standard_normal((2, 40, 1))
         with pytest.raises(ContractViolation, match="nonnegative and finite"):
-            _run_arms(np.eye(3), Ys, [(None, 0.5), (None, reg)], 8)
+            whole_array_ridges(np.eye(3), Ys, [(None, 0.5), (None, reg)], 8)
 
 
 
@@ -500,10 +516,10 @@ class TestRowRestrictedEngine:
         rows = _read_mask(H, data)
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
         try:
-            full = _run_arms(F, Ys, arms, refit_period)
+            full = whole_array_ridges(F, Ys, arms, refit_period)
         except SingularSystem:
             assume(False)  # reg = 0 with a structurally singular Gram: see test_singular_refit_*
-        kept = _run_arms(F, Ys, arms, refit_period, rows)
+        kept = whole_array_ridges(F, Ys, arms, refit_period, rows)
         read = np.flatnonzero(rows)
         # the Gram has a positive trace from e = 2 on: row 0's features are zero
         boundaries = [e for e in range(refit_period, H + 1, refit_period) if e >= 2]
@@ -516,14 +532,14 @@ class TestRowRestrictedEngine:
     def test_public_runs_keep_every_row_and_the_final_readout(self):
         Ys = np.random.default_rng(5).standard_normal((3, 64, 2))
         pred = SpectralPredictor(build_filter_bank(20, 4), obs_dim=2, refit_period=16)
-        (ridge,) = _run_arms(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16)
+        (ridge,) = whole_array_ridges(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16)
         assert ridge.solves == 4  # the refit at e = H = 64 included
         preds, readouts = pred.fit(Ys)
         assert preds.tobytes() == ridge.preds.tobytes() == pred.run_ensemble(Ys).tobytes()
         assert readouts.tobytes() == ridge.w.tobytes()
         rows = np.zeros(64, dtype=bool)
         rows[40:44] = True
-        (part,) = _run_arms(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16, rows)
+        (part,) = whole_array_ridges(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16, rows)
         assert part.solves == 1  # only the refit at 32 feeds rows 40..43
         assert part.preds.tobytes() == preds[:, 40:44].tobytes()
 
@@ -534,14 +550,15 @@ class TestRowRestrictedEngine:
         ar2 = SpectralPredictor.ar(2, reg=0.0, refit_period=2)
         with pytest.raises(SingularSystem, match="step 2"):
             ar2.run_ensemble(Ys)  # the public run solves every refit
-        F, arms, refit_period = _engine(ar2, 1)  # as the harness runs it
         rows = np.zeros(40, dtype=bool)
         rows[10:20] = True
-        (ridge,) = _run_arms(F, Ys, arms, refit_period, rows)
+        stream = ar2.stream(Ys.shape, rows)  # as the harness runs it
+        stream.push(Ys)
+        (ridge,) = stream.ridges
         assert ridge.preds.shape == (3, 10, 1) and np.isfinite(ridge.preds).all()
         rows[3] = True  # row 3 reads the refit at 2
         with pytest.raises(SingularSystem, match="step 2"):
-            _run_arms(F, Ys, arms, refit_period, rows)
+            ar2.stream(Ys.shape, rows).push(Ys)
 
 
 class TestFrozenArm:
@@ -558,11 +575,11 @@ class TestFrozenArm:
             rows = np.zeros(70, dtype=bool)
             rows[[21, 22, 50, 69]] = True
         arms = [(None, 2.0), (None, 0.0, readout)]
-        learner, frozen = _run_arms(F, Ys, arms, 8, rows)
+        learner, frozen = whole_array_ridges(F, Ys, arms, 8, rows)
         assert all(w.tobytes() == readout.tobytes() for w in frozen.w)
         assert not frozen.gram.any() and not frozen.moment.any() and frozen.solves == 0
         # a learner beside it keeps the bits it has alone
-        (alone,) = _run_arms(F, Ys, arms[:1], 8, rows)
+        (alone,) = whole_array_ridges(F, Ys, arms[:1], 8, rows)
         assert learner.preds.tobytes() == alone.preds.tobytes()
         blocks = _feature_blocks(F, Ys.shape, 8)(Ys)
         expected = np.concatenate([Z @ readout for _, _, Z, _ in blocks], axis=1)
@@ -592,26 +609,34 @@ class TestKeptRows:
         rows = g.random(H) < data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="share")
         Ys = g.standard_normal((n, H, p))
         for F_, arms_ in ((F, arms), (np.eye(2), [(None, 1.0)])):  # spectral and AR(2)
-            for ridge in _run_arms(F_, Ys, arms_, refit_period, rows):
+            for ridge in whole_array_ridges(F_, Ys, arms_, refit_period, rows):
                 assert ridge.preds.shape == (n, rows.sum(), p)
+
+
+def _nodes_by_scope(tree):
+    """(enclosing def/class names, node) of every node in a module."""
+    nodes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            nodes.append((scope, child))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(tree, ())
+    return nodes
 
 
 def _calls_by_scope(tree):
     """(enclosing def/class names, callee name) of every call in a module."""
-    calls = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Call):
-                f = child.func
-                calls.append((scope, f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)))
-            visit(child, inner)
-
-    visit(tree, ())
-    return calls
+    return [
+        (scope, f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+        for scope, node in _nodes_by_scope(tree)
+        if isinstance(node, ast.Call)
+        for f in (node.func,)
+    ]
 
 
 def _library_callers(callee):
@@ -632,31 +657,26 @@ def test_one_streaming_ridge_path(callee):
 
 
 def test_one_learner_runs_the_ridge():
-    # the one learner class fits through _run_arms, the baselines predict
-    # there as frozen arms, the harness fits biasvar's reference readout
-    # there, and it makes every learner's and baseline's stream in _stream;
-    # no other class or module does
-    callers = _library_callers("_run_arms")
-    assert any(module == "learnability.py" for module, _ in callers)
-    others = {c for c in callers if c[0] != "learnability.py"}
-    assert others == {
-        ("predictors.py", ("SpectralPredictor", "fit")),
-        ("predictors.py", ("BaselinePredictor", "run_ensemble")),
-    }
-    streams = _library_callers("_Arms")
-    assert streams == {
-        ("predictors.py", ("_run_arms",)),
-        ("learnability.py", ("_stream",)),
-    }
-    # the harness reads a learner's engine off its bank, reg and refit period
-    engines = [
-        (path.name, cls.name)
+    # every predictor of the learner class (learner, AR(k), baseline, or a
+    # measurement's re-armed copy) runs as its stream: SpectralPredictor.stream
+    # makes every _Arms, and no layer turns predictors into engines or tuples
+    assert _library_callers("_Arms") == {("predictors.py", ("SpectralPredictor", "stream"))}
+    gone = {"_engine", "_stream", "_run_arms", "_learner_engine", "_check_ensemble"}
+    defined = [
+        (path.name, node.name)
         for path in (SRC / "dynolearn").glob("*.py")
-        for cls in ast.walk(ast.parse(path.read_text()))
-        if isinstance(cls, ast.ClassDef)
-        and any(isinstance(f, ast.FunctionDef) and f.name == "_engine" for f in cls.body)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
     ]
-    assert engines == []
+    assert defined == []
+    # a learner's ridge state, q^2 + 2qp per arm, is counted in state_size alone
+    state = re.compile(r"(\w+) \* \1 \+ 2 \* \1 \* \w+")
+    sized = set()
+    for path in sorted((SRC / "dynolearn").glob("*.py")):
+        for scope, node in _nodes_by_scope(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and state.fullmatch(ast.unparse(node)):
+                sized.add((path.name, scope))
+    assert sized == {("predictors.py", ("SpectralPredictor", "state_size"))}
 
 
 def test_measurements_take_built_predictors():
