@@ -57,8 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(flag: int | None) -> int:
-    """Worker threads: `-j`, else every core; the outputs do not depend on it."""
-    return (os.cpu_count() or 1) if flag is None else max(1, flag)
+    """Worker threads: `-j`, else every CPU this process may run on (its
+    affinity set where the platform has one); the outputs do not depend on it."""
+    if flag is not None:
+        return max(1, flag)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _prepare_out(cfg: ExperimentConfig, subcommand: str, out_flag: str | None) -> Path:

@@ -32,11 +32,13 @@ predicts its read blocks from that readout and never accumulates or refits
 (the bias/variance split's w*-readout, and the zero and last-value
 baselines, whose readout 0 or I_p reads the last observation, the one
 feature of `FilterBank.identity(1)`).  Given the free responses of a grid
-of initial states, the arms run on every ensemble base + free[j] at once,
-from one convolution of the base and one of the free responses per block
-(superposition, see `learnability`).  No (n, H, q) feature tensor is built:
-besides the kept predictions, the working set is O(n * (q^2 + window * p))
-per ensemble for a fixed refit period, whatever H is.
+of initial states, the arms run on every ensemble base + free[j] from one
+convolution of the base and one of the free responses per block
+(superposition, see `learnability`), fed one ensemble's block at a time.
+No (n, H, q) feature tensor is built: besides the kept predictions, the
+working set is the ridge state, O(n * q^2) per ensemble, and the block
+temporaries of one ensemble, O(n * (q^2 + window * p)) for a fixed refit
+period, whatever H and however many ensembles.
 
 A readout is a pure function of the Gram and moment accumulated up to its
 refit, so a caller that reads only some rows (the harness reads the windows
@@ -73,15 +75,19 @@ class _EnsembleRidge:
     """The streaming ridge of every trajectory of an (n, H, p) ensemble, fed
     one refit block of features and targets at a time.
 
-    `feed(s, e, Z, Y)` replays a per-step loop (predict, absorb the pair,
-    refit every `refit_period` steps) over rows [s, e): within a refit period
-    the readout is constant, so the block is predicted and absorbed at once,
-    and the readouts are refit when e ends a period.  Results match the
-    per-step loop up to summation order.  With `rows` (see the module
-    docstring) a block is predicted only if `reads(s)`, and a refit at e is
-    solved only if `reads(e)`.  `preds` (n, R, p) keeps the predictions of
-    the R rows that `rows` marks, in order (every row without `rows`).  `w`
-    holds the latest readouts, `solves` counts the refits solved.  Given a
+    `feed(s, e, Z, Y, at)` replays a per-step loop (predict, absorb the
+    pair, refit every `refit_period` steps) over rows [s, e) of the
+    trajectories `at` (a slice, all of them by default): within a refit
+    period the readout is constant, so the block is predicted and absorbed at
+    once, and the readouts are refit when e ends a period.  Results match the
+    per-step loop up to summation order.  Every trajectory is its own batch
+    entry of the products and solves, so a block may be fed in slices of
+    trajectories, in any order, with the bits of one feed of them all.  With
+    `rows` (see the module docstring) a block is predicted only if
+    `reads(s)`, and a refit at e is solved only if `reads(e)`.  `preds`
+    (n, R, p) keeps the predictions of the R rows that `rows` marks, in order
+    (every row without `rows`).  `w` holds the latest readouts, `solves`
+    counts the refits solved, once per refit whatever the slices.  Given a
     (q, p) `readout`, the ridge is frozen: every trajectory's `w` is that
     readout, and `feed` only predicts, so `gram`, `moment` and `solves` stay
     zero.
@@ -96,42 +102,46 @@ class _EnsembleRidge:
         self.q, self.reg, self.refit_period = q, reg, refit_period
         self.rows = rows
         self.preds = np.zeros((n, H if rows is None else int(np.count_nonzero(rows)), p))
-        self.kept = 0  # the rows of preds filled so far
         self.gram = np.zeros((n, q, q))
         self.moment = np.zeros((n, q, p))
         self.frozen = readout is not None
         self.w = np.broadcast_to(readout, (n, q, p)) if self.frozen else np.zeros((n, q, p))
         self.solves = 0
+        self._solved_at = 0  # the step of the last refit counted in solves
 
     def reads(self, s: int) -> bool:
         """Whether the refit period starting at row s holds a read row."""
         return self.rows is None or bool(self.rows[s : s + self.refit_period].any())
 
-    def feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray) -> None:
-        """Absorb rows [s, e): Z[i, t - s] holds the features available
-        before the observation Y[i, t - s]."""
+    def feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray, at=slice(None)) -> None:
+        """Absorb rows [s, e) of the trajectories `at` (a slice): Z[i, t - s]
+        holds the features available before the observation Y[i, t - s] of
+        the i-th of them."""
+        w = self.w[at]
         if self.reads(s):
-            pred = Z @ self.w
+            pred = Z @ w
+            first = s  # the row of preds that holds row s's prediction
             if self.rows is not None:
-                pred = pred[:, self.rows[s:e]]
-            self.preds[:, self.kept : self.kept + pred.shape[1]] = pred
-            self.kept += pred.shape[1]
+                pred, first = pred[:, self.rows[s:e]], int(np.count_nonzero(self.rows[:s]))
+            self.preds[at, first : first + pred.shape[1]] = pred
         if self.frozen:
             return
+        gram, moment = self.gram[at], self.moment[at]
         Zt = Z.transpose(0, 2, 1)
-        self.gram += Zt @ Z
-        self.moment += Zt @ Y
+        gram += Zt @ Z
+        moment += Zt @ Y
         if e % self.refit_period or not self.reads(e):
             return
-        traces = np.trace(self.gram, axis1=1, axis2=2)
+        traces = np.trace(gram, axis1=1, axis2=2)
         active = traces > 0.0
         if active.any():
-            lhs = self.gram[active]  # a copy: the ridge joins its diagonal
+            lhs = gram[active]  # a copy: the ridge joins its diagonal
             diag = np.arange(self.q)
             lhs[:, diag, diag] += _effective_ridge(self.reg, traces[active], self.q, e)[:, None]
-            self.solves += 1
+            self.solves += self._solved_at != e  # one refit, however many slices
+            self._solved_at = e
             try:
-                self.w[active] = np.linalg.solve(lhs, self.moment[active])
+                w[active] = np.linalg.solve(lhs, moment[active])
             except np.linalg.LinAlgError as exc:
                 # only reachable with reg == 0 and a singular Gram
                 raise SingularSystem(
@@ -158,16 +168,22 @@ class _Arms:
     grid pushes the blocks of its recursion, x0-major: trajectory j * n + i
     of a stacked run is trajectory i of x0 j, and every trajectory is its own
     batch entry of the ridge's products and solves, so each keeps the bits it
-    has in a run of its x0 alone.
+    has in a run of its x0 alone.  Such a stacked run is fed whole, so its
+    block temporaries are those of all its trajectories.
 
     With k free responses, `push(ys, free)` also takes their next rows
-    (k, L, p), and the arms run on the k ensembles ys + free[j] at once,
-    stacked x0-major in the same way.  Features are linear in the
-    observations, so ensemble j's block features are the base's plus
-    free[j]'s: each block convolves the base once and the free responses
-    once, and only that sum, the targets and the ridges grow with k.  The
-    features round differently from those of a convolution of Ys + free[j],
-    except an identity F's (AR and the baselines), whose products are exact.
+    (k, L, p), and the arms run on the k ensembles ys + free[j], stacked
+    x0-major in the same way.  Features are linear in the observations, so
+    ensemble j's block features are the base's plus free[j]'s: each block
+    convolves the base once and the free responses once, then feeds the
+    ridges one ensemble's sums and targets at a time, as trajectories
+    j * n .. (j + 1) * n.  Only the ridges and their kept predictions grow
+    with k; every block temporary is one x0's ensemble's, and neither the
+    slices nor their order moves a bit.  The features round differently
+    from those of a convolution of Ys + free[j], so the predictions agree
+    with a run on Ys + free[j] up to rounding (within 1e-12 of
+    max(1, |predictions|); measured 3e-15), and exactly for an identity F
+    (AR and the baselines), whose products are exact.
     """
 
     def __init__(self, F: np.ndarray, shape, arms, refit_period: int, rows=None, k=None):
@@ -179,14 +195,14 @@ class _Arms:
             q = qf if cols is None else len(cols)
             self.runs.append((_EnsembleRidge(stacked, q, reg, refit_period, rows, *readout), cols))
         self.ridges = [ridge for ridge, _ in self.runs]
-        # the column arms' features, one arm's at a time
+        # the column arms' features, one arm's at a time, of the n trajectories fed at once
         widest = max([len(cols) for _, cols in self.runs if cols is not None], default=0)
-        self.cols_buf = np.empty(stacked[0] * refit_period * widest)
+        self.cols_buf = np.empty(n * refit_period * widest)
         self.blocks = _feature_blocks(F, shape, refit_period)
         if k is not None:
             self.free_blocks = _feature_blocks(F, (k, H, p), refit_period)
-            self.Zk = np.empty((k, n, refit_period, qf))
-            self.Yk = np.empty((k, n, refit_period, p))
+            self.Zj = np.empty((n, refit_period, qf))
+            self.Yj = np.empty((n, refit_period, p))
 
     def push(self, ys: np.ndarray, free=None) -> None:
         """Feed the next rows ys (n, L, p), with the free responses' (k, L, p)."""
@@ -194,11 +210,13 @@ class _Arms:
             for s, e, Z, Y in self.blocks(ys):
                 self._feed(s, e, Z, Y)
             return
+        n = ys.shape[0]
         for (s, e, Z, Y), (_, _, Zf, Yf) in zip(self.blocks(ys), self.free_blocks(free)):
-            L = e - s  # every ensemble's features and targets, x0-major
-            Z = np.add(Z, Zf[:, None], out=self.Zk[:, :, :L]).reshape(-1, L, Z.shape[2])
-            Y = np.add(Y, Yf[:, None], out=self.Yk[:, :, :L]).reshape(-1, L, Y.shape[2])
-            self._feed(s, e, Z, Y)
+            L = e - s
+            for j in range(len(Zf)):  # ensemble j's features and targets, x0-major
+                Zj = np.add(Z, Zf[j], out=self.Zj[:, :L])
+                Yj = np.add(Y, Yf[j], out=self.Yj[:, :L])
+                self._feed(s, e, Zj, Yj, slice(j * n, (j + 1) * n))
 
     def reader(self):
         """The kept predictions by trajectories x0 (a slice) of the stacked
@@ -207,14 +225,14 @@ class _Arms:
         preds = [ridge.preds for ridge in self.ridges]
         return lambda x0: [a[x0] for a in preds]
 
-    def _feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray) -> None:
+    def _feed(self, s: int, e: int, Z: np.ndarray, Y: np.ndarray, at=slice(None)) -> None:
         for ridge, cols in self.runs:
             if cols is None:
-                ridge.feed(s, e, Z, Y)
+                ridge.feed(s, e, Z, Y, at)
                 continue
             buf = self.cols_buf[: Z.shape[0] * (e - s) * len(cols)].reshape(Z.shape[0], e - s, -1)
             # cols are in range: mode="clip" skips the buffered copy that "raise" makes
-            ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf, mode="clip"), Y)
+            ridge.feed(s, e, np.take(Z, cols, axis=2, out=buf, mode="clip"), Y, at)
 
 
 class _Streamed:

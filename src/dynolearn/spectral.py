@@ -10,15 +10,17 @@ Features need only the last `window` observations.  The one feature kernel
 is the block kernel `_feature_blocks`, which convolves an ensemble with a
 (window, f) filter matrix one block of rows at a time, from the block's
 observations and the window - 1 before it.  It is fed its rows as they
-arrive and keeps only the rows of one block and its history, so its working
-set, O(n * block * p * (window + f)), does not grow with the horizon: an
-LDS's learners push it their simulated array, a Lorenz grid's the blocks of
-its recursion.  Its one caller is `predictors._Arms`, which every learner
-runs on: the spectral learner with `FilterBank.filter_matrix()`, AR(k) and
-the zero and last-value baselines with `FilterBank.identity`, whose
-features are the last k observations.  Features are laid out
-coordinate-major (`_bank_columns`).  The whole-trajectory convolution that
-the kernel is checked against, `trajectory_features`, is a test reference
+arrive and keeps only the rows of one block and its history, and it copies
+the block's sliding windows a bounded piece of trajectories at a time, so
+its working set, O(n * p * (window + block * f)) besides one piece's
+windows, does not grow with the horizon: an LDS's learners push it their
+simulated array, a Lorenz grid's the blocks of its recursion.  Its one
+caller is `predictors._Arms`, which every learner runs on: the spectral
+learner with `FilterBank.filter_matrix()`, AR(k) and the zero and
+last-value baselines with `FilterBank.identity`, whose features are the
+last k observations.  Features are laid out coordinate-major
+(`_bank_columns`).  The whole-trajectory convolution that the kernel is
+checked against, `trajectory_features`, is a test reference
 (`tests/conftest.py`), not library code.
 """
 
@@ -37,6 +39,8 @@ from .numerics import sym_eig
 #: precision rounding; filters past that index are usable but their
 #: individual eigenpairs should not be trusted.
 RELIABLE_EIGENVALUE_FLOOR = 1e-12
+
+_WINDOW_VALUES = 1 << 15  # window values `_feature_blocks` copies at once, one trajectory at least
 
 
 def hilbert_matrix(window: int) -> np.ndarray:
@@ -166,16 +170,21 @@ def _feature_blocks(F: np.ndarray, shape, block: int):
     observations Ys[:, s:e], the targets.  Z and Y are views into buffers
     that the next block overwrites, and the stream keeps only the
     window - 1 + block rows that a block reads, so the working set is
-    O(n * block * p * (window + f)) whatever H is.  A caller that zips two
-    streams pushes them the same rows, so their blocks complete together.
+    O(n * p * (window + block * f)) whatever H is.  The block's sliding
+    windows are copied and multiplied in pieces of whole trajectories, about
+    `_WINDOW_VALUES` values each, so the copy does not grow with n.  A
+    caller that zips two streams pushes them the same rows, so their blocks
+    complete together.
 
-    Each block computes the reference's rows [s, e) with one matmul and
-    carries its last row into the next block, so its row groups line up with
-    those of the whole-trajectory product.  Measured with OpenBLAS, the bits
-    agree when `block` is a multiple of 4 and there is more than one filter
-    column; otherwise rows differ at rounding level.  Products with an
-    identity F are exact whatever the block.  The blocks, and so the bits,
-    do not depend on how the rows are split between pushes.
+    Each block computes each trajectory's reference rows [s, e) with one
+    product, (L, window) @ (window, f), and carries its last row into the
+    next block, so its row groups line up with those of the whole-trajectory
+    product.  Measured with OpenBLAS, the bits agree when `block` is a
+    multiple of 4 and there is more than one filter column; otherwise rows
+    differ at rounding level.  Products with an identity F are exact
+    whatever the block.  Each trajectory's product is its own, with the same
+    L, so neither the window pieces nor how the rows are split between
+    pushes moves a bit.
     """
     n, H, p = shape
     window, f = F.shape
@@ -184,7 +193,8 @@ def _feature_blocks(F: np.ndarray, shape, block: int):
     hist = np.zeros((n, window - 1 + block, p))
     # (n, p, block, window): the windows of hist, built once; a block reads the first L
     view = np.lib.stride_tricks.sliding_window_view(hist, window, axis=1).transpose(0, 2, 1, 3)
-    windows = np.empty((n, p, block, window))
+    piece = max(1, _WINDOW_VALUES // (p * block * window))  # trajectories copied at once
+    windows = np.empty((min(n, piece), p, block, window))
     rows = np.zeros((n, block + 1, p, f))  # row 0: the row carried from the last block
     s = t = 0  # rows [s, t) of the current block have arrived
 
@@ -206,8 +216,10 @@ def _feature_blocks(F: np.ndarray, shape, block: int):
             t, i = t + take, i + take
             if t == e:
                 L = e - s
-                np.copyto(windows[:, :, :L], view[:, :, :L])
-                np.matmul(windows[:, :, :L], Fflip, out=rows[:, 1 : L + 1].transpose(0, 2, 1, 3))
+                for a in range(0, n, piece):  # trajectories a .. a + piece - 1
+                    w = windows[: min(piece, n - a), :, :L]
+                    np.copyto(w, view[a : a + piece, :, :L])
+                    np.matmul(w, Fflip, out=rows[a : a + piece, 1 : L + 1].transpose(0, 2, 1, 3))
                 yield s, e, rows[:, :L].reshape(n, L, p * f), hist[:, window - 1 : window - 1 + L]
 
     return push

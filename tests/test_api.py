@@ -26,26 +26,19 @@ PUBLIC = [
     "bias_variance_split",
     "build_filter_bank",
     "burn_in_time",
-    "errors",
     "estimate_excess_risk",
     "hilbert_matrix",
     "initial_states",
-    "learnability",
     "minimal_filter_count",
-    "numerics",
-    "oracles",
-    "predictors",
     "read_risk_curve_csv",
     "reliable_filter_cap",
     "resolve_oracle",
     "simulate_ensemble",
     "simulate_lds_ensemble",
-    "spectral",
     "spectral_radius",
     "stationary_observation_power",
     "stationary_state_covariance",
     "sym_eig",
-    "systems",
     "write_burn_in_csv",
     "write_trajectory_csv",
 ]

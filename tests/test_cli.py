@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -556,6 +557,22 @@ class TestPerformanceBudgets:
         elapsed = time.monotonic() - start
         assert (tmp_path / "p" / "burnin.csv").exists()
         assert elapsed < 120.0, f"pipeline took {elapsed:.1f}s"
+
+
+class TestThreads:
+    def test_default_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # under a cpuset or taskset the affinity set, not the host's CPU
+        # count, bounds the workers a run without -j starts; no thread starts here
+        from dynolearn import cli
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._threads(None) == 2
+        assert (cli._threads(5), cli._threads(0)) == (5, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity sets
+        assert cli._threads(None) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._threads(None) == 1
 
 
 class TestImport:

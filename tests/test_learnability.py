@@ -35,7 +35,7 @@ from conftest import (
     superposed_learner,
     whole_array_ridges,
 )
-from dynolearn import learnability, systems
+from dynolearn import learnability, spectral, systems
 from dynolearn.config import build_predictor, build_system, geometric_grid, load_config
 from dynolearn.errors import ConfigError, IncompatiblePairing, IntegrationBlowup
 from dynolearn.learnability import BurnInReport, MStarReport, _traj_rngs
@@ -892,6 +892,54 @@ def _superposition_system(kind, g, d, p):
     return LdsSpec(A=0.5 * (A + A.T) if d > 1 else lam[None, :], C=C, noise=noise)
 
 
+def _grid_learners(bank, p, reg, refit_period, order, readout):
+    """The learner, an m* column arm and a frozen w*-readout, re-armed on
+    `bank`; then AR(order)."""
+    arms = [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)]
+    learner = learnability._rearmed(SpectralPredictor(bank, p, reg, refit_period), arms)
+    return [learner, SpectralPredictor.ar(order, p, reg, refit_period)]
+
+
+def _grid_predictions(system, states, horizon, n_traj, seed, n_workers, rows, runs):
+    """Each x0's predictions by `learnability._evaluate`, one array per arm of `runs`."""
+    seen = []
+
+    def losses(ys, preds):
+        seen.append(preds)
+        return [np.zeros((n_traj, 1))]
+
+    learnability._evaluate(
+        system, states, horizon, n_traj, SeededRng(seed), n_workers, rows, runs, losses
+    )
+    return seen
+
+
+def _bytes(per_x0):
+    return [[a.tobytes() for a in preds] for preds in per_x0]
+
+
+def _assert_direct_runs(got, system, states, horizon, n_traj, seed, rows, runs):
+    """Each x0's predictions `got` of `_grid_learners`' runs equal runs on
+    the whole base + free[j]: the learner's arms up to rounding, AR's bits."""
+    learner, ar = runs
+    F, arms = learner.bank.filter_matrix(), learner._arm_specs()
+    base = systems.simulate_ensemble(
+        system, horizon, np.zeros(system.d), _traj_rngs(SeededRng(seed), n_traj)
+    )
+    free = systems.lds_free_responses(system, horizon, states)
+    for j, preds in enumerate(got):
+        Ys = base + free[j]
+        direct = [r.preds for r in whole_array_ridges(F, Ys, arms, learner.refit_period, rows)]
+        (on_ar,) = whole_array_ridges(
+            ar.bank.filter_matrix(), Ys, [(None, ar.reg)], ar.refit_period, rows
+        )
+        assert all(a.shape == (n_traj, rows.sum(), system.p) for a in preds)
+        for a, want in zip(preds, direct):  # measured: within 3e-15 of |want| + scale
+            scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+            np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12 * scale)
+        assert preds[3].tobytes() == on_ar.preds.tobytes()
+
+
 class TestSuperposedGrid:
     @pytest.mark.parametrize("kind", ["stable", "marginal", "closed_loop"])
     @settings(max_examples=25, deadline=None)
@@ -963,45 +1011,34 @@ class TestSuperposedGrid:
             window = data.draw(st.integers(1, 12), label="window")
             rows, _ = learnability._read_rows(sorted(set(grid)), window, horizon)
         bank = build_filter_bank(8, 3, sign_augmented=sign_augmented)
-        F = bank.filter_matrix()
-        readout = g.standard_normal((F.shape[1] * p, p))
-        # the learner, an m* column arm and a frozen w*-readout, then AR(order)
-        arms = [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)]
-        spectral = learnability._rearmed(SpectralPredictor(bank, p, reg, refit_period), arms)
-        ar = SpectralPredictor.ar(order, p, reg, refit_period)
-        runs = [spectral, ar]
-
-        def predictions(n_workers):
-            seen = []
-
-            def losses(ys, preds):
-                seen.append(preds)
-                return [np.zeros((n_traj, 1))]
-
-            learnability._evaluate(
-                system, states, horizon, n_traj, SeededRng(seed), n_workers, rows, runs, losses
-            )
-            return seen
-
-        got = predictions(1)
+        readout = g.standard_normal((bank.feature_count * p, p))
+        runs = _grid_learners(bank, p, reg, refit_period, order, readout)
+        got = _grid_predictions(system, states, horizon, n_traj, seed, 1, rows, runs)
         for n_workers in (2, 3):
-            other = predictions(n_workers)
-            assert [[a.tobytes() for a in x0] for x0 in other] == [
-                [a.tobytes() for a in x0] for x0 in got
-            ]
-        base = systems.simulate_ensemble(
-            system, horizon, np.zeros(d), _traj_rngs(SeededRng(seed), n_traj)
-        )
-        free = systems.lds_free_responses(system, horizon, states)
-        for j, preds in enumerate(got):
-            Ys = base + free[j]
-            direct = [r.preds for r in whole_array_ridges(F, Ys, arms, refit_period, rows)]
-            (on_ar,) = whole_array_ridges(np.eye(order), Ys, [(None, reg)], refit_period, rows)
-            assert all(a.shape == (n_traj, rows.sum(), p) for a in preds)
-            for a, want in zip(preds, direct):  # measured: within 3e-15 of |want| + scale
-                scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
-                np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12 * scale)
-            assert preds[3].tobytes() == on_ar.preds.tobytes()
+            other = _grid_predictions(system, states, horizon, n_traj, seed, n_workers, rows, runs)
+            assert _bytes(other) == _bytes(got)
+        _assert_direct_runs(got, system, states, horizon, n_traj, seed, rows, runs)
+
+    @pytest.mark.parametrize("piece", ["one_trajectory", "two_trajectories", "past_n"])
+    def test_window_pieces_keep_the_bits(self, piece, monkeypatch):
+        # the feature kernel copies a block's sliding windows a piece of
+        # trajectories at a time; each trajectory's product is its own, so
+        # the pieces move no bit of any arm on a grid of k = 4 x0
+        g = np.random.default_rng(12)
+        p, n_traj, horizon, refit_period = 2, 5, 90, 8
+        system = _superposition_system("stable", g, 3, p)
+        states = list(3.0 * g.standard_normal((4, 3)))
+        rows, _ = learnability._read_rows(np.array([5, 30, 61]), 12, horizon)
+        bank = build_filter_bank(8, 3)
+        readout = g.standard_normal((bank.feature_count * p, p))
+        runs = _grid_learners(bank, p, 0.7, refit_period, 2, readout)
+        stock = _grid_predictions(system, states, horizon, n_traj, 12, 1, rows, runs)
+        per_trajectory = p * refit_period * bank.window  # AR(2)'s windows are shorter
+        values = {"one_trajectory": 1, "two_trajectories": 2 * per_trajectory, "past_n": 1 << 40}
+        monkeypatch.setattr(spectral, "_WINDOW_VALUES", values[piece])
+        got = _grid_predictions(system, states, horizon, n_traj, 12, 1, rows, runs)
+        assert _bytes(got) == _bytes(stock)
+        _assert_direct_runs(got, system, states, horizon, n_traj, 12, rows, runs)
 
     def test_distinct_kalman_arms_tie_exactly_in_every_role(self):
         # two Kalman instances are superposed alike, as algorithm, oracle or

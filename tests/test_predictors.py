@@ -28,7 +28,7 @@ from conftest import (
     whole_array_ridges,
     window_features,
 )
-from dynolearn.predictors import _effective_ridge
+from dynolearn.predictors import _Arms, _effective_ridge
 from dynolearn.spectral import _bank_columns, _feature_blocks, reliable_filter_cap
 
 
@@ -464,6 +464,31 @@ class TestBlockedEngine:
             above.append((peak - preds.nbytes) / 2**20)
         assert abs(above[1] - above[0]) < 2.0, above
 
+    def test_memory_grows_with_the_x0_grid_by_state_and_kept_rows(self):
+        # d50's learner shape and read rows: with k free responses the ridges
+        # and their kept predictions grow with k, the block temporaries must not
+        import tracemalloc
+
+        n, H = 200, 2016
+        pred = SpectralPredictor(build_filter_bank(100, 15))
+        rows = np.zeros(H, dtype=bool)
+        for t in np.unique(np.geomspace(25, 2000, 24).round().astype(int)):
+            rows[t : t + 16] = True  # d50's grid windows
+        assert rows.sum() == 341
+        g = np.random.default_rng(3)
+        base = g.standard_normal((n, H, 1))
+        peaks = {}
+        for k in (2, 10):
+            free = g.standard_normal((k, H, 1))
+            tracemalloc.start()
+            try:
+                pred.stream(base.shape, rows, k).push(base, free)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_x0 = n * (pred.state_size + rows.sum()) * 8 + H * 8
+        assert peaks[10] - peaks[2] <= 8 * per_x0 + 2**20, (peaks, per_x0)
+
     @pytest.mark.parametrize("reg", [-1.0, np.nan, np.inf])
     def test_refuses_a_ridge_outside_zero_to_infinity(self, reg):
         # NaN would write NaN risks, and inf would zero every readout
@@ -542,6 +567,24 @@ class TestRowRestrictedEngine:
         (part,) = whole_array_ridges(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16, rows)
         assert part.solves == 1  # only the refit at 32 feeds rows 40..43
         assert part.preds.tobytes() == preds[:, 40:44].tobytes()
+
+    def test_solves_count_refits_not_x0_slices(self):
+        # with k free responses each block is fed one x0's ensemble at a
+        # time; a refit is still one solve, as a run of one x0 counts it
+        g = np.random.default_rng(4)
+        bank = build_filter_bank(12, 4)
+        F = bank.filter_matrix()
+        readout = g.standard_normal((F.shape[1], 1))
+        arms = [(None, 2.0), (_bank_columns(bank, 2, 1), 0.5), (None, 0.0, readout)]
+        base, free = g.standard_normal((4, 120, 1)), g.standard_normal((3, 120, 1))
+        rows = np.zeros(120, dtype=bool)
+        rows[[20, 21, 75, 119]] = True  # the periods from 16, 72 and 112
+        counts = []
+        for k in (1, 3):
+            stream = _Arms(F, base.shape, arms, 8, rows, k)
+            stream.push(base, free[:k])
+            counts.append([ridge.solves for ridge in stream.ridges])
+        assert counts[1] == counts[0] == [3, 3, 0]
 
     def test_singular_refit_that_no_read_row_uses_is_skipped(self):
         # AR(2) with reg = 0: the Gram of rows 0 and 1 has a zero lag-2 column,
