@@ -14,16 +14,17 @@ Every run goes through one interface, its stream (`run.stream(shape,
 rows, k)`): it is pushed the ensemble's rows in order and keeps its
 predictions on the rows a loss reads.  A learner or a zero or last-value
 baseline is a `SpectralPredictor`, whose stream is `predictors._Arms` (the
-baseline's a frozen arm), the Kalman and kernel predictors have the
-streams of `oracles`, and the truth oracle, which is memoryless, has none:
-it predicts the read observations themselves.  Only the feeder differs by
-system type.  For a linear system, x0 moves the observations only through
-its free response C A^t x0, since every x0 shares the noise, so the
-ensemble is simulated once, from x0 = 0, and each stream is pushed that
-base and the stacked free responses together; every stream is linear in
-the observations, so x0 j reads the sum (the learners' features of the
-base plus those of free[j]; a reference's predictions of the base plus
-those of free[j]), and no predictor runs once per x0.  A Lorenz grid is
+baseline's a frozen arm), the kernel oracle is a frozen arm of
+`predictors._Arms` too, the Kalman predictor has the stream of `oracles`,
+and the truth oracle, which is memoryless, has none: it predicts the read
+observations themselves.  Only the feeder differs by system type.  For a
+linear system, x0 moves the observations only through its free response
+C A^t x0, since every x0 shares the noise, so the ensemble is simulated
+once, from x0 = 0, and each stream is pushed that base and the stacked
+free responses together; every stream is linear in the observations, so
+x0 j reads the sum (an arm's features of the base plus those of free[j];
+the Kalman predictions of the base plus those of free[j]), and no
+predictor runs once per x0.  A Lorenz grid is
 streamed from one stacked RK4 recursion, each block of observations it
 records pushed to every stream at once (trajectory j * n + i being
 trajectory i of x0 j), so no run sees a whole (..., H, p) array.

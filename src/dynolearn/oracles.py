@@ -9,23 +9,26 @@ zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
-The Kalman and kernel predictors run as streams (`stream`), as the learners
-run in `predictors._Arms`: `push(ys, free)` takes the next rows of an
-(n, H, p) ensemble, and of k free responses when given, and keeps the
-predictions of the rows in the mask `rows`; `preds[i, t]` depends only on
-`ys[i, :t]`.  Each is a fixed linear map of the observations with zero
-initial mean, acting on each trajectory alone, so on an LDS grid x0 j's
-predictions are those of the ensemble simulated from x0 = 0 plus those of
-its free response C A^t x0 (see `learnability`).  Both inherit
-`run_ensemble(Ys)` from `predictors._Streamed`, as the learner does: it
-pushes a whole array and returns every row's predictions.
+The Kalman and kernel predictors run as streams (`stream`), as the
+learners do: `push(ys, free)` takes the next rows of an (n, H, p)
+ensemble, and of k free responses when given, and keeps the predictions of
+the rows in the mask `rows`; the prediction of row t of a trajectory
+depends only on its rows before t.  Each is a fixed linear map of the
+observations with zero initial mean, acting on each trajectory alone, so
+on an LDS grid x0 j's predictions are those of the ensemble simulated from
+x0 = 0 plus those of its free response C A^t x0 (see `learnability`).
+Both inherit `run_ensemble(Ys)` from `predictors._Streamed`, as the learner
+does: it pushes a whole array and returns every row's predictions.
 
-The Kalman stream steps the covariance recursion beside the filter, so it
-holds nothing that grows with the horizon: each step forms its gain and
-filter matrices (F, G) once, for the base and the free states.  Once a
-covariance step returns its input bit for bit, every later step is that
-step, and the recursion stops.  `KernelOracle` reads its taps off the
-converged step of the same covariance update.
+The Kalman stream, `_KalmanStream`, steps the covariance recursion beside
+the filter, so it holds nothing that grows with the horizon: each step
+forms its gain and filter matrices (F, G) once, for the base and the free
+states.  Once a covariance step returns its input bit for bit, every later
+step is that step, and the recursion stops.  `KernelOracle` reads its taps
+off the converged step of the same covariance update, and runs as one
+frozen arm of the learners' engine, `predictors._Arms`: its filter matrix
+is the taps, and a fixed 0/1 readout adds the features back up into the
+convolution, as the zero and last-value baselines are frozen arms.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
-from .predictors import _check_obs_dim, _Streamed
+from .predictors import DEFAULT_REFIT_PERIOD, _Arms, _check_obs_dim, _Streamed
 from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
@@ -41,31 +44,6 @@ COLLAPSE_RTOL = 1e-12  # S is rounding once min eig(S) <= this times the first S
 CONVERGED_RTOL = 1e-12  # P has converged once a step moves it <= this times max|P0| + max|Q|
 MAX_STEPS = 10_000  # bound on the covariance steps to convergence and on the kernel's taps
 KERNEL_TAIL = 1e-8  # the kernel's last tap K is the first k with ||F^k||_2 <= KERNEL_TAIL
-
-
-class _Stream:
-    """A reference predictor's run on an (n, H, p) ensemble whose rows arrive
-    in order, with k free responses when k is given.
-
-    `preds` holds the predictions of the rows in the mask `rows` (every row
-    when None), in order: (n, R, p) for the ensemble, then (k, R, p) for the
-    free responses.  `t` counts the rows pushed, `kept` the rows kept.
-    """
-
-    def __init__(self, p: int, shape, rows=None, k=None):
-        n, H, q = shape
-        _check_obs_dim(q, p)
-        self.rows = np.ones(H, dtype=bool) if rows is None else rows
-        R = int(np.count_nonzero(self.rows))
-        self.preds = [np.empty((m, R, p)) for m in (n, k) if m is not None]
-        self.t = self.kept = 0
-
-    def reader(self):
-        """The kept predictions by trajectories x0 (a slice) of the stacked
-        ensemble, x0-major as in `predictors._Arms`: with free responses,
-        trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
-        base, *free = self.preds
-        return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
 
 
 class KalmanPredictor(_Streamed):
@@ -145,16 +123,27 @@ class KalmanPredictor(_Streamed):
         return _KalmanStream(self, shape, rows, k)
 
 
-class _KalmanStream(_Stream):
-    """The Kalman filter of an ensemble and its free responses, stepped
-    together: each step's gain comes from one covariance update, and its
-    filter matrices (F, G) are formed once for the base state X (n, d) and
-    the free state (k, d).  `fixed_from` is the step whose covariance update
-    returned its input bit for bit (None until one does); every later step
-    is that one, regularization included, so the recursion stops there."""
+class _KalmanStream:
+    """The Kalman filter of an (n, H, p) ensemble whose rows arrive in
+    order, and of its k free responses when k is given, stepped together:
+    each step's gain comes from one covariance update, and its filter
+    matrices (F, G) are formed once for the base state X (n, d) and the free
+    state (k, d).  `fixed_from` is the step whose covariance update returned
+    its input bit for bit (None until one does); every later step is that
+    one, regularization included, so the recursion stops there.
+
+    `preds` holds the predictions of the rows in the mask `rows` (every row
+    when None), in order: (n, R, p) for the ensemble, then (k, R, p) for the
+    free responses.  `t` counts the rows pushed, `kept` the rows kept.
+    """
 
     def __init__(self, kal: KalmanPredictor, shape, rows=None, k=None):
-        super().__init__(kal.p, shape, rows, k)
+        n, H, q = shape
+        _check_obs_dim(q, kal.p)
+        self.rows = np.ones(H, dtype=bool) if rows is None else rows
+        R = int(np.count_nonzero(self.rows))
+        self.preds = [np.empty((m, R, kal.p)) for m in (n, k) if m is not None]
+        self.t = self.kept = 0
         self.kal, self.P = kal, kal.P0
         self.X = [np.zeros((len(preds), kal.d)) for preds in self.preds]
         self.F = self.G = self.fixed_from = None
@@ -179,6 +168,13 @@ class _KalmanStream(_Stream):
                 self.X[j] = self.X[j] @ self.F.T + y[:, i, :] @ self.G.T
             self.t, self.kept = self.t + 1, self.kept + read
 
+    def reader(self):
+        """The kept predictions by trajectories x0 (a slice) of the stacked
+        ensemble, x0-major as in `predictors._Arms`: with free responses,
+        trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
+        base, *free = self.preds
+        return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
+
 
 class KernelOracle(_Streamed):
     """Truncated convolution predictor y_hat_t = sum_{k=1..K} beta_k y_{t-k},
@@ -187,7 +183,10 @@ class KernelOracle(_Streamed):
     It is the steady-state Kalman predictor unrolled over past observations;
     K is the first k with ||F^k||_2 <= KERNEL_TAIL.  A system whose gain does
     not converge, or whose taps do not decay within MAX_STEPS, has no kernel
-    and raises IncompatiblePairing.
+    and raises IncompatiblePairing.  It runs as a frozen arm of
+    `predictors._Arms` whose (K, p^2) filter matrix is the taps, so a row
+    costs K p^2 products per coordinate, and its sums round as a matmul's do,
+    not tap by tap.
     """
 
     label = "kernel"
@@ -200,38 +199,20 @@ class KernelOracle(_Streamed):
                 raise IncompatiblePairing(f"the kernel's taps do not decay within {MAX_STEPS}")
             taps.append(spec.C @ Fk @ G)
             Fk = Fk @ F
-        self.p = spec.p
+        p = self.p = spec.p
         self.betas = np.stack(taps)  # (K, p, p)
+        # the taps as a filter matrix: column c' * p + o of row k - 1 is
+        # beta_k[o, c'], so feature (c, c', o) of a window convolves
+        # coordinate c with the taps that read coordinate c' into output o
+        self._F = self.betas.transpose(0, 2, 1).reshape(len(taps), p * p)
+        # the readout sums the features with c' = c into output o
+        self._readout = np.kron(np.eye(p).reshape(p * p, 1), np.eye(p))  # (p^3, p)
 
-    def stream(self, shape, rows=None, k=None) -> _KernelStream:
-        return _KernelStream(self, shape, rows, k)
-
-
-class _KernelStream(_Stream):
-    """The kernel's convolution of an ensemble and its free responses: each
-    keeps its last K rows (zero before row 0), and a pushed piece's read
-    rows sum their terms beta_k[:, c] y_{t-k, c} one product at a time, in
-    ascending k, then c, so the bits depend neither on the pieces nor on
-    the rows read.  At p = 1 that is the tap-by-tap whole-array sum."""
-
-    def __init__(self, oracle: KernelOracle, shape, rows=None, k=None):
-        super().__init__(oracle.p, shape, rows, k)
-        self.betas = oracle.betas
-        self.hist = [np.zeros((len(preds), len(self.betas), oracle.p)) for preds in self.preds]
-
-    def push(self, ys: np.ndarray, free=None) -> None:
-        K, L = len(self.betas), ys.shape[1]
-        read = K + np.flatnonzero(self.rows[self.t : self.t + L])  # rows of `past`
-        for j, y in enumerate((ys, free)[: len(self.hist)]):
-            past = np.concatenate([self.hist[j], y], axis=1)
-            acc = np.zeros((len(y), len(read), y.shape[2]))
-            for lag, beta in enumerate(self.betas, start=1):
-                lagged = past[:, read - lag]
-                for c in range(beta.shape[1]):  # one product per term: no matmul's order
-                    acc += lagged[:, :, c, None] * beta[:, c]
-            self.preds[j][:, self.kept : self.kept + len(read)] = acc
-            self.hist[j] = past[:, L:].copy()
-        self.t, self.kept = self.t + L, self.kept + len(read)
+    def stream(self, shape, rows=None, k=None) -> _Arms:
+        """The kernel as one frozen arm of `predictors._Arms`."""
+        _check_obs_dim(shape[2], self.p)
+        arms = [(None, 0.0, self._readout)]
+        return _Arms(self._F, shape, arms, DEFAULT_REFIT_PERIOD, rows, k)
 
 
 class TruthOracle:

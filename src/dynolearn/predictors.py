@@ -8,7 +8,7 @@ accumulators (Gram, moment, weights).  It never forms estimates of the
 system matrices or the latent state, so its memory footprint is independent
 of the hidden dimension.  The zero and last-value baselines fit nothing:
 they are the same `SpectralPredictor` with a fixed readout, frozen arms of
-the same engine.
+the same engine, as is the kernel oracle (`oracles.KernelOracle`).
 
 Readout fitting uses a scale-free ridge that decays relative to the Gram:
     ridge(t) = reg * trace(Gram_t) / (q * t^(3/4))
@@ -24,17 +24,19 @@ window - 1 before it with the bank's filter matrix.  `_Arms` feeds each
 block to one `_EnsembleRidge` per arm, which predicts the block, adds it to
 the per-trajectory Gram and moment, and refits; arms that read different
 columns of one convolution (the filter counts of m*) share it.  `_Arms` is
-a stream, as the reference predictors' runs in `oracles` are: it takes the
+a stream, as the Kalman predictor's run in `oracles` is: it takes the
 ensemble's rows as they arrive, in pieces of any length (an array pushed
 whole, or a Lorenz grid block by block as its recursion records them), so
 the ensemble need never be held.  A frozen arm is given a fixed readout: it
 predicts its read blocks from that readout and never accumulates or refits
-(the bias/variance split's w*-readout, and the zero and last-value
-baselines, whose readout 0 or I_p reads the last observation, the one
-feature of `FilterBank.identity(1)`).  Given the free responses of a grid
-of initial states, the arms run on every ensemble base + free[j] from one
-convolution of the base and one of the free responses per block
-(superposition, see `learnability`), fed one ensemble's block at a time.
+(the bias/variance split's w*-readout; the zero and last-value baselines,
+whose readout 0 or I_p reads the last observation, the one feature of
+`FilterBank.identity(1)`; and the kernel oracle, whose filter matrix is its
+taps and whose 0/1 readout sums the features that make its convolution).
+Given the free responses of a grid of initial states, the arms run on every
+ensemble base + free[j] from one convolution of the base and one of the
+free responses per block (superposition, see `learnability`), fed one
+ensemble's block at a time.
 No (n, H, q) feature tensor is built: besides the kept predictions, the
 working set is the ridge state, O(n * q^2) per ensemble, and the block
 temporaries of one ensemble, O(n * (q^2 + window * p)) for a fixed refit
@@ -161,8 +163,10 @@ class _Arms:
 
     An arm is (cols, reg), or (cols, reg, readout) for a frozen arm: its
     features are columns `cols` of each block's features, or all of them
-    when cols is None.  Each ridge keeps the predictions of the rows in the
-    mask `rows` (every row when None).  `push(ys)` takes the next rows
+    when cols is None.  `SpectralPredictor.stream` makes the learners' and
+    baselines' `_Arms`, `oracles.KernelOracle.stream` the kernel's, one
+    frozen arm over its taps.  Each ridge keeps the predictions of the rows
+    in the mask `rows` (every row when None).  `push(ys)` takes the next rows
     (n, L, p), any L: only one block of features and the rows it reads are
     alive at a time, so the ensemble need never be held whole.  A Lorenz
     grid pushes the blocks of its recursion, x0-major: trajectory j * n + i
@@ -172,12 +176,12 @@ class _Arms:
     block temporaries are those of all its trajectories.
 
     With k free responses, `push(ys, free)` also takes their next rows
-    (k, L, p), and the arms run on the k ensembles ys + free[j], stacked
-    x0-major in the same way.  Features are linear in the observations, so
-    ensemble j's block features are the base's plus free[j]'s: each block
-    convolves the base once and the free responses once, then feeds the
-    ridges one ensemble's sums and targets at a time, as trajectories
-    j * n .. (j + 1) * n.  Only the ridges and their kept predictions grow
+    (k, L, p), the same L as ys, and the arms run on the k ensembles
+    ys + free[j], stacked x0-major in the same way.  Features are linear in
+    the observations, so ensemble j's block features are the base's plus
+    free[j]'s: each block convolves the base once and the free responses
+    once, then feeds the ridges one ensemble's sums and targets at a time,
+    as trajectories j * n .. (j + 1) * n.  Only the ridges and their kept predictions grow
     with k; every block temporary is one x0's ensemble's, and neither the
     slices nor their order moves a bit.  The features round differently
     from those of a convolution of Ys + free[j], so the predictions agree
@@ -211,7 +215,8 @@ class _Arms:
                 self._feed(s, e, Z, Y)
             return
         n = ys.shape[0]
-        for (s, e, Z, Y), (_, _, Zf, Yf) in zip(self.blocks(ys), self.free_blocks(free)):
+        blocks = zip(self.blocks(ys), self.free_blocks(free), strict=True)  # both run to the end
+        for (s, e, Z, Y), (_, _, Zf, Yf) in blocks:
             L = e - s
             for j in range(len(Zf)):  # ensemble j's features and targets, x0-major
                 Zj = np.add(Z, Zf[j], out=self.Zj[:, :L])

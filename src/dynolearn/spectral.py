@@ -18,8 +18,8 @@ simulated array, a Lorenz grid's the blocks of its recursion.  Its one
 caller is `predictors._Arms`, which every learner runs on: the spectral
 learner with `FilterBank.filter_matrix()`, AR(k) and the zero and
 last-value baselines with `FilterBank.identity`, whose features are the
-last k observations.  Features are laid out coordinate-major
-(`_bank_columns`).  The whole-trajectory convolution that the kernel is
+last k observations, and the kernel oracle with its taps.  Features are
+laid out coordinate-major (`_bank_columns`).  The whole-trajectory convolution that the kernel is
 checked against, `trajectory_features`, is a test reference
 (`tests/conftest.py`), not library code.
 """
@@ -173,8 +173,9 @@ def _feature_blocks(F: np.ndarray, shape, block: int):
     O(n * p * (window + block * f)) whatever H is.  The block's sliding
     windows are copied and multiplied in pieces of whole trajectories, about
     `_WINDOW_VALUES` values each, so the copy does not grow with n.  A
-    caller that zips two streams pushes them the same rows, so their blocks
-    complete together.
+    caller that zips two streams pushes them the same rows and runs both
+    pushes to the end (zip's strict=True), so their blocks complete together
+    and the rows after the last complete block reach both streams' history.
 
     Each block computes each trajectory's reference rows [s, e) with one
     product, (L, window) @ (window, f), and carries its last row into the

@@ -631,7 +631,8 @@ class TestFrozenArm:
 
 
 class TestKeptRows:
-    """A ridge keeps the predictions of the rows its mask marks, in order, and no others."""
+    """A ridge keeps the predictions of the rows its mask marks, in order, and
+    no others, with the bits of one push however the rows arrive."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -639,10 +640,11 @@ class TestKeptRows:
         H=st.integers(1, 60),
         p=st.sampled_from([1, 2]),
         refit_period=st.integers(1, 12),
+        k=st.integers(2, 3),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_preds_hold_exactly_the_marked_rows(self, n, H, p, refit_period, seed, data):
+    def test_preds_hold_exactly_the_marked_rows(self, n, H, p, refit_period, k, seed, data):
         g = np.random.default_rng(seed)
         bank = build_filter_bank(8, 3)
         F = bank.filter_matrix()
@@ -650,10 +652,21 @@ class TestKeptRows:
         arms = [(None, 1.0), (_bank_columns(bank, 2, p), 0.5), (None, 0.0, readout)]
         # share 0 is the bias/variance reference fit's mask, which reads no row
         rows = g.random(H) < data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="share")
-        Ys = g.standard_normal((n, H, p))
+        Ys, free = g.standard_normal((n, H, p)), g.standard_normal((k, H, p))
+        cuts = sorted(data.draw(st.lists(st.integers(0, H), min_size=1, max_size=5), label="cuts"))
+
+        def pushed(F_, arms_, mask, pieces):
+            stream = _Arms(F_, Ys.shape, arms_, refit_period, mask, k)
+            for a, b in zip([0, *pieces], [*pieces, H]):
+                stream.push(Ys[:, a:b], free[:, a:b])
+            return [ridge.preds.tobytes() for ridge in stream.ridges]
+
         for F_, arms_ in ((F, arms), (np.eye(2), [(None, 1.0)])):  # spectral and AR(2)
             for ridge in whole_array_ridges(F_, Ys, arms_, refit_period, rows):
                 assert ridge.preds.shape == (n, rows.sum(), p)
+            # a base and its free responses pushed in uneven pieces, as one push
+            for mask in (None, rows):
+                assert pushed(F_, arms_, mask, cuts) == pushed(F_, arms_, mask, [])
 
 
 def _nodes_by_scope(tree):
@@ -701,10 +714,15 @@ def test_one_streaming_ridge_path(callee):
 
 def test_one_learner_runs_the_ridge():
     # every predictor of the learner class (learner, AR(k), baseline, or a
-    # measurement's re-armed copy) runs as its stream: SpectralPredictor.stream
-    # makes every _Arms, and no layer turns predictors into engines or tuples
-    assert _library_callers("_Arms") == {("predictors.py", ("SpectralPredictor", "stream"))}
+    # measurement's re-armed copy) and the kernel oracle, a frozen arm over
+    # its taps, runs as its stream: their `stream` methods make every _Arms,
+    # and no layer turns predictors into engines or tuples
+    assert _library_callers("_Arms") == {
+        ("predictors.py", ("SpectralPredictor", "stream")),
+        ("oracles.py", ("KernelOracle", "stream")),
+    }
     gone = {"_engine", "_stream", "_run_arms", "_learner_engine", "_check_ensemble"}
+    gone |= {"_KernelStream", "_Stream"}  # oracles keeps one stream class, _KalmanStream
     defined = [
         (path.name, node.name)
         for path in (SRC / "dynolearn").glob("*.py")
