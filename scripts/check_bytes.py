@@ -9,8 +9,11 @@ this checkout's `src`.  Every subcommand (simulate, filters, risk, burnin,
 mstar, agnostic, biasvar) runs on every `configs/*.cfg` and
 `perfbench/configs/*.cfg` of this checkout with each tree, as one
 `python -m dynolearn` process at `-j N` (default 1) with BLAS pinned to one
-thread.  `filters` takes its window and filter count from the config's
-[predictor] section.  The configs are only read.
+thread.  The order of the two trees alternates from one (config,
+subcommand) pair to the next, OLD first on the first pair, so a drift of
+the host's speed during a check lands on both trees alike.  `filters`
+takes its window and filter count from the config's [predictor] section.
+The configs are only read.
 
 Each run's CSVs, `resolved.cfg` and `manifest.txt` are compared byte for
 byte; the last two are where a drift of the config codec shows (the manifest
@@ -231,21 +234,22 @@ def main(argv=None) -> int:
     sub_wall = {tag: dict.fromkeys(SUBCOMMANDS, 0.0) for tag in wall}
     sub_peak = {tag: dict.fromkeys(SUBCOMMANDS, 0.0) for tag in wall}  # MiB, largest over configs
     peak = {"old": (0.0, "none"), "new": (0.0, "none")}  # largest RSS, MiB, and its run
+    trees = {"old": args.old_src, "new": args.new_src}
+    pairs = [(config, sub) for config in configs for sub in SUBCOMMANDS]
     try:
-        for config in configs:
+        for i, (config, sub) in enumerate(pairs):
             label = config.relative_to(ROOT)
-            for sub in SUBCOMMANDS:
-                results = []
-                for tag, src in (("old", args.old_src), ("new", args.new_src)):
-                    out = work / f"{config.parent.name}-{config.stem}" / sub / tag
-                    results.append(run(src, command_args(sub, config, out, args.jobs), out))
-                    wall[tag] += results[-1].wall_s
-                    sub_wall[tag][sub] += results[-1].wall_s
-                    sub_peak[tag][sub] = max(sub_peak[tag][sub], results[-1].peak_rss_mib)
-                    peak[tag] = max(peak[tag], (results[-1].peak_rss_mib, f"{label} {sub}"))
-                line = compare(*results)
-                differing += not line.startswith("same")
-                print(f"{label} {sub}: {line}", flush=True)
+            results = {}
+            for tag in ("old", "new") if i % 2 == 0 else ("new", "old"):
+                out = work / f"{config.parent.name}-{config.stem}" / sub / tag
+                res = results[tag] = run(trees[tag], command_args(sub, config, out, args.jobs), out)
+                wall[tag] += res.wall_s
+                sub_wall[tag][sub] += res.wall_s
+                sub_peak[tag][sub] = max(sub_peak[tag][sub], res.peak_rss_mib)
+                peak[tag] = max(peak[tag], (res.peak_rss_mib, f"{label} {sub}"))
+            line = compare(results["old"], results["new"])
+            differing += not line.startswith("same")
+            print(f"{label} {sub}: {line}", flush=True)
     finally:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)

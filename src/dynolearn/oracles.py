@@ -79,8 +79,10 @@ class KalmanPredictor(_Streamed):
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
 
-        Returns (gain, next predictive covariance).  An innovation covariance
-        that has collapsed to rounding (COLLAPSE_RTOL) is regularized by
+        Returns the filter step (F, G) = (A (I - gain C), A gain) of this
+        gain, xpred' = F xpred + G y, and the next predictive covariance; F
+        reuses the Joseph form's I - gain C.  An innovation covariance that
+        has collapsed to rounding (COLLAPSE_RTOL) is regularized by
         INNOVATION_RIDGE and counted in `regularized_steps`.
         """
         S = self.C @ P @ self.C.T + self.R
@@ -91,12 +93,7 @@ class KalmanPredictor(_Streamed):
         ImKC = np.eye(self.d) - gain @ self.C
         Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T  # Joseph form keeps PSD
         Ppred = self.A @ Ppost @ self.A.T + self.Q
-        return gain, 0.5 * (Ppred + Ppred.T)
-
-    def _filter_step(self, gain: np.ndarray):
-        """The filter step (F, G) = (A (I - gain C), A gain) of one gain:
-        xpred' = F xpred + G y."""
-        return self.A @ (np.eye(self.d) - gain @ self.C), self.A @ gain
+        return (self.A @ ImKC, self.A @ gain), 0.5 * (Ppred + Ppred.T)
 
     def steady_state(self):
         """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
@@ -110,10 +107,10 @@ class KalmanPredictor(_Streamed):
         P, step = self.P0, None
         for _ in range(MAX_STEPS):
             regularized = self.regularized_steps
-            gain, P_next = self._covariance_update(P)
+            step_next, P_next = self._covariance_update(P)
             if self.regularized_steps > regularized and step is not None:
                 return step
-            step = self._filter_step(gain)
+            step = step_next
             if np.abs(P_next - P).max() <= CONVERGED_RTOL * scale:
                 return step
             P = P_next
@@ -154,8 +151,7 @@ class _KalmanStream:
         for i in range(ys.shape[1]):
             if self.fixed_from is None:
                 regularized = kal.regularized_steps
-                gain, P = kal._covariance_update(self.P)
-                self.F, self.G = kal._filter_step(gain)
+                (self.F, self.G), P = kal._covariance_update(self.P)
                 if P.tobytes() == self.P.tobytes():  # every later step repeats this one
                     self.fixed_from, self.regularized = self.t, kal.regularized_steps - regularized
                 self.P = P

@@ -86,11 +86,11 @@ def lds_reference(spec, horizon, x0, seed):
 def kalman_steps(kal, horizon):
     """Each step's filter matrices F (H, d, d) and G (H, d, p): the gains of
     `kal`'s covariance recursion, stepped by `_covariance_update` from P0
-    with no stop at a fixed point, each formed into (F, G) by `_filter_step`."""
+    with no stop at a fixed point, each step's (F, G) as it returns them."""
     P, steps = kal.P0, []
     for _ in range(horizon):
-        gain, P = kal._covariance_update(P)
-        steps.append(kal._filter_step(gain))
+        step, P = kal._covariance_update(P)
+        steps.append(step)
     return np.stack([F for F, _ in steps]), np.stack([G for _, G in steps])
 
 

@@ -585,6 +585,22 @@ class TestImport:
         )
         assert out.stdout.strip() == "False"
 
+    def test_geom_grid_config_leaves_numpy_ma_out(self):
+        # np.unique imports numpy.ma, 9-19 ms of every CLI start; the grid is
+        # deduplicated without it
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        code = (
+            "import sys\n"
+            "from dynolearn.config import load_config\n"
+            f"assert len(load_config({str(cfg)!r}).harness.t_grid) > 2\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+        )
+        assert "geom(" in cfg.read_text()
+        assert out.stdout.strip() == "False"
+
     def test_bias_variance_split_leaves_scipy_linalg_out(self):
         # the w* solve is a numpy Cholesky: biasvar on a ball grid needs no scipy
         code = (

@@ -158,6 +158,15 @@ class TestParsing:
         assert cfg.harness.t_grid[-1] == 400
         assert all(a < b for a, b in zip(cfg.harness.t_grid, cfg.harness.t_grid[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.integers(1, 10**4), span=st.integers(1, 10**6), count=st.integers(2, 300))
+    def test_geometric_grid_equals_np_unique_reference(self, start, span, count):
+        stop = start + span
+        ref = np.unique(np.round(np.geomspace(start, stop, count)).astype(int))
+        grid = geometric_grid(start, stop, count)
+        assert grid == tuple(int(t) for t in ref)
+        assert all(type(t) is int for t in grid)
+
     def test_bool_parsing(self):
         cfg = parse_config("[predictor]\nsign_augmented = true\n")
         assert cfg.predictor.sign_augmented is True

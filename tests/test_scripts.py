@@ -72,11 +72,16 @@ def test_check_bytes_cleans_up_on_sigterm(tmp_path):
     assert not list(tmp_path.glob("check_bytes-*"))
 
 
-def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, capsys):
+def _load_check_bytes(monkeypatch):
     spec = importlib.util.spec_from_file_location("check_bytes", REPO / "scripts" / "check_bytes.py")
     check_bytes = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "check_bytes", check_bytes)  # dataclasses look it up
     spec.loader.exec_module(check_bytes)
+    return check_bytes
+
+
+def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, capsys):
+    check_bytes = _load_check_bytes(monkeypatch)
     for name in ("one", "two"):
         (tmp_path / f"{name}.cfg").write_text("[system]\n")
     for tree in ("old", "new"):
@@ -121,3 +126,29 @@ def test_check_bytes_totals_wall_time_per_subcommand(tmp_path, monkeypatch, caps
     assert len(peaks) == 7 and min(peaks) > max(walls)
     assert lines[-3] == "wall time: old 28.0 s, new 25.0 s"
     assert lines[-1] == "0 of 14 runs differ"
+
+
+def test_check_bytes_alternates_the_tree_order(tmp_path, monkeypatch, capsys):
+    # host drift during a check must not land on one tree: OLD runs first on
+    # even pairs, NEW on odd ones, and each pair is still compared old to new
+    check_bytes = _load_check_bytes(monkeypatch)
+    (tmp_path / "one.cfg").write_text("[system]\n")
+    for tree in ("old", "new"):
+        (tmp_path / tree / "dynolearn").mkdir(parents=True)
+        (tmp_path / tree / "dynolearn" / "__init__.py").touch()
+    calls = []
+
+    def stand_in(src, args, out):
+        calls.append(src.name)
+        return check_bytes.Run(0, {"out.csv": f"{src.name}\n"}, 1.0, 1.0)
+
+    monkeypatch.setattr(check_bytes, "ROOT", tmp_path)
+    monkeypatch.setattr(check_bytes, "CONFIG_DIRS", (tmp_path,))
+    monkeypatch.setattr(check_bytes, "run", stand_in)
+    monkeypatch.setattr(check_bytes.signal, "signal", lambda *args: None)
+    assert check_bytes.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    pairs = len(check_bytes.SUBCOMMANDS)
+    assert calls == [t for i in range(pairs) for t in (("old", "new"), ("new", "old"))[i % 2]]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{pairs} of {pairs} runs differ"
+    assert sum("out.csv differs" in line for line in lines) == pairs

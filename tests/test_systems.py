@@ -370,6 +370,21 @@ class TestLorenz:
         _, xs = _one_run(simulate_lorenz_ensemble, spec, 500, x0, 0, record_states=True)
         assert np.array_equal(xs, _reference_rk4(x0, dt, 500))
 
+    @pytest.mark.parametrize("dt", [0.001, 0.01, 0.05])
+    def test_stacked_states_equal_textbook_step(self, dt):
+        # every trajectory of a (3, 2, 3) stack of distinct states steps as the textbook run alone
+        g = np.random.default_rng(11)
+        X0 = np.column_stack([g.uniform(-15, 15, 6), g.uniform(-20, 20, 6), g.uniform(5, 40, 6)])
+        s = X0.T.reshape(3, 2, 3).copy()
+        Xs = np.empty((300, 3, 2, 3))
+
+        def record(t0, X):
+            Xs[t0 : t0 + len(X)] = X
+
+        systems._lorenz_steps(LorenzSpec(dt=dt), s, 300, record)
+        for i, x0 in enumerate(X0):
+            assert np.array_equal(Xs.reshape(300, 3, 6)[:, :, i], _reference_rk4(x0, dt, 300))
+
     def test_sensitive_dependence(self):
         spec = LorenzSpec(dt=0.01)
         steps = 2500  # 25 time units
@@ -454,10 +469,10 @@ class TestLorenz:
 def _first_bad_step(spec, s, horizon):
     """The step that first leaves a non-finite value in the (3, ...) state s,
     checking after every step: the reference for the once-per-block check."""
-    rk4 = systems._Rk4(spec, s)
+    rk4, row = systems._Rk4(spec, s), np.empty((1,) + s.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            rk4.step()
+            rk4.run(row)  # a one-row block: one step
             if not np.isfinite(s).all():
                 return t + 1
     return None
