@@ -44,11 +44,13 @@ the learner it is given, and the bias/variance split runs its online
 learner beside a frozen arm that predicts with the fixed w*-readout.  The
 split's reference fit is one more learner's stream, on the long reference
 run, with a mask that reads no row: it only sums the Gram and moment that
-w* is solved from.  A learner's state for the whole grid is (x0, traj)
-Grams, so the grid runs in groups of x0 whose `state_size` fits
-`_GROUP_BYTES` (the whole grid unless the arms are many and large, as m*'s
-sweep on a large ensemble); each group of a Lorenz grid is its own
-recursion, from fresh trajectory streams.
+w* is solved from.  A learner's state for the whole grid is one Gram and
+moment per (x0, traj), which all its arms solve from, plus each arm's
+readouts, so the grid runs in groups of x0 whose `state_size` fits
+`_GROUP_BYTES`: the whole grid on the benchmark's workloads, m*'s sweep
+over 20 filter counts included, until the ensemble or the bank grows large;
+each group of a Lorenz grid is its own recursion, from fresh trajectory
+streams.
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index, the
@@ -331,7 +333,7 @@ def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, runs):
     """Each x0's (read observations, {run id: predictions}) of a Lorenz grid.
 
     The grid runs in groups of x0 (`_x0_groups` of all its learners; one
-    group unless the arms are many and large, as m*'s sweep), each its own
+    group unless the ensemble and the bank are large), each its own
     stacked RK4 recursion from fresh trajectory streams, so every x0 sees
     the same noise.  Each recorded block of observations is pushed to every
     stream as it is made, trajectory j * n + i being trajectory i of the
@@ -362,9 +364,9 @@ def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, runs):
 
 
 def _x0_groups(runs, k: int, n: int) -> list[slice]:
-    """The x0 grid in contiguous groups whose ridge state (Grams, moments,
-    readouts) of the learners among `runs` on n trajectories fits in
-    `_GROUP_BYTES`, at least one x0 each."""
+    """The x0 grid in contiguous groups whose ridge state (`state_size`: a
+    stream's Gram and moment, its arms' readouts) of the learners among
+    `runs` on n trajectories fits in `_GROUP_BYTES`, at least one x0 each."""
     per_x0 = 8 * n * sum(r.state_size for r in runs if isinstance(r, SpectralPredictor))
     size = max(1, _GROUP_BYTES // per_x0) if per_x0 else k
     return [slice(j, j + size) for j in range(0, k, size)]
@@ -524,7 +526,11 @@ def minimal_filter_count(
     so the sweep needs max(m_range) <= `learner.bank.m`; for AR(k)'s
     identity bank the first m filters are the last m observations, and m is
     AR(m).  Shares trajectories and oracle losses across the m sweep so the
-    reported table differs only through the filter count.
+    reported table differs only through the filter count.  The filter counts
+    are arms of one stream: they share its convolution and its one Gram and
+    moment, and each solves its readouts from its columns' block of them, so
+    the widest keeps the bits of the learner run alone and the others agree
+    with a learner over their own bank up to rounding.
     """
     ms = sorted(int(m) for m in m_range)
     if not ms or ms[0] < 1:
@@ -608,9 +614,8 @@ def bias_variance_split(
     no_read = np.zeros(ys_ref.shape[1], dtype=bool)
     fit = SpectralPredictor(learner.bank, system.p, 0.0, _REF_BLOCK).stream(ys_ref.shape, no_read)
     fit.push(ys_ref)
-    (ref,) = fit.ridges
-    gram, moment = ref.gram[0], ref.moment[0]
-    tiny = 1e-8 * float(np.trace(gram)) / ref.q
+    gram, moment = fit.gram[0], fit.moment[0]
+    tiny = 1e-8 * float(np.trace(gram)) / len(gram)
     w_star = solve_normal_system(gram, moment, ridge=tiny)
     kalman = KalmanPredictor(system)
     rows, starts = _read_rows(grid, window, horizon)

@@ -445,6 +445,27 @@ class TestBlockedEngine:
                 assert preds.tobytes() == alone.tobytes()
             np.testing.assert_allclose(preds, alone, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("sign_augmented", [False, True])
+    def test_readouts_solve_blocks_of_one_shared_gram(self, p, sign_augmented):
+        # the stream keeps one Gram and moment; arm m's readout is the solve
+        # of its columns' block of them plus its own ridge, the full arm's of all
+        g = np.random.default_rng(p)
+        bank = build_filter_bank(12, 4, sign_augmented=sign_augmented)
+        arms = [(None, 2.0), (_bank_columns(bank, 1, p), 0.5), (_bank_columns(bank, 3, p), 1.0)]
+        base, free = g.standard_normal((3, 64, p)), g.standard_normal((2, 64, p))
+        stream = _Arms(bank.filter_matrix(), base.shape, arms, 16, k=2)
+        stream.push(base, free)
+        assert stream.gram.shape == (6, bank.feature_count * p, bank.feature_count * p)
+        for ridge, (cols, reg) in zip(stream.ridges, arms):
+            cols = np.arange(stream.gram.shape[1]) if cols is None else cols
+            lhs = np.ascontiguousarray(stream.gram[:, cols][:, :, cols])
+            traces = np.trace(lhs, axis1=1, axis2=2)
+            diag = np.arange(len(cols))
+            lhs[:, diag, diag] += _effective_ridge(reg, traces, len(cols), 64)[:, None]
+            w = np.linalg.solve(lhs, stream.moment[:, cols])
+            assert ridge.w.tobytes() == w.tobytes()
+
     def test_memory_flat_in_horizon(self):
         # lorenz-long's learner shape; the (n, H, p) observations and
         # predictions grow with H, the learner's working set must not
@@ -488,6 +509,33 @@ class TestBlockedEngine:
                 tracemalloc.stop()
         per_x0 = n * (pred.state_size + rows.sum()) * 8 + H * 8
         assert peaks[10] - peaks[2] <= 8 * per_x0 + 2**20, (peaks, per_x0)
+
+    def test_memory_of_many_column_arms_is_one_stream_and_their_readouts(self):
+        # d50's m* shape: 20 filter counts as columns of one bank's features
+        # on 8 x0; they solve from one Gram and moment, so beside a single
+        # arm's stream they hold only their readouts and kept rows
+        import tracemalloc
+
+        n, H, k = 200, 1016, 8
+        with pytest.warns(UserWarning, match="reliable cap"):
+            big = build_filter_bank(100, 20)
+        rows = np.arange(H) >= 1000  # m*'s rows, from t_eval
+        g = np.random.default_rng(6)
+        base, free = g.standard_normal((n, H, 1)), g.standard_normal((k, H, 1))
+        one = SpectralPredictor(big)
+        sweep = SpectralPredictor(big)
+        sweep._arms = [(None if m == 20 else _bank_columns(big, m, 1), 2.0) for m in range(1, 21)]
+        peaks = []
+        for pred in (one, sweep):
+            tracemalloc.start()
+            try:
+                pred.stream(base.shape, rows, k).push(base, free)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        readouts = n * k * sum(range(1, 21)) * 8
+        kept = 20 * n * k * rows.sum() * 8
+        assert peaks[1] <= peaks[0] + readouts + kept + 2**20, (peaks, readouts, kept)
 
     @pytest.mark.parametrize("reg", [-1.0, np.nan, np.inf])
     def test_refuses_a_ridge_outside_zero_to_infinity(self, reg):
@@ -618,12 +666,26 @@ class TestFrozenArm:
             rows = np.zeros(70, dtype=bool)
             rows[[21, 22, 50, 69]] = True
         arms = [(None, 2.0), (None, 0.0, readout)]
-        learner, frozen = whole_array_ridges(F, Ys, arms, 8, rows)
+
+        def pushed(arms_):
+            stream = _Arms(F, Ys.shape, arms_, 8, rows)
+            stream.push(Ys)
+            return stream
+
+        both, only_frozen, only_learner = pushed(arms), pushed(arms[1:]), pushed(arms[:1])
+        learner, frozen = both.ridges
         assert all(w.tobytes() == readout.tobytes() for w in frozen.w)
-        assert not frozen.gram.any() and not frozen.moment.any() and frozen.solves == 0
-        # a learner beside it keeps the bits it has alone
-        (alone,) = whole_array_ridges(F, Ys, arms[:1], 8, rows)
+        assert frozen.solves == 0
+        # a stream whose arms are all frozen holds no Gram or moment: it never accumulates
+        assert only_frozen.gram is None and only_frozen.moment is None
+        assert only_frozen.ridges[0].preds.tobytes() == frozen.preds.tobytes()
+        # beside a learner it adds nothing to the stream's accumulation, and
+        # the learner keeps the bits it has alone
+        assert both.gram.tobytes() == only_learner.gram.tobytes()
+        assert both.moment.tobytes() == only_learner.moment.tobytes()
+        (alone,) = only_learner.ridges
         assert learner.preds.tobytes() == alone.preds.tobytes()
+        assert learner.solves == alone.solves > 0
         blocks = _feature_blocks(F, Ys.shape, 8)(Ys)
         expected = np.concatenate([Z @ readout for _, _, Z, _ in blocks], axis=1)
         read_rows = np.arange(70) if rows is None else np.flatnonzero(rows)
@@ -730,8 +792,9 @@ def test_one_learner_runs_the_ridge():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
     ]
     assert defined == []
-    # a learner's ridge state, q^2 + 2qp per arm, is counted in state_size alone
-    state = re.compile(r"(\w+) \* \1 \+ 2 \* \1 \* \w+")
+    # a learner's normal equations, qf^2 + qf p once per stream whatever its
+    # arms, are counted in state_size alone
+    state = re.compile(r"(\w+) \* \1 \+ \1 \* \w+")
     sized = set()
     for path in sorted((SRC / "dynolearn").glob("*.py")):
         for scope, node in _nodes_by_scope(ast.parse(path.read_text())):
