@@ -27,7 +27,9 @@ def main() -> None:
     signal = float((ys**2).mean())
 
     bank = dl.build_filter_bank(args.window, args.filters)
-    preds, readouts = dl.SpectralPredictor(bank, obs_dim=1).fit(ys[None])
+    stream = dl.SpectralPredictor(bank, obs_dim=1).stream((1, *ys.shape))
+    stream.push(ys[None])  # every row read, every refit solved, the last one included
+    preds, readouts = stream.ridges[0].preds, stream.ridges[0].w
     tail = slice(int(0.9 * args.horizon), args.horizon)
     one_step = float(((preds[0, tail] - ys[tail]) ** 2).mean())
 

@@ -41,7 +41,6 @@ from .systems import (
     NoiseSpec,
     initial_states,
     simulate_ensemble,
-    simulate_lds_ensemble,
     spectral_radius,
     stationary_observation_power,
     stationary_state_covariance,
@@ -80,7 +79,6 @@ __all__ = [
     "reliable_filter_cap",
     "resolve_oracle",
     "simulate_ensemble",
-    "simulate_lds_ensemble",
     "spectral_radius",
     "stationary_observation_power",
     "stationary_state_covariance",

@@ -369,7 +369,7 @@ def _x0_groups(runs, k: int, n: int) -> list[slice]:
     `runs` on n trajectories fits in `_GROUP_BYTES`, at least one x0 each."""
     per_x0 = 8 * n * sum(r.state_size for r in runs if isinstance(r, SpectralPredictor))
     size = max(1, _GROUP_BYTES // per_x0) if per_x0 else k
-    return [slice(j, j + size) for j in range(0, k, size)]
+    return [slice(j, min(j + size, k)) for j in range(0, k, size)]
 
 
 def _refuse_fixed(learner, measurement: str) -> None:

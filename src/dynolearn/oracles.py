@@ -17,8 +17,8 @@ depends only on its rows before t.  Each is a fixed linear map of the
 observations with zero initial mean, acting on each trajectory alone, so
 on an LDS grid x0 j's predictions are those of the ensemble simulated from
 x0 = 0 plus those of its free response C A^t x0 (see `learnability`).
-Both inherit `run_ensemble(Ys)` from `predictors._Streamed`, as the learner
-does: it pushes a whole array and returns every row's predictions.
+A stream is each one's only way to run, as it is the learner's; a whole
+array is pushed as one piece.
 
 The Kalman stream, `_KalmanStream`, steps the covariance recursion beside
 the filter, so it holds nothing that grows with the horizon: each step
@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, IncompatiblePairing
-from .predictors import DEFAULT_REFIT_PERIOD, _Arms, _check_obs_dim, _Streamed
+from .predictors import DEFAULT_REFIT_PERIOD, _Arms, _check_obs_dim
 from .systems import LdsSpec, stationary_state_covariance
 
 INNOVATION_RIDGE = 1e-12
@@ -46,7 +46,7 @@ MAX_STEPS = 10_000  # bound on the covariance steps to convergence and on the ke
 KERNEL_TAIL = 1e-8  # the kernel's last tap K is the first k with ||F^k||_2 <= KERNEL_TAIL
 
 
-class KalmanPredictor(_Streamed):
+class KalmanPredictor:
     """Conditional-mean one-step predictor for a Gaussian linear system.
 
     Initialized with zero state mean and a prior covariance encoding
@@ -172,7 +172,7 @@ class _KalmanStream:
         return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
 
 
-class KernelOracle(_Streamed):
+class KernelOracle:
     """Truncated convolution predictor y_hat_t = sum_{k=1..K} beta_k y_{t-k},
     beta_k = C F^(k-1) G, with (F, G) = `KalmanPredictor.steady_state()`.
 
@@ -227,6 +227,3 @@ class TruthOracle:
         self.spec, self.label = spec, "zero" if spec is None else "truth"
         if spec is not None and not spec.is_noiseless:
             raise ContractViolation("perfect-prediction oracle requires a noiseless system")
-
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        return np.asarray(Ys, dtype=float).copy()

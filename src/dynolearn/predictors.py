@@ -17,8 +17,9 @@ heavily collinear) are strongly damped while the relative shrinkage
 vanishes like t^(-3/4), keeping the asymptotic readout unbiased.
 
 `SpectralPredictor.stream` drives every trajectory of an (n, H, p)
-ensemble through one blocked engine, `_Arms`, one refit period at a time;
-`run_ensemble` and `fit` push a whole array to it.  The block kernel
+ensemble through one blocked engine, `_Arms`, one refit period at a time.
+It is the predictor's one way to run: a caller pushes the rows (`push`) and
+reads the kept predictions (`reader`) or a ridge's readouts.  The block kernel
 `spectral._feature_blocks` convolves the block's observations and the
 window - 1 before it with the bank's filter matrix.  `_Arms` predicts each
 block with the readouts of one `_EnsembleRidge` per arm, adds it to one
@@ -266,22 +267,7 @@ class _Arms:
                 ridge.solve(e, gram, moment, at)
 
 
-class _Streamed:
-    """A predictor that runs as a stream (`stream(shape, rows=None, k=None)`)."""
-
-    def run_ensemble(self, Ys: np.ndarray) -> np.ndarray:
-        """Every row's predictions on the whole ensemble Ys (n, H, p), pushed at once."""
-        return self._pushed(Ys).reader()(slice(None))[0]
-
-    def _pushed(self, Ys: np.ndarray):
-        """The stream of the whole ensemble Ys, every row pushed at once."""
-        Ys = np.asarray(Ys, dtype=float)
-        stream = self.stream(Ys.shape)
-        stream.push(Ys)
-        return stream
-
-
-class SpectralPredictor(_Streamed):
+class SpectralPredictor:
     """A linear readout over a filter bank's features: the learner, fit
     online by ridge over the Hilbert eigenfilters or AR(k)'s identity
     (`SpectralPredictor.ar`), or a zero or last-value baseline frozen at a
@@ -359,9 +345,3 @@ class SpectralPredictor(_Streamed):
         _check_obs_dim(shape[2], self.obs_dim)
         F, arms = self.bank.filter_matrix(), self._arm_specs()
         return _Arms(F, shape, arms, self.refit_period, rows, k)
-
-    def fit(self, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`run_ensemble(Ys)` and each trajectory's readout (n, q, p) after its
-        last refit: the prediction from features z is z @ readout."""
-        ridge = self._pushed(Ys).ridges[0]
-        return ridge.preds, ridge.w

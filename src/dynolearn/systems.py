@@ -19,7 +19,7 @@ stream in the order of one whole draw, so the bits do not depend on the
 chunk size either.  A standard deviation of 0 disables
 that noise; a noiseless system draws nothing.  Lorenz observations are made
 one recorded block at a time (`_lorenz_observations`): the harness streams
-those blocks to its learners, and `simulate_lorenz_ensemble` collects them.
+those blocks to its learners, and `simulate_ensemble` collects them.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
 0 on the same noise plus x0's free response C A^t x0 (`lds_free_responses`).
@@ -251,32 +251,12 @@ def _draw_noise(rngs: Sequence[SeededRng], shape, stdev: float, n_workers: int, 
 # linear simulation
 
 
-def simulate_lds_ensemble(
-    spec: LdsSpec,
-    horizon: int,
-    x0,
-    rngs: Sequence[SeededRng],
-    *,
-    n_workers: int = 1,
-    record_states: bool = False,
-):
-    """Observations (n, H, p) of x' = A x + w, y = C x + v for n trajectories
-    from x0, one child stream each, with A + B K in place of A for a
-    closed-loop spec.
-
-    The noise is drawn on up to `n_workers` threads, with the same bits at
-    any count, the process noise one time chunk at a time (see `_lds_steps`).
-    With `record_states` the result is (Ys, Xs), Xs (n, H, d) holding the
-    state that each observation reads.
-    """
+def _lds_x0(spec: LdsSpec, x0) -> np.ndarray:
+    """An LDS initial state, checked: a finite vector of length d."""
     x0 = as_vector(x0, "x0")
     if x0.shape != (spec.d,):
         raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
-    n = len(rngs)
-    Xs = np.empty((n, horizon, spec.d)) if record_states else None
-    X = np.broadcast_to(x0, (n, spec.d)).copy()
-    Ys = _lds_steps(spec, horizon, X, rngs, n_workers, Xs)
-    return (Ys, Xs) if record_states else Ys
+    return x0
 
 
 def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
@@ -286,10 +266,7 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     response.  Row j depends on the whole stack only through the rounding of
     one (k, d) matmul per step, so a given stack always gives the same bits.
     """
-    rows = [as_vector(x0, "x0") for x0 in states]
-    for x0 in rows:
-        if x0.shape != (spec.d,):
-            raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
+    rows = [_lds_x0(spec, x0) for x0 in states]
     if not rows:
         raise ContractViolation("states must be nonempty")
     return _lds_steps(spec, horizon, np.stack(rows))
@@ -493,8 +470,12 @@ def _lorenz_stack(x0) -> np.ndarray:
     return np.atleast_2d(X0)
 
 
-def simulate_lorenz_ensemble(
-    spec: LorenzSpec,
+# ---------------------------------------------------------------------------
+# simulation of either system
+
+
+def simulate_ensemble(
+    system,
     horizon: int,
     x0,
     rngs: Sequence[SeededRng],
@@ -502,19 +483,30 @@ def simulate_lorenz_ensemble(
     n_workers: int = 1,
     record_states: bool = False,
 ):
-    """Observations of n Lorenz runs from each initial state (noise streams differ).
+    """Observations (n, H, p) of n trajectories of `system` from x0, one child
+    stream each, with the noise drawn on up to `n_workers` threads and the
+    same bits at any count.  With `record_states` the result is (Ys, Xs), Xs
+    holding the state that each observation reads.
 
-    x0 is one state (3,), giving (n, H, p), or a stack (k, 3), giving
-    (k, n, H, p): the whole stack integrates in one recursion, and row i
-    equals the call with x0[i] alone, bit for bit.  Every initial state
-    reads the same noise, drawn on up to `n_workers` threads, with the same
-    bits at any count.  With `record_states` the result is (Ys, Xs), Xs
-    ((n, H, 3) or (k, n, H, 3)) holding the state that each observation
-    reads.  The result collects the blocks of `_lorenz_observations`.
+    An LDS is x' = A x + w, y = C x + v, with A + B K in place of A for a
+    closed-loop spec, from one state x0 (d,); Xs is (n, H, d), and the
+    process noise is drawn one time chunk at a time (see `_lds_steps`).  A
+    Lorenz system starts from one state (3,), or from a stack (k, 3) giving
+    (k, n, H, p) and Xs (k, n, H, 3): the whole stack integrates in one
+    recursion, every initial state reads the same noise, and row i equals
+    the call with x0[i] alone, bit for bit.  The result collects the blocks
+    of `_lorenz_observations`.
     """
+    if isinstance(system, LdsSpec):
+        X = np.broadcast_to(_lds_x0(system, x0), (len(rngs), system.d)).copy()
+        Xs = np.empty((len(X), horizon, system.d)) if record_states else None
+        Ys = _lds_steps(system, horizon, X, rngs, n_workers, Xs)
+        return (Ys, Xs) if record_states else Ys
+    if not isinstance(system, LorenzSpec):
+        raise ContractViolation(f"unsupported system type {type(system)!r}")
     stack = _lorenz_stack(x0)
     k, n = stack.shape[0], len(rngs)
-    Ys = np.empty((k, n, horizon, spec.p))
+    Ys = np.empty((k, n, horizon, system.p))
     Xs = np.empty((k, n, horizon, 3)) if record_states else None
 
     def emit(t0, Y, X):
@@ -523,7 +515,7 @@ def simulate_lorenz_ensemble(
         if Xs is not None:
             Xs[:, :, t0:t1] = X.transpose(2, 3, 0, 1)
 
-    _lorenz_observations(spec, horizon, stack, rngs, n_workers, emit)
+    _lorenz_observations(system, horizon, stack, rngs, n_workers, emit)
     if np.ndim(x0) == 1:
         Ys, Xs = Ys[0], None if Xs is None else Xs[0]
     return (Ys, Xs) if record_states else Ys
@@ -594,25 +586,6 @@ def _distinct(states) -> list[np.ndarray]:
 def initial_states(system) -> list[np.ndarray]:
     """Initial-state grid of a system spec, with exact duplicates removed."""
     return _distinct(system.init.states(system.d, system))
-
-
-def simulate_ensemble(
-    system,
-    horizon: int,
-    x0,
-    rngs: Sequence[SeededRng],
-    *,
-    n_workers: int = 1,
-    record_states: bool = False,
-):
-    """`simulate_lds_ensemble` or `simulate_lorenz_ensemble`, by system type."""
-    if isinstance(system, LdsSpec):
-        sim = simulate_lds_ensemble
-    elif isinstance(system, LorenzSpec):
-        sim = simulate_lorenz_ensemble
-    else:
-        raise ContractViolation(f"unsupported system type {type(system)!r}")
-    return sim(system, horizon, x0, rngs, n_workers=n_workers, record_states=record_states)
 
 
 # ---------------------------------------------------------------------------

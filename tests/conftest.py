@@ -39,6 +39,21 @@ def cli_env(extra=None):
     return env
 
 
+def run_whole(predictor, Ys):
+    """`predictor`'s predictions of every row of the ensemble Ys (n, H, p),
+    pushed to its stream whole with no row mask, so every refit is solved,
+    the final one included; and its first arm's readouts (n, q, p) after its
+    last refit, or None for a stream without arms (Kalman).  A
+    `TruthOracle`, which has no stream, predicts a copy of Ys."""
+    Ys = np.asarray(Ys, dtype=float)
+    if isinstance(predictor, TruthOracle):
+        return Ys.copy(), None
+    stream = predictor.stream(Ys.shape)
+    stream.push(Ys)
+    ridges = getattr(stream, "ridges", None)
+    return stream.reader()(slice(None))[0], ridges[0].w if ridges else None
+
+
 @pytest.fixture
 def scalar_spec():
     """The canonical noisy scalar system a=0.9, c=1, sigma_w=sigma_v=0.1."""
@@ -327,7 +342,7 @@ def bias_variance_reference(system, learner, t_grid, n_traj, master_seed, window
     rngs = learnability._traj_rngs(master, n_traj)
     base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs)
     free = lds_free_responses(system, horizon, learnability._resolve_states(system, None))
-    on_base, on_free = kalman.run_ensemble(base), kalman.run_ensemble(free)
+    on_base, on_free = run_whole(kalman, base)[0], run_whole(kalman, free)[0]
     L = [[], [], []]
     for j in range(len(free)):
         Ys = base + free[j]

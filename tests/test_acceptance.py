@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 import dynolearn as dl
-from conftest import cli_env, kalman_covariances, residual_energy, trajectory_features
+from conftest import (
+    cli_env,
+    kalman_covariances,
+    residual_energy,
+    run_whole,
+    trajectory_features,
+)
 from dynolearn.numerics import SeededRng
 from dynolearn.systems import random_symmetric_psd, random_unit_row
 
@@ -180,7 +186,7 @@ def test_c05_kalman_validation():
     for d in (1, 2, 5):
         spec = _c5_system(d)
         rngs = [SeededRng(5).child(0, i) for i in range(200)]
-        Ys = dl.simulate_lds_ensemble(spec, 516, np.ones(d), rngs)
+        Ys = dl.simulate_ensemble(spec, 516, np.ones(d), rngs)
         contenders = {
             "kernel": dl.KernelOracle(spec),
             "spectral": dl.SpectralPredictor(bank, obs_dim=1),
@@ -189,11 +195,11 @@ def test_c05_kalman_validation():
             "ar1": dl.SpectralPredictor.ar(1),
             "ar5": dl.SpectralPredictor.ar(5),
         }
-        kal_losses = ((dl.KalmanPredictor(spec).run_ensemble(Ys) - Ys) ** 2).sum(2)[
+        kal_losses = ((run_whole(dl.KalmanPredictor(spec), Ys)[0] - Ys) ** 2).sum(2)[
             :, 490:506
         ].mean(1)
         for name, pred in contenders.items():
-            other = ((pred.run_ensemble(Ys) - Ys) ** 2).sum(2)[:, 490:506].mean(1)
+            other = ((run_whole(pred, Ys)[0] - Ys) ** 2).sum(2)[:, 490:506].mean(1)
             diff = kal_losses - other  # must not be significantly positive
             ci = 1.96 * diff.std(ddof=1) / math.sqrt(len(diff))
             if diff.mean() > ci:
@@ -230,7 +236,7 @@ def test_c06_dynamic_learnability_scalar(scalar_excess_curve):
 def test_c07_persistent_excitation(scalar_excess_curve):
     spec, _, _ = scalar_excess_curve
     bank = _quiet_bank(100, 15)
-    ys = dl.simulate_lds_ensemble(spec, 5000, np.array([1.0]), [SeededRng(1000).child(0, 0)])[0]
+    ys = dl.simulate_ensemble(spec, 5000, np.array([1.0]), [SeededRng(1000).child(0, 0)])[0]
     Z = trajectory_features(bank, ys)
     checkpoints = np.arange(500, 5001, 500)
     ratios = []
@@ -280,7 +286,7 @@ def test_c09_lorenz_chaos_obstruction():
     signal_power = float((ys**2).mean())
 
     bank = _quiet_bank(32, 13)
-    preds, readouts = dl.SpectralPredictor(bank, obs_dim=1).fit(ys[None])
+    preds, readouts = run_whole(dl.SpectralPredictor(bank, obs_dim=1), ys[None])
     tail = slice(int(0.9 * H), H)
     one_step = float(((preds[0, tail] - ys[tail]) ** 2).mean())
     ok_one = one_step <= 1e-2 * signal_power
@@ -318,8 +324,8 @@ def test_c10_closed_loop_equivalence():
     init = dl.InitPolicy(kind="fixed", x0=(1.0,))
     open_spec = dl.LdsSpec(A=[[0.9]], C=[[1.0]], noise=noise, init=init)
     zero_b = dl.LdsSpec(A=[[0.9]], C=[[1.0]], noise=noise, init=init, B=[[0.0]], K=[[-0.5]])
-    y_open = dl.simulate_lds_ensemble(open_spec, 500, [1.0], [SeededRng(99)])
-    y_closed = dl.simulate_lds_ensemble(zero_b, 500, [1.0], [SeededRng(99)])
+    y_open = dl.simulate_ensemble(open_spec, 500, [1.0], [SeededRng(99)])
+    y_closed = dl.simulate_ensemble(zero_b, 500, [1.0], [SeededRng(99)])
     bit_identical = bool(np.array_equal(y_open, y_closed))
 
     # stabilized unstable plant: effective pole 0.9, same slope law as C6(a)

@@ -13,6 +13,7 @@ from dynolearn import (
     SpectralPredictor,
     TruthOracle,
 )
+from conftest import run_whole
 from dynolearn import config
 from dynolearn.config import (
     ExperimentConfig,
@@ -317,7 +318,7 @@ class TestBuilders:
             ]
             assert unbanked[0] == unbanked[1]
             np.testing.assert_array_equal(got.readout, ref.readout)
-            assert got.run_ensemble(Ys).tobytes() == ref.run_ensemble(Ys).tobytes()
+            assert run_whole(got, Ys)[0].tobytes() == run_whole(ref, Ys)[0].tobytes()
             if isinstance(ref, SpectralPredictor):
                 assert got.bank.filter_matrix().tobytes() == ref.bank.filter_matrix().tobytes()
 

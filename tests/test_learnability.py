@@ -33,6 +33,7 @@ from conftest import (
     REPO,
     bias_variance_reference,
     lorenz_evaluate_reference,
+    run_whole,
     superposed_learner,
     whole_array_ridges,
 )
@@ -236,7 +237,7 @@ class TestLorenzBlowup:
         spec = LorenzSpec(dt=0.05, init=InitPolicy(kind="stationary", points=2))
         bad = np.array([1e8, 1e8, 1e8])
         with pytest.raises(IntegrationBlowup, match=r"at step \d+") as single:
-            systems.simulate_lorenz_ensemble(spec, 24, bad, [SeededRng(0)])
+            systems.simulate_ensemble(spec, 24, bad, [SeededRng(0)])
         a, b = systems.initial_states(spec)
         grid = {"first": [bad, a, b], "middle": [a, bad, b], "last": [a, b, bad]}[position]
         for n_workers in (1, 2, 3):
@@ -610,12 +611,12 @@ class TestAgnosticGap:
         states = sorted(states, key=tuple)
         free = systems.lds_free_responses(system, horizon, states)
         kalman = baselines[3]
-        on_base, on_free = kalman.run_ensemble(base), kalman.run_ensemble(free)
+        on_base, on_free = run_whole(kalman, base)[0], run_whole(kalman, free)[0]
         per_x0 = []
         for j in range(len(states)):
             Ys = base + free[j]
             la = learnability._grid_losses(superposed_learner(alg, base, free[j]), Ys, grid, window)
-            preds = [b.run_ensemble(Ys) for b in baselines[:3]] + [on_base + on_free[j]]
+            preds = [run_whole(b, Ys)[0] for b in baselines[:3]] + [on_base + on_free[j]]
             lbs = [learnability._grid_losses(pr, Ys, grid, window) for pr in preds]
             per_x0.append((la, lbs))
         expected = {"excess_mean": [], "excess_ci_half": [], "raw_alg": [], "raw_oracle": []}
@@ -975,7 +976,7 @@ class TestSuperposedGrid:
         assert len(seen) == k
         for x0, Ys in zip(states, seen):
             rngs = _traj_rngs(SeededRng(seed), n_traj)
-            direct = systems.simulate_lds_ensemble(system, horizon, x0, rngs)
+            direct = systems.simulate_ensemble(system, horizon, x0, rngs)
             scale = np.abs(direct).max()
             np.testing.assert_allclose(Ys, direct, rtol=1e-12, atol=1e-12 * scale)
 
@@ -1234,11 +1235,14 @@ class _Captured(Exception):
 # runs.  The groups set the peak memory, so they move only with the state a
 # learner keeps.  Since m*'s filter counts solve from one Gram and moment,
 # its learner holds d50's 8 x0 in one group (one per x0 when each arm kept
-# its own Gram) and lorenz_long's 4 in one recursion (2 before).
+# its own Gram) and lorenz_long's 4 in one recursion (2 before).  A group's
+# slice stops at the grid's end, so the groups partition the grid: d50's
+# risk learner could hold 20 x0 and lorenz_long's m* 11, but each grid
+# ends first.
 X0_GROUPS = [
     ("d50", "mstar", [[slice(0, 8)], [slice(0, 8)]]),
-    ("d50", "risk", [[slice(0, 20)], [slice(0, 8)]]),
-    ("lorenz_long", "mstar", [slice(0, 11)]),  # groups of up to 11 x0: all 4 at once
+    ("d50", "risk", [[slice(0, 8)], [slice(0, 8)]]),
+    ("lorenz_long", "mstar", [slice(0, 4)]),
 ]
 
 
@@ -1260,9 +1264,12 @@ def test_x0_groups_of_the_benchmark_workloads(name, subcommand, groups, monkeypa
     runs = [r for r in seen["runs"] if not isinstance(r, TruthOracle)]
     k, n = seen["k"], seen["n"]
     if isinstance(seen["system"], LdsSpec):
-        assert [learnability._x0_groups([r], k, n) for r in runs] == groups
+        got = [learnability._x0_groups([r], k, n) for r in runs]
     else:
-        assert learnability._x0_groups(runs, k, n) == groups
+        got = learnability._x0_groups(runs, k, n)
+    assert got == groups
+    for run_groups in got if isinstance(got[0], list) else [got]:  # each partitions the grid
+        assert [j for g in run_groups for j in range(g.start, g.stop)] == list(range(k))
 
 
 def _as_bytes(result):

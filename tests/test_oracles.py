@@ -17,7 +17,7 @@ from dynolearn import (
     SpectralPredictor,
     TruthOracle,
     estimate_excess_risk,
-    simulate_lds_ensemble,
+    simulate_ensemble,
 )
 from conftest import (
     kalman_covariances,
@@ -25,15 +25,16 @@ from conftest import (
     kalman_steps,
     kernel_reference,
     lds_reference,
+    run_whole,
 )
 from dynolearn import oracles, predictors
 from dynolearn.errors import IncompatiblePairing
-from dynolearn.systems import random_symmetric_psd, random_unit_row, simulate_lorenz_ensemble
+from dynolearn.systems import random_symmetric_psd, random_unit_row
 
 
 def _run(predictor, ys):
     """`predictor`'s predictions on one (H, p) trajectory."""
-    return predictor.run_ensemble(ys[None])[0]
+    return run_whole(predictor, ys[None])[0][0]
 
 
 def _spec(a, c=1.0, q=0.01, r=0.01, x0=(1.0,)):
@@ -94,7 +95,7 @@ class TestKalman:
             evals = np.linalg.eigvalsh(Ps[t])
             assert evals.min() >= -1e-10
 
-    def test_run_ensemble_matches_step_loop(self):
+    def test_whole_run_matches_step_loop(self):
         spec = LdsSpec(
             A=[[0.8, 0.1], [0.1, 0.6]],
             C=[[1.0, -1.0]],
@@ -162,7 +163,7 @@ class TestKalman:
     def test_schedule_stops_at_its_exact_fixed_point(self, spec):
         H = 400
         kal = KalmanPredictor(spec)
-        Ys = simulate_lds_ensemble(spec, H, spec.init.x0, [SeededRng(i) for i in range(3)])
+        Ys = simulate_ensemble(spec, H, spec.init.x0, [SeededRng(i) for i in range(3)])
         stream = kal.stream(Ys.shape)
         stream.push(Ys)
         assert stream.fixed_from < H // 2
@@ -330,7 +331,7 @@ class TestKernelOracle:
         rhs = 2.5 * _run(oracle, h1) + _run(oracle, h2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_run_ensemble_matches_predict_loop(self):
+    def test_whole_run_matches_predict_loop(self):
         spec = LdsSpec(
             A=np.diag([0.8, 0.3]),
             C=np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -365,9 +366,9 @@ class TestKernelOracle:
     def test_losses_equal_kalman(self, name):
         spec = KERNEL_SYSTEMS[name]()
         rngs = [SeededRng(1).child(i) for i in range(50)]
-        Ys = simulate_lds_ensemble(spec, 400, np.ones(spec.d), rngs)
+        Ys = simulate_ensemble(spec, 400, np.ones(spec.d), rngs)
         losses = [
-            ((P.run_ensemble(Ys) - Ys) ** 2).sum(2)[:, 200:].mean(1)
+            ((run_whole(P, Ys)[0] - Ys) ** 2).sum(2)[:, 200:].mean(1)
             for P in (KalmanPredictor(spec), KernelOracle(spec))
         ]
         diff = losses[1] - losses[0]
@@ -389,7 +390,7 @@ class TestKernelOracle:
         d = spec.d
         x0s = np.random.default_rng(3).standard_normal((5, d))
         Ys = np.stack([lds_reference(spec, 60, x0, 0)[0] for x0 in x0s])
-        losses = ((oracle.run_ensemble(Ys) - Ys) ** 2).sum(2)
+        losses = ((run_whole(oracle, Ys)[0] - Ys) ** 2).sum(2)
         assert losses[:, d:].max() <= 1e-28
 
 
@@ -410,9 +411,9 @@ class TestDeterministicTruth:
 
     def test_noiseless_lorenz_zero_loss(self):
         spec = LorenzSpec()
-        Ys = simulate_lorenz_ensemble(spec, 100, [1.0, 1.0, 1.0], [SeededRng(0)])
+        Ys = simulate_ensemble(spec, 100, [1.0, 1.0, 1.0], [SeededRng(0)])
         oracle = TruthOracle(spec)
-        assert ((oracle.run_ensemble(Ys) - Ys) ** 2).sum() == 0.0
+        assert ((run_whole(oracle, Ys)[0] - Ys) ** 2).sum() == 0.0
 
     def test_refuses_noisy_spec(self):
         with pytest.raises(ContractViolation, match="noiseless"):
@@ -423,7 +424,7 @@ class TestDeterministicTruth:
         Ys = lds_reference(_spec(a=0.5), 20, [1.0], 0)[0][None]
         oracle = TruthOracle()
         assert oracle.label == "zero"
-        preds = oracle.run_ensemble(Ys)
+        preds = run_whole(oracle, Ys)[0]
         assert preds is not Ys
         np.testing.assert_array_equal(preds, Ys)
 
@@ -441,9 +442,9 @@ class TestBayesOrdering:
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
         rngs = [SeededRng(5).child(i) for i in range(60)]
-        Ys = simulate_lds_ensemble(spec, 400, np.array([1.0]), rngs)
-        kal = KalmanPredictor(spec).run_ensemble(Ys)
-        ker = KernelOracle(spec).run_ensemble(Ys)
+        Ys = simulate_ensemble(spec, 400, np.array([1.0]), rngs)
+        kal = run_whole(KalmanPredictor(spec), Ys)[0]
+        ker = run_whole(KernelOracle(spec), Ys)[0]
         tail = slice(200, 400)
         mse_k = ((kal - Ys) ** 2)[:, tail].mean()
         mse_c = ((ker - Ys) ** 2)[:, tail].mean()
@@ -457,14 +458,18 @@ class TestLinearity:
         # the harness superposes every predictor that fits nothing: the
         # reference predictors and the learner class's frozen baselines
         # (`SpectralPredictor.baseline`); the additivity property below
-        # covers each of them
-        declared = {
+        # covers each of them.  Each runs as a stream, but the truth oracle,
+        # which has none: the harness predicts the read observations by
+        # themselves
+        public = {
             c
             for module in (oracles, predictors)
             for c in vars(module).values()
-            if isinstance(c, type) and hasattr(c, "run_ensemble") and c.__name__[0] != "_"
+            if isinstance(c, type) and c.__name__[0] != "_"
         }
-        assert declared == {SpectralPredictor, KalmanPredictor, KernelOracle, TruthOracle}
+        streams = {c for c in public if hasattr(c, "stream")}
+        assert streams == {SpectralPredictor, KalmanPredictor, KernelOracle}
+        assert TruthOracle in public and not hasattr(TruthOracle, "stream")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -496,9 +501,9 @@ class TestLinearity:
             "last_value": lambda: SpectralPredictor.baseline("last_value", obs_dim=p),
         }[kind]()
         a, b = 3.0 * g.standard_normal((2, n, H, p))
-        ra, rb = P.run_ensemble(a), P.run_ensemble(b)
+        ra, rb = run_whole(P, a)[0], run_whole(P, b)[0]
         scale = max(np.abs(ra).max(), np.abs(rb).max())
-        np.testing.assert_allclose(P.run_ensemble(a + b), ra + rb, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(run_whole(P, a + b)[0], ra + rb, rtol=1e-12, atol=1e-12 * scale)
 
 
 def _stream_spec(g, d, p):

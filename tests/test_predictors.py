@@ -15,12 +15,13 @@ from dynolearn import (
     SeededRng,
     SpectralPredictor,
     build_filter_bank,
-    simulate_lds_ensemble,
+    simulate_ensemble,
 )
 from conftest import (
     SRC,
     baseline_map,
     lds_reference,
+    run_whole,
     shifted_features_reference,
     shifted_lags_reference,
     stream_predictions,
@@ -40,14 +41,15 @@ def small_bank():
 class TestSpectralPredictor:
     def test_zero_readout_predicts_zero(self, small_bank):
         # no refit within 10 steps: the readout stays zero, whatever the data
-        preds, readouts = SpectralPredictor(small_bank, refit_period=16).fit(np.ones((2, 10, 1)))
+        pred = SpectralPredictor(small_bank, refit_period=16)
+        preds, readouts = run_whole(pred, np.ones((2, 10, 1)))
         assert readouts.shape == (2, small_bank.m, 1)
         assert (readouts == 0).all()
         assert (preds == 0).all()
 
     def test_zero_until_first_refit(self, small_bank, scalar_spec):
         ys, _ = lds_reference(scalar_spec, 40, [1.0], 0)
-        preds = SpectralPredictor(small_bank, refit_period=16).run_ensemble(ys[None])[0]
+        preds = run_whole(SpectralPredictor(small_bank, refit_period=16), ys[None])[0][0]
         assert (preds[:16] == 0.0).all()
         assert (preds[16:] != 0.0).any()
 
@@ -62,7 +64,7 @@ class TestSpectralPredictor:
             z = window_features(small_bank, ys[:t][::-1, None])
             ys[t] = w_star @ z
         pred = SpectralPredictor(small_bank, reg=1e-10)
-        preds = pred.run_ensemble(ys[None, :, None])[0, :, 0]
+        preds = run_whole(pred, ys[None, :, None])[0][0, :, 0]
         err = np.abs(preds[64:] - ys[64:]).max()
         assert err <= 1e-8
 
@@ -72,7 +74,7 @@ class TestSpectralPredictor:
         H = 32
         Ys = np.zeros((1, H, 1))
         Ys[0, H - 2, 0], Ys[0, H - 1, 0] = 2.0, 1.5
-        preds, readouts = SpectralPredictor(small_bank, reg=0.5, refit_period=16).fit(Ys)
+        preds, readouts = run_whole(SpectralPredictor(small_bank, reg=0.5, refit_period=16), Ys)
         z = 2.0 * small_bank.filter_matrix()[0]
         ridge = 0.5 * (z @ z) / (small_bank.m * H**0.75)
         w = readouts[0, :, 0]
@@ -85,14 +87,14 @@ class TestSpectralPredictor:
         # Gram, moment and ridge all scale by c^2: the readout is unchanged
         ys, _ = lds_reference(scalar_spec, 64, [1.0], 1)
         pred = SpectralPredictor(small_bank)
-        preds, readouts = pred.fit(ys[None])
-        preds2, readouts2 = pred.fit(2.0 * ys[None])
+        preds, readouts = run_whole(pred, ys[None])
+        preds2, readouts2 = run_whole(pred, 2.0 * ys[None])
         assert readouts2.tobytes() == readouts.tobytes()
         assert preds2.tobytes() == (2.0 * preds).tobytes()
 
     def test_refit_matches_ridge_solve_recomputation(self, small_bank, scalar_spec):
         ys, _ = lds_reference(scalar_spec, 96, [1.0], 2)
-        _, readouts = SpectralPredictor(small_bank, reg=1.0, refit_period=16).fit(ys[None])
+        _, readouts = run_whole(SpectralPredictor(small_bank, reg=1.0, refit_period=16), ys[None])
         # rebuild the design matrix the accumulators summarize; ridge-solve it
         Z = np.zeros((96, small_bank.m))
         for t in range(1, 96):
@@ -112,7 +114,7 @@ class TestSpectralPredictor:
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
         ys, _ = lds_reference(spec, 150, [1.0, -1.0], 7)
-        fast = SpectralPredictor(bank, obs_dim=p).run_ensemble(ys[None])[0]
+        fast = run_whole(SpectralPredictor(bank, obs_dim=p), ys[None])[0][0]
         slow = stream_predictions(SpectralPredictor(bank, obs_dim=p), ys)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -130,7 +132,7 @@ class TestSpectralPredictor:
             )
             ys, _ = lds_reference(spec, 64, np.zeros(d), 0)
             pred = SpectralPredictor(small_bank)
-            _, readouts = pred.fit(ys[None])
+            _, readouts = run_whole(pred, ys[None])
             sizes.append((pred.state_size, readouts.shape))
         assert len(set(sizes)) == 1
         assert sizes[0] == (small_bank.m**2 + 2 * small_bank.m, (1, small_bank.m, 1))
@@ -139,11 +141,12 @@ class TestSpectralPredictor:
         ys, _ = lds_reference(scalar_spec, 50, [1.0], 3)
         pred = SpectralPredictor(small_bank)
         before = dict(vars(pred))
-        first = pred.run_ensemble(ys[None])
+        first, readouts = run_whole(pred, ys[None])
         assert vars(pred) == before
-        pred.run_ensemble(-ys[None])
-        assert pred.run_ensemble(ys[None]).tobytes() == first.tobytes()
-        assert pred.fit(ys[None])[0].tobytes() == first.tobytes()
+        run_whole(pred, -ys[None])
+        again, readouts_again = run_whole(pred, ys[None])
+        assert again.tobytes() == first.tobytes()
+        assert readouts_again.tobytes() == readouts.tobytes()
 
     def test_sign_augmentation_handles_negative_pole(self):
         # low observation SNR with a strongly negative pole: the predictive
@@ -157,14 +160,14 @@ class TestSpectralPredictor:
             init=InitPolicy(kind="fixed", x0=(1.0,)),
         )
         rngs = [SeededRng(3).child(0, i) for i in range(150)]
-        Ys = simulate_lds_ensemble(spec, 3000, np.array([1.0]), rngs)
+        Ys = simulate_ensemble(spec, 3000, np.array([1.0]), rngs)
         tail = slice(2900, 2980)
-        kal = ((KalmanPredictor(spec).run_ensemble(Ys) - Ys) ** 2)[:, tail].mean()
+        kal = ((run_whole(KalmanPredictor(spec), Ys)[0] - Ys) ** 2)[:, tail].mean()
         excess = {}
         for aug in (False, True):
             bank = build_filter_bank(64, 10, sign_augmented=aug)
             sf = SpectralPredictor(bank, obs_dim=1)
-            excess[aug] = ((sf.run_ensemble(Ys) - Ys) ** 2)[:, tail].mean() - kal
+            excess[aug] = ((run_whole(sf, Ys)[0] - Ys) ** 2)[:, tail].mean() - kal
         assert excess[True] < 0.2 * excess[False]
         assert excess[True] <= 0.01 * kal
 
@@ -173,9 +176,9 @@ class TestSpectralPredictor:
 
         bank = build_filter_bank(100, 15)
         rngs = [SeededRng(12).child(i) for i in range(120)]
-        Ys = simulate_lds_ensemble(scalar_spec, 2000, np.array([1.0]), rngs)
-        sf = SpectralPredictor(bank).run_ensemble(Ys)
-        kal = KalmanPredictor(scalar_spec).run_ensemble(Ys)
+        Ys = simulate_ensemble(scalar_spec, 2000, np.array([1.0]), rngs)
+        sf = run_whole(SpectralPredictor(bank), Ys)[0]
+        kal = run_whole(KalmanPredictor(scalar_spec), Ys)[0]
         tail = slice(1900, 2000)
         mse_sf = ((sf - Ys) ** 2)[:, tail].mean()
         mse_k = ((kal - Ys) ** 2)[:, tail].mean()
@@ -184,29 +187,29 @@ class TestSpectralPredictor:
 
 class TestBaselines:
     def test_zero(self):
-        preds = SpectralPredictor.baseline("zero").run_ensemble(np.ones((1, 10, 1)))
+        preds = run_whole(SpectralPredictor.baseline("zero"), np.ones((1, 10, 1)))[0]
         assert (preds == 0).all()
         zero = SpectralPredictor.baseline("zero", obs_dim=2)
-        assert (zero.run_ensemble(np.ones((3, 5, 2))) == 0).all()
+        assert (run_whole(zero, np.ones((3, 5, 2)))[0] == 0).all()
 
     def test_last_value_constant_sequence(self):
         pred = SpectralPredictor.baseline("last_value")
         ys = np.full(10, 3.3)
-        preds = pred.run_ensemble(ys[None, :, None])[0, :, 0]
+        preds = run_whole(pred, ys[None, :, None])[0][0, :, 0]
         assert preds[0] == 0.0
         np.testing.assert_array_equal(preds[1:], ys[1:])  # zero loss from step 2
 
     def test_ar1_identifies_decay_coefficient(self):
         ys = (0.5 ** np.arange(60))[:, None]
         pred = SpectralPredictor.ar(1, reg=1e-10, refit_period=16)
-        preds = pred.run_ensemble(ys[None])[0]
+        preds = run_whole(pred, ys[None])[0][0]
         # rows 48..59 read the readout refit at step 48: y_hat_t = w y_{t-1}
         np.testing.assert_allclose(preds[48:, 0] / ys[47:-1, 0], 0.5, rtol=0, atol=1e-6)
 
     def test_ar_matches_batch_least_squares(self, scalar_spec):
         k = 3
         ys, _ = lds_reference(scalar_spec, 128, [1.0], 9)
-        preds = SpectralPredictor.ar(k, reg=0.7, refit_period=16).run_ensemble(ys[None])[0]
+        preds = run_whole(SpectralPredictor.ar(k, reg=0.7, refit_period=16), ys[None])[0][0]
         Z = np.zeros((128, k))
         for t in range(1, 128):
             lag = ys[max(0, t - k) : t][::-1, 0]
@@ -229,7 +232,7 @@ class TestBaselines:
         for spec, x0 in ((scalar_spec, [1.0]), (three, [1.0, -1.0, 0.5])):
             ys, _ = lds_reference(spec, 150, x0, 4)
             pred = SpectralPredictor.ar(4, spec.p)
-            fast = pred.run_ensemble(ys[None])[0]
+            fast = run_whole(pred, ys[None])[0][0]
             np.testing.assert_allclose(fast, stream_predictions(pred, ys), rtol=1e-9, atol=1e-12)
 
     def test_rejects_unknown_kind(self):
@@ -253,7 +256,7 @@ class TestBaselines:
             assert isinstance(baseline, SpectralPredictor) and baseline.label == kind
             assert baseline.bank.filter_matrix().tobytes() == np.eye(1).tobytes()
             assert baseline.readout.tobytes() == readout.tobytes()
-            preds, readouts = baseline.fit(Ys)  # it fits nothing: the readout stays fixed
+            preds, readouts = run_whole(baseline, Ys)  # it fits nothing: the readout stays fixed
             assert all(w.tobytes() == readout.tobytes() for w in readouts)
             assert preds.tobytes() == baseline_map(kind, Ys).tobytes()
         assert SpectralPredictor.ar(2).readout is None  # a learner's readout is fit
@@ -266,8 +269,8 @@ class TestBaselines:
         assert (ar.label, ar.bank.window, ar.bank.feature_count) == (f"ar{k}", k, k)
         assert ar.bank.filter_matrix().tobytes() == np.eye(k).tobytes()
         (ridge,) = whole_array_ridges(np.eye(k), Ys, [(None, 0.7)], 8)
-        preds, readouts = ar.fit(Ys)
-        assert preds.tobytes() == ridge.preds.tobytes() == ar.run_ensemble(Ys).tobytes()
+        preds, readouts = run_whole(ar, Ys)
+        assert preds.tobytes() == ridge.preds.tobytes() == run_whole(ar, Ys)[0].tobytes()
         assert readouts.tobytes() == ridge.w.tobytes()
 
     def test_ar_order_below_one_is_refused(self):
@@ -279,7 +282,7 @@ class TestBaselines:
     def test_last_value_shifts(self, seed):
         g = np.random.default_rng(seed)
         ys = g.standard_normal(20)
-        preds = SpectralPredictor.baseline("last_value").run_ensemble(ys[None, :, None])[0, :, 0]
+        preds = run_whole(SpectralPredictor.baseline("last_value"), ys[None, :, None])[0][0, :, 0]
         np.testing.assert_array_equal(preds[1:], ys[:-1])
 
 
@@ -371,7 +374,7 @@ class TestBlockedEngine:
         m = data.draw(st.integers(1, min(6, reliable_filter_cap(window))), label="m")
         bank = build_filter_bank(window, m, sign_augmented=sign_augmented)
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
-        got = SpectralPredictor(bank, p, reg, refit_period).run_ensemble(Ys)
+        got = run_whole(SpectralPredictor(bank, p, reg, refit_period), Ys)[0]
         Z = shifted_features_reference(bank, Ys)
         want = streaming_ridge_reference(Z, Ys, reg, refit_period)
         _close(got, want)
@@ -388,7 +391,7 @@ class TestBlockedEngine:
     )
     def test_ar_matches_reference(self, n, H, p, order, refit_period, reg, seed):
         Ys = np.random.default_rng(seed).standard_normal((n, H, p))
-        got = SpectralPredictor.ar(order, p, reg, refit_period).run_ensemble(Ys)
+        got = run_whole(SpectralPredictor.ar(order, p, reg, refit_period), Ys)[0]
         Z = _coordinate_major(shifted_lags_reference(Ys, order), order)
         want = streaming_ridge_reference(Z, Ys, reg, refit_period)
         assert got.tobytes() == want.tobytes()  # exact features in one layout: the same arithmetic
@@ -406,10 +409,10 @@ class TestBlockedEngine:
         Ys = np.random.default_rng(H + p).standard_normal((4, H, p))
         if kind == "spectral":
             bank = build_filter_bank(window_or_order, m)
-            got = SpectralPredictor(bank, p).run_ensemble(Ys)
+            got = run_whole(SpectralPredictor(bank, p), Ys)[0]
             Z = shifted_features_reference(bank, Ys)
         else:
-            got = SpectralPredictor.ar(window_or_order, p).run_ensemble(Ys)
+            got = run_whole(SpectralPredictor.ar(window_or_order, p), Ys)[0]
             Z = shifted_lags_reference(Ys, window_or_order)
         want = streaming_ridge_reference(Z, Ys, 2.0, 16)
         assert got.tobytes() == want.tobytes()
@@ -434,13 +437,13 @@ class TestBlockedEngine:
         big = build_filter_bank(100, 15)
         ms, regs = (1, 4, 10, 15), (2.0, 0.5, 2.0, 1.0)
         arms = [(None if m == big.m else _bank_columns(big, m, 1), reg) for m, reg in zip(ms, regs)]
-        Ys = simulate_lds_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
+        Ys = simulate_ensemble(scalar_spec, 400, [1.0], [SeededRng(i) for i in range(5)])
         got = [ridge.preds for ridge in whole_array_ridges(big.filter_matrix(), Ys, arms, 16)]
         kept = whole_array_ridges(big.filter_matrix(), Ys, arms, 16, np.arange(400) >= 150)
         for preds, ridge in zip(got, kept):
             assert ridge.preds.tobytes() == preds[:, 150:].tobytes()
         for m, reg, preds in zip(ms, regs, got):
-            alone = SpectralPredictor(build_filter_bank(100, m), reg=reg).run_ensemble(Ys)
+            alone = run_whole(SpectralPredictor(build_filter_bank(100, m), reg=reg), Ys)[0]
             if m == big.m:  # the largest arm reads the convolution it would run alone
                 assert preds.tobytes() == alone.tobytes()
             np.testing.assert_allclose(preds, alone, rtol=1e-9, atol=1e-12)
@@ -478,7 +481,7 @@ class TestBlockedEngine:
             Ys = np.random.default_rng(H).standard_normal((16, H, 3))
             tracemalloc.start()
             try:
-                preds = pred.run_ensemble(Ys)
+                preds = run_whole(pred, Ys)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -607,8 +610,8 @@ class TestRowRestrictedEngine:
         pred = SpectralPredictor(build_filter_bank(20, 4), obs_dim=2, refit_period=16)
         (ridge,) = whole_array_ridges(pred.bank.filter_matrix(), Ys, [(None, pred.reg)], 16)
         assert ridge.solves == 4  # the refit at e = H = 64 included
-        preds, readouts = pred.fit(Ys)
-        assert preds.tobytes() == ridge.preds.tobytes() == pred.run_ensemble(Ys).tobytes()
+        preds, readouts = run_whole(pred, Ys)
+        assert preds.tobytes() == ridge.preds.tobytes() == run_whole(pred, Ys)[0].tobytes()
         assert readouts.tobytes() == ridge.w.tobytes()
         rows = np.zeros(64, dtype=bool)
         rows[40:44] = True
@@ -640,7 +643,7 @@ class TestRowRestrictedEngine:
         Ys = np.random.default_rng(2).standard_normal((3, 40, 1))
         ar2 = SpectralPredictor.ar(2, reg=0.0, refit_period=2)
         with pytest.raises(SingularSystem, match="step 2"):
-            ar2.run_ensemble(Ys)  # the public run solves every refit
+            run_whole(ar2, Ys)  # a run without a row mask solves every refit
         rows = np.zeros(40, dtype=bool)
         rows[10:20] = True
         stream = ar2.stream(Ys.shape, rows)  # as the harness runs it

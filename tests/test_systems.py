@@ -13,7 +13,6 @@ from dynolearn import (
     SeededRng,
     initial_states,
     simulate_ensemble,
-    simulate_lds_ensemble,
     spectral_radius,
     stationary_observation_power,
     stationary_state_covariance,
@@ -25,20 +24,20 @@ from dynolearn.systems import (
     lds_free_responses,
     random_symmetric_psd,
     random_unit_row,
-    simulate_lorenz_ensemble,
 )
 
 
-def _one_run(simulate, spec, horizon, x0, seed, record_states=False):
-    """One trajectory of an ensemble simulator: ys, or (ys, xs) when recording."""
+def _one_run(spec, horizon, x0, seed, record_states=False):
+    """One trajectory of `simulate_ensemble`: ys, or (ys, xs) when recording."""
     rng = seed if isinstance(seed, SeededRng) else SeededRng(seed)
-    run = simulate(spec, horizon, np.asarray(x0, dtype=float), [rng], record_states=record_states)
+    x0 = np.asarray(x0, dtype=float)
+    run = simulate_ensemble(spec, horizon, x0, [rng], record_states=record_states)
     return (run[0][0], run[1][0]) if record_states else run[0]
 
 
 class TestLdsSimulation:
     def test_noiseless_geometric_decay(self, noiseless_scalar_spec):
-        ys = _one_run(simulate_lds_ensemble, noiseless_scalar_spec, 30, [1.0], 0)
+        ys = _one_run(noiseless_scalar_spec, 30, [1.0], 0)
         np.testing.assert_array_equal(ys[:, 0], 0.5 ** np.arange(30))
 
     def test_white_noise_variance(self):
@@ -48,7 +47,7 @@ class TestLdsSimulation:
             noise=NoiseSpec(stdev_process=0.0, stdev_obs=0.3),
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
-        var = _one_run(simulate_lds_ensemble, spec, 10**5, [0.0], 11).var()
+        var = _one_run(spec, 10**5, [0.0], 11).var()
         assert abs(var - 0.09) < 0.05 * 0.09
 
     def test_state_covariance_matches_lyapunov_fixed_point(self):
@@ -59,7 +58,7 @@ class TestLdsSimulation:
             noise=NoiseSpec(stdev_process=1.0, stdev_obs=0.0),
             init=InitPolicy(kind="fixed", x0=(0.0, 0.0)),
         )
-        _, xs = _one_run(simulate_lds_ensemble, spec, 10**5, [0.0, 0.0], 2, record_states=True)
+        _, xs = _one_run(spec, 10**5, [0.0, 0.0], 2, record_states=True)
         emp = xs.T @ xs / xs.shape[0]
         # independent oracle: iterate Sigma <- A Sigma A^T + Q to convergence
         sigma = np.zeros((2, 2))
@@ -75,7 +74,7 @@ class TestLdsSimulation:
             noise=NoiseSpec(),
             init=InitPolicy(kind="fixed", x0=(1.0, -1.0)),
         )
-        ys, xs = _one_run(simulate_lds_ensemble, spec, 200, [1.0, -1.0], 0, record_states=True)
+        ys, xs = _one_run(spec, 200, [1.0, -1.0], 0, record_states=True)
         # observation t reads state t, before it moves; C picks its first coordinate
         assert np.array_equal(xs[0], [1.0, -1.0])
         assert np.array_equal(ys[:, 0], xs[:, 0])
@@ -85,20 +84,20 @@ class TestLdsSimulation:
             assert np.array_equal(xs[t + 1], xs[t] @ At)
 
     def test_replay_bit_identical(self, scalar_spec):
-        a = _one_run(simulate_lds_ensemble, scalar_spec, 500, [1.0], 123)
-        b = _one_run(simulate_lds_ensemble, scalar_spec, 500, [1.0], 123)
+        a = _one_run(scalar_spec, 500, [1.0], 123)
+        b = _one_run(scalar_spec, 500, [1.0], 123)
         assert np.array_equal(a, b)
 
     def test_ensemble_matches_single(self, scalar_spec):
         rngs = [SeededRng(9).child(i) for i in range(4)]
-        Ys = simulate_lds_ensemble(scalar_spec, 300, np.array([1.0]), rngs)
+        Ys = simulate_ensemble(scalar_spec, 300, np.array([1.0]), rngs)
         for i, rng in enumerate([SeededRng(9).child(i) for i in range(4)]):
             ys, _ = lds_reference(scalar_spec, 300, [1.0], rng)
             np.testing.assert_allclose(Ys[i], ys, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self, scalar_spec):
         with pytest.raises(ContractViolation):
-            simulate_lds_ensemble(scalar_spec, 10, [1.0, 2.0], [SeededRng(0)])
+            simulate_ensemble(scalar_spec, 10, [1.0, 2.0], [SeededRng(0)])
 
     @pytest.mark.parametrize("x0, c", [(1e308, 1.0), (-1e308, 1.0), (1e308, 0.0)])
     def test_blowup_names_first_non_finite_step(self, x0, c):
@@ -106,13 +105,13 @@ class TestLdsSimulation:
         # y_1 is finite, from the run or from the free response
         spec = LdsSpec(A=[[2.0]], C=[[c]], noise=NoiseSpec(), symmetric_flag=False)
         with pytest.raises(IntegrationBlowup, match="non-finite observation at step 2$"):
-            simulate_lds_ensemble(spec, 5, [x0], [SeededRng(0)] * 2)
+            simulate_ensemble(spec, 5, [x0], [SeededRng(0)] * 2)
         with pytest.raises(IntegrationBlowup, match="at step 2$"):
             lds_free_responses(spec, 5, [[1.0], [x0]])
         noise = NoiseSpec(stdev_process=0.1)
         noisy = LdsSpec(A=[[1.5]], C=[[1.0]], noise=noise, symmetric_flag=False)
         with pytest.raises(IntegrationBlowup, match="step"):
-            simulate_lds_ensemble(noisy, 2000, [0.0], [SeededRng(1).child(i) for i in range(3)])
+            simulate_ensemble(noisy, 2000, [0.0], [SeededRng(1).child(i) for i in range(3)])
 
     def test_stationary_observation_power_scalar(self, scalar_spec):
         expected = 0.1**2 / (1 - 0.9**2) + 0.1**2
@@ -202,7 +201,7 @@ class TestEnsembleNoise:
         for n_workers in (1, 2, 3):
             calls.clear()
             rngs = [SeededRng(8).child(0, i) for i in range(n)]
-            Ys, Xs = simulate_lds_ensemble(
+            Ys, Xs = simulate_ensemble(
                 system, H, x0, rngs, n_workers=n_workers, record_states=True
             )
             for i, (ys, xs) in enumerate(expected):
@@ -220,7 +219,7 @@ class TestEnsembleNoise:
         for n_workers in (1, 2):
             rngs = [SeededRng(1).child(i) for i in range(n)]
             with pytest.raises(IntegrationBlowup, match="observation at step 22$"):
-                simulate_lds_ensemble(spec, 33, [1e308 / 2**20], rngs, n_workers=n_workers)
+                simulate_ensemble(spec, 33, [1e308 / 2**20], rngs, n_workers=n_workers)
 
     def test_memory_flat_in_horizon(self):
         # d50's shape with fewer rows: the (n, H, p) observations grow with H,
@@ -238,7 +237,7 @@ class TestEnsembleNoise:
             rngs = [SeededRng(2).child(i) for i in range(n)]
             tracemalloc.start()
             try:
-                Ys = simulate_lds_ensemble(spec, H, np.zeros(d), rngs)
+                Ys = simulate_ensemble(spec, H, np.zeros(d), rngs)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -285,17 +284,17 @@ class TestClosedLoop:
             B=[[0.0]],
             K=[[-0.5]],
         )
-        a = _one_run(simulate_lds_ensemble, open_spec, 400, [1.0], 77)
-        b = _one_run(simulate_lds_ensemble, closed_spec, 400, [1.0], 77)
+        a = _one_run(open_spec, 400, [1.0], 77)
+        b = _one_run(closed_spec, 400, [1.0], 77)
         assert np.array_equal(a, b)  # bit identical
 
     def test_scalar_pole_placement(self):
-        ys = _one_run(simulate_lds_ensemble, self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
+        ys = _one_run(self._spec(a=1.2, b=1.0, k=-0.5), 20, [1.0], 0)
         np.testing.assert_allclose(ys[:, 0], 0.7 ** np.arange(20), rtol=1e-12)
 
     def test_control_inputs_recorded(self):
         # the input u = K x enters through B: x' - A x = B K x
-        _, xs = _one_run(simulate_lds_ensemble, self._spec(), 10, [1.0], 0, record_states=True)
+        _, xs = _one_run(self._spec(), 10, [1.0], 0, record_states=True)
         xs = xs[:, 0]
         np.testing.assert_allclose(xs[1:] - 1.4 * xs[:-1], 1.0 * (-0.5 * xs[:-1]), rtol=1e-12)
 
@@ -319,7 +318,7 @@ class TestClosedLoop:
         )
         rho = spectral_radius(spec.effective_transition())
         assert rho < 1
-        _, xs = _one_run(simulate_lds_ensemble, spec, 10**5, np.zeros(3), 5, record_states=True)
+        _, xs = _one_run(spec, 10**5, np.zeros(3), 5, record_states=True)
         max_norm = np.linalg.norm(xs, axis=1).max()
         assert np.isfinite(max_norm)
         assert max_norm < 10 * 0.1 * np.sqrt(3) / (1 - rho)
@@ -347,13 +346,13 @@ def _reference_rk4(x0, dt, steps, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
 class TestLorenz:
     def test_origin_is_equilibrium(self):
         spec = LorenzSpec(init=InitPolicy(kind="fixed", x0=(0.0, 0.0, 0.0)))
-        ys = _one_run(simulate_lorenz_ensemble, spec, 100, [0.0, 0.0, 0.0], 0)
+        ys = _one_run(spec, 100, [0.0, 0.0, 0.0], 0)
         assert np.array_equal(ys, np.zeros((100, 1)))
 
     def test_matches_finer_reference_integration(self):
         spec = LorenzSpec(dt=0.01, obs_coords=("x", "y", "z"))
         steps = 1000  # ten time units
-        _, xs = _one_run(simulate_lorenz_ensemble, spec, steps, [1.0] * 3, 0, record_states=True)
+        _, xs = _one_run(spec, steps, [1.0] * 3, 0, record_states=True)
         # reference at dt/10, subsampled to the coarse grid
         ref = _reference_rk4([1.0, 1.0, 1.0], 0.001, 10 * steps)[::10]
         err = np.abs(xs - ref).max(axis=1)
@@ -367,7 +366,7 @@ class TestLorenz:
     def test_states_equal_textbook_step(self, dt):
         # the in-place stepper keeps the textbook operations in their order
         spec, x0 = LorenzSpec(dt=dt), [1.0, -2.0, 20.0]
-        _, xs = _one_run(simulate_lorenz_ensemble, spec, 500, x0, 0, record_states=True)
+        _, xs = _one_run(spec, 500, x0, 0, record_states=True)
         assert np.array_equal(xs, _reference_rk4(x0, dt, 500))
 
     @pytest.mark.parametrize("dt", [0.001, 0.01, 0.05])
@@ -389,14 +388,14 @@ class TestLorenz:
         spec = LorenzSpec(dt=0.01)
         steps = 2500  # 25 time units
         x0 = np.array([[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]])
-        _, xs = simulate_lorenz_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
+        _, xs = simulate_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
         sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
         assert sep[0] <= 2e-8
         assert sep.max() > 1e-2
 
     def test_observation_subset_and_noise(self):
         spec = LorenzSpec(obs_coords=("x", "z"), obs_noise=0.5)
-        ys, xs = _one_run(simulate_lorenz_ensemble, spec, 50, [1.0] * 3, 3, record_states=True)
+        ys, xs = _one_run(spec, 50, [1.0] * 3, 3, record_states=True)
         assert ys.shape == (50, 2)
         clean = xs[:, [0, 2]]
         assert not np.array_equal(ys, clean)
@@ -405,14 +404,14 @@ class TestLorenz:
     def test_blowup_reports_step(self):
         spec = LorenzSpec(dt=0.05)
         with pytest.raises(IntegrationBlowup, match="step"):
-            _one_run(simulate_lorenz_ensemble, spec, 1000, [1e8, 1e8, 1e8], 0)
+            _one_run(spec, 1000, [1e8, 1e8, 1e8], 0)
 
     def test_ensemble_matches_single(self):
         spec = LorenzSpec(obs_noise=0.1)
         rngs = [SeededRng(2).child(i) for i in range(3)]
-        Ys = simulate_lorenz_ensemble(spec, 200, np.array([1.0, 1.0, 1.0]), rngs)
+        Ys = simulate_ensemble(spec, 200, np.array([1.0, 1.0, 1.0]), rngs)
         for i, rng in enumerate([SeededRng(2).child(i) for i in range(3)]):
-            single = _one_run(simulate_lorenz_ensemble, spec, 200, [1.0, 1.0, 1.0], rng)
+            single = _one_run(spec, 200, [1.0, 1.0, 1.0], rng)
             assert np.array_equal(Ys[i], single)
 
     @settings(max_examples=25, deadline=None)
@@ -437,22 +436,22 @@ class TestLorenz:
         def rngs():
             return [SeededRng(seed).child(i) for i in range(n)]
 
-        stacked = simulate_lorenz_ensemble(spec, horizon, X0[order], rngs())
+        stacked = simulate_ensemble(spec, horizon, X0[order], rngs())
         assert stacked.shape == (k, n, horizon, spec.p)
         for row, i in enumerate(order):
-            per_x0 = simulate_lorenz_ensemble(spec, horizon, X0[i], rngs())
+            per_x0 = simulate_ensemble(spec, horizon, X0[i], rngs())
             assert np.array_equal(stacked[row], per_x0)
             for j, rng in enumerate(rngs()):
-                single = _one_run(simulate_lorenz_ensemble, spec, horizon, X0[i], rng)
+                single = _one_run(spec, horizon, X0[i], rng)
                 assert np.array_equal(per_x0[j], single)
 
     def test_grid_rejects_bad_x0_shape(self):
         rngs = [SeededRng(0).child(0)]
         for x0 in (np.ones(2), np.ones((2, 4)), np.ones((1, 2, 3)), np.empty((0, 3))):
             with pytest.raises(ContractViolation, match="x0"):
-                simulate_lorenz_ensemble(LorenzSpec(), 5, x0, rngs)
+                simulate_ensemble(LorenzSpec(), 5, x0, rngs)
         with pytest.raises(ContractViolation, match="non-finite"):
-            simulate_lorenz_ensemble(LorenzSpec(), 5, [[1.0, np.nan, 0.0]], rngs)
+            simulate_ensemble(LorenzSpec(), 5, [[1.0, np.nan, 0.0]], rngs)
 
     def test_invariants(self):
         with pytest.raises(ContractViolation):
@@ -613,7 +612,7 @@ class TestInitPolicies:
 
 class TestTrajectoryCsv:
     def test_format_and_round_trip(self, tmp_path, noiseless_scalar_spec):
-        ys, xs = _one_run(simulate_lds_ensemble, noiseless_scalar_spec, 12, [1.0], 0, True)
+        ys, xs = _one_run(noiseless_scalar_spec, 12, [1.0], 0, True)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(ys, path, xs)
         text = path.read_text().splitlines()
@@ -629,6 +628,6 @@ class TestTrajectoryCsv:
 
     def test_byte_identical_across_runs(self, tmp_path, scalar_spec):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(_one_run(simulate_lds_ensemble, scalar_spec, 100, [1.0], 5), p1)
-        write_trajectory_csv(_one_run(simulate_lds_ensemble, scalar_spec, 100, [1.0], 5), p2)
+        write_trajectory_csv(_one_run(scalar_spec, 100, [1.0], 5), p1)
+        write_trajectory_csv(_one_run(scalar_spec, 100, [1.0], 5), p2)
         assert p1.read_bytes() == p2.read_bytes()
