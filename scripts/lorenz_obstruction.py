@@ -46,9 +46,11 @@ def main() -> None:
         errs.append(float((h[0] - ys[anchor + args.rollout - 1, 0]) ** 2))
     rollout_mse = float(np.mean(errs))
 
-    x0 = [[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]]
-    _, xs = dl.simulate_ensemble(spec, 2500, x0, [dl.SeededRng(0)], record_states=True)
-    sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
+    xs = [
+        dl.simulate_ensemble(spec, 2500, x0, [dl.SeededRng(0)], record_states=True)[1][0]
+        for x0 in ([1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0])
+    ]
+    sep = np.linalg.norm(xs[0] - xs[1], axis=1)
     crossing = np.argmax(sep > 1e-2)
 
     print(f"signal power E[y^2] = {signal:.2f}")

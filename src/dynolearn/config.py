@@ -361,8 +361,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     h = cfg.harness
     if h.horizon < 1:
         raise ConfigError(f"harness.horizon must be >= 1, got {h.horizon}")
-    if any(e <= 0 or not math.isfinite(e) for e in h.epsilons):
-        raise ConfigError("harness.epsilons must be positive and finite")
+    if not h.epsilons or any(e <= 0 or not math.isfinite(e) for e in h.epsilons):
+        raise ConfigError("harness.epsilons must be nonempty, positive and finite")
     if not (h.epsilon > 0 and math.isfinite(h.epsilon)):
         raise ConfigError(f"harness.epsilon must be positive and finite, got {h.epsilon}")
     if h.n_traj < 2:

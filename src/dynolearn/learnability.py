@@ -87,8 +87,8 @@ from .systems import (
     LorenzSpec,
     _distinct,
     _lorenz_observations,
-    _lorenz_stack,
     _write_table,
+    _x0,
     initial_states,
     lds_free_responses,
     simulate_ensemble,
@@ -341,22 +341,19 @@ def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, runs):
     """
     p = system.p
     for group in _x0_groups(runs.values(), len(states), n):
-        stack = _lorenz_stack(np.stack(states[group]))
+        stack = np.stack([_x0(system, x0) for x0 in states[group]])
         shape = (len(stack) * n, horizon, p)
         streams = {key: r.stream(shape, rows) for key, r in runs.items()}
         ys = np.empty((shape[0], int(np.count_nonzero(rows)), p))
         kept = 0
-
-        def emit(t0, Y, _states):
-            nonlocal kept
+        blocks = _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers)
+        for t0, Y, _states in blocks:
             Y = Y.reshape(shape[0], -1, p)  # x0-major
             for stream in streams.values():
                 stream.push(Y)
             read = Y[:, rows[t0 : t0 + Y.shape[1]]]
             ys[:, kept : kept + read.shape[1]] = read
             kept += read.shape[1]
-
-        _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers, emit)
         readers = {key: stream.reader() for key, stream in streams.items()}
         for x0 in (slice(j * n, (j + 1) * n) for j in range(len(stack))):
             yield ys[x0], {key: reader(x0) for key, reader in readers.items()}

@@ -74,26 +74,25 @@ class KalmanPredictor:
             self.P0 = spec.init.covariance_scale() * np.eye(self.d)
         S0 = self.C @ self.P0 @ self.C.T + self.R
         self._collapsed = COLLAPSE_RTOL * np.linalg.eigvalsh(S0)[-1]
-        self.regularized_steps = 0
 
     def _covariance_update(self, P: np.ndarray):
         """Measurement update of the predictive covariance P, then time update.
 
         Returns the filter step (F, G) = (A (I - gain C), A gain) of this
-        gain, xpred' = F xpred + G y, and the next predictive covariance; F
-        reuses the Joseph form's I - gain C.  An innovation covariance that
-        has collapsed to rounding (COLLAPSE_RTOL) is regularized by
-        INNOVATION_RIDGE and counted in `regularized_steps`.
+        gain, xpred' = F xpred + G y, the next predictive covariance, and
+        whether the step was regularized; F reuses the Joseph form's
+        I - gain C.  An innovation covariance that has collapsed to rounding
+        (COLLAPSE_RTOL) is regularized by INNOVATION_RIDGE.
         """
         S = self.C @ P @ self.C.T + self.R
-        if np.linalg.eigvalsh(S)[0] <= self._collapsed:
-            self.regularized_steps += 1
+        regularized = bool(np.linalg.eigvalsh(S)[0] <= self._collapsed)
+        if regularized:
             S = S + INNOVATION_RIDGE * np.eye(self.p)
         gain = np.linalg.solve(S, self.C @ P).T  # (d, p)
         ImKC = np.eye(self.d) - gain @ self.C
         Ppost = ImKC @ P @ ImKC.T + gain @ self.R @ gain.T  # Joseph form keeps PSD
         Ppred = self.A @ Ppost @ self.A.T + self.Q
-        return (self.A @ ImKC, self.A @ gain), 0.5 * (Ppred + Ppred.T)
+        return (self.A @ ImKC, self.A @ gain), 0.5 * (Ppred + Ppred.T), regularized
 
     def steady_state(self):
         """Converged filter step (F, G) = (A(I - LC), AL) of the covariance recursion.
@@ -106,9 +105,8 @@ class KalmanPredictor:
         scale = np.abs(self.P0).max() + np.abs(self.Q).max()
         P, step = self.P0, None
         for _ in range(MAX_STEPS):
-            regularized = self.regularized_steps
-            step_next, P_next = self._covariance_update(P)
-            if self.regularized_steps > regularized and step is not None:
+            step_next, P_next, regularized = self._covariance_update(P)
+            if regularized and step is not None:
                 return step
             step = step_next
             if np.abs(P_next - P).max() <= CONVERGED_RTOL * scale:
@@ -131,7 +129,9 @@ class _KalmanStream:
 
     `preds` holds the predictions of the rows in the mask `rows` (every row
     when None), in order: (n, R, p) for the ensemble, then (k, R, p) for the
-    free responses.  `t` counts the rows pushed, `kept` the rows kept.
+    free responses.  `t` counts the rows pushed, `kept` the rows kept, and
+    `regularized_steps` the steps of this stream whose innovation
+    covariance was regularized.
     """
 
     def __init__(self, kal: KalmanPredictor, shape, rows=None, k=None):
@@ -144,19 +144,17 @@ class _KalmanStream:
         self.kal, self.P = kal, kal.P0
         self.X = [np.zeros((len(preds), kal.d)) for preds in self.preds]
         self.F = self.G = self.fixed_from = None
-        self.regularized = 0  # regularized steps per step from `fixed_from`
+        self.regularized, self.regularized_steps = False, 0  # this step's, and the count
 
     def push(self, ys: np.ndarray, free=None) -> None:
         kal, Ct = self.kal, self.kal.C.T
         for i in range(ys.shape[1]):
             if self.fixed_from is None:
-                regularized = kal.regularized_steps
-                (self.F, self.G), P = kal._covariance_update(self.P)
+                (self.F, self.G), P, self.regularized = kal._covariance_update(self.P)
                 if P.tobytes() == self.P.tobytes():  # every later step repeats this one
-                    self.fixed_from, self.regularized = self.t, kal.regularized_steps - regularized
+                    self.fixed_from = self.t
                 self.P = P
-            else:
-                kal.regularized_steps += self.regularized
+            self.regularized_steps += self.regularized
             read = self.rows[self.t]
             for j, y in enumerate((ys, free)[: len(self.X)]):
                 if read:

@@ -1,24 +1,26 @@
 """System generators: linear state-space models, closed-loop variants, Lorenz.
 
-Every simulation is an ensemble: n trajectories from one initial state, one
-child random stream per row, so a pure function of (spec, x0, streams);
-replaying the same streams reproduces the ensemble bit for bit.  Each system
-type has one recursion: `_lds_steps` for a linear system, `_lorenz_steps`
-(in-place RK4) for Lorenz, which also takes a stack of initial states and
-integrates the whole grid at once, with the same bits as one x0 at a time;
-on the harness's small states a step is bound by numpy's cost per call, so
-it is 45 numpy calls on 0-d array constants and nothing else (`_Rk4`).
+Every simulation is an ensemble: n trajectories from one initial state x0
+(d,), checked once (`_x0`), one child random stream per row, so a pure
+function of (spec, x0, streams); replaying the same streams reproduces the
+ensemble bit for bit.  Each system type has one recursion: `_lds_steps` for
+a linear system, `_lorenz_steps` (in-place RK4) for Lorenz, a generator of
+blocks of states that also takes a stack of initial states and integrates
+the whole grid at once, with the same bits as one x0 at a time; on the
+harness's small states a step is bound by numpy's cost per call, so it is
+45 numpy calls on 0-d array constants and nothing else (`_Rk4`).
 A non-finite observation or state raises IntegrationBlowup naming the first
 step that produced one.  Each simulator draws its ensemble's noise itself,
 one block of rows per worker; row i comes from rngs[i] alone, so the bits do
-not depend on the worker count.  Noise is drawn one time chunk at a time
-(an LDS's process noise and a Lorenz run's observation noise as the
-recursion reaches it, an LDS's observation noise after it), so the noise
-alive is bounded by the chunk and not the horizon; the chunks read each
-stream in the order of one whole draw, so the bits do not depend on the
-chunk size either.  A standard deviation of 0 disables
-that noise; a noiseless system draws nothing.  Lorenz observations are made
-one recorded block at a time (`_lorenz_observations`): the harness streams
+not depend on the worker count.  Noise is drawn one piece of time at a time
+(an LDS's process noise one chunk at a time as the recursion reaches it and
+its observation noise one chunk at a time after it, a Lorenz run's
+observation noise one recorded block at a time as the recursion makes it),
+so the noise alive is bounded by the piece and not the horizon; the pieces
+read each stream in the order of one whole draw, so the bits do not depend
+on their size either.  A standard deviation of 0 disables that noise; a
+noiseless system draws nothing.  Lorenz observations are yielded one
+recorded block at a time (`_lorenz_observations`): the harness pushes
 those blocks to its learners, and `simulate_ensemble` collects them.
 
 An LDS observation is linear in (x0, noise): the run from x0 is the run from
@@ -251,14 +253,6 @@ def _draw_noise(rngs: Sequence[SeededRng], shape, stdev: float, n_workers: int, 
 # linear simulation
 
 
-def _lds_x0(spec: LdsSpec, x0) -> np.ndarray:
-    """An LDS initial state, checked: a finite vector of length d."""
-    x0 = as_vector(x0, "x0")
-    if x0.shape != (spec.d,):
-        raise ContractViolation(f"x0 has length {x0.size}, expected {spec.d}")
-    return x0
-
-
 def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     """Noise-free observations C A^t x0 (k, H, p) of a stack of k initial states.
 
@@ -266,7 +260,7 @@ def lds_free_responses(spec: LdsSpec, horizon: int, states) -> np.ndarray:
     response.  Row j depends on the whole stack only through the rounding of
     one (k, d) matmul per step, so a given stack always gives the same bits.
     """
-    rows = [_lds_x0(spec, x0) for x0 in states]
+    rows = [_x0(spec, x0) for x0 in states]
     if not rows:
         raise ContractViolation("states must be nonempty")
     return _lds_steps(spec, horizon, np.stack(rows))
@@ -394,84 +388,77 @@ class _Rk4:
             add(s, k2, s)  # s + dt/6 (k1 + 2 k2 + 2 k3 + k4)
 
 
-_RECORD_VALUES = 1 << 16  # state values buffered between two calls of `record`
+_RECORD_VALUES = 1 << 16  # state values in one block that `_lorenz_steps` yields
 
 
-def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int, record) -> None:
-    """Step the (3, ...) state s `horizon` times in place, recording each state.
+def _lorenz_steps(spec: LorenzSpec, s: np.ndarray, horizon: int):
+    """Step the (3, ...) state s `horizon` times in place, yielding its states
+    block by block.
 
-    `record(t0, X)` receives, in order, blocks X (b, 3, ...) holding the
-    states of steps t0 .. t0 + b - 1, each taken before it moves.  A
-    non-finite state raises IntegrationBlowup naming the first step that
-    produced one, before its block is recorded.  A non-finite value stays
-    non-finite under the RK4 step, so each block is checked once, by its
-    last state, and searched for its first bad step only on failure.
+    Yields, in order, (t0, X) with X (b, 3, ...) the states of steps
+    t0 .. t0 + b - 1, each taken before it moves, in a buffer that the next
+    block overwrites.  A non-finite state raises IntegrationBlowup naming the
+    first step that produced one, before its block is yielded.  A non-finite
+    value stays non-finite under the RK4 step, so each block is checked
+    once, by its last state, and searched for its first bad step only on
+    failure.  The floating-point warnings are silenced only around the
+    recursion: numpy's error state is a context variable, so one held
+    across a yield would silence the consumer's code too.
     """
     rk4 = _Rk4(spec, s)
-    X = np.empty((max(1, min(horizon, _RECORD_VALUES // s.size)),) + s.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
-        for t0 in range(0, horizon, len(X)):
-            block = X[: min(len(X), horizon - t0)]
+    X = np.empty((max(1, min(horizon, _RECORD_VALUES // max(1, s.size))),) + s.shape)
+    for t0 in range(0, horizon, len(X)):
+        block = X[: min(len(X), horizon - t0)]
+        with np.errstate(over="ignore", invalid="ignore"):  # blowups surface as IntegrationBlowup
             rk4.run(block)
-            if not np.isfinite(s).all():
-                # the state each step of the block produced: the next one's start, then s
-                made = np.concatenate([block[1:], s[None]]).reshape(len(block), -1)
-                step = t0 + int(np.argmin(np.isfinite(made).all(axis=1))) + 1
-                raise IntegrationBlowup(
-                    f"Lorenz integration produced non-finite state at step {step}"
-                )
-            record(t0, block)
+        if not np.isfinite(s).all():
+            # the state each step of the block produced: the next one's start, then s
+            made = np.concatenate([block[1:], s[None]]).reshape(len(block), -1)
+            step = t0 + int(np.argmin(np.isfinite(made).all(axis=1))) + 1
+            raise IntegrationBlowup(f"Lorenz integration produced non-finite state at step {step}")
+        yield t0, block
 
 
-def _lorenz_observations(spec: LorenzSpec, horizon: int, X0, rngs, n_workers: int, emit) -> None:
-    """Observe n Lorenz runs from each of the k initial states of the checked
-    stack X0 (k, 3) (`_lorenz_stack`) in one stacked recursion, block by block.
+def _lorenz_observations(spec: LorenzSpec, horizon: int, X0, rngs, n_workers: int):
+    """Observe n Lorenz runs from each of the k initial states of the stack
+    X0 (k, 3) of checked states (`_x0`) in one stacked recursion, block by
+    block.
 
-    `emit(t0, Y, X)` receives, in order, the observations Y (k, n, b, p) of
-    steps t0 .. t0 + b - 1 and their states X (b, 3, k, n), a view that the
-    next block overwrites.  Run i of every initial state reads rngs[i]: the
-    observation noise is drawn one time chunk of about `_RECORD_VALUES`
-    values (as many as the recursion buffers states) at a time, on up to
-    `n_workers` threads, as the recursion reaches it, so the noise alive is
-    bounded by the chunk, not the horizon.  The chunks read each stream in
+    Yields, in order, (t0, Y, X): the observations Y (k, n, b, p) of steps
+    t0 .. t0 + b - 1 and their states X (b, 3, k, n), a view that the next
+    block overwrites.  Run i of every initial state reads rngs[i]: each
+    block's observation noise (n, b, p) is drawn, on up to `n_workers`
+    threads, as the recursion makes that block, so the noise alive is
+    bounded by the block, not the horizon.  The blocks read each stream in
     the order of one whole (H, p) draw, so the bits depend neither on the
-    chunk size nor on the worker count.  A noiseless spec draws nothing and
+    block size nor on the worker count.  A noiseless spec draws nothing and
     adds zeros, as the noisy run adds its draws.
     """
     k, n, p = len(X0), len(rngs), spec.p
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
-    chunk = max(1, _RECORD_VALUES // max(1, n * p))  # n = 0: an empty ensemble
-    V = np.zeros((n, min(chunk, horizon), p))
-
-    def record(t0, X):  # X (b, 3, k, n) -> Y (k, n, b, p)
-        t1, Y = t0 + len(X), np.empty((k, n, len(X), p))
-        t = t0
-        while t < t1:  # the pieces of the block in one noise chunk each
-            if t % chunk == 0 and not spec.is_noiseless:
-                c = min(chunk, horizon - t)
-                _draw_noise(rngs, (c, p), spec.obs_noise, n_workers, out=V[:, :c])
-            e = min(t1, t - t % chunk + chunk)
-            states = X[t - t0 : e - t0, coords].transpose(2, 3, 0, 1)
-            v = V[:, t % chunk : t % chunk + e - t]
-            np.add(states, v, out=Y[:, :, t - t0 : e - t0])
-            t = e
-        emit(t0, Y, X)
-
-    _lorenz_steps(spec, np.repeat(X0.T[:, :, None], n, axis=2), horizon, record)
-
-
-def _lorenz_stack(x0) -> np.ndarray:
-    """A Lorenz initial state (3,) or stack (k, 3), checked, as a (k, 3) stack."""
-    X0 = np.asarray(x0, dtype=float)
-    if X0.ndim not in (1, 2) or X0.shape[-1] != 3 or X0.size == 0:
-        raise ContractViolation(f"Lorenz x0 must be (3,) or (k, 3), got shape {X0.shape}")
-    if not np.isfinite(X0).all():
-        raise ContractViolation("x0 contains non-finite entries")
-    return np.atleast_2d(X0)
+    for t0, X in _lorenz_steps(spec, np.repeat(X0.T[:, :, None], n, axis=2), horizon):
+        if t0 == 0:  # the first block is the longest
+            V = np.zeros((n, len(X), p))
+        v = V[:, : len(X)]
+        if not spec.is_noiseless:
+            _draw_noise(rngs, v.shape[1:], spec.obs_noise, n_workers, out=v)
+        Y = np.empty((k, n, len(X), p))
+        np.add(X[:, coords].transpose(2, 3, 0, 1), v, out=Y)
+        yield t0, Y, X
 
 
 # ---------------------------------------------------------------------------
 # simulation of either system
+
+
+def _x0(system, x0) -> np.ndarray:
+    """An initial state of `system`, checked: a finite vector of length d."""
+    if not isinstance(system, (LdsSpec, LorenzSpec)):
+        raise ContractViolation(f"unsupported system type {type(system)!r}")
+    x0 = as_vector(x0, "x0")
+    if x0.shape != (system.d,):
+        raise ContractViolation(f"x0 has length {x0.size}, expected {system.d}")
+    return x0
 
 
 def simulate_ensemble(
@@ -483,41 +470,29 @@ def simulate_ensemble(
     n_workers: int = 1,
     record_states: bool = False,
 ):
-    """Observations (n, H, p) of n trajectories of `system` from x0, one child
-    stream each, with the noise drawn on up to `n_workers` threads and the
-    same bits at any count.  With `record_states` the result is (Ys, Xs), Xs
-    holding the state that each observation reads.
+    """Observations (n, H, p) of n trajectories of `system` from one initial
+    state x0 (d,), one child stream each, with the noise drawn on up to
+    `n_workers` threads and the same bits at any count.  With
+    `record_states` the result is (Ys, Xs), Xs (n, H, d) holding the state
+    that each observation reads.
 
     An LDS is x' = A x + w, y = C x + v, with A + B K in place of A for a
-    closed-loop spec, from one state x0 (d,); Xs is (n, H, d), and the
-    process noise is drawn one time chunk at a time (see `_lds_steps`).  A
-    Lorenz system starts from one state (3,), or from a stack (k, 3) giving
-    (k, n, H, p) and Xs (k, n, H, 3): the whole stack integrates in one
-    recursion, every initial state reads the same noise, and row i equals
-    the call with x0[i] alone, bit for bit.  The result collects the blocks
-    of `_lorenz_observations`.
+    closed-loop spec; its process noise is drawn one time chunk at a time
+    (see `_lds_steps`).  A Lorenz run collects the blocks of
+    `_lorenz_observations`, whose stacks of initial states give each x0 the
+    bits of this call with that x0 alone.
     """
+    x0, n = _x0(system, x0), len(rngs)
+    Xs = np.empty((n, horizon, system.d)) if record_states else None
     if isinstance(system, LdsSpec):
-        X = np.broadcast_to(_lds_x0(system, x0), (len(rngs), system.d)).copy()
-        Xs = np.empty((len(X), horizon, system.d)) if record_states else None
+        X = np.broadcast_to(x0, (n, system.d)).copy()
         Ys = _lds_steps(system, horizon, X, rngs, n_workers, Xs)
         return (Ys, Xs) if record_states else Ys
-    if not isinstance(system, LorenzSpec):
-        raise ContractViolation(f"unsupported system type {type(system)!r}")
-    stack = _lorenz_stack(x0)
-    k, n = stack.shape[0], len(rngs)
-    Ys = np.empty((k, n, horizon, system.p))
-    Xs = np.empty((k, n, horizon, 3)) if record_states else None
-
-    def emit(t0, Y, X):
-        t1 = t0 + len(X)
-        Ys[:, :, t0:t1] = Y
+    Ys = np.empty((n, horizon, system.p))
+    for t0, Y, X in _lorenz_observations(system, horizon, x0[None], rngs, n_workers):
+        Ys[:, t0 : t0 + len(X)] = Y[0]
         if Xs is not None:
-            Xs[:, :, t0:t1] = X.transpose(2, 3, 0, 1)
-
-    _lorenz_observations(system, horizon, stack, rngs, n_workers, emit)
-    if np.ndim(x0) == 1:
-        Ys, Xs = Ys[0], None if Xs is None else Xs[0]
+            Xs[:, t0 : t0 + len(X)] = X[:, :, 0].transpose(2, 0, 1)
     return (Ys, Xs) if record_states else Ys
 
 
@@ -565,11 +540,9 @@ def _stationary_states(system, points: int) -> list[np.ndarray]:
         gap = int(round(2.0 / system.dt))
         picks = [burn + i * gap for i in range(points)]
         states = []
-
-        def record(t0, X):  # X (b, 3, 1) holds the states of steps t0 .. t0 + b - 1
+        for t0, X in _lorenz_steps(system, np.ones((3, 1)), picks[-1] + 1):
+            # X (b, 3, 1) holds the states of steps t0 .. t0 + b - 1
             states.extend(X[t - t0, :, 0].copy() for t in picks if t0 <= t < t0 + len(X))
-
-        _lorenz_steps(system, np.ones((3, 1)), picks[-1] + 1, record)
         return states
     raise ContractViolation(f"unsupported system type {type(system)!r}")
 

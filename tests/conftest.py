@@ -104,7 +104,7 @@ def kalman_steps(kal, horizon):
     with no stop at a fixed point, each step's (F, G) as it returns them."""
     P, steps = kal.P0, []
     for _ in range(horizon):
-        step, P = kal._covariance_update(P)
+        step, P, _ = kal._covariance_update(P)
         steps.append(step)
     return np.stack([F for F, _ in steps]), np.stack([G for _, G in steps])
 
@@ -137,7 +137,7 @@ def kalman_covariances(kal, horizon):
     Ps, P = np.empty((horizon, kal.d, kal.d)), kal.P0
     for t in range(horizon):
         Ps[t] = P
-        _, P = kal._covariance_update(P)
+        _, P, _ = kal._covariance_update(P)
     return Ps
 
 
@@ -365,11 +365,11 @@ def bias_variance_reference(system, learner, t_grid, n_traj, master_seed, window
 
 
 def lorenz_grid_reference(system, horizon, states, rngs):
-    """Observations (k, n, H, p) of a Lorenz grid: the noiseless stacked
-    simulation, which reads no stream, plus one whole (H, p) draw of
+    """Observations (k, n, H, p) of a Lorenz grid: the noiseless simulation
+    of each x0 alone, which reads no stream, plus one whole (H, p) draw of
     observation noise per stream."""
     clean = dataclasses.replace(system, obs_noise=0.0)
-    grid = simulate_ensemble(clean, horizon, np.stack(states), rngs)
+    grid = np.stack([simulate_ensemble(clean, horizon, x0, rngs) for x0 in states])
     if system.obs_noise == 0.0:
         return grid
     noise = np.stack([rng.normals((horizon, system.p), 0.0, system.obs_noise) for rng in rngs])

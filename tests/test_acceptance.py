@@ -304,9 +304,11 @@ def test_c09_lorenz_chaos_obstruction():
 
     # sensitivity: 1e-8 perturbation reaches 1e-2 separation within 25 units
     steps = 2500
-    x0 = np.array([[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]])
-    _, xs = dl.simulate_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
-    sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
+    xs = [
+        dl.simulate_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)[1][0]
+        for x0 in ([1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0])
+    ]
+    sep = np.linalg.norm(xs[0] - xs[1], axis=1)
     ok_lyap = bool(sep.max() > 1e-2)
 
     ok = ok_one and ok_iter and ok_lyap

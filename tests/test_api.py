@@ -74,7 +74,6 @@ PREDICTOR_PUBLIC = {
         "d",
         "label",
         "p",
-        "regularized_steps",
         "spec",
         "steady_state",
         "stream",

@@ -313,6 +313,15 @@ class TestRiskPipeline:
         assert "Traceback" not in res.stderr
         assert not (workdir / "bi").exists()
 
+    def test_burnin_refuses_empty_epsilons(self, tmp_path):
+        # an empty list would write a burnin.csv of its header alone
+        cfg = REPO / "configs" / "scalar_lds.cfg"
+        res = run_cli(["burnin", "-c", str(cfg), "--out", "bi", "harness.epsilons="], tmp_path)
+        assert res.returncode == 1, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "harness.epsilons" in err["message"]
+        assert not (tmp_path / "bi").exists()
+
     def test_burnin_inf_sentinel(self, workdir):
         fixture = workdir / "curve.csv"
         fixture.write_text(

@@ -842,13 +842,13 @@ class TestSharedNoise:
         def replay(system, horizon, x0, rngs, n_workers=1):
             # biasvar's reference run is one stream in its own namespace
             if rngs[0].path[0] != learnability._REF_NS:
-                replays.extend(np.atleast_2d(x0))  # one row per x0 of a stacked call
+                replays.append(np.asarray(x0))
                 rngs = fresh(rngs)
             return systems.simulate_ensemble(system, horizon, x0, rngs)
 
-        def replay_lorenz(system, horizon, X0, rngs, n_workers, emit):
+        def replay_lorenz(system, horizon, X0, rngs, n_workers):
             replays.extend(X0)
-            systems._lorenz_observations(system, horizon, X0, fresh(rngs), 1, emit)
+            yield from systems._lorenz_observations(system, horizon, X0, fresh(rngs), 1)
 
         def free_responses(system, horizon, states):
             free_stacks.append(np.array(states))

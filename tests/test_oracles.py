@@ -124,12 +124,14 @@ class TestKalman:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec)  # x0 = 0 gives P0 = 0, and R = 0: singular S
-        preds = _run(kal, np.ones((5, 1)))
-        assert kal.regularized_steps == 5  # every singular innovation was flagged
+        stream = kal.stream((1, 5, 1))
+        stream.push(np.ones((1, 5, 1)))
+        preds = stream.reader()(slice(None))[0]
+        assert stream.regularized_steps == 5  # every singular innovation was flagged
         assert np.isfinite(preds).all()
 
     @pytest.mark.parametrize("n_workers", [1, 4])
-    def test_schedule_built_once_under_threads(self, n_workers):
+    def test_schedule_built_once_under_threads(self, n_workers, monkeypatch):
         # one covariance recursion per distinct Kalman predictor per
         # measurement: the algorithm and the reference name one object, so
         # they share one stream, which steps the base and the free responses
@@ -141,11 +143,18 @@ class TestKalman:
             init=InitPolicy(kind="fixed", x0=(0.0,)),
         )
         kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: every innovation is singular
+        streams, stream = [], KalmanPredictor.stream
+
+        def counted(self, *args):
+            streams.append(stream(self, *args))
+            return streams[-1]
+
         x0_grid = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [7.0]]
+        monkeypatch.setattr(KalmanPredictor, "stream", counted)
         estimate_excess_risk(
             spec, kal, (kal,), (4, 8), n_traj=2, x0_grid=x0_grid, window=2, n_workers=n_workers
         )
-        assert kal.regularized_steps == 10  # horizon 8 + 2, once
+        assert [s.regularized_steps for s in streams] == [10]  # horizon 8 + 2, once
 
     @pytest.mark.parametrize(
         "spec",
@@ -167,7 +176,7 @@ class TestKalman:
         stream = kal.stream(Ys.shape)
         stream.push(Ys)
         assert stream.fixed_from < H // 2
-        assert kal.regularized_steps == 0
+        assert stream.regularized_steps == 0
         # the filter loop with each step's own matrices, from the whole
         # recursion stepped without stopping, as before the shortcut
         assert stream.preds[0].tobytes() == kalman_reference(KalmanPredictor(spec), Ys).tobytes()
@@ -180,7 +189,20 @@ class TestKalman:
         stream = kal.stream((2, 37, 1))
         stream.push(np.ones((2, 37, 1)))
         assert stream.fixed_from == 0
-        assert kal.regularized_steps == 37
+        assert stream.regularized_steps == 37
+
+    def test_each_stream_counts_its_own_steps(self):
+        # the count is a run's: two streams of one predictor, and the
+        # converged step that `steady_state` reads, add nothing to each other
+        spec = LdsSpec(
+            A=[[0.5]], C=[[1.0]], noise=NoiseSpec(), init=InitPolicy(kind="fixed", x0=(0.0,))
+        )
+        kal = KalmanPredictor(spec)  # P0 = 0 and R = 0: every innovation is singular
+        first, second = kal.stream((2, 37, 1)), kal.stream((1, 5, 1))
+        first.push(np.ones((2, 37, 1)))
+        kal.steady_state()
+        second.push(np.ones((1, 5, 1)))
+        assert (first.regularized_steps, second.regularized_steps) == (37, 5)
 
     def test_step_from_explicit_state(self):
         spec = _spec(a=0.5)  # q = r = 0.01
@@ -570,4 +592,4 @@ class TestStreams:
         for got, full in zip(whole.preds, want):
             assert got.tobytes() == full[:, read].tobytes()
         assert pieced.fixed_from == whole.fixed_from
-        assert Q.regularized_steps == P.regularized_steps == 0
+        assert pieced.regularized_steps == whole.regularized_steps == 0

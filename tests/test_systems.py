@@ -21,6 +21,7 @@ from dynolearn import (
 from conftest import lds_reference
 from dynolearn import systems
 from dynolearn.systems import (
+    LORENZ_COORDS,
     lds_free_responses,
     random_symmetric_psd,
     random_unit_row,
@@ -376,20 +377,19 @@ class TestLorenz:
         X0 = np.column_stack([g.uniform(-15, 15, 6), g.uniform(-20, 20, 6), g.uniform(5, 40, 6)])
         s = X0.T.reshape(3, 2, 3).copy()
         Xs = np.empty((300, 3, 2, 3))
-
-        def record(t0, X):
+        for t0, X in systems._lorenz_steps(LorenzSpec(dt=dt), s, 300):
             Xs[t0 : t0 + len(X)] = X
-
-        systems._lorenz_steps(LorenzSpec(dt=dt), s, 300, record)
         for i, x0 in enumerate(X0):
             assert np.array_equal(Xs.reshape(300, 3, 6)[:, :, i], _reference_rk4(x0, dt, 300))
 
     def test_sensitive_dependence(self):
         spec = LorenzSpec(dt=0.01)
         steps = 2500  # 25 time units
-        x0 = np.array([[1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0]])
-        _, xs = simulate_ensemble(spec, steps, x0, [SeededRng(0)], record_states=True)
-        sep = np.linalg.norm(xs[0, 0] - xs[1, 0], axis=1)
+        xs = [
+            _one_run(spec, steps, x0, 0, record_states=True)[1]
+            for x0 in ([1.0, 1.0, 1.0], [1.0 + 1e-8, 1.0, 1.0])
+        ]
+        sep = np.linalg.norm(xs[0] - xs[1], axis=1)
         assert sep[0] <= 2e-8
         assert sep.max() > 1e-2
 
@@ -436,7 +436,9 @@ class TestLorenz:
         def rngs():
             return [SeededRng(seed).child(i) for i in range(n)]
 
-        stacked = simulate_ensemble(spec, horizon, X0[order], rngs())
+        stacked = np.empty((k, n, horizon, spec.p))
+        for t0, Y, _ in systems._lorenz_observations(spec, horizon, X0[order], rngs(), 1):
+            stacked[:, :, t0 : t0 + Y.shape[2]] = Y
         assert stacked.shape == (k, n, horizon, spec.p)
         for row, i in enumerate(order):
             per_x0 = simulate_ensemble(spec, horizon, X0[i], rngs())
@@ -447,11 +449,59 @@ class TestLorenz:
 
     def test_grid_rejects_bad_x0_shape(self):
         rngs = [SeededRng(0).child(0)]
-        for x0 in (np.ones(2), np.ones((2, 4)), np.ones((1, 2, 3)), np.empty((0, 3))):
+        bad = (np.ones(2), np.ones((2, 3)), np.ones((2, 4)), np.ones((1, 2, 3)), np.empty((0, 3)))
+        for x0 in bad:  # a (k, 3) stack too: one simulation starts from one state
             with pytest.raises(ContractViolation, match="x0"):
                 simulate_ensemble(LorenzSpec(), 5, x0, rngs)
         with pytest.raises(ContractViolation, match="non-finite"):
-            simulate_ensemble(LorenzSpec(), 5, [[1.0, np.nan, 0.0]], rngs)
+            simulate_ensemble(LorenzSpec(), 5, [1.0, np.nan, 0.0], rngs)
+
+    @pytest.mark.parametrize(
+        "system, x0",
+        [(LorenzSpec(obs_coords=("x", "z")), [1.0] * 3), (LdsSpec([[0.5]], [[1.0]]), [1.0])],
+        ids=["lorenz", "lds"],
+    )
+    def test_empty_ensemble(self, system, x0):
+        Ys, Xs = simulate_ensemble(system, 10, x0, [], record_states=True)
+        assert Ys.shape == (0, 10, system.p) and Xs.shape == (0, 10, system.d)
+
+    @pytest.mark.parametrize("k, coords", [(1, ("x", "z")), (2, ("x", "y", "z")), (3, ("y",))])
+    def test_noise_drawn_once_per_block(self, k, coords, monkeypatch):
+        # 7-step blocks: H = 33 is four of them and one of 5.  Each block's
+        # noise is one draw over that block's rows, and the pieces give
+        # every stream's whole (H, p) draw
+        n, H = 3, 33
+        spec = LorenzSpec(obs_coords=coords, obs_noise=0.4)
+        monkeypatch.setattr(systems, "_RECORD_VALUES", 7 * 3 * k * n)
+        draws, draw = [], systems._draw_noise
+
+        def counted(rngs, shape, *args, **kwargs):
+            draws.append(shape)
+            return draw(rngs, shape, *args, **kwargs)
+
+        monkeypatch.setattr(systems, "_draw_noise", counted)
+        X0 = np.linspace([1.0, 1.0, 1.0], [3.0, -2.0, 20.0], k)
+        rngs = [SeededRng(4).child(i) for i in range(n)]
+        blocks = []
+        for t0, Y, X in systems._lorenz_observations(spec, H, X0, rngs, 2):
+            blocks.append((t0, Y.copy(), X[:, [LORENZ_COORDS[c] for c in coords]].copy()))
+            # one draw per block so far, the last one this block's, as it is made
+            assert draws == [(len(X), spec.p) for _, _, X in blocks]
+        assert [(t0, len(X)) for t0, _, X in blocks] == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 5)]
+        fresh = [SeededRng(4).child(i) for i in range(n)]
+        noise = np.stack([rng.normals((H, spec.p), 0.0, 0.4) for rng in fresh])
+        for t0, Y, X in blocks:
+            want = X.transpose(2, 3, 0, 1) + noise[:, t0 : t0 + len(X)]
+            assert Y.tobytes() == want.tobytes()
+
+    def test_blocks_leave_the_error_state_alone(self):
+        # numpy's error state is a context variable: silenced across a yield,
+        # it would silence the consumer's code too
+        before = np.geterr()
+        blocks = systems._lorenz_steps(LorenzSpec(), np.ones((3, 2)), 10)
+        next(blocks)
+        assert np.geterr() == before
+        blocks.close()
 
     def test_invariants(self):
         with pytest.raises(ContractViolation):
@@ -496,12 +546,9 @@ class TestLorenzBlowupBlocks:
         assert position[where]
         monkeypatch.setattr(systems, "_RECORD_VALUES", block * state.size)
         recorded = []
-
-        def record(start, X):
-            recorded.append((start, len(X), bool(np.isfinite(X).all())))
-
         with pytest.raises(IntegrationBlowup, match=f"non-finite state at step {step}$"):
-            systems._lorenz_steps(spec, state, 50, record)
+            for start, X in systems._lorenz_steps(spec, state, 50):
+                recorded.append((start, len(X), bool(np.isfinite(X).all())))
         # every block before the bad one, and nothing of it
         assert recorded == [(start, block, True) for start in range(0, t0, block)]
 
