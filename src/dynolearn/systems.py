@@ -432,16 +432,12 @@ def _lorenz_observations(spec: LorenzSpec, horizon: int, X0, rngs, n_workers: in
     bounded by the block, not the horizon.  The blocks read each stream in
     the order of one whole (H, p) draw, so the bits depend neither on the
     block size nor on the worker count.  A noiseless spec draws nothing and
-    adds zeros, as the noisy run adds its draws.
+    adds 0.0.
     """
     k, n, p = len(X0), len(rngs), spec.p
     coords = [LORENZ_COORDS[c] for c in spec.obs_coords]
     for t0, X in _lorenz_steps(spec, np.repeat(X0.T[:, :, None], n, axis=2), horizon):
-        if t0 == 0:  # the first block is the longest
-            V = np.zeros((n, len(X), p))
-        v = V[:, : len(X)]
-        if not spec.is_noiseless:
-            _draw_noise(rngs, v.shape[1:], spec.obs_noise, n_workers, out=v)
+        v = 0.0 if spec.is_noiseless else _draw_noise(rngs, (len(X), p), spec.obs_noise, n_workers)
         Y = np.empty((k, n, len(X), p))
         np.add(X[:, coords].transpose(2, 3, 0, 1), v, out=Y)
         yield t0, Y, X

@@ -436,10 +436,12 @@ class TestLorenz:
         def rngs():
             return [SeededRng(seed).child(i) for i in range(n)]
 
-        stacked = np.empty((k, n, horizon, spec.p))
+        stacked, starts, ends = np.full((k, n, horizon, spec.p), np.nan), [], [0]
         for t0, Y, _ in systems._lorenz_observations(spec, horizon, X0[order], rngs(), 1):
+            starts.append(t0)
+            ends.append(t0 + Y.shape[2])
             stacked[:, :, t0 : t0 + Y.shape[2]] = Y
-        assert stacked.shape == (k, n, horizon, spec.p)
+        assert starts == ends[:-1] and ends[-1] == horizon  # the blocks tile [0, horizon)
         for row, i in enumerate(order):
             per_x0 = simulate_ensemble(spec, horizon, X0[i], rngs())
             assert np.array_equal(stacked[row], per_x0)
