@@ -66,9 +66,19 @@ def _threads(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _out_dir(path) -> Path:
+    """The output directory `path`, made if missing; a path that cannot be
+    one (an existing file, or a file among its parents) is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
+    return out
+
+
 def _prepare_out(cfg: ExperimentConfig, subcommand: str, out_flag: str | None) -> Path:
-    out = Path(out_flag or cfg.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_flag or cfg.run.out_dir)
     (out / "resolved.cfg").write_text(canonical_text(cfg))
     manifest = (
         f"tool = dynolearn {__version__}\n"
@@ -115,8 +125,7 @@ def _cmd_filters(args) -> int:
             f"filter count m={m} exceeds the reliable cap {cap} for window {window}"
         )
     bank = build_filter_bank(window, m)
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or "out")
     spec_path = out / "spectrum.csv"
     _write_table(spec_path, ["i", "mu_i"], enumerate(bank.mus, start=1))
     filt_path = out / "filters.csv"

@@ -15,19 +15,21 @@ rows, k)`): it is pushed the ensemble's rows in order and keeps its
 predictions on the rows a loss reads.  A learner or a zero or last-value
 baseline is a `SpectralPredictor`, whose stream is `predictors._Arms` (the
 baseline's a frozen arm), the kernel oracle is a frozen arm of
-`predictors._Arms` too, the Kalman predictor has the stream of `oracles`,
-and the truth oracle, which is memoryless, has none: it predicts the read
-observations themselves.  Only the feeder differs by system type.  For a
+`predictors._Arms` too, and the Kalman predictor and the truth oracle have
+the streams of `oracles`: the truth oracle's, `oracles._KeptRows`, keeps
+the read observations themselves, and the observations the losses read
+are one more such stream.  One feeder, `_feed`, pushes every stream the
+same blocks, a group of x0 at a time, trajectory j * n + i of a group being
+trajectory i of its x0 j; a system type supplies only its blocks.  For a
 linear system, x0 moves the observations only through its free response
 C A^t x0, since every x0 shares the noise, so the ensemble is simulated
-once, from x0 = 0, and each stream is pushed that base and the stacked
-free responses together; every stream is linear in the observations, so
-x0 j reads the sum (an arm's features of the base plus those of free[j];
-the Kalman predictions of the base plus those of free[j]), and no
-predictor runs once per x0.  A Lorenz grid is
-streamed from one stacked RK4 recursion, each block of observations it
-records pushed to every stream at once (trajectory j * n + i being
-trajectory i of x0 j), so no run sees a whole (..., H, p) array.
+once, from x0 = 0, and a group is one block, that base and the group's
+stacked free responses together; every stream is linear in the
+observations, so x0 j reads the sum (an arm's features of the base plus
+those of free[j]; the Kalman predictions of the base plus those of
+free[j]), and no predictor runs once per x0.  A Lorenz group is the blocks
+of one stacked RK4 recursion, each pushed as it is recorded, so no run
+sees a whole (..., H, p) array.
 
 A measurement reads only the rows [t, t + window) after its grid times
 (m*: the rows from t_eval), so it builds that mask once, `_read_rows`, and
@@ -46,16 +48,17 @@ split's reference fit is one more learner's stream, on the long reference
 run, with a mask that reads no row: it only sums the Gram and moment that
 w* is solved from.  A learner's state for the whole grid is one Gram and
 moment per (x0, traj), which all its arms solve from, plus each arm's
-readouts, so the grid runs in groups of x0 whose `state_size` fits
-`_GROUP_BYTES`: the whole grid on the benchmark's workloads, m*'s sweep
-over 20 filter counts included, until the ensemble or the bank grows large;
-each group of a Lorenz grid is its own recursion, from fresh trajectory
-streams.
+readouts, so the grid runs in groups of x0 whose `state_size`, summed
+over the learners, fits `_GROUP_BYTES`, by one rule for both system types:
+the whole grid on the benchmark's workloads, m*'s sweep over 20 filter
+counts included, until the ensemble or the bank grows large.  Every stream
+runs once per group; each group of a Lorenz grid is its own recursion,
+from fresh trajectory streams.
 
 Identical (inputs, master_seed) reproduce every result bit for bit, at any
 worker count: trajectory random streams are pre-assigned by index, the
-noise draws are split by trajectory, and an LDS's tasks split the work by
-stream and group of x0, never within a sum.
+noise draws are split by trajectory, and an LDS block's tasks split the
+work by stream, never within a sum.
 Every x0 deliberately sees the same noise realizations
 (common random numbers), so differences across the grid come from the
 initial state alone; the simulator draws that noise one time chunk at a
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +132,17 @@ class RiskCurve:
 def read_risk_curve_csv(path) -> RiskCurve:
     """Load a risk-curve CSV (grid and loss columns only; `n_traj` is None).
 
-    An unreadable file or a non-numeric cell is a ConfigError; its `t`
-    column must be a grid as `_validate_grid` takes one, of integers."""
+    An unreadable file or a non-numeric cell is a ConfigError; a file with
+    no rows below its header is refused, and its `t` column must be a grid
+    as `_validate_grid` takes one, of integers."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's, for a file with no rows
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read risk curve {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ContractViolation(f"risk curve {path} has no rows")
     if rows.shape[1] != 5:
         raise ContractViolation(f"risk-curve CSV must have 5 columns, got {rows.shape[1]}")
     t = rows[:, 0]
@@ -275,89 +284,84 @@ def _evaluate(
     """Loss tensor [arm, x0, traj, g] of `losses` on one shared ensemble.
 
     `rows` masks the R steps that a loss reads.  `runs` lists the
-    predictors that predict them, each run by `run.stream(...)` (a learner
-    may carry several arms), or by itself for a `TruthOracle`.  For each
-    x0, `losses(ys, preds)` maps its observations on the read rows, ys
+    predictors that predict them, each run by its stream,
+    `run.stream(...)` (a learner may carry several arms).  For each x0,
+    `losses(ys, preds)` maps its observations on the read rows, ys
     (n_traj, R, p), and their predictions, one (n_traj, R, p) array per
     predictor arm in the order of `runs`, to one (n_traj, G) array per loss
     arm.
 
-    Runs that name one object share one stream; the feeder (`_feed_lds`,
-    `_feed_lorenz`) pushes the rows to them and gives each x0's read
-    observations and predictions.  The ensemble's noise is drawn on
-    n_workers threads.
+    Runs that name one object share one stream.  The observations are one
+    more: a truth oracle's, a `TruthOracle` among `runs` or else one of its
+    own.  `_feed` pushes the rows to every stream and gives each x0's
+    predictions.  The ensemble's noise is drawn on n_workers threads.
     """
     if n_traj < 2:
         raise ContractViolation(f"n_traj must be >= 2, got {n_traj}")
     for r in runs:
-        if not (hasattr(r, "stream") or isinstance(r, TruthOracle)):
+        if not hasattr(r, "stream"):
             raise ContractViolation(f"{type(r).__name__} is not a predictor: it has no stream")
-    streamed = {id(r): r for r in runs if not isinstance(r, TruthOracle)}
-    feed = _feed_lds if isinstance(system, LdsSpec) else _feed_lorenz
-    per_x0 = feed(system, states, horizon, master, n_traj, n_workers, rows, streamed)
+    truth = next((r for r in runs if isinstance(r, TruthOracle)), TruthOracle())
+    streamed = {id(r): r for r in (*runs, truth)}
     L = []
-    for ys, preds in per_x0:  # the truth oracle's predictions are the observations
-        L.append(np.stack(losses(ys, [a for r in runs for a in preds.get(id(r), [ys])])))
+    for preds in _feed(system, states, horizon, master, n_traj, n_workers, rows, streamed):
+        (ys,) = preds[id(truth)]
+        L.append(np.stack(losses(ys, [a for r in runs for a in preds[id(r)]])))
     return np.stack(L, axis=1)
 
 
-def _feed_lds(system, states, horizon, master, n, n_workers, rows, runs):
-    """Each x0's (read observations, {run id: predictions}) of an LDS grid.
+def _feed(system, states, horizon, master, n, n_workers, rows, runs):
+    """Each x0's {run id: predictions} of the grid `states`.
 
-    The ensemble is simulated once from x0 = 0 (the base), and the grid's
-    free responses C A^t x0 as one (k, H, p) array.  Each stream is pushed
-    the whole base and the free responses as one task, a learner's once per
-    group of x0 (`_x0_groups`).  Each trajectory of each x0 is its own batch
-    entry in a stream's products and solves, so the bits depend neither on
-    the groups nor on the tasks' order.
+    The grid runs in groups of x0 (`_x0_groups`; one group unless the
+    ensemble and the bank are large), each pushed to every run's stream as
+    blocks of its stacked ensemble (`_push`); a system type supplies only
+    its blocks.  An LDS is simulated once from x0 = 0 (the base), and the
+    grid's free responses C A^t x0 once as one (k, H, p) array: a group is
+    one block, the whole base with the group's free responses, whose pushes
+    run as tasks on n_workers threads.  A Lorenz group is the blocks of its
+    own stacked RK4 recursion, from fresh trajectory streams so that every
+    x0 sees the same noise, pushed one after another as the recursion
+    records them: trajectory j * n + i is trajectory i of the group's x0 j.
+    Each trajectory of each x0 is its own batch entry in a stream's products
+    and solves, so the bits depend neither on the groups nor on the tasks'
+    order.
     """
-    k, rngs = len(states), _traj_rngs(master, n)
-    base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
-    free = lds_free_responses(system, horizon, states)
+    k, p, lds = len(states), system.p, isinstance(system, LdsSpec)
+    if lds:
+        rngs = _traj_rngs(master, n)
+        base = simulate_ensemble(system, horizon, np.zeros(system.d), rngs, n_workers=n_workers)
+        free = lds_free_responses(system, horizon, states)
+    for group in _x0_groups(runs.values(), k, n):
+        size = len(states[group])
+        if lds:
+            readers = _push(runs, [(0, base, free[group])], base.shape, rows, size, n_workers)
+        else:
+            stack = np.stack([_x0(system, x0) for x0 in states[group]])
+            observed = _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers)
+            blocks = ((t0, Y.reshape(size * n, -1, p), None) for t0, Y, _ in observed)
+            readers = _push(runs, blocks, (size * n, horizon, p), rows, None, 1)
+        for j in range(size):
+            yield {key: read(slice(j * n, (j + 1) * n)) for key, read in readers.items()}
 
-    def run(task):
-        key, group = task
-        stream = runs[key].stream(base.shape, rows, len(free[group]))
-        stream.push(base, free[group])
-        return key, group, stream.reader()
 
-    tasks = [(key, g) for key, r in runs.items() for g in _x0_groups([r], k, n)]
-    done = _parallel_map(run, tasks, n_workers)
-    ys_base, ys_free = np.compress(rows, base, axis=1), np.compress(rows, free, axis=1)
-    for j in range(k):  # one x0's sums at a time
-        at = [(key, read, j - g.start) for key, g, read in done if g.start <= j < g.stop]
-        yield ys_base + ys_free[j], {key: read(slice(i * n, (i + 1) * n)) for key, read, i in at}
+def _push(runs, blocks, shape, rows, k, n_workers):
+    """Push the blocks (t0, ys, free) of a stacked (N, H, p) ensemble, and of
+    its k free responses when k is given, to a stream of each of `runs`, and
+    return each run's reader.  A block's pushes run as tasks on n_workers
+    threads.  A stream is made by its first block (t0 = 0), and after its
+    last only its reader is kept, so a task holds one stream at a time."""
+    kept = {}  # each run's stream until its last block, then its reader
 
+    def push(task):
+        key, t0, ys, free = task
+        stream = kept[key] if t0 else runs[key].stream(shape, rows, k)
+        stream.push(ys, free)
+        kept[key] = stream if t0 + ys.shape[1] < shape[1] else stream.reader()
 
-def _feed_lorenz(system, states, horizon, master, n, n_workers, rows, runs):
-    """Each x0's (read observations, {run id: predictions}) of a Lorenz grid.
-
-    The grid runs in groups of x0 (`_x0_groups` of all its learners; one
-    group unless the ensemble and the bank are large), each its own
-    stacked RK4 recursion from fresh trajectory streams, so every x0 sees
-    the same noise.  Each recorded block of observations is pushed to every
-    stream as it is made, trajectory j * n + i being trajectory i of the
-    group's x0 j, and only its read rows are kept.
-    """
-    p = system.p
-    for group in _x0_groups(runs.values(), len(states), n):
-        stack = np.stack([_x0(system, x0) for x0 in states[group]])
-        shape = (len(stack) * n, horizon, p)
-        streams = {key: r.stream(shape, rows) for key, r in runs.items()}
-        ys = np.empty((shape[0], int(np.count_nonzero(rows)), p))
-        kept = 0
-        blocks = _lorenz_observations(system, horizon, stack, _traj_rngs(master, n), n_workers)
-        for t0, Y, _states in blocks:
-            Y = Y.reshape(shape[0], -1, p)  # x0-major
-            for stream in streams.values():
-                stream.push(Y)
-            read = Y[:, rows[t0 : t0 + Y.shape[1]]]
-            ys[:, kept : kept + read.shape[1]] = read
-            kept += read.shape[1]
-        readers = {key: stream.reader() for key, stream in streams.items()}
-        for x0 in (slice(j * n, (j + 1) * n) for j in range(len(stack))):
-            yield ys[x0], {key: reader(x0) for key, reader in readers.items()}
-        del streams, readers, ys  # before the next group's are made
+    for t0, ys, free in blocks:
+        _parallel_map(push, [(key, t0, ys, free) for key in runs], n_workers)
+    return kept
 
 
 def _x0_groups(runs, k: int, n: int) -> list[slice]:
@@ -387,10 +391,7 @@ def _rearmed(learner: SpectralPredictor, arms) -> SpectralPredictor:
 def _versus_ys(starts, window: int):
     """`losses` for `_evaluate`: one arm per prediction, its grid losses on the observations."""
 
-    def losses(ys, preds):
-        return [_grid_losses(pr, ys, starts, window) for pr in preds]
-
-    return losses
+    return lambda ys, preds: [_grid_losses(pr, ys, starts, window) for pr in preds]
 
 
 def _worst_case(a: np.ndarray, b: np.ndarray):

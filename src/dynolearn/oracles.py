@@ -9,16 +9,19 @@ zero: the optimal predictor of a deterministic, noiselessly observed system
 ("truth"), or, built without a system, the zero-risk reference that turns
 excess risk into raw risk ("zero").
 
-The Kalman and kernel predictors run as streams (`stream`), as the
-learners do: `push(ys, free)` takes the next rows of an (n, H, p)
-ensemble, and of k free responses when given, and keeps the predictions of
-the rows in the mask `rows`; the prediction of row t of a trajectory
-depends only on its rows before t.  Each is a fixed linear map of the
-observations with zero initial mean, acting on each trajectory alone, so
-on an LDS grid x0 j's predictions are those of the ensemble simulated from
-x0 = 0 plus those of its free response C A^t x0 (see `learnability`).
-A stream is each one's only way to run, as it is the learner's; a whole
-array is pushed as one piece.
+Every predictor here runs as a stream (`stream`), as the learners do:
+`push(ys, free)` takes the next rows of an (n, H, p) ensemble, and of k
+free responses when given, and keeps the predictions of the rows in the
+mask `rows`; the prediction of row t of a trajectory depends only on its
+rows before t (the truth oracle's on row t itself).  Each is a fixed
+linear map of the observations with zero initial mean, acting on each
+trajectory alone, so on an LDS grid x0 j's predictions are those of the
+ensemble simulated from x0 = 0 plus those of its free response C A^t x0
+(see `learnability`).  A stream is each one's only way to run, as it is
+the learner's; a whole array is pushed as one piece.  The truth oracle's
+stream, `_KeptRows`, keeps the read rows of the observations themselves;
+the harness records the observations its losses read with one, and the
+Kalman stream keeps its predictions in one.
 
 The Kalman stream, `_KalmanStream`, steps the covariance recursion beside
 the filter, so it holds nothing that grows with the horizon: each step
@@ -118,7 +121,39 @@ class KalmanPredictor:
         return _KalmanStream(self, shape, rows, k)
 
 
-class _KalmanStream:
+class _KeptRows:
+    """The rows in the mask `rows` (every row when None) of an (n, H, p)
+    ensemble whose rows arrive in order, and of its k free responses when k
+    is given: `preds` holds them, (n, R, p) then (k, R, p).  It is the truth
+    oracle's stream, whose predictions are the observations themselves, and
+    the harness's record of the observations a loss reads; `_KalmanStream`
+    keeps its predictions in one.  `t` counts the rows pushed, `kept` the
+    rows kept.
+    """
+
+    def __init__(self, shape, rows=None, k=None):
+        n, H, p = shape
+        self.rows = np.ones(H, dtype=bool) if rows is None else rows
+        R = int(np.count_nonzero(self.rows))
+        self.preds = [np.empty((m, R, p)) for m in (n, k) if m is not None]
+        self.t = self.kept = 0
+
+    def push(self, ys: np.ndarray, free=None) -> None:
+        read = self.rows[self.t : self.t + ys.shape[1]]
+        r = int(np.count_nonzero(read))
+        for a, y in zip(self.preds, (ys, free)):
+            np.compress(read, y, axis=1, out=a[:, self.kept : self.kept + r])
+        self.t, self.kept = self.t + ys.shape[1], self.kept + r
+
+    def reader(self):
+        """The kept rows by trajectories x0 (a slice) of the stacked
+        ensemble, x0-major as in `predictors._Arms`: with free responses,
+        trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
+        base, *free = self.preds
+        return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
+
+
+class _KalmanStream(_KeptRows):
     """The Kalman filter of an (n, H, p) ensemble whose rows arrive in
     order, and of its k free responses when k is given, stepped together:
     each step's gain comes from one covariance update, and its filter
@@ -127,20 +162,14 @@ class _KalmanStream:
     its input bit for bit (None until one does); every later step is that
     one, regularization included, so the recursion stops there.
 
-    `preds` holds the predictions of the rows in the mask `rows` (every row
-    when None), in order: (n, R, p) for the ensemble, then (k, R, p) for the
-    free responses.  `t` counts the rows pushed, `kept` the rows kept, and
-    `regularized_steps` the steps of this stream whose innovation
-    covariance was regularized.
+    Its predictions of the rows in the mask `rows` are kept as `_KeptRows`
+    keeps observations, and `regularized_steps` counts the steps of this
+    stream whose innovation covariance was regularized.
     """
 
     def __init__(self, kal: KalmanPredictor, shape, rows=None, k=None):
-        n, H, q = shape
-        _check_obs_dim(q, kal.p)
-        self.rows = np.ones(H, dtype=bool) if rows is None else rows
-        R = int(np.count_nonzero(self.rows))
-        self.preds = [np.empty((m, R, kal.p)) for m in (n, k) if m is not None]
-        self.t = self.kept = 0
+        _check_obs_dim(shape[2], kal.p)
+        super().__init__(shape, rows, k)
         self.kal, self.P = kal, kal.P0
         self.X = [np.zeros((len(preds), kal.d)) for preds in self.preds]
         self.F = self.G = self.fixed_from = None
@@ -161,13 +190,6 @@ class _KalmanStream:
                     self.preds[j][:, self.kept] = self.X[j] @ Ct
                 self.X[j] = self.X[j] @ self.F.T + y[:, i, :] @ self.G.T
             self.t, self.kept = self.t + 1, self.kept + read
-
-    def reader(self):
-        """The kept predictions by trajectories x0 (a slice) of the stacked
-        ensemble, x0-major as in `predictors._Arms`: with free responses,
-        trajectories j * n .. j * n + n - 1 are the ensemble plus free[j]."""
-        base, *free = self.preds
-        return lambda x0: [base + free[0][x0.start // len(base)] if free else base[x0]]
 
 
 class KernelOracle:
@@ -217,11 +239,14 @@ class TruthOracle:
     must be noiseless.  Given none, it is the zero-risk reference used where
     no optimal predictor is available (or wanted): the excess over it is the
     raw risk, and the label "zero" makes raw-risk mode visible in the
-    outputs.  It has no stream: the harness predicts the read observations
-    by themselves.
+    outputs.  Its stream, `_KeptRows`, keeps the read observations as its
+    predictions.
     """
 
     def __init__(self, spec=None):
         self.spec, self.label = spec, "zero" if spec is None else "truth"
         if spec is not None and not spec.is_noiseless:
             raise ContractViolation("perfect-prediction oracle requires a noiseless system")
+
+    def stream(self, shape, rows=None, k=None) -> _KeptRows:
+        return _KeptRows(shape, rows, k)

@@ -43,11 +43,8 @@ def run_whole(predictor, Ys):
     """`predictor`'s predictions of every row of the ensemble Ys (n, H, p),
     pushed to its stream whole with no row mask, so every refit is solved,
     the final one included; and its first arm's readouts (n, q, p) after its
-    last refit, or None for a stream without arms (Kalman).  A
-    `TruthOracle`, which has no stream, predicts a copy of Ys."""
+    last refit, or None for a stream without arms (Kalman, truth)."""
     Ys = np.asarray(Ys, dtype=float)
-    if isinstance(predictor, TruthOracle):
-        return Ys.copy(), None
     stream = predictor.stream(Ys.shape)
     stream.push(Ys)
     ridges = getattr(stream, "ridges", None)

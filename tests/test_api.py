@@ -50,8 +50,8 @@ def test_public_api_is_pinned():
 
 # The predictor classes' public attributes, of an instance, so both the
 # class's methods and what its constructor sets.  Each runs one way, as a
-# stream (`stream(shape, rows, k)`), and the truth oracle none: a second
-# way to run a predictor shows here.
+# stream (`stream(shape, rows, k)`): a second way to run a predictor shows
+# here.
 PREDICTOR_PUBLIC = {
     "SpectralPredictor": [
         "ar",
@@ -79,7 +79,7 @@ PREDICTOR_PUBLIC = {
         "stream",
     ],
     "KernelOracle": ["betas", "label", "p", "stream"],
-    "TruthOracle": ["label", "spec"],
+    "TruthOracle": ["label", "spec", "stream"],
 }
 
 

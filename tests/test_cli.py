@@ -206,6 +206,31 @@ class TestFilters:
         assert "cap 15" in err["message"]
 
 
+_SCALAR_LDS = str(REPO / "configs" / "scalar_lds.cfg")
+
+
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (["risk", "-c", _SCALAR_LDS, "-j", "1", "harness.n_traj=4"], "f"),
+        (["filters", "-T", "10", "-m", "3"], "f"),
+        (["simulate", "-c", _SCALAR_LDS], "f/x"),
+    ],
+    ids=["risk", "filters", "simulate"],
+)
+def test_unwritable_out_is_a_config_error(args, out, tmp_path):
+    # an --out that is an existing file, or lies under one, cannot be made a
+    # directory: the run exits 1 with one JSON line naming it and writes nothing
+    (tmp_path / "f").write_text("kept")
+    res = run_cli([*args, "--out", out], tmp_path)
+    assert res.returncode == 1, res.stderr
+    (line,) = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config" and out in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+    assert (tmp_path / "f").read_text() == "kept"
+
+
 class TestRiskPipeline:
     def test_risk_with_oracle_as_algorithm_is_zero(self, workdir):
         res = run_cli(
@@ -296,21 +321,25 @@ class TestRiskPipeline:
         "curve, code, error",
         [
             (None, 1, "config"),  # no such file
+            ("", 2, "contract_violation"),  # the header alone
             ("10,0.5,0,0.5,0\n20,low,0,0.6,0\n", 1, "config"),
             ("50,0.5,0,0.5,0\n25,0.01,0,0.01,0\n", 2, "contract_violation"),
             ("10,0.5,0,0.5,0\n25.7,0.01,0,0.01,0\n", 2, "contract_violation"),
         ],
-        ids=["missing", "non-numeric", "decreasing-t", "fractional-t"],
+        ids=["missing", "header-only", "non-numeric", "decreasing-t", "fractional-t"],
     )
     def test_burnin_refuses_a_bad_curve(self, workdir, curve, code, error):
-        # a curve that cannot be read is a config error; a t column that is
-        # not strictly increasing integers >= 1 is no grid
+        # a curve that cannot be read is a config error; one with no rows,
+        # or a t column that is not strictly increasing integers >= 1, is no
+        # grid.  stderr is the one JSON line, with no warning before it
         if curve is not None:
             (workdir / "bad.csv").write_text("t,excess_mean,excess_ci,raw_alg,raw_oracle\n" + curve)
         res = run_cli(["burnin", "--curve", "bad.csv", "--out", "bi"], workdir)
         assert res.returncode == code, res.stderr
-        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == error
-        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line)["error"] == error
+        if curve == "":
+            assert "has no rows" in json.loads(line)["message"]
         assert not (workdir / "bi").exists()
 
     def test_burnin_refuses_empty_epsilons(self, tmp_path):

@@ -819,14 +819,16 @@ _CASES = [
 
 @pytest.mark.parametrize("name,kind", _CASES)
 class TestSharedNoise:
-    def test_bits_do_not_depend_on_worker_count(self, name, kind):
+    def test_bits_do_not_depend_on_worker_count(self, name, kind, monkeypatch):
         system = _shared_system(kind)
         runs = [_measure(name, system, n_workers=w) for w in (1, 2, 3)]
+        monkeypatch.setattr(learnability, "_GROUP_BYTES", 1)  # nor on the groups: one x0 each
+        runs.append(_measure(name, system, n_workers=2))
         fields = [
             {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(r).items()}
             for r in runs
         ]
-        assert fields[1] == fields[0] and fields[2] == fields[0]
+        assert all(f == fields[0] for f in fields[1:])
 
     def test_matches_per_x0_replay_with_fresh_streams(self, name, kind, monkeypatch):
         # Lorenz streams every x0 of the grid from one stacked recursion (per
@@ -1225,23 +1227,56 @@ def test_lds_memory_grows_by_the_base_alone():
     assert long - short <= base_growth + 2**20, (short, long, base_growth)
 
 
+@pytest.mark.parametrize("group_bytes, groups", [(8 << 20, 1), (1, 2)], ids=["whole", "per-x0"])
+def test_lds_streams_live_one_at_a_time(scalar_spec, group_bytes, groups, monkeypatch):
+    # at one worker an LDS grid holds one stream at a time: each stream (the
+    # learner's, the Kalman reference's, the observations') is made only
+    # after the previous one's push has ended, once per group of x0 (the
+    # scalar ball grid has 2 x0)
+    events = []
+
+    def spy(cls):
+        make = cls.stream
+
+        def stream(self, *args):
+            events.append("make")
+            made = make(self, *args)
+            push = made.push
+
+            def logged(*pushed):
+                events.append("push")
+                push(*pushed)
+                events.append("pushed")
+
+            made.push = logged
+            return made
+
+        monkeypatch.setattr(cls, "stream", stream)
+
+    for cls in (SpectralPredictor, KalmanPredictor, TruthOracle):
+        spy(cls)
+    monkeypatch.setattr(learnability, "_GROUP_BYTES", group_bytes)
+    learner = SpectralPredictor(build_filter_bank(8, 3))
+    estimate_excess_risk(scalar_spec, learner, (KalmanPredictor(scalar_spec),), (20, 30), n_traj=4)
+    assert events == ["make", "push", "pushed"] * 3 * groups
+
+
 class _Captured(Exception):
     """Raised in place of `_evaluate` once its arguments are recorded."""
 
 
 # `_x0_groups` of three benchmark workloads, sized from
-# `SpectralPredictor.state_size`: an LDS grid is grouped per run (Kalman
-# first for m*, the learner first for risk), a Lorenz grid once over its
-# runs.  The groups set the peak memory, so they move only with the state a
-# learner keeps.  Since m*'s filter counts solve from one Gram and moment,
+# `SpectralPredictor.state_size` of the grid's runs, by one rule for both
+# system types.  The groups set the peak memory, so they move only with the
+# state a learner keeps.  Since m*'s filter counts solve from one Gram and moment,
 # its learner holds d50's 8 x0 in one group (one per x0 when each arm kept
 # its own Gram) and lorenz_long's 4 in one recursion (2 before).  A group's
 # slice stops at the grid's end, so the groups partition the grid: d50's
 # risk learner could hold 20 x0 and lorenz_long's m* 11, but each grid
 # ends first.
 X0_GROUPS = [
-    ("d50", "mstar", [[slice(0, 8)], [slice(0, 8)]]),
-    ("d50", "risk", [[slice(0, 8)], [slice(0, 8)]]),
+    ("d50", "mstar", [slice(0, 8)]),
+    ("d50", "risk", [slice(0, 8)]),
     ("lorenz_long", "mstar", [slice(0, 4)]),
 ]
 
@@ -1253,7 +1288,7 @@ def test_x0_groups_of_the_benchmark_workloads(name, subcommand, groups, monkeypa
     seen = {}
 
     def capture(system, states, horizon, n_traj, master, n_workers, rows, runs, losses):
-        seen.update(system=system, k=len(states), n=n_traj, runs=runs)
+        seen.update(k=len(states), n=n_traj, runs=runs)
         raise _Captured
 
     monkeypatch.setattr(learnability, "_evaluate", capture)
@@ -1261,15 +1296,10 @@ def test_x0_groups_of_the_benchmark_workloads(name, subcommand, groups, monkeypa
     with warnings.catch_warnings(), pytest.raises(_Captured):
         warnings.simplefilter("ignore")  # m*'s widest bank passes the reliable cap
         cli.main([subcommand, "-c", str(config), "-j", "1"])
-    runs = [r for r in seen["runs"] if not isinstance(r, TruthOracle)]
-    k, n = seen["k"], seen["n"]
-    if isinstance(seen["system"], LdsSpec):
-        got = [learnability._x0_groups([r], k, n) for r in runs]
-    else:
-        got = learnability._x0_groups(runs, k, n)
+    k = seen["k"]
+    got = learnability._x0_groups(seen["runs"], k, seen["n"])
     assert got == groups
-    for run_groups in got if isinstance(got[0], list) else [got]:  # each partitions the grid
-        assert [j for g in run_groups for j in range(g.start, g.stop)] == list(range(k))
+    assert [j for g in got for j in range(g.start, g.stop)] == list(range(k))  # a partition
 
 
 def _as_bytes(result):

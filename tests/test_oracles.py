@@ -480,9 +480,8 @@ class TestLinearity:
         # the harness superposes every predictor that fits nothing: the
         # reference predictors and the learner class's frozen baselines
         # (`SpectralPredictor.baseline`); the additivity property below
-        # covers each of them.  Each runs as a stream, but the truth oracle,
-        # which has none: the harness predicts the read observations by
-        # themselves
+        # covers each of them.  Each runs as a stream, the truth oracle's
+        # keeping the read observations themselves
         public = {
             c
             for module in (oracles, predictors)
@@ -490,8 +489,7 @@ class TestLinearity:
             if isinstance(c, type) and c.__name__[0] != "_"
         }
         streams = {c for c in public if hasattr(c, "stream")}
-        assert streams == {SpectralPredictor, KalmanPredictor, KernelOracle}
-        assert TruthOracle in public and not hasattr(TruthOracle, "stream")
+        assert streams == {SpectralPredictor, KalmanPredictor, KernelOracle, TruthOracle}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -540,17 +538,18 @@ def _stream_spec(g, d, p):
 
 
 class TestStreams:
-    """The Kalman and kernel streams: rows pushed in uneven pieces, with free
-    responses beside them, keep the bits of one push.  The Kalman stream
-    keeps the bits of `conftest.kalman_reference` on the base and on the
-    free responses; the kernel, a frozen arm of `predictors._Arms`, agrees
-    with `conftest.kernel_reference` on each base + free[j] up to rounding,
-    as a matmul replaces the reference's tap-by-tap sum."""
+    """The Kalman, kernel and truth streams: rows pushed in uneven pieces,
+    with free responses beside them, keep the bits of one push.  The Kalman
+    stream keeps the bits of `conftest.kalman_reference` on the base and on
+    the free responses; the kernel, a frozen arm of `predictors._Arms`,
+    agrees with `conftest.kernel_reference` on each base + free[j] up to
+    rounding, as a matmul replaces the reference's tap-by-tap sum; the
+    truth stream reads the read rows of each base + free[j] bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["kalman", "kernel"]),
+        kind=st.sampled_from(["kalman", "kernel", "truth"]),
         d=st.integers(0, 2),  # 0: the scalar a = 0.9 system, whose P is fixed from step 19
         p=st.integers(1, 2),
         n=st.integers(1, 4),
@@ -562,8 +561,16 @@ class TestStreams:
         g = np.random.default_rng(seed)
         spec = _stream_spec(g, d, p)
         p = spec.p
-        make = {"kalman": lambda: KalmanPredictor(spec), "kernel": lambda: KernelOracle(spec)}[kind]
-        reference = {"kalman": kalman_reference, "kernel": kernel_reference}[kind]
+        make = {
+            "kalman": lambda: KalmanPredictor(spec),
+            "kernel": lambda: KernelOracle(spec),
+            "truth": lambda: TruthOracle(),
+        }[kind]
+        reference = {
+            "kalman": kalman_reference,
+            "kernel": kernel_reference,
+            "truth": lambda P, ys: ys,
+        }[kind]
         Ys, free = 3.0 * g.standard_normal((n, H, p)), 3.0 * g.standard_normal((k, H, p))
         cuts = sorted(data.draw(st.lists(st.integers(0, H), max_size=6), label="cuts"))
         rows = None
@@ -580,12 +587,15 @@ class TestStreams:
         whole, P = run([])
         pieced, Q = run(cuts)
         read = np.ones(H, dtype=bool) if rows is None else rows
-        if kind == "kernel":
+        if kind != "kalman":
             grid = [(slice(j * n, (j + 1) * n), Ys + free[j]) for j in range(k)]
             for x0, ys in grid or [(slice(None), Ys)]:
                 (got,) = whole.reader()(x0)
                 assert pieced.reader()(x0)[0].tobytes() == got.tobytes()
-                np.testing.assert_allclose(got, reference(P, ys)[:, read], rtol=1e-12, atol=1e-12)
+                want = reference(P, ys)[:, read]
+                if kind == "truth":
+                    assert got.tobytes() == want.tobytes()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             return
         assert [a.tobytes() for a in pieced.preds] == [a.tobytes() for a in whole.preds]
         want = [reference(make(), Ys)] + ([reference(make(), free)] if k else [])
