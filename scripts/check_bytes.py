@@ -17,25 +17,27 @@ The configs are only read.
 
 Each run's CSVs, `resolved.cfg` and `manifest.txt` are compared byte for
 byte; the last two are where a drift of the config codec shows (the manifest
-holds the config digest).  Each line of the report names a (config,
-subcommand) pair and either `same`, the files whose bytes differ, or
+holds the config digest).  So is each run's stdout, with the run's output
+directory replaced by `<out>` (the two trees write to different
+directories).  Each line of the report names a (config, subcommand) pair
+and either `same`, the files whose bytes differ, `stdout differs`, or
 differing exit codes.  For a CSV written by both trees with the same shape,
 the line says how far it moved: how many cells differ, the largest relative
 difference over numeric cells, and whether any non-numeric cell (such as
 m*'s `achieved`) changed; a differing `resolved.cfg` or `manifest.txt` is
-reported as `differs`.  A subcommand that fails with the same exit code and
-the same files under both trees counts as the same.  Each line also gives
-both trees' wall time and peak RSS for that run (the child's `ru_maxrss`,
-from `os.wait4`).  After those lines come each subcommand's wall time
-summed over the configs for each tree, with the old-to-new ratio, then each
-subcommand's largest peak RSS over the configs for each tree, with the
-old-to-new ratio, then the total wall time per tree and each tree's largest
-peak RSS with the run it came from.  The first two lines give each tree's
-`dynolearn` size: its total lines, and its code lines, which leave out
-docstrings (module, class and function) and comments.  Exit
-status: 0 when nothing differs, 1 otherwise.  SIGTERM or Ctrl-C kills the
-running child, removes the work directory (unless `--keep`) and exits with
-128 + the signal number.
+reported as `differs`.  A subcommand that fails with the same exit code,
+the same files and the same stdout under both trees counts as the same.
+Each line also gives both trees' wall time and peak RSS for that run (the
+child's `ru_maxrss`, from `os.wait4`).  After those lines come each
+subcommand's wall time summed over the configs for each tree, with the
+old-to-new ratio, then each subcommand's largest peak RSS over the configs
+for each tree, with the old-to-new ratio, then the total wall time per tree
+and each tree's largest peak RSS with the run it came from.  The first two
+lines give each tree's `dynolearn` size: its total lines, and its code
+lines, which leave out docstrings (module, class and function) and
+comments.  Exit status: 0 when nothing differs, 1 otherwise.  SIGTERM or
+Ctrl-C kills the running child, removes the work directory (unless
+`--keep`) and exits with 128 + the signal number.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ class Run:
     files: dict[str, str]  # CSV or record name -> contents
     wall_s: float
     peak_rss_mib: float
+    stdout: str = ""  # the output directory written as `<out>`
 
 
 def _unblock_stop_signals() -> None:
@@ -98,9 +101,10 @@ def _unblock_stop_signals() -> None:
 
 
 def run(src: Path, args: list[str], out: Path) -> Run:
-    """Exit code, output files, wall time and peak RSS of one CLI run writing into `out`."""
+    """Exit code, output files, wall time, peak RSS and stdout of one CLI
+    run writing into `out`."""
     out.mkdir(parents=True)
-    with open(out / "stderr.log", "w") as stderr:
+    with open(out / "stdout.log", "w") as stdout, open(out / "stderr.log", "w") as stderr:
         t0 = time.perf_counter()
         # SIGTERM and Ctrl-C are held until `proc` exists: raised inside
         # Popen, which waits for the child's exec, `_stop` would leave that
@@ -112,7 +116,7 @@ def run(src: Path, args: list[str], out: Path) -> Run:
                 [sys.executable, "-m", "dynolearn", *args],
                 cwd=out,
                 env=child_env(src),
-                stdout=subprocess.DEVNULL,
+                stdout=stdout,
                 stderr=stderr,
                 preexec_fn=_unblock_stop_signals,  # the child starts with none held
             )
@@ -128,7 +132,9 @@ def run(src: Path, args: list[str], out: Path) -> Run:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     paths = [*sorted(out.glob("*.csv")), *(out / name for name in RECORDS)]
     files = {p.name: p.read_text() for p in paths if p.is_file()}
-    return Run(proc.returncode, files, wall_s, usage.ru_maxrss / 1024.0)  # KiB on Linux
+    said = (out / "stdout.log").read_text().replace(str(out), "<out>")
+    rss_mib = usage.ru_maxrss / 1024.0  # KiB on Linux
+    return Run(proc.returncode, files, wall_s, rss_mib, said)
 
 
 def _relative(a: float, b: float) -> float:
@@ -173,6 +179,8 @@ def compare(old: Run, new: Run) -> str:
             problems.append(f"{name} differs")
         else:
             problems.append(f"{name} differs ({drift(old.files[name], new.files[name])})")
+    if old.stdout != new.stdout:
+        problems.append("stdout differs")
     same = f"same (exit {new.code}, {len(new.files)} files)"
     verdict = "; ".join(problems) if problems else same
     cost = ", ".join(

@@ -3,7 +3,10 @@
 Subcommands: simulate | filters | risk | burnin | mstar | agnostic | biasvar.
 Every successful run writes its artifacts plus a manifest (resolved config,
 digest, seed, version) into the output directory, sufficient to reproduce
-the run bit for bit; a failed run writes nothing.  Exit codes: 0 success,
+the run bit for bit; a failed run writes nothing.  Every subcommand but
+`filters` runs one path (`_run`): it checks that `--out` is a directory or
+can become one before it measures, and writes only after the measurement,
+so a bad `--out` costs no measurement.  Exit codes: 0 success,
 1 config error, 2 contract violation, 3 incompatible system/oracle pairing,
 4 numerical failure.
 """
@@ -77,20 +80,6 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _prepare_out(cfg: ExperimentConfig, subcommand: str, out_flag: str | None) -> Path:
-    out = _out_dir(out_flag or cfg.run.out_dir)
-    (out / "resolved.cfg").write_text(canonical_text(cfg))
-    manifest = (
-        f"tool = dynolearn {__version__}\n"
-        f"subcommand = {subcommand}\n"
-        f"seed = {cfg.run.seed}\n"
-        f"config_digest = {cfg.digest()}\n"
-        "config_file = resolved.cfg\n"
-    )
-    (out / "manifest.txt").write_text(manifest)
-    return out
-
-
 def _load(args) -> ExperimentConfig:
     overrides = list(args.overrides or [])
     if args.config is None:
@@ -99,21 +88,6 @@ def _load(args) -> ExperimentConfig:
         cfg = load_config(args.config, overrides)
     validate_config(cfg)
     return cfg
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
-    system = build_system(cfg)
-    x0 = initial_states(system)[0]
-    rngs = [SeededRng(cfg.run.seed).child(0, 0)]
-    record = cfg.harness.record_states
-    run = simulate_ensemble(system, cfg.harness.horizon, x0, rngs, record_states=record)
-    ys, xs = (run[0][0], run[1][0]) if record else (run[0], None)
-    path = _prepare_out(cfg, "simulate", args.out) / "trajectory.csv"
-    write_trajectory_csv(ys, path, xs)
-    print(f"rows={len(ys)} seed={cfg.run.seed}")
-    print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _cmd_filters(args) -> int:
@@ -135,109 +109,120 @@ def _cmd_filters(args) -> int:
     return EXIT_OK
 
 
-def _risk_curve(cfg: ExperimentConfig, args, system, algorithm, references):
-    """The configured excess-risk curve over `references`; `risk` and
-    `burnin` pass the oracle alone, `agnostic` the baselines."""
-    return estimate_excess_risk(
-        system,
-        algorithm,
-        references,
-        t_grid=cfg.harness.t_grid,
-        n_traj=cfg.harness.n_traj,
-        master_seed=cfg.run.seed,
-        window=cfg.harness.window,
-        n_workers=_threads(args.threads),
-    )
+def _run(args) -> int:
+    """The one path of every subcommand that reads a config: load and
+    validate it, check that the output path is a directory or can become
+    one (it, or its nearest existing ancestor, is a directory), measure,
+    and only then make the directory, write `resolved.cfg`, `manifest.txt`
+    and the tables, and print the summary.  So a bad `--out` is refused
+    before anything is measured, and a failed run writes nothing.
 
-
-def _cmd_risk(args) -> int:
+    `args.measure(cfg, args, harness)` takes the keywords that every
+    measurement shares and returns its tables, {file name: writer of a
+    path} in the order they are written, and its summary, a function of
+    the output directory."""
     cfg = _load(args)
-    system = build_system(cfg)
-    algorithm = build_predictor(cfg, system)
-    curve = _risk_curve(cfg, args, system, algorithm, (build_oracle(cfg, system),))
-    path = _prepare_out(cfg, "risk", args.out) / "risk.csv"
-    curve.write_csv(path)
-    print(f"wrote {path} (oracle={curve.oracle_label}, n_traj={curve.n_traj})")
+    out = Path(args.out or cfg.run.out_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot make output directory {out}: {nearest} is not a directory")
+    harness = {
+        "n_traj": cfg.harness.n_traj,
+        "master_seed": cfg.run.seed,
+        "window": cfg.harness.window,
+        "n_workers": _threads(args.threads),
+    }
+    tables, summary = args.measure(cfg, args, harness)
+    _out_dir(out)
+    (out / "resolved.cfg").write_text(canonical_text(cfg))
+    manifest = (
+        f"tool = dynolearn {__version__}\n"
+        f"subcommand = {args.command}\n"
+        f"seed = {cfg.run.seed}\n"
+        f"config_digest = {cfg.digest()}\n"
+        "config_file = resolved.cfg\n"
+    )
+    (out / "manifest.txt").write_text(manifest)
+    for name, write in tables.items():
+        write(out / name)
+    print(summary(out))
     return EXIT_OK
 
 
-def _cmd_burnin(args) -> int:
-    cfg = _load(args)
+def _simulate(cfg: ExperimentConfig, args, harness):
+    system = build_system(cfg)
+    x0 = initial_states(system)[0]
+    rngs = [SeededRng(cfg.run.seed).child(0, 0)]
+    record = cfg.harness.record_states
+    run = simulate_ensemble(system, cfg.harness.horizon, x0, rngs, record_states=record)
+    ys, xs = (run[0][0], run[1][0]) if record else (run[0], None)
+    tables = {"trajectory.csv": lambda path: write_trajectory_csv(ys, path, xs)}
+    return tables, lambda out: f"rows={len(ys)} seed={cfg.run.seed}\nwrote {out / 'trajectory.csv'}"
+
+
+def _curve(cfg: ExperimentConfig, harness, baselines: bool = False):
+    """The configured learner's excess-risk curve over the oracle alone
+    (`risk`, `burnin`), or over the baselines (`agnostic`)."""
+    system = build_system(cfg)
+    algorithm = build_predictor(cfg, system)
+    refs = build_baselines(cfg, system) if baselines else (build_oracle(cfg, system),)
+    return estimate_excess_risk(system, algorithm, refs, cfg.harness.t_grid, **harness)
+
+
+def _risk(cfg: ExperimentConfig, args, harness):
+    curve = _curve(cfg, harness)
+    said = f"(oracle={curve.oracle_label}, n_traj={curve.n_traj})"
+    return {"risk.csv": curve.write_csv}, lambda out: f"wrote {out / 'risk.csv'} {said}"
+
+
+def _burnin(cfg: ExperimentConfig, args, harness):
+    tables = {}
     if args.curve is not None:
         curve = read_risk_curve_csv(args.curve)
     else:
-        system = build_system(cfg)
-        algorithm = build_predictor(cfg, system)
-        curve = _risk_curve(cfg, args, system, algorithm, (build_oracle(cfg, system),))
+        curve = _curve(cfg, harness)
+        tables["risk.csv"] = curve.write_csv
     reports = [burn_in_time(curve, eps) for eps in cfg.harness.epsilons]
-    out = _prepare_out(cfg, "burnin", args.out)
-    if args.curve is None:
-        curve.write_csv(out / "risk.csv")
-    path = out / "burnin.csv"
-    write_burn_in_csv(reports, path)
+    tables["burnin.csv"] = lambda path: write_burn_in_csv(reports, path)
+    lines = []
     for r in reports:
         t = "inf" if not r.is_finite else str(int(r.t_star))
-        print(f"epsilon={format_float(r.epsilon)} t_star={t} checked_to={r.uniform_checked_to}")
-    print(f"wrote {path}")
-    return EXIT_OK
+        eps = format_float(r.epsilon)
+        lines.append(f"epsilon={eps} t_star={t} checked_to={r.uniform_checked_to}")
+    return tables, lambda out: "\n".join([*lines, f"wrote {out / 'burnin.csv'}"])
 
 
-def _cmd_mstar(args) -> int:
-    cfg = _load(args)
+def _mstar(cfg: ExperimentConfig, args, harness):
+    h = cfg.harness
     system = build_system(cfg)
     # the configured learner with as many filters (AR lags) as the sweep reaches;
     # an empty m_range is refused by the sweep
-    widest = dataclasses.replace(cfg.predictor, m=max(cfg.harness.m_range, default=1))
+    widest = dataclasses.replace(cfg.predictor, m=max(h.m_range, default=1))
     learner = build_predictor(dataclasses.replace(cfg, predictor=widest), system)
+    oracle = build_oracle(cfg, system)
     report = minimal_filter_count(
-        system,
-        learner,
-        build_oracle(cfg, system),
-        epsilon=cfg.harness.epsilon,
-        m_range=cfg.harness.m_range,
-        t_eval=cfg.harness.t_eval,
-        n_traj=cfg.harness.n_traj,
-        master_seed=cfg.run.seed,
-        window=cfg.harness.window,
-        n_workers=_threads(args.threads),
+        system, learner, oracle, h.epsilon, h.m_range, h.t_eval, **harness
     )
-    out = _prepare_out(cfg, "mstar", args.out)
-    report.write_csv(out / "mstar_table.csv")
-    report.write_summary_csv(out / "mstar.csv")
+    tables = {"mstar_table.csv": report.write_csv, "mstar.csv": report.write_summary_csv}
     star = "none" if report.m_star is None else str(report.m_star)
-    print(f"m_star={star} at epsilon={format_float(report.epsilon)} (t={report.t_eval})")
-    print(f"wrote {out / 'mstar_table.csv'} and {out / 'mstar.csv'}")
-    return EXIT_OK
+    said = f"m_star={star} at epsilon={format_float(report.epsilon)} (t={report.t_eval})"
+    return tables, lambda out: f"{said}\nwrote {out / 'mstar_table.csv'} and {out / 'mstar.csv'}"
 
 
-def _cmd_agnostic(args) -> int:
-    cfg = _load(args)
+def _agnostic(cfg: ExperimentConfig, args, harness):
+    curve = _curve(cfg, harness, baselines=True)
+    said = f"(comparator={curve.oracle_label})"
+    return {"agnostic.csv": curve.write_csv}, lambda out: f"wrote {out / 'agnostic.csv'} {said}"
+
+
+def _biasvar(cfg: ExperimentConfig, args, harness):
+    h = cfg.harness
     system = build_system(cfg)
-    algorithm = build_predictor(cfg, system)
-    curve = _risk_curve(cfg, args, system, algorithm, build_baselines(cfg, system))
-    path = _prepare_out(cfg, "agnostic", args.out) / "agnostic.csv"
-    curve.write_csv(path)
-    print(f"wrote {path} (comparator={curve.oracle_label})")
-    return EXIT_OK
-
-
-def _cmd_biasvar(args) -> int:
-    cfg = _load(args)
-    system = build_system(cfg)
+    learner = build_predictor(cfg, system)
     report = bias_variance_split(
-        system,
-        build_predictor(cfg, system),
-        t_grid=cfg.harness.t_grid,
-        n_traj=cfg.harness.n_traj,
-        master_seed=cfg.run.seed,
-        window=cfg.harness.window,
-        ref_multiplier=cfg.harness.ref_multiplier,
-        n_workers=_threads(args.threads),
+        system, learner, h.t_grid, ref_multiplier=h.ref_multiplier, **harness
     )
-    path = _prepare_out(cfg, "biasvar", args.out) / "biasvar.csv"
-    report.write_csv(path)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {"biasvar.csv": report.write_csv}, lambda out: f"wrote {out / 'biasvar.csv'}"
 
 
 def _add_common(sub: argparse.ArgumentParser, config_required: bool = False) -> None:
@@ -259,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("simulate", help="simulate one trajectory to CSV")
     _add_common(sp, config_required=True)
-    sp.set_defaults(fn=_cmd_simulate)
+    sp.set_defaults(fn=_run, measure=_simulate)
 
     sp = subs.add_parser("filters", help="dump the filter-bank spectrum and filters")
     sp.add_argument("--window", "-T", type=int, required=True, help="window length")
@@ -267,18 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output directory")
     sp.set_defaults(fn=_cmd_filters)
 
-    for name, fn, help_text in (
-        ("risk", _cmd_risk, "excess-risk curve vs the oracle"),
-        ("burnin", _cmd_burnin, "burn-in times from a risk curve"),
-        ("mstar", _cmd_mstar, "minimal filter count achieving epsilon"),
-        ("agnostic", _cmd_agnostic, "gap to the best baseline predictor"),
-        ("biasvar", _cmd_biasvar, "approximation/estimation split"),
+    for name, measure, help_text in (
+        ("risk", _risk, "excess-risk curve vs the oracle"),
+        ("burnin", _burnin, "burn-in times from a risk curve"),
+        ("mstar", _mstar, "minimal filter count achieving epsilon"),
+        ("agnostic", _agnostic, "gap to the best baseline predictor"),
+        ("biasvar", _biasvar, "approximation/estimation split"),
     ):
         sp = subs.add_parser(name, help=help_text)
         _add_common(sp, config_required=(name != "burnin"))
         if name == "burnin":
             sp.add_argument("--curve", help="existing risk-curve CSV to analyze")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_run, measure=measure)
     return parser
 
 

@@ -271,6 +271,8 @@ def _build_observation(sc: SystemConfig, d: int) -> np.ndarray:
 
 def build_system(cfg: ExperimentConfig):
     sc = cfg.system
+    if sc.kind != "closed_loop" and (sc.b is not None or sc.k is not None):
+        raise ConfigError("system.b and system.k apply only to kind = closed_loop")
     try:
         if sc.kind == "lorenz":
             init = _build_init(sc)

@@ -40,18 +40,19 @@ uses it; every block still enters their Gram and moment, so the read rows
 keep the bits of a full run.  Every learner, in every measurement, runs as
 an arm of `predictors._Arms`, and arms of one learner share one
 convolution per block.  A measurement that needs more arms than the
-learner's one runs a shallow copy of it re-armed (`_rearmed`): m*'s sweep
-reads every filter count's columns (its first m filters) from the block of
-the learner it is given, and the bias/variance split runs its online
-learner beside a frozen arm that predicts with the fixed w*-readout.  The
-split's reference fit is one more learner's stream, on the long reference
-run, with a mask that reads no row: it only sums the Gram and moment that
-w* is solved from.  A learner's state for the whole grid is one Gram and
-moment per (x0, traj), which all its arms solve from, plus each arm's
-readouts, so the grid runs in groups of x0 whose `state_size`, summed
-over the learners, fits `_GROUP_BYTES`, by one rule for both system types:
-the whole grid on the benchmark's workloads, m*'s sweep over 20 filter
-counts included, until the ensemble or the bank grows large.  Every stream
+learner's one runs a `SpectralPredictor` over the learner's bank
+constructed with those arms: m*'s sweep reads every filter count's
+columns (its first m filters) from the block of the learner it is given,
+and the bias/variance split runs its online learner beside a frozen arm
+that predicts with the fixed w*-readout.  The split's reference fit is one
+more learner's stream, on the long reference run, with a mask that reads
+no row: it only sums the Gram and moment that w* is solved from.  A
+learner's state for the whole grid is one Gram and moment per (x0, traj),
+which all its arms solve from, plus each arm's readouts, so the grid runs
+in groups of x0 whose `state_size`, summed over the learners, fits
+`_GROUP_BYTES`, by one rule for both system types: the whole grid on the
+benchmark's workloads, m*'s sweep over 20 filter counts included, until
+the ensemble or the bank grows large.  Every stream
 runs once per group; each group of a Lorenz grid is its own recursion,
 from fresh trajectory streams.
 
@@ -74,7 +75,6 @@ configs' LDS outputs by at most a relative 6.1e-13 (d50's `biasvar.csv`).
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -375,17 +375,11 @@ def _x0_groups(runs, k: int, n: int) -> list[slice]:
 
 def _refuse_fixed(learner, measurement: str) -> None:
     """Refuse a predictor whose readout `measurement` cannot read: one that
-    is not a `SpectralPredictor`, or a baseline frozen at a fixed readout."""
-    if not isinstance(learner, SpectralPredictor) or learner.readout is not None:
+    is not a `SpectralPredictor`, or one none of whose arms learns (a
+    baseline frozen at a fixed readout)."""
+    if not isinstance(learner, SpectralPredictor) or all(len(a) == 3 for a in learner.arms):
         name = getattr(learner, "label", type(learner).__name__)
         raise IncompatiblePairing(f"{measurement} needs a learner, not {name}")
-
-
-def _rearmed(learner: SpectralPredictor, arms) -> SpectralPredictor:
-    """A shallow copy of `learner` that runs `arms` (see `predictors._Arms`)."""
-    run = copy.copy(learner)
-    run._arms = arms
-    return run
 
 
 def _versus_ys(starts, window: int):
@@ -546,7 +540,8 @@ def minimal_filter_count(
     states = _resolve_states(system, x0_grid)
     # every filter count reads its columns of the learner's convolution
     cols = [None if m == bank.m else _bank_columns(bank, m, learner.obs_dim) for m in ms]
-    sweep = _rearmed(learner, [(c, learner.reg) for c in cols])
+    arms = [(c, learner.reg) for c in cols]
+    sweep = SpectralPredictor(bank, learner.obs_dim, learner.reg, learner.refit_period, arms)
     rows, starts = _read_rows(grid, window, horizon)  # [t_eval, horizon)
     runs, master = (oracle, sweep), SeededRng(master_seed)
     L = _evaluate(
@@ -618,7 +613,8 @@ def bias_variance_split(
     kalman = KalmanPredictor(system)
     rows, starts = _read_rows(grid, window, horizon)
     # the online learner and the frozen w*-readout, on one convolution per block
-    both = _rearmed(learner, [(None, learner.reg), (None, 0.0, w_star)])
+    arms = [(None, learner.reg), (None, 0.0, w_star)]
+    both = SpectralPredictor(learner.bank, learner.obs_dim, learner.reg, learner.refit_period, arms)
 
     def losses(ys, preds):
         learned, star, on_kalman = preds

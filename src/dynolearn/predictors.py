@@ -276,9 +276,11 @@ class SpectralPredictor:
     Histories shorter than the filter window are zero padded, and a
     learner's prediction is zero until the first refit.  Multi-dimensional
     outputs use per-coordinate feature concatenation and a matrix readout.
-    `readout` is None for a learner.  The predictor runs as one `_Arms`
-    stream; a measurement may run a shallow copy whose `_arms` it sets (m*'s
-    filter counts, the bias/variance split's frozen w*-readout).
+    The predictor runs as one `_Arms` stream of its `arms` (see `_Arms`):
+    by default the learner's one arm, (None, reg); a baseline's is the
+    frozen (None, 0.0, readout).  A measurement that runs more arms on one
+    convolution constructs its run with them (m*'s filter counts, the
+    bias/variance split's learner beside its frozen w*-readout).
     """
 
     def __init__(
@@ -287,6 +289,7 @@ class SpectralPredictor:
         obs_dim: int = 1,
         reg: float = DEFAULT_REG,
         refit_period: int = DEFAULT_REFIT_PERIOD,
+        arms=None,
     ):
         if obs_dim < 1:
             raise ContractViolation(f"obs_dim must be >= 1, got {obs_dim}")
@@ -295,8 +298,7 @@ class SpectralPredictor:
         self.reg = reg
         self.refit_period = refit_period
         self.label = "spectral"
-        self.readout = None
-        self._arms = None  # the arms of `_Arms`; None for the one arm of `stream`
+        self.arms = [(None, reg)] if arms is None else list(arms)
 
     @classmethod
     def ar(
@@ -319,15 +321,10 @@ class SpectralPredictor:
         learner's readout refuses it."""
         if kind not in ("zero", "last_value"):
             raise ContractViolation(f"unknown baseline kind {kind!r}")
-        pred = cls(FilterBank.identity(1), obs_dim)
+        readout = np.zeros((obs_dim, obs_dim)) if kind == "zero" else np.eye(obs_dim)
+        pred = cls(FilterBank.identity(1), obs_dim, arms=[(None, 0.0, readout)])
         pred.label = kind
-        pred.readout = np.zeros((obs_dim, obs_dim)) if kind == "zero" else np.eye(obs_dim)
         return pred
-
-    def _arm_specs(self) -> list:
-        """The arms of `_Arms` it runs: `_arms`, or (None, reg), or (None, 0.0, readout)."""
-        own = (None, self.reg) if self.readout is None else (None, 0.0, self.readout)
-        return self._arms or [own]
 
     @property
     def state_size(self) -> int:
@@ -336,12 +333,12 @@ class SpectralPredictor:
         readout of each learned arm of q features; a frozen arm keeps none.
         Independent of the hidden dimension of whatever generated the data."""
         p, qf = self.obs_dim, self.bank.feature_count * self.obs_dim
-        learned = [cols for cols, _, *readout in self._arm_specs() if not readout]
+        learned = [cols for cols, _, *readout in self.arms if not readout]
         qs = [qf if cols is None else len(cols) for cols in learned]
         return (qf * qf + qf * p if qs else 0) + sum(q * p for q in qs)
 
     def stream(self, shape, rows=None, k=None) -> _Arms:
         """The `_Arms` of this predictor's arms on an (n, H, p) ensemble."""
         _check_obs_dim(shape[2], self.obs_dim)
-        F, arms = self.bank.filter_matrix(), self._arm_specs()
-        return _Arms(F, shape, arms, self.refit_period, rows, k)
+        F = self.bank.filter_matrix()
+        return _Arms(F, shape, self.arms, self.refit_period, rows, k)

@@ -407,10 +407,10 @@ def lorenz_evaluate_reference(
         for run in runs:
             if isinstance(run, TruthOracle):
                 preds.append(read(Ys.copy()))
-            elif run.readout is not None:  # a zero or last-value baseline
+            elif len(run.arms[0]) == 3:  # a zero or last-value baseline: one frozen arm
                 preds.append(read(baseline_map(run.label, Ys)))
             else:
-                F, arms = run.bank.filter_matrix(), run._arm_specs()
+                F, arms = run.bank.filter_matrix(), run.arms
                 preds += [r.preds for r in whole_array_ridges(F, Ys, arms, run.refit_period, rows)]
         per_x0.append(np.stack(losses(read(Ys), preds)))
     return np.stack(per_x0, axis=1)

@@ -55,11 +55,11 @@ def test_public_api_is_pinned():
 PREDICTOR_PUBLIC = {
     "SpectralPredictor": [
         "ar",
+        "arms",
         "bank",
         "baseline",
         "label",
         "obs_dim",
-        "readout",
         "refit_period",
         "reg",
         "state_size",

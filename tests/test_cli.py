@@ -111,6 +111,25 @@ class TestSimulate:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "config" and "system.b and system.k" in err["message"]
 
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            ("scalar_lds.cfg", ["system.b=1", "system.k=-0.5"]),
+            ("scalar_lds.cfg", ["system.k=-0.5"]),
+            ("lorenz.cfg", ["system.b=1"]),
+        ],
+        ids=["lds", "lds-k-alone", "lorenz"],
+    )
+    def test_control_keys_outside_a_closed_loop_exit_one(self, config, keys, tmp_path):
+        # b and k belong to a closed loop: on any other kind they would be
+        # ignored, so asking for A + BK = 0.4 would run the open loop a = 0.9
+        args = ["risk", "-c", str(REPO / "configs" / config), "--out", "o", "harness.n_traj=4"]
+        res = run_cli([*args, *keys], tmp_path)
+        assert res.returncode == 1, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "config" and "kind = closed_loop" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_lorenz_blowup_exits_four(self, workdir):
         (workdir / "blow.cfg").write_text(
             "[system]\nkind = lorenz\ndt = 0.05\nx0_kind = fixed\nx0 = 1e8,1e8,1e8\n"
@@ -207,27 +226,50 @@ class TestFilters:
 
 
 _SCALAR_LDS = str(REPO / "configs" / "scalar_lds.cfg")
+_SMALL = ["-c", _SCALAR_LDS, "-j", "1", "harness.n_traj=4"]
 
 
 @pytest.mark.parametrize(
     "args, out",
     [
-        (["risk", "-c", _SCALAR_LDS, "-j", "1", "harness.n_traj=4"], "f"),
+        (["risk", *_SMALL], "f"),
         (["filters", "-T", "10", "-m", "3"], "f"),
         (["simulate", "-c", _SCALAR_LDS], "f/x"),
+        (["burnin", "--curve", "curve.csv"], "f"),
+        (["mstar", *_SMALL], "f/x"),
+        (["agnostic", *_SMALL], "f"),
+        (["biasvar", *_SMALL], "f"),
     ],
-    ids=["risk", "filters", "simulate"],
+    ids=["risk", "filters", "simulate", "burnin-curve", "mstar", "agnostic", "biasvar"],
 )
 def test_unwritable_out_is_a_config_error(args, out, tmp_path):
     # an --out that is an existing file, or lies under one, cannot be made a
     # directory: the run exits 1 with one JSON line naming it and writes nothing
     (tmp_path / "f").write_text("kept")
+    (tmp_path / "curve.csv").write_text("t,excess_mean,excess_ci,raw_alg,raw_oracle\n10,1,0,1,0\n")
     res = run_cli([*args, "--out", out], tmp_path)
     assert res.returncode == 1, res.stderr
     (line,) = res.stderr.splitlines()
     err = json.loads(line)
     assert err["error"] == "config" and out in err["message"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "f"]
+    assert (tmp_path / "f").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["risk", "burnin", "mstar", "agnostic", "biasvar"])
+def test_unwritable_out_is_refused_before_measuring(command, tmp_path, monkeypatch, capsys):
+    # the output path is checked before the measurement starts, not after it
+    from dynolearn import cli, learnability
+
+    def measured(*args):
+        raise AssertionError("measured before the output path was checked")
+
+    monkeypatch.setattr(learnability, "_evaluate", measured)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("kept")
+    assert cli.main([command, *_SMALL, "--out", "f"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "output directory f:" in err["message"]
     assert (tmp_path / "f").read_text() == "kept"
 
 

@@ -257,8 +257,10 @@ class TestBuilders:
             pred = build_predictor(cfg, system)
             assert isinstance(pred, cls)
             if kind in ("last_value", "zero"):  # a frozen readout over the last observation
-                want = SpectralPredictor.baseline(kind)
-                assert (pred.label, pred.readout.tobytes()) == (kind, want.readout.tobytes())
+                (arm,), (want,) = pred.arms, SpectralPredictor.baseline(kind).arms
+                assert (pred.label, *arm[:2], arm[2].tobytes()) == (
+                    kind, *want[:2], want[2].tobytes()
+                )
         cfg.predictor.kind = "ar"
         ar = build_predictor(cfg, system)
         assert (ar.label, ar.bank.filter_matrix().tobytes()) == ("ar3", np.eye(3).tobytes())
@@ -313,11 +315,15 @@ class TestBuilders:
         for got, ref in zip(baselines, want, strict=True):
             assert type(got) is type(ref)
             unbanked = [
-                {k: v for k, v in vars(b).items() if k not in ("bank", "readout")}
+                {k: v for k, v in vars(b).items() if k not in ("bank", "arms")}
                 for b in (got, ref)
             ]
             assert unbanked[0] == unbanked[1]
-            np.testing.assert_array_equal(got.readout, ref.readout)
+            arms = [
+                [(cols, reg, *(w.tobytes() for w in readout)) for cols, reg, *readout in b.arms]
+                for b in (got, ref)
+            ]
+            assert arms[0] == arms[1]
             assert run_whole(got, Ys)[0].tobytes() == run_whole(ref, Ys)[0].tobytes()
             if isinstance(ref, SpectralPredictor):
                 assert got.bank.filter_matrix().tobytes() == ref.bank.filter_matrix().tobytes()

@@ -897,10 +897,10 @@ def _superposition_system(kind, g, d, p):
 
 
 def _grid_learners(bank, p, reg, refit_period, order, readout):
-    """The learner, an m* column arm and a frozen w*-readout, re-armed on
-    `bank`; then AR(order)."""
+    """The learner, an m* column arm and a frozen w*-readout, as arms of one
+    predictor over `bank`; then AR(order)."""
     arms = [(None, reg), (_bank_columns(bank, 2, p), reg), (None, 0.0, readout)]
-    learner = learnability._rearmed(SpectralPredictor(bank, p, reg, refit_period), arms)
+    learner = SpectralPredictor(bank, p, reg, refit_period, arms)
     return [learner, SpectralPredictor.ar(order, p, reg, refit_period)]
 
 
@@ -926,7 +926,7 @@ def _assert_direct_runs(got, system, states, horizon, n_traj, seed, rows, runs):
     """Each x0's predictions `got` of `_grid_learners`' runs equal runs on
     the whole base + free[j]: the learner's arms up to rounding, AR's bits."""
     learner, ar = runs
-    F, arms = learner.bank.filter_matrix(), learner._arm_specs()
+    F, arms = learner.bank.filter_matrix(), learner.arms
     base = systems.simulate_ensemble(
         system, horizon, np.zeros(system.d), _traj_rngs(SeededRng(seed), n_traj)
     )

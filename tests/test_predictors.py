@@ -246,7 +246,7 @@ class TestBaselines:
         for kind in ("zero", "last_value"):  # each runs as one frozen arm, at its readout
             baseline = SpectralPredictor.baseline(kind)
             (ridge,) = baseline.stream((2, 5, 1)).ridges
-            assert ridge.frozen and ridge.w[0].tobytes() == baseline.readout.tobytes()
+            assert ridge.frozen and ridge.w[0].tobytes() == baseline.arms[0][2].tobytes()
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_baselines_are_frozen_learners_over_the_last_observation(self, p):
@@ -255,11 +255,12 @@ class TestBaselines:
             baseline = SpectralPredictor.baseline(kind, obs_dim=p)
             assert isinstance(baseline, SpectralPredictor) and baseline.label == kind
             assert baseline.bank.filter_matrix().tobytes() == np.eye(1).tobytes()
-            assert baseline.readout.tobytes() == readout.tobytes()
+            (arm,) = baseline.arms
+            assert arm[:2] == (None, 0.0) and arm[2].tobytes() == readout.tobytes()
             preds, readouts = run_whole(baseline, Ys)  # it fits nothing: the readout stays fixed
             assert all(w.tobytes() == readout.tobytes() for w in readouts)
             assert preds.tobytes() == baseline_map(kind, Ys).tobytes()
-        assert SpectralPredictor.ar(2).readout is None  # a learner's readout is fit
+        assert SpectralPredictor.ar(2, reg=0.7).arms == [(None, 0.7)]  # one learned arm
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -526,8 +527,8 @@ class TestBlockedEngine:
         g = np.random.default_rng(6)
         base, free = g.standard_normal((n, H, 1)), g.standard_normal((k, H, 1))
         one = SpectralPredictor(big)
-        sweep = SpectralPredictor(big)
-        sweep._arms = [(None if m == 20 else _bank_columns(big, m, 1), 2.0) for m in range(1, 21)]
+        arms = [(None if m == 20 else _bank_columns(big, m, 1), 2.0) for m in range(1, 21)]
+        sweep = SpectralPredictor(big, arms=arms)
         peaks = []
         for pred in (one, sweep):
             tracemalloc.start()

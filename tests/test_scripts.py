@@ -28,7 +28,6 @@ PINNED = {
     [
         ("lorenz_obstruction.py", ["--horizon", "1200", "--rollout", "20"], "20-step rollout MSE:"),
         ("dimension_sweep.py", ["--dims", "2", "--n-traj", "4"], "minimal filter count at eps="),
-        ("scalar_lds_pipeline.py", ["--n-traj", "4", "--out", "out"], "wrote out/risk.csv"),
     ],
 )
 def test_script_runs(script, args, expected, tmp_path):
@@ -152,3 +151,16 @@ def test_check_bytes_alternates_the_tree_order(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"{pairs} of {pairs} runs differ"
     assert sum("out.csv differs" in line for line in lines) == pairs
+
+
+def test_check_bytes_compares_stdout(tmp_path, monkeypatch):
+    # stdout is compared with the run's output directory written as <out>
+    check_bytes = _load_check_bytes(monkeypatch)
+    out = tmp_path / "run"
+    args = check_bytes.command_args("filters", REPO / "configs" / "scalar_lds.cfg", out, 1)
+    res = check_bytes.run(SRC, args, out)
+    assert res.code == 0
+    assert res.stdout.startswith("wrote <out>/spectrum.csv and <out>/filters.csv (reliable cap")
+    other = check_bytes.Run(res.code, res.files, res.wall_s, res.peak_rss_mib, res.stdout + "x\n")
+    assert check_bytes.compare(res, res).startswith("same")
+    assert check_bytes.compare(res, other).startswith("stdout differs")
